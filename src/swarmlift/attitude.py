@@ -64,6 +64,26 @@ def quat_inverse(q):
     return quat_conjugate(q)
 
 
+def cross3(a, b):
+    """Cross product of 3-vectors along the last axis, with broadcasting.
+
+    Same component arithmetic as ``np.cross`` (so the same bits), without
+    its axis shuffling, which dominates the cost on small inputs.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    c1 = a2 * b0 - a0 * b2
+    c2 = a0 * b1 - a1 * b0
+    out = np.empty(np.shape(c0) + (3,), dtype=c0.dtype)
+    out[..., 0] = c0
+    out[..., 1] = c1
+    out[..., 2] = c2
+    return out
+
+
 def quat_multiply(q1, q2):
     """Hamilton product q1 (x) q2, renormalized.
 
@@ -74,7 +94,7 @@ def quat_multiply(q1, q2):
     q2 = np.asarray(q2, dtype=float)
     v1, s1 = q1[..., :3], q1[..., 3:4]
     v2, s2 = q2[..., :3], q2[..., 3:4]
-    v = s1 * v2 + s2 * v1 + np.cross(v1, v2)
+    v = s1 * v2 + s2 * v1 + cross3(v1, v2)
     s = s1 * s2 - np.sum(v1 * v2, axis=-1, keepdims=True)
     return quat_normalize(np.concatenate([v, s], axis=-1))
 
@@ -166,6 +186,21 @@ def euler_to_rotmat(eta):
     R[..., 2, 1] = cth * sph
     R[..., 2, 2] = cth * cph
     return R
+
+
+def euler_body_z(eta):
+    """Inertial-frame body z axis of Z-Y-X Euler angles: the third column
+    of :func:`euler_to_rotmat`, computed with the same arithmetic."""
+    eta = np.asarray(eta, dtype=float)
+    phi, theta, psi = eta[..., 0], eta[..., 1], eta[..., 2]
+    cph, sph = np.cos(phi), np.sin(phi)
+    cth, sth = np.cos(theta), np.sin(theta)
+    cps, sps = np.cos(psi), np.sin(psi)
+    z = np.empty(eta.shape)
+    z[..., 0] = cps * sth * cph + sps * sph
+    z[..., 1] = sps * sth * cph - cps * sph
+    z[..., 2] = cth * cph
+    return z
 
 
 def rotmat_to_euler(R):

@@ -11,6 +11,7 @@ reported safe region can only shrink).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -323,26 +324,15 @@ def margins(grid: TuningGrid, n_agents: int, freqs=None, blocks=None,
         blocks = default_blocks(n_agents)
     if perf_weight is None:
         perf_weight = performance_weight()
-    args = [(n_agents, M, C) for (M, C) in pts]
+    fn = partial(margin_point, n_agents, freqs=freqs, blocks=blocks,
+                 perf_weight=perf_weight, polish=polish, cfg_kwargs=cfg_kwargs)
     if n_jobs == 1:
-        return [margin_point(n_agents, M, C, freqs=freqs, blocks=blocks,
-                             perf_weight=perf_weight, polish=polish,
-                             cfg_kwargs=cfg_kwargs)
-                for (M, C) in pts]
+        return [fn(M, C) for (M, C) in pts]
     from concurrent.futures import ProcessPoolExecutor
 
-    from functools import partial
-
-    fn = partial(_margin_star, freqs=freqs, polish=polish,
-                 cfg_kwargs=cfg_kwargs)
     with ProcessPoolExecutor(max_workers=n_jobs) as ex:
-        return list(ex.map(fn, args, chunksize=4))
-
-
-def _margin_star(arg, freqs=None, polish=True, cfg_kwargs=None):
-    n_agents, M, C = arg
-    return margin_point(n_agents, M, C, freqs=freqs, polish=polish,
-                        cfg_kwargs=cfg_kwargs)
+        return list(ex.map(fn, [M for M, _ in pts], [C for _, C in pts],
+                           chunksize=4))
 
 
 def sample_admissible_perturbation(rng, structure, mass_endpoint=None):

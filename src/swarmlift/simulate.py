@@ -9,7 +9,6 @@ estimator + admittance + PD; the master tracks the scripted reference.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +18,9 @@ from . import ukf as ukf_mod
 from .admittance import AdmittanceMode, AdmittanceState, admittance_step, fsm_step
 from .attitude import (
     body_rate_from_euler_rate,
+    cross3,
+    euler_body_z,
     euler_to_quat,
-    euler_to_rotmat,
-    quat_integrate,
     quat_normalize,
     quat_to_rotmat,
     rotmat_to_euler,
@@ -164,6 +163,34 @@ class _MasterRef:
         self.v = np.asarray(v, dtype=float)
 
 
+def _quat_rate(q, w):
+    """Rate of a scalar-last unit quaternion under body rate w:
+    qdot = 1/2 q (x) (w, 0)."""
+    qx, qy, qz, qs = q.tolist()
+    wx, wy, wz = w.tolist()
+    # the scalar part stays np.dot: its BLAS kernel may fuse multiply-adds,
+    # which a plain sum of products would not reproduce bit for bit
+    return np.array([0.5 * (qs * wx + (qy * wz - qz * wy)),
+                     0.5 * (qs * wy + (qz * wx - qx * wz)),
+                     0.5 * (qs * wz + (qx * wy - qy * wx)),
+                     -0.5 * np.dot(q[:3], w)])
+
+
+def _rk4(rhs, x, h: float, n_steps: int):
+    """Classical RK4 steps of the state tuple x = (p, v, q, w, ...) of the
+    payload and the agents; the payload quaternion q is renormalized after
+    every step."""
+    for _ in range(n_steps):
+        k1 = rhs(*x)
+        k2 = rhs(*[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+        k3 = rhs(*[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+        k4 = rhs(*[xi + h * ki for xi, ki in zip(x, k3)])
+        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        x[2] = quat_normalize(x[2])
+    return x
+
+
 def run_scenario(sc: Scenario) -> RunLog:
     """Deterministic fixed-step simulation of a scenario; divergence is
     reported in the log rather than raised."""
@@ -211,6 +238,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                                                        float(F_mag[i]), sc.mav))
         ctl.alt_target = hover_ref[i, 2]
         ctl.hold_xy = hover_ref[i, :2].copy()
+        ctl.ref_p = hover_ref[i].copy()
         if i > 0:
             ctl.adm = AdmittanceState(params=sc.adm)
             if sc.start_engaged:
@@ -250,32 +278,64 @@ def run_scenario(sc: Scenario) -> RunLog:
     drag_F = sc.payload.drag_F
     drag_M = sc.payload.drag_M
     tau_axes = np.array([sc.mav.tau_att, sc.mav.tau_att, sc.mav.tau_motor])
+    wn = sc.mav.omega_n_att
 
     def agent_kin(vdot=None, wdot=None):
         R = quat_to_rotmat(q_pl)
         p_i = p_pl[None, :] + att_w @ R.T
-        v_i = v_pl[None, :] + np.cross(w_pl[None, :], att_w) @ R.T
+        w_x_r = cross3(w_pl, att_w)
+        v_i = v_pl[None, :] + w_x_r @ R.T
         a_i = None
         if vdot is not None:
-            a_i = vdot[None, :] + (np.cross(wdot[None, :], att_w)
-                                   + np.cross(w_pl[None, :],
-                                              np.cross(w_pl[None, :], att_w))) @ R.T
+            a_i = vdot[None, :] + (cross3(wdot, att_w)
+                                   + cross3(w_pl, w_x_r)) @ R.T
         return p_i, v_i, a_i
 
     def thrust_world():
         if sc.thrust_model == "attitude":
-            R = euler_to_rotmat(eta)
-            return np.einsum("nij,j->ni", R, EZ) * F_mag[:, None]
+            return euler_body_z(eta) * F_mag[:, None]
         return F_lag.copy()
 
-    def payload_rhs(p, v, q, w, Fw):
+    def payload_rhs(v, q, w, Fw):
         R = quat_to_rotmat(q)
         drag_w = R @ (drag_F * (R.T @ v))
         vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
-        M_ag = np.cross(att_w, Fw @ R).sum(axis=0)
+        M_ag = cross3(att_w, Fw @ R).sum(axis=0)
         wdot = np.linalg.solve(com.J_sys,
-                               M_ag - np.cross(w, com.J_sys @ w) - drag_M * w)
+                               M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
         return vdot, wdot
+
+    # Right-hand sides of the coupled model on the state (p, v, q, w, agent
+    # states); they read the commands held over the current controller tick.
+    def attitude_rhs(p, v, q, w, et, etd, fm):
+        vdot, wdot = payload_rhs(v, q, w, euler_body_z(et) * fm[:, None])
+        etdd = wn**2 * (cmd_eta - et) - 2.0 * wn * etd
+        dfm = (cmd_F - fm) / sc.mav.tau_motor
+        return v, vdot, _quat_rate(q, w), wdot, etd, etdd, dfm
+
+    def lag_rhs(p, v, q, w, Fl):
+        vdot, wdot = payload_rhs(v, q, w, Fl)
+        dF = (sat_cmd - Fl) / tau_axes[None, :]
+        return v, vdot, _quat_rate(q, w), wdot, dF
+
+    def engage_slaves(calibrate=False):
+        # latch at the held reference, not the sagged pose
+        for ctl in agents[1:]:
+            if not ctl.adm.engaged:
+                ctl.adm = fsm_step(ctl.adm, np.zeros(3), dt_ctrl,
+                                   command="engage", current_pose=ctl.ref_p)
+                if calibrate:
+                    ctl.adm = fsm_step(ctl.adm, np.zeros(3), dt_ctrl,
+                                       command="compute_offset")
+
+    def disengage_slaves():
+        # hold the reference the FSM hands back, not the takeoff position
+        for ctl in agents[1:]:
+            if ctl.adm.engaged:
+                ctl.adm = fsm_step(ctl.adm, np.zeros(3), dt_ctrl,
+                                   command="disengage")
+                ctl.hold_xy = ctl.adm.Lambda_d[:2].copy()
+                ctl.alt_target = float(ctl.adm.Lambda_d[2])
 
     for k in range(n_ctrl):
         # scheduled events
@@ -288,17 +348,9 @@ def run_scenario(sc: Scenario) -> RunLog:
             elif act == "master_velocity":
                 master.set_velocity(ev["v"])
             elif act == "engage_slaves":
-                p_i, _, _ = agent_kin()
-                for i in range(1, N):
-                    if not agents[i].adm.engaged:
-                        agents[i].adm = fsm_step(agents[i].adm, np.zeros(3),
-                                                 dt_ctrl, command="engage",
-                                                 current_pose=p_i[i])
+                engage_slaves()
             elif act == "disengage_slaves":
-                for i in range(1, N):
-                    if agents[i].adm.engaged:
-                        agents[i].adm = fsm_step(agents[i].adm, np.zeros(3),
-                                                 dt_ctrl, command="disengage")
+                disengage_slaves()
             elif act == "compute_offset":
                 for i in range(1, N):
                     agents[i].adm = fsm_step(agents[i].adm, np.zeros(3),
@@ -322,28 +374,18 @@ def run_scenario(sc: Scenario) -> RunLog:
                     for i in range(N):
                         agents[i].alt_target = cmd[1]
                 elif cmd[0] == "engage_slaves":
-                    # latch at the held reference, not the sagged pose, and
                     # calibrate the static load share out of the estimate
-                    for i in range(1, N):
-                        if not agents[i].adm.engaged:
-                            agents[i].adm = fsm_step(
-                                agents[i].adm, np.zeros(3), dt_ctrl,
-                                command="engage", current_pose=agents[i].ref_p)
-                            agents[i].adm = fsm_step(
-                                agents[i].adm, np.zeros(3), dt_ctrl,
-                                command="compute_offset")
+                    engage_slaves(calibrate=True)
                 elif cmd[0] == "disengage_slaves":
-                    for i in range(1, N):
-                        if agents[i].adm.engaged:
-                            agents[i].adm = fsm_step(agents[i].adm, np.zeros(3),
-                                                     dt_ctrl, command="disengage")
+                    # the master, too, descends where transport left it
+                    agents[0].hold_xy = master.p[:2].copy()
+                    disengage_slaves()
 
         # current constrained kinematics and the coupled accelerations
         Fw_now = thrust_world()
-        vdot_now, wdot_now = payload_rhs(p_pl, v_pl, q_pl, w_pl, Fw_now)
+        vdot_now, wdot_now = payload_rhs(v_pl, q_pl, w_pl, Fw_now)
         p_i, v_i, a_i = agent_kin(vdot_now, wdot_now)
-        omega_i = np.array([
-            body_rate_from_euler_rate(eta[i], eta_dot[i]) for i in range(N)])
+        omega_i = body_rate_from_euler_rate(eta, eta_dot)
 
         # estimators (slaves) at their own rate
         if k % sc.ctrl_per_est == 0:
@@ -406,8 +448,8 @@ def run_scenario(sc: Scenario) -> RunLog:
             ctl.F_cmd_mag = F_c
             acc_att = (sc.mav.omega_n_att**2 * (ctl.eta_cmd - eta[i])
                        - 2.0 * sc.mav.omega_n_att * eta_dot[i])
-            M_cmd = sc.mav.J * acc_att + np.cross(omega_i[i],
-                                                  sc.mav.J * omega_i[i])
+            M_cmd = sc.mav.J * acc_att + cross3(omega_i[i],
+                                                sc.mav.J * omega_i[i])
             ctl.rotor = rotor_speeds_from_wrench(M_cmd, F_c, sc.mav)
 
         # log the tick
@@ -424,73 +466,17 @@ def run_scenario(sc: Scenario) -> RunLog:
         data[k, :] = row
 
         # integrate the coupled dynamics over one controller period
-        cmd_eta = np.array([agents[i].eta_cmd for i in range(N)])
-        cmd_F = np.array([agents[i].F_cmd_mag for i in range(N)])
-        cmd_Fw = np.array([agents[i].F_cmd_w for i in range(N)])
-
         if sc.thrust_model == "attitude":
-            def rhs(p, v, q, w, et, etd, fm):
-                R_et = euler_to_rotmat(et)
-                Fw = np.einsum("nij,j->ni", R_et, EZ) * fm[:, None]
-                vdot, wdot = payload_rhs(p, v, q, w, Fw)
-                qv, qs = q[:3], q[3]
-                om = w
-                dq = np.concatenate([
-                    0.5 * (qs * om + np.cross(qv, om)), [-0.5 * np.dot(qv, om)]])
-                etdd = (sc.mav.omega_n_att**2 * (cmd_eta - et)
-                        - 2.0 * sc.mav.omega_n_att * etd)
-                dfm = (cmd_F - fm) / sc.mav.tau_motor
-                return v, vdot, dq, wdot, etd, etdd, dfm
-
-            for _ in range(sc.steps_per_ctrl):
-                k1 = rhs(p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag)
-                k2 = rhs(p_pl + 0.5 * h * k1[0], v_pl + 0.5 * h * k1[1],
-                         q_pl + 0.5 * h * k1[2], w_pl + 0.5 * h * k1[3],
-                         eta + 0.5 * h * k1[4], eta_dot + 0.5 * h * k1[5],
-                         F_mag + 0.5 * h * k1[6])
-                k3 = rhs(p_pl + 0.5 * h * k2[0], v_pl + 0.5 * h * k2[1],
-                         q_pl + 0.5 * h * k2[2], w_pl + 0.5 * h * k2[3],
-                         eta + 0.5 * h * k2[4], eta_dot + 0.5 * h * k2[5],
-                         F_mag + 0.5 * h * k2[6])
-                k4 = rhs(p_pl + h * k3[0], v_pl + h * k3[1], q_pl + h * k3[2],
-                         w_pl + h * k3[3], eta + h * k3[4],
-                         eta_dot + h * k3[5], F_mag + h * k3[6])
-                p_pl = p_pl + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                v_pl = v_pl + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                q_pl = quat_normalize(
-                    q_pl + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]))
-                w_pl = w_pl + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-                eta = eta + h / 6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-                eta_dot = eta_dot + h / 6 * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
-                F_mag = F_mag + h / 6 * (k1[6] + 2 * k2[6] + 2 * k3[6] + k4[6])
+            cmd_eta = np.array([ctl.eta_cmd for ctl in agents])
+            cmd_F = np.array([ctl.F_cmd_mag for ctl in agents])
+            p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag = _rk4(
+                attitude_rhs, (p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag),
+                h, sc.steps_per_ctrl)
         else:
-            sat_cmd = np.array([
-                saturate_thrust_command(cmd_Fw[i], sc.mav) for i in range(N)])
-
-            def rhs(p, v, q, w, Fl):
-                vdot, wdot = payload_rhs(p, v, q, w, Fl)
-                qv, qs = q[:3], q[3]
-                dq = np.concatenate([
-                    0.5 * (qs * w + np.cross(qv, w)), [-0.5 * np.dot(qv, w)]])
-                dF = (sat_cmd - Fl) / tau_axes[None, :]
-                return v, vdot, dq, wdot, dF
-
-            for _ in range(sc.steps_per_ctrl):
-                k1 = rhs(p_pl, v_pl, q_pl, w_pl, F_lag)
-                k2 = rhs(p_pl + 0.5 * h * k1[0], v_pl + 0.5 * h * k1[1],
-                         q_pl + 0.5 * h * k1[2], w_pl + 0.5 * h * k1[3],
-                         F_lag + 0.5 * h * k1[4])
-                k3 = rhs(p_pl + 0.5 * h * k2[0], v_pl + 0.5 * h * k2[1],
-                         q_pl + 0.5 * h * k2[2], w_pl + 0.5 * h * k2[3],
-                         F_lag + 0.5 * h * k2[4])
-                k4 = rhs(p_pl + h * k3[0], v_pl + h * k3[1], q_pl + h * k3[2],
-                         w_pl + h * k3[3], F_lag + h * k3[4])
-                p_pl = p_pl + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                v_pl = v_pl + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                q_pl = quat_normalize(
-                    q_pl + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]))
-                w_pl = w_pl + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-                F_lag = F_lag + h / 6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+            sat_cmd = np.array([saturate_thrust_command(ctl.F_cmd_w, sc.mav)
+                                for ctl in agents])
+            p_pl, v_pl, q_pl, w_pl, F_lag = _rk4(
+                lag_rhs, (p_pl, v_pl, q_pl, w_pl, F_lag), h, sc.steps_per_ctrl)
 
         t += dt_ctrl
         state_mag = max(np.max(np.abs(p_pl)), np.max(np.abs(v_pl)),

@@ -17,8 +17,10 @@ def write_margin_csv(results: list[MarginResult], path: str) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in results:
-            fh.write(f"{r.M!r},{r.C!r},{r.rs_margin!r},{r.rp_margin!r},"
-                     f"{r.peak_freq_rs!r},{r.peak_freq_rp!r}\n")
+            fields = (r.M, r.C, r.rs_margin, r.rp_margin, r.peak_freq_rs,
+                      r.peak_freq_rp)
+            # float() first: a numpy scalar's repr is not a CSV number
+            fh.write(",".join(repr(float(v)) for v in fields) + "\n")
 
 
 def read_margin_csv(path: str) -> np.ndarray:

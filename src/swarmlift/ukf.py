@@ -136,7 +136,7 @@ def propagate_full(p, v, q, omega, F_ext, M_z, n_rotors, params: MavParams,
     M_ext = np.zeros(omega.shape)
     M_ext[..., 2] = M_z
     Jw = params.J * omega
-    w_dot = (w.M_prop - np.cross(omega, Jw) + M_ext) / params.J
+    w_dot = (w.M_prop - att.cross3(omega, Jw) + M_ext) / params.J
     return (p + Ts * v, v + Ts * v_dot, att.quat_integrate(q, omega, Ts),
             omega + Ts * w_dot, F_ext, M_z)
 

@@ -229,3 +229,26 @@ def test_euler_rate_map_roundtrip():
         omega = att.body_rate_from_euler_rate(eta, eta_dot)
         back = att.euler_rate_matrix(eta) @ omega
         assert_allclose(back, eta_dot, atol=1e-12)
+
+
+def test_cross3_matches_np_cross_bitwise():
+    rng = np.random.default_rng(5)
+
+    def vecs(shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+
+    a, b = vecs((40, 3)), vecs((40, 3))
+    ac, bc = a + 1j * vecs((40, 3)), b + 1j * vecs((40, 3))
+    pairs = [(a, b), (ac, bc), (a, bc), (a, b[0]), (a[0], b), (ac, bc[7]),
+             (a[0], b[0]), (a[:, None, :], b[None, :5, :])]
+    for x, y in pairs:
+        got, ref = att.cross3(x, y), np.cross(x, y)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_euler_body_z_is_third_rotmat_column():
+    rng = np.random.default_rng(6)
+    eta = rng.uniform(-np.pi, np.pi, size=(200, 3))
+    col = np.ascontiguousarray(euler_to_rotmat(eta)[..., :, 2])
+    assert att.euler_body_z(eta).tobytes() == col.tobytes()

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from swarmlift.mu import (
     default_blocks,
     default_frequency_grid,
     margin_point,
+    margins,
     rs_partition,
     sample_admissible_perturbation,
     ssv_upper_bound,
@@ -174,3 +177,17 @@ def test_random_delta_hurwitz_at_robust_point():
                                            freqs=FREQS)
     assert rs > 1.0
     assert worst < 0.0
+
+
+def test_parallel_margins_use_custom_blocks_and_weight():
+    grid = TuningGrid(M_values=np.array([0.0, 8.0]),
+                      C_values=np.array([6.0]))
+    kw = dict(freqs=default_frequency_grid(12),
+              blocks=default_blocks(2)[:-1],  # no estimator block
+              perf_weight=performance_weight(gain_dc=0.2))
+    serial = margins(grid, 2, n_jobs=1, **kw)
+    parallel = margins(grid, 2, n_jobs=2, **kw)
+    # field by field: the degenerate point's peak frequencies are NaN
+    np.testing.assert_array_equal([astuple(r) for r in parallel],
+                                  [astuple(r) for r in serial])
+    assert serial[1].rs_margin > 0.0

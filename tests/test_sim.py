@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -155,3 +156,102 @@ def test_mission_auto_full_profile():
     tilt = np.abs(log.col("a1_pz") - log.col("a0_pz"))[calibrated]
     assert np.max(tilt) < 0.01
     assert not log.diverged
+
+
+
+def _max_ref_step(log, agent, t_from, axes="xyz"):
+    """Largest change of an agent's logged reference between two ticks."""
+    ref = log.cols([f"a{agent}_Lref{ax}" for ax in axes])[log.t > t_from]
+    return np.max(np.abs(np.diff(ref, axis=0)))
+
+
+def test_disengaged_slave_holds_handed_back_reference():
+    sc = beam(duration=8.0, events=[
+        {"t": 0.5, "action": "master_step", "dp": [1.0, 0.0, 0.0]},
+        {"t": 6.0, "action": "disengage_slaves"}])
+    log = run_scenario(sc)
+    assert log.col("a1_fsm")[-1] == 0
+    # the payload moved about 1 m; the slave keeps the reference the FSM
+    # handed back instead of snapping to its takeoff position
+    assert _max_ref_step(log, 1, 5.0) < 0.01
+    assert log.col("a1_px")[-1] > 0.2
+
+
+def test_engage_event_latches_held_reference():
+    sc = beam(duration=8.0, start_engaged=False, events=[
+        {"t": 2.0, "action": "engage_slaves"},
+        {"t": 2.0, "action": "compute_offset"}])
+    log = run_scenario(sc)
+    assert log.col("a1_fsm")[-1] >= 1
+    # latched at the held reference and calibrated, the slave holds the
+    # master's altitude rather than its own sagged pose
+    assert abs(log.col("a1_pz")[-1] - log.col("a0_pz")[-1]) < 0.01
+
+
+def test_mission_descent_keeps_transported_position():
+    sc = beam(duration=16.0, start_engaged=False, transport_altitude=0.5,
+              mission={"auto": True, "dh": 0.25, "tol": 0.05,
+                       "land_at": 8.0},
+              events=[{"t": 5.0, "action": "master_step",
+                       "dp": [0.5, 0.0, 0.0]}])
+    sc.mission_auto, sc.mission_land_at = True, 8.0
+    log = run_scenario(sc)
+    phases = log.col("mission_phase")
+    assert phases[-1] == 4.0 and not log.diverged
+    # no horizontal snap back to the takeoff position on descent, for the
+    # master or the slave, while set_altitude still lowers both to ground
+    for agent in (0, 1):
+        assert _max_ref_step(log, agent, 6.0, axes="xy") < 0.01
+        assert log.col(f"a{agent}_Lrefz")[-1] == 0.0
+    assert log.col("a0_px")[-1] > 1.2
+
+
+# Short seeded noisy runs on a tilted, dragged 3-agent payload: a master
+# velocity ramp and step drive the slaves' admittance while every thrust
+# model and estimator runs. The digests pin the integrator's arithmetic.
+GOLDEN_CASES = [("attitude", "ekf"), ("attitude", "ukf"),
+                ("attitude", "nominal"), ("lag", "ekf"), ("lag", "ukf")]
+
+
+def golden_scenario(thrust_model, estimator):
+    return scenario_from_dict({
+        "n_agents": 3, "duration": 0.3, "seed": 11,
+        "estimator": estimator, "thrust_model": thrust_model,
+        "payload": {"mass": 1.2, "height": 0.1, "drag_F": [0.2, 0.1, 0.3],
+                    "drag_M": [0.02, 0.03, 0.01]},
+        "noise": {"p": 0.01, "v": 0.02, "att": 0.005, "rate": 0.01},
+        "admittance": {"F_hi": 0.2, "F_lo": 0.1, "T_hi": 0.02},
+        "events": [
+            {"t": 0.05, "action": "master_velocity", "v": [0.4, -0.3, 0.1]},
+            {"t": 0.1, "action": "master_step", "dp": [0.2, 0.1, -0.05]}],
+    })
+
+
+# sha256 of (payload_bytes(), the whole log) per case
+GOLDEN_DIGESTS = {
+    ("attitude", "ekf"): (
+        "9f3cbb21d043d65f441a3fdbed8bd8dcb07dea9d0db2fb7aff79206a6de071d8",
+        "18365df70f84bf62856333fd1821fac86cfbab0e549dc19859ea953de39da78a"),
+    ("attitude", "ukf"): (
+        "158c4b00486bc7f8ef0c58b1c7744ccb42d9d6cd101fb53b471b5ff3a3b8946f",
+        "974baa3cbaa9f8c3e3afe8e43277aec9f84902861663f394fd840ce682326828"),
+    ("attitude", "nominal"): (
+        "682a4e9ea2491b87bb86694bd996a2a5db167c435a958716483778e37ed836b4",
+        "a3e6ec9b8d94bbbb1f0aee42294da557978dc8d67c85a44b99335cef0dbf9724"),
+    ("lag", "ekf"): (
+        "a1092874a7459eca2b061f0af3434ce99cd0c62b5ee287e45f79bd522f15797a",
+        "abc558bb7d1c64f9c7b4ad18922fafcf59c0c027e281a9e5c60ad5accdd3ffc1"),
+    ("lag", "ukf"): (
+        "241593d75399039b770c7dd07d8aec49f89208e3ba098b02f4fed0eab997766a",
+        "bb88c93ff2b287d67fb6197308267f34a83d7b092f68168203ff9b6d625455ec"),
+}
+
+
+@pytest.mark.parametrize("thrust_model,estimator", GOLDEN_CASES)
+def test_golden_log_digest(thrust_model, estimator):
+    log = run_scenario(golden_scenario(thrust_model, estimator))
+    assert not log.diverged
+    assert np.any(log.col("a1_fsm") == 4)  # the slaves generate
+    digests = (hashlib.sha256(log.payload_bytes()).hexdigest(),
+               hashlib.sha256(log.data.tobytes()).hexdigest())
+    assert digests == GOLDEN_DIGESTS[(thrust_model, estimator)]
