@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admittance import AdmittanceParams
-from .attitude import quat_integrate, quat_normalize, quat_to_rotmat, rotvec_to_rotmat, skew
+from .attitude import quat_normalize, quat_to_rotmat, rotvec_to_rotmat, skew
 from .errors import UnstableOperatingPoint
 from .lti import LinearSystem, append, connect, gain_block, integrator
-from .mav import EZ, GRAVITY, MavParams, saturate_thrust_command
+from .mav import EZ, GRAVITY, MavParams, rk4_step, saturate_thrust_command
 from .payload import ComSystem, PayloadParams, com_system
 
 TRANSPORT_PREROLL_T = 5.0
@@ -208,8 +208,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     # components re-orient with the attitude time constant, the collective
     # magnitude with the (much faster) motor lag
     F_lag_in_P = np.einsum("ji,nj->ni", R, F_lag_in_w)
-    tau_axes = np.array([mav.tau_att, mav.tau_att, mav.tau_motor])
-    dF_prop = (F_lag_in_P - F_prop) / tau_axes[None, :]
+    dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust[None, :]
     y_att = F_prop
     F_cons_P = F_prop + u_att
     F_cons_w = np.einsum("ij,nj->ni", R, F_cons_P)
@@ -331,12 +330,12 @@ def preroll_transport(cfg: AnalysisConfig, T: float = TRANSPORT_PREROLL_T,
     u[-3:] = v_cmd
     n = int(round(T / dt))
     qsl = slice(6, 10)
-    for _ in range(n):
-        k1 = full_rhs(cfg, x, u)
-        k2 = full_rhs(cfg, x + 0.5 * dt * k1, u)
-        k3 = full_rhs(cfg, x + 0.5 * dt * k2, u)
-        k4 = full_rhs(cfg, x + dt * k3, u)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def rhs(t, x_):
+        return (full_rhs(cfg, x_, u),)
+
+    for k in range(n):
+        x, = rk4_step(rhs, k * dt, (x,), dt)
         x[qsl] = quat_normalize(x[qsl])
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > divergence_bound:
             raise UnstableOperatingPoint(
@@ -401,51 +400,6 @@ def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
 
 
 REF_STATES = slice(12, 15)  # master reference integrator inside the chart
-
-
-def loop_eigenvalues(sys: LinearSystem) -> np.ndarray:
-    """Closed-loop spectrum excluding the reference integrator states."""
-    keep = np.ones(sys.n_states, dtype=bool)
-    keep[REF_STATES] = False
-    A = sys.A[np.ix_(keep, keep)]
-    return np.linalg.eigvals(A)
-
-
-def is_nominally_stable(sys: LinearSystem, growth_tol: float = -1e-9,
-                        zero_tol: float = 1e-6) -> bool:
-    """Hurwitz check that tolerates the structural symmetry modes.
-
-    A laterally compliant formation admits continua of equilibria (the
-    collective yaw about the anchored master; for the degenerate two-agent
-    beam also the roll about the attachment axis), which show up as exact
-    zero eigenvalues. Those modes are unobservable from every uncertainty
-    and performance channel, cancel out of the analysis interconnection,
-    and persist under every admissible perturbation, so they are exempted.
-
-    growth_tol bounds the acceptable real part: operating points produced
-    by a finite pre-roll carry trim residue that parks the symmetry modes
-    within numerical noise of the axis, so the transport gate passes a
-    loosened tolerance (documented at the call site). Everything else with
-    a non-negative real part fails the check.
-    """
-    keep = np.ones(sys.n_states, dtype=bool)
-    keep[REF_STATES] = False
-    A = sys.A[np.ix_(keep, keep)]
-    ev, V = np.linalg.eig(A)
-    # observability rows: everything except the absolute-position monitor
-    rows = [i for (name, size) in sys.outputs if name != "p_WP"
-            for i in range(sys.output_slice(name).start,
-                           sys.output_slice(name).stop)]
-    C = sys.C[np.ix_(rows, np.flatnonzero(keep))]
-    for k in range(ev.size):
-        if ev[k].real <= growth_tol:
-            continue
-        if abs(ev[k]) <= zero_tol:
-            v = V[:, k]
-            if np.linalg.norm(C @ v) <= 1e-6 * np.linalg.norm(v):
-                continue  # symmetry-neutral and channel-invisible
-        return False
-    return True
 
 
 def deflate_marginal_modes(sys: LinearSystem, re_window: float = 5e-4,
@@ -594,8 +548,7 @@ def _pd_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
 def _lag_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
     # dF^P = (R_PW sat(F_cmd_w) - F^P) / tau: mapping the world command into
     # the tilted payload frame contributes skew(F_trim) theta
-    tau = np.array([cfg.mav.tau_att, cfg.mav.tau_att, cfg.mav.tau_motor])
-    Tinv = np.diag(1.0 / tau)
+    Tinv = np.diag(1.0 / cfg.mav.tau_thrust)
     A = -Tinv
     B = np.hstack([Tinv, Tinv, Tinv @ skew(cfg.F_trim[i])])
     return LinearSystem(A, B, np.eye(3), np.zeros((3, 9)),

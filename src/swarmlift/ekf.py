@@ -10,7 +10,7 @@ are the attitude commands and the commanded collective thrust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

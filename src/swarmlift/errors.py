@@ -13,10 +13,6 @@ class DimensionMismatch(SwarmliftError):
     """Input dimensions inconsistent with the configured geometry."""
 
 
-class IndexOutOfRange(SwarmliftError):
-    """Agent index outside the configured attachment set."""
-
-
 class ZeroThrust(SwarmliftError):
     """Thrust-vector command too small to define an attitude."""
 

@@ -17,13 +17,15 @@ from . import ekf as ekf_mod
 from . import ukf as ukf_mod
 from .attitude import body_rate_from_euler_rate, euler_to_quat, euler_to_rotmat
 from .mav import (
-    EZ,
     GRAVITY,
     AgentState,
     MavParams,
+    attitude_accel,
     pd_position_control,
+    rk4_step,
     rotor_speeds_from_wrench,
     thrust_to_attitude,
+    translational_dynamics,
 )
 from .uncertainty import FrequencyResponse
 
@@ -40,11 +42,6 @@ class SingleMavTrace:
     F_prop_w: np.ndarray
     ref_p: np.ndarray
     ref_v: np.ndarray
-
-
-def _attitude_accel(eta, eta_dot, eta_cmd, omega_n):
-    """J-free critically damped inner loop on each Euler axis."""
-    return omega_n**2 * (eta_cmd - eta) - 2.0 * omega_n * eta_dot
 
 
 def simulate_single_mav(params: MavParams, duration: float,
@@ -106,9 +103,9 @@ def simulate_single_mav(params: MavParams, duration: float,
                 est = ekf_mod.ekf_predict(est, u_ctrl, Q, 1.0 / est_rate, params)
                 est = ekf_mod.ekf_update(est, np.concatenate([p, eta]), R)
             else:
-                acc_att = _attitude_accel(eta, eta_dot,
-                                          np.array([phi_c, theta_c, 0.0]),
-                                          params.omega_n_att)
+                acc_att = attitude_accel(eta, eta_dot,
+                                         np.array([phi_c, theta_c, 0.0]),
+                                         params.omega_n_att)
                 M_cmd = params.J * acc_att + np.cross(omega, params.J * omega)
                 n_rot = rotor_speeds_from_wrench(M_cmd, F_mag, params)
                 est = ukf_mod.ukf_predict(est, n_rot, Q, params, 1.0 / est_rate)
@@ -125,33 +122,17 @@ def simulate_single_mav(params: MavParams, duration: float,
         eta_cmd = np.array([u_ctrl[0], u_ctrl[1], u_ctrl[2]])
         drag_gain = params.k_drag * F_cmd_mag / params.allocation.k_f
 
-        def rhs(p_, v_, eta_, etad_, Fm_, t_):
-            Rm = euler_to_rotmat(eta_)
-            v_b = Rm.T @ v_
-            f_b = np.array([-drag_gain * v_b[0], -drag_gain * v_b[1], Fm_])
-            v_dot = Rm @ f_b / params.m + F_ext_fn(t_) / params.m - GRAVITY * EZ
+        def rhs(t_, p_, v_, eta_, etad_, Fm_):
+            v_dot = translational_dynamics(euler_to_rotmat(eta_), v_, Fm_,
+                                           drag_gain, F_ext_fn(t_), params)
             return (v_, v_dot, etad_,
-                    _attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
+                    attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
                     (F_cmd_mag - Fm_) / params.tau_motor)
 
-        h = Ts_dyn
         for _ in range(steps_per_ctrl):
-            k1 = rhs(p, v, eta, eta_dot, F_mag, t)
-            k2 = rhs(p + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-                     eta + 0.5 * h * k1[2], eta_dot + 0.5 * h * k1[3],
-                     F_mag + 0.5 * h * k1[4], t + 0.5 * h)
-            k3 = rhs(p + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-                     eta + 0.5 * h * k2[2], eta_dot + 0.5 * h * k2[3],
-                     F_mag + 0.5 * h * k2[4], t + 0.5 * h)
-            k4 = rhs(p + h * k3[0], v + h * k3[1],
-                     eta + h * k3[2], eta_dot + h * k3[3],
-                     F_mag + h * k3[4], t + h)
-            p = p + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            eta = eta + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            eta_dot = eta_dot + h / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            F_mag = F_mag + h / 6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-            t += h
+            p, v, eta, eta_dot, F_mag = rk4_step(
+                rhs, t, (p, v, eta, eta_dot, F_mag), Ts_dyn)
+            t += Ts_dyn
 
     return SingleMavTrace(t=rec_t, p=rec["p"], v=rec["v"], eta=rec["eta"],
                           F_ext=rec["F_ext"], F_hat=rec["F_hat"],
@@ -221,11 +202,6 @@ def correlate_tone(t, y, omega: float) -> complex:
     return 2.0 * np.sum(y * phase) * dt / (t[-1] - t[0] + dt)
 
 
-def _windowed(trace: SingleMavTrace, settle: float):
-    sel = trace.t >= settle
-    return sel
-
-
 def identify_estimator_response(params: MavParams, estimator: str,
                                 harmonics=DEFAULT_HARMONICS,
                                 base_period: float = 40.0,
@@ -239,7 +215,7 @@ def identify_estimator_response(params: MavParams, estimator: str,
 
     tr = simulate_single_mav(params, settle + base_period, F_ext_fn=F_ext_fn,
                              estimator=estimator)
-    sel = _windowed(tr, settle)
+    sel = tr.t >= settle
     H = np.array([
         correlate_tone(tr.t[sel], tr.F_hat[sel, 0], wk)
         / correlate_tone(tr.t[sel], tr.F_ext[sel, 0], wk) for wk in w])
@@ -297,22 +273,16 @@ def identify_thrust_response(params: MavParams, axis: int = 0,
         t_rec[k] = t
         cmd_rec[k] = F_cmd_w[axis]
         out_rec[k] = (euler_to_rotmat(eta) @ np.array([0, 0, F_mag]))[axis]
-        h = Ts_dyn
+
+        def rhs(t_, eta_, etad_, Fm_):
+            return (etad_,
+                    attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
+                    (F_cmd_mag - Fm_) / params.tau_motor)
+
         for _ in range(steps_per_ctrl):
-            def rhs(eta_, etad_, Fm_):
-                return (etad_,
-                        _attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
-                        (F_cmd_mag - Fm_) / params.tau_motor)
-            k1 = rhs(eta, eta_dot, F_mag)
-            k2 = rhs(eta + 0.5 * h * k1[0], eta_dot + 0.5 * h * k1[1],
-                     F_mag + 0.5 * h * k1[2])
-            k3 = rhs(eta + 0.5 * h * k2[0], eta_dot + 0.5 * h * k2[1],
-                     F_mag + 0.5 * h * k2[2])
-            k4 = rhs(eta + h * k3[0], eta_dot + h * k3[1], F_mag + h * k3[2])
-            eta = eta + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            eta_dot = eta_dot + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            F_mag = F_mag + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            t += h
+            eta, eta_dot, F_mag = rk4_step(rhs, t, (eta, eta_dot, F_mag),
+                                           Ts_dyn)
+            t += Ts_dyn
     sel = t_rec >= settle
     # subtract the hover operating point before correlating
     out = out_rec[sel] - (0.0 if axis != 2 else hover)

@@ -1,9 +1,13 @@
-"""Single-MAV model: rigid-body dynamics, rotor allocation, low-level control.
+"""Single-MAV model: the agent kernels, rotor allocation, low-level control,
+and the RK4 step of the simulator, the identification experiments and the
+analysis pre-roll.
 
 The low-level controller is the cascade used by every agent: a PD position
-loop with gravity feed-forward, thrust-vector-to-attitude command allocation,
-a second-order attitude closed loop, and the first-order world-frame thrust
-lag used by the linear analysis.
+loop with gravity feed-forward, thrust-vector-to-attitude command allocation
+and a critically damped second-order attitude closed loop. The kernels here
+are the ones that run: ``translational_dynamics`` in the single-agent
+experiments, ``rotational_dynamics`` in the UKF process model and
+``attitude_accel`` in the coupled simulator and the identification runs.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import euler_to_rotmat, quat_to_rotmat
+from .attitude import cross3
 from .errors import DimensionMismatch, ZeroThrust
 
 GRAVITY = 9.81
@@ -115,17 +119,7 @@ class MavParams:
         return self.allocation.rotor_count
 
     # attitude loop critically damped with its 63% step rise at tau_att, so
-    # the first-order thrust-lag approximation matches the actual rise; the
-    # gains scale with J so the closed loop itself is inertia-free
-    @property
-    def K_P_att(self) -> np.ndarray:
-        return self.J * (CRIT_DAMP_RISE / self.tau_att) ** 2
-
-    @property
-    def K_D_att(self) -> np.ndarray:
-        return 2.0 * self.J * (CRIT_DAMP_RISE / self.tau_att)
-
-    # matched reduced-model constants
+    # the first-order thrust-lag approximation matches the actual rise
     @property
     def omega_n_att(self) -> float:
         return CRIT_DAMP_RISE / self.tau_att
@@ -137,6 +131,13 @@ class MavParams:
     @property
     def k_cmd_att(self) -> float:
         return 1.0
+
+    @property
+    def tau_thrust(self) -> np.ndarray:
+        """Per-axis time constants of the world thrust-vector lag: the
+        lateral components re-orient with the attitude loop, the collective
+        magnitude with the motors."""
+        return np.array([self.tau_att, self.tau_att, self.tau_motor])
 
     @property
     def lateral_force_max(self) -> np.ndarray:
@@ -169,11 +170,6 @@ class PropWrench:
     F_prop: float
     M_prop: np.ndarray
 
-    @property
-    def U(self) -> np.ndarray:
-        """(U1, U2, U3, U4) view; U4 is the collective thrust."""
-        return np.array([*self.M_prop, self.F_prop])
-
 
 def allocate_wrench(n, params: MavParams) -> PropWrench:
     """Wrench produced by rotor speeds: linear in the squared speeds."""
@@ -193,40 +189,38 @@ def rotor_speeds_from_wrench(M_cmd, F_cmd: float, params: MavParams):
     return np.sqrt(np.maximum(n_sq, 0.0))
 
 
-def rotor_drag_gain(n, k_drag: float) -> float:
-    """k_drag * sum(n_i^2): the lateral body-velocity drag coefficient."""
-    n = np.asarray(n, dtype=float)
-    return k_drag * float(np.sum(n * n))
+def rk4_step(rhs, t: float, x, h: float) -> list:
+    """One classical RK4 step of the state arrays x over [t, t + h];
+    rhs(t, *x) returns the derivative of every array of x."""
+    k1 = rhs(t, *x)
+    k2 = rhs(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+    k3 = rhs(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+    k4 = rhs(t + h, *[xi + h * ki for xi, ki in zip(x, k3)])
+    return [xi + h / 6 * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def translational_dynamics(state: AgentState, F_prop: float, F_ext, n,
+def translational_dynamics(R, v, F_prop: float, drag_gain: float, F_ext,
                            params: MavParams):
-    """World-frame acceleration of a free agent.
+    """World-frame acceleration of a free agent with attitude matrix R.
 
-    Thrust acts along body z; rotor drag opposes the lateral body velocity
-    and scales with the summed squared rotor speeds; F_ext is world frame.
+    Thrust acts along body z; rotor drag, drag_gain times the lateral body
+    velocity, opposes it; F_ext is world frame.
     """
-    R = quat_to_rotmat(state.q)
-    v_body = R.T @ state.v
-    d = rotor_drag_gain(n, params.k_drag)
-    f_body = np.array([-d * v_body[0], -d * v_body[1], F_prop])
-    return R @ f_body / params.m + np.asarray(F_ext) / params.m - GRAVITY * EZ
+    v_b = R.T @ v
+    f_b = np.array([-drag_gain * v_b[0], -drag_gain * v_b[1], F_prop])
+    return R @ f_b / params.m + np.asarray(F_ext) / params.m - GRAVITY * EZ
 
 
 def rotational_dynamics(omega, M_prop, M_ext, J):
-    """Body angular acceleration with gyroscopic coupling, diagonal J."""
-    omega = np.asarray(omega, dtype=float)
-    J = np.asarray(J, dtype=float)
-    Jw = J * omega
-    return (np.asarray(M_prop) - np.cross(omega, Jw) + np.asarray(M_ext)) / J
+    """Body angular acceleration with gyroscopic coupling, diagonal J
+    (broadcasts over leading axes)."""
+    return (M_prop - cross3(omega, J * omega) + M_ext) / J
 
 
-def reduced_attitude_dynamics(angle, rate, angle_cmd, M_ext, J_axis,
-                              omega_n, xi, k_cmd):
-    """Second-order closed-loop attitude model of one axis (vectorizes)."""
-    return (omega_n**2 * (k_cmd * np.asarray(angle_cmd) - np.asarray(angle))
-            - 2.0 * xi * omega_n * np.asarray(rate)
-            + np.asarray(M_ext) / np.asarray(J_axis))
+def attitude_accel(eta, eta_dot, eta_cmd, omega_n: float):
+    """J-free critically damped inner loop on each Euler axis."""
+    return omega_n**2 * (eta_cmd - eta) - 2.0 * omega_n * eta_dot
 
 
 def pd_position_control(state: AgentState, ref_p, ref_v, params: MavParams):
@@ -261,17 +255,6 @@ def thrust_to_attitude(F_cmd, psi: float, params: MavParams):
     return phi_cmd, theta_cmd, min(norm, params.F_prop_max)
 
 
-def thrust_direction(phi: float, theta: float, psi: float):
-    """World direction of body z for Z-Y-X angles (column 3 of R)."""
-    return euler_to_rotmat(np.array([phi, theta, psi])) @ EZ
-
-
-def attitude_closed_loop(angle, rate, angle_cmd, K_P_axis, K_D_axis, J_axis):
-    """Inner-loop angular acceleration for one axis (vectorizes)."""
-    return (K_P_axis * (np.asarray(angle_cmd) - np.asarray(angle))
-            - K_D_axis * np.asarray(rate)) / J_axis
-
-
 def saturate_thrust_command(F_cmd_W, params: MavParams):
     """Clamp a world thrust command to the reachable set: lateral components
     to +-sin(tilt_max) * F_prop_max, vertical to [0, F_prop_max].
@@ -287,9 +270,3 @@ def saturate_thrust_command(F_cmd_W, params: MavParams):
     out = np.where(out.real > hi, hi.astype(F.dtype), out)
     return out
 
-
-def thrust_vector_lag(F_prop_W, F_cmd_W, params: MavParams):
-    """First-order lag of the world thrust vector toward the (saturated)
-    command, time constant tau_att."""
-    F_sat = saturate_thrust_command(F_cmd_W, params)
-    return (F_sat - np.asarray(F_prop_W)) / params.tau_att

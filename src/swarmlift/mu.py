@@ -213,7 +213,6 @@ def ssv_upper_bound(G, structure, polish: bool = True,
 
 def rs_partition(G, structure):
     """Sub-matrix and sub-structure of the pure-stability channels."""
-    spans, ny, nu = _block_spans(structure)
     rs_blocks = [b for b in structure if b.name != "perf"]
     r_end = sum(b.dim_y for b in rs_blocks)
     c_end = sum(b.dim_u for b in rs_blocks)

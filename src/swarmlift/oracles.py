@@ -27,8 +27,14 @@ from .attitude import (
     quat_to_rotmat,
     random_quat,
 )
-from .mav import EZ, GRAVITY, AgentState, MavParams, translational_dynamics
-from .payload import PayloadParams, system_mass_inertia
+from .mav import (
+    EZ,
+    GRAVITY,
+    MavParams,
+    rotational_dynamics,
+    translational_dynamics,
+)
+from .payload import PayloadParams, com_system
 
 MUTATIONS = ("gravity_sign", "coriolis_sign", "drag_sign")
 
@@ -72,13 +78,12 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     grav_term = -GRAVITY * EZ
     if mutate == "gravity_sign":
         grav_term = GRAVITY * EZ
-    coriolis_sign = -1.0 if mutate != "coriolis_sign" else 1.0
     drag_sign = 1.0 if mutate != "drag_sign" else -1.0
 
     # free fall: zero thrust, zero drag, acceleration equals gravity exactly
-    st = AgentState(np.zeros(3), rng.normal(size=3), random_quat(rng),
-                    np.zeros(3))
-    vdot = translational_dynamics(st, 0.0, np.zeros(3), np.zeros(6), params)
+    v = rng.normal(size=3)
+    R = quat_to_rotmat(random_quat(rng))
+    vdot = translational_dynamics(R, v, 0.0, 0.0, np.zeros(3), params)
     vdot = vdot + (grav_term - (-GRAVITY * EZ))  # mutation hook
     results.append(OracleResult(
         "free-fall acceleration equals -g", float(np.max(np.abs(vdot - (-GRAVITY * EZ)))),
@@ -87,17 +92,19 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     # gyroscopic term against a hand cross product
     J = params.J
     omega = rng.normal(size=3)
-    impl = (coriolis_sign * np.cross(omega, J * omega)) / J
+    impl = rotational_dynamics(omega, np.zeros(3), np.zeros(3), J)
+    if mutate == "coriolis_sign":
+        impl = -impl  # mutation hook
     oracle = -np.cross(omega, J * omega) / J
     results.append(OracleResult(
         "gyroscopic torque sign", float(np.max(np.abs(impl - oracle))), 1e-12))
 
     # rotor drag opposes lateral body velocity
-    st = AgentState(np.zeros(3), np.array([1.0, 0.0, 0.0]),
-                    np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
     n_rot = 400.0 * np.ones(6)
-    vdot_d = translational_dynamics(st, params.m * GRAVITY, np.zeros(3), n_rot,
-                                    params)
+    vdot_d = translational_dynamics(np.eye(3), np.array([1.0, 0.0, 0.0]),
+                                    params.m * GRAVITY,
+                                    params.k_drag * float(np.sum(n_rot**2)),
+                                    np.zeros(3), params)
     drag_acc = drag_sign * (vdot_d[0])
     results.append(OracleResult(
         "rotor drag opposes velocity", float(max(drag_acc + 1e-15, 0.0)), 1e-12))
@@ -200,17 +207,23 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     results.append(OracleResult("unscented transform affine exactness", err,
                                 1e-9))
 
-    # point-mass system inertia against a brute-force sum
+    # composite inertia about the system CoM against a brute-force sum over
+    # the point masses (agents and the payload CoG at the origin)
     att = np.array([[0.7, 0.1, 0.0], [-0.3, 0.5, 0.1], [-0.4, -0.6, -0.1]])
     pay = PayloadParams(m_p=2.0, J_p=[0.2, 0.25, 0.4], attachments=att)
     masses = np.array([3.5, 3.3, 3.7])
-    si = system_mass_inertia(pay, masses)
+    cs = com_system(pay, masses)
+    points = np.vstack([att, np.zeros(3)])
+    point_m = np.append(masses, 2.0)
+    com = sum(m * r for m, r in zip(point_m, points)) / point_m.sum()
     brute = np.diag([0.2, 0.25, 0.4]).astype(float)
-    for m_i, r in zip(masses, att):
-        brute += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
+    for m_i, r in zip(point_m, points - com):
+        for a in range(3):
+            for b in range(3):
+                brute[a, b] += m_i * ((a == b) * (r @ r) - r[a] * r[b])
     results.append(OracleResult(
         "point-mass inertia brute force",
-        float(np.max(np.abs(si.J_sys - brute))), 1e-12))
+        float(np.max(np.abs(cs.J_sys - brute))), 1e-12))
 
     # admittance exact discretization against the analytic terminal velocity
     p_adm = AdmittanceParams(M=np.array([8.0, 8.0, 8.0]),

@@ -3,7 +3,9 @@
 The joints transmit force but no torque, so agent attitude dynamics are
 decoupled from the payload while agent translational states are constrained
 to the payload kinematics. Agents enter the system inertia as point masses
-at their attachment points.
+at their attachment points, and the lumped rigid body is written about the
+composite CoM (``com_system``). ``payload_accel`` and
+``attachment_kinematics`` are the payload kernels the simulator integrates.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import quat_to_rotmat, skew
-from .errors import DimensionMismatch, IndexOutOfRange
+from .attitude import cross3, quat_to_rotmat
+from .errors import DimensionMismatch
 from .mav import EZ, GRAVITY
 
 
@@ -45,29 +47,6 @@ class PayloadParams:
         return self.attachments.shape[0]
 
 
-@dataclass
-class SystemState:
-    """Payload pose/twist plus per-agent attitude; agent translational
-    states are always derived from the payload kinematics."""
-
-    p_WP: np.ndarray
-    v_WP: np.ndarray
-    q_WP: np.ndarray
-    omega_P: np.ndarray  # payload frame
-    agent_eta: np.ndarray  # (N, 3) Z-Y-X angles
-    agent_eta_dot: np.ndarray  # (N, 3)
-
-    @property
-    def R_WP(self) -> np.ndarray:
-        return quat_to_rotmat(self.q_WP)
-
-
-@dataclass(frozen=True)
-class SystemInertia:
-    m_sys: float
-    J_sys: np.ndarray  # (3, 3), payload frame
-
-
 def regular_polygon_attachments(n: int, side: float = 1.2, height: float = 0.0):
     """Attachment offsets for n agents on a regular n-gon of the given side
     length; two agents degenerate to a beam of length `side`. A nonzero
@@ -92,83 +71,6 @@ def polygon_payload_inertia(m_p: float, n: int, side: float):
     jzz = 0.5 * m_p * radius**2
     jxx = 0.25 * m_p * radius**2
     return np.array([max(jxx, 1e-3), max(jxx, 1e-3), max(jzz, 1e-3)])
-
-
-def system_mass_inertia(params: PayloadParams, agent_masses) -> SystemInertia:
-    """Total mass plus payload-frame inertia with agents as point masses."""
-    agent_masses = np.asarray(agent_masses, dtype=float)
-    if agent_masses.shape != (params.n_agents,):
-        raise DimensionMismatch(
-            f"expected {params.n_agents} agent masses, got {agent_masses.shape}")
-    m_sys = params.m_p + float(np.sum(agent_masses))
-    J = np.diag(params.J_p).astype(float)
-    for m_i, r in zip(agent_masses, params.attachments):
-        J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
-    return SystemInertia(m_sys=m_sys, J_sys=J)
-
-
-def agent_kinematics(state: SystemState, i: int, omega_dot=None, v_dot=None,
-                     attachments=None):
-    """Constrained position/velocity (and acceleration when the payload
-    accelerations are supplied) of agent i in the world frame."""
-    r_all = attachments
-    if r_all is None:
-        raise ValueError("attachments required")
-    if not 0 <= i < r_all.shape[0]:
-        raise IndexOutOfRange(f"agent index {i} out of range")
-    r = r_all[i]
-    R = state.R_WP
-    w = state.omega_P
-    p_i = state.p_WP + R @ r
-    v_i = state.v_WP + R @ np.cross(w, r)
-    a_i = None
-    if omega_dot is not None and v_dot is not None:
-        a_i = v_dot + R @ (np.cross(omega_dot, r) + np.cross(w, np.cross(w, r)))
-    return p_i, v_i, a_i
-
-
-def all_agent_kinematics(p_WP, v_WP, R_WP, omega_P, attachments,
-                         omega_dot=None, v_dot=None):
-    """Vectorized kinematics of every attachment; returns (p, v[, a])
-    arrays of shape (N, 3)."""
-    r = attachments
-    p = p_WP[None, :] + r @ R_WP.T
-    v = v_WP[None, :] + np.cross(omega_P[None, :], r) @ R_WP.T
-    if omega_dot is None:
-        return p, v, None
-    a_pf = np.cross(omega_dot[None, :], r) + np.cross(
-        omega_P[None, :], np.cross(omega_P[None, :], r))
-    a = v_dot[None, :] + a_pf @ R_WP.T
-    return p, v, a
-
-
-def total_agent_wrench(forces_body, params: PayloadParams):
-    """Aggregate payload-frame force and torque of per-agent body thrusts."""
-    forces_body = np.atleast_2d(np.asarray(forces_body, dtype=float))
-    if forces_body.shape != (params.n_agents, 3):
-        raise DimensionMismatch(
-            f"expected ({params.n_agents}, 3) forces, got {forces_body.shape}")
-    F_p = np.einsum("nij,nj->ni", params.R_PB, forces_body)
-    F_agents = F_p.sum(axis=0)
-    M_agents = np.cross(params.attachments, F_p).sum(axis=0)
-    return F_agents, M_agents
-
-
-def payload_dynamics(R_WP, v_WP, omega_P, F_agents, M_agents,
-                     inertia: SystemInertia, params: PayloadParams):
-    """Coupled translational/rotational accelerations of the payload.
-
-    F_agents and M_agents are expressed in the payload frame; drag is linear
-    in the payload-frame velocity and rate.
-    """
-    v_pf = R_WP.T @ v_WP
-    F_drag = params.drag_F * v_pf
-    v_dot = R_WP @ (F_agents - F_drag) / inertia.m_sys - GRAVITY * EZ
-    M_drag = params.drag_M * omega_P
-    Jw = inertia.J_sys @ omega_P
-    omega_dot = np.linalg.solve(
-        inertia.J_sys, M_agents - np.cross(omega_P, Jw) - M_drag)
-    return v_dot, omega_dot
 
 
 def joint_interaction_force(a_i, F_applied_i, m_i: float):
@@ -208,3 +110,31 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
         J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
     return ComSystem(m_sys=m_sys, J_sys=J, attachments=att,
                      r_payload_cog=r_pc, agent_masses=agent_masses)
+
+
+def attachment_kinematics(com: ComSystem, p, v, q, w, vdot=None, wdot=None):
+    """World-frame position, velocity and (when the payload accelerations
+    are given) acceleration of every attachment, each (N, 3), for the
+    payload pose (p, q) and twist (v, w about the CoM, w payload frame)."""
+    att = com.attachments
+    R = quat_to_rotmat(q)
+    p_i = p[None, :] + att @ R.T
+    w_x_r = cross3(w, att)
+    v_i = v[None, :] + w_x_r @ R.T
+    a_i = None
+    if vdot is not None:
+        a_i = vdot[None, :] + (cross3(wdot, att) + cross3(w, w_x_r)) @ R.T
+    return p_i, v_i, a_i
+
+
+def payload_accel(com: ComSystem, drag_F, drag_M, v, q, w, Fw):
+    """Linear and angular acceleration of the composite body under the
+    world-frame agent forces Fw (N, 3) applied at the attachments; drag is
+    linear in the payload-frame velocity and rate."""
+    R = quat_to_rotmat(q)
+    drag_w = R @ (drag_F * (R.T @ v))
+    vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
+    M_ag = cross3(com.attachments, Fw @ R).sum(axis=0)
+    wdot = np.linalg.solve(com.J_sys,
+                           M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
+    return vdot, wdot

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class Scenario:
     mission_tol: float = 0.05
     mission_land_at: float | None = None
     events: list = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -122,7 +121,11 @@ class Scenario:
         return int(round(self.ctrl_rate / self.est_rate))
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True).encode()
+        """Digest of every resolved field, so overrides written after
+        loading (a CLI --seed) and scenarios built in code are told apart;
+        arrays enter as lists of floats, which json writes as exact reprs."""
+        blob = json.dumps(asdict(self), sort_keys=True,
+                          default=lambda a: a.tolist()).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -189,7 +192,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         mission_tol=float(mission.get("tol", 0.05)),
         mission_land_at=mission.get("land_at", None),
         events=list(cfg.get("events", [])),
-        raw=cfg,
     )
     return sc
 

@@ -27,16 +27,22 @@ from .attitude import (
 )
 from .errors import ScenarioError
 from .mav import (
-    EZ,
     GRAVITY,
     AgentState,
+    attitude_accel,
     pd_position_control,
+    rk4_step,
     rotor_speeds_from_wrench,
     saturate_thrust_command,
     thrust_to_attitude,
 )
 from .mission import MissionPhase, MissionState, mission_step
-from .payload import com_system, joint_interaction_force
+from .payload import (
+    attachment_kinematics,
+    com_system,
+    joint_interaction_force,
+    payload_accel,
+)
 from .scenario import Scenario
 
 LOG_VERSION = "swarmlift-log-v1"
@@ -176,17 +182,12 @@ def _quat_rate(q, w):
                      -0.5 * np.dot(q[:3], w)])
 
 
-def _rk4(rhs, x, h: float, n_steps: int):
-    """Classical RK4 steps of the state tuple x = (p, v, q, w, ...) of the
-    payload and the agents; the payload quaternion q is renormalized after
-    every step."""
-    for _ in range(n_steps):
-        k1 = rhs(*x)
-        k2 = rhs(*[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-        k3 = rhs(*[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-        k4 = rhs(*[xi + h * ki for xi, ki in zip(x, k3)])
-        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+def _rk4(rhs, t: float, x, h: float, n_steps: int):
+    """RK4 steps of the state tuple x = (p, v, q, w, ...) of the payload and
+    the agents; the payload quaternion q is renormalized after every
+    step."""
+    for k in range(n_steps):
+        x = rk4_step(rhs, t + k * h, x, h)
         x[2] = quat_normalize(x[2])
     return x
 
@@ -220,8 +221,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     F_lag = np.zeros((N, 3))  # thrust-vector states for the lag model
     F_lag[:, 2] = F_mag
 
-    att_w = com.attachments
-    p_agents0 = p_pl[None, :] + att_w
+    p_agents0 = p_pl[None, :] + com.attachments
     hover_ref = p_agents0 + np.array([0.0, 0.0, sag])[None, :]
 
     mission = None
@@ -277,45 +277,26 @@ def run_scenario(sc: Scenario) -> RunLog:
 
     drag_F = sc.payload.drag_F
     drag_M = sc.payload.drag_M
-    tau_axes = np.array([sc.mav.tau_att, sc.mav.tau_att, sc.mav.tau_motor])
+    tau_thrust = sc.mav.tau_thrust
     wn = sc.mav.omega_n_att
-
-    def agent_kin(vdot=None, wdot=None):
-        R = quat_to_rotmat(q_pl)
-        p_i = p_pl[None, :] + att_w @ R.T
-        w_x_r = cross3(w_pl, att_w)
-        v_i = v_pl[None, :] + w_x_r @ R.T
-        a_i = None
-        if vdot is not None:
-            a_i = vdot[None, :] + (cross3(wdot, att_w)
-                                   + cross3(w_pl, w_x_r)) @ R.T
-        return p_i, v_i, a_i
 
     def thrust_world():
         if sc.thrust_model == "attitude":
             return euler_body_z(eta) * F_mag[:, None]
         return F_lag.copy()
 
-    def payload_rhs(v, q, w, Fw):
-        R = quat_to_rotmat(q)
-        drag_w = R @ (drag_F * (R.T @ v))
-        vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
-        M_ag = cross3(att_w, Fw @ R).sum(axis=0)
-        wdot = np.linalg.solve(com.J_sys,
-                               M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
-        return vdot, wdot
-
     # Right-hand sides of the coupled model on the state (p, v, q, w, agent
     # states); they read the commands held over the current controller tick.
-    def attitude_rhs(p, v, q, w, et, etd, fm):
-        vdot, wdot = payload_rhs(v, q, w, euler_body_z(et) * fm[:, None])
-        etdd = wn**2 * (cmd_eta - et) - 2.0 * wn * etd
+    def attitude_rhs(t, p, v, q, w, et, etd, fm):
+        vdot, wdot = payload_accel(com, drag_F, drag_M, v, q, w,
+                                   euler_body_z(et) * fm[:, None])
+        etdd = attitude_accel(et, etd, cmd_eta, wn)
         dfm = (cmd_F - fm) / sc.mav.tau_motor
         return v, vdot, _quat_rate(q, w), wdot, etd, etdd, dfm
 
-    def lag_rhs(p, v, q, w, Fl):
-        vdot, wdot = payload_rhs(v, q, w, Fl)
-        dF = (sat_cmd - Fl) / tau_axes[None, :]
+    def lag_rhs(t, p, v, q, w, Fl):
+        vdot, wdot = payload_accel(com, drag_F, drag_M, v, q, w, Fl)
+        dF = (sat_cmd - Fl) / tau_thrust[None, :]
         return v, vdot, _quat_rate(q, w), wdot, dF
 
     def engage_slaves(calibrate=False):
@@ -364,7 +345,7 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         # mission coordinator at the controller rate
         if mission is not None:
-            p_i, _, _ = agent_kin()
+            p_i, _, _ = attachment_kinematics(com, p_pl, v_pl, q_pl, w_pl)
             begin = (sc.mission_land_at is not None
                      and t >= sc.mission_land_at
                      and mission.phase is MissionPhase.TRANSPORTING)
@@ -383,8 +364,10 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         # current constrained kinematics and the coupled accelerations
         Fw_now = thrust_world()
-        vdot_now, wdot_now = payload_rhs(v_pl, q_pl, w_pl, Fw_now)
-        p_i, v_i, a_i = agent_kin(vdot_now, wdot_now)
+        vdot_now, wdot_now = payload_accel(com, drag_F, drag_M, v_pl, q_pl,
+                                           w_pl, Fw_now)
+        p_i, v_i, a_i = attachment_kinematics(com, p_pl, v_pl, q_pl, w_pl,
+                                              vdot_now, wdot_now)
         omega_i = body_rate_from_euler_rate(eta, eta_dot)
 
         # estimators (slaves) at their own rate
@@ -446,8 +429,7 @@ def run_scenario(sc: Scenario) -> RunLog:
             phi_c, theta_c, F_c = thrust_to_attitude(F_cmd_w, eta[i, 2], sc.mav)
             ctl.eta_cmd = np.array([phi_c, theta_c, 0.0])
             ctl.F_cmd_mag = F_c
-            acc_att = (sc.mav.omega_n_att**2 * (ctl.eta_cmd - eta[i])
-                       - 2.0 * sc.mav.omega_n_att * eta_dot[i])
+            acc_att = attitude_accel(eta[i], eta_dot[i], ctl.eta_cmd, wn)
             M_cmd = sc.mav.J * acc_att + cross3(omega_i[i],
                                                 sc.mav.J * omega_i[i])
             ctl.rotor = rotor_speeds_from_wrench(M_cmd, F_c, sc.mav)
@@ -470,13 +452,14 @@ def run_scenario(sc: Scenario) -> RunLog:
             cmd_eta = np.array([ctl.eta_cmd for ctl in agents])
             cmd_F = np.array([ctl.F_cmd_mag for ctl in agents])
             p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag = _rk4(
-                attitude_rhs, (p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag),
+                attitude_rhs, t, (p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag),
                 h, sc.steps_per_ctrl)
         else:
             sat_cmd = np.array([saturate_thrust_command(ctl.F_cmd_w, sc.mav)
                                 for ctl in agents])
             p_pl, v_pl, q_pl, w_pl, F_lag = _rk4(
-                lag_rhs, (p_pl, v_pl, q_pl, w_pl, F_lag), h, sc.steps_per_ctrl)
+                lag_rhs, t, (p_pl, v_pl, q_pl, w_pl, F_lag), h,
+                sc.steps_per_ctrl)
 
         t += dt_ctrl
         state_mag = max(np.max(np.abs(p_pl)), np.max(np.abs(v_pl)),

@@ -21,7 +21,7 @@ import numpy as np
 from . import attitude as att
 from .attitude import DEFAULT_MRP, MrpConfig
 from .errors import CholeskyFailure
-from .mav import EZ, GRAVITY, MavParams, allocate_wrench
+from .mav import EZ, GRAVITY, MavParams, allocate_wrench, rotational_dynamics
 
 NXI = 16
 NZ = 12
@@ -135,8 +135,7 @@ def propagate_full(p, v, q, omega, F_ext, M_z, n_rotors, params: MavParams,
         - GRAVITY * EZ
     M_ext = np.zeros(omega.shape)
     M_ext[..., 2] = M_z
-    Jw = params.J * omega
-    w_dot = (w.M_prop - att.cross3(omega, Jw) + M_ext) / params.J
+    w_dot = rotational_dynamics(omega, w.M_prop, M_ext, params.J)
     return (p + Ts * v, v + Ts * v_dot, att.quat_integrate(q, omega, Ts),
             omega + Ts * w_dot, F_ext, M_z)
 

@@ -9,7 +9,7 @@ own simulations (multisine experiments on a single agent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares

@@ -9,9 +9,8 @@ from swarmlift.analysis import (
     build_closed_loop,
     chart_rhs_out,
     full_rhs,
-    is_nominally_stable,
     linearize,
-    loop_eigenvalues,
+    margin_plant,
     preroll_transport,
     rest_state,
     to_chart,
@@ -126,7 +125,7 @@ def test_unstable_tuning_preroll_flagged():
     # envelope bound flags it
     cfg = AnalysisConfig(n_agents=2, tuning_M=0.05, tuning_C=0.01)
     sys = build_closed_loop(cfg)
-    assert not is_nominally_stable(sys)
+    assert not margin_plant(sys)[1]
     with pytest.raises(UnstableOperatingPoint):
         preroll_transport(cfg, divergence_bound=5.0)
 

@@ -4,21 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from swarmlift.attitude import IDENTITY_QUAT, quat_from_axis_angle
+from swarmlift.analysis import AnalysisConfig, full_rhs, rest_state, zero_input
+from swarmlift.attitude import (
+    IDENTITY_QUAT,
+    euler_body_z,
+    quat_from_axis_angle,
+    quat_to_rotmat,
+)
 from swarmlift.errors import DimensionMismatch, ZeroThrust
 from swarmlift.mav import (
     GRAVITY,
     AgentState,
     MavParams,
     allocate_wrench,
-    attitude_closed_loop,
+    attitude_accel,
     pd_position_control,
-    reduced_attitude_dynamics,
+    rk4_step,
     rotational_dynamics,
     rotor_speeds_from_wrench,
-    thrust_direction,
+    saturate_thrust_command,
     thrust_to_attitude,
-    thrust_vector_lag,
     translational_dynamics,
 )
 
@@ -81,7 +86,8 @@ def test_allocate_quadratic_scaling(alpha):
     n = np.array([300.0, 350.0, 280.0, 320.0, 310.0, 290.0])
     w1 = allocate_wrench(n, params)
     w2 = allocate_wrench(alpha * n, params)
-    assert_allclose(w2.U, alpha**2 * w1.U, rtol=1e-12)
+    assert_allclose(w2.M_prop, alpha**2 * w1.M_prop, rtol=1e-12)
+    assert_allclose(w2.F_prop, alpha**2 * w1.F_prop, rtol=1e-12)
 
 
 def test_allocation_roundtrip(params):
@@ -106,34 +112,32 @@ def test_allocation_sum_identity(params):
 # ------------------------------------------------------------------ dynamics
 
 def test_hover_equilibrium(params):
-    st_ = hover_state()
-    vdot = translational_dynamics(st_, params.m * GRAVITY, np.zeros(3),
-                                  np.zeros(6), params)
+    vdot = translational_dynamics(np.eye(3), np.zeros(3), params.m * GRAVITY,
+                                  0.0, np.zeros(3), params)
     assert_allclose(vdot, np.zeros(3), atol=1e-12)
 
 
 def test_translational_external_force(params):
     # m = 3.5 kg with 3.5 N along x gives exactly 1 m/s^2
-    st_ = hover_state()
-    vdot = translational_dynamics(st_, params.m * GRAVITY, [3.5, 0, 0],
-                                  np.zeros(6), params)
+    vdot = translational_dynamics(np.eye(3), np.zeros(3), params.m * GRAVITY,
+                                  0.0, [3.5, 0, 0], params)
     assert_allclose(vdot, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_free_fall(params):
-    st_ = hover_state()
-    st_.q = quat_from_axis_angle([0.3, 0.7, 0.1], 0.5)
-    vdot = translational_dynamics(st_, 0.0, np.zeros(3), np.zeros(6), params)
+    R = quat_to_rotmat(quat_from_axis_angle([0.3, 0.7, 0.1], 0.5))
+    vdot = translational_dynamics(R, np.zeros(3), 0.0, 0.0, np.zeros(3), params)
     assert_allclose(vdot, [0.0, 0.0, -GRAVITY], atol=0.0)
 
 
 def test_drag_sign_structure(params):
-    st_ = hover_state()
-    st_.v = np.array([1.0, -2.0, 0.5])
-    n = 400.0 * np.ones(6)
-    vdot_spin = translational_dynamics(st_, params.m * GRAVITY, np.zeros(3), n, params)
-    vdot_still = translational_dynamics(st_, params.m * GRAVITY, np.zeros(3),
-                                        np.zeros(6), params)
+    v = np.array([1.0, -2.0, 0.5])
+    # the drag gain of the hover thrust, as the single-agent loop uses it
+    gain = params.k_drag * params.m * GRAVITY / params.allocation.k_f
+    vdot_spin = translational_dynamics(np.eye(3), v, params.m * GRAVITY, gain,
+                                       np.zeros(3), params)
+    vdot_still = translational_dynamics(np.eye(3), v, params.m * GRAVITY, 0.0,
+                                        np.zeros(3), params)
     drag_acc = vdot_spin - vdot_still
     assert drag_acc[0] < 0 and drag_acc[1] > 0  # opposes lateral velocity
     assert_allclose(drag_acc[2], 0.0, atol=1e-15)  # no drag along body z
@@ -144,8 +148,16 @@ def test_rotational_trivial_cases():
     assert_allclose(rotational_dynamics(np.zeros(3), np.zeros(3), np.zeros(3), J),
                     np.zeros(3))
     # principal-axis spin: gyroscopic term vanishes
-    assert_allclose(rotational_dynamics([0, 0, 5.0], np.zeros(3), np.zeros(3), J),
+    assert_allclose(rotational_dynamics(np.array([0, 0, 5.0]), np.zeros(3),
+                                        np.zeros(3), J),
                     np.zeros(3), atol=1e-15)
+    # batched over sigma points as the UKF runs it
+    omega = np.array([[0.0, 0.0, 5.0], [1.0, 1.0, 0.0]])
+    M_ext = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.0]])
+    batch = rotational_dynamics(omega, np.zeros(3), M_ext, J)
+    for k in range(2):
+        assert_allclose(batch[k], rotational_dynamics(omega[k], np.zeros(3),
+                                                      M_ext[k], J))
 
 
 def test_rotational_gyroscopic_oracle():
@@ -187,7 +199,7 @@ def test_thrust_to_attitude_inversion(params):
         phi, theta, Fn = thrust_to_attitude(F_cmd, psi, params)
         if abs(phi) >= params.phi_cmd_max or abs(theta) >= params.theta_cmd_max:
             continue
-        rebuilt = thrust_direction(phi, theta, psi) * Fn
+        rebuilt = euler_body_z(np.array([phi, theta, psi])) * Fn
         assert_allclose(rebuilt, F_cmd, atol=1e-9)
 
 
@@ -207,80 +219,67 @@ def test_thrust_to_attitude_clamps(params):
 
 
 def _simulate_axis(f, y0, dy0, T, dt=1e-4):
-    y, dy = y0, dy0
-    out = [y]
-    n = int(round(T / dt))
-    for _ in range(n):
-        k1y, k1v = dy, f(y, dy)
-        k2y, k2v = dy + 0.5 * dt * k1v, f(y + 0.5 * dt * k1y, dy + 0.5 * dt * k1v)
-        k3y, k3v = dy + 0.5 * dt * k2v, f(y + 0.5 * dt * k2y, dy + 0.5 * dt * k2v)
-        k4y, k4v = dy + dt * k3v, f(y + dt * k3y, dy + dt * k3v)
-        y += dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        dy += dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        out.append(y)
+    x = (y0, dy0)
+    out = [y0]
+    for k in range(int(round(T / dt))):
+        x = rk4_step(lambda t, y, dy: (dy, f(y, dy)), k * dt, x, dt)
+        out.append(x[0])
     return np.array(out)
 
 
 def test_attitude_loop_equilibrium(params):
-    acc = attitude_closed_loop(0.2, 0.0, 0.2, params.K_P_att[0],
-                               params.K_D_att[0], params.J[0])
+    acc = attitude_accel(0.2, 0.0, 0.2, params.omega_n_att)
     assert_allclose(acc, 0.0)
 
 
 def test_attitude_loop_step_response(params):
     # critically damped, no overshoot; the 63% rise matches the first-order
-    # tau_att approximation (the gains are derived to make that exact)
-    Kp, Kd, J = params.K_P_att[0], params.K_D_att[0], params.J[0]
-    y = _simulate_axis(lambda a, r: attitude_closed_loop(a, r, 1.0, Kp, Kd, J),
+    # tau_att approximation (omega_n is derived to make that exact)
+    wn = params.omega_n_att
+    y = _simulate_axis(lambda a, r: attitude_accel(a, r, 1.0, wn),
                        0.0, 0.0, T=2.0)
     assert np.max(y) <= 1.0 + 1e-9
     t = np.linspace(0, 2.0, len(y))
     t63 = t[np.argmax(y >= 1 - np.exp(-1))]
     assert abs(t63 - params.tau_att) / params.tau_att < 0.05
-    # and the reduced model with matched constants gives the same trajectory
-    y2 = _simulate_axis(
-        lambda a, r: reduced_attitude_dynamics(a, r, 1.0, 0.0, J,
-                                               params.omega_n_att,
-                                               params.xi_att, params.k_cmd_att),
-        0.0, 0.0, T=2.0)
-    assert np.max(np.abs(y - y2)) < 1e-9
 
 
 def test_attitude_loop_damping_scaling(params):
-    # doubling K_D doubles the damping ratio of the characteristic polynomial
-    Kp, Kd, J = params.K_P_att[0], params.K_D_att[0], params.J[0]
-    wn = np.sqrt(Kp / J)
-    zeta1 = Kd / (2 * J * wn)
-    zeta2 = 2 * Kd / (2 * J * wn)
-    assert_allclose(zeta2 / zeta1, 2.0)
-    assert_allclose(zeta1, 1.0)  # derived gains are critically damped
-
-
-def test_reduced_attitude_static_torque(params):
-    # constant torque, zero command: steady angle M / (J wn^2)
-    J, wn = params.J[0], params.omega_n_att
-    M = 0.02
-    phi_ss = M / (J * wn**2)
-    acc = reduced_attitude_dynamics(phi_ss, 0.0, 0.0, M, J, wn, 1.0, 1.0)
-    assert_allclose(acc, 0.0, atol=1e-15)
+    # the loop is linear: its state matrix, read off the kernel, has the
+    # double pole -omega_n of a critically damped second-order system, and
+    # scaling omega_n scales the pole
+    for scale in (1.0, 2.0):
+        wn = scale * params.omega_n_att
+        A = np.array([[0.0, 1.0],
+                      [attitude_accel(1.0, 0.0, 0.0, wn),
+                       attitude_accel(0.0, 1.0, 0.0, wn)]])
+        assert_allclose(np.trace(A), -2.0 * wn)
+        assert_allclose(np.linalg.det(A), wn**2)
+        assert_allclose(np.trace(A) ** 2 - 4.0 * np.linalg.det(A), 0.0,
+                        atol=1e-9 * wn**2)
 
 
 def test_thrust_lag_properties(params):
-    F = np.array([0.0, 0.0, 34.335])
-    assert_allclose(thrust_vector_lag(F, F, params), np.zeros(3), atol=1e-15)
-    # analytic 63.2% rise at t = tau_att for a step
-    t, dt = 0.0, 1e-4
-    x = np.zeros(3)
-    cmd = np.array([5.0, 0.0, 34.335])
-    while t < params.tau_att - 1e-12:
-        x = x + dt * thrust_vector_lag(x, cmd, params)
-        t += dt
-    assert abs(x[0] / cmd[0] - (1 - np.exp(-1))) < 1e-3
+    # lateral thrust lags with the attitude time constant, the collective
+    # with the motor time constant, in the model the analysis integrates
+    cfg = AnalysisConfig(n_agents=2, mav=params)
+    for agent in (0, 1):
+        for axis, tau in ((0, params.tau_att), (2, params.tau_motor)):
+            x = rest_state(cfg)
+            i = 16 + 3 * agent + axis  # p, v, q, omega, p_ref, F_prop rows
+            assert x[i] == cfg.F_trim[agent, axis]
+            x[i] += 0.5
+            rate = full_rhs(cfg, x, zero_input(cfg))[i]
+            assert_allclose(rate, -0.5 / tau, rtol=1e-9)
 
 
 def test_thrust_lag_saturation(params):
+    # the lag's input is clamped to the reachable thrust set
     lat_max = np.sin(0.26) * params.F_prop_max
-    cmd = np.array([2 * lat_max, 0.0, 34.0])
-    x = np.array([lat_max, 0.0, 34.0])
-    rate = thrust_vector_lag(x, cmd, params)
-    assert_allclose(rate[0], 0.0, atol=1e-12)  # held at the bound
+    cmd = np.array([2 * lat_max, -3 * lat_max, 34.0])
+    assert_allclose(saturate_thrust_command(cmd, params),
+                    [lat_max, -lat_max, 34.0], atol=1e-12)
+    assert_allclose(saturate_thrust_command([0.0, 0.0, 200.0], params),
+                    [0.0, 0.0, params.F_prop_max])
+    assert_allclose(saturate_thrust_command([0.0, 0.0, -5.0], params),
+                    np.zeros(3))

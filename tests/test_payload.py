@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swarmlift.attitude import IDENTITY_QUAT, quat_from_axis_angle, quat_to_rotmat
-from swarmlift.errors import DimensionMismatch, IndexOutOfRange
+from swarmlift.attitude import (
+    IDENTITY_QUAT,
+    quat_from_axis_angle,
+    quat_integrate,
+    quat_to_rotmat,
+)
+from swarmlift.errors import DimensionMismatch
 from swarmlift.mav import GRAVITY
 from swarmlift.payload import (
     PayloadParams,
-    SystemInertia,
-    SystemState,
-    agent_kinematics,
-    all_agent_kinematics,
+    attachment_kinematics,
+    com_system,
     joint_interaction_force,
-    payload_dynamics,
+    payload_accel,
     regular_polygon_attachments,
-    system_mass_inertia,
-    total_agent_wrench,
 )
+
+Z3 = np.zeros(3)
 
 
 def beam_params(height=0.0):
@@ -27,10 +30,17 @@ def beam_params(height=0.0):
     )
 
 
-def rest_state(params):
-    n = params.n_agents
-    return SystemState(np.zeros(3), np.zeros(3), IDENTITY_QUAT.copy(),
-                       np.zeros(3), np.zeros((n, 3)), np.zeros((n, 3)))
+def beam_accel(Fw, v=Z3, q=IDENTITY_QUAT, w=Z3):
+    cs = com_system(beam_params(), [3.5, 3.5])
+    return cs, payload_accel(cs, Z3, Z3, v, q, w, np.asarray(Fw, dtype=float))
+
+
+def point_inertia(J_p, masses, att):
+    """Brute-force sum of point-mass inertias about the origin."""
+    J = np.diag(J_p).astype(float)
+    for m_i, r in zip(masses, att):
+        J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
+    return J
 
 
 def test_polygon_generator():
@@ -50,9 +60,9 @@ def test_polygon_generator():
 
 def test_mass_inertia_no_agents_vs_payload_only():
     p = PayloadParams(m_p=1.5, J_p=[0.1, 0.1, 0.2], attachments=[[0.0, 0.0, 0.0]])
-    si = system_mass_inertia(p, [0.0])
-    assert si.m_sys == 1.5
-    assert_allclose(si.J_sys, np.diag([0.1, 0.1, 0.2]))
+    cs = com_system(p, [0.0])
+    assert cs.m_sys == 1.5
+    assert_allclose(cs.J_sys, np.diag([0.1, 0.1, 0.2]))
 
 
 def test_mass_nominal_value():
@@ -60,124 +70,104 @@ def test_mass_nominal_value():
     m_bar = 1.0
     p = PayloadParams(m_p=1.5 * m_bar, J_p=[0.1, 0.1, 0.2],
                       attachments=regular_polygon_attachments(3, 1.2, 0.0))
-    si = system_mass_inertia(p, [3.5, 3.5, 3.5])
-    assert_allclose(si.m_sys, 1.5 + 3 * 3.5)
+    cs = com_system(p, [3.5, 3.5, 3.5])
+    assert_allclose(cs.m_sys, 1.5 + 3 * 3.5)
 
 
 def test_inertia_point_mass_sum():
     # brute-force oracle: three agents at radius 0.7, J_zz gains 3 m r^2
+    # (a balanced layout, so the composite CoM is the payload origin)
     r = 0.7
     ang = 2 * np.pi * np.arange(3) / 3
     att = np.stack([r * np.cos(ang), r * np.sin(ang), np.zeros(3)], axis=1)
     p = PayloadParams(m_p=2.46, J_p=[0.2, 0.2, 0.4], attachments=att)
-    si = system_mass_inertia(p, [3.5] * 3)
-    oracle = np.diag([0.2, 0.2, 0.4]).astype(float)
-    for m_i, ri in zip([3.5] * 3, att):
-        oracle += m_i * (np.dot(ri, ri) * np.eye(3) - np.outer(ri, ri))
-    assert_allclose(si.J_sys, oracle, rtol=1e-12)
-    assert_allclose(si.J_sys[2, 2], 0.4 + 3 * 3.5 * 0.49, rtol=1e-12)
+    cs = com_system(p, [3.5] * 3)
+    assert_allclose(cs.J_sys, point_inertia([0.2, 0.2, 0.4], [3.5] * 3, att),
+                    rtol=1e-12, atol=1e-15)
+    assert_allclose(cs.J_sys[2, 2], 0.4 + 3 * 3.5 * 0.49, rtol=1e-12)
 
 
 def test_mass_inertia_dim_mismatch():
     p = beam_params()
     with pytest.raises(DimensionMismatch):
-        system_mass_inertia(p, [3.5])
+        com_system(p, [3.5])
 
 
 def test_kinematics_no_rotation():
-    p = beam_params()
-    st = rest_state(p)
-    st.v_WP = np.array([0.3, -0.1, 0.0])
-    for i in range(2):
-        pi, vi, ai = agent_kinematics(st, i, np.zeros(3), np.array([0.1, 0, 0]),
-                                      attachments=p.attachments)
-        assert_allclose(pi, p.attachments[i])
-        assert_allclose(vi, st.v_WP)
-        assert_allclose(ai, [0.1, 0, 0])
+    cs = com_system(beam_params(), [3.5, 3.5])
+    v = np.array([0.3, -0.1, 0.0])
+    pi, vi, ai = attachment_kinematics(cs, Z3, v, IDENTITY_QUAT, Z3,
+                                       np.array([0.1, 0, 0]), Z3)
+    assert_allclose(pi, cs.attachments)
+    assert_allclose(vi, [v, v])
+    assert_allclose(ai, [[0.1, 0, 0]] * 2)
 
 
 def test_kinematics_pure_spin():
     p = PayloadParams(m_p=1.0, J_p=[0.1, 0.1, 0.1],
                       attachments=[[1.0, 0.0, 0.0]])
-    st = rest_state(p)
-    st.omega_P = np.array([0.0, 0.0, 1.0])
-    pi, vi, ai = agent_kinematics(st, 0, np.zeros(3), np.zeros(3),
-                                  attachments=p.attachments)
-    assert_allclose(vi, [0.0, 1.0, 0.0], atol=1e-15)
-    assert_allclose(ai, [-1.0, 0.0, 0.0], atol=1e-15)  # centripetal
-
-
-def test_kinematics_index_range():
-    p = beam_params()
-    with pytest.raises(IndexOutOfRange):
-        agent_kinematics(rest_state(p), 5, attachments=p.attachments)
+    cs = com_system(p, [0.0])  # massless agent: the CoM is the payload origin
+    _, vi, ai = attachment_kinematics(cs, Z3, Z3, IDENTITY_QUAT,
+                                      np.array([0.0, 0.0, 1.0]), Z3, Z3)
+    assert_allclose(vi, [[0.0, 1.0, 0.0]], atol=1e-15)
+    assert_allclose(ai, [[-1.0, 0.0, 0.0]], atol=1e-15)  # centripetal
 
 
 def test_kinematics_finite_difference():
     # v_i matches d(p_i)/dt along a simulated rigid trajectory
-    p = beam_params(height=0.15)
+    cs = com_system(beam_params(height=0.15), [3.5, 3.5])
     dt = 1e-6
     q = quat_from_axis_angle([0.2, 0.5, 1.0], 0.4)
-    st = SystemState(np.array([0.5, 0.2, 1.0]), np.array([0.1, -0.2, 0.05]), q,
-                     np.array([0.3, -0.1, 0.4]), np.zeros((2, 3)), np.zeros((2, 3)))
-    p0, v0, _ = all_agent_kinematics(st.p_WP, st.v_WP, st.R_WP, st.omega_P,
-                                     p.attachments)
+    p = np.array([0.5, 0.2, 1.0])
+    v = np.array([0.1, -0.2, 0.05])
+    w = np.array([0.3, -0.1, 0.4])
+    p0, v0, _ = attachment_kinematics(cs, p, v, q, w)
     # advance the rigid motion by dt
-    from swarmlift.attitude import quat_integrate
-    st2 = SystemState(st.p_WP + dt * st.v_WP, st.v_WP,
-                      quat_integrate(st.q_WP, st.omega_P, dt), st.omega_P,
-                      st.agent_eta, st.agent_eta_dot)
-    p1, _, _ = all_agent_kinematics(st2.p_WP, st2.v_WP, st2.R_WP, st2.omega_P,
-                                    p.attachments)
+    p1, _, _ = attachment_kinematics(cs, p + dt * v, v,
+                                     quat_integrate(q, w, dt), w)
     fd = (p1 - p0) / dt
     assert np.max(np.abs(fd - v0)) < 1e-5
 
 
 def test_total_wrench_zero_and_symmetry():
-    p = beam_params()
-    F, M = total_agent_wrench(np.zeros((2, 3)), p)
-    assert_allclose(F, np.zeros(3))
-    assert_allclose(M, np.zeros(3))
-    F, M = total_agent_wrench([[0, 0, 10.0], [0, 0, 10.0]], p)
-    assert_allclose(F, [0, 0, 20.0])
-    assert_allclose(M, np.zeros(3), atol=1e-12)
+    cs, (v_dot, w_dot) = beam_accel(np.zeros((2, 3)))
+    assert_allclose(v_dot, [0, 0, -GRAVITY])
+    assert_allclose(w_dot, Z3)
+    cs, (v_dot, w_dot) = beam_accel([[0, 0, 10.0], [0, 0, 10.0]])
+    assert_allclose(v_dot, [0, 0, 20.0 / cs.m_sys - GRAVITY])
+    assert_allclose(w_dot, Z3, atol=1e-12)
 
 
 def test_total_wrench_cross_product_oracle():
-    p = beam_params()  # attachments at (+-0.75, 0, 0)
-    F, M = total_agent_wrench([[0, 0, 10.0], [0, 0, 12.0]], p)
+    # attachments at (+-0.75, 0, 0)
+    cs, (_, w_dot) = beam_accel([[0, 0, 10.0], [0, 0, 12.0]])
     oracle = np.cross([0.75, 0, 0], [0, 0, 10.0]) + np.cross([-0.75, 0, 0], [0, 0, 12.0])
-    assert_allclose(M, oracle, atol=1e-12)
-    assert_allclose(M, [0.0, 1.5, 0.0], atol=1e-12)
+    assert_allclose(oracle, [0.0, 1.5, 0.0], atol=1e-12)
+    assert_allclose(cs.J_sys @ w_dot, oracle, atol=1e-12)
 
 
-def test_payload_dynamics_static_hover():
-    p = beam_params()
-    si = system_mass_inertia(p, [3.5, 3.5])
-    F_agents = np.array([0, 0, si.m_sys * GRAVITY])
-    v_dot, w_dot = payload_dynamics(np.eye(3), np.zeros(3), np.zeros(3),
-                                    F_agents, np.zeros(3), si, p)
+def test_payload_accel_static_hover():
+    cs = com_system(beam_params(), [3.5, 3.5])
+    share = np.array([0, 0, cs.m_sys * GRAVITY / 2])
+    _, (v_dot, w_dot) = beam_accel([share, share])
     assert_allclose(v_dot, np.zeros(3), atol=1e-12)
     assert_allclose(w_dot, np.zeros(3), atol=1e-12)
 
 
-def test_payload_dynamics_thrust_excess():
+def test_payload_accel_thrust_excess():
     # 1 N above hover on m_sys = 8.8 kg (2 x 3.5 + 1.8 beam)
-    p = beam_params()
-    si = system_mass_inertia(p, [3.5, 3.5])
-    assert_allclose(si.m_sys, 8.8)
-    F_agents = np.array([0, 0, si.m_sys * GRAVITY + 1.0])
-    v_dot, _ = payload_dynamics(np.eye(3), np.zeros(3), np.zeros(3),
-                                F_agents, np.zeros(3), si, p)
+    F = np.array([0, 0, 8.8 * GRAVITY + 1.0]) / 2
+    cs, (v_dot, _) = beam_accel([F, F])
+    assert_allclose(cs.m_sys, 8.8)
     assert_allclose(v_dot, [0, 0, 1.0 / 8.8], atol=1e-12)
 
 
-def test_payload_dynamics_torque_step():
-    p = beam_params()
-    si = system_mass_inertia(p, [3.5, 3.5])
-    _, w_dot = payload_dynamics(np.eye(3), np.zeros(3), np.zeros(3),
-                                np.zeros(3), np.array([0, 0, 0.5]), si, p)
-    assert_allclose(w_dot, [0, 0, 0.5 / si.J_sys[2, 2]], atol=1e-15)
+def test_payload_accel_torque_step():
+    # opposite lateral forces of 1/3 N at +-0.75 m: a pure 0.5 N m yaw torque
+    f = 1.0 / 3.0
+    cs, (v_dot, w_dot) = beam_accel([[0, f, 0], [0, -f, 0]])
+    assert_allclose(v_dot, [0, 0, -GRAVITY], atol=1e-15)
+    assert_allclose(w_dot, [0, 0, 0.5 / cs.J_sys[2, 2]], atol=1e-14)
 
 
 def test_joint_force_free_hover():
@@ -197,21 +187,16 @@ def test_joint_force_static_share():
 def test_joint_force_newton_closure():
     # sum of joint forces balances the payload's own Newton law, exact in
     # the composite-CoM frame even with elevated attachments
-    from swarmlift.payload import com_system
-
     p = beam_params(height=0.15)
     cs = com_system(p, [3.5, 3.5])
-    si = SystemInertia(m_sys=cs.m_sys, J_sys=cs.J_sys)
     rng = np.random.default_rng(0)
-    R = quat_to_rotmat(quat_from_axis_angle(rng.normal(size=3), 0.2))
+    q = quat_from_axis_angle(rng.normal(size=3), 0.2)
+    R = quat_to_rotmat(q)
     v_WP = rng.normal(size=3) * 0.2
     omega = rng.normal(size=3) * 0.3
     forces_w = rng.normal(size=(2, 3)) * 2.0 + np.array([0, 0, cs.m_sys * GRAVITY / 2])
-    F_agents = R.T @ forces_w.sum(axis=0)
-    M_agents = np.cross(cs.attachments, forces_w @ R).sum(axis=0)
-    v_dot, w_dot = payload_dynamics(R, v_WP, omega, F_agents, M_agents, si, p)
-    _, _, a = all_agent_kinematics(np.zeros(3), v_WP, R, omega, cs.attachments,
-                                   omega_dot=w_dot, v_dot=v_dot)
+    v_dot, w_dot = payload_accel(cs, Z3, Z3, v_WP, q, omega, forces_w)
+    _, _, a = attachment_kinematics(cs, Z3, v_WP, q, omega, v_dot, w_dot)
     F_int = np.array([
         joint_interaction_force(a[i], forces_w[i], 3.5) for i in range(2)])
     # payload CoG acceleration from the rigid kinematics about the CoM
@@ -222,11 +207,9 @@ def test_joint_force_newton_closure():
 
 
 def test_com_system_balanced_case_matches_spec_formula():
-    from swarmlift.payload import com_system
-
     p = beam_params(height=0.0)
     cs = com_system(p, [3.5, 3.5])
-    si = system_mass_inertia(p, [3.5, 3.5])
-    assert_allclose(cs.J_sys, si.J_sys, rtol=1e-12)
+    assert_allclose(cs.J_sys, point_inertia(p.J_p, [3.5, 3.5], p.attachments),
+                    rtol=1e-12)
     assert_allclose(cs.attachments, p.attachments)
     assert_allclose(cs.r_payload_cog, np.zeros(3))

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from swarmlift.errors import ScenarioError
 from swarmlift.mav import GRAVITY
-from swarmlift.scenario import load_scenario, scenario_from_dict
+from swarmlift import simulate
+from swarmlift.cli import main
+from swarmlift.scenario import Scenario, load_scenario, scenario_from_dict
 from swarmlift.simulate import RunLog, replay_log, run_scenario
 
 BEAM = {
@@ -34,6 +37,37 @@ def test_scenario_validation():
     with pytest.raises(ScenarioError):
         scenario_from_dict({"n_agents": 2, "duration": 1.0,
                             "estimator": "magic"})
+
+
+def test_config_hash_identifies_resolved_scenario():
+    base = Scenario(n_agents=2, duration=1.0)
+    assert base.config_hash() == Scenario(n_agents=2, duration=1.0).config_hash()
+    # the same run, loaded or built in code, hashes alike
+    assert base.config_hash() == scenario_from_dict(
+        {"n_agents": 2, "duration": 1.0}).config_hash()
+    hashes = {base.config_hash(),
+              Scenario(n_agents=2, duration=1.0, seed=1).config_hash(),
+              Scenario(n_agents=2, duration=2.0).config_hash(),
+              beam(duration=1.0).config_hash()}
+    assert len(hashes) == 4
+
+
+def test_cli_simulate_seed_changes_config_hash(tmp_path, monkeypatch):
+    logs = []
+
+    def recording_run(sc):
+        logs.append(run_scenario(sc))
+        return logs[-1]
+
+    monkeypatch.setattr(simulate, "run_scenario", recording_run)
+    cfg = tmp_path / "beam.json"
+    cfg.write_text(json.dumps(BEAM))
+    args = ["simulate", str(cfg), "--out-dir", str(tmp_path), "--duration",
+            "0.05"]
+    for extra in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert main(args + extra) == 0
+    hashes = [log.meta["config_hash"] for log in logs]
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_hover_is_exact_equilibrium():
