@@ -216,10 +216,6 @@ def euler_to_quat(eta):
     return rotmat_to_quat(euler_to_rotmat(eta))
 
 
-def quat_to_euler(q):
-    return rotmat_to_euler(quat_to_rotmat(q))
-
-
 def quat_to_mrp(q, cfg: MrpConfig = DEFAULT_MRP):
     """MRP of a unit quaternion: p = f qv / (a + qs)."""
     q = np.asarray(q, dtype=float)

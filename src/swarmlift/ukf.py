@@ -210,10 +210,3 @@ def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas, R,
     xi[E_SL] = 0.0
     return UkfState(xi=xi, P=0.5 * (P + P.T), q=q_new)
 
-
-def nominal_estimator_model(F_hat, F_true, tau_est: float):
-    """First-order unit-gain lag: the nominal estimator model used by the
-    robust-tuning analysis."""
-    if tau_est <= 0:
-        raise ValueError("tau_est must be positive")
-    return (np.asarray(F_true) - np.asarray(F_hat)) / tau_est

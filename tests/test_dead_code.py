@@ -1,6 +1,8 @@
-"""Static guard: every module-level import in the package is used."""
+"""Static guards: every module-level import in the package is used, and
+every module-level private function and class is referenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import swarmlift
@@ -40,3 +42,48 @@ def test_no_unused_module_imports():
         if names:
             found[path.name] = names
     assert found == {}
+
+
+def _referenced_names(node) -> Counter:
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name] += 1
+    return names
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """Module-level private functions and classes (``_name``) that no
+    module references outside their own body."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = sum((_referenced_names(t) for t in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and used[node.name] == _referenced_names(node)[node.name]):
+                found.append(f"{module}:{node.name}")
+    return sorted(found)
+
+
+def test_guard_flags_an_unreferenced_private():
+    sources = {
+        "a.py": ("def _used():\n    return 1\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Gone:\n    pass\n"
+                 "def __getattr__(name):\n    pass\n"),
+        "b.py": "from .a import _used\nx = _used()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py:_Gone", "a.py:_recursive"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -13,8 +13,10 @@ from swarmlift.mu import (
     default_frequency_grid,
     margin_point,
     margins,
+    _scaling_groups,
     rs_partition,
     sample_admissible_perturbation,
+    scaled_sv_gradient,
     ssv_upper_bound,
 )
 from swarmlift.uncertainty import UncertaintyBlock, performance_weight
@@ -99,6 +101,70 @@ def test_ssv_dominates_spectral_radius():
     rho = np.array([np.max(np.abs(np.linalg.eigvals(G11[k])))
                     for k in range(len(FREQS))])
     assert np.all(mu >= rho - 1e-9)
+
+
+def test_log_scale_gradient_matches_central_differences():
+    structure = [UncertaintyBlock("r2", "repeated", 2, 2),
+                 UncertaintyBlock("f", "full", 3, 2),
+                 UncertaintyBlock("r3", "repeated", 3, 3)]
+    row_group, col_group, ng = _scaling_groups(structure)
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(8, 7)) + 1j * rng.normal(size=(8, 7))
+    logd = rng.uniform(-0.5, 0.5, ng)
+    sv = np.linalg.svd((np.exp(logd)[row_group][:, None] * M)
+                       / np.exp(logd)[col_group][None, :], compute_uv=False)
+    assert sv[1] < 0.9 * sv[0]  # simple top singular value
+    sigma, grad = scaled_sv_gradient(M, logd, row_group, col_group)
+    assert_allclose(sigma, sv[0], rtol=1e-12)
+    h = 1e-5
+    fd = np.empty(ng)
+    for g in range(ng):
+        e = np.zeros(ng)
+        e[g] = h
+        fd[g] = (scaled_sv_gradient(M, logd + e, row_group, col_group)[0]
+                 - scaled_sv_gradient(M, logd - e, row_group, col_group)[0]) \
+            / (2.0 * h)
+    assert_allclose(grad, fd, rtol=1e-6)
+
+
+def test_descent_survives_scalings_that_overflow():
+    # on a reducible pattern BFGS drives log-scales toward infinity; the
+    # trial points that overflow must count as an infinite bound, because
+    # LAPACK's SVD may not return on non-finite entries
+    pattern = np.array([[1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1],
+                        [0, 0, 1, 0]])
+    rng = np.random.default_rng(1)
+    M = pattern * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    struct = [UncertaintyBlock(f"b{i}", "repeated", 1, 1) for i in range(4)]
+    row_group, col_group, _ = _scaling_groups(struct)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma, grad = scaled_sv_gradient(M, np.array([800.0, 0.0, 0.0, 0.0]),
+                                         row_group, col_group)
+        mu = ssv_upper_bound(M[None], struct, polish_tol=1e-12)[0]
+    assert sigma == np.inf and not grad.any()
+    balanced = ssv_upper_bound(M[None], struct, polish=False)[0]
+    rho = np.max(np.abs(np.linalg.eigvals(M)))
+    assert rho * (1.0 - 1e-9) <= mu <= balanced
+
+
+def test_polished_bound_between_spectral_radius_and_balanced():
+    N, struct = _assembled()
+    G11, rs_struct = rs_partition(N.freq_response(FREQS), struct)
+    polished = ssv_upper_bound(G11, rs_struct)
+    balanced = ssv_upper_bound(G11, rs_struct, polish=False)
+    rho = np.array([np.max(np.abs(np.linalg.eigvals(G11[k])))
+                    for k in range(len(FREQS))])
+    assert np.all(polished <= balanced)
+    assert np.all(polished >= rho * (1.0 - 1e-9))
+    assert np.any(polished < balanced)
+
+
+def test_margins_never_looser_than_coordinate_descent():
+    # rs and rp of the golden-section coordinate-descent polish that the
+    # gradient descent replaced, at the documented robust tuning point
+    r = margin_point(2, 8.0, 6.0, freqs=default_frequency_grid(60))
+    assert r.rs_margin >= 1.5223913581793587 * (1.0 - 1e-9)
+    assert r.rp_margin >= 0.31928612261600114 * (1.0 - 1e-9)
 
 
 def test_ssv_structure_mismatch_raises():

@@ -3,6 +3,13 @@ from numpy.testing import assert_allclose
 
 from swarmlift import attitude as att
 from swarmlift import ukf
+from swarmlift.analysis import (
+    AnalysisConfig,
+    full_rhs,
+    rest_state,
+    unpack_state,
+    zero_input,
+)
 from swarmlift.identify import fit_first_order_tau, run_force_step
 from swarmlift.mav import GRAVITY, MavParams, rotor_speeds_from_wrench
 
@@ -211,10 +218,19 @@ def test_closed_loop_force_step_convergence():
 
 
 def test_nominal_estimator_model():
-    assert_allclose(ukf.nominal_estimator_model([1.0, 0, 0], [1.0, 0, 0], 0.2),
-                    np.zeros(3))
-    # 63.2% rise at tau for a step, DC gain one
-    F_hat, dt = np.zeros(3), 1e-4
-    for _ in range(int(0.2 / dt)):
-        F_hat = F_hat + dt * ukf.nominal_estimator_model(F_hat, [1.0, 0, 0], 0.2)
-    assert abs(F_hat[0] - (1 - np.exp(-1))) < 1e-3
+    # the first-order unit-gain estimator lag the margins integrate: a
+    # slave's F_hat error decays at 1 / tau_est and leaves the others alone
+    cfg = AnalysisConfig(n_agents=3, mav=PARAMS)
+    x0 = rest_state(cfg)
+    dF_hat0 = unpack_state(cfg, full_rhs(cfg, x0, zero_input(cfg)))[6]
+    delta = np.array([0.5, -0.3, 0.2])
+    for slave in range(cfg.n_slaves):
+        x = x0.copy()
+        i = 16 + 3 * cfg.n_agents + 9 * slave  # F_hat rows of this slave
+        assert_allclose(x[i:i + 3], cfg.F_int_trim)
+        x[i:i + 3] += delta
+        dF_hat = unpack_state(cfg, full_rhs(cfg, x, zero_input(cfg)))[6]
+        assert_allclose(dF_hat[slave] - dF_hat0[slave],
+                        -delta / PARAMS.tau_est, rtol=1e-9)
+        others = [j for j in range(cfg.n_slaves) if j != slave]
+        assert np.array_equal(dF_hat[others], dF_hat0[others])
