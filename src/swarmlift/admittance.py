@@ -37,9 +37,6 @@ class AdmittanceParams:
     M: np.ndarray = field(default_factory=lambda: np.array([8.0, 8.0, 8.0]))
     C: np.ndarray = field(default_factory=lambda: np.array([6.0, 6.0, 120.0]))
     K: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 400.0]))
-    J_psi: float = 1.0
-    C_psi: float = 3.0
-    K_psi: float = 0.0
     F_hi: float = 0.6
     F_lo: float = 0.3
     T_hi: float = 0.1
@@ -61,8 +58,7 @@ class AdmittanceParams:
         """Copy with the horizontal-plane virtual mass/damping replaced."""
         return AdmittanceParams(
             M=np.array([M, M, self.M[2]]), C=np.array([C, C, self.C[2]]),
-            K=self.K.copy(), J_psi=self.J_psi, C_psi=self.C_psi,
-            K_psi=self.K_psi, F_hi=self.F_hi, F_lo=self.F_lo,
+            K=self.K.copy(), F_hi=self.F_hi, F_lo=self.F_lo,
             T_hi=self.T_hi, T_lo=self.T_lo, T_avg=self.T_avg)
 
 
@@ -75,9 +71,6 @@ class AdmittanceState:
     z: np.ndarray = field(default_factory=lambda: np.zeros(3))
     zdot: np.ndarray = field(default_factory=lambda: np.zeros(3))
     zddot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    psi_d: float = 0.0
-    psi_z: float = 0.0
-    psi_zdot: float = 0.0
     mode: AdmittanceMode = AdmittanceMode.DISENGAGED
     axis_generating: np.ndarray = field(
         default_factory=lambda: np.zeros(3, dtype=bool))
@@ -101,10 +94,6 @@ class AdmittanceState:
     @property
     def ddLambda_r(self) -> np.ndarray:
         return self.ddLambda_d + self.zddot
-
-    @property
-    def psi_r(self) -> float:
-        return self.psi_d + self.psi_z
 
     @property
     def engaged(self) -> bool:
@@ -250,16 +239,4 @@ def admittance_step(st: AdmittanceState, F_hat, Ts: float) -> AdmittanceState:
         zj = Ad @ np.array([st.z[j], st.zdot[j]]) + Bd * u
         st.z[j], st.zdot[j] = zj
         st.zddot[j] = (u - p.C[j] * st.zdot[j] - p.K[j] * st.z[j]) / p.M[j]
-    return st
-
-
-def yaw_admittance_step(st: AdmittanceState, M_z: float, Ts: float
-                        ) -> AdmittanceState:
-    """Integrate the yaw admittance law (no threshold logic on the torque)."""
-    if st.mode not in (AdmittanceMode.TRACKING, AdmittanceMode.GENERATING):
-        return st
-    p = st.params
-    Ad, Bd = _zoh_axis(p.J_psi, p.C_psi, p.K_psi, Ts)
-    out = Ad @ np.array([st.psi_z, st.psi_zdot]) + Bd * float(M_z)
-    st.psi_z, st.psi_zdot = out
     return st

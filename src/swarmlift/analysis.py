@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admittance import AdmittanceParams
-from .attitude import quat_normalize, quat_to_rotmat, rotvec_to_rotmat, skew
+from .attitude import (cross3, quat_normalize, quat_to_rotmat,
+                       rotvec_to_rotmat, skew)
 from .errors import UnstableOperatingPoint
 from .lti import LinearSystem, append, connect, gain_block, integrator
 from .mav import EZ, GRAVITY, MavParams, rk4_step, saturate_thrust_command
@@ -126,40 +127,23 @@ class AnalysisConfig:
 
 # ------------------------------------------------------------ state packing
 
-def pack_state(cfg: AnalysisConfig, p, v, q, omega, p_ref, F_prop, F_hat,
-               z, zdot):
+def pack_state(p, v, q, omega, p_ref, F_prop, F_hat, z, zdot):
     """Per-slave estimator/admittance blocks stay contiguous so the chart
-    state ordering matches the analytic block assembly."""
-    parts = [p, v, q, omega, p_ref, np.reshape(F_prop, -1)]
-    for j in range(cfg.n_slaves):
-        parts += [F_hat[j], z[j], zdot[j]]
-    return np.concatenate(parts)
+    state ordering matches the analytic block assembly. A chart state
+    passes theta in place of q."""
+    return np.concatenate([p, v, q, omega, p_ref, np.reshape(F_prop, -1),
+                           np.hstack([F_hat, z, zdot]).reshape(-1)])
 
 
-def unpack_state(cfg: AnalysisConfig, x):
-    N, S = cfg.n_agents, cfg.n_slaves
-    i = 0
-
-    def take(k, shape=None):
-        nonlocal i
-        out = x[i:i + k]
-        i += k
-        return out if shape is None else out.reshape(shape)
-
-    p = take(3)
-    v = take(3)
-    q = take(4)
-    omega = take(3)
-    p_ref = take(3)
-    F_prop = take(3 * N, (N, 3))
-    F_hat = np.zeros((S, 3), dtype=x.dtype)
-    z = np.zeros((S, 3), dtype=x.dtype)
-    zdot = np.zeros((S, 3), dtype=x.dtype)
-    for j in range(S):
-        F_hat[j] = take(3)
-        z[j] = take(3)
-        zdot[j] = take(3)
-    return p, v, q, omega, p_ref, F_prop, F_hat, z, zdot
+def unpack_state(cfg: AnalysisConfig, x, n_att: int = 4):
+    """Views into a full state (n_att = 4, quaternion q) or a chart state
+    (n_att = 3, theta)."""
+    a, N = 6 + n_att, cfg.n_agents
+    f = a + 6 + 3 * N  # first slave block
+    slaves = x[f:].reshape(cfg.n_slaves, 9)
+    return (x[0:3], x[3:6], x[6:a], x[a:a + 3], x[a + 3:a + 6],
+            x[a + 6:f].reshape(N, 3), slaves[:, 0:3], slaves[:, 3:6],
+            slaves[:, 6:9])
 
 
 def split_inputs(cfg: AnalysisConfig, u):
@@ -178,15 +162,17 @@ def split_inputs(cfg: AnalysisConfig, u):
 def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
           u):
     """Shared nonlinear dynamics; complex-step safe. Returns state
-    derivatives (except attitude kinematics) and all channel outputs."""
-    N, S = cfg.n_agents, cfg.n_slaves
+    derivatives (except attitude kinematics) and the channel outputs, in
+    output order and not yet flattened."""
+    N = cfg.n_agents
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
     u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
     dt_ = np.result_type(R.dtype, p.dtype, u.dtype)
 
     r = com.attachments
     p_i = p[None, :] + r @ R.T
-    v_i = v[None, :] + np.cross(omega[None, :], r) @ R.T
+    omega_r = cross3(omega, r)
+    v_i = v[None, :] + omega_r @ R.T
 
     # references: master integrates the velocity command, slaves follow the
     # engaged admittance law
@@ -194,9 +180,8 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     ref_v = np.zeros((N, 3), dtype=dt_)
     ref_p[0] = p_ref
     ref_v[0] = w
-    if S:
-        ref_p[1:] = cfg.engage_points[1:] + z
-        ref_v[1:] = zdot
+    ref_p[1:] = cfg.engage_points[1:] + z
+    ref_v[1:] = zdot
 
     F_cmd = (mav.K_P[None, :] * (ref_p - p_i)
              + mav.K_D[None, :] * (ref_v - v_i)
@@ -219,35 +204,24 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     a_com = (sumF - drag_w) / com.m_sys - cfg.w_mass * u_mass
     y_mass = a_com
     v_dot = a_com - GRAVITY * EZ
-    M_net = np.cross(r, F_cons_P).sum(axis=0) \
-        - np.cross(omega, com.J_sys @ omega) - cfg.payload.drag_M * omega
+    M_net = cross3(r, F_cons_P).sum(axis=0) \
+        - cross3(omega, com.J_sys @ omega) - cfg.payload.drag_M * omega
     omega_dot = np.linalg.solve(com.J_sys, M_net) - cfg.G_inertia @ u_J
     y_J = omega_dot
 
     dp_ref = w
 
     # slave joint force, estimator lag, admittance
-    dF_hat = np.zeros((S, 3), dtype=dt_)
-    dz = np.zeros((S, 3), dtype=dt_)
-    dzdot = np.zeros((S, 3), dtype=dt_)
-    y_est = np.zeros((S, 3), dtype=dt_)
-    if S:
-        a_i = v_dot[None, :] + (np.cross(omega_dot[None, :], r[1:])
-                                + np.cross(omega[None, :],
-                                           np.cross(omega[None, :], r[1:]))) @ R.T
-        F_int = mav.m * (a_i + GRAVITY * EZ[None, :]) - F_cons_w[1:]
-        dF_hat = (F_int - F_hat) / mav.tau_est
-        y_est = F_hat
-        F_used = F_hat + u_est - cfg.F_int_trim[None, :]
-        dz = zdot
-        dzdot = (F_used - adm.C[None, :] * zdot - adm.K[None, :] * z) \
-            / adm.M[None, :]
+    a_i = v_dot[None, :] + (cross3(omega_dot, r[1:])
+                            + cross3(omega, omega_r[1:])) @ R.T
+    F_int = mav.m * (a_i + GRAVITY * EZ[None, :]) - F_cons_w[1:]
+    dF_hat = (F_int - F_hat) / mav.tau_est
+    F_used = F_hat + u_est - cfg.F_int_trim[None, :]
+    dzdot = (F_used - adm.C[None, :] * zdot - adm.K[None, :] * z) \
+        / adm.M[None, :]
 
-    z_lat = F_cons_P[:, :2]
-    outputs = np.concatenate(
-        [y_mass, y_J, np.reshape(y_mpc, -1), np.reshape(y_att, -1),
-         np.reshape(y_est, -1), np.reshape(z_lat, -1), v, p])
-    return (v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot), outputs
+    outputs = (y_mass, y_J, y_mpc, y_att, F_hat, F_cons_P[:, :2], v, p)
+    return (v_dot, omega_dot, dp_ref, dF_prop, dF_hat, zdot, dzdot), outputs
 
 
 def full_rhs(cfg: AnalysisConfig, x, u):
@@ -258,47 +232,24 @@ def full_rhs(cfg: AnalysisConfig, x, u):
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
     # qdot = 1/2 q (x) (omega, 0)
     qv, qs = q[:3], q[3]
-    dqv = 0.5 * (qs * omega + np.cross(qv, omega))
+    dqv = 0.5 * (qs * omega + cross3(qv, omega))
     dqs = -0.5 * np.dot(qv, omega)
-    return pack_state(cfg, v, v_dot, np.concatenate([dqv, [dqs]]), omega_dot,
+    return pack_state(v, v_dot, np.concatenate([dqv, [dqs]]), omega_dot,
                       dp_ref, dF_prop, dF_hat, dz, dzdot)
 
 
 def chart_rhs_out(cfg: AnalysisConfig, xc, u, q_ref):
     """Dynamics and outputs in the 3-component attitude chart centered on
     q_ref: R = R(q_ref) expm(skew(theta)). Complex-step safe."""
-    N, S = cfg.n_agents, cfg.n_slaves
-    i = 0
-
-    def take(k, shape=None):
-        nonlocal i
-        out = xc[i:i + k]
-        i += k
-        return out if shape is None else out.reshape(shape)
-
-    p = take(3)
-    v = take(3)
-    theta = take(3)
-    omega = take(3)
-    p_ref = take(3)
-    F_prop = take(3 * N, (N, 3))
-    F_hat = np.zeros((S, 3), dtype=xc.dtype)
-    z = np.zeros((S, 3), dtype=xc.dtype)
-    zdot = np.zeros((S, 3), dtype=xc.dtype)
-    for j in range(S):
-        F_hat[j] = take(3)
-        z[j] = take(3)
-        zdot[j] = take(3)
-
+    p, v, theta, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(
+        cfg, xc, n_att=3)
     R = quat_to_rotmat(q_ref) @ rotvec_to_rotmat(theta)
     der, outputs = _core(cfg, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot, u)
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
-    dtheta = omega + 0.5 * np.cross(theta, omega)
-    parts = [v, v_dot, dtheta, omega_dot, dp_ref, np.reshape(dF_prop, -1)]
-    for j in range(S):
-        parts += [dF_hat[j], dz[j], dzdot[j]]
-    dx = np.concatenate(parts)
-    return dx, outputs
+    dtheta = omega + 0.5 * cross3(theta, omega)
+    return (pack_state(v, v_dot, dtheta, omega_dot, dp_ref, dF_prop, dF_hat,
+                       dz, dzdot),
+            np.concatenate([np.reshape(y, -1) for y in outputs]))
 
 
 # ------------------------------------------------------------- rest / trims
@@ -312,7 +263,7 @@ def rest_state(cfg: AnalysisConfig) -> np.ndarray:
     F_prop = cfg.F_trim.copy()
     S = cfg.n_slaves
     F_hat = np.tile(cfg.F_int_trim, (S, 1))
-    return pack_state(cfg, p, np.zeros(3), q, np.zeros(3), p_ref, F_prop,
+    return pack_state(p, np.zeros(3), q, np.zeros(3), p_ref, F_prop,
                       F_hat, np.zeros((S, 3)), np.zeros((S, 3)))
 
 
@@ -346,10 +297,8 @@ def preroll_transport(cfg: AnalysisConfig, T: float = TRANSPORT_PREROLL_T,
 def to_chart(cfg: AnalysisConfig, x):
     """Split a full state into (chart state with theta = 0, reference q)."""
     p, v, q, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(cfg, x)
-    parts = [p, v, np.zeros(3), omega, p_ref, np.reshape(F_prop, -1)]
-    for j in range(cfg.n_slaves):
-        parts += [F_hat[j], z[j], zdot[j]]
-    return np.concatenate(parts), q
+    return pack_state(p, v, np.zeros(3), omega, p_ref, F_prop, F_hat, z,
+                      zdot), q
 
 
 def complex_step_jacobian(f, x, h: float = 1e-100):

@@ -37,6 +37,10 @@ class UnstableOperatingPoint(SwarmliftError):
     """Pre-roll to an operating point diverged."""
 
 
+class NonFiniteResponse(SwarmliftError):
+    """Frequency-response data holds an inf or nan entry."""
+
+
 class UnstableSystem(SwarmliftError):
     """Operation requires a stable system."""
 

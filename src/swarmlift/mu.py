@@ -10,7 +10,14 @@ reported safe region can only shrink).
 The SSV upper bound is the largest singular value of D G D^-1 over
 block-commuting diagonal scalings D. Osborne balancing gives D at every
 frequency; near the peak a BFGS descent on log D, with the gradient read
-off the top singular vectors, tightens it further.
+off the top singular vectors, tightens it further. Polish runs in
+decreasing balanced order and stops once the next balanced value cannot
+raise the maximum: with no floor after at least the eight largest (every
+frequency keeps a tight bound near the peak), with a floor as soon as the
+next balanced value is at or below the floor or the running maximum (only
+the peak is tight). A margin needs only the peak, so margin_point bounds
+transport first with floor 0, then rest with the transport peak as floor,
+then performance with the stability peak as floor.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .analysis import (
     linearize,
     margin_plant,
 )
-from .errors import ChannelMismatch, UnstableOperatingPoint
+from .errors import ChannelMismatch, NonFiniteResponse, UnstableOperatingPoint
 from .lti import LinearSystem, output_weight
 from .uncertainty import (
     UncertaintyBlock,
@@ -168,21 +175,32 @@ def _descend(M, logd, row_group, col_group, tol):
 
 def ssv_upper_bound(G, structure, polish: bool = True,
                     balance_tol: float = 1e-9, max_balance: int = 200,
-                    polish_tol: float = 1e-8) -> np.ndarray:
+                    polish_tol: float = 1e-8,
+                    floor: float | None = None) -> np.ndarray:
     """D-scaled upper bound of the structured singular value per frequency.
 
-    G has shape (F, ny, nu); the structure lists the blocks in channel
-    order. One positive scaling per scaling group, the last pinned to 1.
-    Each frequency is Osborne-balanced, warm-started from the previous one.
-    With polish, the eight largest balanced bounds then descend by BFGS on
-    the log-scales (analytic gradient) until every relative derivative is
-    below polish_tol. Any scaling gives a valid upper bound, so a polished
-    frequency keeps the lesser of its two values and an early stop stays
-    conservative.
+    G has shape (F, ny, nu) and must be finite; the structure lists the
+    blocks in channel order. One positive scaling per scaling group, the
+    last pinned to 1. Each frequency is Osborne-balanced, warm-started from
+    the previous one. With polish, frequencies then descend by BFGS on the
+    log-scales (analytic gradient) until every relative derivative is below
+    polish_tol, in decreasing balanced order:
+
+    * floor None: the eight largest, then on while the next balanced value
+      exceeds the largest polished one;
+    * floor given: until the next balanced value is at or below the floor
+      or the largest polished one. Only the maximum over frequency (with
+      the floor) is then tight; use it when only the peak matters.
+
+    Any scaling gives a valid upper bound, so a polished frequency keeps
+    the lesser of its two values, an unpolished one its balanced value, and
+    an early stop stays conservative.
     """
     G = np.asarray(G)
     if G.ndim == 2:
         G = G[None, :, :]
+    if not np.isfinite(G).all():  # LAPACK may not return on inf entries
+        raise NonFiniteResponse("G has a non-finite entry")
     row_group, col_group, ng = _scaling_groups(structure)
     ny, nu = len(row_group), len(col_group)
     if G.shape[1] != ny or G.shape[2] != nu:
@@ -191,18 +209,23 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     F = G.shape[0]
     mu = np.empty(F)
     logd = np.zeros(ng)
+    # one channel per group (repeated scalars only): no group gather or sum
+    lean = ng == ny == nu
+    rg, cg = (slice(None), slice(None)) if lean else (row_group, col_group)
 
     def balance(M, logd):
         for _ in range(max_balance):
-            Ms2 = np.abs(_scaled(M, logd, row_group, col_group)) ** 2
-            rn2 = np.bincount(row_group, weights=Ms2.sum(axis=1), minlength=ng)
-            cn2 = np.bincount(col_group, weights=Ms2.sum(axis=0), minlength=ng)
+            Ms2 = np.abs(_scaled(M, logd, rg, cg)) ** 2
+            rn2, cn2 = Ms2.sum(axis=1), Ms2.sum(axis=0)
+            if not lean:
+                rn2 = np.bincount(row_group, weights=rn2, minlength=ng)
+                cn2 = np.bincount(col_group, weights=cn2, minlength=ng)
             ok = (rn2 > 1e-300) & (cn2 > 1e-300)
             step = np.zeros(ng)
             step[ok] = 0.25 * (np.log(cn2[ok]) - np.log(rn2[ok]))
             step[-1] = 0.0  # last group pinned
             logd += step
-            if np.max(np.abs(step)) < balance_tol:
+            if np.abs(step).max() < balance_tol:
                 break
         return logd
 
@@ -211,13 +234,16 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     for k in range(F):
         logd = balance(G[k], logd)
         saved[k] = logd
-        mu[k] = np.linalg.svd(_scaled(G[k], logd, row_group, col_group),
+        mu[k] = np.linalg.svd(_scaled(G[k], logd, rg, cg),
                               compute_uv=False)[0]
     if polish and ng > 1:
-        # descend only around the peak, where the margin lives
-        for k in np.argsort(mu)[::-1][:8]:
+        top = -np.inf if floor is None else floor
+        for i, k in enumerate(np.argsort(mu)[::-1]):
+            if mu[k] <= top and (floor is not None or i >= 8):
+                break  # no frequency left can raise the maximum
             mu[k] = min(mu[k], _descend(G[k], saved[k], row_group, col_group,
                                         polish_tol))
+            top = max(top, mu[k])
     return mu
 
 
@@ -276,6 +302,12 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     exceed stability, so the reported rp is clamped by rs). Tunings with an
     unstable nominal loop (including the degenerate M = 0 / C = 0 edge of
     the tuning set) report margin 0.
+
+    Only the peaks set the margins, so the bounds are polished with a
+    floor, in this order: transport stability with floor 0, rest stability
+    with the transport peak, performance with the stability peak. A
+    frequency is polished only where it could raise the peak, so the
+    margins are those of polishing every frequency.
     """
     if freqs is None:
         freqs = default_frequency_grid()
@@ -307,13 +339,15 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
 
     G11_rest, rs_struct = rs_partition(G_rest, structure)
     G11_tr, _ = rs_partition(G_tr, structure)
-    mu_rest = ssv_upper_bound(G11_rest, rs_struct, polish=polish)
-    mu_tr = ssv_upper_bound(G11_tr, rs_struct, polish=polish)
+    mu_tr = ssv_upper_bound(G11_tr, rs_struct, polish=polish, floor=0.0)
+    mu_rest = ssv_upper_bound(G11_rest, rs_struct, polish=polish,
+                              floor=mu_tr.max())
     mu_rs = np.maximum(mu_rest, mu_tr)
     k_rs = int(np.argmax(mu_rs))
     rs = 1.0 / mu_rs[k_rs] if mu_rs[k_rs] > 0 else np.inf
 
-    mu_rp = ssv_upper_bound(G_tr, structure, polish=polish)
+    mu_rp = ssv_upper_bound(G_tr, structure, polish=polish,
+                            floor=mu_rs.max())
     mu_rp = np.maximum(mu_rp, mu_rs)
     k_rp = int(np.argmax(mu_rp))
     rp = 1.0 / mu_rp[k_rp] if mu_rp[k_rp] > 0 else np.inf

@@ -9,7 +9,6 @@ from swarmlift.admittance import (
     admittance_step,
     engage,
     fsm_step,
-    yaw_admittance_step,
 )
 from swarmlift.errors import InvalidCommand
 
@@ -89,19 +88,6 @@ def test_compliance_direction():
     for _ in range(200):
         st = admittance_step(st, [0.0, -3.0, 0.0], TS)
     assert np.sign(st.dLambda_r[1]) == -1.0
-
-
-def test_yaw_admittance():
-    st = engaged_state()
-    p = st.params  # J_psi=1, C_psi=3, K_psi=0
-    for _ in range(2000):
-        st = yaw_admittance_step(st, 1.5, TS)
-    assert abs(st.psi_zdot - 1.5 / 3.0) < 1e-3
-    # zero torque holds psi_r at psi_d
-    st2 = engaged_state()
-    for _ in range(100):
-        st2 = yaw_admittance_step(st2, 0.0, TS)
-    assert st2.psi_r == st2.psi_d
 
 
 def test_fsm_engagement_debounce():

@@ -1,5 +1,7 @@
-"""Static guards: every module-level import in the package is used, and
-every module-level private function and class is referenced."""
+"""Static guards: every module-level import in the package is used, every
+module-level private function and class is referenced, and every public
+module-level function is referenced by the package or the benchmark, or
+is listed as public API."""
 
 import ast
 from collections import Counter
@@ -87,3 +89,55 @@ def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# entry points for users and experiments that nothing in the package or the
+# benchmark calls; a new name here needs a reason
+PUBLIC_API = {
+    "attitude.py:euler_rate_matrix",  # inverse of body_rate_from_euler_rate
+    "identify.py:fit_first_order_tau",  # fits a lag to identify's traces
+    "identify.py:identify_estimator_response",  # weight identification
+    "identify.py:identify_pd_response",
+    "identify.py:identify_thrust_response",
+    "identify.py:run_force_step",
+    "lti.py:first_order_lag",  # weight building block
+    "lti.py:hinf_norm",
+    "oracles.py:random_delta_hurwitz_check",  # Monte Carlo check of rs
+    "sweep.py:read_margin_csv",  # reads back what grid_sweep writes
+    "uncertainty.py:fit_uncertainty_weight",  # weight identification
+}
+
+
+def unreferenced_publics(package: dict, others: dict) -> list:
+    """Public module-level functions of the package modules that no module
+    of either set references outside their own body."""
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    used = sum((_referenced_names(ast.parse(src)) for src in others.values()),
+               sum((_referenced_names(t) for t in trees.values()), Counter()))
+    return sorted(
+        f"{module}:{node.name}" for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and used[node.name] == _referenced_names(node)[node.name])
+
+
+def test_guard_flags_an_unreferenced_public_function():
+    package = {"a.py": ("def used():\n    return 1\n"
+                        "def called_by_bench():\n    return 2\n"
+                        "def gone(n):\n    return gone(n - 1)\n"
+                        "def _private():\n    pass\n"),
+               "b.py": "from .a import used\nx = used()\n"}
+    others = {"run.py": "from swarmlift import a\na.called_by_bench()\n"}
+    assert unreferenced_publics(package, others) == ["a.py:gone"]
+
+
+def test_no_unreferenced_public_functions():
+    package = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    bench = {path.name: path.read_text() for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    found = unreferenced_publics(package, bench)
+    assert sorted(set(found) - PUBLIC_API) == []
+    assert sorted(PUBLIC_API - set(found)) == []  # stale allowlist entries

@@ -1,9 +1,12 @@
-"""Golden digests of the integrator users besides run_scenario.
+"""Golden digests of the integrator users besides run_scenario, and of
+the margin pipeline.
 
 The transport pre-roll, the single-agent closed loop and the thrust
-identification experiment all step their dynamics with RK4. These digests
-pin their outputs bit for bit, so a refactor of the integrator or of the
-physics kernels cannot change a number unnoticed.
+identification experiment all step their dynamics with RK4. The transport
+linearization, the balanced SSV bound and the margins of two tuning points
+are pinned as well. These digests pin their outputs bit for bit, so a
+refactor of the integrator, the physics kernels or the SSV bound cannot
+change a number unnoticed.
 """
 
 import hashlib
@@ -11,9 +14,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from swarmlift.analysis import AnalysisConfig, preroll_transport
+from swarmlift.analysis import AnalysisConfig, linearize, preroll_transport
 from swarmlift.identify import identify_thrust_response, run_force_step
 from swarmlift.mav import MavParams
+from swarmlift.mu import default_frequency_grid, margin_point, ssv_upper_bound
+from swarmlift.uncertainty import UncertaintyBlock
 
 
 def _digest(*arrays) -> str:
@@ -63,3 +68,58 @@ def test_thrust_response_digest():
     fr = identify_thrust_response(MavParams(), axis=0, harmonics=(1, 2, 5),
                                   base_period=1.0, settle=0.5)
     assert _digest(fr.freqs, fr.H) == THRUST_RESPONSE_DIGEST
+
+
+# the complex-step Jacobian of chart_rhs_out at the pre-rolled state
+LINEARIZE_DIGESTS = {
+    (2, 8.0, 6.0):
+        "131fcf5cea1b0e00795dc30e09bb1ff3e90fc1b644ca59e84aa9ae7904338c17",
+    (3, 4.0, 12.0):
+        "ed153cdd9195aec05876ca553f6c262bfc2cb5e4692f26a3089f8d11ed4d006f",
+}
+
+
+@pytest.mark.parametrize("n_agents,M,C", sorted(LINEARIZE_DIGESTS))
+def test_transport_linearization_digest(n_agents, M, C):
+    sys = linearize(AnalysisConfig(n_agents=n_agents, tuning_M=M,
+                                   tuning_C=C), "transport")
+    assert _digest(sys.A, sys.B, sys.C, sys.D) \
+        == LINEARIZE_DIGESTS[(n_agents, M, C)]
+
+
+# (rs, rp, peak_freq_rs, peak_freq_rp), compared with ==
+MARGINS = {
+    (3, 4.0, 12.0, 80): (1.0290650760129212, 0.2523270309287733,
+                         3.501900461431713, 3.501900461431713),
+    (2, 8.0, 6.0, 60): (1.52248357869703, 0.31928612913134197,
+                        3.6251170499885315, 2.982471286216888),
+}
+
+
+@pytest.mark.parametrize("n_agents,M,C,n_freqs", sorted(MARGINS))
+def test_margin_point_fields(n_agents, M, C, n_freqs):
+    r = margin_point(n_agents, M, C, freqs=default_frequency_grid(n_freqs))
+    assert (r.rs_margin, r.rp_margin, r.peak_freq_rs, r.peak_freq_rp) \
+        == MARGINS[(n_agents, M, C, n_freqs)]
+
+
+# repeated scalars only, and with a full block: the two balancing paths
+BALANCED_DIGESTS = {
+    "repeated":
+        "f508534e714ae995c913716d8f6b89f5902ba2114a0c14e8a62669b9e0d13016",
+    "mixed":
+        "39c722bd40f486170fa6a3d2ff3d6867fe1b42c3feb26d4390ee0fdd972e8769",
+}
+
+
+def test_balanced_bound_digest():
+    rng = np.random.default_rng(11)
+    rep = [UncertaintyBlock(f"r{i}", "repeated", 3, 3) for i in range(3)]
+    structures = {"repeated": rep,
+                  "mixed": rep[:2] + [UncertaintyBlock("f", "full", 2, 3)]}
+    for name, structure in structures.items():
+        ny = sum(b.dim_y for b in structure)
+        nu = sum(b.dim_u for b in structure)
+        G = rng.normal(size=(6, ny, nu)) + 1j * rng.normal(size=(6, ny, nu))
+        mu = ssv_upper_bound(G, structure, polish=False)
+        assert _digest(mu) == BALANCED_DIGESTS[name], name

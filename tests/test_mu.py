@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swarmlift.analysis import AnalysisConfig, build_closed_loop, margin_plant
-from swarmlift.errors import ChannelMismatch
+from swarmlift.analysis import (
+    AnalysisConfig,
+    build_closed_loop,
+    linearize,
+    margin_plant,
+)
+from swarmlift.errors import ChannelMismatch, NonFiniteResponse
 from swarmlift.mu import (
     TuningGrid,
     assemble_n_delta,
@@ -257,3 +262,65 @@ def test_parallel_margins_use_custom_blocks_and_weight():
     np.testing.assert_array_equal([astuple(r) for r in parallel],
                                   [astuple(r) for r in serial])
     assert serial[1].rs_margin > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_ssv_rejects_non_finite_response(bad):
+    # refused before any SVD, which may not return on such entries
+    G = np.ones((2, 3, 3), dtype=complex)
+    G[1, 2, 0] = bad
+    with pytest.raises(NonFiniteResponse):
+        ssv_upper_bound(G, [UncertaintyBlock("a", "repeated", 3, 3)])
+
+
+def test_floor_polishes_only_what_can_raise_the_peak():
+    N, struct = _assembled()
+    G11, rs_struct = rs_partition(N.freq_response(FREQS), struct)
+    full = ssv_upper_bound(G11, rs_struct)
+    balanced = ssv_upper_bound(G11, rs_struct, polish=False)
+    peak = ssv_upper_bound(G11, rs_struct, floor=0.0)
+    assert peak.max() == full.max()
+    assert np.all((peak == balanced) | (peak == full))
+    assert np.sum(peak < balanced) < np.sum(full < balanced)
+    # a floor above every balanced value leaves nothing to polish
+    above = ssv_upper_bound(G11, rs_struct, floor=balanced.max())
+    np.testing.assert_array_equal(above, balanced)
+
+
+def _peak_band(n_points=21):
+    """The 80-point grid plus n_points - 2 frequencies between the grid
+    neighbours of the rs peak at N = 3, (M, C) = (4, 12), and the mask of
+    the grid frequencies."""
+    base = default_frequency_grid(80)
+    k = int(np.argmin(np.abs(base - 3.501900461431713)))
+    band = np.logspace(np.log10(base[k - 1]), np.log10(base[k + 1]),
+                       n_points)[1:-1]
+    freqs = np.concatenate([base, band])
+    order = np.argsort(freqs)
+    return freqs[order], (order < base.size)
+
+
+def test_dense_band_peak_is_polished():
+    # a dense band puts many balanced values above the polished peak; the
+    # polish must reach past the eighth until none can raise the maximum
+    freqs, on_grid = _peak_band()
+    cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
+    plant, ok = margin_plant(linearize(cfg, "transport"))
+    assert ok
+    N, struct = assemble_n_delta(plant, default_blocks(3),
+                                 performance_weight())
+    G11, rs_struct = rs_partition(N.freq_response(freqs), struct)
+    mu = ssv_upper_bound(G11, rs_struct)
+    balanced = ssv_upper_bound(G11, rs_struct, polish=False)
+    k = int(np.argmax(mu))
+    assert mu[k] < balanced[k]
+    grid_peak = ssv_upper_bound(G11[on_grid], rs_struct).max()
+    assert grid_peak <= mu.max() <= 1.005 * grid_peak
+
+
+def test_dense_band_keeps_margin():
+    # the band adds samples near the peak, which may lower rs only by the
+    # grid's sampling error (about 0.1%), not by the balanced bound's slack
+    freqs, _ = _peak_band()
+    r = margin_point(3, 4.0, 12.0, freqs=freqs)
+    assert 0.995 * 1.0290650760129212 <= r.rs_margin <= 1.0290650760129212

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 
+from swarmlift.cli import main
 from swarmlift.mu import MarginResult
 from swarmlift.sweep import read_margin_csv, write_margin_csv
 
@@ -19,3 +22,20 @@ def test_margin_csv_round_trip(tmp_path):
     expected = np.array([[r.M, r.C, r.rs_margin, r.rp_margin, r.peak_freq_rs,
                           r.peak_freq_rp] for r in results])
     np.testing.assert_array_equal(table, expected)
+
+
+def test_cli_sweep_serial_equals_parallel(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "grid_M": [0.0, 8.0],
+                               "grid_C": [6.0], "n_freqs": 20}))
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", str(cfg), "--out-dir", str(out), "--jobs",
+                     jobs]) == 0
+        outputs.append([(out / name).read_bytes() for name in
+                        ("margins_n2.csv", "margins_n2_manifest.json")])
+    assert outputs[0] == outputs[1]
+    table = read_margin_csv(str(tmp_path / "jobs1" / "margins_n2.csv"))
+    assert table.shape == (2, 6)
+    assert table[0, 2] == 0.0 and table[1, 2] > 1.0  # M = 0 is degenerate
