@@ -47,7 +47,7 @@ IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 def quat_normalize(q):
     """Rescale to unit norm (no sign convention applied)."""
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    n = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     return q / n
 
 
@@ -95,7 +95,7 @@ def quat_multiply(q1, q2):
     v1, s1 = q1[..., :3], q1[..., 3:4]
     v2, s2 = q2[..., :3], q2[..., 3:4]
     v = s1 * v2 + s2 * v1 + cross3(v1, v2)
-    s = s1 * s2 - np.sum(v1 * v2, axis=-1, keepdims=True)
+    s = s1 * s2 - (v1 * v2).sum(axis=-1, keepdims=True)
     return quat_normalize(np.concatenate([v, s], axis=-1))
 
 
@@ -229,7 +229,7 @@ def mrp_to_quat(p, cfg: MrpConfig = DEFAULT_MRP):
     """Unit quaternion of an MRP vector, scalar part forced non-negative."""
     p = np.asarray(p, dtype=float)
     a, f = cfg.a, cfg.f
-    n2 = np.sum(p * p, axis=-1, keepdims=True)
+    n2 = (p * p).sum(axis=-1, keepdims=True)
     qs = (-a * n2 + f * np.sqrt(f * f + (1.0 - a * a) * n2)) / (f * f + n2)
     qv = (a + qs) / f * p
     q = np.concatenate([qv, qs], axis=-1)
@@ -255,7 +255,7 @@ def quat_integrate(q, omega, Ts: float):
 def integration_matrix(omega, Ts: float):
     """Orthogonal 4x4 propagator of the constant-rate quaternion kinematics."""
     omega = np.asarray(omega, dtype=float)
-    w = np.sqrt(np.sum(omega * omega, axis=-1))
+    w = np.sqrt((omega * omega).sum(axis=-1))
     half = 0.5 * w * Ts
     ups = np.cos(half)
     # sin(half)/w with a series branch below ||omega|| Ts < 1e-8
@@ -301,7 +301,7 @@ def skew(v):
 def rotvec_to_rotmat(theta):
     """Rodrigues formula, series branch near zero; complex-step safe."""
     theta = np.asarray(theta)
-    a2 = np.sum(theta * theta, axis=-1)
+    a2 = (theta * theta).sum(axis=-1)
     S = skew(theta)
     S2 = S @ S
     small = np.abs(a2) < 1e-12

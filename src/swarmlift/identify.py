@@ -154,22 +154,6 @@ def run_force_step(params: MavParams, estimator: str, magnitude: float = 1.0,
                                estimator=estimator, **kw)
 
 
-def fit_first_order_tau(t, y, y_final: float, t_start: float = 0.0):
-    """Least-squares first-order time constant of a step response.
-
-    Fits log(1 - y/y_final) over the rise (5%..95%) and returns -1/slope.
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mask = (t >= t_start) & (y / y_final > 0.05) & (y / y_final < 0.95)
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("not enough points in the rise to fit")
-    tt = t[mask] - t_start
-    ln = np.log(1.0 - y[mask] / y_final)
-    slope = np.polyfit(tt, ln, 1)[0]
-    return -1.0 / slope
-
-
 # ------------------------------------------------------------ identification
 
 DEFAULT_HARMONICS = (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128,

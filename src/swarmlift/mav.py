@@ -172,14 +172,20 @@ class PropWrench:
 
 
 def allocate_wrench(n, params: MavParams) -> PropWrench:
-    """Wrench produced by rotor speeds: linear in the squared speeds."""
+    """Wrench produced by rotor speeds: linear in the squared speeds.
+
+    A stack of speed vectors (..., rotor_count) gives a stack of wrenches.
+    The product runs on a trailing unit axis, so each vector is one BLAS
+    gemv, with the same bits alone or stacked (a gemm would not be).
+    """
     n = np.asarray(n, dtype=float)
-    if n.shape != (params.rotor_count,):
+    if n.shape[-1:] != (params.rotor_count,):
         raise DimensionMismatch(
             f"expected {params.rotor_count} rotor speeds, got shape {n.shape}"
         )
-    U = params.allocation.matrix @ (n * n)
-    return PropWrench(F_prop=float(U[3]), M_prop=U[:3])
+    U = (params.allocation.matrix @ (n * n)[..., None])[..., 0]
+    # [()] turns the thrust of a single vector into a scalar
+    return PropWrench(F_prop=U[..., 3][()], M_prop=U[..., :3])
 
 
 def rotor_speeds_from_wrench(M_cmd, F_cmd: float, params: MavParams):

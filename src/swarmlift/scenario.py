@@ -36,13 +36,18 @@ Key paths (all optional unless noted):
                         master_velocity {"v": [x,y,z]},
                         engage_slaves, disengage_slaves,
                         compute_offset, remove_offset
+
+The schema is strict: an unknown key at the top level or in a section, an
+unknown event action, an event vector not of length 3 and a negative noise
+value raise ScenarioError when the scenario is loaded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +62,65 @@ from .payload import (
 
 ESTIMATORS = ("ekf", "ukf", "nominal")
 THRUST_MODELS = ("attitude", "lag")
+NOISE_KEYS = ("p", "v", "att", "rate")
+# each event action with the vector argument it takes, if any
+EVENT_ARGS = {"master_step": "dp", "master_velocity": "v",
+              "engage_slaves": None, "disengage_slaves": None,
+              "compute_offset": None, "remove_offset": None}
+TOP_KEYS = ("n_agents", "duration", "payload", "tuning", "admittance", "mav",
+            "estimator", "thrust_model", "rates", "seed", "noise",
+            "divergence_bound", "start_engaged", "transport_altitude",
+            "mission", "events")
+SECTION_KEYS = {
+    "payload": ("mass", "inertia", "side", "height", "attachments",
+                "drag_F", "drag_M"),
+    "tuning": ("M", "C"),
+    "rates": ("Ts_dyn", "controller", "estimator"),
+    "mission": ("auto", "dh", "land_at", "tol"),
+    # the rotor allocation is an object built from its geometry, which a
+    # JSON document cannot give
+    "mav": tuple(f.name for f in fields(MavParams)
+                 if f.init and f.name != "allocation"),
+    "admittance": tuple(f.name for f in fields(AdmittanceParams) if f.init),
+}
+
+
+def _check_keys(name: str, d, allowed) -> None:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{name} must be an object")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} in {name}; "
+                            f"expected one of {sorted(allowed)}")
+
+
+def _check_noise(noise: dict) -> None:
+    _check_keys("noise", noise, NOISE_KEYS)
+    for key, value in noise.items():
+        if not (isinstance(value, numbers.Real) and value >= 0.0):
+            raise ScenarioError(
+                f"noise.{key} must be a non-negative number, got {value!r}")
+
+
+def _check_event(ev) -> None:
+    if not isinstance(ev, dict) or "t" not in ev or "action" not in ev:
+        raise ScenarioError(f"event needs 't' and 'action': {ev}")
+    if not isinstance(ev["t"], numbers.Real):
+        raise ScenarioError(f"event time must be a number: {ev}")
+    if ev["action"] not in EVENT_ARGS:
+        raise ScenarioError(f"unknown event action {ev['action']!r}; "
+                            f"expected one of {sorted(EVENT_ARGS)}")
+    arg = EVENT_ARGS[ev["action"]]
+    _check_keys(f"event {ev['action']}", ev,
+                ("t", "action") + ((arg,) if arg else ()))
+    if arg is not None:
+        try:
+            shape = np.shape(np.asarray(ev.get(arg), dtype=float))
+        except (TypeError, ValueError):
+            shape = None
+        if shape != (3,):
+            raise ScenarioError(
+                f"event {ev['action']} needs {arg!r} of length 3: {ev}")
 
 
 @dataclass
@@ -108,9 +172,9 @@ class Scenario:
         if self.adm is None:
             self.adm = AdmittanceParams()
         self.adm = self.adm.lateral(self.tuning_M, self.tuning_C)
+        _check_noise(self.noise)
         for ev in self.events:
-            if "t" not in ev or "action" not in ev:
-                raise ScenarioError(f"event needs 't' and 'action': {ev}")
+            _check_event(ev)
 
     @property
     def steps_per_ctrl(self) -> int:
@@ -153,6 +217,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         duration = float(cfg["duration"])
     except KeyError as exc:
         raise ScenarioError(f"missing required key {exc}") from exc
+    _check_keys("scenario", cfg, TOP_KEYS)
+    for section, allowed in SECTION_KEYS.items():
+        _check_keys(section, cfg.get(section, {}), allowed)
     mav_kw = dict(cfg.get("mav", {}))
     for key in ("J", "K_drag", "K_P", "K_D"):
         if key in mav_kw:

@@ -249,13 +249,14 @@ def run_scenario(sc: Scenario) -> RunLog:
                 ctl.est = ekf_mod.ekf_init(p_agents0[i], np.zeros(3),
                                            np.zeros(3), np.zeros(3))
                 ctl.est.x[ekf_mod.F_SL] = F_int_trim
-            elif sc.estimator == "ukf":
-                ctl.est = ukf_mod.ukf_init(p_agents0[i], np.zeros(3),
-                                           euler_to_quat(np.zeros(3)),
-                                           np.zeros(3))
-                ctl.est.xi[ukf_mod.F_SL] = F_int_trim
             ctl.F_hat = F_int_trim.copy()
         agents.append(ctl)
+    # the slaves' UKFs run as one stacked filter, row i - 1 for agent i
+    ukf_est = None
+    if sc.estimator == "ukf" and N > 1:
+        ukf_est = ukf_mod.ukf_init(p_agents0[1:], np.zeros(3),
+                                   euler_to_quat(np.zeros(3)), np.zeros(3))
+        ukf_est.xi[:, ukf_mod.F_SL] = F_int_trim
 
     ekf_Q = ekf_mod.default_ekf_Q(sc.est_rate)
     ekf_R = ekf_mod.default_ekf_R()
@@ -372,6 +373,7 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         # estimators (slaves) at their own rate
         if k % sc.ctrl_per_est == 0:
+            ukf_meas = []
             for i in range(1, N):
                 ctl = agents[i]
                 p_m = p_i[i] + (rng.normal(scale=noise_p, size=3) if use_noise else 0.0)
@@ -387,16 +389,19 @@ def run_scenario(sc: Scenario) -> RunLog:
                         ctl.est, np.concatenate([p_m, eta_m]), ekf_R)
                     ctl.F_hat = ctl.est.F_ext.copy()
                 elif sc.estimator == "ukf":
-                    ctl.est = ukf_mod.ukf_predict(ctl.est, ctl.rotor, ukf_Q,
-                                                  sc.mav, dt_est)
-                    ctl.est = ukf_mod.ukf_update(ctl.est, p_m, v_m,
-                                                 euler_to_quat(eta_m), w_m,
-                                                 ukf_R)
-                    ctl.F_hat = ctl.est.F_ext.copy()
+                    ukf_meas.append((p_m, v_m, euler_to_quat(eta_m), w_m))
                 else:
                     F_int = joint_interaction_force(a_i[i], Fw_now[i], sc.mav.m)
                     alpha = 1.0 - np.exp(-dt_est / sc.mav.tau_est)
                     ctl.F_hat = ctl.F_hat + alpha * (F_int - ctl.F_hat)
+            if ukf_est is not None:
+                rotors = np.array([ctl.rotor for ctl in agents[1:]])
+                ukf_est = ukf_mod.ukf_predict(ukf_est, rotors, ukf_Q, sc.mav,
+                                              dt_est)
+                ukf_est = ukf_mod.ukf_update(
+                    ukf_est, *(np.array(m) for m in zip(*ukf_meas)), ukf_R)
+                for i in range(1, N):
+                    agents[i].F_hat = ukf_est.F_ext[i - 1].copy()
 
         # admittance FSM + reference generation (slaves), then PD commands
         for i in range(N):

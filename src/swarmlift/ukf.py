@@ -10,6 +10,12 @@ State layout of the error vector xi (16):
     [p(3), v(3), eps(3), omega(3), F_ext(3), M_ext_z(1)]
 propagated alongside the reference unit quaternion. Only the torque about
 body z is estimated. The filter input is the measured rotor speed vector.
+
+Every filter function takes an optional leading slave axis: ``xi (S, 16)``,
+``P (S, 16, 16)``, ``q (S, 4)``, rotor speeds ``(S, rotor_count)`` and
+measurements ``(S, 3)`` / ``(S, 4)`` run S independent filters in one call,
+with the same bits as S calls on the unstacked arrays. The process and
+measurement noise diagonals are shared by all slaves.
 """
 
 from __future__ import annotations
@@ -68,49 +74,64 @@ def default_ukf_R() -> np.ndarray:
 
 @dataclass
 class UkfState:
-    xi: np.ndarray   # (16,) with eps folded to zero after every step
-    P: np.ndarray    # (16, 16)
-    q: np.ndarray    # reference attitude quaternion
+    xi: np.ndarray   # (..., 16) with eps folded to zero after every step
+    P: np.ndarray    # (..., 16, 16)
+    q: np.ndarray    # (..., 4) reference attitude quaternion
 
     @property
     def F_ext(self) -> np.ndarray:
-        return self.xi[F_SL]
+        return self.xi[..., F_SL]
 
     @property
-    def M_ext_z(self) -> float:
-        return float(self.xi[MZ_IDX])
+    def M_ext_z(self):
+        return self.xi[..., MZ_IDX][()]  # a float for a single filter
 
 
 def ukf_init(p0, v0, q0, omega0, P0_diag=None) -> UkfState:
-    xi = np.zeros(NXI)
-    xi[P_SL], xi[V_SL], xi[W_SL] = p0, v0, omega0
+    """Filter state at (p0, v0, q0, omega0); leading axes of the arguments
+    give a stack of filters with the same initial covariance."""
+    p0 = np.asarray(p0, dtype=float)
+    xi = np.zeros(p0.shape[:-1] + (NXI,))
+    xi[..., P_SL], xi[..., V_SL], xi[..., W_SL] = p0, v0, omega0
     if P0_diag is None:
         P0_diag = np.concatenate([
             np.full(3, 1e-4), np.full(3, 1e-3), np.full(3, 1e-4),
             np.full(3, 1e-3), np.full(3, 1.0), [1e-1]])
-    return UkfState(xi=xi, P=np.diag(np.asarray(P0_diag, dtype=float)),
-                    q=np.asarray(q0, dtype=float))
+    P = np.diag(np.asarray(P0_diag, dtype=float))
+    return UkfState(xi=xi, P=np.broadcast_to(P, xi.shape + (NXI,)).copy(),
+                    q=np.broadcast_to(np.asarray(q0, dtype=float),
+                                      xi.shape[:-1] + (4,)).copy())
+
+
+def _cholesky(A):
+    """Lower Cholesky factor of each matrix of the stack A. If the stack
+    fails, each matrix is retried alone, so only a non-PSD one gets the
+    jitter retry (1e-9 I); a second failure raises CholeskyFailure."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        if A.ndim > 2:
+            return np.stack([_cholesky(a) for a in A])
+        try:
+            return np.linalg.cholesky(A + 1e-9 * np.eye(A.shape[-1]))
+        except np.linalg.LinAlgError as exc:
+            raise CholeskyFailure("covariance not PSD after jitter") from exc
 
 
 def sigma_points(xi_hat, P, cfg: UkfConfig):
-    """2n+1 points: the mean plus +-columns of the scaled Cholesky factor.
+    """2n+1 points: the mean plus +-columns of the scaled Cholesky factor,
+    shape (..., 2n+1, n).
 
     A non-PSD covariance gets one jitter retry (1e-9 I); a second failure
     raises CholeskyFailure.
     """
-    n = xi_hat.shape[0]
-    scaled = (cfg.lam + n) * P
-    try:
-        L = np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError:
-        try:
-            L = np.linalg.cholesky(scaled + 1e-9 * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyFailure("covariance not PSD after jitter") from exc
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = xi_hat
-    pts[1:n + 1] = xi_hat[None, :] + L.T
-    pts[n + 1:] = xi_hat[None, :] - L.T
+    n = xi_hat.shape[-1]
+    L_T = _cholesky((cfg.lam + n) * P).swapaxes(-1, -2)
+    mean = xi_hat[..., None, :]
+    pts = np.empty(xi_hat.shape[:-1] + (2 * n + 1, n))
+    pts[..., 0, :] = xi_hat
+    pts[..., 1:n + 1, :] = mean + L_T
+    pts[..., n + 1:, :] = mean - L_T
     return pts
 
 
@@ -123,62 +144,90 @@ def _canonical(q):
 def propagate_full(p, v, q, omega, F_ext, M_z, n_rotors, params: MavParams,
                    Ts: float):
     """One forward-Euler step of the full model for a batch of states; the
-    quaternion uses the exact constant-rate propagator."""
+    quaternion uses the exact constant-rate propagator. The leading axes of
+    n_rotors (..., rotor_count) match the leading axes of the states, which
+    may carry more axes after them."""
     w = allocate_wrench(n_rotors, params)
+    # unit axes broadcast each rotor row over the axes that its state has
+    # beyond the rows' own (the sigma points)
+    shape = np.shape(w.F_prop) + (1,) * (np.ndim(p) - np.ndim(n_rotors))
+    F_prop = np.reshape(w.F_prop, shape)
+    M_prop = np.reshape(w.M_prop, shape + (3,))
+    d = params.k_drag * np.reshape(np.square(n_rotors).sum(axis=-1), shape)
     R = att.quat_to_rotmat(q)
     v_body = np.einsum("...ji,...j->...i", R, v)
-    d = params.k_drag * float(np.sum(np.square(n_rotors)))
     f_body = np.stack([
         -d * v_body[..., 0], -d * v_body[..., 1],
-        np.broadcast_to(w.F_prop, v_body.shape[:-1])], axis=-1)
+        np.broadcast_to(F_prop, v_body.shape[:-1])], axis=-1)
     v_dot = (np.einsum("...ij,...j->...i", R, f_body) + F_ext) / params.m \
         - GRAVITY * EZ
     M_ext = np.zeros(omega.shape)
     M_ext[..., 2] = M_z
-    w_dot = rotational_dynamics(omega, w.M_prop, M_ext, params.J)
+    w_dot = rotational_dynamics(omega, M_prop, M_ext, params.J)
     return (p + Ts * v, v + Ts * v_dot, att.quat_integrate(q, omega, Ts),
             omega + Ts * w_dot, F_ext, M_z)
 
 
+def _row_norms(v):
+    """Euclidean norm of each row of v (..., k). Each row is one BLAS dot
+    product, which is how np.linalg.norm sums a single 1-D vector, so a
+    stack gets the bits of row-by-row norms (a sum of squares would not)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def _reset_matrix(eps):
     """Covariance correction for folding the attitude-error mean into the
-    reference quaternion: diag(I6, R(half rotation of eps), I7)."""
-    T = np.eye(NXI)
-    nrm = np.linalg.norm(eps)
-    if nrm > 0.0:
-        dq = att.mrp_to_quat(eps)
-        angle = att.quat_rotation_angle(dq)
-        axis = dq[:3] / np.linalg.norm(dq[:3]) if np.linalg.norm(dq[:3]) > 0 \
-            else np.array([1.0, 0.0, 0.0])
-        T[E_SL, E_SL] = att.rotvec_to_rotmat(axis * (0.5 * angle))
+    reference quaternion: diag(I6, R(half rotation of eps), I7), one per
+    row of eps (..., 3)."""
+    eps = np.asarray(eps, dtype=float)
+    dq = att.mrp_to_quat(eps)
+    angle = att.quat_rotation_angle(dq)
+    vn = _row_norms(dq[..., :3])[..., None]
+    axis = np.where(vn > 0.0, dq[..., :3] / np.where(vn > 0.0, vn, 1.0),
+                    np.array([1.0, 0.0, 0.0]))
+    rot = att.rotvec_to_rotmat(axis * (0.5 * angle)[..., None])
+    T = np.broadcast_to(np.eye(NXI), eps.shape[:-1] + (NXI, NXI)).copy()
+    # eps = 0 keeps the exact identity block
+    moved = (_row_norms(eps) > 0.0)[..., None, None]
+    T[..., E_SL, E_SL] = np.where(moved, rot, np.eye(3))
     return T
+
+
+def _mT(A):
+    """Transpose of each matrix of a stack (numpy >= 2 spells it A.mT)."""
+    return A.swapaxes(-1, -2)
 
 
 def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams, Ts: float,
                 cfg: UkfConfig = UkfConfig()) -> UkfState:
     """Sigma-point prediction with quaternion inflation/deflation via MRPs
-    and the attitude-reset covariance correction."""
+    and the attitude-reset covariance correction.
+
+    A stacked state (leading slave axis S) takes rotor speeds
+    (S, rotor_count) and predicts every slave's filter in one call."""
     wm, wc = cfg.weights()
     X = sigma_points(s.xi, s.P, cfg)
-    dq = att.mrp_to_quat(X[:, E_SL], cfg.mrp)
-    q_pts = att.quat_multiply(dq, s.q[None, :])
+    dq = att.mrp_to_quat(X[..., E_SL], cfg.mrp)
+    q_pts = att.quat_multiply(dq, s.q[..., None, :])
     p2, v2, q2, w2, F2, M2 = propagate_full(
-        X[:, P_SL], X[:, V_SL], q_pts, X[:, W_SL], X[:, F_SL], X[:, MZ_IDX],
-        n_rotors, params, Ts)
-    q_pred = q2[0]
-    dq2 = _canonical(att.quat_multiply(q2, att.quat_inverse(q_pred)[None, :]))
+        X[..., P_SL], X[..., V_SL], q_pts, X[..., W_SL], X[..., F_SL],
+        X[..., MZ_IDX], n_rotors, params, Ts)
+    q_pred = q2[..., 0, :]
+    dq2 = _canonical(att.quat_multiply(q2,
+                                       att.quat_inverse(q_pred)[..., None, :]))
     eps2 = att.quat_to_mrp(dq2, cfg.mrp)
-    Xp = np.concatenate([p2, v2, eps2, w2, F2, M2[:, None]], axis=1)
+    Xp = np.concatenate([p2, v2, eps2, w2, F2, M2[..., None]], axis=-1)
     xi_mean = wm @ Xp
-    dev = Xp - xi_mean[None, :]
-    P_pre = dev.T @ (wc[:, None] * dev) + np.diag(np.asarray(Q, dtype=float))
-    eps_mean = xi_mean[E_SL].copy()
+    dev = Xp - xi_mean[..., None, :]
+    P_pre = _mT(dev) @ (wc[:, None] * dev) \
+        + np.diag(np.asarray(Q, dtype=float))
+    eps_mean = xi_mean[..., E_SL].copy()
     T = _reset_matrix(eps_mean)
-    P = T @ P_pre @ T.T
+    P = T @ P_pre @ _mT(T)
     # fold the mean error into the reference attitude
     q_pred = att.quat_multiply(att.mrp_to_quat(eps_mean, cfg.mrp), q_pred)
-    xi_mean[E_SL] = 0.0
-    return UkfState(xi=xi_mean, P=0.5 * (P + P.T), q=q_pred)
+    xi_mean[..., E_SL] = 0.0
+    return UkfState(xi=xi_mean, P=0.5 * (P + _mT(P)), q=q_pred)
 
 
 _H = np.hstack([np.eye(NZ), np.zeros((NZ, NXI - NZ))])
@@ -193,20 +242,25 @@ def measurement_error_vector(q_meas, q_ref, cfg: UkfConfig = UkfConfig()):
 def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas, R,
                cfg: UkfConfig = UkfConfig()) -> UkfState:
     """Linear Kalman update on (p, v, eps, omega) followed by the attitude
-    commit and its covariance reset."""
+    commit and its covariance reset.
+
+    A stacked state (leading slave axis S) takes measurements (S, 3) and
+    quaternions (S, 4) and updates every slave's filter in one call."""
     eps_m = measurement_error_vector(np.asarray(q_meas, dtype=float), s.q, cfg)
-    z = np.concatenate([p_meas, v_meas, eps_m, omega_meas])
+    z = np.concatenate([p_meas, v_meas, eps_m, omega_meas], axis=-1)
     Rm = np.diag(np.asarray(R, dtype=float))
-    innov = z - _H @ s.xi
+    # matrix-vector products on a trailing unit axis: one gemv per slave,
+    # as for an unstacked vector
+    innov = z - (_H @ s.xi[..., None])[..., 0]
     S = _H @ s.P @ _H.T + Rm
-    K = np.linalg.solve(S.T, (_H @ s.P.T)).T
-    xi = s.xi + K @ innov
+    K = _mT(np.linalg.solve(_mT(S), _H @ _mT(s.P)))
+    xi = s.xi + (K @ innov[..., None])[..., 0]
     IKH = np.eye(NXI) - K @ _H
-    P = IKH @ s.P @ IKH.T + K @ Rm @ K.T
-    eps_hat = xi[E_SL].copy()
+    P = IKH @ s.P @ _mT(IKH) + K @ Rm @ _mT(K)
+    eps_hat = xi[..., E_SL].copy()
     T = _reset_matrix(eps_hat)
-    P = T @ P @ T.T
+    P = T @ P @ _mT(T)
     q_new = att.quat_multiply(att.mrp_to_quat(eps_hat, cfg.mrp), s.q)
-    xi[E_SL] = 0.0
-    return UkfState(xi=xi, P=0.5 * (P + P.T), q=q_new)
+    xi[..., E_SL] = 0.0
+    return UkfState(xi=xi, P=0.5 * (P + _mT(P)), q=q_new)
 

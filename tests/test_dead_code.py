@@ -97,7 +97,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # benchmark calls; a new name here needs a reason
 PUBLIC_API = {
     "attitude.py:euler_rate_matrix",  # inverse of body_rate_from_euler_rate
-    "identify.py:fit_first_order_tau",  # fits a lag to identify's traces
     "identify.py:identify_estimator_response",  # weight identification
     "identify.py:identify_pd_response",
     "identify.py:identify_thrust_response",

@@ -2,11 +2,27 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from swarmlift import ekf
-from swarmlift.identify import fit_first_order_tau, run_force_step
+from swarmlift.identify import run_force_step
 from swarmlift.mav import GRAVITY, MavParams
 
 PARAMS = MavParams()
 TS = 0.01
+
+
+def fit_first_order_tau(t, y, y_final: float, t_start: float = 0.0):
+    """Least-squares first-order time constant of a step response.
+
+    Fits log(1 - y/y_final) over the rise (5%..95%) and returns -1/slope.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mask = (t >= t_start) & (y / y_final > 0.05) & (y / y_final < 0.95)
+    if np.count_nonzero(mask) < 3:
+        raise ValueError("not enough points in the rise to fit")
+    tt = t[mask] - t_start
+    ln = np.log(1.0 - y[mask] / y_final)
+    slope = np.polyfit(tt, ln, 1)[0]
+    return -1.0 / slope
 
 
 def hover_filter():

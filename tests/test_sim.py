@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from swarmlift.errors import ScenarioError
 from swarmlift.mav import GRAVITY
 from swarmlift import simulate
+from swarmlift import ukf as ukf_mod
 from swarmlift.cli import main
 from swarmlift.scenario import Scenario, load_scenario, scenario_from_dict
 from swarmlift.simulate import RunLog, replay_log, run_scenario
@@ -37,6 +38,41 @@ def test_scenario_validation():
     with pytest.raises(ScenarioError):
         scenario_from_dict({"n_agents": 2, "duration": 1.0,
                             "estimator": "magic"})
+
+
+# one misspelled key per section of the schema
+UNKNOWN_KEYS = {
+    "top": {"nosie": {"p": 0.01}},
+    "noise": {"noise": {"pos": 0.01}},
+    "rates": {"rates": {"Ts": 0.001}},
+    "tuning": {"tuning": {"m": 8.0}},
+    "mission": {"mission": {"land": 3.0}},
+    "payload": {"payload": {"mas": 1.2}},
+    "mav": {"mav": {"allocation": {"k_f": 1e-5}}},
+}
+
+
+@pytest.mark.parametrize("section", sorted(UNKNOWN_KEYS))
+def test_unknown_key_fails_at_load(section):
+    with pytest.raises(ScenarioError, match="unknown key"):
+        beam(**UNKNOWN_KEYS[section])
+
+
+def test_unknown_event_action_fails_at_load():
+    with pytest.raises(ScenarioError, match="unknown event action"):
+        beam(events=[{"t": 1.0, "action": "master_jump"}])
+
+
+@pytest.mark.parametrize("action,arg", [("master_step", "dp"),
+                                        ("master_velocity", "v")])
+def test_event_vector_needs_length_three(action, arg):
+    with pytest.raises(ScenarioError, match="length 3"):
+        beam(events=[{"t": 1.0, "action": action, arg: [0.5, 0.2]}])
+
+
+def test_negative_noise_fails_at_load():
+    with pytest.raises(ScenarioError, match="non-negative"):
+        beam(noise={"p": 0.01, "att": -0.001})
 
 
 def test_config_hash_identifies_resolved_scenario():
@@ -243,13 +279,18 @@ def test_mission_descent_keeps_transported_position():
 # Short seeded noisy runs on a tilted, dragged 3-agent payload: a master
 # velocity ramp and step drive the slaves' admittance while every thrust
 # model and estimator runs. The digests pin the integrator's arithmetic.
-GOLDEN_CASES = [("attitude", "ekf"), ("attitude", "ukf"),
-                ("attitude", "nominal"), ("lag", "ekf"), ("lag", "ukf")]
+# (thrust_model, estimator, n_agents); the 5-agent case pins a stacked
+# filter of more than two slaves
+GOLDEN_CASES = [("attitude", "ekf", 3), ("attitude", "ukf", 3),
+                ("attitude", "nominal", 3), ("lag", "ekf", 3),
+                ("lag", "ukf", 3), ("lag", "ukf", 5)]
+GOLDEN_IDS = [f"{m}-{e}" + ("" if n == 3 else f"-n{n}")
+              for m, e, n in GOLDEN_CASES]
 
 
-def golden_scenario(thrust_model, estimator):
+def golden_scenario(thrust_model, estimator, n_agents=3):
     return scenario_from_dict({
-        "n_agents": 3, "duration": 0.3, "seed": 11,
+        "n_agents": n_agents, "duration": 0.3, "seed": 11,
         "estimator": estimator, "thrust_model": thrust_model,
         "payload": {"mass": 1.2, "height": 0.1, "drag_F": [0.2, 0.1, 0.3],
                     "drag_M": [0.02, 0.03, 0.01]},
@@ -278,14 +319,62 @@ GOLDEN_DIGESTS = {
     ("lag", "ukf"): (
         "241593d75399039b770c7dd07d8aec49f89208e3ba098b02f4fed0eab997766a",
         "bb88c93ff2b287d67fb6197308267f34a83d7b092f68168203ff9b6d625455ec"),
+    ("lag", "ukf", 5): (
+        "ad982690c4a3e0ac48b06937fce26f73903fa7836c6518e88298c0255873f41e",
+        "b26b1b7f624600fdf628f91c2b022704bdf5f2d57eb01010e44fad804b1d5c03"),
 }
 
 
-@pytest.mark.parametrize("thrust_model,estimator", GOLDEN_CASES)
-def test_golden_log_digest(thrust_model, estimator):
-    log = run_scenario(golden_scenario(thrust_model, estimator))
+@pytest.mark.parametrize("thrust_model,estimator,n_agents", GOLDEN_CASES,
+                         ids=GOLDEN_IDS)
+def test_golden_log_digest(thrust_model, estimator, n_agents):
+    log = run_scenario(golden_scenario(thrust_model, estimator, n_agents))
     assert not log.diverged
     assert np.any(log.col("a1_fsm") == 4)  # the slaves generate
     digests = (hashlib.sha256(log.payload_bytes()).hexdigest(),
                hashlib.sha256(log.data.tobytes()).hexdigest())
-    assert digests == GOLDEN_DIGESTS[(thrust_model, estimator)]
+    key = (thrust_model, estimator) + (() if n_agents == 3 else (n_agents,))
+    assert digests == GOLDEN_DIGESTS[key]
+
+
+def test_one_stacked_ukf_call_per_estimator_tick(monkeypatch):
+    calls = {"predict": [], "update": []}
+
+    def counting(name, fn):
+        def wrapped(s, *args, **kw):
+            calls[name].append(s.xi.shape)
+            return fn(s, *args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(ukf_mod, "ukf_predict",
+                        counting("predict", ukf_mod.ukf_predict))
+    monkeypatch.setattr(ukf_mod, "ukf_update",
+                        counting("update", ukf_mod.ukf_update))
+    sc = golden_scenario("lag", "ukf", 5)
+    sc.duration, sc.est_rate = 0.1, 50.0  # 10 controller ticks, 5 estimator
+    run_scenario(sc)
+    assert calls["predict"] == calls["update"] == [(4, ukf_mod.NXI)] * 5
+
+
+def test_cli_simulate_exits_2_on_divergence(tmp_path):
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(dict(BEAM, divergence_bound=0.5)))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path),
+                 "--duration", "0.05"]) == 2
+    log = RunLog.from_csv(tmp_path / "tight_run.csv")
+    assert log.diverged and log.diverged_step == 0
+    assert log.data.shape[0] == 1
+
+
+def test_cli_replay_ukf_writes_finite_estimates(tmp_path):
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(dict(BEAM, estimator="ukf", duration=0.2)))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "replay"
+    assert main(["replay", str(tmp_path / "short_run.csv"), "--estimator",
+                 "ukf", "--out-dir", str(out)]) == 0
+    lines = (out / "replay_estimates.csv").read_text().splitlines()
+    assert lines[0] == "t,Fhat_x,Fhat_y,Fhat_z"
+    est = np.array([[float(x) for x in line.split(",")]
+                    for line in lines[1:]])
+    assert est.shape == (20, 4) and np.all(np.isfinite(est))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from swarmlift import attitude as att
@@ -10,8 +11,10 @@ from swarmlift.analysis import (
     unpack_state,
     zero_input,
 )
-from swarmlift.identify import fit_first_order_tau, run_force_step
+from swarmlift.errors import CholeskyFailure
+from swarmlift.identify import run_force_step
 from swarmlift.mav import GRAVITY, MavParams, rotor_speeds_from_wrench
+from test_ekf import fit_first_order_tau
 
 PARAMS = MavParams()
 TS = 0.01
@@ -234,3 +237,128 @@ def test_nominal_estimator_model():
                         -delta / PARAMS.tau_est, rtol=1e-9)
         others = [j for j in range(cfg.n_slaves) if j != slave]
         assert np.array_equal(dF_hat[others], dF_hat0[others])
+
+
+# ----------------------------------------------------------- stacked filter
+
+S = 4
+
+
+def random_stack(rng):
+    """S distinct filter states, each with its own covariance and
+    reference attitude."""
+    xi = rng.normal(scale=0.1, size=(S, ukf.NXI))
+    xi[:, ukf.E_SL] = 0.0
+    A = rng.normal(scale=1e-2, size=(S, ukf.NXI, ukf.NXI))
+    P = A @ A.swapaxes(-1, -2) + 1e-4 * np.eye(ukf.NXI)
+    q = np.array([att.quat_from_axis_angle(rng.normal(size=3),
+                                           rng.uniform(0.0, 0.3))
+                  for _ in range(S)])
+    return ukf.UkfState(xi=xi, P=P, q=q)
+
+
+def random_inputs(rng):
+    rotors = hover_rotors() + rng.normal(scale=5.0, size=(S, 6))
+    meas = (rng.normal(scale=0.1, size=(S, 3)),
+            rng.normal(scale=0.1, size=(S, 3)),
+            np.array([att.quat_from_axis_angle(rng.normal(size=3),
+                                               rng.uniform(0.0, 0.3))
+                      for _ in range(S)]),
+            rng.normal(scale=0.1, size=(S, 3)))
+    return rotors, meas
+
+
+def row(s, k):
+    return ukf.UkfState(xi=s.xi[k].copy(), P=s.P[k].copy(), q=s.q[k].copy())
+
+
+def assert_rows_identical(stacked, singles):
+    for k, s in enumerate(singles):
+        for name in ("xi", "P", "q"):
+            assert getattr(stacked, name)[k].tobytes() \
+                == getattr(s, name).tobytes(), (k, name)
+
+
+def test_stacked_filter_matches_per_slave_calls_bit_for_bit():
+    rng = np.random.default_rng(21)
+    Q, R = ukf.default_ukf_Q(), ukf.default_ukf_R()
+    stacked = random_stack(rng)
+    singles = [row(stacked, k) for k in range(S)]
+    for _ in range(3):
+        rotors, meas = random_inputs(rng)
+        stacked = ukf.ukf_predict(stacked, rotors, Q, PARAMS, TS, CFG)
+        singles = [ukf.ukf_predict(s, rotors[k], Q, PARAMS, TS, CFG)
+                   for k, s in enumerate(singles)]
+        assert_rows_identical(stacked, singles)
+        stacked = ukf.ukf_update(stacked, *meas, R, CFG)
+        singles = [ukf.ukf_update(s, *(m[k] for m in meas), R, CFG)
+                   for k, s in enumerate(singles)]
+        assert_rows_identical(stacked, singles)
+    # the attitude reset rotated the covariance of every slave
+    assert np.all(np.abs(stacked.xi[:, ukf.F_SL]) > 0.0)
+
+
+def test_stacked_jitter_retry_touches_only_the_failing_slave():
+    rng = np.random.default_rng(22)
+    stacked = random_stack(rng)
+    # slave 2: rank one minus a tiny multiple of I, which only the jitter
+    # retry factors
+    v = rng.normal(size=ukf.NXI)
+    stacked.P[2] = 1e-3 * np.outer(v, v) - 1e-12 * np.eye(ukf.NXI)
+    scale = CFG.lam + ukf.NXI
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(scale * stacked.P[2])
+    pts = ukf.sigma_points(stacked.xi, stacked.P, CFG)
+    for k in range(S):
+        assert pts[k].tobytes() == ukf.sigma_points(
+            stacked.xi[k], stacked.P[k], CFG).tobytes()
+        if k != 2:  # no jitter on the others
+            L = np.linalg.cholesky(scale * stacked.P[k])
+            assert pts[k, 1:ukf.NXI + 1].tobytes() \
+                == (stacked.xi[k] + L.T).tobytes()
+    rotors, _ = random_inputs(rng)
+    Q = ukf.default_ukf_Q()
+    pred = ukf.ukf_predict(stacked, rotors, Q, PARAMS, TS, CFG)
+    assert_rows_identical(pred, [
+        ukf.ukf_predict(row(stacked, k), rotors[k], Q, PARAMS, TS, CFG)
+        for k in range(S)])
+
+
+def test_stacked_second_cholesky_failure_raises():
+    rng = np.random.default_rng(23)
+    stacked = random_stack(rng)
+    stacked.P[1] = -np.eye(ukf.NXI)
+    with pytest.raises(CholeskyFailure):
+        ukf.sigma_points(stacked.xi, stacked.P, CFG)
+    rotors, _ = random_inputs(rng)
+    with pytest.raises(CholeskyFailure):
+        ukf.ukf_predict(stacked, rotors, ukf.default_ukf_Q(), PARAMS, TS, CFG)
+
+
+def reset_matrix_reference(eps):
+    """The single-vector reset matrix, with np.linalg.norm on 1-D vectors."""
+    T = np.eye(ukf.NXI)
+    if np.linalg.norm(eps) > 0.0:
+        dq = att.mrp_to_quat(eps)
+        angle = att.quat_rotation_angle(dq)
+        axis = dq[:3] / np.linalg.norm(dq[:3])
+        T[ukf.E_SL, ukf.E_SL] = att.rotvec_to_rotmat(axis * (0.5 * angle))
+    return T
+
+
+def test_stacked_reset_matrix_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(24)
+    eps = rng.normal(size=(200, 3)) * np.logspace(-6, 0.5, 200)[:, None]
+    eps[7] = 0.0
+    T = ukf._reset_matrix(eps)
+    for k in range(len(eps)):
+        assert T[k].tobytes() == reset_matrix_reference(eps[k]).tobytes(), k
+    assert T[7].tobytes() == np.eye(ukf.NXI).tobytes()
+
+
+def test_stacked_init_matches_per_slave_init():
+    p0 = np.arange(12.0).reshape(4, 3)
+    stacked = ukf.ukf_init(p0, np.zeros(3), att.IDENTITY_QUAT, np.ones(3))
+    assert_rows_identical(stacked, [
+        ukf.ukf_init(p, np.zeros(3), att.IDENTITY_QUAT, np.ones(3))
+        for p in p0])
