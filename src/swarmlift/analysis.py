@@ -14,10 +14,11 @@ Uncertainty enters through normalized injection channels:
 * u_att_i / y_att_i: multiplicative perturbation on each thrust lag,
 * u_est_j / y_est_j: multiplicative perturbation on each slave estimator.
 
-Two linearization routes exist on purpose: a complex-step Jacobian of the
-monolithic nonlinear model (usable at any operating point, in particular
-the pre-rolled transport point) and an analytic block assembly wired with
-the channel interconnect (rest point). Their agreement pins both down.
+One nonlinear model, :func:`_core`, carries the physics. Every linear
+plant of the analysis is its complex-step Jacobian, which is exact to
+machine precision: at the engaged-hover equilibrium for the rest plant
+(:func:`build_closed_loop`) and at the pre-rolled state for the transport
+plant.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admittance import AdmittanceParams
-from .attitude import (cross3, quat_normalize, quat_to_rotmat,
-                       rotvec_to_rotmat, skew)
+from .attitude import cross3, quat_normalize, quat_to_rotmat, rotvec_to_rotmat
 from .errors import UnstableOperatingPoint
-from .lti import LinearSystem, append, connect, gain_block, integrator
+from .lti import LinearSystem
 from .mav import EZ, GRAVITY, MavParams, rk4_step, saturate_thrust_command
 from .payload import ComSystem, PayloadParams, com_system
 
@@ -128,9 +128,9 @@ class AnalysisConfig:
 # ------------------------------------------------------------ state packing
 
 def pack_state(p, v, q, omega, p_ref, F_prop, F_hat, z, zdot):
-    """Per-slave estimator/admittance blocks stay contiguous so the chart
-    state ordering matches the analytic block assembly. A chart state
-    passes theta in place of q."""
+    """Payload (p, v, attitude, omega), master reference integrator, thrust
+    lags per agent, then per slave the contiguous estimator and admittance
+    block. A chart state passes theta in place of q."""
     return np.concatenate([p, v, q, omega, p_ref, np.reshape(F_prop, -1),
                            np.hstack([F_hat, z, zdot]).reshape(-1)])
 
@@ -348,6 +348,12 @@ def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
                         outputs=cfg.output_channels())
 
 
+def build_closed_loop(cfg: AnalysisConfig) -> LinearSystem:
+    """Rest-point interconnection with uncertainty channels: the
+    linearization of the nonlinear model at :func:`rest_state`."""
+    return linearize(cfg, "rest")
+
+
 REF_STATES = slice(12, 15)  # master reference integrator inside the chart
 
 
@@ -417,196 +423,3 @@ def margin_plant(sys: LinearSystem, growth_tol: float = 1e-6):
         ok = False
         break
     return d, ok
-
-
-# ------------------------------------------------------- analytic assembly
-
-def _payload_block(cfg: AnalysisConfig) -> LinearSystem:
-    """Hand-linearized payload rigid body at the rest trim."""
-    N = cfg.n_agents
-    com = cfg.com
-    r = com.attachments
-    m = com.m_sys
-    Jinv = np.linalg.inv(com.J_sys)
-    DF = np.diag(cfg.payload.drag_F)
-    DM = np.diag(cfg.payload.drag_M)
-
-    # states [dp(3), dv(3), theta(3), domega(3)]; agent forces arrive in the
-    # payload frame (constant-R_PB aggregation), so tilting the structure
-    # tilts the total trim thrust with it
-    A = np.zeros((12, 12))
-    A[0:3, 3:6] = np.eye(3)
-    A[3:6, 3:6] = -DF / m
-    A[3:6, 6:9] = -skew(cfg.F_trim.sum(axis=0)) / m
-    A[6:9, 9:12] = np.eye(3)
-    A[9:12, 9:12] = -Jinv @ DM
-
-    # inputs [F_0..F_{N-1} (3 each, payload frame), u_mass(3), u_inertia(3)]
-    nu = 3 * N + 6
-    B = np.zeros((12, nu))
-    for i in range(N):
-        B[3:6, 3 * i:3 * i + 3] = np.eye(3) / m
-        B[9:12, 3 * i:3 * i + 3] = Jinv @ skew(r[i])
-    B[3:6, 3 * N:3 * N + 3] = -cfg.w_mass * np.eye(3)
-    B[9:12, 3 * N + 3:3 * N + 6] = -cfg.G_inertia
-
-    # outputs: per agent p_i, v_i, a_i; then y_mass, y_inertia, theta,
-    # v_WP, p_WP
-    ny = 9 * N + 15
-    C = np.zeros((ny, 12))
-    D = np.zeros((ny, nu))
-    row_a = A[3:6, :]
-    rowB_a = B[3:6, :]
-    row_w = A[9:12, :]
-    rowB_w = B[9:12, :]
-    for i in range(N):
-        sk = skew(r[i])
-        C[9 * i:9 * i + 3, 0:3] = np.eye(3)
-        C[9 * i:9 * i + 3, 6:9] = -sk
-        C[9 * i + 3:9 * i + 6, 3:6] = np.eye(3)
-        C[9 * i + 3:9 * i + 6, 9:12] = -sk
-        C[9 * i + 6:9 * i + 9, :] = row_a - sk @ row_w
-        D[9 * i + 6:9 * i + 9, :] = rowB_a - sk @ rowB_w
-    base = 9 * N
-    C[base:base + 3, :] = row_a
-    D[base:base + 3, :] = rowB_a
-    C[base + 3:base + 6, :] = row_w
-    D[base + 3:base + 6, :] = rowB_w
-    C[base + 6:base + 9, 6:9] = np.eye(3)
-    C[base + 9:base + 12, 3:6] = np.eye(3)
-    C[base + 12:base + 15, 0:3] = np.eye(3)
-
-    inputs = [(f"F_{i}", 3) for i in range(N)] + [("u_mass", 3), ("u_inertia", 3)]
-    outputs = []
-    for i in range(N):
-        outputs += [(f"p_{i}", 3), (f"v_{i}", 3), (f"a_{i}", 3)]
-    outputs += [("y_mass", 3), ("y_inertia", 3), ("theta", 3),
-                ("v_WP", 3), ("p_WP", 3)]
-    return LinearSystem(A, B, C, D, inputs=inputs, outputs=outputs)
-
-
-def _pd_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
-    KP, KD = np.diag(cfg.mav.K_P), np.diag(cfg.mav.K_D)
-    D = np.hstack([KP, KD, -KP, -KD])
-    return gain_block(
-        D, inputs=[(f"refp_{i}", 3), (f"refv_{i}", 3), (f"pin_{i}", 3),
-                   (f"vin_{i}", 3)],
-        outputs=[(f"y_mpc_{i}", 3)])
-
-
-def _lag_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
-    # dF^P = (R_PW sat(F_cmd_w) - F^P) / tau: mapping the world command into
-    # the tilted payload frame contributes skew(F_trim) theta
-    Tinv = np.diag(1.0 / cfg.mav.tau_thrust)
-    A = -Tinv
-    B = np.hstack([Tinv, Tinv, Tinv @ skew(cfg.F_trim[i])])
-    return LinearSystem(A, B, np.eye(3), np.zeros((3, 9)),
-                        inputs=[(f"cmd_{i}", 3), (f"u_mpc_{i}", 3),
-                                (f"th_lag_{i}", 3)],
-                        outputs=[(f"y_att_{i}", 3)])
-
-
-def _cons_block(i: int) -> LinearSystem:
-    return gain_block(np.hstack([np.eye(3), np.eye(3)]),
-                      inputs=[(f"prop_{i}", 3), (f"u_att_{i}", 3)],
-                      outputs=[(f"cons_{i}", 3)])
-
-
-def _joint_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
-    # F_int = m a_i - world thrust; the payload-frame thrust contributes the
-    # tilt term -skew(F_trim) theta when expressed in the world frame
-    return gain_block(
-        np.hstack([cfg.mav.m * np.eye(3), -np.eye(3),
-                   skew(cfg.F_trim[i])]),
-        inputs=[(f"acc_{i}", 3), (f"consin_{i}", 3), (f"th_joint_{i}", 3)],
-        outputs=[(f"fint_{i}", 3)])
-
-
-def _estimator_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
-    tau = cfg.mav.tau_est
-    return LinearSystem(-np.eye(3) / tau, np.eye(3) / tau, np.eye(3),
-                        np.zeros((3, 3)), inputs=[(f"fin_{i}", 3)],
-                        outputs=[(f"y_est_{i}", 3)])
-
-
-def _est_sum_block(i: int) -> LinearSystem:
-    return gain_block(np.hstack([np.eye(3), np.eye(3)]),
-                      inputs=[(f"fhat_{i}", 3), (f"u_est_{i}", 3)],
-                      outputs=[(f"fused_{i}", 3)])
-
-
-def _admittance_block(cfg: AnalysisConfig, i: int) -> LinearSystem:
-    M, C, K = cfg.adm.M, cfg.adm.C, cfg.adm.K
-    A = np.zeros((6, 6))
-    A[0:3, 3:6] = np.eye(3)
-    A[3:6, 0:3] = -np.diag(K / M)
-    A[3:6, 3:6] = -np.diag(C / M)
-    B = np.vstack([np.zeros((3, 3)), np.diag(1.0 / M)])
-    Cm = np.eye(6)
-    return LinearSystem(A, B, Cm, np.zeros((6, 3)),
-                        inputs=[(f"adm_in_{i}", 3)],
-                        outputs=[(f"z_{i}", 3), (f"zd_{i}", 3)])
-
-
-def _lat_block(i: int) -> LinearSystem:
-    D = np.zeros((2, 3))
-    D[0, 0] = 1.0
-    D[1, 1] = 1.0
-    return gain_block(D, inputs=[(f"conslat_{i}", 3)],
-                      outputs=[(f"z_lat_{i}", 2)])
-
-
-def build_closed_loop(cfg: AnalysisConfig) -> LinearSystem:
-    """Analytic rest-point interconnection with uncertainty channels.
-
-    State ordering matches :func:`linearize` at rest: payload (12), master
-    reference integrator (3), thrust lags per agent, then per slave the
-    estimator lag and admittance states.
-    """
-    N = cfg.n_agents
-    blocks = [_payload_block(cfg),
-              integrator(3, input_name="w", output_name="ref_master")]
-    blocks += [_lag_block(cfg, i) for i in range(N)]
-    for i in range(1, N):
-        blocks.append(_estimator_block(cfg, i))
-        blocks.append(_admittance_block(cfg, i))
-    # static blocks carry no states, so their position does not disturb the
-    # state ordering
-    blocks += [_pd_block(cfg, i) for i in range(N)]
-    blocks += [_cons_block(i) for i in range(N)]
-    blocks += [_lat_block(i) for i in range(N)]
-    for i in range(1, N):
-        blocks.append(_joint_block(cfg, i))
-        blocks.append(_est_sum_block(i))
-    # the velocity reference must also reach the master PD directly
-    blocks.append(gain_block(np.eye(3), inputs=[("w_split", 3)],
-                             outputs=[("w_pd", 3)]))
-    sys = append(*blocks)
-
-    wires = []
-    for i in range(N):
-        wires += [(f"p_{i}", f"pin_{i}"), (f"v_{i}", f"vin_{i}"),
-                  (f"y_mpc_{i}", f"cmd_{i}"), (f"y_att_{i}", f"prop_{i}"),
-                  (f"cons_{i}", f"F_{i}"), (f"cons_{i}", f"conslat_{i}"),
-                  ("theta", f"th_lag_{i}")]
-    wires += [("ref_master", "refp_0"), ("w_pd", "refv_0")]
-    for i in range(1, N):
-        wires += [(f"a_{i}", f"acc_{i}"), (f"cons_{i}", f"consin_{i}"),
-                  ("theta", f"th_joint_{i}"),
-                  (f"fint_{i}", f"fin_{i}"), (f"y_est_{i}", f"fhat_{i}"),
-                  (f"fused_{i}", f"adm_in_{i}"),
-                  (f"z_{i}", f"refp_{i}"), (f"zd_{i}", f"refv_{i}")]
-    closed = connect(sys, wires)
-
-    # merge the two velocity-command entry points into a single w input
-    merge = gain_block(np.vstack([np.eye(3), np.eye(3)]),
-                       inputs=[("w_in", 3)],
-                       outputs=[("w_orig", 3), ("w_split_feed", 3)])
-    both = append(closed, merge)
-    closed2 = connect(both, [("w_orig", "w"), ("w_split_feed", "w_split")])
-
-    out_names = [n for n, _ in cfg.output_channels()]
-    in_names = [n for n, _ in cfg.input_channels()[:-1]] + ["w_in"]
-    sub = closed2.subsystem(out_names=out_names, in_names=in_names)
-    sub.inputs[-1] = ("w", 3)
-    return sub

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 divergence detected, 3 oracle failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,11 +20,10 @@ def _cmd_simulate(args) -> int:
     from .scenario import load_scenario
     from .simulate import run_scenario
 
-    sc = load_scenario(args.config)
-    if args.duration is not None:
-        sc.duration = args.duration
-    if args.seed is not None:
-        sc.seed = args.seed
+    # replace() re-runs the load-time checks on the overridden fields
+    overrides = {k: v for k, v in (("duration", args.duration),
+                                   ("seed", args.seed)) if v is not None}
+    sc = dataclasses.replace(load_scenario(args.config), **overrides)
     log = run_scenario(sc)
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.splitext(os.path.basename(args.config))[0]

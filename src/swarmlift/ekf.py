@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attitude import euler_to_rotmat
-from .mav import EZ, GRAVITY, MavParams
+from .mav import MavParams, translational_dynamics
 
 NX = 18
 NZ = 6
@@ -85,10 +85,8 @@ def process_rhs(x, u, params: MavParams):
     """
     phi_c, theta_c, psi_c, F_cmd = u
     v, eta, omega = x[V_SL], x[ETA_SL], x[W_SL]
-    R = euler_to_rotmat(eta)
-    v_body = R.T @ v
-    thrust_body = np.array([0.0, 0.0, F_cmd]) - params.K_drag * v_body
-    v_dot = R @ thrust_body / params.m + x[F_SL] / params.m - GRAVITY * EZ
+    v_dot = translational_dynamics(euler_to_rotmat(eta), v, F_cmd,
+                                   params.K_drag, x[F_SL], params)
     wn, xi, kc = params.omega_n_att, params.xi_att, params.k_cmd_att
     cmd = np.array([phi_c, theta_c, psi_c])
     w_dot = (wn**2 * (kc * cmd - eta) - 2.0 * xi * wn * omega

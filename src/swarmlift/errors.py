@@ -41,10 +41,6 @@ class NonFiniteResponse(SwarmliftError):
     """Frequency-response data holds an inf or nan entry."""
 
 
-class UnstableSystem(SwarmliftError):
-    """Operation requires a stable system."""
-
-
 class FitInfeasible(SwarmliftError):
     """No weight of any trial order satisfies the bounding constraint."""
 

@@ -120,11 +120,13 @@ def simulate_single_mav(params: MavParams, duration: float,
         rec["ref_p"][k], rec["ref_v"][k] = ref_p, ref_v
 
         eta_cmd = np.array([u_ctrl[0], u_ctrl[1], u_ctrl[2]])
-        drag_gain = params.k_drag * F_cmd_mag / params.allocation.k_f
+        # rotor drag acts on the lateral body velocity only
+        drag = (params.k_drag * F_cmd_mag / params.allocation.k_f
+                * np.array([1.0, 1.0, 0.0]))
 
         def rhs(t_, p_, v_, eta_, etad_, Fm_):
             v_dot = translational_dynamics(euler_to_rotmat(eta_), v_, Fm_,
-                                           drag_gain, F_ext_fn(t_), params)
+                                           drag, F_ext_fn(t_), params)
             return (v_, v_dot, etad_,
                     attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
                     (F_cmd_mag - Fm_) / params.tau_motor)

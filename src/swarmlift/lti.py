@@ -1,9 +1,10 @@
 """Continuous-time state-space systems with named signal channels.
 
-Carrier for every linear block of the robust-tuning analysis: blocks are
-assembled by wiring named output channels into named input channels, and
-evaluated on frequency grids. Kept deliberately small: only what the margin
-computation needs.
+Carrier for the linear plants of the robust-tuning analysis: the
+linearized interconnection arrives whole from the nonlinear model, its
+named channels select the uncertainty and performance signals, SISO
+weights filter them, and the result is evaluated on frequency grids. Kept
+deliberately small: only what the margin computation needs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import tf2ss
 
-from .errors import ChannelMismatch, SingularAssembly, UnstableSystem
+from .errors import ChannelMismatch, SingularAssembly
 
 STABILITY_TOL = 1e-9
 
@@ -137,13 +138,6 @@ def _gather(channels, names, kind):
     return np.array(idx, dtype=int), chs
 
 
-def gain_block(M, inputs=None, outputs=None) -> LinearSystem:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return LinearSystem(np.zeros((0, 0)), np.zeros((0, M.shape[1])),
-                        np.zeros((M.shape[0], 0)), M,
-                        inputs=inputs, outputs=outputs)
-
-
 def siso_tf(num, den, input_name="u", output_name="y") -> LinearSystem:
     """SISO transfer function to state space (controllable canonical)."""
     A, B, C, D = tf2ss(np.atleast_1d(num), np.atleast_1d(den))
@@ -160,74 +154,6 @@ def first_order_lag(tau: float, gain: float = 1.0, input_name="u",
     D = np.zeros((dim, dim))
     return LinearSystem(A, B, C, D, inputs=[(input_name, dim)],
                         outputs=[(output_name, dim)])
-
-
-def integrator(dim: int, input_name="u", output_name="y") -> LinearSystem:
-    return LinearSystem(np.zeros((dim, dim)), np.eye(dim), np.eye(dim),
-                        np.zeros((dim, dim)), inputs=[(input_name, dim)],
-                        outputs=[(output_name, dim)])
-
-
-def append(*systems: LinearSystem) -> LinearSystem:
-    """Block-diagonal composition keeping every channel."""
-    from scipy.linalg import block_diag
-
-    A = block_diag(*[s.A for s in systems])
-    B = block_diag(*[s.B for s in systems])
-    C = block_diag(*[s.C for s in systems])
-    D = block_diag(*[s.D for s in systems])
-    inputs = [ch for s in systems for ch in s.inputs]
-    outputs = [ch for s in systems for ch in s.outputs]
-    names_i = [n for n, _ in inputs]
-    names_o = [n for n, _ in outputs]
-    if len(set(names_i)) != len(names_i) or len(set(names_o)) != len(names_o):
-        raise ChannelMismatch("appended systems share channel names")
-    return LinearSystem(A, B, C, D, inputs=inputs, outputs=outputs)
-
-
-def connect(sys: LinearSystem, wires) -> LinearSystem:
-    """Close feedback paths: each wire (out_name, in_name[, gain]) drives the
-    whole named input channel from the named output channel. Wired inputs
-    become internal; everything else stays external. Outputs are retained.
-    """
-    m, p = sys.n_inputs, sys.n_outputs
-    F = np.zeros((m, p))
-    wired = np.zeros(m, dtype=bool)
-    for wire in wires:
-        out_name, in_name = wire[0], wire[1]
-        gain = wire[2] if len(wire) > 2 else 1.0
-        osl, isl = sys.output_slice(out_name), sys.input_slice(in_name)
-        G = np.asarray(gain, dtype=float)
-        if G.ndim == 0:
-            if isl.stop - isl.start != osl.stop - osl.start:
-                raise SingularAssembly(
-                    f"scalar wire {out_name}->{in_name} joins channels of "
-                    f"different widths")
-            G = G * np.eye(isl.stop - isl.start)
-        if wired[isl].any():
-            raise SingularAssembly(f"input {in_name!r} wired twice")
-        F[isl, osl] = G
-        wired[isl] = True
-    ext = ~wired
-    E = np.eye(m)[:, ext]
-    IDF = np.eye(p) - sys.D @ F
-    try:
-        G_y = np.linalg.solve(IDF, np.hstack([sys.C, sys.D @ E]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularAssembly("algebraic loop: I - D F singular") from exc
-    Cy, Dy = G_y[:, :sys.n_states], G_y[:, sys.n_states:]
-    A_cl = sys.A + sys.B @ F @ Cy
-    B_cl = sys.B @ E + sys.B @ F @ Dy
-    ext_channels = []
-    start = 0
-    for name, size in sys.inputs:
-        if ext[start:start + size].all():
-            ext_channels.append((name, size))
-        elif ext[start:start + size].any():
-            raise SingularAssembly(f"channel {name!r} partially wired")
-        start += size
-    return LinearSystem(A_cl, B_cl, Cy, Dy, inputs=ext_channels,
-                        outputs=list(sys.outputs))
 
 
 def output_weight(sys: LinearSystem, channel: str, weight) -> LinearSystem:
@@ -264,45 +190,3 @@ def output_weight(sys: LinearSystem, channel: str, weight) -> LinearSystem:
         D[r, :] = wgt.D[0, 0] * sys.D[r, :]
     return LinearSystem(A, B, C, D, inputs=list(sys.inputs),
                         outputs=list(sys.outputs))
-
-
-def max_singular_value(sys: LinearSystem, w) -> np.ndarray:
-    G = sys.freq_response(w)
-    return np.linalg.svd(G, compute_uv=False)[:, 0]
-
-
-def hinf_norm(sys: LinearSystem, w_lo: float = 1e-3, w_hi: float = 1e2,
-              n_grid: int = 400, refine: bool = True) -> float:
-    """Peak maximum singular value over frequency, with golden-section
-    refinement around the grid peak (DC and the w->inf limit included)."""
-    if not sys.is_stable():
-        raise UnstableSystem("H-infinity norm requires a stable system")
-    w = np.logspace(np.log10(w_lo), np.log10(w_hi), n_grid)
-    sv = max_singular_value(sys, w)
-    candidates = [float(sv.max())]
-    if sys.n_states:
-        candidates.append(float(np.linalg.svd(sys.dc_gain(),
-                                              compute_uv=False)[0]))
-    candidates.append(float(np.linalg.svd(sys.D, compute_uv=False)[0])
-                      if sys.D.size else 0.0)
-    peak = max(candidates)
-    if refine and sv.max() >= peak - 1e-15:
-        k = int(np.argmax(sv))
-        lo = w[max(k - 1, 0)]
-        hi = w[min(k + 1, n_grid - 1)]
-        gr = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = np.log(lo), np.log(hi)
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc = max_singular_value(sys, [np.exp(c)])[0]
-        fd = max_singular_value(sys, [np.exp(d)])[0]
-        for _ in range(60):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = max_singular_value(sys, [np.exp(c)])[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = max_singular_value(sys, [np.exp(d)])[0]
-        peak = max(peak, float(fc), float(fd))
-    return peak

@@ -6,8 +6,9 @@ The low-level controller is the cascade used by every agent: a PD position
 loop with gravity feed-forward, thrust-vector-to-attitude command allocation
 and a critically damped second-order attitude closed loop. The kernels here
 are the ones that run: ``translational_dynamics`` in the single-agent
-experiments, ``rotational_dynamics`` in the UKF process model and
-``attitude_accel`` in the coupled simulator and the identification runs.
+experiments and the EKF process model, ``rotational_dynamics`` in the UKF
+process model and ``attitude_accel`` in the coupled simulator and the
+identification runs.
 """
 
 from __future__ import annotations
@@ -206,15 +207,14 @@ def rk4_step(rhs, t: float, x, h: float) -> list:
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def translational_dynamics(R, v, F_prop: float, drag_gain: float, F_ext,
+def translational_dynamics(R, v, F_prop: float, drag, F_ext,
                            params: MavParams):
     """World-frame acceleration of a free agent with attitude matrix R.
 
-    Thrust acts along body z; rotor drag, drag_gain times the lateral body
-    velocity, opposes it; F_ext is world frame.
+    Thrust acts along body z; rotor drag, the per-axis gains drag times the
+    body velocity, opposes it; F_ext is world frame.
     """
-    v_b = R.T @ v
-    f_b = np.array([-drag_gain * v_b[0], -drag_gain * v_b[1], F_prop])
+    f_b = np.array([0.0, 0.0, F_prop]) - drag * (R.T @ v)
     return R @ f_b / params.m + np.asarray(F_ext) / params.m - GRAVITY * EZ
 
 

@@ -83,7 +83,7 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     # free fall: zero thrust, zero drag, acceleration equals gravity exactly
     v = rng.normal(size=3)
     R = quat_to_rotmat(random_quat(rng))
-    vdot = translational_dynamics(R, v, 0.0, 0.0, np.zeros(3), params)
+    vdot = translational_dynamics(R, v, 0.0, np.zeros(3), np.zeros(3), params)
     vdot = vdot + (grav_term - (-GRAVITY * EZ))  # mutation hook
     results.append(OracleResult(
         "free-fall acceleration equals -g", float(np.max(np.abs(vdot - (-GRAVITY * EZ)))),
@@ -103,7 +103,8 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     n_rot = 400.0 * np.ones(6)
     vdot_d = translational_dynamics(np.eye(3), np.array([1.0, 0.0, 0.0]),
                                     params.m * GRAVITY,
-                                    params.k_drag * float(np.sum(n_rot**2)),
+                                    params.k_drag * float(np.sum(n_rot**2))
+                                    * np.array([1.0, 1.0, 0.0]),
                                     np.zeros(3), params)
     drag_acc = drag_sign * (vdot_d[0])
     results.append(OracleResult(

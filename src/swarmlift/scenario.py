@@ -38,8 +38,9 @@ Key paths (all optional unless noted):
                         compute_offset, remove_offset
 
 The schema is strict: an unknown key at the top level or in a section, an
-unknown event action, an event vector not of length 3 and a negative noise
-value raise ScenarioError when the scenario is loaded.
+unknown event action, an event vector not of length 3, a negative noise
+value or seed, and a non-positive divergence_bound or mission.dh raise
+ScenarioError when the scenario is loaded.
 """
 
 from __future__ import annotations
@@ -163,6 +164,12 @@ class Scenario:
         ratio = self.ctrl_rate / self.est_rate
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
             raise ScenarioError("estimator rate must divide the controller rate")
+        if self.seed < 0:
+            raise ScenarioError("seed must be non-negative")
+        if not self.divergence_bound > 0:
+            raise ScenarioError("divergence_bound must be positive")
+        if not self.mission_dh > 0:
+            raise ScenarioError("mission.dh must be positive")
         if self.payload is None:
             m_p = 1.5 * self.mav.m_bar
             self.payload = PayloadParams(

@@ -404,6 +404,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                     agents[i].F_hat = ukf_est.F_ext[i - 1].copy()
 
         # admittance FSM + reference generation (slaves), then PD commands
+        q_i = [euler_to_quat(e) for e in eta]
         for i in range(N):
             ctl = agents[i]
             if i == 0:
@@ -428,7 +429,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                     ctl.ref_p = np.array([ctl.hold_xy[0], ctl.hold_xy[1],
                                           ctl.alt_target])
                     ctl.ref_v = np.zeros(3)
-            st = AgentState(p_i[i], v_i[i], euler_to_quat(eta[i]), omega_i[i])
+            st = AgentState(p_i[i], v_i[i], q_i[i], omega_i[i])
             F_cmd_w = pd_position_control(st, ctl.ref_p, ctl.ref_v, sc.mav)
             ctl.F_cmd_w = F_cmd_w
             phi_c, theta_c, F_c = thrust_to_attitude(F_cmd_w, eta[i, 2], sc.mav)
@@ -443,7 +444,7 @@ def run_scenario(sc: Scenario) -> RunLog:
         row = [t]
         for i in range(N):
             ctl = agents[i]
-            row += [*p_i[i], *v_i[i], *euler_to_quat(eta[i]), *omega_i[i],
+            row += [*p_i[i], *v_i[i], *q_i[i], *omega_i[i],
                     *Fw_now[i], *ctl.F_hat, *ctl.ref_p,
                     ctl.eta_cmd[0], ctl.eta_cmd[1], ctl.eta_cmd[2],
                     ctl.F_cmd_mag, *ctl.rotor,

@@ -16,6 +16,7 @@ from swarmlift.analysis import (
     to_chart,
     zero_input,
 )
+from swarmlift.attitude import skew
 from swarmlift.errors import UnstableOperatingPoint
 
 
@@ -36,17 +37,31 @@ def test_rest_state_is_equilibrium_5_agents():
     assert np.max(np.abs(dx)) < 1e-12
 
 
-def test_analytic_assembly_matches_complex_step():
-    for n in (2, 3):
-        cfg = AnalysisConfig(n_agents=n)
-        num = linearize(cfg, "rest")
-        ana = build_closed_loop(cfg)
-        assert num.A.shape == ana.A.shape
-        scale = max(1.0, np.abs(num.A).max())
-        assert np.abs(num.A - ana.A).max() / scale < 1e-6
-        assert np.abs(num.B - ana.B).max() / max(1.0, np.abs(num.B).max()) < 1e-9
-        assert np.abs(num.C - ana.C).max() / max(1.0, np.abs(num.C).max()) < 1e-9
-        assert np.abs(num.D - ana.D).max() / max(1.0, np.abs(num.D).max()) < 1e-9
+def test_rest_jacobian_closed_form_entries():
+    # entries of the rest plant whose closed form reads off the model
+    cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
+    sys = build_closed_loop(cfg)
+    A, B = sys.A, sys.B
+    N, mav, adm = cfg.n_agents, cfg.mav, cfg.adm
+    V, TH, OM = slice(3, 6), slice(6, 9), slice(9, 12)
+
+    def close(X, oracle):
+        assert_allclose(X, oracle, rtol=1e-12, atol=1e-12)
+
+    for i in range(N):  # thrust lags
+        f = 15 + 3 * i
+        close(A[f:f + 3, f:f + 3], -np.diag(1.0 / mav.tau_thrust))
+    for j in range(cfg.n_slaves):  # estimator lag, then admittance
+        e = 15 + 3 * N + 9 * j
+        z, zd = e + 3, e + 6
+        close(A[e:e + 3, e:e + 3], -np.eye(3) / mav.tau_est)
+        close(A[zd:zd + 3, z:z + 3], -np.diag(adm.K / adm.M))
+        close(A[zd:zd + 3, zd:zd + 3], -np.diag(adm.C / adm.M))
+        close(A[zd:zd + 3, e:e + 3], np.diag(1.0 / adm.M))
+    # tilting the structure tilts the total trim thrust with it
+    close(A[V, TH], -skew(cfg.F_trim.sum(axis=0)) / cfg.com.m_sys)
+    close(B[V, sys.input_slice("u_mass")], -cfg.w_mass * np.eye(3))
+    close(B[OM, sys.input_slice("u_inertia")], -cfg.G_inertia)
 
 
 def test_stable_tuning_is_hurwitz():

@@ -102,7 +102,6 @@ PUBLIC_API = {
     "identify.py:identify_thrust_response",
     "identify.py:run_force_step",
     "lti.py:first_order_lag",  # weight building block
-    "lti.py:hinf_norm",
     "oracles.py:random_delta_hurwitz_check",  # Monte Carlo check of rs
     "sweep.py:read_margin_csv",  # reads back what grid_sweep writes
     "uncertainty.py:fit_uncertainty_weight",  # weight identification

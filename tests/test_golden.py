@@ -2,11 +2,11 @@
 the margin pipeline.
 
 The transport pre-roll, the single-agent closed loop and the thrust
-identification experiment all step their dynamics with RK4. The transport
-linearization, the balanced SSV bound and the margins of two tuning points
-are pinned as well. These digests pin their outputs bit for bit, so a
-refactor of the integrator, the physics kernels or the SSV bound cannot
-change a number unnoticed.
+identification experiment all step their dynamics with RK4. The rest and
+transport linearizations, the balanced SSV bound and the margins of two
+tuning points are pinned as well. These digests pin their outputs bit for
+bit, so a refactor of the integrator, the physics kernels or the SSV bound
+cannot change a number unnoticed.
 """
 
 import hashlib
@@ -14,7 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from swarmlift.analysis import AnalysisConfig, linearize, preroll_transport
+from swarmlift.analysis import (AnalysisConfig, build_closed_loop, linearize,
+                               preroll_transport)
 from swarmlift.identify import identify_thrust_response, run_force_step
 from swarmlift.mav import MavParams
 from swarmlift.mu import default_frequency_grid, margin_point, ssv_upper_bound
@@ -85,6 +86,24 @@ def test_transport_linearization_digest(n_agents, M, C):
                                    tuning_C=C), "transport")
     assert _digest(sys.A, sys.B, sys.C, sys.D) \
         == LINEARIZE_DIGESTS[(n_agents, M, C)]
+
+
+# the complex-step Jacobian of chart_rhs_out at the rest equilibrium, which
+# is what build_closed_loop returns
+REST_DIGESTS = {
+    (2, 8.0, 6.0):
+        "3790cdb8a4943ab00626c73e1327469b2de6b8cede0c1eec74cf5f467037cfce",
+    (3, 4.0, 12.0):
+        "ccafa443bea27d82d81dbc3b0e1b136cab35269a8958d17f25e9c8919b9d35a8",
+}
+
+
+@pytest.mark.parametrize("n_agents,M,C", sorted(REST_DIGESTS))
+def test_rest_linearization_digest(n_agents, M, C):
+    sys = build_closed_loop(AnalysisConfig(n_agents=n_agents, tuning_M=M,
+                                           tuning_C=C))
+    assert _digest(sys.A, sys.B, sys.C, sys.D) \
+        == REST_DIGESTS[(n_agents, M, C)]
 
 
 # (rs, rp, peak_freq_rs, peak_freq_rp), compared with ==

@@ -113,20 +113,21 @@ def test_allocation_sum_identity(params):
 
 def test_hover_equilibrium(params):
     vdot = translational_dynamics(np.eye(3), np.zeros(3), params.m * GRAVITY,
-                                  0.0, np.zeros(3), params)
+                                  np.zeros(3), np.zeros(3), params)
     assert_allclose(vdot, np.zeros(3), atol=1e-12)
 
 
 def test_translational_external_force(params):
     # m = 3.5 kg with 3.5 N along x gives exactly 1 m/s^2
     vdot = translational_dynamics(np.eye(3), np.zeros(3), params.m * GRAVITY,
-                                  0.0, [3.5, 0, 0], params)
+                                  np.zeros(3), [3.5, 0, 0], params)
     assert_allclose(vdot, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_free_fall(params):
     R = quat_to_rotmat(quat_from_axis_angle([0.3, 0.7, 0.1], 0.5))
-    vdot = translational_dynamics(R, np.zeros(3), 0.0, 0.0, np.zeros(3), params)
+    vdot = translational_dynamics(R, np.zeros(3), 0.0, np.zeros(3),
+                                  np.zeros(3), params)
     assert_allclose(vdot, [0.0, 0.0, -GRAVITY], atol=0.0)
 
 
@@ -134,10 +135,11 @@ def test_drag_sign_structure(params):
     v = np.array([1.0, -2.0, 0.5])
     # the drag gain of the hover thrust, as the single-agent loop uses it
     gain = params.k_drag * params.m * GRAVITY / params.allocation.k_f
-    vdot_spin = translational_dynamics(np.eye(3), v, params.m * GRAVITY, gain,
+    vdot_spin = translational_dynamics(np.eye(3), v, params.m * GRAVITY,
+                                       gain * np.array([1.0, 1.0, 0.0]),
                                        np.zeros(3), params)
-    vdot_still = translational_dynamics(np.eye(3), v, params.m * GRAVITY, 0.0,
-                                        np.zeros(3), params)
+    vdot_still = translational_dynamics(np.eye(3), v, params.m * GRAVITY,
+                                        np.zeros(3), np.zeros(3), params)
     drag_acc = vdot_spin - vdot_still
     assert drag_acc[0] < 0 and drag_acc[1] > 0  # opposes lateral velocity
     assert_allclose(drag_acc[2], 0.0, atol=1e-15)  # no drag along body z

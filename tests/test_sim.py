@@ -75,6 +75,27 @@ def test_negative_noise_fails_at_load():
         beam(noise={"p": 0.01, "att": -0.001})
 
 
+OUT_OF_RANGE = {
+    "seed": {"seed": -1},
+    "divergence_bound": {"divergence_bound": 0.0},
+    "mission.dh": {"mission": {"dh": -0.25}},
+}
+
+
+@pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_fails_at_load(field):
+    with pytest.raises(ScenarioError, match=field):
+        beam(**OUT_OF_RANGE[field])
+
+
+def test_cli_negative_seed_fails_like_load(tmp_path):
+    cfg = tmp_path / "beam.json"
+    cfg.write_text(json.dumps(BEAM))
+    with pytest.raises(ScenarioError, match="seed"):
+        main(["simulate", str(cfg), "--out-dir", str(tmp_path), "--seed",
+              "-1"])
+
+
 def test_config_hash_identifies_resolved_scenario():
     base = Scenario(n_agents=2, duration=1.0)
     assert base.config_hash() == Scenario(n_agents=2, duration=1.0).config_hash()
