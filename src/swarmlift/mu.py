@@ -8,16 +8,20 @@ upper-bounds the mixed real/complex value (conservative direction: the
 reported safe region can only shrink).
 
 The SSV upper bound is the largest singular value of D G D^-1 over
-block-commuting diagonal scalings D. Osborne balancing gives D at every
-frequency; near the peak a BFGS descent on log D, with the gradient read
-off the top singular vectors, tightens it further. Polish runs in
-decreasing balanced order and stops once the next balanced value cannot
-raise the maximum: with no floor after at least the eight largest (every
-frequency keeps a tight bound near the peak), with a floor as soon as the
-next balanced value is at or below the floor or the running maximum (only
-the peak is tight). A margin needs only the peak, so margin_point bounds
-transport first with floor 0, then rest with the transport peak as floor,
-then performance with the stability peak as floor.
+block-commuting diagonal scalings D. Balancing gives D at every frequency:
+Osborne's fixed point, where each scaling group's row energy equals its
+column energy, minimises the Frobenius norm of D G D^-1, a convex problem
+in log D that a damped Newton method solves for all frequencies at once
+(Cohen, Madry, Tsipras & Vladu, FOCS 2017). Near the peak a BFGS descent
+on log D, with the gradient read off the top singular vectors, tightens
+it further. Polish runs in decreasing balanced order and stops once the
+next balanced value cannot raise the maximum: with no floor after at
+least the eight largest (every frequency keeps a tight bound near the
+peak), with a floor as soon as the next balanced value is at or below the
+floor or the running maximum (only the peak is tight). A margin needs
+only the peak, so margin_point bounds transport first with floor 0, then
+rest with the transport peak as floor, then performance with the
+stability peak as floor.
 """
 
 from __future__ import annotations
@@ -173,6 +177,75 @@ def _descend(M, logd, row_group, col_group, tol):
     return best
 
 
+def _balance(G, row_group, col_group, ng, tol, max_steps):
+    """Log-scales (F, ng) at Osborne's fixed point, every frequency at once.
+
+    With u = 2 log d and E_ab the energy of G in the rows of group a and
+    the columns of group b, the energy of D G D^-1 is the convex function
+    sum_ab E_ab exp(u_a - u_b). Its gradient is each group's row energy
+    minus its column energy, so the fixed point is its minimiser. Each
+    damped Newton step is one stacked solve with the Hessian, the Laplacian
+    of the scaled energies, then an Armijo backtracking search on the
+    energy. The last group is pinned, and so is a group with no
+    off-diagonal row or column energy, whose scaling would run off to
+    infinity. A frequency drops out once a step lowers its energy by less
+    than tol, relative, or when no step length lowers it; max_steps caps
+    the steps. An accepted energy is finite, so every ratio d_a / d_b that
+    meets a nonzero entry of G is finite too.
+    """
+    F = G.shape[0]
+    cell = ((np.arange(F)[:, None, None] * ng + row_group[:, None]) * ng
+            + col_group)
+    E = np.bincount(cell.ravel(), (G.real ** 2 + G.imag ** 2).ravel(),
+                    F * ng * ng).reshape(F, ng, ng)
+    diag = np.arange(ng)
+    off = E.copy()
+    off[:, diag, diag] = 0.0
+    pinned = (off.sum(axis=2) == 0.0) | (off.sum(axis=1) == 0.0)
+    pinned[:, -1] = True
+    u = np.zeros((F, ng))
+    S = E.copy()  # E_ab exp(u_a - u_b) at the current u
+    energy = S.sum(axis=(1, 2))
+    active = ~pinned.all(axis=1)
+    m = diag[:-1]  # the unknowns: every group but the last
+    for _ in range(max_steps):
+        k = np.flatnonzero(active)
+        if k.size == 0:
+            break
+        Sk, pin = S[k], pinned[k][:, :-1]
+        W = Sk + Sk.transpose(0, 2, 1)
+        H = -W[:, :-1, :-1]
+        H[pin[:, :, None] | pin[:, None, :]] = 0.0
+        # a pinned group gets an identity row; the ridge keeps the solve
+        # regular where free groups have no path to a pinned one
+        H[:, m, m] = np.where(pin, 1.0, (W.sum(axis=2) - W[:, diag, diag])
+                              [:, :-1] * (1.0 + 1e-12) + 1e-300)
+        g = np.where(pin, 0.0, (Sk.sum(axis=2) - Sk.sum(axis=1))[:, :-1])
+        p = np.zeros((k.size, ng))
+        p[:, :-1] = -np.linalg.solve(H, g[..., None])[..., 0]
+        slope = (g * p[:, :-1]).sum(axis=1)
+        t = np.ones(k.size)
+        todo = np.arange(k.size)
+        for _ in range(40):
+            kt = k[todo]
+            ut = u[kt] + t[todo, None] * p[todo]
+            St = E[kt] * np.exp(ut[:, :, None] - ut[:, None, :])
+            et = St.sum(axis=(1, 2))
+            # slack for the rounding of the sums, so that the last Newton
+            # step is taken though it moves the energy by less
+            ok = (et <= energy[kt] * (1.0 + 1e-15)
+                  + 1e-4 * t[todo] * slope[todo])
+            acc = kt[ok]
+            active[acc] = energy[acc] - et[ok] >= tol * energy[acc]
+            u[acc], S[acc], energy[acc] = ut[ok], St[ok], et[ok]
+            t[todo[~ok]] *= 0.5
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+        active[k[todo]] = False  # no step length lowers the energy
+    return 0.5 * u
+
+
 def ssv_upper_bound(G, structure, polish: bool = True,
                     balance_tol: float = 1e-9, max_balance: int = 200,
                     polish_tol: float = 1e-8,
@@ -181,10 +254,13 @@ def ssv_upper_bound(G, structure, polish: bool = True,
 
     G has shape (F, ny, nu) and must be finite; the structure lists the
     blocks in channel order. One positive scaling per scaling group, the
-    last pinned to 1. Each frequency is Osborne-balanced, warm-started from
-    the previous one. With polish, frequencies then descend by BFGS on the
-    log-scales (analytic gradient) until every relative derivative is below
-    polish_tol, in decreasing balanced order:
+    last pinned to 1. All frequencies are balanced at once by damped Newton
+    steps on the Frobenius energy: a frequency stops once a step lowers its
+    energy by less than balance_tol, relative, and after max_balance steps.
+    No frequency starts from another's result, so each balanced value does
+    not depend on the rest of the grid. With polish, frequencies then
+    descend by BFGS on the log-scales (analytic gradient) until every
+    relative derivative is below polish_tol, in decreasing balanced order:
 
     * floor None: the eight largest, then on while the next balanced value
       exceeds the largest polished one;
@@ -206,42 +282,18 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     if G.shape[1] != ny or G.shape[2] != nu:
         raise ChannelMismatch(
             f"matrix {G.shape[1:]} does not match structure ({ny}, {nu})")
-    F = G.shape[0]
-    mu = np.empty(F)
-    logd = np.zeros(ng)
-    # one channel per group (repeated scalars only): no group gather or sum
-    lean = ng == ny == nu
-    rg, cg = (slice(None), slice(None)) if lean else (row_group, col_group)
-
-    def balance(M, logd):
-        for _ in range(max_balance):
-            Ms2 = np.abs(_scaled(M, logd, rg, cg)) ** 2
-            rn2, cn2 = Ms2.sum(axis=1), Ms2.sum(axis=0)
-            if not lean:
-                rn2 = np.bincount(row_group, weights=rn2, minlength=ng)
-                cn2 = np.bincount(col_group, weights=cn2, minlength=ng)
-            ok = (rn2 > 1e-300) & (cn2 > 1e-300)
-            step = np.zeros(ng)
-            step[ok] = 0.25 * (np.log(cn2[ok]) - np.log(rn2[ok]))
-            step[-1] = 0.0  # last group pinned
-            logd += step
-            if np.abs(step).max() < balance_tol:
-                break
-        return logd
-
-    # balanced bound everywhere (warm-started across frequency)
-    saved = np.empty((F, ng))
-    for k in range(F):
-        logd = balance(G[k], logd)
-        saved[k] = logd
-        mu[k] = np.linalg.svd(_scaled(G[k], logd, rg, cg),
-                              compute_uv=False)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        logd = _balance(G, row_group, col_group, ng, balance_tol,
+                        max_balance)
+    # the ratio d_r / d_c at once: d_r alone may overflow where it is not
+    scale = np.exp(logd[:, row_group, None] - logd[:, None, col_group])
+    mu = np.linalg.svd(G * scale, compute_uv=False)[:, 0]
     if polish and ng > 1:
         top = -np.inf if floor is None else floor
         for i, k in enumerate(np.argsort(mu)[::-1]):
             if mu[k] <= top and (floor is not None or i >= 8):
                 break  # no frequency left can raise the maximum
-            mu[k] = min(mu[k], _descend(G[k], saved[k], row_group, col_group,
+            mu[k] = min(mu[k], _descend(G[k], logd[k], row_group, col_group,
                                         polish_tol))
             top = max(top, mu[k])
     return mu

@@ -39,8 +39,12 @@ Key paths (all optional unless noted):
 
 The schema is strict: an unknown key at the top level or in a section, an
 unknown event action, an event vector not of length 3, a negative noise
-value or seed, and a non-positive divergence_bound or mission.dh raise
-ScenarioError when the scenario is loaded.
+value or seed, a non-positive divergence_bound or mission.dh, and a
+duration, rate, tuning value, mission.tol or payload.mass that is not a
+positive finite number raise ScenarioError when the scenario is loaded,
+as does a value that the payload, mav or admittance parameters reject.
+The Scenario fields are checked again when a copy is made with
+dataclasses.replace, as the CLI does for its overrides.
 """
 
 from __future__ import annotations
@@ -103,6 +107,22 @@ def _check_noise(noise: dict) -> None:
                 f"noise.{key} must be a non-negative number, got {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)
+            and value > 0):
+        raise ScenarioError(
+            f"{name} must be a positive finite number, got {value!r}")
+
+
+def _build(section: str, cls, **kwargs):
+    """cls(**kwargs), with the range checks of its constructor raised as
+    ScenarioError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
+
+
 def _check_event(ev) -> None:
     if not isinstance(ev, dict) or "t" not in ev or "action" not in ev:
         raise ScenarioError(f"event needs 't' and 'action': {ev}")
@@ -152,8 +172,14 @@ class Scenario:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ScenarioError("need at least one agent")
-        if self.duration <= 0:
-            raise ScenarioError("duration must be positive")
+        for name, value in (("duration", self.duration),
+                            ("rates.Ts_dyn", self.Ts_dyn),
+                            ("rates.controller", self.ctrl_rate),
+                            ("rates.estimator", self.est_rate),
+                            ("tuning.M", self.tuning_M),
+                            ("tuning.C", self.tuning_C),
+                            ("mission.tol", self.mission_tol)):
+            _check_positive(name, value)
         if self.estimator not in ESTIMATORS:
             raise ScenarioError(f"estimator must be one of {ESTIMATORS}")
         if self.thrust_model not in THRUST_MODELS:
@@ -204,6 +230,7 @@ def _payload_from_dict(n_agents: int, mav: MavParams, d: dict) -> PayloadParams:
     side = float(d.get("side", 1.2))
     height = float(d.get("height", 0.0))
     m_p = float(d.get("mass", 1.5 * mav.m_bar))
+    _check_positive("payload.mass", m_p)
     if "attachments" in d:
         att = np.asarray(d["attachments"], dtype=float)
     else:
@@ -212,8 +239,8 @@ def _payload_from_dict(n_agents: int, mav: MavParams, d: dict) -> PayloadParams:
         J_p = np.asarray(d["inertia"], dtype=float)
     else:
         J_p = polygon_payload_inertia(m_p, n_agents, side)
-    return PayloadParams(
-        m_p=m_p, J_p=J_p, attachments=att,
+    return _build(
+        "payload", PayloadParams, m_p=m_p, J_p=J_p, attachments=att,
         drag_F=np.asarray(d.get("drag_F", [0.0, 0.0, 0.0]), dtype=float),
         drag_M=np.asarray(d.get("drag_M", [0.0, 0.0, 0.0]), dtype=float))
 
@@ -231,12 +258,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     for key in ("J", "K_drag", "K_P", "K_D"):
         if key in mav_kw:
             mav_kw[key] = np.asarray(mav_kw[key], dtype=float)
-    mav = MavParams(**mav_kw)
+    mav = _build("mav", MavParams, **mav_kw)
     adm_kw = dict(cfg.get("admittance", {}))
     for key in ("M", "C", "K"):
         if key in adm_kw:
             adm_kw[key] = np.asarray(adm_kw[key], dtype=float)
-    adm = AdmittanceParams(**adm_kw) if adm_kw else None
+    adm = _build("admittance", AdmittanceParams, **adm_kw) if adm_kw else None
     rates = cfg.get("rates", {})
     tuning = cfg.get("tuning", {})
     mission = cfg.get("mission", {})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,11 +28,20 @@ def read_margin_csv(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+def _jsonable(value):
+    """JSON form of a configuration value: a dataclass (MavParams, ...) as
+    its fields, an array or numpy scalar as a list or number."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    return value.tolist()
+
+
 def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
                n_freqs: int = 80, n_jobs: int = 1, polish: bool = True,
                cfg_kwargs=None, tag: str = "") -> str:
     """Run the margin map and emit CSV plus a manifest; returns the CSV
-    path. Identical configuration produces byte-identical output."""
+    path. Identical configuration produces byte-identical output, and the
+    manifest's config_hash covers every argument that changes the CSV."""
     os.makedirs(out_dir, exist_ok=True)
     freqs = default_frequency_grid(n_freqs)
     results = margins(grid, n_agents, freqs=freqs, polish=polish,
@@ -52,7 +62,9 @@ def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
                 "M": [float(v) for v in grid.M_values],
                 "C": [float(v) for v in grid.C_values],
                 "n_freqs": n_freqs,
-            }, sort_keys=True).encode()).hexdigest()[:16],
+                "polish": polish,
+                "cfg_kwargs": cfg_kwargs or {},
+            }, sort_keys=True, default=_jsonable).encode()).hexdigest()[:16],
     }
     with open(os.path.join(out_dir, f"{name}_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -108,9 +108,9 @@ def test_rest_linearization_digest(n_agents, M, C):
 
 # (rs, rp, peak_freq_rs, peak_freq_rp), compared with ==
 MARGINS = {
-    (3, 4.0, 12.0, 80): (1.0290650760129212, 0.2523270309287733,
+    (3, 4.0, 12.0, 80): (1.0291870745808271, 0.2523270309287733,
                          3.501900461431713, 3.501900461431713),
-    (2, 8.0, 6.0, 60): (1.52248357869703, 0.31928612913134197,
+    (2, 8.0, 6.0, 60): (1.5224835795413467, 0.31928612913134197,
                         3.6251170499885315, 2.982471286216888),
 }
 
@@ -122,12 +122,13 @@ def test_margin_point_fields(n_agents, M, C, n_freqs):
         == MARGINS[(n_agents, M, C, n_freqs)]
 
 
-# repeated scalars only, and with a full block: the two balancing paths
+# repeated scalars only, and with a full block, whose groups span several
+# channels
 BALANCED_DIGESTS = {
     "repeated":
-        "f508534e714ae995c913716d8f6b89f5902ba2114a0c14e8a62669b9e0d13016",
+        "07646419b9f6f94a3d6a24f269ae67b10dc248f4f869004788857db92f0c11bd",
     "mixed":
-        "39c722bd40f486170fa6a3d2ff3d6867fe1b42c3feb26d4390ee0fdd972e8769",
+        "2133a1294e7bd9ab146747171f47592f44a0c0b9804026cbac333f72e517008d",
 }
 
 

@@ -2,6 +2,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from swarmlift.analysis import (
@@ -18,6 +20,8 @@ from swarmlift.mu import (
     default_frequency_grid,
     margin_point,
     margins,
+    _balance,
+    _scaled,
     _scaling_groups,
     rs_partition,
     sample_admissible_perturbation,
@@ -92,7 +96,7 @@ def test_ssv_scaling_invariance():
         r += b.dim_y
         c += b.dim_u
     G_scaled = row[None, :, None] * G11 / col[None, None, :]
-    tight = dict(balance_tol=1e-12, max_balance=3000, polish_tol=1e-12)
+    tight = dict(balance_tol=1e-15, max_balance=100, polish_tol=1e-12)
     mu0 = ssv_upper_bound(G11, struct, **tight)
     mu1 = ssv_upper_bound(G_scaled, struct, **tight)
     assert np.max(np.abs(mu1 - mu0) / mu0) < 1e-6
@@ -150,6 +154,85 @@ def test_descent_survives_scalings_that_overflow():
     balanced = ssv_upper_bound(M[None], struct, polish=False)[0]
     rho = np.max(np.abs(np.linalg.eigvals(M)))
     assert rho * (1.0 - 1e-9) <= mu <= balanced
+
+
+def test_balanced_bound_of_reducible_pattern_is_finite():
+    # the pattern above has no finite balancing; the energy search must
+    # still stop at finite scalings
+    pattern = np.array([[1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1],
+                        [0, 0, 1, 0]])
+    rng = np.random.default_rng(1)
+    M = pattern * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    struct = [UncertaintyBlock(f"b{i}", "repeated", 1, 1) for i in range(4)]
+    balanced = ssv_upper_bound(M[None], struct, polish=False)[0]
+    rho = np.max(np.abs(np.linalg.eigvals(M)))
+    assert np.isfinite(balanced)
+    assert rho * (1.0 - 1e-9) <= balanced <= np.linalg.norm(M)
+
+
+def test_balance_does_not_depend_on_frequency_order():
+    # no frequency starts from another's scaling, so permuting the grid
+    # permutes the balanced bound bit for bit
+    N, struct = _assembled()
+    G = N.freq_response(FREQS)
+    perm = np.random.default_rng(2).permutation(len(FREQS))
+    for G_k, s in (rs_partition(G, struct), (G, struct)):
+        mu = ssv_upper_bound(G_k, s, polish=False)
+        np.testing.assert_array_equal(
+            ssv_upper_bound(G_k[perm], s, polish=False), mu[perm])
+
+
+def test_balance_equalises_row_and_column_energy():
+    structure = [UncertaintyBlock("r2", "repeated", 2, 2),
+                 UncertaintyBlock("f", "full", 3, 2),
+                 UncertaintyBlock("r3", "repeated", 3, 3)]
+    row_group, col_group, ng = _scaling_groups(structure)
+    rng = np.random.default_rng(4)
+    # no zero entry, so every group reaches every other: irreducible
+    G = rng.normal(size=(5, 8, 7)) + 1j * rng.normal(size=(5, 8, 7))
+    logd = _balance(G, row_group, col_group, ng, 1e-9, 200)
+    for k in range(len(G)):
+        E = np.abs(_scaled(G[k], logd[k], row_group, col_group)) ** 2
+        assert_allclose(np.bincount(row_group, E.sum(axis=1), ng),
+                        np.bincount(col_group, E.sum(axis=0), ng), rtol=1e-8)
+
+
+def test_balance_of_decoupled_parts_matches_each_part():
+    # groups 0 and 1 see neither group 2 nor the pinned group 3, so their
+    # common shift is free: the solve must stay regular and the bound must
+    # be that of the worse part
+    rng = np.random.default_rng(6)
+    A, B = (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+    A[0, 1] *= 1e-3
+    G = np.zeros((4, 4), dtype=complex)
+    G[:2, :2], G[2:, 2:] = A, B
+    one = [UncertaintyBlock(f"b{i}", "repeated", 1, 1) for i in range(4)]
+    mu = ssv_upper_bound(G[None], one, polish=False)[0]
+    parts = [ssv_upper_bound(X[None], one[:2], polish=False)[0]
+             for X in (A, B)]
+    assert_allclose(mu, max(parts), rtol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["repeated", "full"]),
+                          st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.floats(0.0, 0.5))
+def test_bounds_lie_between_spectral_radius_and_frobenius_norm(
+        blocks, seed, spread, sparsity):
+    # square blocks: D G D^-1 is then a similarity, which keeps rho(G)
+    structure = [UncertaintyBlock(f"b{i}", kind, n, n)
+                 for i, (kind, n) in enumerate(blocks)]
+    n = sum(b.dim_y for b in structure)
+    rng = np.random.default_rng(seed)
+    G = ((rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n)))
+         * np.exp(rng.uniform(-spread, spread, (3, n, n)))
+         * (rng.random((3, n, n)) >= sparsity))
+    polished = ssv_upper_bound(G, structure)
+    balanced = ssv_upper_bound(G, structure, polish=False)
+    rho = np.max(np.abs(np.linalg.eigvals(G)), axis=1)
+    assert np.all(rho * (1.0 - 1e-9) <= polished)
+    assert np.all(polished <= balanced)
+    assert np.all(balanced <= np.linalg.norm(G, axis=(1, 2)) * (1.0 + 1e-12))
 
 
 def test_polished_bound_between_spectral_radius_and_balanced():

@@ -88,6 +88,40 @@ def test_out_of_range_value_fails_at_load(field):
         beam(**OUT_OF_RANGE[field])
 
 
+# numbers that once raised ZeroDivisionError or a bare ValueError at load,
+# or loaded and failed later
+BAD_NUMBERS = {
+    "rates.controller": {"rates": {"controller": 0}},
+    "rates.estimator": {"rates": {"estimator": 0}},
+    "tuning.M": {"tuning": {"M": -1.0}},
+    "tuning.M nan": {"tuning": {"M": float("nan")}},
+    "payload.mass": {"payload": {"mass": 0.0}},
+    "payload.mass negative": {"payload": {"mass": -1.8}},
+    "mission.tol": {"mission": {"tol": -0.05}},
+    "payload inertia": {"payload": {"inertia": [0.01, -0.3, 0.3]}},
+    "mav": {"mav": {"m": -3.5}},
+    "admittance": {"admittance": {"F_lo": -0.3}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_fails_at_load(case):
+    with pytest.raises(ScenarioError, match=case.split()[0]):
+        beam(**BAD_NUMBERS[case])
+
+
+def test_overridden_field_is_checked_like_load(tmp_path):
+    import dataclasses
+
+    with pytest.raises(ScenarioError, match="rates.controller"):
+        dataclasses.replace(beam(), ctrl_rate=0.0)
+    cfg = tmp_path / "beam.json"
+    cfg.write_text(json.dumps(BEAM))
+    with pytest.raises(ScenarioError, match="duration"):
+        main(["simulate", str(cfg), "--out-dir", str(tmp_path),
+              "--duration", "nan"])
+
+
 def test_cli_negative_seed_fails_like_load(tmp_path):
     cfg = tmp_path / "beam.json"
     cfg.write_text(json.dumps(BEAM))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -39,3 +40,25 @@ def test_cli_sweep_serial_equals_parallel(tmp_path):
     table = read_margin_csv(str(tmp_path / "jobs1" / "margins_n2.csv"))
     assert table.shape == (2, 6)
     assert table[0, 2] == 0.0 and table[1, 2] > 1.0  # M = 0 is degenerate
+
+
+def _manifest(out_dir, **kw):
+    from swarmlift.mu import TuningGrid
+    from swarmlift.sweep import grid_sweep
+
+    # M = 0 is the degenerate edge: each point returns at once
+    grid = TuningGrid(M_values=np.array([0.0]), C_values=np.array([6.0]))
+    csv = grid_sweep(2, grid, str(out_dir), n_freqs=20, **kw)
+    return Path(csv[:-len(".csv")] + "_manifest.json").read_bytes()
+
+
+def test_config_hash_covers_polish_and_cfg_kwargs(tmp_path):
+    from swarmlift.mav import MavParams
+
+    default = _manifest(tmp_path / "a")
+    assert _manifest(tmp_path / "b") == default
+    hashes = {json.loads(m)["config_hash"] for m in (
+        default,
+        _manifest(tmp_path / "c", polish=False),
+        _manifest(tmp_path / "d", cfg_kwargs={"mav": MavParams(m=3.6)}))}
+    assert len(hashes) == 3
