@@ -14,11 +14,16 @@ Uncertainty enters through normalized injection channels:
 * u_att_i / y_att_i: multiplicative perturbation on each thrust lag,
 * u_est_j / y_est_j: multiplicative perturbation on each slave estimator.
 
-One nonlinear model, :func:`_core`, carries the physics. Every linear
-plant of the analysis is its complex-step Jacobian, which is exact to
-machine precision: at the engaged-hover equilibrium for the rest plant
+One nonlinear model, :func:`_core`, carries the physics. It runs the
+simulator's kernels (``payload``'s attachment kinematics, rigid body and
+joint force; ``mav``'s PD law and thrust clamp; ``attitude.quat_rate``) and
+adds only what is the analysis's own: the references, the payload-frame
+thrust lag, the uncertainty injections, the estimator lag and the
+admittance law. Every linear plant is its complex-step Jacobian, exact to
+machine precision, at the engaged-hover equilibrium for the rest plant
 (:func:`build_closed_loop`) and at the pre-rolled state for the transport
-plant.
+plant; so the margins are computed on the Jacobian of the physics that the
+simulator integrates.
 """
 
 from __future__ import annotations
@@ -28,11 +33,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admittance import AdmittanceParams
-from .attitude import cross3, quat_normalize, quat_to_rotmat, rotvec_to_rotmat
+from .attitude import (cross3, quat_normalize, quat_rate, quat_to_rotmat,
+                       rotvec_to_rotmat)
 from .errors import UnstableOperatingPoint
 from .lti import LinearSystem
-from .mav import EZ, GRAVITY, MavParams, rk4_step, saturate_thrust_command
-from .payload import ComSystem, PayloadParams, com_system
+from .mav import (EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
+                  saturate_thrust_command)
+from .payload import (ComSystem, PayloadParams, attachment_accel,
+                      attachment_kinematics, com_system,
+                      joint_interaction_force, payload_accel)
 
 TRANSPORT_PREROLL_T = 5.0
 TRANSPORT_VELOCITY = np.array([0.5, 0.5, 0.0])
@@ -169,10 +178,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
     dt_ = np.result_type(R.dtype, p.dtype, u.dtype)
 
-    r = com.attachments
-    p_i = p[None, :] + r @ R.T
-    omega_r = cross3(omega, r)
-    v_i = v[None, :] + omega_r @ R.T
+    p_i, v_i = attachment_kinematics(com, p, v, R, omega)
 
     # references: master integrates the velocity command, slaves follow the
     # engaged admittance law
@@ -183,9 +189,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     ref_p[1:] = cfg.engage_points[1:] + z
     ref_v[1:] = zdot
 
-    F_cmd = (mav.K_P[None, :] * (ref_p - p_i)
-             + mav.K_D[None, :] * (ref_v - v_i)
-             + mav.m * GRAVITY * EZ[None, :])
+    F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
     y_mpc = F_cmd
     F_lag_in_w = saturate_thrust_command(F_cmd + u_mpc, mav)
     # the realized thrust is carried in the payload frame (constant-R_PB
@@ -198,23 +202,21 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     F_cons_P = F_prop + u_att
     F_cons_w = np.einsum("ij,nj->ni", R, F_cons_P)
 
-    # payload rigid body about the composite CoM
-    sumF = F_cons_w.sum(axis=0)
-    drag_w = R @ (cfg.payload.drag_F * (R.T @ v))
-    a_com = (sumF - drag_w) / com.m_sys - cfg.w_mass * u_mass
-    y_mass = a_com
-    v_dot = a_com - GRAVITY * EZ
-    M_net = cross3(r, F_cons_P).sum(axis=0) \
-        - cross3(omega, com.J_sys @ omega) - cfg.payload.drag_M * omega
-    omega_dot = np.linalg.solve(com.J_sys, M_net) - cfg.G_inertia @ u_J
+    # payload rigid body about the composite CoM, with the mass and inertia
+    # uncertainty injected into its accelerations
+    v_dot, omega_dot = payload_accel(com, cfg.payload.drag_F,
+                                     cfg.payload.drag_M, R, v, omega,
+                                     F_cons_w, F_cons_P)
+    v_dot = v_dot - cfg.w_mass * u_mass
+    omega_dot = omega_dot - cfg.G_inertia @ u_J
+    y_mass = v_dot + GRAVITY * EZ
     y_J = omega_dot
 
     dp_ref = w
 
     # slave joint force, estimator lag, admittance
-    a_i = v_dot[None, :] + (cross3(omega_dot, r[1:])
-                            + cross3(omega, omega_r[1:])) @ R.T
-    F_int = mav.m * (a_i + GRAVITY * EZ[None, :]) - F_cons_w[1:]
+    a_i = attachment_accel(com, R, omega, v_dot, omega_dot)
+    F_int = joint_interaction_force(a_i[1:], F_cons_w[1:], mav.m)
     dF_hat = (F_int - F_hat) / mav.tau_est
     F_used = F_hat + u_est - cfg.F_int_trim[None, :]
     dzdot = (F_used - adm.C[None, :] * zdot - adm.K[None, :] * z) \
@@ -227,15 +229,11 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
 def full_rhs(cfg: AnalysisConfig, x, u):
     """State derivative with quaternion payload attitude (real arithmetic)."""
     p, v, q, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(cfg, x)
-    R = quat_to_rotmat(q)
-    der, _ = _core(cfg, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot, u)
+    der, _ = _core(cfg, quat_to_rotmat(q), p, v, omega, p_ref, F_prop, F_hat,
+                   z, zdot, u)
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
-    # qdot = 1/2 q (x) (omega, 0)
-    qv, qs = q[:3], q[3]
-    dqv = 0.5 * (qs * omega + cross3(qv, omega))
-    dqs = -0.5 * np.dot(qv, omega)
-    return pack_state(v, v_dot, np.concatenate([dqv, [dqs]]), omega_dot,
-                      dp_ref, dF_prop, dF_hat, dz, dzdot)
+    return pack_state(v, v_dot, quat_rate(q, omega), omega_dot, dp_ref,
+                      dF_prop, dF_hat, dz, dzdot)
 
 
 def chart_rhs_out(cfg: AnalysisConfig, xc, u, q_ref):

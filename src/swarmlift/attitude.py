@@ -169,13 +169,15 @@ def rotmat_to_quat(R):
 
 
 def euler_to_rotmat(eta):
-    """Z-Y-X Euler angles (roll, pitch, yaw) to rotation matrix."""
-    eta = np.asarray(eta, dtype=float)
+    """Z-Y-X Euler angles (roll, pitch, yaw) to rotation matrix; a complex
+    input gives a complex matrix (complex-step safe)."""
+    eta = np.asarray(eta)
+    eta = eta.astype(np.result_type(eta.dtype, float), copy=False)
     phi, theta, psi = eta[..., 0], eta[..., 1], eta[..., 2]
     cph, sph = np.cos(phi), np.sin(phi)
     cth, sth = np.cos(theta), np.sin(theta)
     cps, sps = np.cos(psi), np.sin(psi)
-    R = np.empty(eta.shape[:-1] + (3, 3))
+    R = np.empty(eta.shape[:-1] + (3, 3), dtype=eta.dtype)
     R[..., 0, 0] = cps * cth
     R[..., 0, 1] = cps * sth * sph - sps * cph
     R[..., 0, 2] = cps * sth * cph + sps * sph
@@ -236,6 +238,19 @@ def mrp_to_quat(p, cfg: MrpConfig = DEFAULT_MRP):
     neg = q[..., 3:4] < 0.0
     q = np.where(neg, -q, q)
     return quat_normalize(q)
+
+
+def quat_rate(q, w):
+    """Rate of a scalar-last unit quaternion under body rate w:
+    qdot = 1/2 q (x) (w, 0)."""
+    qx, qy, qz, qs = q.tolist()
+    wx, wy, wz = w.tolist()
+    # the scalar part stays np.dot: its BLAS kernel may fuse multiply-adds,
+    # which a plain sum of products would not reproduce bit for bit
+    return np.array([0.5 * (qs * wx + (qy * wz - qz * wy)),
+                     0.5 * (qs * wy + (qz * wx - qx * wz)),
+                     0.5 * (qs * wz + (qx * wy - qy * wx)),
+                     -0.5 * np.dot(q[:3], w)])
 
 
 def quat_integrate(q, omega, Ts: float):

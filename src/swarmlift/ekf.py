@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attitude import euler_to_rotmat
-from .mav import MavParams, translational_dynamics
+from .mav import MavParams, attitude_accel, translational_dynamics
 
 NX = 18
 NZ = 6
@@ -79,7 +79,9 @@ def ekf_init(p0, v0, eta0, omega0, P0_diag=None) -> EkfState:
 
 
 def process_rhs(x, u, params: MavParams):
-    """Continuous-time reduced-model state derivative.
+    """Continuous-time reduced-model state derivative: the translational
+    and attitude-loop kernels of the agent plus the external torque. It
+    follows the dtype of x, so it is complex-step safe.
 
     u = (phi_cmd, theta_cmd, psi_cmd, F_cmd).
     """
@@ -87,18 +89,11 @@ def process_rhs(x, u, params: MavParams):
     v, eta, omega = x[V_SL], x[ETA_SL], x[W_SL]
     v_dot = translational_dynamics(euler_to_rotmat(eta), v, F_cmd,
                                    params.K_drag, x[F_SL], params)
-    wn, xi, kc = params.omega_n_att, params.xi_att, params.k_cmd_att
     cmd = np.array([phi_c, theta_c, psi_c])
-    w_dot = (wn**2 * (kc * cmd - eta) - 2.0 * xi * wn * omega
+    w_dot = (attitude_accel(eta, omega, cmd, params.omega_n_att)
              + x[M_SL] / params.J)
-    out = np.empty(NX)
-    out[P_SL] = v
-    out[V_SL] = v_dot
-    out[ETA_SL] = omega
-    out[W_SL] = w_dot
-    out[F_SL] = 0.0
-    out[M_SL] = 0.0
-    return out
+    # the wrench is a random walk: zero drift
+    return np.concatenate([v, v_dot, omega, w_dot, np.zeros(6)])
 
 
 def _euler_rotmat_partials(eta):
@@ -130,9 +125,9 @@ def process_jacobian(x, u, params: MavParams):
     for k, Rk in enumerate(_euler_rotmat_partials(eta)):
         A[V_SL, 6 + k] = (Rk @ c - R @ (params.K_drag * (Rk.T @ v))) / params.m
     A[ETA_SL, W_SL] = np.eye(3)
-    wn, xi = params.omega_n_att, params.xi_att
+    wn = params.omega_n_att
     A[W_SL, ETA_SL] = -wn**2 * np.eye(3)
-    A[W_SL, W_SL] = -2.0 * xi * wn * np.eye(3)
+    A[W_SL, W_SL] = -2.0 * wn * np.eye(3)
     A[W_SL, M_SL] = np.diag(1.0 / params.J)
     return A
 

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import ekf as ekf_mod
 from . import ukf as ukf_mod
-from .attitude import body_rate_from_euler_rate, euler_to_quat, euler_to_rotmat
+from .attitude import (body_rate_from_euler_rate, cross3, euler_to_quat,
+                       euler_to_rotmat)
 from .mav import (
     GRAVITY,
-    AgentState,
     MavParams,
     attitude_accel,
     pd_position_control,
@@ -91,9 +91,7 @@ def simulate_single_mav(params: MavParams, duration: float,
     t = 0.0
     for k in range(n_ctrl):
         ref_p, ref_v = ref_fn(t)
-        state = AgentState(p, v, euler_to_quat(eta),
-                           body_rate_from_euler_rate(eta, eta_dot))
-        F_cmd_w = pd_position_control(state, ref_p, ref_v, params)
+        F_cmd_w = pd_position_control(p, v, ref_p, ref_v, params)
         phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[2], params)
         u_ctrl = (phi_c, theta_c, 0.0, F_cmd_mag)
 
@@ -106,7 +104,7 @@ def simulate_single_mav(params: MavParams, duration: float,
                 acc_att = attitude_accel(eta, eta_dot,
                                          np.array([phi_c, theta_c, 0.0]),
                                          params.omega_n_att)
-                M_cmd = params.J * acc_att + np.cross(omega, params.J * omega)
+                M_cmd = params.J * acc_att + cross3(omega, params.J * omega)
                 n_rot = rotor_speeds_from_wrench(M_cmd, F_mag, params)
                 est = ukf_mod.ukf_predict(est, n_rot, Q, params, 1.0 / est_rate)
                 est = ukf_mod.ukf_update(est, p, v, euler_to_quat(eta), omega, R)

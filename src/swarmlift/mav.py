@@ -4,11 +4,14 @@ analysis pre-roll.
 
 The low-level controller is the cascade used by every agent: a PD position
 loop with gravity feed-forward, thrust-vector-to-attitude command allocation
-and a critically damped second-order attitude closed loop. The kernels here
-are the ones that run: ``translational_dynamics`` in the single-agent
-experiments and the EKF process model, ``rotational_dynamics`` in the UKF
-process model and ``attitude_accel`` in the coupled simulator and the
-identification runs.
+and a critically damped second-order attitude closed loop. Each kernel is
+the one copy of its block. ``pd_position_control`` runs in the coupled
+simulator (one agent at a time), the single-agent loop and
+``analysis._core`` (all agents at once); ``saturate_thrust_command`` in the
+simulator's lag model and ``_core``; ``attitude_accel`` in the simulator,
+the single-agent loop, the identification runs and the EKF process model;
+``translational_dynamics`` in the single-agent loop and the EKF;
+``rotational_dynamics`` in the UKF.
 """
 
 from __future__ import annotations
@@ -126,14 +129,6 @@ class MavParams:
         return CRIT_DAMP_RISE / self.tau_att
 
     @property
-    def xi_att(self) -> float:
-        return 1.0
-
-    @property
-    def k_cmd_att(self) -> float:
-        return 1.0
-
-    @property
     def tau_thrust(self) -> np.ndarray:
         """Per-axis time constants of the world thrust-vector lag: the
         lateral components re-orient with the attitude loop, the collective
@@ -146,22 +141,6 @@ class MavParams:
             [np.sin(self.phi_cmd_max) * self.F_prop_max,
              np.sin(self.theta_cmd_max) * self.F_prop_max]
         )
-
-
-@dataclass
-class AgentState:
-    """Inertial position/velocity, attitude quaternion, body rate."""
-
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
 
 
 @dataclass
@@ -229,11 +208,11 @@ def attitude_accel(eta, eta_dot, eta_cmd, omega_n: float):
     return omega_n**2 * (eta_cmd - eta) - 2.0 * omega_n * eta_dot
 
 
-def pd_position_control(state: AgentState, ref_p, ref_v, params: MavParams):
+def pd_position_control(p, v, ref_p, ref_v, params: MavParams):
     """World-frame thrust command: PD on position/velocity error plus
-    gravity feed-forward."""
-    return (params.K_P * (np.asarray(ref_p) - state.p)
-            + params.K_D * (np.asarray(ref_v) - state.v)
+    gravity feed-forward. Broadcasts over agents; complex-step safe."""
+    return (params.K_P * (np.asarray(ref_p) - p)
+            + params.K_D * (np.asarray(ref_v) - v)
             + params.m * GRAVITY * EZ)
 
 

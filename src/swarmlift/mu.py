@@ -113,9 +113,12 @@ def _scaling_groups(structure):
 
 
 def _scaled(M, logd, row_group, col_group):
-    """D M D^-1 with d = exp(logd) per scaling group."""
-    d = np.exp(logd)
-    return (d[row_group][:, None] * M) / d[col_group][None, :]
+    """D M D^-1 with d = exp(logd) per scaling group. A scaling that
+    overflows or underflows leaves non-finite entries, silently: the caller
+    counts such a trial as an infinite bound."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = np.exp(logd)
+        return (d[row_group][:, None] * M) / d[col_group][None, :]
 
 
 def scaled_sv_gradient(M, logd, row_group, col_group):

@@ -4,8 +4,11 @@ The joints transmit force but no torque, so agent attitude dynamics are
 decoupled from the payload while agent translational states are constrained
 to the payload kinematics. Agents enter the system inertia as point masses
 at their attachment points, and the lumped rigid body is written about the
-composite CoM (``com_system``). ``payload_accel`` and
-``attachment_kinematics`` are the payload kernels the simulator integrates.
+composite CoM (``com_system``). The kernels take the rotation matrix R of
+the payload, are complex-step safe, and are the one copy of their block:
+``attachment_kinematics``, ``attachment_accel``, ``payload_accel`` and
+``joint_interaction_force`` run in the coupled simulator and in the
+analysis model ``analysis._core``, whose Jacobian is every linear plant.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import cross3, quat_to_rotmat
+from .attitude import cross3
 from .errors import DimensionMismatch
 from .mav import EZ, GRAVITY
 
@@ -112,29 +115,33 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
                      r_payload_cog=r_pc, agent_masses=agent_masses)
 
 
-def attachment_kinematics(com: ComSystem, p, v, q, w, vdot=None, wdot=None):
-    """World-frame position, velocity and (when the payload accelerations
-    are given) acceleration of every attachment, each (N, 3), for the
-    payload pose (p, q) and twist (v, w about the CoM, w payload frame)."""
+def attachment_kinematics(com: ComSystem, p, v, R, w):
+    """World-frame position and velocity of every attachment, each (N, 3),
+    for the payload pose (p, R) and twist (v, w about the CoM, w payload
+    frame). Complex-step safe."""
     att = com.attachments
-    R = quat_to_rotmat(q)
     p_i = p[None, :] + att @ R.T
+    v_i = v[None, :] + cross3(w, att) @ R.T
+    return p_i, v_i
+
+
+def attachment_accel(com: ComSystem, R, w, vdot, wdot):
+    """World-frame acceleration (N, 3) of every attachment under the payload
+    accelerations (vdot, wdot about the CoM, wdot payload frame).
+    Complex-step safe."""
+    att = com.attachments
     w_x_r = cross3(w, att)
-    v_i = v[None, :] + w_x_r @ R.T
-    a_i = None
-    if vdot is not None:
-        a_i = vdot[None, :] + (cross3(wdot, att) + cross3(w, w_x_r)) @ R.T
-    return p_i, v_i, a_i
+    return vdot[None, :] + (cross3(wdot, att) + cross3(w, w_x_r)) @ R.T
 
 
-def payload_accel(com: ComSystem, drag_F, drag_M, v, q, w, Fw):
-    """Linear and angular acceleration of the composite body under the
-    world-frame agent forces Fw (N, 3) applied at the attachments; drag is
-    linear in the payload-frame velocity and rate."""
-    R = quat_to_rotmat(q)
+def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
+    """Linear and angular acceleration of the composite body under the agent
+    forces applied at the attachments, given in both frames: Fw = R FP
+    (world) and FP (payload), each (N, 3). Drag is linear in the
+    payload-frame velocity and rate. Complex-step safe."""
     drag_w = R @ (drag_F * (R.T @ v))
     vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
-    M_ag = cross3(com.attachments, Fw @ R).sum(axis=0)
+    M_ag = cross3(com.attachments, FP).sum(axis=0)
     wdot = np.linalg.solve(com.J_sys,
                            M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
     return vdot, wdot

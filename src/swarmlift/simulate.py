@@ -22,13 +22,13 @@ from .attitude import (
     euler_body_z,
     euler_to_quat,
     quat_normalize,
+    quat_rate,
     quat_to_rotmat,
     rotmat_to_euler,
 )
 from .errors import ScenarioError
 from .mav import (
     GRAVITY,
-    AgentState,
     attitude_accel,
     pd_position_control,
     rk4_step,
@@ -38,6 +38,7 @@ from .mav import (
 )
 from .mission import MissionPhase, MissionState, mission_step
 from .payload import (
+    attachment_accel,
     attachment_kinematics,
     com_system,
     joint_interaction_force,
@@ -169,19 +170,6 @@ class _MasterRef:
         self.v = np.asarray(v, dtype=float)
 
 
-def _quat_rate(q, w):
-    """Rate of a scalar-last unit quaternion under body rate w:
-    qdot = 1/2 q (x) (w, 0)."""
-    qx, qy, qz, qs = q.tolist()
-    wx, wy, wz = w.tolist()
-    # the scalar part stays np.dot: its BLAS kernel may fuse multiply-adds,
-    # which a plain sum of products would not reproduce bit for bit
-    return np.array([0.5 * (qs * wx + (qy * wz - qz * wy)),
-                     0.5 * (qs * wy + (qz * wx - qx * wz)),
-                     0.5 * (qs * wz + (qx * wy - qy * wx)),
-                     -0.5 * np.dot(q[:3], w)])
-
-
 def _rk4(rhs, t: float, x, h: float, n_steps: int):
     """RK4 steps of the state tuple x = (p, v, q, w, ...) of the payload and
     the agents; the payload quaternion q is renormalized after every
@@ -289,16 +277,18 @@ def run_scenario(sc: Scenario) -> RunLog:
     # Right-hand sides of the coupled model on the state (p, v, q, w, agent
     # states); they read the commands held over the current controller tick.
     def attitude_rhs(t, p, v, q, w, et, etd, fm):
-        vdot, wdot = payload_accel(com, drag_F, drag_M, v, q, w,
-                                   euler_body_z(et) * fm[:, None])
+        R = quat_to_rotmat(q)
+        Fw = euler_body_z(et) * fm[:, None]
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
         etdd = attitude_accel(et, etd, cmd_eta, wn)
         dfm = (cmd_F - fm) / sc.mav.tau_motor
-        return v, vdot, _quat_rate(q, w), wdot, etd, etdd, dfm
+        return v, vdot, quat_rate(q, w), wdot, etd, etdd, dfm
 
     def lag_rhs(t, p, v, q, w, Fl):
-        vdot, wdot = payload_accel(com, drag_F, drag_M, v, q, w, Fl)
+        R = quat_to_rotmat(q)
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fl, Fl @ R)
         dF = (sat_cmd - Fl) / tau_thrust[None, :]
-        return v, vdot, _quat_rate(q, w), wdot, dF
+        return v, vdot, quat_rate(q, w), wdot, dF
 
     def engage_slaves(calibrate=False):
         # latch at the held reference, not the sagged pose
@@ -344,9 +334,11 @@ def run_scenario(sc: Scenario) -> RunLog:
             else:
                 raise ScenarioError(f"unknown event action {act!r}")
 
+        # current constrained kinematics
+        R_pl = quat_to_rotmat(q_pl)
+        p_i, v_i = attachment_kinematics(com, p_pl, v_pl, R_pl, w_pl)
         # mission coordinator at the controller rate
         if mission is not None:
-            p_i, _, _ = attachment_kinematics(com, p_pl, v_pl, q_pl, w_pl)
             begin = (sc.mission_land_at is not None
                      and t >= sc.mission_land_at
                      and mission.phase is MissionPhase.TRANSPORTING)
@@ -363,12 +355,11 @@ def run_scenario(sc: Scenario) -> RunLog:
                     agents[0].hold_xy = master.p[:2].copy()
                     disengage_slaves()
 
-        # current constrained kinematics and the coupled accelerations
+        # the coupled accelerations
         Fw_now = thrust_world()
-        vdot_now, wdot_now = payload_accel(com, drag_F, drag_M, v_pl, q_pl,
-                                           w_pl, Fw_now)
-        p_i, v_i, a_i = attachment_kinematics(com, p_pl, v_pl, q_pl, w_pl,
-                                              vdot_now, wdot_now)
+        vdot_now, wdot_now = payload_accel(com, drag_F, drag_M, R_pl, v_pl,
+                                           w_pl, Fw_now, Fw_now @ R_pl)
+        a_i = attachment_accel(com, R_pl, w_pl, vdot_now, wdot_now)
         omega_i = body_rate_from_euler_rate(eta, eta_dot)
 
         # estimators (slaves) at their own rate
@@ -429,8 +420,8 @@ def run_scenario(sc: Scenario) -> RunLog:
                     ctl.ref_p = np.array([ctl.hold_xy[0], ctl.hold_xy[1],
                                           ctl.alt_target])
                     ctl.ref_v = np.zeros(3)
-            st = AgentState(p_i[i], v_i[i], q_i[i], omega_i[i])
-            F_cmd_w = pd_position_control(st, ctl.ref_p, ctl.ref_v, sc.mav)
+            F_cmd_w = pd_position_control(p_i[i], v_i[i], ctl.ref_p,
+                                          ctl.ref_v, sc.mav)
             ctl.F_cmd_w = F_cmd_w
             phi_c, theta_c, F_c = thrust_to_attitude(F_cmd_w, eta[i, 2], sc.mav)
             ctl.eta_cmd = np.array([phi_c, theta_c, 0.0])

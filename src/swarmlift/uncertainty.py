@@ -60,13 +60,19 @@ def relative_error(G_nom: LinearSystem, actual: FrequencyResponse) -> np.ndarray
 
 
 def _shelf_cascade(params: np.ndarray) -> LinearSystem:
-    """k * prod_i (s/z_i + 1)/(s/p_i + 1) from log-parameters."""
+    """k * prod_i (s/z_i + 1)/(s/p_i + 1) from log-parameters.
+
+    A least-squares trial may push a corner's log past the float range. It
+    overflows to inf, silently; 1/inf = 0 then drops that corner, which is
+    the trial's limit.
+    """
     k = np.exp(params[0])
     num, den = np.array([k]), np.array([1.0])
     m = (params.size - 1) // 2
     for i in range(m):
-        z = np.exp(params[1 + 2 * i])
-        p = np.exp(params[2 + 2 * i])
+        with np.errstate(over="ignore"):
+            z = np.exp(params[1 + 2 * i])
+            p = np.exp(params[2 + 2 * i])
         num = np.convolve(num, [1.0 / z, 1.0])
         den = np.convolve(den, [1.0 / p, 1.0])
     return siso_tf(num, den)

@@ -16,6 +16,7 @@ from swarmlift.attitude import (
     quat_integrate,
     quat_inverse,
     quat_multiply,
+    quat_rate,
     quat_to_mrp,
     quat_to_rotmat,
     random_quat,
@@ -205,6 +206,18 @@ def test_integrate_body_rate_convention():
         k4 = (R + h * k3) @ skew(omega)
         R = R + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     assert_allclose(quat_to_rotmat(quat_integrate(q, omega, Ts)), R, atol=1e-8)
+
+
+def test_quat_rate_is_rate_of_exact_integration():
+    # the kinematics the simulator and the analysis integrate match the
+    # closed-form propagator: backward over h is forward under -omega
+    rng = np.random.default_rng(17)
+    h = 1e-5
+    for _ in range(20):
+        q = random_quat(rng)
+        omega = rng.normal(size=3)
+        fd = (quat_integrate(q, omega, h) - quat_integrate(q, -omega, h)) / (2 * h)
+        assert_allclose(quat_rate(q, omega), fd, atol=1e-8)
 
 
 def test_integration_matrix_orthogonal():

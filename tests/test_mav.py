@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from swarmlift.analysis import AnalysisConfig, full_rhs, rest_state, zero_input
 from swarmlift.attitude import (
-    IDENTITY_QUAT,
     euler_body_z,
     quat_from_axis_angle,
     quat_to_rotmat,
@@ -14,7 +13,6 @@ from swarmlift.attitude import (
 from swarmlift.errors import DimensionMismatch, ZeroThrust
 from swarmlift.mav import (
     GRAVITY,
-    AgentState,
     MavParams,
     allocate_wrench,
     attitude_accel,
@@ -31,10 +29,6 @@ from swarmlift.mav import (
 @pytest.fixture
 def params():
     return MavParams()
-
-
-def hover_state():
-    return AgentState(np.zeros(3), np.zeros(3), IDENTITY_QUAT.copy(), np.zeros(3))
 
 
 # ---------------------------------------------------------------- allocation
@@ -172,18 +166,30 @@ def test_rotational_gyroscopic_oracle():
 # ------------------------------------------------------------------- control
 
 def test_pd_gravity_feedforward(params):
-    st_ = hover_state()
-    F = pd_position_control(st_, np.zeros(3), np.zeros(3), params)
+    F = pd_position_control(np.zeros(3), np.zeros(3), np.zeros(3),
+                            np.zeros(3), params)
     assert_allclose(F, [0.0, 0.0, 3.5 * 9.81], atol=1e-12)
     assert_allclose(F[2], 34.335)
 
 
 def test_pd_position_and_velocity_errors(params):
-    st_ = hover_state()
-    F = pd_position_control(st_, [1.0, 0, 0], np.zeros(3), params)
+    Z3 = np.zeros(3)
+    F = pd_position_control(Z3, Z3, [1.0, 0, 0], Z3, params)
     assert_allclose(F[0], 17.0)
-    F = pd_position_control(st_, np.zeros(3), [0.0, 1.0, 0.0], params)
+    F = pd_position_control(Z3, Z3, Z3, [0.0, 1.0, 0.0], params)
     assert_allclose(F[1], 15.0)
+
+
+def test_pd_broadcasts_over_agents_bitwise(params):
+    # the analysis runs the law on all agents at once, the simulator on
+    # one agent at a time: both must give the same bits
+    rng = np.random.default_rng(8)
+    p, v, ref_p, ref_v = rng.normal(size=(4, 5, 3))
+    F = pd_position_control(p, v, ref_p, ref_v, params)
+    assert F.shape == (5, 3)
+    for i in range(5):
+        assert np.array_equal(
+            F[i], pd_position_control(p[i], v[i], ref_p[i], ref_v[i], params))
 
 
 def test_thrust_to_attitude_level(params):

@@ -7,11 +7,13 @@ from swarmlift.attitude import (
     quat_from_axis_angle,
     quat_integrate,
     quat_to_rotmat,
+    rotvec_to_rotmat,
 )
 from swarmlift.errors import DimensionMismatch
 from swarmlift.mav import GRAVITY
 from swarmlift.payload import (
     PayloadParams,
+    attachment_accel,
     attachment_kinematics,
     com_system,
     joint_interaction_force,
@@ -32,7 +34,9 @@ def beam_params(height=0.0):
 
 def beam_accel(Fw, v=Z3, q=IDENTITY_QUAT, w=Z3):
     cs = com_system(beam_params(), [3.5, 3.5])
-    return cs, payload_accel(cs, Z3, Z3, v, q, w, np.asarray(Fw, dtype=float))
+    R = quat_to_rotmat(q)
+    Fw = np.asarray(Fw, dtype=float)
+    return cs, payload_accel(cs, Z3, Z3, R, v, w, Fw, Fw @ R)
 
 
 def point_inertia(J_p, masses, att):
@@ -96,8 +100,8 @@ def test_mass_inertia_dim_mismatch():
 def test_kinematics_no_rotation():
     cs = com_system(beam_params(), [3.5, 3.5])
     v = np.array([0.3, -0.1, 0.0])
-    pi, vi, ai = attachment_kinematics(cs, Z3, v, IDENTITY_QUAT, Z3,
-                                       np.array([0.1, 0, 0]), Z3)
+    pi, vi = attachment_kinematics(cs, Z3, v, np.eye(3), Z3)
+    ai = attachment_accel(cs, np.eye(3), Z3, np.array([0.1, 0, 0]), Z3)
     assert_allclose(pi, cs.attachments)
     assert_allclose(vi, [v, v])
     assert_allclose(ai, [[0.1, 0, 0]] * 2)
@@ -107,8 +111,9 @@ def test_kinematics_pure_spin():
     p = PayloadParams(m_p=1.0, J_p=[0.1, 0.1, 0.1],
                       attachments=[[1.0, 0.0, 0.0]])
     cs = com_system(p, [0.0])  # massless agent: the CoM is the payload origin
-    _, vi, ai = attachment_kinematics(cs, Z3, Z3, IDENTITY_QUAT,
-                                      np.array([0.0, 0.0, 1.0]), Z3, Z3)
+    w = np.array([0.0, 0.0, 1.0])
+    _, vi = attachment_kinematics(cs, Z3, Z3, np.eye(3), w)
+    ai = attachment_accel(cs, np.eye(3), w, Z3, Z3)
     assert_allclose(vi, [[0.0, 1.0, 0.0]], atol=1e-15)
     assert_allclose(ai, [[-1.0, 0.0, 0.0]], atol=1e-15)  # centripetal
 
@@ -121,12 +126,28 @@ def test_kinematics_finite_difference():
     p = np.array([0.5, 0.2, 1.0])
     v = np.array([0.1, -0.2, 0.05])
     w = np.array([0.3, -0.1, 0.4])
-    p0, v0, _ = attachment_kinematics(cs, p, v, q, w)
+    p0, v0 = attachment_kinematics(cs, p, v, quat_to_rotmat(q), w)
     # advance the rigid motion by dt
-    p1, _, _ = attachment_kinematics(cs, p + dt * v, v,
-                                     quat_integrate(q, w, dt), w)
+    p1, _ = attachment_kinematics(cs, p + dt * v, v,
+                                  quat_to_rotmat(quat_integrate(q, w, dt)), w)
     fd = (p1 - p0) / dt
     assert np.max(np.abs(fd - v0)) < 1e-5
+
+
+def test_attachment_accel_is_complex_step_rate_of_velocity():
+    # a_i is d(v_i)/dt along the rigid motion with accelerations (vdot,
+    # wdot); the derivative is taken by complex step through the kinematics
+    # kernel, with R(t) = R0 expm(skew(w t)), so it is exact to rounding
+    cs = com_system(beam_params(height=0.15), [3.5, 3.5])
+    rng = np.random.default_rng(3)
+    R0 = quat_to_rotmat(quat_from_axis_angle(rng.normal(size=3), 0.7))
+    p, v, w, vdot, wdot = rng.normal(size=(5, 3))
+    h = 1e-30
+    _, v_i = attachment_kinematics(
+        cs, p + 1j * h * v, v + 1j * h * vdot, R0 @ rotvec_to_rotmat(1j * h * w),
+        w + 1j * h * wdot)
+    a_i = attachment_accel(cs, R0, w, vdot, wdot)
+    assert_allclose(np.imag(v_i) / h, a_i, rtol=1e-13, atol=1e-14)
 
 
 def test_total_wrench_zero_and_symmetry():
@@ -195,8 +216,9 @@ def test_joint_force_newton_closure():
     v_WP = rng.normal(size=3) * 0.2
     omega = rng.normal(size=3) * 0.3
     forces_w = rng.normal(size=(2, 3)) * 2.0 + np.array([0, 0, cs.m_sys * GRAVITY / 2])
-    v_dot, w_dot = payload_accel(cs, Z3, Z3, v_WP, q, omega, forces_w)
-    _, _, a = attachment_kinematics(cs, Z3, v_WP, q, omega, v_dot, w_dot)
+    v_dot, w_dot = payload_accel(cs, Z3, Z3, R, v_WP, omega, forces_w,
+                                 forces_w @ R)
+    a = attachment_accel(cs, R, omega, v_dot, w_dot)
     F_int = np.array([
         joint_interaction_force(a[i], forces_w[i], 3.5) for i in range(2)])
     # payload CoG acceleration from the rigid kinematics about the CoM
