@@ -67,10 +67,8 @@ class AdmittanceState:
     params: AdmittanceParams
     Lambda_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
     dLambda_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ddLambda_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
     z: np.ndarray = field(default_factory=lambda: np.zeros(3))
     zdot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    zddot: np.ndarray = field(default_factory=lambda: np.zeros(3))
     mode: AdmittanceMode = AdmittanceMode.DISENGAGED
     axis_generating: np.ndarray = field(
         default_factory=lambda: np.zeros(3, dtype=bool))
@@ -90,10 +88,6 @@ class AdmittanceState:
     @property
     def dLambda_r(self) -> np.ndarray:
         return self.dLambda_d + self.zdot
-
-    @property
-    def ddLambda_r(self) -> np.ndarray:
-        return self.ddLambda_d + self.zddot
 
     @property
     def engaged(self) -> bool:
@@ -117,10 +111,8 @@ def engage(st: AdmittanceState, current_pose) -> AdmittanceState:
     """Latch the desired trajectory to the current position and hold."""
     st.Lambda_d = np.array(current_pose, dtype=float)
     st.dLambda_d = np.zeros(3)
-    st.ddLambda_d = np.zeros(3)
     st.z = np.zeros(3)
     st.zdot = np.zeros(3)
-    st.zddot = np.zeros(3)
     st.axis_generating[:] = False
     st.timer_above[:] = 0.0
     st.timer_below[:] = 0.0
@@ -157,7 +149,6 @@ def fsm_step(st: AdmittanceState, F_raw, dt: float, command: str = "none",
         st.dLambda_d = st.dLambda_r.copy()
         st.z = np.zeros(3)
         st.zdot = np.zeros(3)
-        st.zddot = np.zeros(3)
         st.mode = AdmittanceMode.DISENGAGED
         st.axis_generating[:] = False
         st.transitions.append((st.t, "y", None))
@@ -233,10 +224,8 @@ def admittance_step(st: AdmittanceState, F_hat, Ts: float) -> AdmittanceState:
                 st.zdot[j] = 0.0
                 if p.K[j] > 0.0:
                     st.z[j] = 0.0
-                st.zddot[j] = 0.0
                 continue
         Ad, Bd = _zoh_axis(p.M[j], p.C[j], p.K[j], Ts)
         zj = Ad @ np.array([st.z[j], st.zdot[j]]) + Bd * u
         st.z[j], st.zdot[j] = zj
-        st.zddot[j] = (u - p.C[j] * st.zdot[j] - p.K[j] * st.z[j]) / p.M[j]
     return st

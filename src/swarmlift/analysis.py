@@ -40,7 +40,7 @@ from .lti import LinearSystem
 from .mav import (EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
                   saturate_thrust_command)
 from .payload import (ComSystem, PayloadParams, attachment_accel,
-                      attachment_kinematics, com_system,
+                      attachment_kinematics, com_system, default_payload,
                       joint_interaction_force, payload_accel)
 
 TRANSPORT_PREROLL_T = 5.0
@@ -62,17 +62,9 @@ class AnalysisConfig:
         if self.n_agents < 2:
             raise ValueError("need a master and at least one slave")
         if self.payload is None:
-            from .payload import polygon_payload_inertia, regular_polygon_attachments
-
-            m_p = 1.5 * self.mav.m_bar
-            side = 1.2
-            self.payload = PayloadParams(
-                m_p=m_p,
-                J_p=polygon_payload_inertia(m_p, self.n_agents, side),
-                attachments=regular_polygon_attachments(self.n_agents, side))
+            self.payload = default_payload(self.n_agents, self.mav.m_bar)
         if self.adm is None:
-            self.adm = AdmittanceParams(
-                C=np.array([6.0, 6.0, 120.0]), K=np.array([0.0, 0.0, 400.0]))
+            self.adm = AdmittanceParams()
         self.adm = self.adm.lateral(self.tuning_M, self.tuning_C)
         self.com: ComSystem = com_system(
             self.payload, np.full(self.n_agents, self.mav.m))
@@ -98,15 +90,6 @@ class AnalysisConfig:
     @property
     def n_slaves(self) -> int:
         return self.n_agents - 1
-
-    # ---------------------------------------------------------------- sizes
-    @property
-    def n_states(self) -> int:
-        return 15 + 3 * self.n_agents + 9 * self.n_slaves + 1  # q has 4 comps
-
-    @property
-    def n_chart_states(self) -> int:
-        return 15 + 3 * self.n_agents + 9 * self.n_slaves
 
     def input_channels(self):
         ch = [("u_mass", 3), ("u_inertia", 3)]
@@ -192,8 +175,8 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
     y_mpc = F_cmd
     F_lag_in_w = saturate_thrust_command(F_cmd + u_mpc, mav)
-    # the realized thrust is carried in the payload frame (constant-R_PB
-    # aggregation: once settled it tilts with the structure); lateral
+    # the realized thrust is carried in the payload frame (the joints are
+    # fixed to the payload: once settled it tilts with the structure); lateral
     # components re-orient with the attitude time constant, the collective
     # magnitude with the (much faster) motor lag
     F_lag_in_P = np.einsum("ji,nj->ni", R, F_lag_in_w)

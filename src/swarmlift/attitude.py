@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import SingularMrp
 
-QUAT_NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class MrpConfig:
@@ -49,6 +47,13 @@ def quat_normalize(q):
     q = np.asarray(q, dtype=float)
     n = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     return q / n
+
+
+def row_norms(v):
+    """Euclidean norm of each row of v (..., k). Each row is one BLAS dot
+    product, which is how np.linalg.norm sums a single 1-D vector, so a
+    stack gets the bits of row-by-row norms (a sum of squares would not)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def quat_conjugate(q):

@@ -37,16 +37,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+SWEEP_KEYS = ("n_agents", "grid_M", "grid_C", "n_freqs", "polish")
+
+
 def _cmd_sweep(args) -> int:
+    from .errors import ScenarioError
     from .mu import TuningGrid
+    from .scenario import check_keys
     from .sweep import grid_sweep
 
     with open(args.config) as fh:
         cfg = json.load(fh)
+    check_keys("sweep config", cfg, SWEEP_KEYS)
+    n_agents = int(cfg.get("n_agents", 2))
+    if n_agents < 2:
+        raise ScenarioError(
+            f"sweep config: n_agents must be at least 2, got {n_agents}")
     grid = TuningGrid(
         M_values=np.asarray(cfg.get("grid_M", np.linspace(0, 30, 31))),
         C_values=np.asarray(cfg.get("grid_C", np.linspace(0, 30, 31))))
-    path = grid_sweep(int(cfg.get("n_agents", 2)), grid, args.out_dir,
+    path = grid_sweep(n_agents, grid, args.out_dir,
                       n_freqs=int(cfg.get("n_freqs", 80)),
                       n_jobs=args.jobs, polish=bool(cfg.get("polish", True)))
     print(f"wrote {path}")

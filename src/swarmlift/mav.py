@@ -5,11 +5,13 @@ analysis pre-roll.
 The low-level controller is the cascade used by every agent: a PD position
 loop with gravity feed-forward, thrust-vector-to-attitude command allocation
 and a critically damped second-order attitude closed loop. Each kernel is
-the one copy of its block. ``pd_position_control`` runs in the coupled
-simulator (one agent at a time), the single-agent loop and
-``analysis._core`` (all agents at once); ``saturate_thrust_command`` in the
-simulator's lag model and ``_core``; ``attitude_accel`` in the simulator,
-the single-agent loop, the identification runs and the EKF process model;
+the one copy of its block, and the controller kernels take a leading agent
+axis. The coupled simulator runs the cascade (``pd_position_control``,
+``thrust_to_attitude``, ``attitude_accel``, ``rotor_speeds_from_wrench``
+and, in its lag model, ``saturate_thrust_command``) once per tick on the
+whole team; the single-agent loop and the identification runs call it on
+one agent, and ``analysis._core`` runs the PD law and the clamp on all
+agents at once. ``attitude_accel`` also runs in the EKF process model;
 ``translational_dynamics`` in the single-agent loop and the EKF;
 ``rotational_dynamics`` in the UKF.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import cross3
+from .attitude import cross3, row_norms
 from .errors import DimensionMismatch, ZeroThrust
 
 GRAVITY = 9.81
@@ -168,10 +170,15 @@ def allocate_wrench(n, params: MavParams) -> PropWrench:
     return PropWrench(F_prop=U[..., 3][()], M_prop=U[..., :3])
 
 
-def rotor_speeds_from_wrench(M_cmd, F_cmd: float, params: MavParams):
-    """Invert the allocation map; infeasible (negative) squares clip to zero."""
-    U = np.array([M_cmd[0], M_cmd[1], M_cmd[2], F_cmd])
-    n_sq = params.allocation.pinv @ U
+def rotor_speeds_from_wrench(M_cmd, F_cmd, params: MavParams):
+    """Invert the allocation map; infeasible (negative) squares clip to zero.
+
+    Stacked torques (..., 3) and thrusts (...) give stacked speed vectors.
+    As in allocate_wrench, each command is one gemv on a trailing unit axis,
+    with the same bits alone or stacked.
+    """
+    U = np.concatenate([M_cmd, np.asarray(F_cmd)[..., None]], axis=-1)
+    n_sq = (params.allocation.pinv @ U[..., None])[..., 0]
     return np.sqrt(np.maximum(n_sq, 0.0))
 
 
@@ -216,28 +223,31 @@ def pd_position_control(p, v, ref_p, ref_v, params: MavParams):
             + params.m * GRAVITY * EZ)
 
 
-def thrust_to_attitude(F_cmd, psi: float, params: MavParams):
+def thrust_to_attitude(F_cmd, psi, params: MavParams):
     """Roll/pitch commands and thrust magnitude realizing a world thrust.
 
     The command is rotated out of the yaw frame, solved for the tilt that
     aligns body z with it, and clamped: attitude commands first, then the
-    thrust magnitude.
+    thrust magnitude. Stacked commands (..., 3) and yaws (...) give stacked
+    outputs with the bits of one call per command; a single command gives
+    scalars.
     """
     F_cmd = np.asarray(F_cmd, dtype=float)
-    norm = float(np.linalg.norm(F_cmd))
-    if norm < 1e-9:
+    norm = row_norms(F_cmd)
+    if np.any(norm < 1e-9):
         raise ZeroThrust("thrust command norm below 1e-9")
     cps, sps = np.cos(psi), np.sin(psi)
-    u = np.array(
-        [cps * F_cmd[0] + sps * F_cmd[1],
-         -sps * F_cmd[0] + cps * F_cmd[1],
-         F_cmd[2]]
-    ) / norm
-    phi_cmd = np.arcsin(np.clip(-u[1], -1.0, 1.0))
-    theta_cmd = np.arctan2(u[0], u[2])
-    phi_cmd = float(np.clip(phi_cmd, -params.phi_cmd_max, params.phi_cmd_max))
-    theta_cmd = float(np.clip(theta_cmd, -params.theta_cmd_max, params.theta_cmd_max))
-    return phi_cmd, theta_cmd, min(norm, params.F_prop_max)
+    F_x, F_y = F_cmd[..., 0], F_cmd[..., 1]
+    u_x = (cps * F_x + sps * F_y) / norm
+    u_y = (-sps * F_x + cps * F_y) / norm
+    u_z = F_cmd[..., 2] / norm
+    phi_cmd = np.arcsin(np.clip(-u_y, -1.0, 1.0))
+    theta_cmd = np.arctan2(u_x, u_z)
+    phi_cmd = np.clip(phi_cmd, -params.phi_cmd_max, params.phi_cmd_max)
+    theta_cmd = np.clip(theta_cmd, -params.theta_cmd_max, params.theta_cmd_max)
+    # [()] turns the outputs of a single command into scalars
+    return (phi_cmd[()], theta_cmd[()],
+            np.minimum(norm, params.F_prop_max)[()])
 
 
 def saturate_thrust_command(F_cmd_W, params: MavParams):

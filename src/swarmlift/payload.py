@@ -27,7 +27,6 @@ class PayloadParams:
     m_p: float
     J_p: np.ndarray
     attachments: np.ndarray  # (N, 3) payload-frame offsets r_PBi
-    R_PB: np.ndarray | None = None  # (N, 3, 3); identity when omitted
     drag_F: np.ndarray = field(default_factory=lambda: np.zeros(3))
     drag_M: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -40,10 +39,6 @@ class PayloadParams:
             raise ValueError("payload mass and inertia must be positive")
         if self.attachments.shape[0] < 1 or self.attachments.shape[1] != 3:
             raise ValueError("need at least one (N, 3) attachment")
-        if self.R_PB is None:
-            self.R_PB = np.broadcast_to(np.eye(3), (self.n_agents, 3, 3)).copy()
-        else:
-            self.R_PB = np.asarray(self.R_PB, dtype=float)
 
     @property
     def n_agents(self) -> int:
@@ -74,6 +69,15 @@ def polygon_payload_inertia(m_p: float, n: int, side: float):
     jzz = 0.5 * m_p * radius**2
     jxx = 0.25 * m_p * radius**2
     return np.array([max(jxx, 1e-3), max(jxx, 1e-3), max(jzz, 1e-3)])
+
+
+def default_payload(n_agents: int, m_bar: float) -> PayloadParams:
+    """The payload of a team of n_agents: a regular-polygon plate of side
+    1.2 m whose mass is 1.5 times one agent's maximum payload m_bar."""
+    m_p = 1.5 * m_bar
+    return PayloadParams(
+        m_p=m_p, J_p=polygon_payload_inertia(m_p, n_agents, 1.2),
+        attachments=regular_polygon_attachments(n_agents, 1.2))
 
 
 def joint_interaction_force(a_i, F_applied_i, m_i: float):

@@ -39,10 +39,12 @@ Key paths (all optional unless noted):
 
 The schema is strict: an unknown key at the top level or in a section, an
 unknown event action, an event vector not of length 3, a negative noise
-value or seed, a non-positive divergence_bound or mission.dh, and a
+value or seed, a non-positive divergence_bound or mission.dh, a
 duration, rate, tuning value, mission.tol or payload.mass that is not a
-positive finite number raise ScenarioError when the scenario is loaded,
-as does a value that the payload, mav or admittance parameters reject.
+positive finite number, a mission.land_at that is neither null nor a
+non-negative finite number, and a start_engaged or mission.auto that is
+not a JSON boolean raise ScenarioError when the scenario is loaded, as
+does a value that the payload, mav or admittance parameters reject.
 The Scenario fields are checked again when a copy is made with
 dataclasses.replace, as the CLI does for its overrides.
 """
@@ -61,6 +63,7 @@ from .errors import ScenarioError
 from .mav import MavParams
 from .payload import (
     PayloadParams,
+    default_payload,
     polygon_payload_inertia,
     regular_polygon_attachments,
 )
@@ -90,7 +93,7 @@ SECTION_KEYS = {
 }
 
 
-def _check_keys(name: str, d, allowed) -> None:
+def check_keys(name: str, d, allowed) -> None:
     if not isinstance(d, dict):
         raise ScenarioError(f"{name} must be an object")
     unknown = sorted(set(d) - set(allowed))
@@ -100,7 +103,7 @@ def _check_keys(name: str, d, allowed) -> None:
 
 
 def _check_noise(noise: dict) -> None:
-    _check_keys("noise", noise, NOISE_KEYS)
+    check_keys("noise", noise, NOISE_KEYS)
     for key, value in noise.items():
         if not (isinstance(value, numbers.Real) and value >= 0.0):
             raise ScenarioError(
@@ -132,8 +135,8 @@ def _check_event(ev) -> None:
         raise ScenarioError(f"unknown event action {ev['action']!r}; "
                             f"expected one of {sorted(EVENT_ARGS)}")
     arg = EVENT_ARGS[ev["action"]]
-    _check_keys(f"event {ev['action']}", ev,
-                ("t", "action") + ((arg,) if arg else ()))
+    check_keys(f"event {ev['action']}", ev,
+               ("t", "action") + ((arg,) if arg else ()))
     if arg is not None:
         try:
             shape = np.shape(np.asarray(ev.get(arg), dtype=float))
@@ -196,12 +199,19 @@ class Scenario:
             raise ScenarioError("divergence_bound must be positive")
         if not self.mission_dh > 0:
             raise ScenarioError("mission.dh must be positive")
+        for name, value in (("start_engaged", self.start_engaged),
+                            ("mission.auto", self.mission_auto)):
+            if not isinstance(value, bool):
+                raise ScenarioError(
+                    f"{name} must be true or false, got {value!r}")
+        land = self.mission_land_at
+        if land is not None and not (
+                isinstance(land, numbers.Real) and not isinstance(land, bool)
+                and np.isfinite(land) and land >= 0):
+            raise ScenarioError("mission.land_at must be null or a non-negative"
+                                f" finite number, got {land!r}")
         if self.payload is None:
-            m_p = 1.5 * self.mav.m_bar
-            self.payload = PayloadParams(
-                m_p=m_p,
-                J_p=polygon_payload_inertia(m_p, self.n_agents, 1.2),
-                attachments=regular_polygon_attachments(self.n_agents, 1.2))
+            self.payload = default_payload(self.n_agents, self.mav.m_bar)
         if self.adm is None:
             self.adm = AdmittanceParams()
         self.adm = self.adm.lateral(self.tuning_M, self.tuning_C)
@@ -251,9 +261,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         duration = float(cfg["duration"])
     except KeyError as exc:
         raise ScenarioError(f"missing required key {exc}") from exc
-    _check_keys("scenario", cfg, TOP_KEYS)
+    check_keys("scenario", cfg, TOP_KEYS)
     for section, allowed in SECTION_KEYS.items():
-        _check_keys(section, cfg.get(section, {}), allowed)
+        check_keys(section, cfg.get(section, {}), allowed)
     mav_kw = dict(cfg.get("mav", {}))
     for key in ("J", "K_drag", "K_P", "K_D"):
         if key in mav_kw:
@@ -286,9 +296,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         seed=int(cfg.get("seed", 0)),
         noise=dict(cfg.get("noise", {})),
         divergence_bound=float(cfg.get("divergence_bound", 100.0)),
-        start_engaged=bool(cfg.get("start_engaged", True)),
+        start_engaged=cfg.get("start_engaged", True),
         transport_altitude=float(cfg.get("transport_altitude", 1.2)),
-        mission_auto=bool(mission.get("auto", False)),
+        mission_auto=mission.get("auto", False),
         mission_dh=float(mission.get("dh", 0.25)),
         mission_tol=float(mission.get("tol", 0.05)),
         mission_land_at=mission.get("land_at", None),

@@ -5,6 +5,11 @@ the composite CoM, per-agent attitude inner loops and motor lag, or the
 per-agent thrust-vector lag in the reduced thrust model) while controller
 and estimator outputs are zero-order-held between their ticks. Slaves run
 estimator + admittance + PD; the master tracks the scripted reference.
+
+The team's controller state is a set of (N, ...) arrays, row 0 the master.
+Each controller tick runs the low-level cascade once on the whole team;
+only the slaves' admittance FSMs and EKFs step one slave at a time, and
+their UKFs run as one stacked filter.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .payload import (
     joint_interaction_force,
     payload_accel,
 )
-from .scenario import Scenario
+from .scenario import NOISE_KEYS, Scenario
 
 LOG_VERSION = "swarmlift-log-v1"
 
@@ -136,40 +141,6 @@ class RunLog:
                    diverged_step=None if step == "None" else int(step))
 
 
-@dataclass
-class _AgentCtl:
-    """Zero-order-held controller outputs and per-agent discrete state."""
-
-    eta_cmd: np.ndarray
-    F_cmd_mag: float
-    F_cmd_w: np.ndarray
-    rotor: np.ndarray
-    adm: AdmittanceState | None = None
-    est: object = None
-    F_hat: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ref_p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ref_v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    alt_target: float = 0.0
-    hold_xy: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-
-class _MasterRef:
-    """Scripted master reference: position holds, steps, velocity ramps."""
-
-    def __init__(self, p0):
-        self.p = np.array(p0, dtype=float)
-        self.v = np.zeros(3)
-
-    def advance(self, dt):
-        self.p = self.p + dt * self.v
-
-    def step(self, dp):
-        self.p = self.p + np.asarray(dp, dtype=float)
-
-    def set_velocity(self, v):
-        self.v = np.asarray(v, dtype=float)
-
-
 def _rk4(rhs, t: float, x, h: float, n_steps: int):
     """RK4 steps of the state tuple x = (p, v, q, w, ...) of the payload and
     the agents; the payload quaternion q is renormalized after every
@@ -186,11 +157,10 @@ def run_scenario(sc: Scenario) -> RunLog:
     N = sc.n_agents
     com = com_system(sc.payload, np.full(N, sc.mav.m))
     rng = np.random.default_rng(sc.seed)
-    noise_p = float(sc.noise.get("p", 0.0))
-    noise_v = float(sc.noise.get("v", 0.0))
-    noise_att = float(sc.noise.get("att", 0.0))
-    noise_rate = float(sc.noise.get("rate", 0.0))
-    use_noise = max(noise_p, noise_v, noise_att, noise_rate) > 0.0
+    # std devs of the (p, v, att, rate) measurement noise
+    noise_std = np.array([float(sc.noise.get(key, 0.0))
+                          for key in NOISE_KEYS])[:, None]
+    use_noise = noise_std.max() > 0.0
 
     share = sc.payload.m_p * GRAVITY / N
     F_int_trim = np.array([0.0, 0.0, -share])
@@ -217,28 +187,35 @@ def run_scenario(sc: Scenario) -> RunLog:
         mission = MissionState(n_agents=N, transport_altitude=sc.transport_altitude,
                                dh=sc.mission_dh, tol=sc.mission_tol, sag=sag)
 
-    master = _MasterRef(hover_ref[0])
-    agents = []
-    for i in range(N):
-        ctl = _AgentCtl(eta_cmd=np.zeros(3), F_cmd_mag=float(F_mag[i]),
-                        F_cmd_w=np.array([0.0, 0.0, F_mag[i]]),
-                        rotor=rotor_speeds_from_wrench(np.zeros(3),
-                                                       float(F_mag[i]), sc.mav))
-        ctl.alt_target = hover_ref[i, 2]
-        ctl.hold_xy = hover_ref[i, :2].copy()
-        ctl.ref_p = hover_ref[i].copy()
-        if i > 0:
-            ctl.adm = AdmittanceState(params=sc.adm)
-            if sc.start_engaged:
-                ctl.adm = fsm_step(ctl.adm, np.zeros(3), 1.0 / sc.ctrl_rate,
-                                   command="engage", current_pose=hover_ref[i])
-                ctl.adm.offset = F_int_trim.copy()
-            if sc.estimator == "ekf":
-                ctl.est = ekf_mod.ekf_init(p_agents0[i], np.zeros(3),
-                                           np.zeros(3), np.zeros(3))
-                ctl.est.x[ekf_mod.F_SL] = F_int_trim
-            ctl.F_hat = F_int_trim.copy()
-        agents.append(ctl)
+    # The controllers' discrete state and zero-order-held outputs, one row
+    # per agent, row 0 the master. hold is the position an agent holds
+    # while it follows no reference: its takeoff pose, the reference a
+    # disengaging FSM hands back, and the coordinator's altitude.
+    master_p = hover_ref[0].copy()
+    master_v = np.zeros(3)
+    hold = hover_ref.copy()
+    ref_p = hover_ref.copy()
+    ref_v = np.zeros((N, 3))
+    eta_cmd = np.zeros((N, 3))
+    F_cmd_mag = F_mag.copy()
+    rotor = rotor_speeds_from_wrench(np.zeros((N, 3)), F_mag, sc.mav)
+    F_hat = np.zeros((N, 3))
+    F_hat[1:] = F_int_trim
+    # the slaves' admittance FSMs and EKFs, item i - 1 for agent i
+    adm = []
+    for i in range(1, N):
+        st = AdmittanceState(params=sc.adm)
+        if sc.start_engaged:
+            st = fsm_step(st, np.zeros(3), 1.0 / sc.ctrl_rate,
+                          command="engage", current_pose=hover_ref[i])
+            st.offset = F_int_trim.copy()
+        adm.append(st)
+    ekf_est = []
+    if sc.estimator == "ekf":
+        for i in range(1, N):
+            ekf_est.append(ekf_mod.ekf_init(p_agents0[i], np.zeros(3),
+                                            np.zeros(3), np.zeros(3)))
+            ekf_est[-1].x[ekf_mod.F_SL] = F_int_trim
     # the slaves' UKFs run as one stacked filter, row i - 1 for agent i
     ukf_est = None
     if sc.estimator == "ukf" and N > 1:
@@ -268,6 +245,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     drag_M = sc.payload.drag_M
     tau_thrust = sc.mav.tau_thrust
     wn = sc.mav.omega_n_att
+    J = sc.mav.J
 
     def thrust_world():
         if sc.thrust_model == "attitude":
@@ -280,8 +258,8 @@ def run_scenario(sc: Scenario) -> RunLog:
         R = quat_to_rotmat(q)
         Fw = euler_body_z(et) * fm[:, None]
         vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
-        etdd = attitude_accel(et, etd, cmd_eta, wn)
-        dfm = (cmd_F - fm) / sc.mav.tau_motor
+        etdd = attitude_accel(et, etd, eta_cmd, wn)
+        dfm = (F_cmd_mag - fm) / sc.mav.tau_motor
         return v, vdot, quat_rate(q, w), wdot, etd, etdd, dfm
 
     def lag_rhs(t, p, v, q, w, Fl):
@@ -290,24 +268,28 @@ def run_scenario(sc: Scenario) -> RunLog:
         dF = (sat_cmd - Fl) / tau_thrust[None, :]
         return v, vdot, quat_rate(q, w), wdot, dF
 
+    def fsm_command(command):
+        for j, st in enumerate(adm):
+            adm[j] = fsm_step(st, np.zeros(3), dt_ctrl, command=command)
+
     def engage_slaves(calibrate=False):
         # latch at the held reference, not the sagged pose
-        for ctl in agents[1:]:
-            if not ctl.adm.engaged:
-                ctl.adm = fsm_step(ctl.adm, np.zeros(3), dt_ctrl,
-                                   command="engage", current_pose=ctl.ref_p)
+        for j, st in enumerate(adm):
+            if not st.engaged:
+                st = fsm_step(st, np.zeros(3), dt_ctrl, command="engage",
+                              current_pose=ref_p[j + 1])
                 if calibrate:
-                    ctl.adm = fsm_step(ctl.adm, np.zeros(3), dt_ctrl,
-                                       command="compute_offset")
+                    st = fsm_step(st, np.zeros(3), dt_ctrl,
+                                  command="compute_offset")
+                adm[j] = st
 
     def disengage_slaves():
         # hold the reference the FSM hands back, not the takeoff position
-        for ctl in agents[1:]:
-            if ctl.adm.engaged:
-                ctl.adm = fsm_step(ctl.adm, np.zeros(3), dt_ctrl,
-                                   command="disengage")
-                ctl.hold_xy = ctl.adm.Lambda_d[:2].copy()
-                ctl.alt_target = float(ctl.adm.Lambda_d[2])
+        for j, st in enumerate(adm):
+            if st.engaged:
+                adm[j] = fsm_step(st, np.zeros(3), dt_ctrl,
+                                  command="disengage")
+                hold[j + 1] = adm[j].Lambda_d
 
     for k in range(n_ctrl):
         # scheduled events
@@ -316,21 +298,15 @@ def run_scenario(sc: Scenario) -> RunLog:
             ev_idx += 1
             act = ev["action"]
             if act == "master_step":
-                master.step(ev["dp"])
+                master_p = master_p + np.asarray(ev["dp"], dtype=float)
             elif act == "master_velocity":
-                master.set_velocity(ev["v"])
+                master_v = np.asarray(ev["v"], dtype=float)
             elif act == "engage_slaves":
                 engage_slaves()
             elif act == "disengage_slaves":
                 disengage_slaves()
-            elif act == "compute_offset":
-                for i in range(1, N):
-                    agents[i].adm = fsm_step(agents[i].adm, np.zeros(3),
-                                             dt_ctrl, command="compute_offset")
-            elif act == "remove_offset":
-                for i in range(1, N):
-                    agents[i].adm = fsm_step(agents[i].adm, np.zeros(3),
-                                             dt_ctrl, command="remove_offset")
+            elif act in ("compute_offset", "remove_offset"):
+                fsm_command(act)
             else:
                 raise ScenarioError(f"unknown event action {act!r}")
 
@@ -345,14 +321,13 @@ def run_scenario(sc: Scenario) -> RunLog:
             mission, cmds = mission_step(mission, p_i[:, 2], begin_descent=begin)
             for cmd in cmds:
                 if cmd[0] == "set_altitude":
-                    for i in range(N):
-                        agents[i].alt_target = cmd[1]
+                    hold[:, 2] = cmd[1]
                 elif cmd[0] == "engage_slaves":
                     # calibrate the static load share out of the estimate
                     engage_slaves(calibrate=True)
                 elif cmd[0] == "disengage_slaves":
                     # the master, too, descends where transport left it
-                    agents[0].hold_xy = master.p[:2].copy()
+                    hold[0, :2] = master_p[:2]
                     disengage_slaves()
 
         # the coupled accelerations
@@ -364,96 +339,77 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         # estimators (slaves) at their own rate
         if k % sc.ctrl_per_est == 0:
-            ukf_meas = []
-            for i in range(1, N):
-                ctl = agents[i]
-                p_m = p_i[i] + (rng.normal(scale=noise_p, size=3) if use_noise else 0.0)
-                v_m = v_i[i] + (rng.normal(scale=noise_v, size=3) if use_noise else 0.0)
-                eta_m = eta[i] + (rng.normal(scale=noise_att, size=3) if use_noise else 0.0)
-                w_m = omega_i[i] + (rng.normal(scale=noise_rate, size=3) if use_noise else 0.0)
-                if sc.estimator == "ekf":
-                    ctl.est = ekf_mod.ekf_predict(
-                        ctl.est, (ctl.eta_cmd[0], ctl.eta_cmd[1],
-                                  ctl.eta_cmd[2], ctl.F_cmd_mag),
-                        ekf_Q, dt_est, sc.mav)
-                    ctl.est = ekf_mod.ekf_update(
-                        ctl.est, np.concatenate([p_m, eta_m]), ekf_R)
-                    ctl.F_hat = ctl.est.F_ext.copy()
-                elif sc.estimator == "ukf":
-                    ukf_meas.append((p_m, v_m, euler_to_quat(eta_m), w_m))
-                else:
-                    F_int = joint_interaction_force(a_i[i], Fw_now[i], sc.mav.m)
-                    alpha = 1.0 - np.exp(-dt_est / sc.mav.tau_est)
-                    ctl.F_hat = ctl.F_hat + alpha * (F_int - ctl.F_hat)
-            if ukf_est is not None:
-                rotors = np.array([ctl.rotor for ctl in agents[1:]])
-                ukf_est = ukf_mod.ukf_predict(ukf_est, rotors, ukf_Q, sc.mav,
-                                              dt_est)
-                ukf_est = ukf_mod.ukf_update(
-                    ukf_est, *(np.array(m) for m in zip(*ukf_meas)), ukf_R)
-                for i in range(1, N):
-                    agents[i].F_hat = ukf_est.F_ext[i - 1].copy()
+            # (slave, p / v / att / rate, axis), drawn slave by slave;
+            # 0.0 + std * z is how rng.normal adds its zero mean
+            meas = np.stack([p_i, v_i, eta, omega_i], axis=1)[1:]
+            noise = (noise_std * rng.standard_normal(meas.shape)
+                     if use_noise else 0.0)
+            meas = meas + (0.0 + noise)
+            if sc.estimator == "ekf":
+                for j, est in enumerate(ekf_est):
+                    est = ekf_mod.ekf_predict(
+                        est, (*eta_cmd[j + 1], F_cmd_mag[j + 1]), ekf_Q,
+                        dt_est, sc.mav)
+                    est = ekf_mod.ekf_update(
+                        est, np.concatenate([meas[j, 0], meas[j, 2]]), ekf_R)
+                    ekf_est[j] = est
+                    F_hat[j + 1] = est.F_ext
+            elif ukf_est is not None:
+                q_m = np.array([euler_to_quat(e) for e in meas[:, 2]])
+                ukf_est = ukf_mod.ukf_predict(ukf_est, rotor[1:], ukf_Q,
+                                              sc.mav, dt_est)
+                ukf_est = ukf_mod.ukf_update(ukf_est, meas[:, 0], meas[:, 1],
+                                             q_m, meas[:, 3], ukf_R)
+                F_hat[1:] = ukf_est.F_ext
+            elif sc.estimator == "nominal":
+                F_int = joint_interaction_force(a_i[1:], Fw_now[1:], sc.mav.m)
+                alpha = 1.0 - np.exp(-dt_est / sc.mav.tau_est)
+                F_hat[1:] = F_hat[1:] + alpha * (F_int - F_hat[1:])
 
-        # admittance FSM + reference generation (slaves), then PD commands
-        q_i = [euler_to_quat(e) for e in eta]
-        for i in range(N):
-            ctl = agents[i]
-            if i == 0:
-                master.advance(dt_ctrl)
-                if mission is not None and mission.phase is not MissionPhase.TRANSPORTING:
-                    ctl.ref_p = np.array([ctl.hold_xy[0], ctl.hold_xy[1],
-                                          ctl.alt_target])
-                    ctl.ref_v = np.zeros(3)
-                    master.p = ctl.ref_p.copy()
-                else:
-                    ctl.ref_p = master.p.copy()
-                    ctl.ref_v = master.v.copy()
+        # references: the master's script or hold, the slaves' admittance
+        # FSM or hold
+        master_p = master_p + dt_ctrl * master_v
+        if mission is not None and mission.phase is not MissionPhase.TRANSPORTING:
+            master_p = hold[0].copy()
+            ref_p[0], ref_v[0] = hold[0], 0.0
+        else:
+            ref_p[0], ref_v[0] = master_p, master_v
+        for j, st in enumerate(adm):
+            if st.engaged:
+                st = fsm_step(st, F_hat[j + 1], dt_ctrl)
+                st = admittance_step(st, F_hat[j + 1], dt_ctrl)
+                adm[j] = st
+                ref_p[j + 1], ref_v[j + 1] = st.Lambda_r, st.dLambda_r
             else:
-                adm = ctl.adm
-                if adm.engaged:
-                    adm = fsm_step(adm, ctl.F_hat, dt_ctrl)
-                    adm = admittance_step(adm, ctl.F_hat, dt_ctrl)
-                    ctl.adm = adm
-                    ctl.ref_p = adm.Lambda_r.copy()
-                    ctl.ref_v = adm.dLambda_r.copy()
-                else:
-                    ctl.ref_p = np.array([ctl.hold_xy[0], ctl.hold_xy[1],
-                                          ctl.alt_target])
-                    ctl.ref_v = np.zeros(3)
-            F_cmd_w = pd_position_control(p_i[i], v_i[i], ctl.ref_p,
-                                          ctl.ref_v, sc.mav)
-            ctl.F_cmd_w = F_cmd_w
-            phi_c, theta_c, F_c = thrust_to_attitude(F_cmd_w, eta[i, 2], sc.mav)
-            ctl.eta_cmd = np.array([phi_c, theta_c, 0.0])
-            ctl.F_cmd_mag = F_c
-            acc_att = attitude_accel(eta[i], eta_dot[i], ctl.eta_cmd, wn)
-            M_cmd = sc.mav.J * acc_att + cross3(omega_i[i],
-                                                sc.mav.J * omega_i[i])
-            ctl.rotor = rotor_speeds_from_wrench(M_cmd, F_c, sc.mav)
+                ref_p[j + 1], ref_v[j + 1] = hold[j + 1], 0.0
+
+        # the team's low-level cascade: PD, thrust allocation, attitude loop
+        # and rotors
+        F_cmd_w = pd_position_control(p_i, v_i, ref_p, ref_v, sc.mav)
+        phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[:, 2],
+                                                       sc.mav)
+        eta_cmd = np.stack([phi_c, theta_c, np.zeros(N)], axis=1)
+        acc_att = attitude_accel(eta, eta_dot, eta_cmd, wn)
+        M_cmd = J * acc_att + cross3(omega_i, J * omega_i)
+        rotor = rotor_speeds_from_wrench(M_cmd, F_cmd_mag, sc.mav)
 
         # log the tick
-        row = [t]
-        for i in range(N):
-            ctl = agents[i]
-            row += [*p_i[i], *v_i[i], *q_i[i], *omega_i[i],
-                    *Fw_now[i], *ctl.F_hat, *ctl.ref_p,
-                    ctl.eta_cmd[0], ctl.eta_cmd[1], ctl.eta_cmd[2],
-                    ctl.F_cmd_mag, *ctl.rotor,
-                    FSM_CODE[ctl.adm.mode] if ctl.adm else -1]
-        row += [*p_pl, *q_pl, *v_pl, *w_pl,
-                PHASE_CODE[mission.phase] if mission else -1]
-        data[k, :] = row
+        q_i = np.array([euler_to_quat(e) for e in eta])
+        fsm = [-1] + [FSM_CODE[st.mode] for st in adm]
+        agent_rows = np.concatenate(
+            [p_i, v_i, q_i, omega_i, Fw_now, F_hat, ref_p, eta_cmd,
+             F_cmd_mag[:, None], rotor, np.array(fsm)[:, None]], axis=1)
+        data[k, :] = np.concatenate(
+            [[t], agent_rows.ravel(), p_pl, q_pl, v_pl, w_pl,
+             [PHASE_CODE[mission.phase] if mission else -1]])
 
         # integrate the coupled dynamics over one controller period
         if sc.thrust_model == "attitude":
-            cmd_eta = np.array([ctl.eta_cmd for ctl in agents])
-            cmd_F = np.array([ctl.F_cmd_mag for ctl in agents])
             p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag = _rk4(
                 attitude_rhs, t, (p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag),
                 h, sc.steps_per_ctrl)
         else:
-            sat_cmd = np.array([saturate_thrust_command(ctl.F_cmd_w, sc.mav)
-                                for ctl in agents])
+            sat_cmd = saturate_thrust_command(F_cmd_w, sc.mav)
             p_pl, v_pl, q_pl, w_pl, F_lag = _rk4(
                 lag_rhs, t, (p_pl, v_pl, q_pl, w_pl, F_lag), h,
                 sc.steps_per_ctrl)

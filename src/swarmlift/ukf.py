@@ -168,13 +168,6 @@ def propagate_full(p, v, q, omega, F_ext, M_z, n_rotors, params: MavParams,
             omega + Ts * w_dot, F_ext, M_z)
 
 
-def _row_norms(v):
-    """Euclidean norm of each row of v (..., k). Each row is one BLAS dot
-    product, which is how np.linalg.norm sums a single 1-D vector, so a
-    stack gets the bits of row-by-row norms (a sum of squares would not)."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
 def _reset_matrix(eps):
     """Covariance correction for folding the attitude-error mean into the
     reference quaternion: diag(I6, R(half rotation of eps), I7), one per
@@ -182,13 +175,13 @@ def _reset_matrix(eps):
     eps = np.asarray(eps, dtype=float)
     dq = att.mrp_to_quat(eps)
     angle = att.quat_rotation_angle(dq)
-    vn = _row_norms(dq[..., :3])[..., None]
+    vn = att.row_norms(dq[..., :3])[..., None]
     axis = np.where(vn > 0.0, dq[..., :3] / np.where(vn > 0.0, vn, 1.0),
                     np.array([1.0, 0.0, 0.0]))
     rot = att.rotvec_to_rotmat(axis * (0.5 * angle)[..., None])
     T = np.broadcast_to(np.eye(NXI), eps.shape[:-1] + (NXI, NXI)).copy()
     # eps = 0 keeps the exact identity block
-    moved = (_row_norms(eps) > 0.0)[..., None, None]
+    moved = (att.row_norms(eps) > 0.0)[..., None, None]
     T[..., E_SL, E_SL] = np.where(moved, rot, np.eye(3))
     return T
 

@@ -59,23 +59,29 @@ def relative_error(G_nom: LinearSystem, actual: FrequencyResponse) -> np.ndarray
     return np.abs((actual.H - Gn) / Gn)
 
 
-def _shelf_cascade(params: np.ndarray) -> LinearSystem:
+def _shelf_cascade(params: np.ndarray) -> LinearSystem | None:
     """k * prod_i (s/z_i + 1)/(s/p_i + 1) from log-parameters.
 
-    A least-squares trial may push a corner's log past the float range. It
-    overflows to inf, silently; 1/inf = 0 then drops that corner, which is
-    the trial's limit.
+    A least-squares trial may push a corner's log past the float range.
+    Such a trial gives None: a vanishing leading coefficient would make
+    tf2ss trim the numerator or reject the denominator, and an overflow
+    would leave the realization non-finite.
     """
-    k = np.exp(params[0])
-    num, den = np.array([k]), np.array([1.0])
-    m = (params.size - 1) // 2
-    for i in range(m):
-        with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        k = np.exp(params[0])
+        num, den = np.array([k]), np.array([1.0])
+        m = (params.size - 1) // 2
+        for i in range(m):
             z = np.exp(params[1 + 2 * i])
             p = np.exp(params[2 + 2 * i])
-        num = np.convolve(num, [1.0 / z, 1.0])
-        den = np.convolve(den, [1.0 / p, 1.0])
-    return siso_tf(num, den)
+            num = np.convolve(num, [1.0 / z, 1.0])
+            den = np.convolve(den, [1.0 / p, 1.0])
+        if not (den[0] > 0.0 and 1e-14 < num[0] / den[0] < np.inf):
+            return None
+        sys = siso_tf(num, den)
+    if not all(np.all(np.isfinite(M)) for M in (sys.A, sys.B, sys.C, sys.D)):
+        return None
+    return sys
 
 
 def fit_uncertainty_weight(G_nom: LinearSystem, actual: FrequencyResponse,
@@ -116,7 +122,11 @@ def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
             x0[2 + 2 * i] = np.log(10 * wc)  # pole above it: rising shelf
 
         def resid(x):
-            mag = np.abs(_shelf_cascade(x).freq_response(w)[:, 0, 0])
+            # a trial out of the float range reads as the magnitude floor,
+            # so least squares rejects it as a bad step
+            trial = _shelf_cascade(x)
+            mag = (0.0 if trial is None
+                   else np.abs(trial.freq_response(w)[:, 0, 0]))
             return np.log(np.maximum(mag, 1e-12)) - log_r
 
         sol = least_squares(resid, x0, method="lm", max_nfev=400)

@@ -1,7 +1,8 @@
 """Static guards: every module-level import in the package is used, every
-module-level private function and class is referenced, and every public
+module-level private function and class is referenced, every public
 module-level function is referenced by the package or the benchmark, or
-is listed as public API."""
+is listed as public API, and every module-level constant is read by the
+package, the benchmark or the tests."""
 
 import ast
 from collections import Counter
@@ -139,3 +140,45 @@ def test_no_unreferenced_public_functions():
     found = unreferenced_publics(package, bench)
     assert sorted(set(found) - PUBLIC_API) == []
     assert sorted(PUBLIC_API - set(found)) == []  # stale allowlist entries
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unreferenced_constants(package: dict, others: dict) -> list:
+    """Module-level constants (upper-case names) of the package modules that
+    no module of either set reads."""
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others.values())]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                read[n.attr] += 1
+            elif isinstance(n, ast.alias):
+                read[n.name] += 1
+    return sorted(
+        f"{module}:{target.id}" for module, tree in trees.items()
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+        and not read[target.id])
+
+
+def test_guard_flags_an_unreferenced_constant():
+    package = {"a.py": ("USED = 1\nREAD_BY_TEST = 2\nGONE = 3\n"
+                        "GONE_TOO: float = 4.0\nlower = 5\n"),
+               "b.py": "from .a import USED\nx = USED\n"}
+    others = {"test_a.py": "from swarmlift import a\nassert a.READ_BY_TEST\n"}
+    assert unreferenced_constants(package, others) == ["a.py:GONE",
+                                                      "a.py:GONE_TOO"]
+
+
+def test_no_unreferenced_module_constants():
+    package = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    others = {str(path): path.read_text()
+              for path in sorted([*BENCH.glob("*.py"), *TESTS.glob("*.py")])}
+    assert unreferenced_constants(package, others) == []

@@ -226,6 +226,27 @@ def test_thrust_to_attitude_clamps(params):
         thrust_to_attitude(np.zeros(3), 0.0, params)
 
 
+def test_team_commands_match_agent_by_agent(params):
+    # a stacked team gets the bits of one call per agent, and the thrust
+    # the bits of np.linalg.norm; one zero command in the team still raises
+    rng = np.random.default_rng(7)
+    for n in range(2, 9):
+        F_cmd = rng.normal(scale=[5.0, 5.0, 20.0], size=(n, 3)) + [0, 0, 35.0]
+        psi = rng.uniform(-np.pi, np.pi, n)
+        M = rng.normal(scale=0.3, size=(n, 3))
+        phi, theta, F = thrust_to_attitude(F_cmd, psi, params)
+        rotors = rotor_speeds_from_wrench(M, F, params)
+        for i in range(n):
+            assert (phi[i], theta[i], F[i]) == thrust_to_attitude(
+                F_cmd[i], psi[i], params)
+            assert F[i] == min(np.linalg.norm(F_cmd[i]), params.F_prop_max)
+            assert np.array_equal(
+                rotors[i], rotor_speeds_from_wrench(M[i], F[i], params))
+    F_cmd[1] = 0.0
+    with pytest.raises(ZeroThrust):
+        thrust_to_attitude(F_cmd, psi, params)
+
+
 def _simulate_axis(f, y0, dy0, T, dt=1e-4):
     x = (y0, dy0)
     out = [y0]

@@ -88,8 +88,8 @@ def test_out_of_range_value_fails_at_load(field):
         beam(**OUT_OF_RANGE[field])
 
 
-# numbers that once raised ZeroDivisionError or a bare ValueError at load,
-# or loaded and failed later
+# values that once raised ZeroDivisionError or a bare ValueError at load,
+# or loaded and failed later or loaded as something else ("false" as True)
 BAD_NUMBERS = {
     "rates.controller": {"rates": {"controller": 0}},
     "rates.estimator": {"rates": {"estimator": 0}},
@@ -101,6 +101,10 @@ BAD_NUMBERS = {
     "payload inertia": {"payload": {"inertia": [0.01, -0.3, 0.3]}},
     "mav": {"mav": {"m": -3.5}},
     "admittance": {"admittance": {"F_lo": -0.3}},
+    "mission.land_at": {"mission": {"land_at": "soon"}},
+    "mission.land_at negative": {"mission": {"land_at": -1.0}},
+    "start_engaged": {"start_engaged": "false"},
+    "mission.auto": {"mission": {"auto": "false"}},
 }
 
 
@@ -115,6 +119,8 @@ def test_overridden_field_is_checked_like_load(tmp_path):
 
     with pytest.raises(ScenarioError, match="rates.controller"):
         dataclasses.replace(beam(), ctrl_rate=0.0)
+    with pytest.raises(ScenarioError, match="mission.land_at"):
+        dataclasses.replace(beam(), mission_land_at="soon")
     cfg = tmp_path / "beam.json"
     cfg.write_text(json.dumps(BEAM))
     with pytest.raises(ScenarioError, match="duration"):
@@ -392,6 +398,55 @@ def test_golden_log_digest(thrust_model, estimator, n_agents):
     assert digests == GOLDEN_DIGESTS[key]
 
 
+# Whole-log digests of the paths the golden cases skip: slaves that start
+# disengaged and go through the engage, calibrate, offset and disengage
+# events, and the mission coordinator from takeoff to landing.
+def event_scenario():
+    return scenario_from_dict({
+        "n_agents": 3, "duration": 1.0, "seed": 11, "start_engaged": False,
+        "payload": {"mass": 1.2, "height": 0.1, "drag_F": [0.2, 0.1, 0.3],
+                    "drag_M": [0.02, 0.03, 0.01]},
+        "noise": {"p": 0.01, "v": 0.02, "att": 0.005, "rate": 0.01},
+        "admittance": {"T_avg": 0.2, "F_hi": 0.2, "F_lo": 0.1, "T_hi": 0.02},
+        "events": [
+            {"t": 0.1, "action": "engage_slaves"},
+            {"t": 0.15, "action": "compute_offset"},
+            {"t": 0.4, "action": "master_velocity", "v": [0.4, -0.3, 0.1]},
+            {"t": 0.7, "action": "remove_offset"},
+            {"t": 0.8, "action": "disengage_slaves"}],
+    })
+
+
+def mission_scenario():
+    return scenario_from_dict({
+        "n_agents": 3, "duration": 4.0, "start_engaged": False,
+        "transport_altitude": 0.3,
+        "mission": {"auto": True, "dh": 0.3, "tol": 0.1, "land_at": 2.5},
+    })
+
+
+# scenario, the column whose codes the run must log, the codes, the sha256
+# of the whole log
+PATH_CASES = {
+    "events": (
+        event_scenario, "fsm", [0.0, 2.0, 3.0, 4.0],
+        "9d10a15175c67b525b4af0867fe01e9a7cded878df4b869a2c57147cdb07db4b"),
+    "mission": (
+        mission_scenario, "mission_phase", [1.0, 2.0, 3.0, 4.0],
+        "d78d7156d4329002465ead27035db7c73380b634a48b55bb9027edfd76cf423b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_whole_log_digest(case):
+    make, column, codes, digest = PATH_CASES[case]
+    log = run_scenario(make())
+    assert not log.diverged
+    seen = log.cols([c for c in log.columns if c.endswith(column)])
+    assert sorted(set(seen.ravel().tolist()) - {-1.0}) == codes
+    assert hashlib.sha256(log.data.tobytes()).hexdigest() == digest
+
+
 def test_one_stacked_ukf_call_per_estimator_tick(monkeypatch):
     calls = {"predict": [], "update": []}
 
@@ -409,6 +464,29 @@ def test_one_stacked_ukf_call_per_estimator_tick(monkeypatch):
     sc.duration, sc.est_rate = 0.1, 50.0  # 10 controller ticks, 5 estimator
     run_scenario(sc)
     assert calls["predict"] == calls["update"] == [(4, ukf_mod.NXI)] * 5
+
+
+def test_one_team_control_call_per_tick(monkeypatch):
+    shapes = {"pd_position_control": [], "thrust_to_attitude": [],
+              "rotor_speeds_from_wrench": []}
+
+    def counting(name):
+        fn = getattr(simulate, name)
+
+        def wrapped(first, *args, **kw):
+            shapes[name].append(np.shape(first))
+            return fn(first, *args, **kw)
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(simulate, name, counting(name))
+    sc = golden_scenario("attitude", "ekf", 5)
+    sc.duration = 0.1  # 10 controller ticks
+    run_scenario(sc)
+    assert shapes["pd_position_control"] == [(5, 3)] * 10
+    assert shapes["thrust_to_attitude"] == [(5, 3)] * 10
+    # the team's hover speeds before the first tick, then one call per tick
+    assert shapes["rotor_speeds_from_wrench"] == [(5, 3)] * 11
 
 
 def test_cli_simulate_exits_2_on_divergence(tmp_path):

@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from swarmlift.cli import main
+from swarmlift.errors import ScenarioError
 from swarmlift.mu import MarginResult
 from swarmlift.sweep import read_margin_csv, write_margin_csv
 
@@ -40,6 +42,24 @@ def test_cli_sweep_serial_equals_parallel(tmp_path):
     table = read_margin_csv(str(tmp_path / "jobs1" / "margins_n2.csv"))
     assert table.shape == (2, 6)
     assert table[0, 2] == 0.0 and table[1, 2] > 1.0  # M = 0 is degenerate
+
+
+@pytest.mark.parametrize("cfg,match", [
+    ({"n_agents": 2, "n_freq": 10}, "unknown key"),  # misspelled n_freqs
+    ({"n_agents": 1, "n_freqs": 10}, "n_agents"),
+], ids=["misspelled-key", "one-agent"])
+def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
+    import swarmlift.sweep
+
+    def no_margins(*args, **kw):
+        raise AssertionError("margins computed for a bad config")
+
+    monkeypatch.setattr(swarmlift.sweep, "margins", no_margins)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(cfg, grid_M=[8.0], grid_C=[6.0])))
+    with pytest.raises(ScenarioError, match=match):
+        main(["sweep", str(path), "--out-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def _manifest(out_dir, **kw):

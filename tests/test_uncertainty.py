@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import BadCoefficients
 
 from swarmlift.errors import FitInfeasible
 from swarmlift.identify import (
@@ -54,11 +57,16 @@ def test_double_time_constant_shape():
 
 
 def test_fit_bound_is_hard():
-    rng = np.random.default_rng(0)
-    r = 0.3 * FREQS / (1 + 0.2 * FREQS) + rng.uniform(0, 0.02, FREQS.size)
-    w = fit_bounding_weight(FREQS, r)
-    mag = np.abs(w.freq_response(FREQS)[:, 0, 0])
-    assert np.all(mag >= r - 1e-12)
+    # seeds 2 and 5 once pushed a trial corner out of the float range, which
+    # raised out of tf2ss; other seeds printed BadCoefficients
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        r = 0.3 * FREQS / (1 + 0.2 * FREQS) + rng.uniform(0, 0.02, FREQS.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BadCoefficients)
+            w = fit_bounding_weight(FREQS, r)
+        mag = np.abs(w.freq_response(FREQS)[:, 0, 0])
+        assert np.all(mag >= r - 1e-12), seed
 
 
 def test_fit_infeasible_for_wild_samples():
