@@ -44,6 +44,7 @@ from .payload import (ComSystem, PayloadParams, attachment_accel,
                       joint_interaction_force, payload_accel)
 
 TRANSPORT_PREROLL_T = 5.0
+TRANSPORT_PREROLL_DT = 0.005  # RK4 step of the pre-roll
 TRANSPORT_VELOCITY = np.array([0.5, 0.5, 0.0])
 
 
@@ -252,15 +253,15 @@ def zero_input(cfg: AnalysisConfig) -> np.ndarray:
     return np.zeros(cfg.n_inputs)
 
 
-def preroll_transport(cfg: AnalysisConfig, T: float = TRANSPORT_PREROLL_T,
-                      v_cmd=TRANSPORT_VELOCITY, dt: float = 0.005,
+def preroll_transport(cfg: AnalysisConfig,
                       divergence_bound: float = 1e3) -> np.ndarray:
-    """Integrate the nominal model from rest under the transport velocity
-    command; returns the state after T seconds."""
+    """Integrate the nominal model from rest under TRANSPORT_VELOCITY;
+    returns the state after TRANSPORT_PREROLL_T seconds."""
     x = rest_state(cfg)
     u = zero_input(cfg)
-    u[-3:] = v_cmd
-    n = int(round(T / dt))
+    u[-3:] = TRANSPORT_VELOCITY
+    dt = TRANSPORT_PREROLL_DT
+    n = int(round(TRANSPORT_PREROLL_T / dt))
     qsl = slice(6, 10)
 
     def rhs(t, x_):
@@ -282,8 +283,9 @@ def to_chart(cfg: AnalysisConfig, x):
                       zdot), q
 
 
-def complex_step_jacobian(f, x, h: float = 1e-100):
+def complex_step_jacobian(f, x):
     """Machine-precision Jacobian via the complex-step derivative."""
+    h = 1e-100
     x = np.asarray(x, dtype=float)
     n = x.size
     f0 = f(x)
@@ -300,8 +302,9 @@ def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
     """Jacobian linearization of the nonlinear model at an operating point.
 
     op = "rest" uses the exact engaged-hover equilibrium; op = "transport"
-    pre-rolls the nonlinear model for 5 s under the (0.5, 0.5, 0) velocity
-    command. A custom (x_full, u0) overrides both.
+    pre-rolls the nonlinear model (:func:`preroll_transport`) and takes the
+    Jacobian under the same velocity command. A custom (x_full, u0)
+    overrides both.
     """
     if x_full is None:
         if op == "rest":
@@ -338,8 +341,7 @@ def build_closed_loop(cfg: AnalysisConfig) -> LinearSystem:
 REF_STATES = slice(12, 15)  # master reference integrator inside the chart
 
 
-def deflate_marginal_modes(sys: LinearSystem, re_window: float = 5e-4,
-                           freq_window: float = 0.1) -> LinearSystem:
+def deflate_marginal_modes(sys: LinearSystem) -> LinearSystem:
     """Quotient out the structurally marginal modes of the interconnection.
 
     The laterally compliant formation admits equilibrium continua: the
@@ -349,11 +351,11 @@ def deflate_marginal_modes(sys: LinearSystem, re_window: float = 5e-4,
     (the perturbed system keeps the same continuum), so no admissible Delta
     can push them across the axis and they do not belong in the margin
     question; a finite pre-roll additionally smears them within numerical
-    noise of the axis. Everything inside the |Re| <= re_window,
-    |Im| <= freq_window box is truncated via an ordered real Schur form;
-    no legitimate plant dynamics oscillate that close to the axis below
-    freq_window. The master reference integrator is identified by its
-    eigenvector support and always kept.
+    noise of the axis. Everything inside the |Re| <= 5e-4, |Im| <= 0.1 box
+    is truncated via an ordered real Schur form; no legitimate plant
+    dynamics oscillate that close to the axis below 0.1 rad/s. The master
+    reference integrator is identified by its eigenvector support and
+    always kept.
     """
     A = sys.A
     n = A.shape[0]
@@ -366,7 +368,7 @@ def deflate_marginal_modes(sys: LinearSystem, re_window: float = 5e-4,
         ref_support = np.linalg.norm(V[REF_STATES, k]) / vn
         if ref_support > 0.5:
             continue  # reference integrator
-        if abs(w[k].real) <= re_window and abs(w[k].imag) <= freq_window:
+        if abs(w[k].real) <= 5e-4 and abs(w[k].imag) <= 0.1:
             deflate_vals.append(w[k])
     if not deflate_vals:
         return sys
@@ -387,19 +389,19 @@ def deflate_marginal_modes(sys: LinearSystem, re_window: float = 5e-4,
                         inputs=list(sys.inputs), outputs=list(sys.outputs))
 
 
-def margin_plant(sys: LinearSystem, growth_tol: float = 1e-6):
+def margin_plant(sys: LinearSystem):
     """Deflate the structural modes and gate nominal stability.
 
     Returns (deflated system, stable flag): stable means every remaining
-    eigenvalue either sits below growth_tol (strictly decaying, or trim
-    residue at the analysis scale) or is an exact zero of the reference
-    integrator.
+    eigenvalue either has real part at most 1e-6 (strictly decaying, or
+    trim residue at the analysis scale) or is an exact zero of the
+    reference integrator.
     """
     d = deflate_marginal_modes(sys)
     ev = np.linalg.eigvals(d.A) if d.n_states else np.array([])
     ok = True
     for lam in ev:
-        if lam.real <= growth_tol or abs(lam) <= 1e-9:
+        if lam.real <= 1e-6 or abs(lam) <= 1e-9:
             continue
         ok = False
         break

@@ -7,7 +7,8 @@ Conventions used throughout the toolkit:
   and composition satisfies ``R(q1 (x) q2) = R(q1) R(q2)``.
 * Euler angles are Z-Y-X (yaw-pitch-roll): ``R = Rz(psi) Ry(theta) Rx(phi)``.
 * Modified Rodrigues Parameters follow ``p = f qv / (a + qs)`` with
-  ``f = 2 (a + 1)``; the default configuration is ``a = 1, f = 4``.
+  ``a = 1`` and ``f = 2 (a + 1) = 4``: the map is singular only at the
+  full turn ``qs = -1``.
 
 All functions accept batched inputs: a quaternion argument of shape
 ``(..., 4)`` is processed along its last axis.
@@ -15,29 +16,9 @@ All functions accept batched inputs: a quaternion argument of shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularMrp
-
-
-@dataclass(frozen=True)
-class MrpConfig:
-    """MRP scale configuration: ``f`` is pinned to ``2 (a + 1)``."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"MRP parameter a must lie in [0, 1], got {self.a}")
-
-    @property
-    def f(self) -> float:
-        return 2.0 * (self.a + 1.0)
-
-
-DEFAULT_MRP = MrpConfig(a=1.0)
 
 IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -56,17 +37,13 @@ def row_norms(v):
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def quat_conjugate(q):
+def quat_inverse(q):
+    """Inverse of a unit quaternion: its conjugate."""
     q = np.asarray(q, dtype=float)
     out = np.empty_like(q)
     out[..., :3] = -q[..., :3]
     out[..., 3] = q[..., 3]
     return out
-
-
-def quat_inverse(q):
-    """Inverse of a unit quaternion (its conjugate)."""
-    return quat_conjugate(q)
 
 
 def cross3(a, b):
@@ -223,19 +200,23 @@ def euler_to_quat(eta):
     return rotmat_to_quat(euler_to_rotmat(eta))
 
 
-def quat_to_mrp(q, cfg: MrpConfig = DEFAULT_MRP):
+MRP_A = 1.0
+MRP_F = 2.0 * (MRP_A + 1.0)
+
+
+def quat_to_mrp(q):
     """MRP of a unit quaternion: p = f qv / (a + qs)."""
     q = np.asarray(q, dtype=float)
-    denom = cfg.a + q[..., 3:4]
+    denom = MRP_A + q[..., 3:4]
     if np.any(np.abs(denom) < 1e-12):
-        raise SingularMrp(f"|a + qs| < 1e-12 with a={cfg.a}")
-    return cfg.f * q[..., :3] / denom
+        raise SingularMrp(f"|a + qs| < 1e-12 with a={MRP_A}")
+    return MRP_F * q[..., :3] / denom
 
 
-def mrp_to_quat(p, cfg: MrpConfig = DEFAULT_MRP):
+def mrp_to_quat(p):
     """Unit quaternion of an MRP vector, scalar part forced non-negative."""
     p = np.asarray(p, dtype=float)
-    a, f = cfg.a, cfg.f
+    a, f = MRP_A, MRP_F
     n2 = (p * p).sum(axis=-1, keepdims=True)
     qs = (-a * n2 + f * np.sqrt(f * f + (1.0 - a * a) * n2)) / (f * f + n2)
     qv = (a + qs) / f * p

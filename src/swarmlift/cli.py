@@ -49,16 +49,22 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     check_keys("sweep config", cfg, SWEEP_KEYS)
-    n_agents = int(cfg.get("n_agents", 2))
-    if n_agents < 2:
+    n_agents, n_freqs = cfg.get("n_agents", 2), cfg.get("n_freqs", 80)
+    polish = cfg.get("polish", True)
+    for key, value, least in (("n_agents", n_agents, 2),
+                              ("n_freqs", n_freqs, 1)):
+        # bool is an int subclass, but true is no count
+        if type(value) is not int or value < least:
+            raise ScenarioError(f"sweep config: {key} must be an integer of "
+                                f"at least {least}, got {value!r}")
+    if not isinstance(polish, bool):
         raise ScenarioError(
-            f"sweep config: n_agents must be at least 2, got {n_agents}")
+            f"sweep config: polish must be true or false, got {polish!r}")
     grid = TuningGrid(
         M_values=np.asarray(cfg.get("grid_M", np.linspace(0, 30, 31))),
         C_values=np.asarray(cfg.get("grid_C", np.linspace(0, 30, 31))))
-    path = grid_sweep(n_agents, grid, args.out_dir,
-                      n_freqs=int(cfg.get("n_freqs", 80)),
-                      n_jobs=args.jobs, polish=bool(cfg.get("polish", True)))
+    path = grid_sweep(n_agents, grid, args.out_dir, n_freqs=n_freqs,
+                      n_jobs=args.jobs, polish=polish)
     print(f"wrote {path}")
     return 0
 

@@ -68,14 +68,15 @@ class EkfState:
         return self.x[M_SL]
 
 
-def ekf_init(p0, v0, eta0, omega0, P0_diag=None) -> EkfState:
+P0_DIAG = np.concatenate([
+    np.full(3, 1e-4), np.full(3, 1e-3), np.full(3, 1e-4),
+    np.full(3, 1e-3), np.full(3, 1.0), np.full(3, 1e-1)])
+
+
+def ekf_init(p0, v0, eta0, omega0) -> EkfState:
     x = np.zeros(NX)
     x[P_SL], x[V_SL], x[ETA_SL], x[W_SL] = p0, v0, eta0, omega0
-    if P0_diag is None:
-        P0_diag = np.concatenate([
-            np.full(3, 1e-4), np.full(3, 1e-3), np.full(3, 1e-4),
-            np.full(3, 1e-3), np.full(3, 1.0), np.full(3, 1e-1)])
-    return EkfState(x=x, P=np.diag(np.asarray(P0_diag, dtype=float)))
+    return EkfState(x=x, P=np.diag(P0_DIAG))
 
 
 def process_rhs(x, u, params: MavParams):

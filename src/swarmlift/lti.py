@@ -89,9 +89,9 @@ class LinearSystem:
             return np.array([])
         return np.linalg.eigvals(self.A)
 
-    def is_stable(self, tol: float = STABILITY_TOL) -> bool:
+    def is_stable(self) -> bool:
         ev = self.eigvals()
-        return bool(ev.size == 0 or np.max(ev.real) < -tol)
+        return bool(ev.size == 0 or np.max(ev.real) < -STABILITY_TOL)
 
     def freq_response(self, w) -> np.ndarray:
         """G(jw) = C (jwI - A)^-1 B + D, shape (len(w), p, m)."""
@@ -138,22 +138,17 @@ def _gather(channels, names, kind):
     return np.array(idx, dtype=int), chs
 
 
-def siso_tf(num, den, input_name="u", output_name="y") -> LinearSystem:
-    """SISO transfer function to state space (controllable canonical)."""
+def siso_tf(num, den) -> LinearSystem:
+    """SISO transfer function to state space (controllable canonical), from
+    input u to output y."""
     A, B, C, D = tf2ss(np.atleast_1d(num), np.atleast_1d(den))
-    return LinearSystem(A, B, C, D, inputs=[(input_name, 1)],
-                        outputs=[(output_name, 1)])
+    return LinearSystem(A, B, C, D, inputs=[("u", 1)], outputs=[("y", 1)])
 
 
-def first_order_lag(tau: float, gain: float = 1.0, input_name="u",
-                    output_name="y", dim: int = 1) -> LinearSystem:
-    """gain / (tau s + 1) on each of `dim` parallel channels."""
-    A = -np.eye(dim) / tau
-    B = np.eye(dim) / tau
-    C = gain * np.eye(dim)
-    D = np.zeros((dim, dim))
-    return LinearSystem(A, B, C, D, inputs=[(input_name, dim)],
-                        outputs=[(output_name, dim)])
+def first_order_lag(tau: float) -> LinearSystem:
+    """1 / (tau s + 1) from input u to output y."""
+    return LinearSystem([[-1.0 / tau]], [[1.0 / tau]], [[1.0]], [[0.0]],
+                        inputs=[("u", 1)], outputs=[("y", 1)])
 
 
 def output_weight(sys: LinearSystem, channel: str, weight) -> LinearSystem:

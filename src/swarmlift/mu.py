@@ -65,31 +65,30 @@ def default_blocks(n_agents: int) -> list[UncertaintyBlock]:
     return blocks
 
 
-def assemble_n_delta(plant: LinearSystem, blocks, perf_weight=None,
-                     w_name: str = "w", z_prefix: str = "z_lat"):
+def assemble_n_delta(plant: LinearSystem, blocks, perf_weight=None):
     """Wrap the plant's uncertainty taps with their weights and order the
     channels into the canonical upper-LFT arrangement.
 
     Returns (N, structure): N has inputs [u_blocks..., w] and outputs
-    [y_blocks..., z...]; the structure appends the full performance block
+    [y_blocks..., z_lat...]; the structure appends the full performance block
     mapping the weighted outputs back to the disturbance.
     """
     sys = plant
     for b in blocks:
         if b.weight is not None:
             sys = output_weight(sys, f"y_{b.name}", b.weight)
-    z_names = [name for name, _ in sys.outputs if name.startswith(z_prefix)]
+    z_names = [name for name, _ in sys.outputs if name.startswith("z_lat")]
     if not z_names:
-        raise ChannelMismatch(f"no outputs with prefix {z_prefix!r}")
+        raise ChannelMismatch("no outputs with prefix 'z_lat'")
     if perf_weight is not None:
         for zn in z_names:
             sys = output_weight(sys, zn, perf_weight)
     out_names = [f"y_{b.name}" for b in blocks] + z_names
-    in_names = [f"u_{b.name}" for b in blocks] + [w_name]
+    in_names = [f"u_{b.name}" for b in blocks] + ["w"]
     N = sys.subsystem(out_names=out_names, in_names=in_names)
     n_z = sum(sl.stop - sl.start for sl in
               (N.output_slice(zn) for zn in z_names))
-    n_w = N.input_slice(w_name).stop - N.input_slice(w_name).start
+    n_w = N.input_slice("w").stop - N.input_slice("w").start
     structure = list(blocks) + [
         UncertaintyBlock("perf", "full", dim_y=n_z, dim_u=n_w, weight=None)]
     return N, structure
@@ -411,19 +410,15 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
                         float(freqs[k_rp]), True)
 
 
-def margins(grid: TuningGrid, n_agents: int, freqs=None, blocks=None,
-            perf_weight=None, polish: bool = True, n_jobs: int = 1,
-            cfg_kwargs=None) -> list[MarginResult]:
-    """Margin map over the tuning grid; points are independent work items."""
+def margins(grid: TuningGrid, n_agents: int, freqs=None, polish: bool = True,
+            n_jobs: int = 1, cfg_kwargs=None) -> list[MarginResult]:
+    """Margin map over the tuning grid with the default blocks and
+    performance weight; points are independent work items."""
     pts = grid.points()
-    if freqs is None:
-        freqs = default_frequency_grid()
-    if blocks is None:
-        blocks = default_blocks(n_agents)
-    if perf_weight is None:
-        perf_weight = performance_weight()
-    fn = partial(margin_point, n_agents, freqs=freqs, blocks=blocks,
-                 perf_weight=perf_weight, polish=polish, cfg_kwargs=cfg_kwargs)
+    fn = partial(margin_point, n_agents, freqs=freqs,
+                 blocks=default_blocks(n_agents),
+                 perf_weight=performance_weight(), polish=polish,
+                 cfg_kwargs=cfg_kwargs)
     if n_jobs == 1:
         return [fn(M, C) for (M, C) in pts]
     from concurrent.futures import ProcessPoolExecutor

@@ -38,7 +38,7 @@ def _jsonable(value):
 
 def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
                n_freqs: int = 80, n_jobs: int = 1, polish: bool = True,
-               cfg_kwargs=None, tag: str = "") -> str:
+               cfg_kwargs=None) -> str:
     """Run the margin map and emit CSV plus a manifest; returns the CSV
     path. Identical configuration produces byte-identical output, and the
     manifest's config_hash covers every argument that changes the CSV."""
@@ -46,7 +46,7 @@ def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
     freqs = default_frequency_grid(n_freqs)
     results = margins(grid, n_agents, freqs=freqs, polish=polish,
                       n_jobs=n_jobs, cfg_kwargs=cfg_kwargs)
-    name = tag or f"margins_n{n_agents}"
+    name = f"margins_n{n_agents}"
     csv_path = os.path.join(out_dir, f"{name}.csv")
     write_margin_csv(results, csv_path)
     manifest = {

@@ -4,7 +4,8 @@ The filter follows the unscented-quaternion-estimator construction: the
 16-state error vector carries a 3-component attitude error that maps to and
 from the attitude quaternion through Modified Rodrigues Parameters, and the
 covariance receives a correction whenever the attitude error mean is folded
-back into the reference quaternion.
+back into the reference quaternion. The sigma points take lambda = 0: the
+mean and the covariance share the weights 0 (center) and 1 / 2n (others).
 
 State layout of the error vector xi (16):
     [p(3), v(3), eps(3), omega(3), F_ext(3), M_ext_z(1)]
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attitude as att
-from .attitude import DEFAULT_MRP, MrpConfig
 from .errors import CholeskyFailure
 from .mav import EZ, GRAVITY, MavParams, allocate_wrench, rotational_dynamics
 
@@ -39,16 +39,9 @@ W_SL = slice(9, 12)
 F_SL = slice(12, 15)
 MZ_IDX = 15
 
-
-@dataclass
-class UkfConfig:
-    lam: float = 0.0
-    mrp: MrpConfig = DEFAULT_MRP
-
-    def weights(self, n: int = NXI):
-        w = np.full(2 * n + 1, 1.0 / (2.0 * (n + self.lam)))
-        w[0] = self.lam / (n + self.lam)
-        return w, w.copy()  # mean and covariance weights coincide
+LAM = 0.0  # sigma-point scaling lambda
+WEIGHTS = np.full(2 * NXI + 1, 1.0 / (2.0 * (NXI + LAM)))
+WEIGHTS[0] = LAM / (NXI + LAM)
 
 
 def default_ukf_Q(rate_hz: float = 100.0) -> np.ndarray:
@@ -118,7 +111,7 @@ def _cholesky(A):
             raise CholeskyFailure("covariance not PSD after jitter") from exc
 
 
-def sigma_points(xi_hat, P, cfg: UkfConfig):
+def sigma_points(xi_hat, P):
     """2n+1 points: the mean plus +-columns of the scaled Cholesky factor,
     shape (..., 2n+1, n).
 
@@ -126,7 +119,7 @@ def sigma_points(xi_hat, P, cfg: UkfConfig):
     raises CholeskyFailure.
     """
     n = xi_hat.shape[-1]
-    L_T = _cholesky((cfg.lam + n) * P).swapaxes(-1, -2)
+    L_T = _cholesky((LAM + n) * P).swapaxes(-1, -2)
     mean = xi_hat[..., None, :]
     pts = np.empty(xi_hat.shape[:-1] + (2 * n + 1, n))
     pts[..., 0, :] = xi_hat
@@ -191,16 +184,15 @@ def _mT(A):
     return A.swapaxes(-1, -2)
 
 
-def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams, Ts: float,
-                cfg: UkfConfig = UkfConfig()) -> UkfState:
+def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams,
+                Ts: float) -> UkfState:
     """Sigma-point prediction with quaternion inflation/deflation via MRPs
     and the attitude-reset covariance correction.
 
     A stacked state (leading slave axis S) takes rotor speeds
     (S, rotor_count) and predicts every slave's filter in one call."""
-    wm, wc = cfg.weights()
-    X = sigma_points(s.xi, s.P, cfg)
-    dq = att.mrp_to_quat(X[..., E_SL], cfg.mrp)
+    X = sigma_points(s.xi, s.P)
+    dq = att.mrp_to_quat(X[..., E_SL])
     q_pts = att.quat_multiply(dq, s.q[..., None, :])
     p2, v2, q2, w2, F2, M2 = propagate_full(
         X[..., P_SL], X[..., V_SL], q_pts, X[..., W_SL], X[..., F_SL],
@@ -208,17 +200,17 @@ def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams, Ts: float,
     q_pred = q2[..., 0, :]
     dq2 = _canonical(att.quat_multiply(q2,
                                        att.quat_inverse(q_pred)[..., None, :]))
-    eps2 = att.quat_to_mrp(dq2, cfg.mrp)
+    eps2 = att.quat_to_mrp(dq2)
     Xp = np.concatenate([p2, v2, eps2, w2, F2, M2[..., None]], axis=-1)
-    xi_mean = wm @ Xp
+    xi_mean = WEIGHTS @ Xp
     dev = Xp - xi_mean[..., None, :]
-    P_pre = _mT(dev) @ (wc[:, None] * dev) \
+    P_pre = _mT(dev) @ (WEIGHTS[:, None] * dev) \
         + np.diag(np.asarray(Q, dtype=float))
     eps_mean = xi_mean[..., E_SL].copy()
     T = _reset_matrix(eps_mean)
     P = T @ P_pre @ _mT(T)
     # fold the mean error into the reference attitude
-    q_pred = att.quat_multiply(att.mrp_to_quat(eps_mean, cfg.mrp), q_pred)
+    q_pred = att.quat_multiply(att.mrp_to_quat(eps_mean), q_pred)
     xi_mean[..., E_SL] = 0.0
     return UkfState(xi=xi_mean, P=0.5 * (P + _mT(P)), q=q_pred)
 
@@ -226,20 +218,20 @@ def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams, Ts: float,
 _H = np.hstack([np.eye(NZ), np.zeros((NZ, NXI - NZ))])
 
 
-def measurement_error_vector(q_meas, q_ref, cfg: UkfConfig = UkfConfig()):
+def measurement_error_vector(q_meas, q_ref):
     """Attitude measurement mapped into error space relative to q_ref."""
     dq = _canonical(att.quat_multiply(q_meas, att.quat_inverse(q_ref)))
-    return att.quat_to_mrp(dq, cfg.mrp)
+    return att.quat_to_mrp(dq)
 
 
-def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas, R,
-               cfg: UkfConfig = UkfConfig()) -> UkfState:
+def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas,
+               R) -> UkfState:
     """Linear Kalman update on (p, v, eps, omega) followed by the attitude
     commit and its covariance reset.
 
     A stacked state (leading slave axis S) takes measurements (S, 3) and
     quaternions (S, 4) and updates every slave's filter in one call."""
-    eps_m = measurement_error_vector(np.asarray(q_meas, dtype=float), s.q, cfg)
+    eps_m = measurement_error_vector(np.asarray(q_meas, dtype=float), s.q)
     z = np.concatenate([p_meas, v_meas, eps_m, omega_meas], axis=-1)
     Rm = np.diag(np.asarray(R, dtype=float))
     # matrix-vector products on a trailing unit axis: one gemv per slave,
@@ -253,7 +245,7 @@ def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas, R,
     eps_hat = xi[..., E_SL].copy()
     T = _reset_matrix(eps_hat)
     P = T @ P @ _mT(T)
-    q_new = att.quat_multiply(att.mrp_to_quat(eps_hat, cfg.mrp), s.q)
+    q_new = att.quat_multiply(att.mrp_to_quat(eps_hat), s.q)
     xi[..., E_SL] = 0.0
     return UkfState(xi=xi, P=0.5 * (P + _mT(P)), q=q_new)
 

@@ -149,17 +149,19 @@ def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
     return best[1]
 
 
-def performance_weight(gain_dc: float = 0.07, w_lo: float = 0.01,
-                       w_z: float = 0.067, w_c: float = 0.385) -> LinearSystem:
-    """Force-performance weight: reduced magnitude inside the transient band
-    [w_lo, w_z] rad/s, higher outside, stable and proper.
+def performance_weight() -> LinearSystem:
+    """Force-performance weight
+    0.07 (s/w_z + 1)^2 / ((s/w_lo + 1)(s/w_c + 1)) with w_lo = 0.01,
+    w_z = 0.067 and w_c = 0.385 rad/s: reduced magnitude inside the
+    transient band [w_lo, w_z], higher outside, stable and proper.
 
     The scale is an artifact calibration (the reference figure is not
     numerically recoverable): the DC gain prices the steady lateral force
     each slave's damper demands from the master, which is what pushes the
     performant region toward low virtual damping as the team grows.
     """
-    num = gain_dc * np.convolve([1.0 / w_z, 1.0], [1.0 / w_z, 1.0])
+    w_lo, w_z, w_c = 0.01, 0.067, 0.385
+    num = 0.07 * np.convolve([1.0 / w_z, 1.0], [1.0 / w_z, 1.0])
     den = np.convolve([1.0 / w_lo, 1.0], [1.0 / w_c, 1.0])
     return siso_tf(num, den)
 

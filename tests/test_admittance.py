@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from swarmlift.admittance import (
+    SNAP_EPS,
     AdmittanceMode,
     AdmittanceParams,
     AdmittanceState,
@@ -220,3 +223,77 @@ def test_per_axis_engagement_isolated():
         st = admittance_step(st, [2.0, 0.1, 0.0], TS)
     assert st.Lambda_r[0] > 0.01
     assert st.Lambda_r[1] == 0.0  # sub-threshold axis never moves
+
+
+# ------------------------------------------------- FSM properties (random)
+
+# piecewise-constant force sequences: (force, number of ticks) runs, so
+# that thresholds are held long enough to trip the debounce
+FORCE_RUNS = hst.lists(
+    hst.tuples(hst.lists(hst.floats(-2.0, 2.0), min_size=3, max_size=3),
+               hst.integers(1, 25)),
+    min_size=1, max_size=12)
+OFFSETS = hst.lists(hst.floats(-0.5, 0.5), min_size=3, max_size=3)
+
+
+def engaged_with_offset(offset):
+    """Default parameters (a spring on z only), engaged at the origin, with
+    a calibrated force offset."""
+    st = AdmittanceState(params=AdmittanceParams())
+    st = fsm_step(st, np.zeros(3), TS, command="engage",
+                  current_pose=np.zeros(3))
+    st.offset = np.array(offset)
+    return st
+
+
+def ticks(runs):
+    for F, n in runs:
+        for _ in range(n):
+            yield np.array(F)
+
+
+@settings(max_examples=50, deadline=None)
+@given(FORCE_RUNS, OFFSETS)
+def test_fsm_generating_mode_iff_an_axis_generates(runs, offset):
+    st = engaged_with_offset(offset)
+    for F in ticks(runs):
+        st = fsm_step(st, F, TS)
+        assert st.mode in (AdmittanceMode.TRACKING, AdmittanceMode.GENERATING)
+        assert ((st.mode is AdmittanceMode.GENERATING)
+                == bool(st.axis_generating.any()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(FORCE_RUNS, OFFSETS)
+def test_fsm_axis_generates_only_after_t_hi_above_f_hi(runs, offset):
+    st = engaged_with_offset(offset)
+    p = st.params
+    above = np.zeros(3)  # time each axis has spent above F_hi, per tick
+    for F in ticks(runs):
+        was = st.axis_generating.copy()
+        st = fsm_step(st, F, TS)
+        above = np.where(np.abs(F - st.offset) > p.F_hi, above + TS, 0.0)
+        started = st.axis_generating & ~was
+        assert np.all(above[started] >= p.T_hi - 1e-9)
+        # and a stretch that long always starts the axis
+        assert np.all(st.axis_generating[above >= p.T_hi + 1e-9])
+
+
+@settings(max_examples=50, deadline=None)
+@given(FORCE_RUNS, OFFSETS,
+       hst.lists(hst.floats(-0.99, 0.99), min_size=6, max_size=6))
+def test_admittance_keeps_a_resting_idle_axis_frozen(runs, offset, start):
+    st = engaged_with_offset(offset)
+    K = st.params.K
+    # start each axis at rest but off the exact zero: a residual velocity
+    # below SNAP_EPS, and a displacement (below SNAP_EPS on a spring axis)
+    st.zdot = SNAP_EPS * np.array(start[:3])
+    st.z = np.where(K > 0.0, SNAP_EPS, 1.0) * np.array(start[3:])
+    for F in ticks(runs):
+        st = fsm_step(st, F, TS)
+        z, zdot = st.z.copy(), st.zdot.copy()
+        rest = (~st.axis_generating & (np.abs(zdot) < SNAP_EPS)
+                & ((K == 0.0) | (np.abs(z) < SNAP_EPS)))
+        st = admittance_step(st, F, TS)
+        assert np.all(st.zdot[rest] == 0.0)
+        assert np.all(st.z[rest] == np.where(K > 0.0, 0.0, z)[rest])

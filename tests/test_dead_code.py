@@ -1,11 +1,13 @@
 """Static guards: every module-level import in the package is used, every
 module-level private function and class is referenced, every public
 module-level function is referenced by the package or the benchmark, or
-is listed as public API, and every module-level constant is read by the
-package, the benchmark or the tests."""
+is listed as public API, every module-level constant is read by the
+package, the benchmark or the tests, and every parameter with a default
+is passed by some call in the package or the benchmark, or is listed with
+the reason it stays a parameter."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import swarmlift
@@ -182,3 +184,111 @@ def test_no_unreferenced_module_constants():
     others = {str(path): path.read_text()
               for path in sorted([*BENCH.glob("*.py"), *TESTS.glob("*.py")])}
     assert unreferenced_constants(package, others) == []
+
+
+# parameters with a default that no call in the package or the benchmark
+# passes, and why each stays a parameter instead of becoming a constant
+KEPT_DEFAULTS = {
+    "analysis.py:preroll_transport(divergence_bound)":
+        "safety bound; a test drives the divergence path",
+    "analysis.py:linearize(x_full)":
+        "tests linearize at their own operating points",
+    "analysis.py:linearize(u0)":
+        "tests linearize at their own operating points",
+    "cli.py:main(argv)": "None reads the command line; tests pass argv",
+    "identify.py:run_force_step(magnitude)": "force-step experiment size",
+    "identify.py:run_force_step(t_step)": "tests keep the experiment short",
+    "identify.py:run_force_step(duration)": "tests keep the experiment short",
+    "identify.py:identify_pd_response(harmonics)":
+        "tests identify on fewer harmonics to stay short",
+    "identify.py:identify_thrust_response(axis)":
+        "axis 2 identifies the vertical thrust weight",
+    "identify.py:identify_thrust_response(harmonics)":
+        "tests identify on fewer harmonics to stay short",
+    "identify.py:identify_thrust_response(base_period)":
+        "tests keep the experiment short",
+    "identify.py:identify_thrust_response(settle)":
+        "tests keep the experiment short",
+    "mu.py:ssv_upper_bound(balance_tol)":
+        "tests compute reference bounds with other tolerances",
+    "mu.py:ssv_upper_bound(max_balance)":
+        "tests compute reference bounds with other tolerances",
+    "mu.py:ssv_upper_bound(polish_tol)":
+        "tests compute reference bounds with other tolerances",
+    "oracles.py:random_delta_hurwitz_check(n_samples)":
+        "Monte Carlo size; tests keep it short",
+    "oracles.py:random_delta_hurwitz_check(freqs)":
+        "tests use a coarse frequency grid to stay short",
+    "sweep.py:grid_sweep(cfg_kwargs)":
+        "non-default agents and payloads; the manifest hashes them",
+    "ukf.py:ukf_init(P0_diag)": "tests drive the jitter retry with it",
+}
+
+
+def _call_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def unpassed_defaults(package: dict, others: dict) -> list:
+    """Parameters with a default, of the package's functions and methods,
+    that no call in either set passes: by keyword, by position, through
+    functools.partial or through a ** forward. Calls match functions by
+    name."""
+    passed = defaultdict(set)  # keywords and positions passed, per name
+    for src in [*package.values(), *others.values()]:
+        for n in ast.walk(ast.parse(src)):
+            if not isinstance(n, ast.Call):
+                continue
+            name, args = _call_name(n.func), n.args
+            if name == "partial" and args:
+                name, args = _call_name(args[0]), args[1:]
+            passed[name].update(range(len(args)))
+            passed[name].update(k.arg for k in n.keywords)  # None: **
+            if any(isinstance(a, ast.Starred) for a in args):
+                passed[name].add("*")
+    found = []
+    for module, src in package.items():
+        tree = ast.parse(src)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a, got = fn.args, passed[fn.name]
+            pos = a.posonlyargs + a.args
+            shift = int(id(fn) in methods)  # self is not in the call
+            params = [(p.arg, i - shift, "*") for i, p in enumerate(pos)
+                      if i >= len(pos) - len(a.defaults)]
+            params += [(p.arg, p.arg, p.arg) for p, d in
+                       zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [f"{module}:{fn.name}({arg})" for arg, i, star in params
+                      if not {arg, i, star, None} & got]
+    return sorted(found)
+
+
+def test_guard_flags_an_unpassed_default():
+    package = {"a.py": ("def f(x, by_pos=1, by_kw=2, gone=3):\n    pass\n"
+                        "def g(x, *, forwarded=1):\n    pass\n"
+                        "def h(x, via_partial=1, unused=2):\n    pass\n"
+                        "class K:\n"
+                        "    def m(self, by_pos=1, gone_too=2):\n"
+                        "        pass\n"),
+               "b.py": ("from functools import partial\n"
+                        "from .a import K, f, g, h\n"
+                        "f(0, 1, by_kw=2)\nK().m(1)\n"
+                        "partial(h, 0, via_partial=1)()\n")}
+    others = {"run.py": "from swarmlift.a import g\ng(0, **{})\n"}
+    assert unpassed_defaults(package, others) == [
+        "a.py:f(gone)", "a.py:h(unused)", "a.py:m(gone_too)"]
+
+
+def test_no_unpassed_defaults():
+    package = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    bench = {path.name: path.read_text() for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    found = unpassed_defaults(package, bench)
+    assert sorted(set(found) - set(KEPT_DEFAULTS)) == []
+    assert sorted(set(KEPT_DEFAULTS) - set(found)) == []  # stale entries

@@ -55,7 +55,7 @@ FORCE_STEP_DIGESTS = {
 
 @pytest.mark.parametrize("estimator", [None, "ekf", "ukf"])
 def test_force_step_trace_digest(estimator):
-    tr = run_force_step(MavParams(), estimator, magnitude=1.5, axis=0,
+    tr = run_force_step(MavParams(), estimator, magnitude=1.5,
                         t_step=0.3005, duration=0.8)
     digest = _digest(tr.t, tr.p, tr.v, tr.eta, tr.F_prop_w, tr.F_hat)
     assert digest == FORCE_STEP_DIGESTS[estimator]

@@ -34,7 +34,7 @@ def test_channel_slices():
 
 
 def test_output_weight_matches_series_tf():
-    plant = siso_tf([1.0], [1.0, 1.0], input_name="u", output_name="y")
+    plant = siso_tf([1.0], [1.0, 1.0])
     weight = siso_tf([2.0, 1.0], [0.1, 1.0])  # (2s+1)/(0.1s+1)
     weighted = output_weight(plant, "y", weight)
     w = np.logspace(-2, 2, 50)

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from swarmlift.mu import (
     default_blocks,
     default_frequency_grid,
     margin_point,
-    margins,
     _balance,
     _scaled,
     _scaling_groups,
@@ -356,20 +354,6 @@ def test_random_delta_hurwitz_at_robust_point():
                                            freqs=FREQS)
     assert rs > 1.0
     assert worst < 0.0
-
-
-def test_parallel_margins_use_custom_blocks_and_weight():
-    grid = TuningGrid(M_values=np.array([0.0, 8.0]),
-                      C_values=np.array([6.0]))
-    kw = dict(freqs=default_frequency_grid(12),
-              blocks=default_blocks(2)[:-1],  # no estimator block
-              perf_weight=performance_weight(gain_dc=0.2))
-    serial = margins(grid, 2, n_jobs=1, **kw)
-    parallel = margins(grid, 2, n_jobs=2, **kw)
-    # field by field: the degenerate point's peak frequencies are NaN
-    np.testing.assert_array_equal([astuple(r) for r in parallel],
-                                  [astuple(r) for r in serial])
-    assert serial[1].rs_margin > 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -47,7 +47,15 @@ def test_cli_sweep_serial_equals_parallel(tmp_path):
 @pytest.mark.parametrize("cfg,match", [
     ({"n_agents": 2, "n_freq": 10}, "unknown key"),  # misspelled n_freqs
     ({"n_agents": 1, "n_freqs": 10}, "n_agents"),
-], ids=["misspelled-key", "one-agent"])
+    ({"n_agents": 2, "n_freqs": 5, "polish": "false"}, "polish"),
+    ({"n_agents": 2, "n_freqs": 5, "polish": 0}, "polish"),
+    ({"n_agents": 2, "n_freqs": 0}, "n_freqs"),
+    ({"n_agents": 2, "n_freqs": 2.5}, "n_freqs"),
+    ({"n_agents": 2.5, "n_freqs": 5}, "n_agents"),
+    ({"n_agents": 2, "n_freqs": True}, "n_freqs"),
+], ids=["misspelled-key", "one-agent", "polish-string", "polish-number",
+        "zero-freqs", "fractional-freqs", "fractional-agents",
+        "boolean-freqs"])
 def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
     import swarmlift.sweep
 

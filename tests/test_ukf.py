@@ -18,7 +18,6 @@ from test_ekf import fit_first_order_tau
 
 PARAMS = MavParams()
 TS = 0.01
-CFG = ukf.UkfConfig()
 
 
 def hover_rotors():
@@ -36,18 +35,17 @@ def test_sigma_points_zero_covariance():
     # P = 0 goes through the jitter retry; spread collapses to the mean at
     # the 1e-9 jitter floor
     s = hover_filter(P0=np.zeros(ukf.NXI))
-    pts = ukf.sigma_points(s.xi, s.P, CFG)
+    pts = ukf.sigma_points(s.xi, s.P)
     assert pts.shape == (33, 16)
     assert np.max(np.abs(pts - s.xi[None, :])) < 1e-3
 
 
 def test_sigma_points_identity_covariance():
-    cfg = ukf.UkfConfig(lam=1.0)  # lam + n = 17
-    xi = np.zeros(ukf.NXI)
-    pts = ukf.sigma_points(xi, np.eye(ukf.NXI), cfg)
+    xi = np.zeros(ukf.NXI)  # lambda + n = 16
+    pts = ukf.sigma_points(xi, np.eye(ukf.NXI))
     offsets = pts[1:] - xi[None, :]
     norms = np.linalg.norm(offsets, axis=1)
-    assert_allclose(norms, np.sqrt(17.0), rtol=1e-12)
+    assert_allclose(norms, 4.0, rtol=1e-12)
     # offsets along coordinate axes
     assert np.count_nonzero(np.abs(offsets) > 1e-12) == 32
 
@@ -57,11 +55,11 @@ def test_sigma_point_moments_reconstruct():
     A = rng.normal(size=(ukf.NXI, ukf.NXI))
     P = A @ A.T + 0.1 * np.eye(ukf.NXI)
     xi = rng.normal(size=ukf.NXI)
-    pts = ukf.sigma_points(xi, P, CFG)
-    wm, wc = CFG.weights()
-    mean = wm @ pts
+    pts = ukf.sigma_points(xi, P)
+    w = ukf.WEIGHTS
+    mean = w @ pts
     dev = pts - mean[None, :]
-    cov = dev.T @ (wc[:, None] * dev)
+    cov = dev.T @ (w[:, None] * dev)
     assert np.max(np.abs(mean - xi)) < 1e-10
     assert np.max(np.abs(cov - P)) < 1e-9
 
@@ -73,12 +71,12 @@ def test_unscented_transform_affine_exactness():
     xi = rng.normal(size=ukf.NXI)
     M = rng.normal(size=(7, ukf.NXI))
     b = rng.normal(size=7)
-    pts = ukf.sigma_points(xi, P, CFG)
+    pts = ukf.sigma_points(xi, P)
     ypts = pts @ M.T + b[None, :]
-    wm, wc = CFG.weights()
-    ymean = wm @ ypts
+    w = ukf.WEIGHTS
+    ymean = w @ ypts
     dev = ypts - ymean[None, :]
-    ycov = dev.T @ (wc[:, None] * dev)
+    ycov = dev.T @ (w[:, None] * dev)
     assert np.max(np.abs(ymean - (M @ xi + b))) < 1e-10
     assert np.max(np.abs(ycov - M @ P @ M.T)) < 1e-9
 
@@ -87,7 +85,7 @@ def test_unscented_transform_affine_exactness():
 
 def test_predict_hover_fixed_point():
     s = hover_filter(P0=np.zeros(ukf.NXI))
-    s2 = ukf.ukf_predict(s, hover_rotors(), np.zeros(ukf.NXI), PARAMS, TS, CFG)
+    s2 = ukf.ukf_predict(s, hover_rotors(), np.zeros(ukf.NXI), PARAMS, TS)
     assert np.max(np.abs(s2.xi - s.xi)) < 1e-6
     assert_allclose(s2.q, s.q, atol=1e-7)
 
@@ -116,7 +114,7 @@ def test_predict_covariance_matches_linearization():
     s = hover_filter(P0=P0)
     n_rot = hover_rotors()
     Q = np.zeros(ukf.NXI)
-    s2 = ukf.ukf_predict(s, n_rot, Q, PARAMS, TS, CFG)
+    s2 = ukf.ukf_predict(s, n_rot, Q, PARAMS, TS)
 
     q_ref = s.q
 
@@ -152,9 +150,9 @@ def test_predict_covariance_matches_linearization():
 
 def test_update_at_prediction_contracts():
     s = hover_filter()
-    s = ukf.ukf_predict(s, hover_rotors(), ukf.default_ukf_Q(), PARAMS, TS, CFG)
+    s = ukf.ukf_predict(s, hover_rotors(), ukf.default_ukf_Q(), PARAMS, TS)
     s2 = ukf.ukf_update(s, s.xi[ukf.P_SL], s.xi[ukf.V_SL], s.q,
-                        s.xi[ukf.W_SL], ukf.default_ukf_R(), CFG)
+                        s.xi[ukf.W_SL], ukf.default_ukf_R())
     assert np.max(np.abs(s2.xi - s.xi)) < 1e-12
     assert np.trace(s2.P) < np.trace(s.P)
     assert_allclose(s2.q, s.q, atol=1e-15)
@@ -175,7 +173,7 @@ def test_update_gain_structure_attitude_only():
     dq = att.quat_from_axis_angle([0, 0, 1], 0.02)
     q_meas = att.quat_multiply(dq, s.q)
     s2 = ukf.ukf_update(s, np.zeros(3), np.zeros(3), q_meas, np.zeros(3),
-                        ukf.default_ukf_R(), CFG)
+                        ukf.default_ukf_R())
     assert np.max(np.abs(s2.xi[0:6] - s.xi[0:6])) < 1e-12  # p, v untouched
     moved = att.quat_rotation_angle(
         att.quat_multiply(s2.q, att.quat_inverse(s.q)))
@@ -184,13 +182,13 @@ def test_update_gain_structure_attitude_only():
 
 def test_update_commit_then_reextract_zero():
     s = hover_filter()
-    s = ukf.ukf_predict(s, hover_rotors(), ukf.default_ukf_Q(), PARAMS, TS, CFG)
+    s = ukf.ukf_predict(s, hover_rotors(), ukf.default_ukf_Q(), PARAMS, TS)
     dq = att.quat_from_axis_angle([1, 1, 0], 0.05)
     q_meas = att.quat_multiply(dq, s.q)
     s2 = ukf.ukf_update(s, np.zeros(3), np.zeros(3), q_meas, np.zeros(3),
-                        ukf.default_ukf_R(), CFG)
+                        ukf.default_ukf_R())
     # the committed estimate re-measured against itself gives zero error
-    eps = ukf.measurement_error_vector(s2.q, s2.q, CFG)
+    eps = ukf.measurement_error_vector(s2.q, s2.q)
     assert_allclose(eps, np.zeros(3), atol=1e-15)
     assert_allclose(s2.xi[ukf.E_SL], np.zeros(3))
 
@@ -201,13 +199,13 @@ def test_covariance_hygiene_through_steps():
     Q, R = ukf.default_ukf_Q(), ukf.default_ukf_R()
     n_rot = hover_rotors()
     for _ in range(150):
-        s = ukf.ukf_predict(s, n_rot, Q, PARAMS, TS, CFG)
+        s = ukf.ukf_predict(s, n_rot, Q, PARAMS, TS)
         s = ukf.ukf_update(
             s, s.xi[ukf.P_SL] + rng.normal(scale=1e-3, size=3),
             s.xi[ukf.V_SL] + rng.normal(scale=2e-3, size=3),
             att.quat_multiply(att.quat_from_axis_angle(
                 rng.normal(size=3), abs(rng.normal(scale=1e-3))), s.q),
-            s.xi[ukf.W_SL] + rng.normal(scale=2e-3, size=3), R, CFG)
+            s.xi[ukf.W_SL] + rng.normal(scale=2e-3, size=3), R)
         assert np.max(np.abs(s.P - s.P.T)) < 1e-10
         assert np.linalg.eigvalsh(s.P).min() > -1e-9
 
@@ -286,12 +284,12 @@ def test_stacked_filter_matches_per_slave_calls_bit_for_bit():
     singles = [row(stacked, k) for k in range(S)]
     for _ in range(3):
         rotors, meas = random_inputs(rng)
-        stacked = ukf.ukf_predict(stacked, rotors, Q, PARAMS, TS, CFG)
-        singles = [ukf.ukf_predict(s, rotors[k], Q, PARAMS, TS, CFG)
+        stacked = ukf.ukf_predict(stacked, rotors, Q, PARAMS, TS)
+        singles = [ukf.ukf_predict(s, rotors[k], Q, PARAMS, TS)
                    for k, s in enumerate(singles)]
         assert_rows_identical(stacked, singles)
-        stacked = ukf.ukf_update(stacked, *meas, R, CFG)
-        singles = [ukf.ukf_update(s, *(m[k] for m in meas), R, CFG)
+        stacked = ukf.ukf_update(stacked, *meas, R)
+        singles = [ukf.ukf_update(s, *(m[k] for m in meas), R)
                    for k, s in enumerate(singles)]
         assert_rows_identical(stacked, singles)
     # the attitude reset rotated the covariance of every slave
@@ -305,22 +303,22 @@ def test_stacked_jitter_retry_touches_only_the_failing_slave():
     # retry factors
     v = rng.normal(size=ukf.NXI)
     stacked.P[2] = 1e-3 * np.outer(v, v) - 1e-12 * np.eye(ukf.NXI)
-    scale = CFG.lam + ukf.NXI
+    scale = ukf.LAM + ukf.NXI
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(scale * stacked.P[2])
-    pts = ukf.sigma_points(stacked.xi, stacked.P, CFG)
+    pts = ukf.sigma_points(stacked.xi, stacked.P)
     for k in range(S):
         assert pts[k].tobytes() == ukf.sigma_points(
-            stacked.xi[k], stacked.P[k], CFG).tobytes()
+            stacked.xi[k], stacked.P[k]).tobytes()
         if k != 2:  # no jitter on the others
             L = np.linalg.cholesky(scale * stacked.P[k])
             assert pts[k, 1:ukf.NXI + 1].tobytes() \
                 == (stacked.xi[k] + L.T).tobytes()
     rotors, _ = random_inputs(rng)
     Q = ukf.default_ukf_Q()
-    pred = ukf.ukf_predict(stacked, rotors, Q, PARAMS, TS, CFG)
+    pred = ukf.ukf_predict(stacked, rotors, Q, PARAMS, TS)
     assert_rows_identical(pred, [
-        ukf.ukf_predict(row(stacked, k), rotors[k], Q, PARAMS, TS, CFG)
+        ukf.ukf_predict(row(stacked, k), rotors[k], Q, PARAMS, TS)
         for k in range(S)])
 
 
@@ -329,10 +327,10 @@ def test_stacked_second_cholesky_failure_raises():
     stacked = random_stack(rng)
     stacked.P[1] = -np.eye(ukf.NXI)
     with pytest.raises(CholeskyFailure):
-        ukf.sigma_points(stacked.xi, stacked.P, CFG)
+        ukf.sigma_points(stacked.xi, stacked.P)
     rotors, _ = random_inputs(rng)
     with pytest.raises(CholeskyFailure):
-        ukf.ukf_predict(stacked, rotors, ukf.default_ukf_Q(), PARAMS, TS, CFG)
+        ukf.ukf_predict(stacked, rotors, ukf.default_ukf_Q(), PARAMS, TS)
 
 
 def reset_matrix_reference(eps):
