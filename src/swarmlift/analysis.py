@@ -6,13 +6,14 @@ first-order world-frame thrust lag, first-order force-estimator lag, and
 the engaged admittance law on every slave. The master tracks an external
 velocity command through a reference integrator.
 
-Uncertainty enters through normalized injection channels:
+Uncertainty enters through normalized injection channels u_<name> /
+y_<name>, one pair per Delta channel that :func:`delta_channels` lists:
 
-* u_mass / y_mass: inverse-system-mass perturbation (payload mass interval),
-* u_inertia / y_inertia: payload inertia diagonal perturbation,
-* u_mpc_i / y_mpc_i: multiplicative perturbation on each position controller,
-* u_att_i / y_att_i: multiplicative perturbation on each thrust lag,
-* u_est_j / y_est_j: multiplicative perturbation on each slave estimator.
+* mass: inverse-system-mass perturbation (payload mass interval),
+* inertia: payload inertia diagonal perturbation,
+* mpc_i: multiplicative perturbation on each position controller,
+* att_i: multiplicative perturbation on each thrust lag,
+* est_j: multiplicative perturbation on each slave estimator.
 
 One nonlinear model, :func:`_core`, carries the physics. It runs the
 simulator's kernels (``payload``'s attachment kinematics, rigid body and
@@ -93,29 +94,29 @@ class AnalysisConfig:
         return self.n_agents - 1
 
     def input_channels(self):
-        ch = [("u_mass", 3), ("u_inertia", 3)]
-        ch += [(f"u_mpc_{i}", 3) for i in range(self.n_agents)]
-        ch += [(f"u_att_{i}", 3) for i in range(self.n_agents)]
-        ch += [(f"u_est_{j}", 3) for j in range(1, self.n_agents)]
-        ch += [("w", 3)]
-        return ch
+        return [(f"u_{name}", size) for name, size in
+                delta_channels(self.n_agents)] + [("w", 3)]
 
     def output_channels(self):
-        ch = [("y_mass", 3), ("y_inertia", 3)]
-        ch += [(f"y_mpc_{i}", 3) for i in range(self.n_agents)]
-        ch += [(f"y_att_{i}", 3) for i in range(self.n_agents)]
-        ch += [(f"y_est_{j}", 3) for j in range(1, self.n_agents)]
-        ch += [(f"z_lat_{i}", 2) for i in range(self.n_agents)]
-        ch += [("v_WP", 3), ("p_WP", 3)]
-        return ch
+        return ([(f"y_{name}", size) for name, size in
+                 delta_channels(self.n_agents)]
+                + [(f"z_lat_{i}", 2) for i in range(self.n_agents)]
+                + [("v_WP", 3), ("p_WP", 3)])
 
     @property
     def n_inputs(self) -> int:
         return sum(s for _, s in self.input_channels())
 
-    @property
-    def n_outputs(self) -> int:
-        return sum(s for _, s in self.output_channels())
+
+def delta_channels(n_agents: int) -> list:
+    """The Delta channels (name, size), in the order of the plant's
+    u/y channels and of the analysis blocks: payload mass and inertia, one
+    position controller mpc_i and one thrust lag att_i per agent, one
+    estimator est_j per slave."""
+    return ([("mass", 3), ("inertia", 3)]
+            + [(f"mpc_{i}", 3) for i in range(n_agents)]
+            + [(f"att_{i}", 3) for i in range(n_agents)]
+            + [(f"est_{j}", 3) for j in range(1, n_agents)])
 
 
 # ------------------------------------------------------------ state packing

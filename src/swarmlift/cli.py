@@ -41,7 +41,6 @@ SWEEP_KEYS = ("n_agents", "grid_M", "grid_C", "n_freqs", "polish")
 
 
 def _cmd_sweep(args) -> int:
-    from .errors import ScenarioError
     from .mu import TuningGrid
     from .scenario import check_keys
     from .sweep import grid_sweep
@@ -49,22 +48,12 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     check_keys("sweep config", cfg, SWEEP_KEYS)
-    n_agents, n_freqs = cfg.get("n_agents", 2), cfg.get("n_freqs", 80)
-    polish = cfg.get("polish", True)
-    for key, value, least in (("n_agents", n_agents, 2),
-                              ("n_freqs", n_freqs, 1)):
-        # bool is an int subclass, but true is no count
-        if type(value) is not int or value < least:
-            raise ScenarioError(f"sweep config: {key} must be an integer of "
-                                f"at least {least}, got {value!r}")
-    if not isinstance(polish, bool):
-        raise ScenarioError(
-            f"sweep config: polish must be true or false, got {polish!r}")
     grid = TuningGrid(
         M_values=np.asarray(cfg.get("grid_M", np.linspace(0, 30, 31))),
         C_values=np.asarray(cfg.get("grid_C", np.linspace(0, 30, 31))))
-    path = grid_sweep(n_agents, grid, args.out_dir, n_freqs=n_freqs,
-                      n_jobs=args.jobs, polish=polish)
+    path = grid_sweep(cfg.get("n_agents", 2), grid, args.out_dir,
+                      n_freqs=cfg.get("n_freqs", 80), n_jobs=args.jobs,
+                      polish=cfg.get("polish", True))
     print(f"wrote {path}")
     return 0
 

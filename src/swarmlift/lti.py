@@ -2,9 +2,11 @@
 
 Carrier for the linear plants of the robust-tuning analysis: the
 linearized interconnection arrives whole from the nonlinear model, its
-named channels select the uncertainty and performance signals, SISO
-weights filter them, and the result is evaluated on frequency grids. Kept
-deliberately small: only what the margin computation needs.
+named channels select the uncertainty and performance signals
+(:meth:`LinearSystem.subsystem`), ``mu.assemble_n_delta`` puts the SISO
+weights built here in series with them, and the result is evaluated on
+frequency grids. Kept deliberately small: only what the margin
+computation and the weight identification need.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import numpy as np
 from scipy.signal import tf2ss
 
 from .errors import ChannelMismatch, SingularAssembly
-
-STABILITY_TOL = 1e-9
 
 
 def _normalize_channels(chs, total, kind):
@@ -84,15 +84,6 @@ class LinearSystem:
     def output_slice(self, name: str) -> slice:
         return _channel_slice(self.outputs, name, "output")
 
-    def eigvals(self) -> np.ndarray:
-        if self.n_states == 0:
-            return np.array([])
-        return np.linalg.eigvals(self.A)
-
-    def is_stable(self) -> bool:
-        ev = self.eigvals()
-        return bool(ev.size == 0 or np.max(ev.real) < -STABILITY_TOL)
-
     def freq_response(self, w) -> np.ndarray:
         """G(jw) = C (jwI - A)^-1 B + D, shape (len(w), p, m)."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -103,11 +94,6 @@ class LinearSystem:
         M = (1j * w)[:, None, None] * np.eye(n)[None, :, :] - self.A[None, :, :]
         X = np.linalg.solve(M, np.broadcast_to(self.B, (w.size, n, self.n_inputs)))
         return self.C[None, :, :] @ X + self.D[None, :, :]
-
-    def dc_gain(self) -> np.ndarray:
-        if self.n_states == 0:
-            return self.D.copy()
-        return self.D - self.C @ np.linalg.solve(self.A, self.B)
 
     def subsystem(self, out_names=None, in_names=None) -> "LinearSystem":
         """Restrict to the named channels (states retained)."""
@@ -149,39 +135,3 @@ def first_order_lag(tau: float) -> LinearSystem:
     """1 / (tau s + 1) from input u to output y."""
     return LinearSystem([[-1.0 / tau]], [[1.0 / tau]], [[1.0]], [[0.0]],
                         inputs=[("u", 1)], outputs=[("y", 1)])
-
-
-def output_weight(sys: LinearSystem, channel: str, weight) -> LinearSystem:
-    """Filter one output channel through a SISO weight (copied per entry)
-    or a list of per-entry SISO weights."""
-    sl = sys.output_slice(channel)
-    k = sl.stop - sl.start
-    weights = list(weight) if isinstance(weight, (list, tuple)) else [weight] * k
-    if len(weights) != k:
-        raise ChannelMismatch(
-            f"channel {channel!r} has {k} entries, got {len(weights)} weights")
-    for wgt in weights:
-        if wgt.n_inputs != 1 or wgt.n_outputs != 1:
-            raise ChannelMismatch("weights must be SISO")
-    n = sys.n_states
-    n_extra = sum(wgt.n_states for wgt in weights)
-    A = np.zeros((n + n_extra, n + n_extra))
-    A[:n, :n] = sys.A
-    B = np.zeros((n + n_extra, sys.n_inputs))
-    B[:n, :] = sys.B
-    C = np.zeros((sys.n_outputs, n + n_extra))
-    C[:, :n] = sys.C
-    D = sys.D.copy()
-    off = n
-    for i, wgt in enumerate(weights):
-        r = sl.start + i
-        ws = slice(off, off + wgt.n_states)
-        off += wgt.n_states
-        A[ws, ws] = wgt.A
-        A[ws, :n] = wgt.B @ sys.C[r:r + 1, :]
-        B[ws, :] = wgt.B @ sys.D[r:r + 1, :]
-        C[r, :n] = wgt.D[0, 0] * sys.C[r, :]
-        C[r, ws] = wgt.C[0]
-        D[r, :] = wgt.D[0, 0] * sys.D[r, :]
-    return LinearSystem(A, B, C, D, inputs=list(sys.inputs),
-                        outputs=list(sys.outputs))

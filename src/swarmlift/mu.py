@@ -34,11 +34,12 @@ import numpy as np
 from .analysis import (
     AnalysisConfig,
     build_closed_loop,
+    delta_channels,
     linearize,
     margin_plant,
 )
 from .errors import ChannelMismatch, NonFiniteResponse, UnstableOperatingPoint
-from .lti import LinearSystem, output_weight
+from .lti import LinearSystem
 from .uncertainty import (
     UncertaintyBlock,
     default_weight_att,
@@ -49,48 +50,66 @@ from .uncertainty import (
 
 
 def default_blocks(n_agents: int) -> list[UncertaintyBlock]:
-    """The block set of the analysis: payload mass and inertia, one
-    position-controller and one attitude block per agent, one estimator
-    block per slave: 2 + 2 N + (N - 1) blocks."""
-    blocks = [UncertaintyBlock("mass", "repeated", 3, 3, None),
-              UncertaintyBlock("inertia", "repeated", 3, 3, None)]
-    w_mpc, w_att, w_est = (default_weight_mpc(), default_weight_att(),
-                           default_weight_est())
-    blocks += [UncertaintyBlock(f"mpc_{i}", "repeated", 3, 3, w_mpc)
-               for i in range(n_agents)]
-    blocks += [UncertaintyBlock(f"att_{i}", "repeated", 3, 3, w_att)
-               for i in range(n_agents)]
-    blocks += [UncertaintyBlock(f"est_{j}", "repeated", 3, 3, w_est)
-               for j in range(1, n_agents)]
-    return blocks
+    """One repeated-scalar block per Delta channel of the analysis, in
+    :func:`analysis.delta_channels` order: 2 + 2 N + (N - 1) blocks. The
+    parametric mass and inertia blocks are normalized (no weight); the
+    mpc, att and est blocks carry the frozen identified weights."""
+    weights = {"mpc": default_weight_mpc(), "att": default_weight_att(),
+               "est": default_weight_est()}
+    return [UncertaintyBlock(name, "repeated", size, size,
+                             weights.get(name.split("_")[0]))
+            for name, size in delta_channels(n_agents)]
 
 
 def assemble_n_delta(plant: LinearSystem, blocks, perf_weight=None):
-    """Wrap the plant's uncertainty taps with their weights and order the
-    channels into the canonical upper-LFT arrangement.
+    """N = W P in the canonical upper-LFT arrangement.
 
-    Returns (N, structure): N has inputs [u_blocks..., w] and outputs
-    [y_blocks..., z_lat...]; the structure appends the full performance block
-    mapping the weighted outputs back to the disturbance.
+    Selects the plant's inputs [u_blocks..., w] and outputs
+    [y_blocks..., z_lat...] once, then puts each output entry's SISO
+    weight in series with it in one pass: a block's weight (copied per
+    entry, or a list of one per entry) on its y channel, perf_weight on
+    every z_lat entry. The weight states follow the plant's, in output
+    order. Returns (N, structure); the structure appends the full
+    performance block mapping the weighted outputs back to the disturbance.
     """
-    sys = plant
-    for b in blocks:
-        if b.weight is not None:
-            sys = output_weight(sys, f"y_{b.name}", b.weight)
-    z_names = [name for name, _ in sys.outputs if name.startswith("z_lat")]
+    z_names = [name for name, _ in plant.outputs if name.startswith("z_lat")]
     if not z_names:
         raise ChannelMismatch("no outputs with prefix 'z_lat'")
-    if perf_weight is not None:
-        for zn in z_names:
-            sys = output_weight(sys, zn, perf_weight)
-    out_names = [f"y_{b.name}" for b in blocks] + z_names
-    in_names = [f"u_{b.name}" for b in blocks] + ["w"]
-    N = sys.subsystem(out_names=out_names, in_names=in_names)
-    n_z = sum(sl.stop - sl.start for sl in
-              (N.output_slice(zn) for zn in z_names))
-    n_w = N.input_slice("w").stop - N.input_slice("w").start
-    structure = list(blocks) + [
-        UncertaintyBlock("perf", "full", dim_y=n_z, dim_u=n_w, weight=None)]
+    P = plant.subsystem(out_names=[f"y_{b.name}" for b in blocks] + z_names,
+                        in_names=[f"u_{b.name}" for b in blocks] + ["w"])
+    weights = []  # per output entry of P: its SISO weight, or None
+    for (name, k), weight in zip(P.outputs, [b.weight for b in blocks]
+                                 + [perf_weight] * len(z_names)):
+        entry = (list(weight) if isinstance(weight, (list, tuple))
+                 else [weight] * k)
+        if len(entry) != k:
+            raise ChannelMismatch(
+                f"channel {name!r} has {k} entries, got {len(entry)} weights")
+        weights += entry
+    if any(w is not None and w.D.shape != (1, 1) for w in weights):
+        raise ChannelMismatch("weights must be SISO")
+    n = P.n_states
+    m = sum(w.n_states for w in weights if w is not None)
+    A = np.pad(P.A, (0, m))
+    B = np.pad(P.B, ((0, m), (0, 0)))
+    C = np.pad(P.C, ((0, 0), (0, m)))
+    D = P.D.copy()
+    off = n
+    for r, w in enumerate(weights):
+        if w is None:
+            continue
+        ws = slice(off, off + w.n_states)
+        off = ws.stop
+        A[ws, ws] = w.A
+        A[ws, :n] = w.B @ P.C[r:r + 1]
+        B[ws] = w.B @ P.D[r:r + 1]
+        C[r, :n] *= w.D[0, 0]
+        C[r, ws] = w.C[0]
+        D[r] *= w.D[0, 0]
+    N = LinearSystem(A, B, C, D, inputs=P.inputs, outputs=P.outputs)
+    structure = list(blocks) + [UncertaintyBlock(
+        "perf", "full", dim_y=sum(k for _, k in P.outputs[len(blocks):]),
+        dim_u=P.inputs[-1][1], weight=None)]
     return N, structure
 
 

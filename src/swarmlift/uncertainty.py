@@ -17,6 +17,8 @@ from scipy.optimize import least_squares
 from .errors import FitInfeasible
 from .lti import LinearSystem, siso_tf
 
+REL_ERR_FLOOR = 1e-4  # relative errors below it are fitted as this floor
+
 
 @dataclass
 class FrequencyResponse:
@@ -36,15 +38,16 @@ class UncertaintyBlock:
 
     kind "repeated" is a scalar delta times the identity (square); kind
     "full" is an unstructured complex block mapping dim_y inputs to dim_u
-    outputs. `weight` is the SISO frequency weight applied to the plant's
-    y-channel (None means unity, used for the normalized parametric blocks).
+    outputs. `weight` filters the plant's y-channel: one SISO weight for
+    every entry, a list of one per entry, or None (unity, used for the
+    normalized parametric blocks).
     """
 
     name: str
     kind: str
     dim_y: int
     dim_u: int
-    weight: LinearSystem | None = None
+    weight: LinearSystem | list | None = None
 
     def __post_init__(self):
         if self.kind not in ("repeated", "full"):
@@ -84,17 +87,15 @@ def _shelf_cascade(params: np.ndarray) -> LinearSystem | None:
     return sys
 
 
-def fit_uncertainty_weight(G_nom: LinearSystem, actual: FrequencyResponse,
-                           **kw) -> LinearSystem:
+def fit_uncertainty_weight(G_nom: LinearSystem,
+                           actual: FrequencyResponse) -> LinearSystem:
     """Fit a stable minimum-phase weight upper-bounding the relative error
     of the sampled response against the nominal model."""
-    return fit_bounding_weight(actual.freqs, relative_error(G_nom, actual),
-                               **kw)
+    return fit_bounding_weight(actual.freqs, relative_error(G_nom, actual))
 
 
 def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
-                        excess_cap_db: float = 10.0,
-                        floor: float = 1e-4) -> LinearSystem:
+                        excess_cap_db: float = 10.0) -> LinearSystem:
     """Fit a weight magnitude upper bound to relative-error samples.
 
     Tries shelf cascades of increasing order, least-squares in log magnitude,
@@ -106,9 +107,9 @@ def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
     """
     w = np.asarray(freqs, dtype=float)
     r = np.asarray(rel_err, dtype=float)
-    r_eff = np.maximum(r, floor)
-    if np.max(r) <= floor:
-        return siso_tf([floor], [1.0])
+    r_eff = np.maximum(r, REL_ERR_FLOOR)
+    if np.max(r) <= REL_ERR_FLOOR:
+        return siso_tf([REL_ERR_FLOOR], [1.0])
     w_chk = np.concatenate([w, w[-1] * np.array([2.0, 5.0, 10.0])])
     r_chk = np.concatenate([r_eff, np.full(3, r_eff[-1])])
     log_r = np.log(r_eff)

@@ -10,7 +10,6 @@ from swarmlift.admittance import (
     AdmittanceParams,
     AdmittanceState,
     admittance_step,
-    engage,
     fsm_step,
 )
 from swarmlift.errors import InvalidCommand

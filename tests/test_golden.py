@@ -3,8 +3,9 @@ the margin pipeline.
 
 The transport pre-roll, the single-agent closed loop and the thrust
 identification experiment all step their dynamics with RK4. The rest and
-transport linearizations, the balanced SSV bound and the margins of two
-tuning points are pinned as well. These digests pin their outputs bit for
+transport linearizations, the weighted N-Delta interconnection, the
+balanced SSV bound and the margins of two tuning points are pinned as
+well. These digests pin their outputs bit for
 bit, so a refactor of the integrator, the physics kernels or the SSV bound
 cannot change a number unnoticed.
 """
@@ -15,11 +16,13 @@ import numpy as np
 import pytest
 
 from swarmlift.analysis import (AnalysisConfig, build_closed_loop, linearize,
-                               preroll_transport)
+                               margin_plant, preroll_transport)
 from swarmlift.identify import identify_thrust_response, run_force_step
 from swarmlift.mav import MavParams
-from swarmlift.mu import default_frequency_grid, margin_point, ssv_upper_bound
-from swarmlift.uncertainty import UncertaintyBlock
+from swarmlift.mu import (assemble_n_delta, default_blocks,
+                          default_frequency_grid, margin_point,
+                          ssv_upper_bound)
+from swarmlift.uncertainty import UncertaintyBlock, performance_weight
 
 
 def _digest(*arrays) -> str:
@@ -104,6 +107,28 @@ def test_rest_linearization_digest(n_agents, M, C):
                                            tuning_C=C))
     assert _digest(sys.A, sys.B, sys.C, sys.D) \
         == REST_DIGESTS[(n_agents, M, C)]
+
+
+# N of the default blocks and performance weight, on the deflated rest and
+# transport plants that margin_point closes through Delta
+N_DELTA_DIGESTS = {
+    (2, 8.0, 6.0, "rest"):
+        "8e56c74bb958f17967b949e94a10909155b20d9cf70a5abe717c9e815f539c9c",
+    (3, 4.0, 12.0, "transport"):
+        "41311ff50ba550dd3f71b3593c1112e1eb8584218d8aeca588686301239c4815",
+}
+
+
+@pytest.mark.parametrize("n_agents,M,C,point", sorted(N_DELTA_DIGESTS))
+def test_n_delta_digest(n_agents, M, C, point):
+    cfg = AnalysisConfig(n_agents=n_agents, tuning_M=M, tuning_C=C)
+    sys = build_closed_loop(cfg) if point == "rest" else linearize(cfg, point)
+    plant, ok = margin_plant(sys)
+    assert ok
+    N, _ = assemble_n_delta(plant, default_blocks(n_agents),
+                            performance_weight())
+    assert _digest(N.A, N.B, N.C, N.D) \
+        == N_DELTA_DIGESTS[(n_agents, M, C, point)]
 
 
 # (rs, rp, peak_freq_rs, peak_freq_rp), compared with ==

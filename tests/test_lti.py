@@ -3,12 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from swarmlift.errors import ChannelMismatch
-from swarmlift.lti import (
-    LinearSystem,
-    first_order_lag,
-    output_weight,
-    siso_tf,
-)
+from swarmlift.lti import LinearSystem, first_order_lag
 
 
 def test_freq_response_first_order():
@@ -19,11 +14,6 @@ def test_freq_response_first_order():
     assert_allclose(G, oracle, rtol=1e-12)
 
 
-def test_dc_gain():
-    sys = siso_tf([3.0], [1.0, 2.0])  # 3/(s+2)
-    assert_allclose(sys.dc_gain(), [[1.5]])
-
-
 def test_channel_slices():
     sys = LinearSystem(-np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)),
                        inputs=[("u1", 1), ("u2", 2)], outputs=[("y", 3)])
@@ -31,16 +21,6 @@ def test_channel_slices():
     assert sys.input_slice("u2") == slice(1, 3)
     with pytest.raises(ChannelMismatch):
         sys.output_slice("nope")
-
-
-def test_output_weight_matches_series_tf():
-    plant = siso_tf([1.0], [1.0, 1.0])
-    weight = siso_tf([2.0, 1.0], [0.1, 1.0])  # (2s+1)/(0.1s+1)
-    weighted = output_weight(plant, "y", weight)
-    w = np.logspace(-2, 2, 50)
-    G = weighted.freq_response(w)[:, 0, 0]
-    oracle = (1.0 / (1j * w + 1.0)) * (2j * w + 1.0) / (0.1j * w + 1.0)
-    assert_allclose(G, oracle, rtol=1e-10)
 
 
 def test_integrator_block():

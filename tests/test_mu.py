@@ -13,6 +13,7 @@ from swarmlift.analysis import (
     margin_plant,
 )
 from swarmlift.errors import ChannelMismatch, NonFiniteResponse
+from swarmlift.lti import LinearSystem
 from swarmlift.mu import (
     TuningGrid,
     assemble_n_delta,
@@ -46,29 +47,54 @@ def test_block_count_enumeration():
 
 
 def test_lft_closure_identity():
-    # with Delta = 0 the N interconnection reproduces the weighted nominal
-    # closed loop exactly
-    cfg = AnalysisConfig(n_agents=2)
-    plant, _ = margin_plant(build_closed_loop(cfg))
-    N, structure = assemble_n_delta(plant, default_blocks(2),
-                                    performance_weight())
-    from swarmlift.lti import output_weight
-
-    weighted = plant
-    for b in default_blocks(2):
-        if b.weight is not None:
-            weighted = output_weight(weighted, f"y_{b.name}", b.weight)
-    pw = performance_weight()
-    for name, _ in weighted.outputs:
-        if name.startswith("z_lat"):
-            weighted = output_weight(weighted, name, pw)
+    # N(jw) = diag(W_k(jw)) P(jw) on the selected channels: each output
+    # entry is the plant's row times its own weight's response (1 where
+    # unweighted), computed here in the frequency domain
     rng = np.random.default_rng(3)
     w_test = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 20))
-    z_names = [f"z_lat_{i}" for i in range(2)]
-    G_N = N.subsystem(out_names=z_names, in_names=["w"]).freq_response(w_test)
-    G_ref = weighted.subsystem(out_names=z_names,
-                               in_names=["w"]).freq_response(w_test)
-    assert np.max(np.abs(G_N - G_ref)) < 1e-9
+    pw = performance_weight()
+    for n, M, C, point in [(2, 8.0, 6.0, "rest"), (3, 4.0, 12.0, "transport")]:
+        cfg = AnalysisConfig(n_agents=n, tuning_M=M, tuning_C=C)
+        sys = (build_closed_loop(cfg) if point == "rest"
+               else linearize(cfg, point))
+        plant, ok = margin_plant(sys)
+        assert ok
+        blocks = default_blocks(n)
+        N, _ = assemble_n_delta(plant, blocks, pw)
+        P = plant.subsystem(
+            out_names=[f"y_{b.name}" for b in blocks]
+            + [f"z_lat_{i}" for i in range(n)],
+            in_names=[f"u_{b.name}" for b in blocks] + ["w"])
+        entries = []
+        for b in blocks:
+            entries += (b.weight if isinstance(b.weight, list)
+                        else [b.weight] * b.dim_y)
+        entries += [pw] * (2 * n)  # two lateral entries per z_lat_i
+        W = np.stack([np.ones(w_test.size) if wk is None
+                      else wk.freq_response(w_test)[:, 0, 0]
+                      for wk in entries], axis=1)
+        ref = W[:, :, None] * P.freq_response(w_test)
+        G = N.freq_response(w_test)
+        assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref)), point
+
+
+def test_assemble_rejects_mismatched_weights():
+    plant, _ = margin_plant(build_closed_loop(AnalysisConfig(n_agents=2)))
+    blocks = default_blocks(2)
+    lag = blocks[2].weight  # a SISO weight
+    short = UncertaintyBlock("att_0", "repeated", 3, 3, [lag, lag])
+    with pytest.raises(ChannelMismatch, match="3 entries, got 2"):
+        assemble_n_delta(plant, blocks[:4] + [short] + blocks[5:],
+                         performance_weight())
+    mimo = LinearSystem(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+    wide = UncertaintyBlock("mpc_0", "repeated", 3, 3, mimo)
+    with pytest.raises(ChannelMismatch, match="SISO"):
+        assemble_n_delta(plant, blocks[:2] + [wide] + blocks[3:],
+                         performance_weight())
+    no_z = plant.subsystem(out_names=[name for name, _ in plant.outputs
+                                      if not name.startswith("z_lat")])
+    with pytest.raises(ChannelMismatch, match="z_lat"):
+        assemble_n_delta(no_z, blocks, performance_weight())
 
 
 def test_ssv_single_full_block_is_sigma_max():

@@ -11,7 +11,7 @@ from swarmlift.mav import GRAVITY
 from swarmlift import simulate
 from swarmlift import ukf as ukf_mod
 from swarmlift.cli import main
-from swarmlift.scenario import Scenario, load_scenario, scenario_from_dict
+from swarmlift.scenario import Scenario, scenario_from_dict
 from swarmlift.simulate import RunLog, replay_log, run_scenario
 
 BEAM = {

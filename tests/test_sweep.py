@@ -70,6 +70,30 @@ def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"n_freqs": 0}, "n_freqs"),
+    ({"n_freqs": 2.5}, "n_freqs"),
+    ({"n_agents": 1}, "n_agents"),
+    ({"n_agents": True}, "n_agents"),
+    ({"polish": "false"}, "polish"),
+], ids=["zero-freqs", "fractional-freqs", "one-agent", "boolean-agents",
+        "polish-string"])
+def test_grid_sweep_rejects_bad_arguments(tmp_path, monkeypatch, kw, match):
+    import swarmlift.sweep
+    from swarmlift.mu import TuningGrid
+
+    def no_margins(*args, **kw):
+        raise AssertionError("margins computed for bad arguments")
+
+    monkeypatch.setattr(swarmlift.sweep, "margins", no_margins)
+    args = dict({"n_agents": 2, "n_freqs": 5}, **kw)
+    with pytest.raises(ScenarioError, match=match):
+        swarmlift.sweep.grid_sweep(
+            args.pop("n_agents"), TuningGrid([8.0], [6.0]),
+            str(tmp_path / "out"), **args)
+    assert not (tmp_path / "out").exists()
+
+
 def _manifest(out_dir, **kw):
     from swarmlift.mu import TuningGrid
     from swarmlift.sweep import grid_sweep
