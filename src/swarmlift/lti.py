@@ -6,7 +6,10 @@ named channels select the uncertainty and performance signals
 (:meth:`LinearSystem.subsystem`), ``mu.assemble_n_delta`` puts the SISO
 weights built here in series with them, and the result is evaluated on
 frequency grids. Kept deliberately small: only what the margin
-computation and the weight identification need.
+computation and the weight identification need. The SISO realization is
+the package's own numpy code; it performs the operations of
+``scipy.signal.tf2ss`` and gives its matrices bit for bit, without
+importing the signal package.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import tf2ss
 
 from .errors import ChannelMismatch, SingularAssembly
 
@@ -125,9 +127,38 @@ def _gather(channels, names, kind):
 
 
 def siso_tf(num, den) -> LinearSystem:
-    """SISO transfer function to state space (controllable canonical), from
-    input u to output y."""
-    A, B, C, D = tf2ss(np.atleast_1d(num), np.atleast_1d(den))
+    """SISO transfer function num(s)/den(s), coefficients in descending
+    powers, to state space from input u to output y.
+
+    The controllable canonical realization (Zhou, Doyle & Glover, Robust
+    and Optimal Control, 1996) with the operations and results of
+    ``scipy.signal.tf2ss``: normalized by den[0], the numerator zero-padded
+    to the denominator's length, and a static gain realized with one
+    all-zero state. ValueError on an improper numerator, a zero leading
+    denominator coefficient, or a leading numerator coefficient of at most
+    1e-14 relative to den[0], which tf2ss would trim and so realize a
+    different system.
+    """
+    num = np.atleast_1d(np.asarray(num, dtype=float))
+    den = np.atleast_1d(np.asarray(den, dtype=float))
+    if num.size > den.size:
+        raise ValueError("improper transfer function: num is longer than den")
+    if den[0] == 0.0:
+        raise ValueError("the leading denominator coefficient is zero")
+    num, den = num / den[0], den / den[0]
+    if num.size > 1 and abs(num[0]) <= 1e-14:
+        raise ValueError(
+            f"leading numerator coefficient {num[0]:g} (relative to den[0]) "
+            "is at most 1e-14")
+    K = den.size
+    num = np.concatenate([np.zeros(K - num.size), num])
+    D = num[:1].reshape(1, 1)
+    if K == 1:
+        A, B, C = np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
+    else:
+        A = np.vstack([-den[None, 1:], np.eye(K - 2, K - 1)])
+        B = np.eye(K - 1, 1)
+        C = num[None, 1:] - np.outer(num[0], den[1:])
     return LinearSystem(A, B, C, D, inputs=[("u", 1)], outputs=[("y", 1)])
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitInfeasible
 from .lti import LinearSystem, siso_tf
@@ -66,9 +65,8 @@ def _shelf_cascade(params: np.ndarray) -> LinearSystem | None:
     """k * prod_i (s/z_i + 1)/(s/p_i + 1) from log-parameters.
 
     A least-squares trial may push a corner's log past the float range.
-    Such a trial gives None: a vanishing leading coefficient would make
-    tf2ss trim the numerator or reject the denominator, and an overflow
-    would leave the realization non-finite.
+    Such a trial gives None: siso_tf rejects a vanishing leading
+    coefficient, and an overflow would leave the realization non-finite.
     """
     with np.errstate(all="ignore"):
         k = np.exp(params[0])
@@ -105,6 +103,9 @@ def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
     lowest order whose worst over-bound stays within excess_cap_db wins;
     FitInfeasible if none does.
     """
+    # scipy.optimize is imported here: nothing else in the package needs it
+    from scipy.optimize import least_squares
+
     w = np.asarray(freqs, dtype=float)
     r = np.asarray(rel_err, dtype=float)
     r_eff = np.maximum(r, REL_ERR_FLOOR)

@@ -4,9 +4,14 @@ every public module-level function is referenced by the package or the
 benchmark, or is listed as public API, every module-level constant is
 read by the package, the benchmark or the tests, and every parameter with
 a default is passed by some call in the package or the benchmark, or is
-listed with the reason it stays a parameter."""
+listed with the reason it stays a parameter. Scipy is imported at module
+level only where an allowlist says why, and a fresh interpreter that
+imports the package loads none of the heavy scipy subpackages."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -294,3 +299,71 @@ def test_no_unpassed_defaults():
     found = unpassed_defaults(package, bench)
     assert sorted(set(found) - set(KEPT_DEFAULTS)) == []
     assert sorted(set(KEPT_DEFAULTS) - set(found)) == []  # stale entries
+
+
+# module-level scipy imports of the package, and why each is paid at import
+SCIPY_AT_IMPORT = {
+    "admittance.py:scipy.linalg": "expm runs in every simulation",
+    "payload.py:scipy.linalg.lapack":
+        "the J_sys solve runs at every right-hand-side call",
+}
+
+
+def module_level_scipy_imports(sources: dict) -> list:
+    """``module:scipy...`` for every import of scipy at module level, that
+    is, outside any function body."""
+    found = []
+    for module, src in sources.items():
+        nodes = list(ast.parse(src).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                found += [f"{module}:{a.name}" for a in node.names
+                          if a.name.split(".")[0] == "scipy"]
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "scipy"):
+                found.append(f"{module}:{node.module}")
+            nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_guard_flags_a_module_level_scipy_import():
+    sources = {"a.py": ("import numpy\nimport scipy.signal as ss\n"
+                        "def f():\n    from scipy.optimize import root\n"),
+               "b.py": ("try:\n    from scipy.stats import norm\n"
+                        "except ImportError:\n    norm = None\n"
+                        "class K:\n    import scipy\n")}
+    assert module_level_scipy_imports(sources) == [
+        "a.py:scipy.signal", "b.py:scipy", "b.py:scipy.stats"]
+
+
+def test_scipy_is_imported_at_module_level_only_where_listed():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = set(module_level_scipy_imports(sources))
+    assert sorted(found - set(SCIPY_AT_IMPORT)) == []
+    assert sorted(set(SCIPY_AT_IMPORT) - found) == []  # stale entries
+
+
+IMPORT_PROBE = """
+import sys
+import numpy as np
+from swarmlift import (analysis, cli, identify, mu, oracles, scenario,
+                       simulate, sweep, uncertainty)
+heavy = ("scipy.signal", "scipy.optimize", "scipy.stats", "scipy.interpolate")
+print(sorted(m for m in heavy if m in sys.modules))
+w = np.logspace(-2, 2, 25)
+r = 0.3 * w / (1 + 0.2 * w)
+weight = uncertainty.fit_bounding_weight(w, r)
+print(bool(np.all(np.abs(weight.freq_response(w)[:, 0, 0]) >= r - 1e-12)))
+"""
+
+
+def test_importing_the_package_loads_no_heavy_scipy_subpackage():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    # nothing heavy at import, and fit_bounding_weight still fits a bound
+    assert out.stdout.splitlines() == ["[]", "True"]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import tf2ss
 
+from swarmlift import uncertainty
 from swarmlift.errors import ChannelMismatch
-from swarmlift.lti import LinearSystem, first_order_lag
+from swarmlift.lti import LinearSystem, first_order_lag, siso_tf
 
 
 def test_freq_response_first_order():
@@ -29,3 +31,59 @@ def test_integrator_block():
                        np.zeros((2, 2)))
     G = sys.freq_response([0.5])[0]
     assert_allclose(G, np.eye(2) / (0.5j), rtol=1e-12)
+
+
+def assert_tf2ss_bits(sys, num, den):
+    for got, want in zip((sys.A, sys.B, sys.C, sys.D), tf2ss(num, den)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def recording_siso_tf(monkeypatch):
+    """Record the (num, den) that uncertainty passes to siso_tf."""
+    calls = []
+
+    def record(num, den):
+        calls.append((np.copy(num), np.copy(den)))
+        return siso_tf(num, den)
+
+    monkeypatch.setattr(uncertainty, "siso_tf", record)
+    return calls
+
+
+def test_siso_tf_matches_tf2ss_on_the_performance_weight(monkeypatch):
+    calls = recording_siso_tf(monkeypatch)
+    w = uncertainty.performance_weight()
+    assert len(calls) == 1 and w.n_states == 2
+    assert_tf2ss_bits(w, *calls[0])
+
+
+def test_siso_tf_matches_tf2ss_on_the_static_floor():
+    floor = siso_tf([uncertainty.REL_ERR_FLOOR], [1.0])
+    assert floor.n_states == 1 and not floor.A.any() and not floor.C.any()
+    assert_tf2ss_bits(floor, [uncertainty.REL_ERR_FLOOR], [1.0])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_siso_tf_matches_tf2ss_on_shelf_cascades(monkeypatch, order):
+    calls = recording_siso_tf(monkeypatch)
+    rng = np.random.default_rng(order)
+    for _ in range(50):
+        params = rng.uniform(-6.0, 6.0, 1 + 2 * order)  # log gain, corners
+        sys = uncertainty._shelf_cascade(params)
+        assert sys.n_states == order
+        assert_tf2ss_bits(sys, *calls[-1])
+
+
+def test_siso_tf_rejects_an_improper_numerator():
+    with pytest.raises(ValueError, match="improper"):
+        siso_tf([1.0, 2.0, 3.0], [1.0, 1.0])
+
+
+def test_siso_tf_rejects_a_leading_coefficient_that_tf2ss_trims():
+    # tf2ss would drop the 1e-15 and realize 1/(s + 1) instead
+    with pytest.raises(ValueError, match="1e-14"):
+        siso_tf([1e-15, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="1e-14"):
+        siso_tf([1e-15, 1.0], [0.5, 1.0])  # relative to den[0]: 2e-15
+    with pytest.raises(ValueError, match="denominator"):
+        siso_tf([1.0], [0.0, 1.0])  # tf2ss would trim this zero as well
