@@ -134,17 +134,14 @@ def siso_tf(num, den) -> LinearSystem:
     and Optimal Control, 1996) with the operations and results of
     ``scipy.signal.tf2ss``: normalized by den[0], the numerator zero-padded
     to the denominator's length, and a static gain realized with one
-    all-zero state. ValueError on an improper numerator, a zero leading
-    denominator coefficient, or a leading numerator coefficient of at most
-    1e-14 relative to den[0], which tf2ss would trim and so realize a
-    different system.
+    all-zero state. ValueError on an improper numerator, or on a leading
+    numerator coefficient of at most 1e-14 relative to den[0], which tf2ss
+    would trim and so realize a different system.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     den = np.atleast_1d(np.asarray(den, dtype=float))
     if num.size > den.size:
         raise ValueError("improper transfer function: num is longer than den")
-    if den[0] == 0.0:
-        raise ValueError("the leading denominator coefficient is zero")
     num, den = num / den[0], den / den[0]
     if num.size > 1 and abs(num[0]) <= 1e-14:
         raise ValueError(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .attitude import cross3
 from .errors import DimensionMismatch
@@ -93,8 +92,7 @@ class ComSystem:
 
     The lumped rigid-body equations are exact only about the composite CoM;
     when attachments are not mass-balanced about the payload CoG (gripper
-    stems sit above the plate) everything is shifted there. J_sys is
-    factored once (LAPACK getrf); ``payload_accel`` solves with the factors.
+    stems sit above the plate) everything is shifted there.
     """
 
     m_sys: float
@@ -102,8 +100,6 @@ class ComSystem:
     attachments: np.ndarray  # (N, 3) agent offsets from the CoM
     r_payload_cog: np.ndarray  # payload CoG offset from the CoM
     agent_masses: np.ndarray
-    J_lu: np.ndarray  # getrf LU factors of J_sys
-    J_piv: np.ndarray  # and their pivots
 
 
 def com_system(params: PayloadParams, agent_masses) -> ComSystem:
@@ -119,10 +115,8 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
         np.dot(r_pc, r_pc) * np.eye(3) - np.outer(r_pc, r_pc))
     for m_i, r in zip(agent_masses, att):
         J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
-    lu, piv, _ = dgetrf(J)  # J is positive definite: never singular
     return ComSystem(m_sys=m_sys, J_sys=J, attachments=att,
-                     r_payload_cog=r_pc, agent_masses=agent_masses,
-                     J_lu=lu, J_piv=piv)
+                     r_payload_cog=r_pc, agent_masses=agent_masses)
 
 
 def attachment_kinematics(com: ComSystem, p, v, R, w):
@@ -148,16 +142,10 @@ def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
     """Linear and angular acceleration of the composite body under the agent
     forces applied at the attachments, given in both frames: Fw = R FP
     (world) and FP (payload), each (N, 3). Drag is linear in the
-    payload-frame velocity and rate. Complex-step safe.
-
-    A real solve uses the getrf factors of J_sys; getrs gives the bits of
-    np.linalg.solve. A complex-step solve stays on np.linalg.solve (zgesv):
-    with OpenBLAS on more than one thread, zgetrs on the complex factors
-    does not give zgesv's bits."""
+    payload-frame velocity and rate. Complex-step safe."""
     drag_w = R @ (drag_F * (R.T @ v))
     vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
     M_ag = cross3(com.attachments, FP).sum(axis=0)
-    M_net = M_ag - cross3(w, com.J_sys @ w) - drag_M * w
-    if np.iscomplexobj(M_net):
-        return vdot, np.linalg.solve(com.J_sys, M_net)
-    return vdot, dgetrs(com.J_lu, com.J_piv, M_net)[0]
+    wdot = np.linalg.solve(com.J_sys,
+                           M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
+    return vdot, wdot

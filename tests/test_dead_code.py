@@ -304,8 +304,6 @@ def test_no_unpassed_defaults():
 # module-level scipy imports of the package, and why each is paid at import
 SCIPY_AT_IMPORT = {
     "admittance.py:scipy.linalg": "expm runs in every simulation",
-    "payload.py:scipy.linalg.lapack":
-        "the J_sys solve runs at every right-hand-side call",
 }
 
 

@@ -235,24 +235,3 @@ def test_com_system_balanced_case_matches_spec_formula():
                     rtol=1e-12)
     assert_allclose(cs.attachments, p.attachments)
     assert_allclose(cs.r_payload_cog, np.zeros(3))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
-def test_payload_accel_solve_gives_the_bits_of_linalg_solve(n):
-    # the J_sys factors of com_system replace a per-call np.linalg.solve;
-    # real and complex-step calls must give its bits
-    p = PayloadParams(m_p=2.0, J_p=np.array([0.2, 0.3, 0.4]),
-                      attachments=regular_polygon_attachments(n, 1.2, 0.15))
-    cs = com_system(p, np.full(n, 3.5))
-    rng = np.random.default_rng(n)
-    R = rotvec_to_rotmat(rng.normal(size=3))
-    for _ in range(200):
-        w = rng.normal(size=3)
-        for FP in (rng.normal(size=(n, 3)) * 10.0,
-                   rng.normal(size=(n, 3)) + 1e-20j * rng.normal(size=(n, 3))):
-            M_net = (np.cross(cs.attachments, FP).sum(axis=0)
-                     - np.cross(w, cs.J_sys @ w))
-            _, wdot = payload_accel(cs, Z3, Z3, R, Z3, w, FP @ R.T, FP)
-            want = np.linalg.solve(cs.J_sys, M_net)
-            assert wdot.dtype == want.dtype
-            assert wdot.tobytes() == want.tobytes()
