@@ -20,6 +20,10 @@ import numpy as np
 
 from .errors import ChannelMismatch, SingularAssembly
 
+# Complex entries of one frequency chunk's stacked (k, n, n) system in
+# LinearSystem.freq_response: 2**16 of them take 1 MiB.
+CHUNK_ENTRIES = 2**16
+
 
 def _normalize_channels(chs, total, kind):
     if chs is None:
@@ -87,15 +91,32 @@ class LinearSystem:
         return _channel_slice(self.outputs, name, "output")
 
     def freq_response(self, w) -> np.ndarray:
-        """G(jw) = C (jwI - A)^-1 B + D, shape (len(w), p, m)."""
+        """G(jw) = C (jwI - A)^-1 B + D, shape (len(w), p, m).
+
+        The frequencies are solved in chunks of k = max(1, CHUNK_ENTRIES //
+        n^2), so each stacked (k, n, n) system jwI - A and its temporary
+        hold at most CHUNK_ENTRIES complex entries (1 MiB) whatever the
+        grid's length: besides the returned G, the call allocates O(n^2 +
+        k n m), not O(F n^2). A SISO weight's whole grid is one chunk.
+        Chunking cannot change a bit: ``np.linalg.solve`` runs one LAPACK
+        gesv per frequency, alone or stacked, and the products and sums
+        are per frequency too.
+        """
         w = np.atleast_1d(np.asarray(w, dtype=float))
         if self.n_states == 0:
             return np.broadcast_to(self.D.astype(complex),
                                    (w.size, *self.D.shape)).copy()
         n = self.n_states
-        M = (1j * w)[:, None, None] * np.eye(n)[None, :, :] - self.A[None, :, :]
-        X = np.linalg.solve(M, np.broadcast_to(self.B, (w.size, n, self.n_inputs)))
-        return self.C[None, :, :] @ X + self.D[None, :, :]
+        G = np.empty((w.size, self.n_outputs, self.n_inputs), dtype=complex)
+        k = max(1, CHUNK_ENTRIES // (n * n))
+        for s in range(0, w.size, k):
+            wk = w[s:s + k]
+            M = (1j * wk)[:, None, None] * np.eye(n)[None, :, :] \
+                - self.A[None, :, :]
+            X = np.linalg.solve(
+                M, np.broadcast_to(self.B, (wk.size, n, self.n_inputs)))
+            G[s:s + k] = self.C[None, :, :] @ X + self.D[None, :, :]
+        return G
 
     def subsystem(self, out_names=None, in_names=None) -> "LinearSystem":
         """Restrict to the named channels (states retained)."""

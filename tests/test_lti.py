@@ -1,11 +1,18 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import tf2ss
 
 from swarmlift import uncertainty
+from swarmlift.analysis import (AnalysisConfig, build_closed_loop, linearize,
+                               margin_plant)
 from swarmlift.errors import ChannelMismatch
-from swarmlift.lti import LinearSystem, first_order_lag, siso_tf
+from swarmlift.lti import CHUNK_ENTRIES, LinearSystem, first_order_lag, siso_tf
+from swarmlift.mu import (assemble_n_delta, default_blocks,
+                          default_frequency_grid)
 
 
 def test_freq_response_first_order():
@@ -14,6 +21,76 @@ def test_freq_response_first_order():
     G = sys.freq_response(w)[:, 0, 0]
     oracle = 1.0 / (1j * w * 0.5 + 1.0)
     assert_allclose(G, oracle, rtol=1e-12)
+
+
+def one_stack_response(sys, w):
+    """G(jw) with every frequency's (jwI - A) in one (F, n, n) stack."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    n = sys.n_states
+    M = (1j * w)[:, None, None] * np.eye(n)[None, :, :] - sys.A[None, :, :]
+    X = np.linalg.solve(M, np.broadcast_to(sys.B, (w.size, n, sys.n_inputs)))
+    return sys.C[None, :, :] @ X + sys.D[None, :, :]
+
+
+def assert_one_stack_bits(sys, w):
+    got, want = sys.freq_response(w), one_stack_response(sys, w)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def n_delta(n_agents, M, C, point):
+    cfg = AnalysisConfig(n_agents=n_agents, tuning_M=M, tuning_C=C)
+    sys = build_closed_loop(cfg) if point == "rest" else linearize(cfg, point)
+    plant, ok = margin_plant(sys)
+    assert ok
+    return assemble_n_delta(plant, default_blocks(n_agents),
+                            uncertainty.performance_weight())[0]
+
+
+@pytest.mark.parametrize("n_agents,M,C,point,n_freqs",
+                         [(3, 4.0, 12.0, "transport", 80),
+                          (2, 8.0, 6.0, "rest", 200)])
+def test_freq_response_matches_one_stack_on_n_delta(n_agents, M, C, point,
+                                                    n_freqs):
+    N = n_delta(n_agents, M, C, point)
+    assert N.n_states ** 2 * n_freqs > CHUNK_ENTRIES  # several chunks
+    assert_one_stack_bits(N, default_frequency_grid(n_freqs))
+
+
+@pytest.mark.parametrize("n", [3, 40, 300])
+def test_freq_response_matches_one_stack_at_the_chunk_edge(n):
+    rng = np.random.default_rng(n)
+    sys = LinearSystem(rng.normal(size=(n, n)), rng.normal(size=(n, 4)),
+                       rng.normal(size=(3, n)), rng.normal(size=(3, 4)))
+    k = max(1, CHUNK_ENTRIES // (n * n))
+    for size in (k, k + 1):  # exactly one chunk, one chunk and one more
+        assert_one_stack_bits(sys, np.logspace(-2.0, 2.0, size))
+
+
+def test_freq_response_matches_one_stack_on_degenerate_inputs():
+    rng = np.random.default_rng(7)
+    sys = LinearSystem(rng.normal(size=(5, 5)), rng.normal(size=(5, 2)),
+                       rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
+    static = LinearSystem(np.zeros((0, 0)), np.zeros((0, 2)),
+                          np.zeros((3, 0)), rng.normal(size=(3, 2)))
+    for s, w in [(sys, [0.7]), (sys, 0.7), (sys, []), (static, [0.1, 2.0]),
+                 (static, [])]:
+        assert_one_stack_bits(s, w)
+
+
+def test_freq_response_peak_memory_stays_within_chunks():
+    N = n_delta(3, 4.0, 12.0, "transport")
+    w = default_frequency_grid(80)
+    G = N.freq_response(w)  # warm start outside the trace
+    tracemalloc.start()
+    try:
+        N.freq_response(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # G is 1.5 MB; all 80 frequencies in one (F, n, n) stack peak at 22 MB
+    assert G.nbytes < 2e6 and peak < 8e6
 
 
 def test_channel_slices():
