@@ -158,21 +158,15 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     """Shared nonlinear dynamics; complex-step safe. Returns state
     derivatives (except attitude kinematics) and the channel outputs, in
     output order and not yet flattened."""
-    N = cfg.n_agents
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
     u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
-    dt_ = np.result_type(R.dtype, p.dtype, u.dtype)
 
     p_i, v_i = attachment_kinematics(com, p, v, R, omega)
 
     # references: master integrates the velocity command, slaves follow the
     # engaged admittance law
-    ref_p = np.zeros((N, 3), dtype=dt_)
-    ref_v = np.zeros((N, 3), dtype=dt_)
-    ref_p[0] = p_ref
-    ref_v[0] = w
-    ref_p[1:] = cfg.engage_points[1:] + z
-    ref_v[1:] = zdot
+    ref_p = np.concatenate((p_ref[None], cfg.engage_points[1:] + z))
+    ref_v = np.concatenate((w[None], zdot))
 
     F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
     y_mpc = F_cmd
@@ -182,7 +176,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     # components re-orient with the attitude time constant, the collective
     # magnitude with the (much faster) motor lag
     F_lag_in_P = np.einsum("ji,nj->ni", R, F_lag_in_w)
-    dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust[None, :]
+    dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust
     y_att = F_prop
     F_cons_P = F_prop + u_att
     F_cons_w = np.einsum("ij,nj->ni", R, F_cons_P)
@@ -266,10 +260,10 @@ def preroll_transport(cfg: AnalysisConfig,
     qsl = slice(6, 10)
 
     def rhs(t, x_):
-        return (full_rhs(cfg, x_, u),)
+        return full_rhs(cfg, x_, u)
 
     for k in range(n):
-        x, = rk4_step(rhs, k * dt, (x,), dt)
+        x = rk4_step(rhs, k * dt, x, dt)
         x[qsl] = quat_normalize(x[qsl])
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > divergence_bound:
             raise UnstableOperatingPoint(

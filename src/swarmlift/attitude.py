@@ -95,22 +95,28 @@ def quat_rotation_angle(q) -> float:
 
 
 def quat_to_rotmat(q):
-    """Rotation matrix (body -> inertial) of a unit quaternion."""
+    """Rotation matrix (body -> inertial) of a unit quaternion.
+
+    A single quaternion runs the same IEEE operations on Python floats,
+    which skips numpy's per-call dispatch on 3-element arrays.
+    """
     q = np.asarray(q, dtype=float)
-    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    if q.ndim == 1:
+        x, y, z, w = q.tolist()
+    else:
+        x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
+    rows = ((1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)),
+            (2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)),
+            (2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)))
+    if q.ndim == 1:
+        return np.array(rows)
     R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
-    R[..., 0, 1] = 2.0 * (xy - wz)
-    R[..., 0, 2] = 2.0 * (xz + wy)
-    R[..., 1, 0] = 2.0 * (xy + wz)
-    R[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
-    R[..., 1, 2] = 2.0 * (yz - wx)
-    R[..., 2, 0] = 2.0 * (xz - wy)
-    R[..., 2, 1] = 2.0 * (yz + wx)
-    R[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            R[..., i, j] = entry
     return R
 
 
@@ -176,10 +182,9 @@ def euler_body_z(eta):
     """Inertial-frame body z axis of Z-Y-X Euler angles: the third column
     of :func:`euler_to_rotmat`, computed with the same arithmetic."""
     eta = np.asarray(eta, dtype=float)
-    phi, theta, psi = eta[..., 0], eta[..., 1], eta[..., 2]
-    cph, sph = np.cos(phi), np.sin(phi)
-    cth, sth = np.cos(theta), np.sin(theta)
-    cps, sps = np.cos(psi), np.sin(psi)
+    c, s = np.cos(eta), np.sin(eta)
+    cph, cth, cps = c[..., 0], c[..., 1], c[..., 2]
+    sph, sth, sps = s[..., 0], s[..., 1], s[..., 2]
     z = np.empty(eta.shape)
     z[..., 0] = cps * sth * cph + sps * sph
     z[..., 1] = sps * sth * cph - cps * sph

@@ -51,20 +51,20 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
     external world-frame force acts on it. The thrust magnitude lags its
     command with the motor time constant; the thrust direction follows the
     attitude inner loop."""
-    p = np.zeros(3)
-    v = np.zeros(3)
-    eta = np.zeros(3)
-    eta_dot = np.zeros(3)
-    F_mag = params.m * GRAVITY  # motor-lagged collective thrust
+    # the RK4 state: p, v, eta, eta_dot and the motor-lagged collective
+    # thrust F_mag
+    x = np.zeros(13)
+    x[12] = params.m * GRAVITY
     hold = np.zeros(3)
 
     est = None
     if estimator == "ekf":
         Q, R = ekf_mod.default_ekf_Q(CTRL_RATE), ekf_mod.default_ekf_R()
-        est = ekf_mod.ekf_init(p, v, eta, np.zeros(3))
+        est = ekf_mod.ekf_init(x[0:3], x[3:6], x[6:9], np.zeros(3))
     elif estimator == "ukf":
         Q, R = ukf_mod.default_ukf_Q(CTRL_RATE), ukf_mod.default_ukf_R()
-        est = ukf_mod.ukf_init(p, v, euler_to_quat(eta), np.zeros(3))
+        est = ukf_mod.ukf_init(x[0:3], x[3:6], euler_to_quat(x[6:9]),
+                               np.zeros(3))
     elif estimator is not None:
         raise ValueError(f"unknown estimator {estimator!r}")
 
@@ -75,6 +75,7 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
 
     t = 0.0
     for k in range(n_ctrl):
+        p, v, eta, eta_dot, F_mag = x[0:3], x[3:6], x[6:9], x[9:12], x[12]
         F_cmd_w = pd_position_control(p, v, hold, hold, params)
         phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[2], params)
         u_ctrl = (phi_c, theta_c, 0.0, F_cmd_mag)
@@ -103,16 +104,17 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
         drag = (params.k_drag * F_cmd_mag / params.allocation.k_f
                 * np.array([1.0, 1.0, 0.0]))
 
-        def rhs(t_, p_, v_, eta_, etad_, Fm_):
+        def rhs(t_, x_):
+            v_, eta_, etad_, Fm_ = x_[3:6], x_[6:9], x_[9:12], x_[12]
             v_dot = translational_dynamics(euler_to_rotmat(eta_), v_, Fm_,
                                            drag, F_ext_fn(t_), params)
-            return (v_, v_dot, etad_,
-                    attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
-                    (F_cmd_mag - Fm_) / params.tau_motor)
+            return np.concatenate((
+                v_, v_dot, etad_,
+                attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
+                [(F_cmd_mag - Fm_) / params.tau_motor]))
 
         for _ in range(STEPS_PER_CTRL):
-            p, v, eta, eta_dot, F_mag = rk4_step(
-                rhs, t, (p, v, eta, eta_dot, F_mag), TS_DYN)
+            x = rk4_step(rhs, t, x, TS_DYN)
             t += TS_DYN
 
     return SingleMavTrace(t=rec_t, p=rec["p"], v=rec["v"], eta=rec["eta"],
@@ -218,9 +220,9 @@ def identify_thrust_response(params: MavParams, axis: int = 0,
     one world axis."""
     f, _, w = multisine(harmonics, base_period, 0.25)
     hover = params.m * GRAVITY
-    eta = np.zeros(3)
-    eta_dot = np.zeros(3)
-    F_mag = hover
+    # the RK4 state: eta, eta_dot and the motor-lagged thrust F_mag
+    x = np.zeros(7)
+    x[6] = hover
     n_ctrl = int(round((settle + base_period) * CTRL_RATE))
     t_rec = np.empty(n_ctrl)
     cmd_rec = np.empty(n_ctrl)
@@ -233,16 +235,18 @@ def identify_thrust_response(params: MavParams, axis: int = 0,
         eta_cmd = np.array([phi_c, theta_c, 0.0])
         t_rec[k] = t
         cmd_rec[k] = F_cmd_w[axis]
-        out_rec[k] = (euler_to_rotmat(eta) @ np.array([0, 0, F_mag]))[axis]
+        out_rec[k] = (euler_to_rotmat(x[0:3])
+                      @ np.array([0, 0, x[6]]))[axis]
 
-        def rhs(t_, eta_, etad_, Fm_):
-            return (etad_,
-                    attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
-                    (F_cmd_mag - Fm_) / params.tau_motor)
+        def rhs(t_, x_):
+            eta_, etad_ = x_[0:3], x_[3:6]
+            return np.concatenate((
+                etad_,
+                attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
+                [(F_cmd_mag - x_[6]) / params.tau_motor]))
 
         for _ in range(STEPS_PER_CTRL):
-            eta, eta_dot, F_mag = rk4_step(rhs, t, (eta, eta_dot, F_mag),
-                                           TS_DYN)
+            x = rk4_step(rhs, t, x, TS_DYN)
             t += TS_DYN
     sel = t_rec >= settle
     # subtract the hover operating point before correlating

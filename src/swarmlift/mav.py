@@ -1,6 +1,7 @@
 """Single-MAV model: the agent kernels, rotor allocation, low-level control,
 and the RK4 step of the simulator, the identification experiments and the
-analysis pre-roll.
+analysis pre-roll. Each of those integrates one flat state array; its
+right-hand side reads views of that array and returns one derivative array.
 
 The low-level controller is the cascade used by every agent: a PD position
 loop with gravity feed-forward, thrust-vector-to-attitude command allocation
@@ -117,8 +118,21 @@ class MavParams:
             raise ValueError("phi_cmd_max must lie in (0, pi/2)")
         if not (0.0 < self.theta_cmd_max < np.pi / 2):
             raise ValueError("theta_cmd_max must lie in (0, pi/2)")
-        if self.tau_att <= 0 or self.tau_est <= 0:
+        if not (self.tau_att > 0 and self.tau_est > 0 and self.tau_motor > 0):
             raise ValueError("time constants must be positive")
+        if not self.F_prop_max > 0:
+            raise ValueError("F_prop_max must be positive")
+        # Derived once, as plain attributes (not fields, so config hashes
+        # do not see them): the per-axis time constants of the world
+        # thrust-vector lag, whose lateral components re-orient with the
+        # attitude loop and whose magnitude follows the motors, and the box
+        # of reachable world thrust commands of saturate_thrust_command.
+        self.tau_thrust = np.array([self.tau_att, self.tau_att,
+                                    self.tau_motor])
+        lat_x = np.sin(self.phi_cmd_max) * self.F_prop_max
+        lat_y = np.sin(self.theta_cmd_max) * self.F_prop_max
+        self.thrust_lo = np.array([-lat_x, -lat_y, 0.0])
+        self.thrust_hi = np.array([lat_x, lat_y, self.F_prop_max])
 
     @property
     def rotor_count(self) -> int:
@@ -129,20 +143,6 @@ class MavParams:
     @property
     def omega_n_att(self) -> float:
         return CRIT_DAMP_RISE / self.tau_att
-
-    @property
-    def tau_thrust(self) -> np.ndarray:
-        """Per-axis time constants of the world thrust-vector lag: the
-        lateral components re-orient with the attitude loop, the collective
-        magnitude with the motors."""
-        return np.array([self.tau_att, self.tau_att, self.tau_motor])
-
-    @property
-    def lateral_force_max(self) -> np.ndarray:
-        return np.array(
-            [np.sin(self.phi_cmd_max) * self.F_prop_max,
-             np.sin(self.theta_cmd_max) * self.F_prop_max]
-        )
 
 
 @dataclass
@@ -182,15 +182,14 @@ def rotor_speeds_from_wrench(M_cmd, F_cmd, params: MavParams):
     return np.sqrt(np.maximum(n_sq, 0.0))
 
 
-def rk4_step(rhs, t: float, x, h: float) -> list:
-    """One classical RK4 step of the state arrays x over [t, t + h];
-    rhs(t, *x) returns the derivative of every array of x."""
-    k1 = rhs(t, *x)
-    k2 = rhs(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-    k3 = rhs(t + 0.5 * h, *[xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-    k4 = rhs(t + h, *[xi + h * ki for xi, ki in zip(x, k3)])
-    return [xi + h / 6 * (a + 2 * b + 2 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+def rk4_step(rhs, t: float, x, h: float):
+    """One classical RK4 step of the state array x over [t, t + h];
+    rhs(t, x) returns the derivative of x as one array of its shape."""
+    k1 = rhs(t, x)
+    k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = rhs(t + h, x + h * k3)
+    return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def translational_dynamics(R, v, F_prop: float, drag, F_ext,
@@ -258,10 +257,7 @@ def saturate_thrust_command(F_cmd_W, params: MavParams):
     unsaturated region stays exact.
     """
     F = np.asarray(F_cmd_W)
-    lat = params.lateral_force_max
-    lo = np.array([-lat[0], -lat[1], 0.0])
-    hi = np.array([lat[0], lat[1], params.F_prop_max])
-    out = np.where(F.real < lo, lo.astype(F.dtype), F)
-    out = np.where(out.real > hi, hi.astype(F.dtype), out)
-    return out
+    lo, hi = params.thrust_lo, params.thrust_hi
+    out = np.where(F.real < lo, lo, F)
+    return np.where(out.real > hi, hi, out)
 

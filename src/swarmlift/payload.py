@@ -123,19 +123,17 @@ def attachment_kinematics(com: ComSystem, p, v, R, w):
     """World-frame position and velocity of every attachment, each (N, 3),
     for the payload pose (p, R) and twist (v, w about the CoM, w payload
     frame). Complex-step safe."""
-    att = com.attachments
-    p_i = p[None, :] + att @ R.T
-    v_i = v[None, :] + cross3(w, att) @ R.T
-    return p_i, v_i
+    att, RT = com.attachments, R.T
+    return p + att @ RT, v + cross3(w, att) @ RT
 
 
 def attachment_accel(com: ComSystem, R, w, vdot, wdot):
     """World-frame acceleration (N, 3) of every attachment under the payload
     accelerations (vdot, wdot about the CoM, wdot payload frame).
     Complex-step safe."""
-    att = com.attachments
-    w_x_r = cross3(w, att)
-    return vdot[None, :] + (cross3(wdot, att) + cross3(w, w_x_r)) @ R.T
+    # one cross3 gives w x r and wdot x r for every attachment r
+    w_x_r, wdot_x_r = cross3(np.array((w, wdot))[:, None], com.attachments)
+    return vdot + (wdot_x_r + cross3(w, w_x_r)) @ R.T
 
 
 def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
@@ -144,8 +142,10 @@ def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
     (world) and FP (payload), each (N, 3). Drag is linear in the
     payload-frame velocity and rate. Complex-step safe."""
     drag_w = R @ (drag_F * (R.T @ v))
-    vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
-    M_ag = cross3(com.attachments, FP).sum(axis=0)
+    vdot = (np.add.reduce(Fw) - drag_w) / com.m_sys - GRAVITY * EZ
+    # one cross3 gives r_i x FP_i for every attachment and w x J w last
+    c = cross3(np.concatenate((com.attachments, w[None])),
+               np.concatenate((FP, (com.J_sys @ w)[None])))
     wdot = np.linalg.solve(com.J_sys,
-                           M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
+                           np.add.reduce(c[:-1]) - c[-1] - drag_M * w)
     return vdot, wdot

@@ -2,9 +2,10 @@
 
 Classical RK4 integrates the continuous states (payload rigid body about
 the composite CoM, per-agent attitude inner loops and motor lag, or the
-per-agent thrust-vector lag in the reduced thrust model) while controller
-and estimator outputs are zero-order-held between their ticks. Slaves run
-estimator + admittance + PD; the master tracks the scripted reference.
+per-agent thrust-vector lag in the reduced thrust model), packed in one
+state array, while controller and estimator outputs are zero-order-held
+between their ticks. Slaves run estimator + admittance + PD; the master
+tracks the scripted reference.
 
 The team's controller state is a set of (N, ...) arrays, row 0 the master.
 Each controller tick runs the low-level cascade once on the whole team;
@@ -141,16 +142,6 @@ class RunLog:
                    diverged_step=None if step == "None" else int(step))
 
 
-def _rk4(rhs, t: float, x, h: float, n_steps: int):
-    """RK4 steps of the state tuple x = (p, v, q, w, ...) of the payload and
-    the agents; the payload quaternion q is renormalized after every
-    step."""
-    for k in range(n_steps):
-        x = rk4_step(rhs, t + k * h, x, h)
-        x[2] = quat_normalize(x[2])
-    return x
-
-
 def run_scenario(sc: Scenario) -> RunLog:
     """Deterministic fixed-step simulation of a scenario; divergence is
     reported in the log rather than raised."""
@@ -178,6 +169,16 @@ def run_scenario(sc: Scenario) -> RunLog:
     F_mag = np.full(N, sc.mav.m * GRAVITY + share)
     F_lag = np.zeros((N, 3))  # thrust-vector states for the lag model
     F_lag[:, 2] = F_mag
+
+    # RK4 integrates one state array x: the payload's p, v, q, w, then the
+    # attitude model's eta, eta_dot (each N x 3, row by row) and F_mag, or
+    # the lag model's F_lag. Each tick reads these names as views of x.
+    e, f = 13 + 3 * N, 13 + 6 * N
+    if sc.thrust_model == "attitude":
+        x = np.concatenate([p_pl, v_pl, q_pl, w_pl, eta.ravel(),
+                            eta_dot.ravel(), F_mag])
+    else:
+        x = np.concatenate([p_pl, v_pl, q_pl, w_pl, F_lag.ravel()])
 
     p_agents0 = p_pl[None, :] + com.attachments
     hover_ref = p_agents0 + np.array([0.0, 0.0, sag])[None, :]
@@ -244,29 +245,34 @@ def run_scenario(sc: Scenario) -> RunLog:
     drag_F = sc.payload.drag_F
     drag_M = sc.payload.drag_M
     tau_thrust = sc.mav.tau_thrust
+    tau_motor = sc.mav.tau_motor
     wn = sc.mav.omega_n_att
     J = sc.mav.J
 
     def thrust_world():
         if sc.thrust_model == "attitude":
             return euler_body_z(eta) * F_mag[:, None]
-        return F_lag.copy()
+        return F_lag
 
-    # Right-hand sides of the coupled model on the state (p, v, q, w, agent
-    # states); they read the commands held over the current controller tick.
-    def attitude_rhs(t, p, v, q, w, et, etd, fm):
+    # Right-hand sides of the coupled model on the state array x; they read
+    # the commands held over the current controller tick.
+    def attitude_rhs(t, x):
+        v, q, w, et, etd, fm = (x[3:6], x[6:10], x[10:13], x[13:e], x[e:f],
+                                x[f:])
         R = quat_to_rotmat(q)
-        Fw = euler_body_z(et) * fm[:, None]
+        Fw = euler_body_z(et.reshape(N, 3)) * fm[:, None]
         vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
-        etdd = attitude_accel(et, etd, eta_cmd, wn)
-        dfm = (F_cmd_mag - fm) / sc.mav.tau_motor
-        return v, vdot, quat_rate(q, w), wdot, etd, etdd, dfm
+        etdd = attitude_accel(et, etd, eta_cmd.reshape(-1), wn)
+        dfm = (F_cmd_mag - fm) / tau_motor
+        return np.concatenate((v, vdot, quat_rate(q, w), wdot, etd, etdd,
+                               dfm))
 
-    def lag_rhs(t, p, v, q, w, Fl):
+    def lag_rhs(t, x):
+        v, q, w, Fl = x[3:6], x[6:10], x[10:13], x[13:].reshape(N, 3)
         R = quat_to_rotmat(q)
         vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fl, Fl @ R)
-        dF = (sat_cmd - Fl) / tau_thrust[None, :]
-        return v, vdot, quat_rate(q, w), wdot, dF
+        dF = (sat_cmd - Fl) / tau_thrust
+        return np.concatenate((v, vdot, quat_rate(q, w), wdot, dF.ravel()))
 
     def fsm_command(command):
         for j, st in enumerate(adm):
@@ -292,6 +298,13 @@ def run_scenario(sc: Scenario) -> RunLog:
                 hold[j + 1] = adm[j].Lambda_d
 
     for k in range(n_ctrl):
+        p_pl, v_pl, q_pl, w_pl = x[0:3], x[3:6], x[6:10], x[10:13]
+        if sc.thrust_model == "attitude":
+            eta, eta_dot = x[13:e].reshape(N, 3), x[e:f].reshape(N, 3)
+            F_mag = x[f:]
+        else:
+            F_lag = x[13:].reshape(N, 3)
+
         # scheduled events
         while ev_idx < len(events) and events[ev_idx]["t"] <= t + 1e-12:
             ev = events[ev_idx]
@@ -403,20 +416,21 @@ def run_scenario(sc: Scenario) -> RunLog:
             [[t], agent_rows.ravel(), p_pl, q_pl, v_pl, w_pl,
              [PHASE_CODE[mission.phase] if mission else -1]])
 
-        # integrate the coupled dynamics over one controller period
+        # integrate the coupled dynamics over one controller period,
+        # renormalizing the payload quaternion after every step
         if sc.thrust_model == "attitude":
-            p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag = _rk4(
-                attitude_rhs, t, (p_pl, v_pl, q_pl, w_pl, eta, eta_dot, F_mag),
-                h, sc.steps_per_ctrl)
+            rhs = attitude_rhs
         else:
+            rhs = lag_rhs
             sat_cmd = saturate_thrust_command(F_cmd_w, sc.mav)
-            p_pl, v_pl, q_pl, w_pl, F_lag = _rk4(
-                lag_rhs, t, (p_pl, v_pl, q_pl, w_pl, F_lag), h,
-                sc.steps_per_ctrl)
+        for k_dyn in range(sc.steps_per_ctrl):
+            x = rk4_step(rhs, t + k_dyn * h, x, h)
+            x[6:10] = quat_normalize(x[6:10])
 
         t += dt_ctrl
-        state_mag = max(np.max(np.abs(p_pl)), np.max(np.abs(v_pl)),
-                        np.max(np.abs(w_pl)))
+        # the payload's p, v and w
+        state_mag = max(np.max(np.abs(x[0:3])), np.max(np.abs(x[3:6])),
+                        np.max(np.abs(x[10:13])))
         if not np.isfinite(state_mag) or state_mag > sc.divergence_bound:
             diverged = True
             diverged_step = k

@@ -248,10 +248,11 @@ def test_team_commands_match_agent_by_agent(params):
 
 
 def _simulate_axis(f, y0, dy0, T, dt=1e-4):
-    x = (y0, dy0)
+    x = np.array([y0, dy0])
     out = [y0]
     for k in range(int(round(T / dt))):
-        x = rk4_step(lambda t, y, dy: (dy, f(y, dy)), k * dt, x, dt)
+        x = rk4_step(lambda t, s: np.array([s[1], f(s[0], s[1])]), k * dt,
+                     x, dt)
         out.append(x[0])
     return np.array(out)
 

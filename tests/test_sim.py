@@ -114,6 +114,23 @@ def test_bad_number_fails_at_load(case):
         beam(**BAD_NUMBERS[case])
 
 
+# agent values that loaded and then divided by zero in run_scenario (a zero
+# motor lag) or ran with a negative lag or thrust limit
+BAD_MAV = {
+    "tau_motor zero": ({"tau_motor": 0.0}, "time constants"),
+    "tau_motor negative": ({"tau_motor": -0.05}, "time constants"),
+    "F_prop_max zero": ({"F_prop_max": 0.0}, "F_prop_max"),
+    "F_prop_max negative": ({"F_prop_max": -1.0}, "F_prop_max"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MAV))
+def test_bad_mav_value_fails_at_load(case):
+    mav, match = BAD_MAV[case]
+    with pytest.raises(ScenarioError, match=f"mav: {match}"):
+        beam(mav=mav)
+
+
 def test_overridden_field_is_checked_like_load(tmp_path):
     import dataclasses
 
