@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidCommand
+from .mav import real_array
 
 SNAP_EPS = 1e-6  # rest threshold for freezing an inactive axis exactly
 
@@ -44,9 +45,10 @@ class AdmittanceParams:
     T_avg: float = 2.0
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        self.K = np.asarray(self.K, dtype=float)
+        for name in ("M", "C", "K"):
+            setattr(self, name, real_array(name, getattr(self, name), (3,)))
+        for name in ("F_hi", "F_lo", "T_hi", "T_lo", "T_avg"):
+            real_array(name, getattr(self, name), ())
         if np.any(self.M <= 0) or np.any(self.C <= 0) or np.any(self.K < 0):
             raise ValueError("need M > 0, C > 0, K >= 0 per axis")
         if not self.F_hi > self.F_lo > 0:

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-
-import numpy as np
 
 
 def _cmd_simulate(args) -> int:
@@ -42,18 +39,20 @@ SWEEP_KEYS = ("n_agents", "grid_M", "grid_C", "n_freqs", "polish")
 
 def _cmd_sweep(args) -> int:
     from .mu import TuningGrid
-    from .scenario import check_keys
+    from .scenario import check_keys, checked_call, read_document
     from .sweep import grid_sweep
 
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = read_document(args.config)
     check_keys("sweep config", cfg, SWEEP_KEYS)
-    grid = TuningGrid(
-        M_values=np.asarray(cfg.get("grid_M", np.linspace(0, 30, 31))),
-        C_values=np.asarray(cfg.get("grid_C", np.linspace(0, 30, 31))))
+    # only the keys present, so the defaults stay those of TuningGrid and
+    # grid_sweep
+    grid = checked_call("sweep config", TuningGrid, **{
+        field: cfg[key] for key, field in (("grid_M", "M_values"),
+                                           ("grid_C", "C_values"))
+        if key in cfg})
     path = grid_sweep(cfg.get("n_agents", 2), grid, args.out_dir,
-                      n_freqs=cfg.get("n_freqs", 80), n_jobs=args.jobs,
-                      polish=cfg.get("polish", True))
+                      n_jobs=args.jobs, **{key: cfg[key] for key in (
+                          "n_freqs", "polish") if key in cfg})
     print(f"wrote {path}")
     return 0
 

@@ -45,6 +45,20 @@ def _hexa_geometry():
     return sin_b, cos_b, spin
 
 
+def real_array(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape (None: any length), or
+    ValueError unless it holds finite real numbers; bool and str are not
+    numbers. The parameter objects check their fields with it."""
+    a = np.asarray(value)
+    if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
+            or any(s not in (None, n) for n, s in zip(a.shape, shape))
+            or not np.isfinite(a).all()):
+        what = (f"finite numbers of shape {shape}" if shape
+                else "a finite number")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return np.asarray(a, dtype=float)
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Rotor-speed-squared to (U1, U2, U3, U4) wrench map for a hexacopter.
@@ -108,10 +122,12 @@ class MavParams:
     allocation: Allocation = field(default_factory=Allocation)
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        self.K_drag = np.asarray(self.K_drag, dtype=float)
-        self.K_P = np.asarray(self.K_P, dtype=float)
-        self.K_D = np.asarray(self.K_D, dtype=float)
+        for name in ("J", "K_drag", "K_P", "K_D"):
+            setattr(self, name, real_array(name, getattr(self, name), (3,)))
+        for name in ("m", "k_drag", "F_prop_max", "phi_cmd_max",
+                     "theta_cmd_max", "tau_att", "tau_est", "tau_motor",
+                     "m_bar"):
+            real_array(name, getattr(self, name), ())
         if self.m <= 0 or np.any(self.J <= 0):
             raise ValueError("mass and inertia must be positive")
         if not (0.0 < self.phi_cmd_max < np.pi / 2):
@@ -122,6 +138,8 @@ class MavParams:
             raise ValueError("time constants must be positive")
         if not self.F_prop_max > 0:
             raise ValueError("F_prop_max must be positive")
+        if not self.m_bar > 0:
+            raise ValueError("m_bar must be positive")
         # Derived once, as plain attributes (not fields, so config hashes
         # do not see them): the per-axis time constants of the world
         # thrust-vector lag, whose lateral components re-orient with the

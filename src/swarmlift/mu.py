@@ -336,14 +336,13 @@ class TuningGrid:
         default_factory=lambda: np.linspace(0.0, 30.0, 31))
 
     def __post_init__(self):
-        M = np.sort(np.asarray(self.M_values, dtype=float))
-        C = np.sort(np.asarray(self.C_values, dtype=float))
-        if M.size == 0 or C.size == 0:
-            raise ValueError("grid must be nonempty")
-        if M.min() < 0 or M.max() > 30 or C.min() < 0 or C.max() > 30:
-            raise ValueError("tuning sets live in [0, 30]")
-        object.__setattr__(self, "M_values", M)
-        object.__setattr__(self, "C_values", C)
+        for name in ("M_values", "C_values"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.ndim != 1 or values.size == 0:
+                raise ValueError(f"{name} must be a nonempty 1-D list")
+            if not np.all((values >= 0) & (values <= 30)):  # NaN fails too
+                raise ValueError("tuning sets live in [0, 30]")
+            object.__setattr__(self, name, np.sort(values))
 
     def points(self):
         return [(M, C) for M in self.M_values for C in self.C_values]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attitude import cross3
 from .errors import DimensionMismatch
-from .mav import EZ, GRAVITY
+from .mav import EZ, GRAVITY, real_array
 
 
 @dataclass
@@ -31,13 +31,14 @@ class PayloadParams:
     drag_M: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.J_p = np.asarray(self.J_p, dtype=float)
-        self.attachments = np.atleast_2d(np.asarray(self.attachments, dtype=float))
-        self.drag_F = np.asarray(self.drag_F, dtype=float)
-        self.drag_M = np.asarray(self.drag_M, dtype=float)
+        real_array("m_p", self.m_p, ())
+        for name in ("J_p", "drag_F", "drag_M"):
+            setattr(self, name, real_array(name, getattr(self, name), (3,)))
+        self.attachments = real_array(
+            "attachments", np.atleast_2d(self.attachments), (None, 3))
         if self.m_p <= 0 or np.any(self.J_p <= 0):
             raise ValueError("payload mass and inertia must be positive")
-        if self.attachments.shape[0] < 1 or self.attachments.shape[1] != 3:
+        if len(self.attachments) < 1:
             raise ValueError("need at least one (N, 3) attachment")
 
     @property

@@ -20,7 +20,8 @@ Key paths (all optional unless noted):
     rates.controller    Hz (default 100; must divide 1/Ts_dyn)
     rates.estimator     Hz (default 100; must divide controller rate)
     seed                int (default 0)
-    noise.p, noise.v, noise.att, noise.rate   measurement std devs (default 0)
+    noise               {"p", "v", "att", "rate"}: measurement std devs
+                        (default 0)
     divergence_bound    state-norm bound flagging divergence (default 100)
     start_engaged       bool (default true): start trimmed at transport
                         altitude with slaves engaged and offsets calibrated
@@ -37,14 +38,26 @@ Key paths (all optional unless noted):
                         engage_slaves, disengage_slaves,
                         compute_offset, remove_offset
 
-The schema is strict: an unknown key at the top level or in a section, an
-unknown event action, an event vector not of length 3, a negative noise
-value or seed, a non-positive divergence_bound or mission.dh, a
-duration, rate, tuning value, mission.tol or payload.mass that is not a
-positive finite number, a mission.land_at that is neither null nor a
-non-negative finite number, and a start_engaged or mission.auto that is
-not a JSON boolean raise ScenarioError when the scenario is loaded, as
-does a value that the payload, mav or admittance parameters reject.
+The schema is strict. SCHEMA gives each Scenario field's key path and its
+check; the defaults are those of the Scenario dataclass. A key that is
+unknown at the top level, in a section or in an event raises ScenarioError
+when the scenario is loaded, and so does a value that fails its check:
+    - n_agents and seed: an integer of at least 1 and 0 (not a bool, not
+      2.7, not "3");
+    - duration, the rates, the tuning, divergence_bound,
+      transport_altitude, mission.dh, mission.tol, payload.mass and
+      payload.side: a positive finite number (not a bool, not a string);
+    - estimator and thrust_model: one of the names above;
+    - start_engaged and mission.auto: a JSON boolean;
+    - mission.land_at: null or a non-negative finite number;
+    - noise: each std dev a non-negative finite number;
+    - events: a known action, a non-negative finite time and, for the
+      two master actions, a vector of 3 finite numbers;
+    - the payload, mav and admittance values that their parameter objects
+      reject (a non-finite or non-numeric value, a vector not of length 3,
+      a non-positive mass), and attachments whose count is not n_agents;
+    - rates whose controller rate does not divide 1/Ts_dyn, or whose
+      estimator rate does not divide the controller rate.
 The Scenario fields are checked again when a copy is made with
 dataclasses.replace, as the CLI does for its overrides.
 """
@@ -60,7 +73,7 @@ import numpy as np
 
 from .admittance import AdmittanceParams
 from .errors import ScenarioError
-from .mav import MavParams
+from .mav import MavParams, real_array
 from .payload import (
     PayloadParams,
     default_payload,
@@ -75,22 +88,6 @@ NOISE_KEYS = ("p", "v", "att", "rate")
 EVENT_ARGS = {"master_step": "dp", "master_velocity": "v",
               "engage_slaves": None, "disengage_slaves": None,
               "compute_offset": None, "remove_offset": None}
-TOP_KEYS = ("n_agents", "duration", "payload", "tuning", "admittance", "mav",
-            "estimator", "thrust_model", "rates", "seed", "noise",
-            "divergence_bound", "start_engaged", "transport_altitude",
-            "mission", "events")
-SECTION_KEYS = {
-    "payload": ("mass", "inertia", "side", "height", "attachments",
-                "drag_F", "drag_M"),
-    "tuning": ("M", "C"),
-    "rates": ("Ts_dyn", "controller", "estimator"),
-    "mission": ("auto", "dh", "land_at", "tol"),
-    # the rotor allocation is an object built from its geometry, which a
-    # JSON document cannot give
-    "mav": tuple(f.name for f in fields(MavParams)
-                 if f.init and f.name != "allocation"),
-    "admittance": tuple(f.name for f in fields(AdmittanceParams) if f.init),
-}
 
 
 def check_keys(name: str, d, allowed) -> None:
@@ -102,49 +99,138 @@ def check_keys(name: str, d, allowed) -> None:
                             f"expected one of {sorted(allowed)}")
 
 
-def _check_noise(noise: dict) -> None:
-    check_keys("noise", noise, NOISE_KEYS)
-    for key, value in noise.items():
-        if not (isinstance(value, numbers.Real) and value >= 0.0):
-            raise ScenarioError(
-                f"noise.{key} must be a non-negative number, got {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    if not (isinstance(value, numbers.Real) and np.isfinite(value)
-            and value > 0):
-        raise ScenarioError(
-            f"{name} must be a positive finite number, got {value!r}")
-
-
-def _build(section: str, cls, **kwargs):
-    """cls(**kwargs), with the range checks of its constructor raised as
-    ScenarioError."""
+def checked_call(section: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the range and type checks of a parameter
+    object's constructor raised as ScenarioError."""
     try:
-        return cls(**kwargs)
-    except ValueError as exc:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{section}: {exc}") from exc
 
 
-def _check_event(ev) -> None:
-    if not isinstance(ev, dict) or "t" not in ev or "action" not in ev:
-        raise ScenarioError(f"event needs 't' and 'action': {ev}")
-    if not isinstance(ev["t"], numbers.Real):
-        raise ScenarioError(f"event time must be a number: {ev}")
-    if ev["action"] not in EVENT_ARGS:
-        raise ScenarioError(f"unknown event action {ev['action']!r}; "
-                            f"expected one of {sorted(EVENT_ARGS)}")
-    arg = EVENT_ARGS[ev["action"]]
-    check_keys(f"event {ev['action']}", ev,
-               ("t", "action") + ((arg,) if arg else ()))
-    if arg is not None:
-        try:
-            shape = np.shape(np.asarray(ev.get(arg), dtype=float))
-        except (TypeError, ValueError):
-            shape = None
-        if shape != (3,):
-            raise ScenarioError(
-                f"event {ev['action']} needs {arg!r} of length 3: {ev}")
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
+def _positive(path: str, value) -> float:
+    if not (_finite(value) and value > 0):
+        raise ScenarioError(
+            f"{path} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(path: str, value):
+    # kept as given, as the loader always kept noise, event times and
+    # mission.land_at, so an integer stays one in config_hash
+    if not (_finite(value) and value >= 0):
+        raise ScenarioError(
+            f"{path} must be a non-negative finite number, got {value!r}")
+    return value
+
+
+def _time(path: str, value):
+    return None if value is None else _nonnegative(path, value)
+
+
+def integer(path: str, value, least: int) -> int:
+    # bool is an int subclass, but true is no count
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ScenarioError(f"{path} must be an integer of at least {least}, "
+                            f"got {value!r}")
+    return int(value)
+
+
+def boolean(path: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
+def _one_of(path: str, value, options: tuple):
+    if value not in options:
+        raise ScenarioError(f"{path} must be one of {options}, got {value!r}")
+    return value
+
+
+def _noise(path: str, noise) -> dict:
+    check_keys(path, noise, NOISE_KEYS)
+    return {key: _nonnegative(f"{path}.{key}", value)
+            for key, value in noise.items()}
+
+
+def _events(path: str, events) -> list:
+    if not isinstance(events, (list, tuple)):
+        raise ScenarioError(f"{path} must be a list, got {events!r}")
+    for ev in events:
+        if not isinstance(ev, dict) or "t" not in ev or "action" not in ev:
+            raise ScenarioError(f"event needs 't' and 'action': {ev}")
+        action = ev["action"]
+        if not isinstance(action, str) or action not in EVENT_ARGS:
+            raise ScenarioError(f"unknown event action {action!r}; "
+                                f"expected one of {sorted(EVENT_ARGS)}")
+        arg = EVENT_ARGS[action]
+        check_keys(f"event {action}", ev,
+                   ("t", "action") + ((arg,) if arg else ()))
+        _nonnegative(f"event {action} t", ev["t"])
+        if arg is not None:
+            try:
+                real_array(arg, ev.get(arg), (3,))
+            except ValueError:
+                raise ScenarioError(f"event {action} needs {arg!r} of length "
+                                    f"3 with finite entries: {ev}") from None
+    return list(events)
+
+
+# Scenario field -> (its key path in the document, the check that returns
+# the value as the field's type, the check's further arguments)
+SCHEMA = {
+    "duration": ("duration", _positive),
+    "tuning_M": ("tuning.M", _positive),
+    "tuning_C": ("tuning.C", _positive),
+    "estimator": ("estimator", _one_of, ESTIMATORS),
+    "thrust_model": ("thrust_model", _one_of, THRUST_MODELS),
+    "Ts_dyn": ("rates.Ts_dyn", _positive),
+    "ctrl_rate": ("rates.controller", _positive),
+    "est_rate": ("rates.estimator", _positive),
+    "seed": ("seed", integer, 0),
+    "noise": ("noise", _noise),
+    "divergence_bound": ("divergence_bound", _positive),
+    "start_engaged": ("start_engaged", boolean),
+    "transport_altitude": ("transport_altitude", _positive),
+    "mission_auto": ("mission.auto", boolean),
+    "mission_dh": ("mission.dh", _positive),
+    "mission_tol": ("mission.tol", _positive),
+    "mission_land_at": ("mission.land_at", _time),
+    "events": ("events", _events),
+}
+# the sections that build a parameter object, with their keys; the rotor
+# allocation is an object built from its geometry, which a document cannot
+# give
+PARAM_SECTIONS = {
+    "payload": ("mass", "inertia", "side", "height", "attachments",
+                "drag_F", "drag_M"),
+    "mav": tuple(f.name for f in fields(MavParams)
+                 if f.init and f.name != "allocation"),
+    "admittance": tuple(f.name for f in fields(AdmittanceParams) if f.init),
+}
+
+
+def _document_keys() -> dict:
+    """The allowed keys of each section, "" for the top level."""
+    paths = ["n_agents", *(path for path, *_ in SCHEMA.values()),
+             *(f"{s}.{key}" for s, keys in PARAM_SECTIONS.items()
+               for key in keys)]
+    keys = {"": set()}
+    for path in paths:
+        section, _, key = path.rpartition(".")
+        keys[""].add(section or key)
+        keys.setdefault(section, set()).add(key)
+    return keys
+
+
+DOCUMENT_KEYS = _document_keys()
 
 
 @dataclass
@@ -173,51 +259,26 @@ class Scenario:
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ScenarioError("need at least one agent")
-        for name, value in (("duration", self.duration),
-                            ("rates.Ts_dyn", self.Ts_dyn),
-                            ("rates.controller", self.ctrl_rate),
-                            ("rates.estimator", self.est_rate),
-                            ("tuning.M", self.tuning_M),
-                            ("tuning.C", self.tuning_C),
-                            ("mission.tol", self.mission_tol)):
-            _check_positive(name, value)
-        if self.estimator not in ESTIMATORS:
-            raise ScenarioError(f"estimator must be one of {ESTIMATORS}")
-        if self.thrust_model not in THRUST_MODELS:
-            raise ScenarioError(f"thrust_model must be one of {THRUST_MODELS}")
+        self.n_agents = integer("n_agents", self.n_agents, 1)
+        for name, (path, check, *args) in SCHEMA.items():
+            setattr(self, name, check(path, getattr(self, name), *args))
         steps = 1.0 / (self.ctrl_rate * self.Ts_dyn)
         if abs(steps - round(steps)) > 1e-9 or steps < 1 - 1e-9:
             raise ScenarioError("controller rate must divide the dynamics rate")
         ratio = self.ctrl_rate / self.est_rate
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
             raise ScenarioError("estimator rate must divide the controller rate")
-        if self.seed < 0:
-            raise ScenarioError("seed must be non-negative")
-        if not self.divergence_bound > 0:
-            raise ScenarioError("divergence_bound must be positive")
-        if not self.mission_dh > 0:
-            raise ScenarioError("mission.dh must be positive")
-        for name, value in (("start_engaged", self.start_engaged),
-                            ("mission.auto", self.mission_auto)):
-            if not isinstance(value, bool):
-                raise ScenarioError(
-                    f"{name} must be true or false, got {value!r}")
-        land = self.mission_land_at
-        if land is not None and not (
-                isinstance(land, numbers.Real) and not isinstance(land, bool)
-                and np.isfinite(land) and land >= 0):
-            raise ScenarioError("mission.land_at must be null or a non-negative"
-                                f" finite number, got {land!r}")
         if self.payload is None:
-            self.payload = default_payload(self.n_agents, self.mav.m_bar)
+            self.payload = checked_call("payload", default_payload,
+                                        self.n_agents, self.mav.m_bar)
+        if self.payload.n_agents != self.n_agents:
+            raise ScenarioError(
+                f"payload.attachments: {self.payload.n_agents} rows for "
+                f"{self.n_agents} agents")
         if self.adm is None:
             self.adm = AdmittanceParams()
-        self.adm = self.adm.lateral(self.tuning_M, self.tuning_C)
-        _check_noise(self.noise)
-        for ev in self.events:
-            _check_event(ev)
+        self.adm = checked_call("admittance", self.adm.lateral,
+                                self.tuning_M, self.tuning_C)
 
     @property
     def steps_per_ctrl(self) -> int:
@@ -237,80 +298,47 @@ class Scenario:
 
 
 def _payload_from_dict(n_agents: int, mav: MavParams, d: dict) -> PayloadParams:
-    side = float(d.get("side", 1.2))
-    height = float(d.get("height", 0.0))
-    m_p = float(d.get("mass", 1.5 * mav.m_bar))
-    _check_positive("payload.mass", m_p)
-    if "attachments" in d:
-        att = np.asarray(d["attachments"], dtype=float)
-    else:
-        att = regular_polygon_attachments(n_agents, side, height)
-    if "inertia" in d:
-        J_p = np.asarray(d["inertia"], dtype=float)
-    else:
-        J_p = polygon_payload_inertia(m_p, n_agents, side)
-    return _build(
-        "payload", PayloadParams, m_p=m_p, J_p=J_p, attachments=att,
-        drag_F=np.asarray(d.get("drag_F", [0.0, 0.0, 0.0]), dtype=float),
-        drag_M=np.asarray(d.get("drag_M", [0.0, 0.0, 0.0]), dtype=float))
+    side = _positive("payload.side", d.get("side", 1.2))
+    m_p = _positive("payload.mass", d.get("mass", 1.5 * mav.m_bar))
+    att = d["attachments"] if "attachments" in d else (
+        regular_polygon_attachments(n_agents, side, d.get("height", 0.0)))
+    J_p = d["inertia"] if "inertia" in d else (
+        polygon_payload_inertia(m_p, n_agents, side))
+    drag = {key: d[key] for key in ("drag_F", "drag_M") if key in d}
+    return checked_call("payload", PayloadParams, m_p=m_p, J_p=J_p,
+                        attachments=att, **drag)
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
-    try:
-        n_agents = int(cfg["n_agents"])
-        duration = float(cfg["duration"])
-    except KeyError as exc:
-        raise ScenarioError(f"missing required key {exc}") from exc
-    check_keys("scenario", cfg, TOP_KEYS)
-    for section, allowed in SECTION_KEYS.items():
-        check_keys(section, cfg.get(section, {}), allowed)
-    mav_kw = dict(cfg.get("mav", {}))
-    for key in ("J", "K_drag", "K_P", "K_D"):
-        if key in mav_kw:
-            mav_kw[key] = np.asarray(mav_kw[key], dtype=float)
-    mav = _build("mav", MavParams, **mav_kw)
-    adm_kw = dict(cfg.get("admittance", {}))
-    for key in ("M", "C", "K"):
-        if key in adm_kw:
-            adm_kw[key] = np.asarray(adm_kw[key], dtype=float)
-    adm = _build("admittance", AdmittanceParams, **adm_kw) if adm_kw else None
-    rates = cfg.get("rates", {})
-    tuning = cfg.get("tuning", {})
-    mission = cfg.get("mission", {})
-    payload = None
-    if "payload" in cfg:
-        payload = _payload_from_dict(n_agents, mav, cfg["payload"])
-    sc = Scenario(
-        n_agents=n_agents,
-        duration=duration,
-        payload=payload,
-        mav=mav,
-        adm=adm,
-        tuning_M=float(tuning.get("M", 8.0)),
-        tuning_C=float(tuning.get("C", 6.0)),
-        estimator=cfg.get("estimator", "ekf"),
-        thrust_model=cfg.get("thrust_model", "attitude"),
-        Ts_dyn=float(rates.get("Ts_dyn", 1e-3)),
-        ctrl_rate=float(rates.get("controller", 100.0)),
-        est_rate=float(rates.get("estimator", 100.0)),
-        seed=int(cfg.get("seed", 0)),
-        noise=dict(cfg.get("noise", {})),
-        divergence_bound=float(cfg.get("divergence_bound", 100.0)),
-        start_engaged=cfg.get("start_engaged", True),
-        transport_altitude=float(cfg.get("transport_altitude", 1.2)),
-        mission_auto=mission.get("auto", False),
-        mission_dh=float(mission.get("dh", 0.25)),
-        mission_tol=float(mission.get("tol", 0.05)),
-        mission_land_at=mission.get("land_at", None),
-        events=list(cfg.get("events", [])),
-    )
-    return sc
+    check_keys("scenario", cfg, DOCUMENT_KEYS[""])
+    for key in ("n_agents", "duration"):
+        if key not in cfg:
+            raise ScenarioError(f"missing required key {key!r}")
+    # every section present, so that a missing one reads as empty
+    doc = {section: {} for section in DOCUMENT_KEYS if section} | cfg
+    for section, allowed in DOCUMENT_KEYS.items():
+        if section:
+            check_keys(section, doc[section], allowed)
+    flat = {f"{section}.{key}": value for section in DOCUMENT_KEYS if section
+            for key, value in doc[section].items()} | cfg
+    n_agents = integer("n_agents", cfg["n_agents"], 1)
+    mav = checked_call("mav", MavParams, **doc["mav"])
+    return Scenario(
+        n_agents=n_agents, mav=mav,
+        payload=_payload_from_dict(n_agents, mav, doc["payload"]),
+        adm=checked_call("admittance", AdmittanceParams, **doc["admittance"]),
+        **{name: flat[path] for name, (path, *_) in SCHEMA.items()
+           if path in flat})
+
+
+def read_document(path: str):
+    """The JSON document at path; malformed JSON raises ScenarioError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    return scenario_from_dict(cfg)
+    return scenario_from_dict(read_document(path))

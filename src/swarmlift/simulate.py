@@ -428,9 +428,9 @@ def run_scenario(sc: Scenario) -> RunLog:
             x[6:10] = quat_normalize(x[6:10])
 
         t += dt_ctrl
-        # the payload's p, v and w
-        state_mag = max(np.max(np.abs(x[0:3])), np.max(np.abs(x[3:6])),
-                        np.max(np.abs(x[10:13])))
+        # the payload's p, v and w, in one np.max so that a NaN anywhere
+        # is flagged at its own tick
+        state_mag = np.max(np.abs(np.concatenate((x[0:6], x[10:13]))))
         if not np.isfinite(state_mag) or state_mag > sc.divergence_bound:
             diverged = True
             diverged_step = k

@@ -9,8 +9,8 @@ import os
 
 import numpy as np
 
-from .errors import ScenarioError
 from .mu import MarginResult, TuningGrid, default_frequency_grid, margins
+from .scenario import boolean, integer
 
 CSV_HEADER = "M,C,rs_margin,rp_margin,peak_freq_rs,peak_freq_rp"
 
@@ -44,15 +44,9 @@ def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
     path. Identical configuration produces byte-identical output, and the
     manifest's config_hash covers every argument that changes the CSV.
     Bad counts or polish raise ScenarioError before anything is written."""
-    for key, value, least in (("n_agents", n_agents, 2),
-                              ("n_freqs", n_freqs, 1)):
-        # bool is an int subclass, but true is no count
-        if type(value) is not int or value < least:
-            raise ScenarioError(f"sweep: {key} must be an integer of at "
-                                f"least {least}, got {value!r}")
-    if not isinstance(polish, bool):
-        raise ScenarioError(
-            f"sweep: polish must be true or false, got {polish!r}")
+    n_agents = integer("n_agents", n_agents, 2)
+    n_freqs = integer("n_freqs", n_freqs, 1)
+    boolean("polish", polish)
     os.makedirs(out_dir, exist_ok=True)
     freqs = default_frequency_grid(n_freqs)
     results = margins(grid, n_agents, freqs=freqs, polish=polish,

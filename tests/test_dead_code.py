@@ -6,10 +6,13 @@ read by the package, the benchmark or the tests, and every parameter with
 a default is passed by some call in the package or the benchmark, or is
 listed with the reason it stays a parameter. Scipy is imported at module
 level only where an allowlist says why, and a fresh interpreter that
-imports the package loads none of the heavy scipy subpackages."""
+imports the package loads none of the heavy scipy subpackages. The
+scenario schema covers every Scenario field that a document sets, and the
+scenario docstring names each of its key paths and parameter sections."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -222,8 +225,6 @@ KEPT_DEFAULTS = {
         "Monte Carlo size; tests keep it short",
     "oracles.py:random_delta_hurwitz_check(freqs)":
         "tests use a coarse frequency grid to stay short",
-    "sweep.py:grid_sweep(cfg_kwargs)":
-        "non-default agents and payloads; the manifest hashes them",
     "ukf.py:ukf_init(P0_diag)": "tests drive the jitter retry with it",
     "uncertainty.py:fit_bounding_weight(max_order)":
         "tests drive FitInfeasible with it",
@@ -365,3 +366,44 @@ def test_importing_the_package_loads_no_heavy_scipy_subpackage():
                          capture_output=True, text=True, check=True)
     # nothing heavy at import, and fit_bounding_weight still fits a bound
     assert out.stdout.splitlines() == ["[]", "True"]
+
+
+def schema_gaps(schema: dict, init_fields, sections: dict, doc: str) -> list:
+    """What a new scenario field could skip: init fields with no schema
+    entry and entries that are no init field, schema paths that the
+    docstring does not name, and parameter sections that it names neither
+    as ``section.*`` nor key by key."""
+    def named(path):
+        return re.search(rf"(?<![\w.]){re.escape(path)}(?!\w)", doc)
+
+    gaps = [f"field {name}" for name in sorted(set(init_fields) ^ set(schema))]
+    gaps += [f"path {path}" for path, *_ in schema.values() if not named(path)]
+    gaps += [f"section {section}" for section, keys in sections.items()
+             if not (named(f"{section}.*")
+                     or all(named(f"{section}.{key}") for key in keys))]
+    return gaps
+
+
+def test_guard_flags_a_schema_gap():
+    schema = {"duration": ("duration", None),
+              "ctrl_rate": ("rates.controller", None),
+              "gone": ("gone", None)}
+    doc = "duration  s\nrates.controllers  Hz\nmav.*\npayload.mass  kg\n"
+    sections = {"mav": ("m",), "payload": ("mass", "side")}
+    assert schema_gaps(schema, ["duration", "ctrl_rate", "new"], sections,
+                       doc) == ["field gone", "field new",
+                                "path rates.controller", "path gone",
+                                "section payload"]
+
+
+def test_scenario_schema_covers_every_field_and_is_documented():
+    from dataclasses import fields
+
+    from swarmlift import scenario
+
+    # n_agents is checked before the payload is built from it; payload, mav
+    # and adm are parameter objects built from their sections
+    init = [f.name for f in fields(scenario.Scenario) if f.init
+            and f.name not in ("n_agents", "payload", "mav", "adm")]
+    assert schema_gaps(scenario.SCHEMA, init, scenario.PARAM_SECTIONS,
+                       scenario.__doc__) == []

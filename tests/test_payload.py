@@ -91,6 +91,14 @@ def test_inertia_point_mass_sum():
     assert_allclose(cs.J_sys[2, 2], 0.4 + 3 * 3.5 * 0.49, rtol=1e-12)
 
 
+def test_nan_payload_mass_is_rejected():
+    # a document's payload.mass is checked before it gets here; a payload
+    # built in code was not
+    with pytest.raises(ValueError, match="m_p"):
+        PayloadParams(m_p=float("nan"), J_p=[0.1, 0.1, 0.2],
+                      attachments=[[0.0, 0.0, 0.0]])
+
+
 def test_mass_inertia_dim_mismatch():
     p = beam_params()
     with pytest.raises(DimensionMismatch):

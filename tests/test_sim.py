@@ -131,6 +131,86 @@ def test_bad_mav_value_fails_at_load(case):
         beam(mav=mav)
 
 
+# documents that loaded, or failed later or with another error than
+# ScenarioError: counts and seeds that are not integers, numbers given as
+# bools or strings, non-finite values, a payload side of no length and an
+# attachment list that does not match the team
+REJECTED_AT_LOAD = {
+    "n_agents true": ({"n_agents": True}, "n_agents"),
+    "n_agents fractional": ({"n_agents": 2.7}, "n_agents"),
+    "n_agents string": ({"n_agents": "3"}, "n_agents"),
+    "seed true": ({"seed": True}, "seed"),
+    "seed fractional": ({"seed": 1.9}, "seed"),
+    "duration true": ({"duration": True}, "duration"),
+    "Ts_dyn string": ({"rates": {"Ts_dyn": "0.001"}}, "rates.Ts_dyn"),
+    "altitude negative": ({"transport_altitude": -5}, "transport_altitude"),
+    "altitude nan": ({"transport_altitude": float("nan")},
+                     "transport_altitude"),
+    "altitude string": ({"transport_altitude": "abc"}, "transport_altitude"),
+    "noise inf": ({"noise": {"p": float("inf")}}, "noise.p"),
+    "noise true": ({"noise": {"p": True}}, "noise.p"),
+    "event time nan": ({"events": [
+        {"t": 0.2, "action": "master_step", "dp": [0.1, 0.0, 0.0]},
+        {"t": float("nan"), "action": "compute_offset"},
+        {"t": 0.1, "action": "master_step", "dp": [0.1, 0.0, 0.0]}]},
+        "compute_offset t"),
+    "event action list": ({"events": [{"t": 0.1, "action": ["master_step"]}]},
+                          "unknown event action"),
+    "event vector inf": ({"events": [
+        {"t": 0.1, "action": "master_step", "dp": [0.1, float("inf"), 0]}]},
+        "length 3"),
+    "side negative": ({"payload": {"side": -1}}, "payload.side"),
+    "side zero": ({"payload": {"side": 0}}, "payload.side"),
+    "attachments short": ({"n_agents": 3, "payload": {
+        "attachments": [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]}},
+        "payload.attachments"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_AT_LOAD))
+def test_malformed_value_fails_at_load(case):
+    over, match = REJECTED_AT_LOAD[case]
+    with pytest.raises(ScenarioError, match=match):
+        beam(**over)
+
+
+# parameter-object values that loaded and failed in run_scenario (an
+# IndexError or a broadcast error), raised a bare ValueError or TypeError,
+# or ran with a NaN or infinite parameter
+BAD_PARAMS = {
+    "mav m nan": ({"mav": {"m": float("nan")}}, "mav: m "),
+    "mav m string": ({"mav": {"m": "3"}}, "mav: m "),
+    "mav k_drag nan": ({"mav": {"k_drag": float("nan")}}, "mav: k_drag"),
+    "mav m_bar negative": ({"mav": {"m_bar": -1.0}}, "mav: m_bar"),
+    "mav m_bar zero": ({"mav": {"m_bar": 0.0}}, "mav: m_bar"),
+    "mav J short": ({"mav": {"J": [0.08, 0.08]}}, "mav: J "),
+    "mav K_P short": ({"mav": {"K_P": [17.0, 17.0]}}, "mav: K_P"),
+    "mav K_D long": ({"mav": {"K_D": [15.0, 15.0, 10.0, 1.0]}}, "mav: K_D"),
+    "mav K_drag short": ({"mav": {"K_drag": [0.25, 0.25]}}, "mav: K_drag"),
+    "admittance M nan": ({"admittance": {"M": [float("nan"), 8.0, 8.0]}},
+                         "admittance: M "),
+    "admittance C nan": ({"admittance": {"C": [6.0, float("nan"), 120.0]}},
+                         "admittance: C "),
+    "admittance M short": ({"admittance": {"M": [8.0, 8.0]}},
+                           "admittance: M "),
+    "admittance F_hi inf": ({"admittance": {"F_hi": float("inf")}},
+                            "admittance: F_hi"),
+    "payload inertia short": ({"payload": {"inertia": [0.01, 0.3]}},
+                              "payload: J_p"),
+    "payload drag_F short": ({"payload": {"drag_F": [0.2, 0.1]}},
+                             "payload: drag_F"),
+    "payload drag_M long": ({"payload": {"drag_M": [0.0, 0.0, 0.0, 0.0]}},
+                            "payload: drag_M"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_bad_parameter_object_value_fails_at_load(case):
+    over, match = BAD_PARAMS[case]
+    with pytest.raises(ScenarioError, match=match):
+        beam(**over)
+
+
 def test_overridden_field_is_checked_like_load(tmp_path):
     import dataclasses
 
@@ -251,6 +331,23 @@ def test_divergence_flagged_not_raised():
     assert log.diverged
     assert log.diverged_step is not None
     assert log.data.shape[0] == log.diverged_step + 1
+
+
+def test_nan_velocity_is_flagged_at_its_own_tick(monkeypatch):
+    sc = beam(duration=0.1)
+    rk4_step, steps = simulate.rk4_step, []
+
+    def nan_after_tick_4(rhs, t, x, h):
+        x = rk4_step(rhs, t, x, h)
+        steps.append(t)
+        if len(steps) == 5 * sc.steps_per_ctrl:  # the last step of tick 4
+            x[3] = np.nan  # the payload's vx
+        return x
+
+    monkeypatch.setattr(simulate, "rk4_step", nan_after_tick_4)
+    log = run_scenario(sc)
+    assert log.diverged and log.diverged_step == 4
+    assert log.data.shape[0] == 5 and np.all(np.isfinite(log.data))
 
 
 def test_csv_round_trip():
@@ -462,6 +559,70 @@ def test_whole_log_digest(case):
     seen = log.cols([c for c in log.columns if c.endswith(column)])
     assert sorted(set(seen.ravel().tolist()) - {-1.0}) == codes
     assert hashlib.sha256(log.data.tobytes()).hexdigest() == digest
+
+
+# a document with an integer wherever a float is allowed
+INTEGER_DOCUMENT = {
+    "n_agents": 3, "duration": 2, "seed": 3,
+    "payload": {"mass": 2, "side": 1, "height": 0, "inertia": [1, 1, 2],
+                "drag_F": [0, 0, 1], "drag_M": [0, 1, 0]},
+    "tuning": {"M": 4, "C": 12},
+    "admittance": {"M": [8, 8, 8], "C": [6, 6, 120], "K": [0, 0, 400],
+                   "F_hi": 2, "F_lo": 1, "T_hi": 1, "T_lo": 1, "T_avg": 2},
+    "mav": {"m": 4, "J": [1, 1, 1], "k_drag": 0, "K_drag": [0, 0, 0],
+            "F_prop_max": 90, "phi_cmd_max": 1, "theta_cmd_max": 1,
+            "tau_att": 1, "tau_est": 1, "tau_motor": 1, "m_bar": 1,
+            "K_P": [17, 17, 30], "K_D": [15, 15, 10]},
+    "rates": {"Ts_dyn": 1, "controller": 1, "estimator": 1},
+    "noise": {"p": 0, "v": 1, "att": 0, "rate": 0},
+    "divergence_bound": 50, "transport_altitude": 2,
+    "mission": {"dh": 1, "tol": 1, "land_at": 3},
+    "events": [{"t": 1, "action": "master_step", "dp": [1, 0, 0]}],
+}
+
+
+def _bench_sim_scenario(name, seed, monkeypatch):
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+
+    return scenario_from_dict(
+        workloads.sim_config(workloads.WORKLOADS[name], seed))
+
+
+# config_hash of valid documents, so that a change to the loader that
+# resolves one of them differently is seen
+CONFIG_HASHES = {
+    "sim_ekf_n4 seed 0": "56fbb7a8f5857058",
+    "sim_ekf_n4 seed 7": "f9d80acf55a13fd6",
+    "sim_ukf_n8_lag seed 0": "05a79bacef5d510e",
+    "sim_ukf_n8_lag seed 7": "51a6964e83d76da0",
+    "BEAM": "7c6e06933918879d",
+    "golden attitude-ekf": "1f72e167c15ed274",
+    "golden attitude-ukf": "641463a2c0298a64",
+    "golden attitude-nominal": "4c0d2a8ffc826efe",
+    "golden lag-ekf": "dab11d8963abb1f9",
+    "golden lag-ukf": "11c33968dd312706",
+    "golden lag-ukf-n5": "bdce0b06e16bf8b5",
+    "events": "ffcf56ccc27d071f",
+    "mission": "81afaaaed1e32ccf",
+    "integers": "968358321122d802",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_HASHES))
+def test_config_hash_of_valid_document(case, monkeypatch):
+    kind, _, rest = case.partition(" ")
+    if kind.startswith("sim_"):
+        sc = _bench_sim_scenario(kind, int(rest.split()[-1]), monkeypatch)
+    elif kind == "golden":
+        sc = golden_scenario(*GOLDEN_CASES[GOLDEN_IDS.index(rest)])
+    else:
+        sc = {"BEAM": beam, "events": event_scenario,
+              "mission": mission_scenario,
+              "integers": lambda: scenario_from_dict(INTEGER_DOCUMENT)}[kind]()
+    assert sc.config_hash() == CONFIG_HASHES[case]
 
 
 def test_one_stacked_ukf_call_per_estimator_tick(monkeypatch):

@@ -70,6 +70,29 @@ def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
     assert not (tmp_path / "out").exists()
 
 
+# a grid that is a number or holds a NaN, and a file that is not JSON:
+# each once failed with AxisError, LinAlgError in margin_point or
+# JSONDecodeError
+@pytest.mark.parametrize("text,match", [
+    ('{"n_agents": 2, "grid_M": 8.0, "grid_C": [6.0]}', "M_values"),
+    ('{"n_agents": 2, "grid_M": [NaN], "grid_C": [6.0]}', "tuning sets"),
+    ('{"n_agents": 2, "grid_M": [8.0], "grid_C": [6.0', "invalid JSON"),
+], ids=["scalar-grid", "nan-grid", "malformed-json"])
+def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, text,
+                                            match):
+    import swarmlift.sweep
+
+    def no_margins(*args, **kw):
+        raise AssertionError("margins computed for a bad config")
+
+    monkeypatch.setattr(swarmlift.sweep, "margins", no_margins)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=match):
+        main(["sweep", str(path), "--out-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kw,match", [
     ({"n_freqs": 0}, "n_freqs"),
     ({"n_freqs": 2.5}, "n_freqs"),
