@@ -40,13 +40,15 @@ from .errors import UnstableOperatingPoint
 from .lti import LinearSystem
 from .mav import (EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
                   saturate_thrust_command)
-from .payload import (ComSystem, PayloadParams, attachment_accel,
-                      attachment_kinematics, com_system, default_payload,
-                      joint_interaction_force, payload_accel)
+from .payload import (ComSystem, attachment_accel, attachment_kinematics,
+                      com_system, default_payload, joint_interaction_force,
+                      payload_accel)
 
 TRANSPORT_PREROLL_T = 5.0
 TRANSPORT_PREROLL_DT = 0.005  # RK4 step of the pre-roll
 TRANSPORT_VELOCITY = np.array([0.5, 0.5, 0.0])
+MASS_UNCERTAINTY = 0.5  # fraction of nominal payload mass
+INERTIA_UNCERTAINTY = 0.1  # fraction of payload inertia diagonal
 
 
 @dataclass
@@ -55,19 +57,12 @@ class AnalysisConfig:
     tuning_M: float = 8.0
     tuning_C: float = 6.0
     mav: MavParams = field(default_factory=MavParams)
-    payload: PayloadParams = None
-    adm: AdmittanceParams = None
-    mass_uncertainty: float = 0.5  # fraction of nominal payload mass
-    inertia_uncertainty: float = 0.1  # fraction of payload inertia diagonal
 
     def __post_init__(self):
         if self.n_agents < 2:
             raise ValueError("need a master and at least one slave")
-        if self.payload is None:
-            self.payload = default_payload(self.n_agents, self.mav.m_bar)
-        if self.adm is None:
-            self.adm = AdmittanceParams()
-        self.adm = self.adm.lateral(self.tuning_M, self.tuning_C)
+        self.payload = default_payload(self.n_agents, self.mav.m_bar)
+        self.adm = AdmittanceParams().lateral(self.tuning_M, self.tuning_C)
         self.com: ComSystem = com_system(
             self.payload, np.full(self.n_agents, self.mav.m))
         # equal static share of the payload weight per agent
@@ -81,13 +76,13 @@ class AnalysisConfig:
         self.engage_points = self.com.attachments.copy()
         # mass channel gain: half-width of the payload mass interval over the
         # nominal system mass
-        self.w_mass = self.mass_uncertainty * self.payload.m_p / self.com.m_sys
+        self.w_mass = MASS_UNCERTAINTY * self.payload.m_p / self.com.m_sys
         # inertia channel gain: relative uncertainty on the diagonal of the
         # total system inertia (agents enter as point masses, so this also
         # covers the attachment-geometry modeling error)
         self.G_inertia = np.linalg.solve(
             self.com.J_sys,
-            self.inertia_uncertainty * np.diag(np.diag(self.com.J_sys)))
+            INERTIA_UNCERTAINTY * np.diag(np.diag(self.com.J_sys)))
 
     @property
     def n_slaves(self) -> int:

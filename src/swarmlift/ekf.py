@@ -63,10 +63,6 @@ class EkfState:
     def F_ext(self) -> np.ndarray:
         return self.x[F_SL]
 
-    @property
-    def M_ext(self) -> np.ndarray:
-        return self.x[M_SL]
-
 
 P0_DIAG = np.concatenate([
     np.full(3, 1e-4), np.full(3, 1e-3), np.full(3, 1e-4),

@@ -364,8 +364,7 @@ def default_frequency_grid(n: int = 200) -> np.ndarray:
 
 
 def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
-                 perf_weight=None, polish: bool = True,
-                 cfg_kwargs=None) -> MarginResult:
+                 perf_weight=None, polish: bool = True) -> MarginResult:
     """Robust stability and performance margins of one tuning point.
 
     Stability: peak SSV of the perturbation channels, worst case over the
@@ -386,8 +385,7 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     zero = MarginResult(M, C, 0.0, 0.0, np.nan, np.nan, False)
     if M <= 0.0 or C <= 0.0:
         return zero
-    cfg = AnalysisConfig(n_agents=n_agents, tuning_M=M, tuning_C=C,
-                         **(cfg_kwargs or {}))
+    cfg = AnalysisConfig(n_agents=n_agents, tuning_M=M, tuning_C=C)
     if blocks is None:
         blocks = default_blocks(n_agents)
     if perf_weight is None:
@@ -429,14 +427,11 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
 
 
 def margins(grid: TuningGrid, n_agents: int, freqs=None, polish: bool = True,
-            n_jobs: int = 1, cfg_kwargs=None) -> list[MarginResult]:
+            n_jobs: int = 1) -> list[MarginResult]:
     """Margin map over the tuning grid with the default blocks and
     performance weight; points are independent work items."""
     pts = grid.points()
-    fn = partial(margin_point, n_agents, freqs=freqs,
-                 blocks=default_blocks(n_agents),
-                 perf_weight=performance_weight(), polish=polish,
-                 cfg_kwargs=cfg_kwargs)
+    fn = partial(margin_point, n_agents, freqs=freqs, polish=polish)
     if n_jobs == 1:
         return [fn(M, C) for (M, C) in pts]
     from concurrent.futures import ProcessPoolExecutor

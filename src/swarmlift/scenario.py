@@ -47,6 +47,7 @@ when the scenario is loaded, and so does a value that fails its check:
     - duration, the rates, the tuning, divergence_bound,
       transport_altitude, mission.dh, mission.tol, payload.mass and
       payload.side: a positive finite number (not a bool, not a string);
+    - payload.height: a finite number (not a bool, not a string);
     - estimator and thrust_model: one of the names above;
     - start_engaged and mission.auto: a JSON boolean;
     - mission.land_at: null or a non-negative finite number;
@@ -66,10 +67,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
 
 from .admittance import AdmittanceParams
 from .errors import ScenarioError
@@ -109,8 +109,12 @@ def checked_call(section: str, fn, *args, **kwargs):
 
 
 def _finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _positive(path: str, value) -> float:
@@ -300,8 +304,12 @@ class Scenario:
 def _payload_from_dict(n_agents: int, mav: MavParams, d: dict) -> PayloadParams:
     side = _positive("payload.side", d.get("side", 1.2))
     m_p = _positive("payload.mass", d.get("mass", 1.5 * mav.m_bar))
+    height = d.get("height", 0.0)
+    if not _finite(height):
+        raise ScenarioError(
+            f"payload.height must be a finite number, got {height!r}")
     att = d["attachments"] if "attachments" in d else (
-        regular_polygon_attachments(n_agents, side, d.get("height", 0.0)))
+        regular_polygon_attachments(n_agents, side, height))
     J_p = d["inertia"] if "inertia" in d else (
         polygon_payload_inertia(m_p, n_agents, side))
     drag = {key: d[key] for key in ("drag_F", "drag_M") if key in d}

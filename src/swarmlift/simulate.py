@@ -451,6 +451,9 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
     if agent < 1 or agent >= sc.n_agents:
         raise ScenarioError("replay runs on a slave agent index")
     t = log.t
+    if t.size < 2:  # the step is read off the first two rows
+        raise ScenarioError(
+            f"replay needs a log of at least two rows, got {t.size}")
     a = f"a{agent}_"
     p = log.cols([a + "px", a + "py", a + "pz"])
     v = log.cols([a + "vx", a + "vy", a + "vz"])

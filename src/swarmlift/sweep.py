@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -29,20 +28,14 @@ def read_margin_csv(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _jsonable(value):
-    """JSON form of a configuration value: a dataclass (MavParams, ...) as
-    its fields, an array or numpy scalar as a list or number."""
-    if dataclasses.is_dataclass(value):
-        return dataclasses.asdict(value)
-    return value.tolist()
-
-
 def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
-               n_freqs: int = 80, n_jobs: int = 1, polish: bool = True,
-               cfg_kwargs=None) -> str:
+               n_freqs: int = 80, n_jobs: int = 1, polish: bool = True) -> str:
     """Run the margin map and emit CSV plus a manifest; returns the CSV
-    path. Identical configuration produces byte-identical output, and the
-    manifest's config_hash covers every argument that changes the CSV.
+    path. Identical configuration produces byte-identical output. The
+    manifest's config_hash covers n_agents, the M and C grids, n_freqs and
+    polish, which are every argument that changes the CSV (out_dir and
+    n_jobs do not). The agent, payload and weights are always the
+    package defaults, so they are not hashed.
     Bad counts or polish raise ScenarioError before anything is written."""
     n_agents = integer("n_agents", n_agents, 2)
     n_freqs = integer("n_freqs", n_freqs, 1)
@@ -50,7 +43,7 @@ def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     freqs = default_frequency_grid(n_freqs)
     results = margins(grid, n_agents, freqs=freqs, polish=polish,
-                      n_jobs=n_jobs, cfg_kwargs=cfg_kwargs)
+                      n_jobs=n_jobs)
     name = f"margins_n{n_agents}"
     csv_path = os.path.join(out_dir, f"{name}.csv")
     write_margin_csv(results, csv_path)
@@ -68,8 +61,7 @@ def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
                 "C": [float(v) for v in grid.C_values],
                 "n_freqs": n_freqs,
                 "polish": polish,
-                "cfg_kwargs": cfg_kwargs or {},
-            }, sort_keys=True, default=_jsonable).encode()).hexdigest()[:16],
+            }, sort_keys=True).encode()).hexdigest()[:16],
     }
     with open(os.path.join(out_dir, f"{name}_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -75,10 +75,6 @@ class UkfState:
     def F_ext(self) -> np.ndarray:
         return self.xi[..., F_SL]
 
-    @property
-    def M_ext_z(self):
-        return self.xi[..., MZ_IDX][()]  # a float for a single filter
-
 
 def ukf_init(p0, v0, q0, omega0, P0_diag=None) -> UkfState:
     """Filter state at (p0, v0, q0, omega0); leading axes of the arguments

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from swarmlift.analysis import (
+    MASS_UNCERTAINTY,
     AnalysisConfig,
     build_closed_loop,
     chart_rhs_out,
@@ -154,7 +155,7 @@ def test_mass_channel_lft_first_order():
 
     def rebuilt(delta):
         cfg_p = cfg2()
-        m_new = cfg.com.m_sys + delta * cfg.mass_uncertainty * cfg.payload.m_p
+        m_new = cfg.com.m_sys + delta * MASS_UNCERTAINTY * cfg.payload.m_p
         cfg_p.com = dataclasses.replace(cfg_p.com, m_sys=m_new)
         return linearize(cfg_p, op="custom", x_full=x0,
                          u0=zero_input(cfg_p))

@@ -17,6 +17,7 @@ from swarmlift.attitude import (
     quat_to_rotmat,
     random_quat,
     rotmat_to_euler,
+    rotmat_to_quat,
     skew,
 )
 from swarmlift.errors import SingularMrp
@@ -66,6 +67,27 @@ def test_rotmat_orthonormal():
         R = quat_to_rotmat(random_quat(rng))
         assert_allclose(R.T @ R, np.eye(3), atol=1e-9)
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
+
+
+def test_rotmat_to_quat_roundtrip_is_the_canonical_quaternion():
+    # angles either side of pi about each axis reach the three trace <= 0
+    # cases; past pi their w is negative, so the result's sign flips
+    qs = [quat_from_axis_angle(axis, np.pi + d) for axis in np.eye(3)
+          for d in (-0.3, -1e-3, 1e-3, 0.3)]
+    rng = np.random.default_rng(5)
+    qs += [q / np.linalg.norm(q) for q in rng.normal(size=(200, 4))]
+    cases, flips = set(), 0
+    for q in qs:
+        R = quat_to_rotmat(q)
+        i = "trace" if np.trace(R) > 0.0 else int(np.argmax(np.diag(R)))
+        cases.add(i)
+        # a case's own component comes out positive, so it flips the sign
+        # when that component and w differ in sign
+        flips += i != "trace" and q[i] * q[3] < 0.0
+        assert_allclose(rotmat_to_quat(R), q if q[3] >= 0.0 else -q,
+                        atol=1e-12)
+    assert cases == {"trace", 0, 1, 2}
+    assert flips >= 3
 
 
 def test_euler_identity_and_90yaw():

@@ -239,11 +239,30 @@ def _call_name(node):
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
+def _forwarded_keys(value):
+    """The keywords that ``**value`` passes: the keys of a dict display, or
+    of a comprehension whose key is its loop name over a literal tuple.
+    None (every keyword) for any other expression."""
+    if isinstance(value, ast.Dict):
+        # a None key is a nested ** and leaves the keys unknown
+        if all(isinstance(k, ast.Constant) for k in value.keys):
+            return {k.value for k in value.keys}
+    elif isinstance(value, ast.DictComp) and len(value.generators) == 1:
+        gen, key = value.generators[0], value.key
+        if (isinstance(gen.target, ast.Name) and isinstance(key, ast.Name)
+                and gen.target.id == key.id
+                and isinstance(gen.iter, ast.Tuple)
+                and all(isinstance(e, ast.Constant) for e in gen.iter.elts)):
+            return {e.value for e in gen.iter.elts}
+    return None
+
+
 def unpassed_defaults(package: dict, others: dict) -> list:
     """Parameters with a default, of the package's functions and methods,
     that no call in either set passes: by keyword, by position, through
-    functools.partial or through a ** forward. Calls match functions by
-    name."""
+    functools.partial or through a ** forward. A ** of a dict display or
+    of a comprehension over literal keys passes those keys; any other **
+    passes every keyword. Calls match functions by name."""
     passed = defaultdict(set)  # keywords and positions passed, per name
     for src in [*package.values(), *others.values()]:
         for n in ast.walk(ast.parse(src)):
@@ -253,7 +272,9 @@ def unpassed_defaults(package: dict, others: dict) -> list:
             if name == "partial" and args:
                 name, args = _call_name(args[0]), args[1:]
             passed[name].update(range(len(args)))
-            passed[name].update(k.arg for k in n.keywords)  # None: **
+            for k in n.keywords:
+                keys = {k.arg} if k.arg else _forwarded_keys(k.value)
+                passed[name].update({None} if keys is None else keys)
             if any(isinstance(a, ast.Starred) for a in args):
                 passed[name].add("*")
     found = []
@@ -280,16 +301,21 @@ def test_guard_flags_an_unpassed_default():
     package = {"a.py": ("def f(x, by_pos=1, by_kw=2, gone=3):\n    pass\n"
                         "def g(x, *, forwarded=1):\n    pass\n"
                         "def h(x, via_partial=1, unused=2):\n    pass\n"
+                        "def j(x, in_dict=1, in_comp=2, hidden=3):\n"
+                        "    pass\n"
                         "class K:\n"
                         "    def m(self, by_pos=1, gone_too=2):\n"
                         "        pass\n"),
                "b.py": ("from functools import partial\n"
-                        "from .a import K, f, g, h\n"
+                        "from .a import K, f, g, h, j\n"
                         "f(0, 1, by_kw=2)\nK().m(1)\n"
-                        "partial(h, 0, via_partial=1)()\n")}
-    others = {"run.py": "from swarmlift.a import g\ng(0, **{})\n"}
+                        "partial(h, 0, via_partial=1)()\n"
+                        "j(0, **{'in_dict': 1})\n"
+                        "j(0, **{k: 1 for k in ('in_comp',) if k})\n")}
+    others = {"run.py": "from swarmlift.a import g\ng(0, **options)\n"}
     assert unpassed_defaults(package, others) == [
-        "a.py:f(gone)", "a.py:h(unused)", "a.py:m(gone_too)"]
+        "a.py:f(gone)", "a.py:h(unused)", "a.py:j(hidden)",
+        "a.py:m(gone_too)"]
 
 
 def test_no_unpassed_defaults():

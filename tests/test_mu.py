@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from swarmlift.analysis import (
+    MASS_UNCERTAINTY,
     AnalysisConfig,
     build_closed_loop,
     linearize,
     margin_plant,
 )
-from swarmlift.errors import ChannelMismatch, NonFiniteResponse
+from swarmlift import mu as mu_mod
+from swarmlift.errors import (ChannelMismatch, NonFiniteResponse,
+                              UnstableOperatingPoint)
 from swarmlift.lti import LinearSystem
 from swarmlift.mu import (
     TuningGrid,
@@ -328,7 +331,7 @@ def test_single_mass_perturbation_first_order():
         G = np.linalg.inv(np.eye(nom.n_outputs) - nom.D @ F)
         A_lft = nom.A + nom.B @ F @ G @ nom.C
         cfg_p = AnalysisConfig(n_agents=2)
-        m_new = cfg.com.m_sys + delta * cfg.mass_uncertainty * cfg.payload.m_p
+        m_new = cfg.com.m_sys + delta * MASS_UNCERTAINTY * cfg.payload.m_p
         cfg_p.com = dataclasses.replace(cfg_p.com, m_sys=m_new)
         A_reb = linearize(cfg_p, x_full=x0, u0=zero_input(cfg_p)).A
         assert np.abs(A_lft - A_reb).max() < 20.0 * delta**2
@@ -348,6 +351,23 @@ def test_margin_zero_for_degenerate_and_unstable_tunings():
     assert r.rs_margin == 0.0 and not r.nominal_stable
     r = margin_point(2, 0.05, 0.01, freqs=FREQS)
     assert r.rs_margin == 0.0
+
+
+def test_margin_zero_when_the_transport_point_fails(monkeypatch):
+    def diverging(cfg, op):
+        raise UnstableOperatingPoint("pre-roll left the bound")
+
+    monkeypatch.setattr(mu_mod, "linearize", diverging)
+    r = margin_point(2, 8.0, 6.0, freqs=FREQS)
+    assert r.nominal_stable is False and r.rs_margin == r.rp_margin == 0.0
+
+    # a transport plant that is not nominally stable, after a stable rest plant
+    transport = object()
+    monkeypatch.setattr(mu_mod, "linearize", lambda cfg, op: transport)
+    monkeypatch.setattr(mu_mod, "margin_plant", lambda plant: (
+        (None, False) if plant is transport else margin_plant(plant)))
+    r = margin_point(2, 8.0, 6.0, freqs=FREQS)
+    assert r.nominal_stable is False and r.rs_margin == r.rp_margin == 0.0
 
 
 def test_tuning_grid_validation():

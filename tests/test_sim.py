@@ -133,8 +133,9 @@ def test_bad_mav_value_fails_at_load(case):
 
 # documents that loaded, or failed later or with another error than
 # ScenarioError: counts and seeds that are not integers, numbers given as
-# bools or strings, non-finite values, a payload side of no length and an
-# attachment list that does not match the team
+# bools or strings, non-finite values, an integer too large for a float, a
+# payload side of no length and an attachment list that does not match the
+# team
 REJECTED_AT_LOAD = {
     "n_agents true": ({"n_agents": True}, "n_agents"),
     "n_agents fractional": ({"n_agents": 2.7}, "n_agents"),
@@ -161,6 +162,8 @@ REJECTED_AT_LOAD = {
         "length 3"),
     "side negative": ({"payload": {"side": -1}}, "payload.side"),
     "side zero": ({"payload": {"side": 0}}, "payload.side"),
+    "height true": ({"payload": {"height": True}}, "payload.height"),
+    "duration beyond float": ({"duration": 10**400}, "duration"),
     "attachments short": ({"n_agents": 3, "payload": {
         "attachments": [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]}},
         "payload.attachments"),
@@ -675,6 +678,16 @@ def test_cli_simulate_exits_2_on_divergence(tmp_path):
     log = RunLog.from_csv(tmp_path / "tight_run.csv")
     assert log.diverged and log.diverged_step == 0
     assert log.data.shape[0] == 1
+
+
+def test_cli_replay_of_a_one_row_log_raises_scenario_error(tmp_path):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.01}))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert RunLog.from_csv(tmp_path / "one_run.csv").data.shape[0] == 1
+    with pytest.raises(ScenarioError, match="at least two rows"):
+        main(["replay", str(tmp_path / "one_run.csv"), "--out-dir",
+              str(tmp_path / "replay")])
 
 
 def test_cli_replay_ukf_writes_finite_estimates(tmp_path):

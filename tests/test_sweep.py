@@ -127,13 +127,9 @@ def _manifest(out_dir, **kw):
     return Path(csv[:-len(".csv")] + "_manifest.json").read_bytes()
 
 
-def test_config_hash_covers_polish_and_cfg_kwargs(tmp_path):
-    from swarmlift.mav import MavParams
-
+def test_config_hash_covers_polish(tmp_path):
     default = _manifest(tmp_path / "a")
     assert _manifest(tmp_path / "b") == default
     hashes = {json.loads(m)["config_hash"] for m in (
-        default,
-        _manifest(tmp_path / "c", polish=False),
-        _manifest(tmp_path / "d", cfg_kwargs={"mav": MavParams(m=3.6)}))}
-    assert len(hashes) == 3
+        default, _manifest(tmp_path / "c", polish=False))}
+    assert len(hashes) == 2
