@@ -120,40 +120,51 @@ def quat_to_rotmat(q):
     return R
 
 
-def rotmat_to_quat(R):
-    """Inverse of :func:`quat_to_rotmat`, scalar part kept non-negative."""
-    R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0.0:
+def _shepperd(branch, r, t):
+    """(x, y, z, w) of one branch of Shepperd's method on the entries
+    r = (R00, R01, ..., R22) and the trace t, as floats or as arrays of
+    rows: branch 3 for a positive trace, else the index of the largest
+    diagonal entry."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    if branch == 3:
         s = np.sqrt(t + 1.0) * 2.0
-        w = 0.25 * s
-        x = (R[2, 1] - R[1, 2]) / s
-        y = (R[0, 2] - R[2, 0]) / s
-        z = (R[1, 0] - R[0, 1]) / s
-    else:
-        i = int(np.argmax(np.diag(R)))
-        if i == 0:
-            s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-            x = 0.25 * s
-            y = (R[0, 1] + R[1, 0]) / s
-            z = (R[0, 2] + R[2, 0]) / s
-            w = (R[2, 1] - R[1, 2]) / s
-        elif i == 1:
-            s = np.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-            x = (R[0, 1] + R[1, 0]) / s
-            y = 0.25 * s
-            z = (R[1, 2] + R[2, 1]) / s
-            w = (R[0, 2] - R[2, 0]) / s
-        else:
-            s = np.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-            x = (R[0, 2] + R[2, 0]) / s
-            y = (R[1, 2] + R[2, 1]) / s
-            z = 0.25 * s
-            w = (R[1, 0] - R[0, 1]) / s
-    q = np.array([x, y, z, w])
-    if q[3] < 0.0:
-        q = -q
-    return quat_normalize(q)
+        return ((r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s, 0.25 * s)
+    if branch == 0:
+        s = np.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        return (0.25 * s, (r01 + r10) / s, (r02 + r20) / s, (r21 - r12) / s)
+    if branch == 1:
+        s = np.sqrt(1.0 - r00 + r11 - r22) * 2.0
+        return ((r01 + r10) / s, 0.25 * s, (r12 + r21) / s, (r02 - r20) / s)
+    s = np.sqrt(1.0 - r00 - r11 + r22) * 2.0
+    return ((r02 + r20) / s, (r12 + r21) / s, 0.25 * s, (r10 - r01) / s)
+
+
+def rotmat_to_quat(R):
+    """Inverse of :func:`quat_to_rotmat`, scalar part kept non-negative.
+
+    A stack (..., 3, 3) gives a stack (..., 4). Each branch runs only on
+    its own rows, so every row has the bits of its own call. A single
+    matrix runs the same IEEE operations on Python floats, as in
+    :func:`quat_to_rotmat`.
+    """
+    R = np.asarray(R, dtype=float)
+    if R.ndim == 2:
+        r = R.ravel().tolist()
+        t = r[0] + r[4] + r[8]
+        branch = 3 if t > 0.0 else int(np.argmax(r[0::4]))
+        q = np.array(_shepperd(branch, r, t))
+        if q[3] < 0.0:
+            q = -q
+        return quat_normalize(q)
+    rows = R.reshape(-1, 9)
+    t = rows[:, 0] + rows[:, 4] + rows[:, 8]
+    branch = np.where(t > 0.0, 3, np.argmax(rows[:, 0::4], axis=1))
+    q = np.empty((rows.shape[0], 4))
+    for b in set(branch.tolist()):
+        on = branch == b
+        q[on] = np.stack(_shepperd(b, rows[on].T, t[on]), axis=-1)
+    q = np.where(q[:, 3:4] < 0.0, -q, q)
+    return quat_normalize(q).reshape(R.shape[:-2] + (4,))
 
 
 def euler_to_rotmat(eta):

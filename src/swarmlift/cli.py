@@ -2,7 +2,8 @@
 
 Subcommands: simulate a scenario config, sweep a tuning grid into margin
 maps, run the oracle suite, replay a recorded log through an estimator.
-Exit codes: 0 success, 2 divergence detected, 3 oracle failure.
+Exit codes: 0 success, 2 divergence detected, 3 oracle failure, 4 a
+rejected scenario, sweep document or log (one line on stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import argparse
 import dataclasses
 import os
 import sys
+
+from .errors import ScenarioError
 
 
 def _cmd_simulate(args) -> int:
@@ -73,6 +76,10 @@ def _cmd_replay(args) -> int:
     if args.config:
         sc = load_scenario(args.config)
     else:
+        print("swarmlift: warning: the log carries no agent parameters, so "
+              "the default MavParams is assumed; pass --config with the "
+              "scenario that wrote it (config_hash "
+              f"{log.meta.get('config_hash', 'unknown')})", file=sys.stderr)
         n_agents = sum(1 for c in log.columns if c.endswith("_fsm"))
         sc = scenario_from_dict({"n_agents": n_agents,
                                  "duration": float(log.t[-1] or 1.0),
@@ -127,7 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ScenarioError as exc:
+        print(f"swarmlift: error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -210,15 +210,21 @@ def rk4_step(rhs, t: float, x, h: float):
     return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def translational_dynamics(R, v, F_prop: float, drag, F_ext,
-                           params: MavParams):
+def translational_dynamics(R, v, F_prop, drag, F_ext, params: MavParams):
     """World-frame acceleration of a free agent with attitude matrix R.
 
     Thrust acts along body z; rotor drag, the per-axis gains drag times the
-    body velocity, opposes it; F_ext is world frame.
+    body velocity, opposes it; F_ext is world frame. Stacked R (..., 3, 3),
+    v and F_ext (..., 3) and F_prop (...) give stacked accelerations. As in
+    allocate_wrench, each product is one gemv on a trailing unit axis, with
+    the same bits alone or stacked.
     """
-    f_b = np.array([0.0, 0.0, F_prop]) - drag * (R.T @ v)
-    return R @ f_b / params.m + np.asarray(F_ext) / params.m - GRAVITY * EZ
+    RT_v = (R.swapaxes(-1, -2) @ v[..., None])[..., 0]
+    f_b = np.zeros(RT_v.shape, dtype=np.result_type(RT_v, F_prop))
+    f_b[..., 2] = F_prop
+    f_b = f_b - drag * RT_v
+    return ((R @ f_b[..., None])[..., 0] / params.m
+            + np.asarray(F_ext) / params.m - GRAVITY * EZ)
 
 
 def rotational_dynamics(omega, M_prop, M_ext, J):

@@ -9,8 +9,8 @@ tracks the scripted reference.
 
 The team's controller state is a set of (N, ...) arrays, row 0 the master.
 Each controller tick runs the low-level cascade once on the whole team;
-only the slaves' admittance FSMs and EKFs step one slave at a time, and
-their UKFs run as one stacked filter.
+only the slaves' admittance FSMs step one slave at a time, and their EKFs or
+UKFs run as one stacked filter.
 """
 
 from __future__ import annotations
@@ -114,8 +114,11 @@ class RunLog:
         buf = path_or_buf if hasattr(path_or_buf, "write") else open(
             path_or_buf, "w")
         try:
+            # the hash of the scenario that wrote the log, when known
+            config = ("" if "config_hash" not in self.meta
+                      else f" config_hash={self.meta['config_hash']}")
             buf.write(f"# {LOG_VERSION} diverged={int(self.diverged)}"
-                      f" diverged_step={self.diverged_step}\n")
+                      f" diverged_step={self.diverged_step}{config}\n")
             buf.write(",".join(self.columns) + "\n")
             for row in self.data:
                 buf.write(",".join(repr(float(x)) for x in row) + "\n")
@@ -137,9 +140,12 @@ class RunLog:
             if not hasattr(path_or_buf, "read"):
                 buf.close()
         step = fields.get("diverged_step", "None")
+        meta = ({"config_hash": fields["config_hash"]}
+                if "config_hash" in fields else {})
         return cls(columns=columns, data=data,
                    diverged=bool(int(fields.get("diverged", "0"))),
-                   diverged_step=None if step == "None" else int(step))
+                   diverged_step=None if step == "None" else int(step),
+                   meta=meta)
 
 
 def run_scenario(sc: Scenario) -> RunLog:
@@ -202,7 +208,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     rotor = rotor_speeds_from_wrench(np.zeros((N, 3)), F_mag, sc.mav)
     F_hat = np.zeros((N, 3))
     F_hat[1:] = F_int_trim
-    # the slaves' admittance FSMs and EKFs, item i - 1 for agent i
+    # the slaves' admittance FSMs, item i - 1 for agent i
     adm = []
     for i in range(1, N):
         st = AdmittanceState(params=sc.adm)
@@ -211,13 +217,13 @@ def run_scenario(sc: Scenario) -> RunLog:
                           command="engage", current_pose=hover_ref[i])
             st.offset = F_int_trim.copy()
         adm.append(st)
-    ekf_est = []
-    if sc.estimator == "ekf":
-        for i in range(1, N):
-            ekf_est.append(ekf_mod.ekf_init(p_agents0[i], np.zeros(3),
-                                            np.zeros(3), np.zeros(3)))
-            ekf_est[-1].x[ekf_mod.F_SL] = F_int_trim
-    # the slaves' UKFs run as one stacked filter, row i - 1 for agent i
+    # the slaves' EKFs or UKFs run as one stacked filter, row i - 1 for
+    # agent i
+    ekf_est = None
+    if sc.estimator == "ekf" and N > 1:
+        ekf_est = ekf_mod.ekf_init(p_agents0[1:], np.zeros(3), np.zeros(3),
+                                   np.zeros(3))
+        ekf_est.x[:, ekf_mod.F_SL] = F_int_trim
     ukf_est = None
     if sc.estimator == "ukf" and N > 1:
         ukf_est = ukf_mod.ukf_init(p_agents0[1:], np.zeros(3),
@@ -358,17 +364,16 @@ def run_scenario(sc: Scenario) -> RunLog:
             noise = (noise_std * rng.standard_normal(meas.shape)
                      if use_noise else 0.0)
             meas = meas + (0.0 + noise)
-            if sc.estimator == "ekf":
-                for j, est in enumerate(ekf_est):
-                    est = ekf_mod.ekf_predict(
-                        est, (*eta_cmd[j + 1], F_cmd_mag[j + 1]), ekf_Q,
-                        dt_est, sc.mav)
-                    est = ekf_mod.ekf_update(
-                        est, np.concatenate([meas[j, 0], meas[j, 2]]), ekf_R)
-                    ekf_est[j] = est
-                    F_hat[j + 1] = est.F_ext
+            if ekf_est is not None:
+                u = np.concatenate([eta_cmd[1:], F_cmd_mag[1:, None]], axis=1)
+                ekf_est = ekf_mod.ekf_predict(ekf_est, u, ekf_Q, dt_est,
+                                              sc.mav)
+                # each slave's (p, att) measurement
+                ekf_est = ekf_mod.ekf_update(
+                    ekf_est, meas[:, 0::2].reshape(-1, 6), ekf_R)
+                F_hat[1:] = ekf_est.F_ext
             elif ukf_est is not None:
-                q_m = np.array([euler_to_quat(e) for e in meas[:, 2]])
+                q_m = euler_to_quat(meas[:, 2])
                 ukf_est = ukf_mod.ukf_predict(ukf_est, rotor[1:], ukf_Q,
                                               sc.mav, dt_est)
                 ukf_est = ukf_mod.ukf_update(ukf_est, meas[:, 0], meas[:, 1],
@@ -407,7 +412,7 @@ def run_scenario(sc: Scenario) -> RunLog:
         rotor = rotor_speeds_from_wrench(M_cmd, F_cmd_mag, sc.mav)
 
         # log the tick
-        q_i = np.array([euler_to_quat(e) for e in eta])
+        q_i = euler_to_quat(eta)
         fsm = [-1] + [FSM_CODE[st.mode] for st in adm]
         agent_rows = np.concatenate(
             [p_i, v_i, q_i, omega_i, Fw_now, F_hat, ref_p, eta_cmd,

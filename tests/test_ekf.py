@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from swarmlift import ekf
@@ -142,3 +143,92 @@ def test_closed_loop_force_step_convergence():
     tau = fit_first_order_tau(t, Fx, 1.0, t_start=1.0)
     # bracketing the nominal estimator time constant of 0.2 s
     assert 0.1 < tau < 0.4
+
+
+# ------------------------------------------------------------ stacked filter
+
+def random_inputs(rng, S):
+    """Attitude commands and thrusts (S, 4), one row per slave."""
+    return np.column_stack([rng.normal(scale=0.1, size=(S, 2)),
+                            rng.normal(scale=0.3, size=S),
+                            PARAMS.m * GRAVITY + rng.normal(size=S)])
+
+
+def row(s, k):
+    return ekf.EkfState(x=s.x[k].copy(), P=s.P[k].copy())
+
+
+@pytest.mark.parametrize("S", [1, 3, 7])
+def test_stacked_filter_matches_per_slave_calls_bit_for_bit(S):
+    rng = np.random.default_rng(30 + S)
+    Q, R = ekf.default_ekf_Q(), ekf.default_ekf_R()
+    states = np.array([random_state(rng) for _ in range(S)])
+    # slave 0 holds a yaw near pi, and its yaw is measured at pi plus
+    # noise, wrapped into (-pi, pi]: the measurement keeps jumping across
+    # the cut from the estimate
+    yaw = ekf.ETA_SL.start + 2
+    states[0, yaw], states[0, ekf.W_SL.start + 2] = np.pi - 1e-3, 0.0
+    stacked = ekf.ekf_init(states[:, ekf.P_SL], states[:, ekf.V_SL],
+                           states[:, ekf.ETA_SL], states[:, ekf.W_SL])
+    stacked.x[:, ekf.F_SL] = states[:, ekf.F_SL]
+    singles = [row(stacked, k) for k in range(S)]
+    wrapped = 0
+    for _ in range(50):
+        u = random_inputs(rng, S)
+        u[0, 2] = np.pi - 1e-3
+        stacked = ekf.ekf_predict(stacked, u, Q, TS, PARAMS)
+        singles = [ekf.ekf_predict(s, tuple(u[k]), Q, TS, PARAMS)
+                   for k, s in enumerate(singles)]
+        for k, s in enumerate(singles):
+            assert stacked.x[k].tobytes() == s.x.tobytes(), k
+            assert stacked.P[k].tobytes() == s.P.tobytes(), k
+        z = (np.concatenate([stacked.x[:, ekf.P_SL], stacked.x[:, ekf.ETA_SL]],
+                            axis=1) + rng.normal(scale=1e-2, size=(S, 6)))
+        z[0, 5] = np.pi + rng.normal(scale=1e-2)
+        z[:, 3:] = np.mod(z[:, 3:] + np.pi, 2 * np.pi) - np.pi
+        wrapped += abs(z[0, 5] - stacked.x[0, yaw]) > np.pi
+        before = stacked.x[0, yaw]
+        stacked = ekf.ekf_update(stacked, z, R)
+        # the update moved the yaw estimate a little, not by about 2 pi
+        assert abs(stacked.x[0, yaw] - before) < 0.1
+        singles = [ekf.ekf_update(s, z[k], R) for k, s in enumerate(singles)]
+        for k, s in enumerate(singles):
+            assert stacked.x[k].tobytes() == s.x.tobytes(), k
+            assert stacked.P[k].tobytes() == s.P.tobytes(), k
+    assert wrapped >= 5
+
+
+def test_stacked_jacobian_matches_per_slave_jacobians():
+    rng = np.random.default_rng(40)
+    x = np.array([random_state(rng) for _ in range(5)])
+    u = random_inputs(rng, 5)
+    A = ekf.process_jacobian(x, u, PARAMS)
+    assert A.shape == (5, ekf.NX, ekf.NX)
+    for k in range(5):
+        assert A[k].tobytes() == ekf.process_jacobian(
+            x[k], tuple(u[k]), PARAMS).tobytes()
+
+
+def test_stacked_jacobian_matches_complex_step():
+    rng = np.random.default_rng(41)
+    h = 1e-30
+    x = np.array([random_state(rng) for _ in range(4)])
+    u = random_inputs(rng, 4)
+    A = ekf.process_jacobian(x, u, PARAMS)
+    A_cs = np.empty_like(A)
+    for j in range(ekf.NX):
+        xc = x.astype(complex)
+        xc[:, j] += 1j * h
+        A_cs[..., j] = np.imag(ekf.process_rhs(xc, u, PARAMS)) / h
+    scale = np.abs(A_cs).max(axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(A - A_cs) / scale) < 1e-12
+
+
+def test_stacked_init_matches_per_slave_init():
+    p0 = np.arange(12.0).reshape(4, 3)
+    stacked = ekf.ekf_init(p0, np.zeros(3), np.full(3, 0.1), np.ones(3))
+    for k in range(4):
+        s = ekf.ekf_init(p0[k], np.zeros(3), np.full(3, 0.1), np.ones(3))
+        assert stacked.x[k].tobytes() == s.x.tobytes()
+        assert stacked.P[k].tobytes() == s.P.tobytes()
+    assert stacked.F_ext.shape == (4, 3)

@@ -6,7 +6,7 @@ kernels must match it byte for byte (``tobytes()``, so signed zeros and
 imaginary parts count) on real inputs and on complex-step inputs, where
 every state argument is complex as ``analysis.complex_step_jacobian``
 passes them; for one agent and several; and for single and stacked
-quaternions.
+quaternions and rotation matrices.
 """
 
 import numpy as np
@@ -14,8 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swarmlift.attitude import cross3, euler_body_z, quat_to_rotmat
-from swarmlift.mav import EZ, GRAVITY, MavParams, rk4_step, saturate_thrust_command
+from swarmlift.attitude import (
+    cross3,
+    euler_body_z,
+    quat_normalize,
+    quat_to_rotmat,
+    rotmat_to_quat,
+)
+from swarmlift.mav import (
+    EZ,
+    GRAVITY,
+    MavParams,
+    rk4_step,
+    saturate_thrust_command,
+    translational_dynamics,
+)
 from swarmlift.payload import (
     PayloadParams,
     attachment_accel,
@@ -93,6 +106,46 @@ def old_saturate_thrust_command(F_cmd_W, params):
     out = np.where(F.real < lo, lo.astype(F.dtype), F)
     out = np.where(out.real > hi, hi.astype(F.dtype), out)
     return out
+
+
+def old_rotmat_to_quat(R):
+    R = np.asarray(R, dtype=float)
+    t = np.trace(R)
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        w = 0.25 * s
+        x = (R[2, 1] - R[1, 2]) / s
+        y = (R[0, 2] - R[2, 0]) / s
+        z = (R[1, 0] - R[0, 1]) / s
+    else:
+        i = int(np.argmax(np.diag(R)))
+        if i == 0:
+            s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+            x = 0.25 * s
+            y = (R[0, 1] + R[1, 0]) / s
+            z = (R[0, 2] + R[2, 0]) / s
+            w = (R[2, 1] - R[1, 2]) / s
+        elif i == 1:
+            s = np.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
+            x = (R[0, 1] + R[1, 0]) / s
+            y = 0.25 * s
+            z = (R[1, 2] + R[2, 1]) / s
+            w = (R[0, 2] - R[2, 0]) / s
+        else:
+            s = np.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
+            x = (R[0, 2] + R[2, 0]) / s
+            y = (R[1, 2] + R[2, 1]) / s
+            z = 0.25 * s
+            w = (R[1, 0] - R[0, 1]) / s
+    q = np.array([x, y, z, w])
+    if q[3] < 0.0:
+        q = -q
+    return quat_normalize(q)
+
+
+def old_translational_dynamics(R, v, F_prop, drag, F_ext, params):
+    f_b = np.array([0.0, 0.0, F_prop]) - drag * (R.T @ v)
+    return R @ f_b / params.m + np.asarray(F_ext) / params.m - GRAVITY * EZ
 
 
 def old_rk4_step(rhs, t, x, h):
@@ -201,6 +254,49 @@ def test_quat_to_rotmat_bits(shape, data):
     # the single-quaternion form gives each row of the stacked one
     for idx in np.ndindex(shape[:-1]):
         same_bits(quat_to_rotmat(q[idx]), R[idx])
+
+
+# half turns about each axis: trace -1, one diagonal entry +1 (the three
+# trace <= 0 branches), and the same turns slightly short of and past pi
+HALF_TURNS = [np.append(np.sin(0.5 * a) * axis, np.cos(0.5 * a))
+              for axis in np.eye(3) for a in (np.pi - 1e-3, np.pi, np.pi + 0.3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(4,), (1, 4), (6, 4), (2, 5, 4)]), st.data())
+def test_rotmat_to_quat_bits(shape, data):
+    q = data.draw(reals(shape, st.floats(-1.0, 1.0)))
+    # rotation matrices only: unit quaternions, some of them half turns
+    q = q.reshape(-1, 4).copy()
+    for k in range(len(q)):
+        if data.draw(st.booleans()) or np.dot(q[k], q[k]) < 1e-6:
+            q[k] = data.draw(st.sampled_from(HALF_TURNS))
+    q = q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+    R = quat_to_rotmat(q.reshape(shape))
+    got = rotmat_to_quat(R)
+    assert got.shape == shape
+    # each row has the bits of its own call and of the earlier formula
+    for idx in np.ndindex(shape[:-1]):
+        same_bits(got[idx], old_rotmat_to_quat(R[idx]))
+        same_bits(rotmat_to_quat(R[idx]), got[idx])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_translational_dynamics_bits(n, cs, data):
+    params = MavParams()
+    # the EKF's complex-step inputs are complex states with a real thrust
+    R, v, F_ext = (data.draw(states(s, cs)) for s in ((n, 3, 3), (n, 3),
+                                                      (n, 3)))
+    F_prop = data.draw(reals(n))
+    drag = data.draw(reals(3, st.floats(0.0, 1.0)))
+    got = translational_dynamics(R, v, F_prop, drag, F_ext, params)
+    for k in range(n):
+        ref = old_translational_dynamics(R[k], v[k], F_prop[k], drag,
+                                         F_ext[k], params)
+        same_bits(got[k], ref)
+        same_bits(translational_dynamics(R[k], v[k], F_prop[k], drag,
+                                         F_ext[k], params), ref)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from swarmlift.errors import ScenarioError
 from swarmlift.mav import GRAVITY
+from swarmlift import ekf as ekf_mod
 from swarmlift import simulate
 from swarmlift import ukf as ukf_mod
 from swarmlift.cli import main
@@ -214,7 +216,18 @@ def test_bad_parameter_object_value_fails_at_load(case):
         beam(**over)
 
 
-def test_overridden_field_is_checked_like_load(tmp_path):
+def assert_cli_error(capsys, argv, match):
+    """main(argv) rejects its input: exit status 4, and the last stderr
+    line, the only error line, is `swarmlift: error: <message>` with the
+    message matching."""
+    assert main(argv) == 4
+    lines = capsys.readouterr().err.splitlines()
+    errors = [ln for ln in lines if ln.startswith("swarmlift: error: ")]
+    assert errors == lines[-1:]
+    assert re.search(match, errors[0]), errors[0]
+
+
+def test_overridden_field_is_checked_like_load(tmp_path, capsys):
     import dataclasses
 
     with pytest.raises(ScenarioError, match="rates.controller"):
@@ -223,17 +236,23 @@ def test_overridden_field_is_checked_like_load(tmp_path):
         dataclasses.replace(beam(), mission_land_at="soon")
     cfg = tmp_path / "beam.json"
     cfg.write_text(json.dumps(BEAM))
-    with pytest.raises(ScenarioError, match="duration"):
-        main(["simulate", str(cfg), "--out-dir", str(tmp_path),
-              "--duration", "nan"])
+    assert_cli_error(capsys, ["simulate", str(cfg), "--out-dir",
+                              str(tmp_path), "--duration", "nan"], "duration")
 
 
-def test_cli_negative_seed_fails_like_load(tmp_path):
+def test_cli_negative_seed_fails_like_load(tmp_path, capsys):
     cfg = tmp_path / "beam.json"
     cfg.write_text(json.dumps(BEAM))
-    with pytest.raises(ScenarioError, match="seed"):
-        main(["simulate", str(cfg), "--out-dir", str(tmp_path), "--seed",
-              "-1"])
+    assert_cli_error(capsys, ["simulate", str(cfg), "--out-dir",
+                              str(tmp_path), "--seed", "-1"], "seed")
+
+
+def test_cli_simulate_rejects_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(dict(BEAM, durations=1.0)))
+    assert_cli_error(capsys, ["simulate", str(cfg), "--out-dir",
+                              str(tmp_path)], r"unknown key.*durations")
+    assert not (tmp_path / "typo_run.csv").exists()
 
 
 def test_config_hash_identifies_resolved_scenario():
@@ -647,6 +666,25 @@ def test_one_stacked_ukf_call_per_estimator_tick(monkeypatch):
     assert calls["predict"] == calls["update"] == [(4, ukf_mod.NXI)] * 5
 
 
+def test_one_stacked_ekf_call_per_estimator_tick(monkeypatch):
+    calls = {"predict": [], "update": []}
+
+    def counting(name, fn):
+        def wrapped(s, *args, **kw):
+            calls[name].append(s.x.shape)
+            return fn(s, *args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(ekf_mod, "ekf_predict",
+                        counting("predict", ekf_mod.ekf_predict))
+    monkeypatch.setattr(ekf_mod, "ekf_update",
+                        counting("update", ekf_mod.ekf_update))
+    sc = golden_scenario("attitude", "ekf", 5)
+    sc.duration, sc.est_rate = 0.1, 50.0  # 10 controller ticks, 5 estimator
+    run_scenario(sc)
+    assert calls["predict"] == calls["update"] == [(4, ekf_mod.NX)] * 5
+
+
 def test_one_team_control_call_per_tick(monkeypatch):
     shapes = {"pd_position_control": [], "thrust_to_attitude": [],
               "rotor_speeds_from_wrench": []}
@@ -680,14 +718,51 @@ def test_cli_simulate_exits_2_on_divergence(tmp_path):
     assert log.data.shape[0] == 1
 
 
-def test_cli_replay_of_a_one_row_log_raises_scenario_error(tmp_path):
+def test_cli_replay_of_a_one_row_log_exits_4(tmp_path, capsys):
     cfg = tmp_path / "one.json"
     cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.01}))
     assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
     assert RunLog.from_csv(tmp_path / "one_run.csv").data.shape[0] == 1
-    with pytest.raises(ScenarioError, match="at least two rows"):
-        main(["replay", str(tmp_path / "one_run.csv"), "--out-dir",
-              str(tmp_path / "replay")])
+    capsys.readouterr()
+    assert_cli_error(capsys, ["replay", str(tmp_path / "one_run.csv"),
+                              "--out-dir", str(tmp_path / "replay")],
+                     "at least two rows")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_log_header_carries_the_config_hash():
+    sc = beam(duration=0.05)
+    log = run_scenario(sc)
+    buf = io.StringIO()
+    log.to_csv(buf)
+    assert buf.getvalue().splitlines()[0].endswith(
+        f" config_hash={sc.config_hash()}")
+    buf.seek(0)
+    assert RunLog.from_csv(buf).meta == {"config_hash": sc.config_hash()}
+    # a header without it still loads, with no hash
+    old = io.StringIO(re.sub(r" config_hash=\w+", "", buf.getvalue()))
+    loaded = RunLog.from_csv(old)
+    assert loaded.meta == {}
+    assert np.array_equal(loaded.data, log.data)
+
+
+def test_cli_replay_without_config_warns_of_default_agent(tmp_path, capsys):
+    cfg = tmp_path / "heavy.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.05,
+                               "mav": {"m": 3.6}}))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    run_hash = RunLog.from_csv(tmp_path / "heavy_run.csv").meta["config_hash"]
+    capsys.readouterr()
+    log_path = str(tmp_path / "heavy_run.csv")
+    out = ["--out-dir", str(tmp_path / "replay")]
+    assert main(["replay", log_path] + out) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert "no agent parameters" in warnings[0]
+    assert "default MavParams" in warnings[0] and run_hash in warnings[0]
+    # with the scenario that wrote the log, nothing is assumed
+    assert main(["replay", log_path, "--config", str(cfg)] + out) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_replay_ukf_writes_finite_estimates(tmp_path):

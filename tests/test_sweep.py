@@ -8,6 +8,7 @@ from swarmlift.cli import main
 from swarmlift.errors import ScenarioError
 from swarmlift.mu import MarginResult
 from swarmlift.sweep import read_margin_csv, write_margin_csv
+from test_sim import assert_cli_error
 
 
 def test_margin_csv_round_trip(tmp_path):
@@ -56,7 +57,8 @@ def test_cli_sweep_serial_equals_parallel(tmp_path):
 ], ids=["misspelled-key", "one-agent", "polish-string", "polish-number",
         "zero-freqs", "fractional-freqs", "fractional-agents",
         "boolean-freqs"])
-def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
+def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, capsys, cfg,
+                                      match):
     import swarmlift.sweep
 
     def no_margins(*args, **kw):
@@ -65,8 +67,8 @@ def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
     monkeypatch.setattr(swarmlift.sweep, "margins", no_margins)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(cfg, grid_M=[8.0], grid_C=[6.0])))
-    with pytest.raises(ScenarioError, match=match):
-        main(["sweep", str(path), "--out-dir", str(tmp_path / "out")])
+    assert_cli_error(capsys, ["sweep", str(path), "--out-dir",
+                              str(tmp_path / "out")], match)
     assert not (tmp_path / "out").exists()
 
 
@@ -78,8 +80,8 @@ def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, cfg, match):
     ('{"n_agents": 2, "grid_M": [NaN], "grid_C": [6.0]}', "tuning sets"),
     ('{"n_agents": 2, "grid_M": [8.0], "grid_C": [6.0', "invalid JSON"),
 ], ids=["scalar-grid", "nan-grid", "malformed-json"])
-def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, text,
-                                            match):
+def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, capsys,
+                                            text, match):
     import swarmlift.sweep
 
     def no_margins(*args, **kw):
@@ -88,8 +90,8 @@ def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, text,
     monkeypatch.setattr(swarmlift.sweep, "margins", no_margins)
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(ScenarioError, match=match):
-        main(["sweep", str(path), "--out-dir", str(tmp_path / "out")])
+    assert_cli_error(capsys, ["sweep", str(path), "--out-dir",
+                              str(tmp_path / "out")], match)
     assert not (tmp_path / "out").exists()
 
 
