@@ -25,6 +25,10 @@ machine precision, at the engaged-hover equilibrium for the rest plant
 (:func:`build_closed_loop`) and at the pre-rolled state for the transport
 plant; so the margins are computed on the Jacobian of the physics that the
 simulator integrates.
+
+The transport pre-roll (4,000 :func:`full_rhs` calls) is most of a margin
+point, so what a configuration fixes is built once (``AnalysisConfig``,
+``MavParams``) and a call runs only its blocks' arithmetic, in pinned order.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .attitude import (cross3, quat_normalize, quat_rate, quat_to_rotmat,
                        rotvec_to_rotmat)
 from .errors import UnstableOperatingPoint
 from .lti import LinearSystem
-from .mav import (EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
+from .mav import (G_EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
                   saturate_thrust_command)
 from .payload import (ComSystem, attachment_accel, attachment_kinematics,
                       com_system, default_payload, joint_interaction_force,
@@ -74,6 +78,7 @@ class AnalysisConfig:
         self.F_int_trim = np.array([0.0, 0.0, -self.share])
         # slave desired positions / master reference at the attachment layout
         self.engage_points = self.com.attachments.copy()
+        self.slave_points = self.engage_points[1:]
         # mass channel gain: half-width of the payload mass interval over the
         # nominal system mass
         self.w_mass = MASS_UNCERTAINTY * self.payload.m_p / self.com.m_sys
@@ -120,8 +125,8 @@ def pack_state(p, v, q, omega, p_ref, F_prop, F_hat, z, zdot):
     """Payload (p, v, attitude, omega), master reference integrator, thrust
     lags per agent, then per slave the contiguous estimator and admittance
     block. A chart state passes theta in place of q."""
-    return np.concatenate([p, v, q, omega, p_ref, np.reshape(F_prop, -1),
-                           np.hstack([F_hat, z, zdot]).reshape(-1)])
+    return np.concatenate((p, v, q, omega, p_ref, F_prop.ravel(),
+                           np.concatenate((F_hat, z, zdot), axis=1).ravel()))
 
 
 def unpack_state(cfg: AnalysisConfig, x, n_att: int = 4):
@@ -156,11 +161,11 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
     u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
 
-    p_i, v_i = attachment_kinematics(com, p, v, R, omega)
+    p_i, v_i, w_x_r = attachment_kinematics(com, p, v, R, omega)
 
     # references: master integrates the velocity command, slaves follow the
     # engaged admittance law
-    ref_p = np.concatenate((p_ref[None], cfg.engage_points[1:] + z))
+    ref_p = np.concatenate((p_ref[None], cfg.slave_points + z))
     ref_v = np.concatenate((w[None], zdot))
 
     F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
@@ -183,18 +188,17 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
                                      F_cons_w, F_cons_P)
     v_dot = v_dot - cfg.w_mass * u_mass
     omega_dot = omega_dot - cfg.G_inertia @ u_J
-    y_mass = v_dot + GRAVITY * EZ
+    y_mass = v_dot + G_EZ
     y_J = omega_dot
 
     dp_ref = w
 
     # slave joint force, estimator lag, admittance
-    a_i = attachment_accel(com, R, omega, v_dot, omega_dot)
+    a_i = attachment_accel(com, R, omega, w_x_r, v_dot, omega_dot)
     F_int = joint_interaction_force(a_i[1:], F_cons_w[1:], mav.m)
     dF_hat = (F_int - F_hat) / mav.tau_est
-    F_used = F_hat + u_est - cfg.F_int_trim[None, :]
-    dzdot = (F_used - adm.C[None, :] * zdot - adm.K[None, :] * z) \
-        / adm.M[None, :]
+    F_used = F_hat + u_est - cfg.F_int_trim
+    dzdot = (F_used - adm.C * zdot - adm.K * z) / adm.M
 
     outputs = (y_mass, y_J, y_mpc, y_att, F_hat, F_cons_P[:, :2], v, p)
     return (v_dot, omega_dot, dp_ref, dF_prop, dF_hat, zdot, dzdot), outputs

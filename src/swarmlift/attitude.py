@@ -46,24 +46,24 @@ def quat_inverse(q):
     return out
 
 
+# cyclic shifts of the components: component k of a x b is
+# a[k+1] b[k+2] - a[k+2] b[k+1]
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def cross3(a, b):
     """Cross product of 3-vectors along the last axis, with broadcasting.
 
-    Same component arithmetic as ``np.cross`` (so the same bits), without
-    its axis shuffling, which dominates the cost on small inputs.
+    Same component arithmetic as ``np.cross`` (so the same bits): all three
+    components are one product of cyclic shifts of a and b minus another,
+    without ``np.cross``'s axis shuffling, which dominates the cost on
+    small inputs.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    c1 = a2 * b0 - a0 * b2
-    c2 = a0 * b1 - a1 * b0
-    out = np.empty(np.shape(c0) + (3,), dtype=c0.dtype)
-    out[..., 0] = c0
-    out[..., 1] = c1
-    out[..., 2] = c2
-    return out
+    return (a.take(_NEXT, -1) * b.take(_PREV, -1)
+            - a.take(_PREV, -1) * b.take(_NEXT, -1))
 
 
 def quat_multiply(q1, q2):

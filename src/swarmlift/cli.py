@@ -3,7 +3,8 @@
 Subcommands: simulate a scenario config, sweep a tuning grid into margin
 maps, run the oracle suite, replay a recorded log through an estimator.
 Exit codes: 0 success, 2 divergence detected, 3 oracle failure, 4 a
-rejected scenario, sweep document or log (one line on stderr).
+rejected scenario, sweep document or log, or a file that cannot be read or
+written (one line on stderr).
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ def _cmd_replay(args) -> int:
     log = RunLog.from_csv(args.log)
     if args.config:
         sc = load_scenario(args.config)
+        logged = log.meta.get("config_hash", sc.config_hash())
+        if logged != sc.config_hash():  # a CLI override also changes it
+            print(f"swarmlift: warning: the log has config_hash {logged}, "
+                  f"the --config scenario {sc.config_hash()}", file=sys.stderr)
     else:
         print("swarmlift: warning: the log carries no agent parameters, so "
               "the default MavParams is assumed; pass --config with the "
@@ -136,7 +141,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"swarmlift: error: {exc}", file=sys.stderr)
         return 4
 

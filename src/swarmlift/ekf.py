@@ -10,8 +10,8 @@ are the attitude commands and the commanded collective thrust.
 Every filter function takes an optional leading slave axis: ``x (S, 18)``,
 ``P (S, 18, 18)``, inputs ``u (S, 4)`` and measurements ``z (S, 6)`` run S
 independent filters in one call, with the same bits as S calls on the
-unstacked arrays. The process and measurement noise diagonals are shared by
-all slaves.
+unstacked arrays. The process and measurement noise covariances are shared
+by all slaves; each run builds them once.
 """
 
 from __future__ import annotations
@@ -33,31 +33,31 @@ ETA_SL = slice(6, 9)
 W_SL = slice(9, 12)
 F_SL = slice(12, 15)
 M_SL = slice(15, 18)
+_I = np.eye(NX)
 
 
 def default_ekf_Q(rate_hz: float = 100.0) -> np.ndarray:
-    """Per-step process noise diag for the given estimator rate.
+    """Per-step process noise covariance (diagonal) at the estimator rate.
 
     The force random-walk intensity is tuned so the closed-loop force
     estimate behaves as a first-order lag with a time constant of about
     0.2 s against MCS-grade measurement noise.
     """
     Ts = 1.0 / rate_hz
-    q = np.concatenate([
+    return np.diag(np.concatenate([
         np.full(3, 1e-10),        # position
         np.full(3, 1e-8),         # velocity
         np.full(3, 1e-10),        # attitude
         np.full(3, 1e-8),         # rate
         np.full(3, 3.4e-3 * Ts),  # external force random walk
         np.full(3, 1.0e-4 * Ts),  # external torque random walk
-    ])
-    return q
+    ]))
 
 
 def default_ekf_R() -> np.ndarray:
-    """Measurement noise diag for (p, eta): MCS-grade millimeter position
-    and milliradian attitude."""
-    return np.concatenate([np.full(3, 1e-6), np.full(3, 1e-6)])
+    """Measurement noise covariance (diagonal) for (p, eta): MCS-grade
+    millimeter position and milliradian attitude."""
+    return np.diag(np.concatenate([np.full(3, 1e-6), np.full(3, 1e-6)]))
 
 
 @dataclass
@@ -187,7 +187,8 @@ def _jacobian(x, u, R, params: MavParams):
 
 
 def ekf_predict(s: EkfState, u, Q, Ts: float, params: MavParams) -> EkfState:
-    """Forward-Euler mean propagation with first-order covariance update.
+    """Forward-Euler mean propagation with first-order covariance update;
+    Q is the (18, 18) process noise covariance of :func:`default_ekf_Q`.
 
     A stacked state (leading slave axis S) takes inputs u (S, 4) and
     predicts every slave's filter in one call."""
@@ -196,8 +197,8 @@ def ekf_predict(s: EkfState, u, Q, Ts: float, params: MavParams) -> EkfState:
     # the derivative and its Jacobian share the attitude matrix
     R = euler_to_rotmat(s.x[..., ETA_SL])
     x = s.x + Ts * _rhs(s.x, u, R, params)
-    Fd = np.eye(NX) + Ts * _jacobian(s.x, u, R, params)
-    P = Fd @ s.P @ Fd.swapaxes(-1, -2) + np.diag(np.asarray(Q, dtype=float))
+    Fd = _I + Ts * _jacobian(s.x, u, R, params)
+    P = Fd @ s.P @ Fd.swapaxes(-1, -2) + Q
     return EkfState(x=x, P=0.5 * (P + P.swapaxes(-1, -2)))
 
 
@@ -207,21 +208,21 @@ _H[3:6, ETA_SL] = np.eye(3)
 
 
 def ekf_update(s: EkfState, z, R) -> EkfState:
-    """Linear measurement update on (p, eta); Joseph-form covariance.
+    """Linear measurement update on (p, eta); Joseph-form covariance. R is
+    the (6, 6) measurement noise covariance of :func:`default_ekf_R`.
 
     A stacked state (leading slave axis S) takes measurements z (S, 6) and
     updates every slave's filter in one call."""
     z = np.asarray(z, dtype=float)
-    Rm = np.diag(np.asarray(R, dtype=float))
     # matrix-vector products on a trailing unit axis, as in process_jacobian
     innov = z - (_H @ s.x[..., None])[..., 0]
     # wrap angle innovations into (-pi, pi]
     innov[..., 3:6] = np.mod(innov[..., 3:6] + np.pi, 2 * np.pi) - np.pi
-    S = _H @ s.P @ _H.T + Rm
+    S = _H @ s.P @ _H.T + R
     K = np.linalg.solve(S.swapaxes(-1, -2),
                         _H @ s.P.swapaxes(-1, -2)).swapaxes(-1, -2)
     x = s.x + (K @ innov[..., None])[..., 0]
-    IKH = np.eye(NX) - K @ _H
+    IKH = _I - K @ _H
     P = (IKH @ s.P @ IKH.swapaxes(-1, -2)
-         + K @ Rm @ K.swapaxes(-1, -2))
+         + K @ R @ K.swapaxes(-1, -2))
     return EkfState(x=x, P=0.5 * (P + P.swapaxes(-1, -2)))

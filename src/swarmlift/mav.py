@@ -28,6 +28,7 @@ from .errors import DimensionMismatch, ZeroThrust
 
 GRAVITY = 9.81
 EZ = np.array([0.0, 0.0, 1.0])
+G_EZ = GRAVITY * EZ
 
 # 63% rise of a critically damped double pole at -a happens at t = x/a with
 # (1 + x) exp(-x) = exp(-1)
@@ -143,8 +144,9 @@ class MavParams:
         # Derived once, as plain attributes (not fields, so config hashes
         # do not see them): the per-axis time constants of the world
         # thrust-vector lag, whose lateral components re-orient with the
-        # attitude loop and whose magnitude follows the motors, and the box
-        # of reachable world thrust commands of saturate_thrust_command.
+        # attitude loop and whose magnitude follows the motors, the weight
+        # m g e_z and the box of reachable world thrust commands.
+        self.weight = self.m * GRAVITY * EZ
         self.tau_thrust = np.array([self.tau_att, self.tau_att,
                                     self.tau_motor])
         lat_x = np.sin(self.phi_cmd_max) * self.F_prop_max
@@ -224,7 +226,7 @@ def translational_dynamics(R, v, F_prop, drag, F_ext, params: MavParams):
     f_b[..., 2] = F_prop
     f_b = f_b - drag * RT_v
     return ((R @ f_b[..., None])[..., 0] / params.m
-            + np.asarray(F_ext) / params.m - GRAVITY * EZ)
+            + np.asarray(F_ext) / params.m - G_EZ)
 
 
 def rotational_dynamics(omega, M_prop, M_ext, J):
@@ -243,7 +245,7 @@ def pd_position_control(p, v, ref_p, ref_v, params: MavParams):
     gravity feed-forward. Broadcasts over agents; complex-step safe."""
     return (params.K_P * (np.asarray(ref_p) - p)
             + params.K_D * (np.asarray(ref_v) - v)
-            + params.m * GRAVITY * EZ)
+            + params.weight)
 
 
 def thrust_to_attitude(F_cmd, psi, params: MavParams):

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from .attitude import cross3
 from .errors import DimensionMismatch
-from .mav import EZ, GRAVITY, real_array
+from .mav import G_EZ, real_array
 
 
 @dataclass
@@ -84,7 +85,7 @@ def default_payload(n_agents: int, m_bar: float) -> PayloadParams:
 def joint_interaction_force(a_i, F_applied_i, m_i: float):
     """World-frame force the payload exerts on agent i through the joint,
     closing Newton's law for the agent: m a = F_applied + F_int - m g."""
-    return m_i * (np.asarray(a_i) + GRAVITY * EZ) - np.asarray(F_applied_i)
+    return m_i * (a_i + G_EZ) - F_applied_i
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,22 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
 def attachment_kinematics(com: ComSystem, p, v, R, w):
     """World-frame position and velocity of every attachment, each (N, 3),
     for the payload pose (p, R) and twist (v, w about the CoM, w payload
-    frame). Complex-step safe."""
+    frame), and the payload-frame w x r (N, 3) that
+    :func:`attachment_accel` takes. Complex-step safe."""
     att, RT = com.attachments, R.T
-    return p + att @ RT, v + cross3(w, att) @ RT
+    w_x_r = cross3(w, att)
+    return p + att @ RT, v + w_x_r @ RT, w_x_r
 
 
-def attachment_accel(com: ComSystem, R, w, vdot, wdot):
+def attachment_accel(com: ComSystem, R, w, w_x_r, vdot, wdot):
     """World-frame acceleration (N, 3) of every attachment under the payload
-    accelerations (vdot, wdot about the CoM, wdot payload frame).
-    Complex-step safe."""
-    # one cross3 gives w x r and wdot x r for every attachment r
-    w_x_r, wdot_x_r = cross3(np.array((w, wdot))[:, None], com.attachments)
-    return vdot + (wdot_x_r + cross3(w, w_x_r)) @ R.T
+    accelerations (vdot, wdot about the CoM, wdot payload frame), given the
+    payload-frame w x r of :func:`attachment_kinematics` at the same
+    (R, w). Complex-step safe."""
+    # one cross3 gives wdot x r and w x (w x r) for every attachment r
+    wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[:, None],
+                                 np.array((com.attachments, w_x_r)))
+    return vdot + (wdot_x_r + w_x_w_x_r) @ R.T
 
 
 def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
@@ -143,10 +148,11 @@ def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
     (world) and FP (payload), each (N, 3). Drag is linear in the
     payload-frame velocity and rate. Complex-step safe."""
     drag_w = R @ (drag_F * (R.T @ v))
-    vdot = (np.add.reduce(Fw) - drag_w) / com.m_sys - GRAVITY * EZ
+    vdot = (np.add.reduce(Fw) - drag_w) / com.m_sys - G_EZ
     # one cross3 gives r_i x FP_i for every attachment and w x J w last
     c = cross3(np.concatenate((com.attachments, w[None])),
                np.concatenate((FP, (com.J_sys @ w)[None])))
-    wdot = np.linalg.solve(com.J_sys,
-                           np.add.reduce(c[:-1]) - c[-1] - drag_M * w)
+    # np.linalg.solve's gufunc for a 1-D right-hand side: the same gesv,
+    # without the wrapper's checks (J_sys >= diag(J_p) > 0 is never singular)
+    wdot = solve1(com.J_sys, np.add.reduce(c[:-1]) - c[-1] - drag_M * w)
     return vdot, wdot

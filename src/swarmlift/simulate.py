@@ -331,7 +331,7 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         # current constrained kinematics
         R_pl = quat_to_rotmat(q_pl)
-        p_i, v_i = attachment_kinematics(com, p_pl, v_pl, R_pl, w_pl)
+        p_i, v_i, w_x_r = attachment_kinematics(com, p_pl, v_pl, R_pl, w_pl)
         # mission coordinator at the controller rate
         if mission is not None:
             begin = (sc.mission_land_at is not None
@@ -353,7 +353,7 @@ def run_scenario(sc: Scenario) -> RunLog:
         Fw_now = thrust_world()
         vdot_now, wdot_now = payload_accel(com, drag_F, drag_M, R_pl, v_pl,
                                            w_pl, Fw_now, Fw_now @ R_pl)
-        a_i = attachment_accel(com, R_pl, w_pl, vdot_now, wdot_now)
+        a_i = attachment_accel(com, R_pl, w_pl, w_x_r, vdot_now, wdot_now)
         omega_i = body_rate_from_euler_rate(eta, eta_dot)
 
         # estimators (slaves) at their own rate

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import attitude as att
 from .errors import CholeskyFailure
-from .mav import EZ, GRAVITY, MavParams, allocate_wrench, rotational_dynamics
+from .mav import G_EZ, MavParams, allocate_wrench, rotational_dynamics
 
 NXI = 16
 NZ = 12
@@ -149,7 +149,7 @@ def propagate_full(p, v, q, omega, F_ext, M_z, n_rotors, params: MavParams,
         -d * v_body[..., 0], -d * v_body[..., 1],
         np.broadcast_to(F_prop, v_body.shape[:-1])], axis=-1)
     v_dot = (np.einsum("...ij,...j->...i", R, f_body) + F_ext) / params.m \
-        - GRAVITY * EZ
+        - G_EZ
     M_ext = np.zeros(omega.shape)
     M_ext[..., 2] = M_z
     w_dot = rotational_dynamics(omega, M_prop, M_ext, params.J)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from swarmlift import analysis
 from swarmlift.analysis import (
     MASS_UNCERTAINTY,
     AnalysisConfig,
@@ -125,6 +126,24 @@ def test_transport_preroll_trim_tilt():
                            np.split(y, np.cumsum([s for _, s in cfg.output_channels()])[:-1])))
         lat = sys_out[f"z_lat_{i}"]
         assert np.linalg.norm(lat) > 0.5
+
+
+def test_preroll_calls_full_rhs_through_the_module_global(monkeypatch):
+    # a wrapper on analysis.full_rhs sees every right-hand side of the
+    # pre-roll: 5 s of RK4 at 5 ms, four stages a step
+    calls = []
+    real = analysis.full_rhs
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "full_rhs", counting)
+    cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
+    x = preroll_transport(cfg)
+    assert len(calls) == 4000
+    monkeypatch.undo()
+    assert x.tobytes() == preroll_transport(cfg).tobytes()
 
 
 def test_transport_linearization_differs_from_rest():

@@ -114,7 +114,7 @@ def test_update_infinite_noise_ignores_channel():
     s = hover_filter()
     s = ekf.ekf_predict(s, hover_input(), ekf.default_ekf_Q(), TS, PARAMS)
     R = ekf.default_ekf_R()
-    R[0] = 1e12  # x-position channel disabled
+    R[0, 0] = 1e12  # x-position channel disabled
     z = np.concatenate([s.x[ekf.P_SL], s.x[ekf.ETA_SL]])
     z[0] += 5.0
     s2 = ekf.ekf_update(s, z, R)

@@ -6,20 +6,33 @@ kernels must match it byte for byte (``tobytes()``, so signed zeros and
 imaginary parts count) on real inputs and on complex-step inputs, where
 every state argument is complex as ``analysis.complex_step_jacobian``
 passes them; for one agent and several; and for single and stacked
-quaternions and rotation matrices.
+quaternions and rotation matrices. ``cross3`` is checked against its
+component formula and ``np.cross``. The analysis model's right-hand sides
+are checked against a frozen copy of their earlier ``_core``, built on
+these oracles.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.linalg._umath_linalg import solve1
 
+from swarmlift.analysis import (
+    AnalysisConfig,
+    chart_rhs_out,
+    full_rhs,
+    split_inputs,
+    unpack_state,
+)
 from swarmlift.attitude import (
     cross3,
     euler_body_z,
     quat_normalize,
+    quat_rate,
     quat_to_rotmat,
     rotmat_to_quat,
+    rotvec_to_rotmat,
 )
 from swarmlift.mav import (
     EZ,
@@ -38,6 +51,20 @@ from swarmlift.payload import (
 )
 
 # ------------------------------------------------------ the earlier formulas
+
+
+def old_cross3(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    c1 = a2 * b0 - a0 * b2
+    c2 = a0 * b1 - a1 * b0
+    out = np.empty(np.shape(c0) + (3,), dtype=c0.dtype)
+    out[..., 0] = c0
+    out[..., 1] = c1
+    out[..., 2] = c2
+    return out
 
 
 def old_quat_to_rotmat(q):
@@ -75,23 +102,81 @@ def old_euler_body_z(eta):
 def old_attachment_kinematics(com, p, v, R, w):
     att = com.attachments
     p_i = p[None, :] + att @ R.T
-    v_i = v[None, :] + cross3(w, att) @ R.T
+    v_i = v[None, :] + old_cross3(w, att) @ R.T
     return p_i, v_i
 
 
 def old_attachment_accel(com, R, w, vdot, wdot):
     att = com.attachments
-    w_x_r = cross3(w, att)
-    return vdot[None, :] + (cross3(wdot, att) + cross3(w, w_x_r)) @ R.T
+    w_x_r = old_cross3(w, att)
+    return vdot[None, :] + (old_cross3(wdot, att) + old_cross3(w, w_x_r)) @ R.T
 
 
 def old_payload_accel(com, drag_F, drag_M, R, v, w, Fw, FP):
     drag_w = R @ (drag_F * (R.T @ v))
     vdot = (Fw.sum(axis=0) - drag_w) / com.m_sys - GRAVITY * EZ
-    M_ag = cross3(com.attachments, FP).sum(axis=0)
+    M_ag = old_cross3(com.attachments, FP).sum(axis=0)
     wdot = np.linalg.solve(com.J_sys,
-                           M_ag - cross3(w, com.J_sys @ w) - drag_M * w)
+                           M_ag - old_cross3(w, com.J_sys @ w) - drag_M * w)
     return vdot, wdot
+
+
+def old_core(cfg, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot, u):
+    """``analysis._core`` before the lean right-hand side, on the oracles
+    above: per-call constants, (1, 3) broadcasts and np.linalg.solve."""
+    mav, adm, com = cfg.mav, cfg.adm, cfg.com
+    u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
+    p_i, v_i = old_attachment_kinematics(com, p, v, R, omega)
+    ref_p = np.concatenate((p_ref[None], cfg.engage_points[1:] + z))
+    ref_v = np.concatenate((w[None], zdot))
+    F_cmd = (mav.K_P * (ref_p - p_i) + mav.K_D * (ref_v - v_i)
+             + mav.m * GRAVITY * EZ)
+    F_lag_in_w = old_saturate_thrust_command(F_cmd + u_mpc, mav)
+    F_lag_in_P = np.einsum("ji,nj->ni", R, F_lag_in_w)
+    dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust
+    F_cons_P = F_prop + u_att
+    F_cons_w = np.einsum("ij,nj->ni", R, F_cons_P)
+    v_dot, omega_dot = old_payload_accel(com, cfg.payload.drag_F,
+                                         cfg.payload.drag_M, R, v, omega,
+                                         F_cons_w, F_cons_P)
+    v_dot = v_dot - cfg.w_mass * u_mass
+    omega_dot = omega_dot - cfg.G_inertia @ u_J
+    a_i = old_attachment_accel(com, R, omega, v_dot, omega_dot)
+    F_int = mav.m * (a_i[1:] + GRAVITY * EZ) - F_cons_w[1:]
+    dF_hat = (F_int - F_hat) / mav.tau_est
+    F_used = F_hat + u_est - cfg.F_int_trim[None, :]
+    dzdot = (F_used - adm.C[None, :] * zdot - adm.K[None, :] * z) \
+        / adm.M[None, :]
+    outputs = (v_dot + GRAVITY * EZ, omega_dot, F_cmd, F_prop, F_hat,
+               F_cons_P[:, :2], v, p)
+    return (v_dot, omega_dot, w, dF_prop, dF_hat, zdot, dzdot), outputs
+
+
+def old_pack_state(p, v, q, omega, p_ref, F_prop, F_hat, z, zdot):
+    return np.concatenate([p, v, q, omega, p_ref, np.reshape(F_prop, -1),
+                           np.hstack([F_hat, z, zdot]).reshape(-1)])
+
+
+def old_full_rhs(cfg, x, u):
+    p, v, q, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(cfg, x)
+    der, _ = old_core(cfg, quat_to_rotmat(q), p, v, omega, p_ref, F_prop,
+                      F_hat, z, zdot, u)
+    v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
+    return old_pack_state(v, v_dot, quat_rate(q, omega), omega_dot, dp_ref,
+                          dF_prop, dF_hat, dz, dzdot)
+
+
+def old_chart_rhs_out(cfg, xc, u, q_ref):
+    p, v, theta, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(
+        cfg, xc, n_att=3)
+    R = quat_to_rotmat(q_ref) @ rotvec_to_rotmat(theta)
+    der, outputs = old_core(cfg, R, p, v, omega, p_ref, F_prop, F_hat, z,
+                            zdot, u)
+    v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
+    dtheta = omega + 0.5 * old_cross3(theta, omega)
+    return (old_pack_state(v, v_dot, dtheta, omega_dot, dp_ref, dF_prop,
+                           dF_hat, dz, dzdot),
+            np.concatenate([np.reshape(y, -1) for y in outputs]))
 
 
 def old_saturate_thrust_command(F_cmd_W, params):
@@ -219,15 +304,45 @@ def test_payload_accel_bits(body, data):
 
 @settings(max_examples=150, deadline=None)
 @given(rigid_bodies(), st.data())
+def test_solve1_is_np_linalg_solve(body, data):
+    # payload_accel's J_sys solve calls the gufunc behind np.linalg.solve;
+    # this fails first if a numpy release moves or changes it
+    _, com, cs = body
+    b = data.draw(states(3, cs))
+    same_bits(solve1(com.J_sys, b), np.linalg.solve(com.J_sys, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rigid_bodies(), st.data())
 def test_attachment_kernels_bits(body, data):
     _, com, cs = body
     R, p, v, w, vdot, wdot = (data.draw(states(s, cs))
                               for s in ((3, 3), 3, 3, 3, 3, 3))
-    for g, r in zip(attachment_kinematics(com, p, v, R, w),
-                    old_attachment_kinematics(com, p, v, R, w)):
+    p_i, v_i, w_x_r = attachment_kinematics(com, p, v, R, w)
+    for g, r in zip((p_i, v_i), old_attachment_kinematics(com, p, v, R, w)):
         same_bits(g, r)
-    same_bits(attachment_accel(com, R, w, vdot, wdot),
+    same_bits(w_x_r, old_cross3(w, com.attachments))
+    same_bits(attachment_accel(com, R, w, w_x_r, vdot, wdot),
               old_attachment_accel(com, R, w, vdot, wdot))
+
+
+# operand shape pairs of the kernels: one vector against rows, rows against
+# rows, the (2, 1, 3) x (2, N, 3) stacking, and vector against vector
+CROSS_SHAPES = [((3,), (4, 3)), ((5, 3), (5, 3)), ((2, 1, 3), (2, 3, 3)),
+                ((3,), (3,)), ((6, 3), (3,)), ((2, 5, 3), (2, 5, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CROSS_SHAPES), st.booleans(), st.booleans(),
+       st.data())
+def test_cross3_bits(shapes, cs_a, cs_b, data):
+    # the cyclic-shift cross3 against the component formula and np.cross,
+    # on real, complex-step and mixed operands
+    a = data.draw(states(shapes[0], cs_a))
+    b = data.draw(states(shapes[1], cs_b))
+    got = cross3(a, b)
+    same_bits(got, old_cross3(a, b))
+    same_bits(got, np.cross(a, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,10 +351,11 @@ def test_stacked_cross3_rows_are_single_calls(n, cs, data):
     # the two stackings the payload kernels use
     att = data.draw(reals((n, 3)))
     w, wdot, Jw = (data.draw(states(3, cs)) for _ in range(3))
-    FP = data.draw(states((n, 3), cs))
-    w_x_r, wdot_x_r = cross3(np.array((w, wdot))[:, None], att)
-    same_bits(w_x_r, cross3(w, att))
+    w_x_r, FP = (data.draw(states((n, 3), cs)) for _ in range(2))
+    wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[:, None],
+                                 np.array((att, w_x_r)))
     same_bits(wdot_x_r, cross3(wdot, att))
+    same_bits(w_x_w_x_r, cross3(w, w_x_r))
     c = cross3(np.concatenate((att, w[None])), np.concatenate((FP, Jw[None])))
     same_bits(c[:-1], cross3(att, FP))
     same_bits(c[-1], cross3(w, Jw))
@@ -336,3 +452,29 @@ def test_flat_rk4_step_bits(a, b, t, h):
     got = rk4_step(flat_rhs, t, np.concatenate((a, b.ravel())), h)
     ref = old_rk4_step(parts_rhs, t, (a, b), h)
     same_bits(got, np.concatenate((ref[0], ref[1].ravel())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
+       st.booleans(), st.data())
+def test_analysis_rhs_bits(n, M, C, cs, data):
+    # full_rhs (real: the pre-roll) and chart_rhs_out (real and complex
+    # step: the Jacobians) against the frozen earlier _core
+    cfg = AnalysisConfig(n_agents=n, tuning_M=M, tuning_C=C)
+    nx = 16 + 3 * n + 9 * (n - 1)
+    small = st.floats(-10.0, 10.0, allow_nan=False)
+    x = data.draw(reals(nx, small))
+    u = data.draw(reals(cfg.n_inputs, small))
+    same_bits(full_rhs(cfg, x, u), old_full_rhs(cfg, x, u))
+    q_ref = data.draw(reals(4, st.floats(-1.0, 1.0)))
+    xc, uc = x[:-1], u
+    if cs:
+        # imaginary parts of a size that keeps the chart's sin and cosh
+        # finite
+        step = st.one_of(st.sampled_from([0.0, -0.0, 1e-100, -1e-100]),
+                         st.floats(-1.0, 1.0))
+        xc = xc + 1j * data.draw(reals(nx - 1, step))
+        uc = uc + 1j * data.draw(reals(cfg.n_inputs, step))
+    for g, r in zip(chart_rhs_out(cfg, xc, uc, q_ref),
+                    old_chart_rhs_out(cfg, xc, uc, q_ref)):
+        same_bits(g, r)

@@ -108,8 +108,8 @@ def test_mass_inertia_dim_mismatch():
 def test_kinematics_no_rotation():
     cs = com_system(beam_params(), [3.5, 3.5])
     v = np.array([0.3, -0.1, 0.0])
-    pi, vi = attachment_kinematics(cs, Z3, v, np.eye(3), Z3)
-    ai = attachment_accel(cs, np.eye(3), Z3, np.array([0.1, 0, 0]), Z3)
+    pi, vi, w_x_r = attachment_kinematics(cs, Z3, v, np.eye(3), Z3)
+    ai = attachment_accel(cs, np.eye(3), Z3, w_x_r, np.array([0.1, 0, 0]), Z3)
     assert_allclose(pi, cs.attachments)
     assert_allclose(vi, [v, v])
     assert_allclose(ai, [[0.1, 0, 0]] * 2)
@@ -120,8 +120,8 @@ def test_kinematics_pure_spin():
                       attachments=[[1.0, 0.0, 0.0]])
     cs = com_system(p, [0.0])  # massless agent: the CoM is the payload origin
     w = np.array([0.0, 0.0, 1.0])
-    _, vi = attachment_kinematics(cs, Z3, Z3, np.eye(3), w)
-    ai = attachment_accel(cs, np.eye(3), w, Z3, Z3)
+    _, vi, w_x_r = attachment_kinematics(cs, Z3, Z3, np.eye(3), w)
+    ai = attachment_accel(cs, np.eye(3), w, w_x_r, Z3, Z3)
     assert_allclose(vi, [[0.0, 1.0, 0.0]], atol=1e-15)
     assert_allclose(ai, [[-1.0, 0.0, 0.0]], atol=1e-15)  # centripetal
 
@@ -134,10 +134,10 @@ def test_kinematics_finite_difference():
     p = np.array([0.5, 0.2, 1.0])
     v = np.array([0.1, -0.2, 0.05])
     w = np.array([0.3, -0.1, 0.4])
-    p0, v0 = attachment_kinematics(cs, p, v, quat_to_rotmat(q), w)
+    p0, v0, _ = attachment_kinematics(cs, p, v, quat_to_rotmat(q), w)
     # advance the rigid motion by dt
-    p1, _ = attachment_kinematics(cs, p + dt * v, v,
-                                  quat_to_rotmat(quat_integrate(q, w, dt)), w)
+    p1, _, _ = attachment_kinematics(
+        cs, p + dt * v, v, quat_to_rotmat(quat_integrate(q, w, dt)), w)
     fd = (p1 - p0) / dt
     assert np.max(np.abs(fd - v0)) < 1e-5
 
@@ -151,10 +151,11 @@ def test_attachment_accel_is_complex_step_rate_of_velocity():
     R0 = quat_to_rotmat(quat_from_axis_angle(rng.normal(size=3), 0.7))
     p, v, w, vdot, wdot = rng.normal(size=(5, 3))
     h = 1e-30
-    _, v_i = attachment_kinematics(
+    _, v_i, _ = attachment_kinematics(
         cs, p + 1j * h * v, v + 1j * h * vdot, R0 @ rotvec_to_rotmat(1j * h * w),
         w + 1j * h * wdot)
-    a_i = attachment_accel(cs, R0, w, vdot, wdot)
+    _, _, w_x_r = attachment_kinematics(cs, p, v, R0, w)
+    a_i = attachment_accel(cs, R0, w, w_x_r, vdot, wdot)
     assert_allclose(np.imag(v_i) / h, a_i, rtol=1e-13, atol=1e-14)
 
 
@@ -226,7 +227,8 @@ def test_joint_force_newton_closure():
     forces_w = rng.normal(size=(2, 3)) * 2.0 + np.array([0, 0, cs.m_sys * GRAVITY / 2])
     v_dot, w_dot = payload_accel(cs, Z3, Z3, R, v_WP, omega, forces_w,
                                  forces_w @ R)
-    a = attachment_accel(cs, R, omega, v_dot, w_dot)
+    _, _, w_x_r = attachment_kinematics(cs, Z3, v_WP, R, omega)
+    a = attachment_accel(cs, R, omega, w_x_r, v_dot, w_dot)
     F_int = np.array([
         joint_interaction_force(a[i], forces_w[i], 3.5) for i in range(2)])
     # payload CoG acceleration from the rigid kinematics about the CoM

@@ -765,6 +765,39 @@ def test_cli_replay_without_config_warns_of_default_agent(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_replay_with_another_scenarios_config_warns(tmp_path, capsys):
+    heavy, light = tmp_path / "heavy.json", tmp_path / "light.json"
+    heavy.write_text(json.dumps({"n_agents": 2, "duration": 0.05,
+                                 "mav": {"m": 3.6}}))
+    light.write_text(json.dumps({"n_agents": 2, "duration": 0.05}))
+    assert main(["simulate", str(heavy), "--out-dir", str(tmp_path)]) == 0
+    log_path = str(tmp_path / "heavy_run.csv")
+    run_hash = RunLog.from_csv(log_path).meta["config_hash"]
+    other_hash = scenario_from_dict(
+        json.loads(light.read_text())).config_hash()
+    assert run_hash != other_hash
+    capsys.readouterr()
+    out = ["--out-dir", str(tmp_path / "replay")]
+    # the run goes on, with one warning that names both hashes
+    assert main(["replay", log_path, "--config", str(light)] + out) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("swarmlift: warning")
+    assert run_hash in warnings[0] and other_hash in warnings[0]
+    assert (tmp_path / "replay" / "replay_estimates.csv").is_file()
+    # the scenario that wrote the log: no warning
+    assert main(["replay", log_path, "--config", str(heavy)] + out) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "replay"])
+def test_cli_missing_file_exits_4(tmp_path, capsys, command):
+    missing = tmp_path / "nonexist.json"
+    assert_cli_error(capsys, [command, str(missing), "--out-dir",
+                              str(tmp_path / "out")],
+                     re.escape(f"{missing}: No such file or directory"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_replay_ukf_writes_finite_estimates(tmp_path):
     cfg = tmp_path / "short.json"
     cfg.write_text(json.dumps(dict(BEAM, estimator="ukf", duration=0.2)))
