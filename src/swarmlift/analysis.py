@@ -37,6 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:  # einsum's C core, without the Python wrapper and its dispatch
+    from numpy._core._multiarray_umath import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import c_einsum
+
 from .admittance import AdmittanceParams
 from .attitude import (cross3, quat_normalize, quat_rate, quat_to_rotmat,
                        rotvec_to_rotmat)
@@ -175,11 +180,11 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     # fixed to the payload: once settled it tilts with the structure); lateral
     # components re-orient with the attitude time constant, the collective
     # magnitude with the (much faster) motor lag
-    F_lag_in_P = np.einsum("ji,nj->ni", R, F_lag_in_w)
+    F_lag_in_P = c_einsum("ji,nj->ni", R, F_lag_in_w)
     dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust
     y_att = F_prop
     F_cons_P = F_prop + u_att
-    F_cons_w = np.einsum("ij,nj->ni", R, F_cons_P)
+    F_cons_w = c_einsum("ij,nj->ni", R, F_cons_P)
 
     # payload rigid body about the composite CoM, with the mass and inertia
     # uncertainty injected into its accelerations

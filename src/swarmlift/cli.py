@@ -89,7 +89,8 @@ def _cmd_replay(args) -> int:
         sc = scenario_from_dict({"n_agents": n_agents,
                                  "duration": float(log.t[-1] or 1.0),
                                  "estimator": args.estimator})
-    sc.estimator = args.estimator
+    # replace() runs the estimator override through the load-time checks
+    sc = dataclasses.replace(sc, estimator=args.estimator)
     out = replay_log(log, sc, agent=args.agent)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "replay_estimates.csv")

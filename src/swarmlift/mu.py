@@ -19,9 +19,13 @@ next balanced value cannot raise the maximum: with no floor after at
 least the eight largest (every frequency keeps a tight bound near the
 peak), with a floor as soon as the next balanced value is at or below the
 floor or the running maximum (only the peak is tight). A margin needs
-only the peak, so margin_point bounds transport first with floor 0, then
-rest with the transport peak as floor, then performance with the
-stability peak as floor.
+only the peak, and rho(G) <= mu(G) <= sigma_max(D G D^-1) <= |D G D^-1|_F
+for every admissible D (Packard & Doyle, Automatica 1993), so
+margin_point gives each call a proven lower bound on its peak as floor
+and passes it only the frequencies whose Frobenius norm reaches it:
+transport first, above the largest spectral radius near its peak; then
+rest, above the transport peak; then performance, above the stability
+peak and the largest singular value of the performance block.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ from .uncertainty import (
     default_weight_mpc,
     performance_weight,
 )
+
+# Relative slack of margin_point's lower bounds on a peak, for the rounding
+# of the spectral radius and singular value that give them.
+FLOOR_SLACK = 1e-9
 
 
 def default_blocks(n_agents: int) -> list[UncertaintyBlock]:
@@ -363,6 +371,37 @@ def default_frequency_grid(n: int = 200) -> np.ndarray:
     return np.logspace(-3.0, 2.0, n)
 
 
+def _peak_floors(G, structure):
+    """Lower bounds on the peak over frequency of mu(G11), G's stability
+    channels, and of mu(G), each lowered by FLOOR_SLACK for rounding.
+
+    mu(G11) >= rho(G11), because delta I is an admissible perturbation of
+    the square stability channels; rho is taken at the three frequencies
+    with the largest Frobenius norm of G11. mu(G) >= sigma_max(G22), the
+    disturbance-to-performance block, because a perturbation of the
+    performance block alone is admissible.
+    """
+    G11, _ = rs_partition(G, structure)
+    top = np.argsort(np.linalg.norm(G11, axis=(1, 2)))[-3:]
+    rho = np.abs(np.linalg.eigvals(G11[top])).max()
+    G22 = G[:, G11.shape[1]:, G11.shape[2]:]
+    sigma = np.linalg.svd(G22, compute_uv=False)[:, 0].max()
+    return (1.0 - FLOOR_SLACK) * rho, (1.0 - FLOOR_SLACK) * sigma
+
+
+def _peak_bound(G, structure, floor, polish):
+    """Per-frequency mu upper bound with the peak of ssv_upper_bound(G,
+    structure, polish=polish, floor=0) when floor lies below that peak.
+    Only the frequencies whose Frobenius norm reaches the floor are
+    bounded, with the floor; every other keeps its Frobenius norm, the
+    bound of D = I, which lies below the floor and so cannot set the
+    peak."""
+    mu = np.linalg.norm(G, axis=(1, 2))
+    keep = mu >= floor
+    mu[keep] = ssv_upper_bound(G[keep], structure, polish=polish, floor=floor)
+    return mu
+
+
 def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
                  perf_weight=None, polish: bool = True) -> MarginResult:
     """Robust stability and performance margins of one tuning point.
@@ -374,11 +413,16 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     unstable nominal loop (including the degenerate M = 0 / C = 0 edge of
     the tuning set) report margin 0.
 
-    Only the peaks set the margins, so the bounds are polished with a
-    floor, in this order: transport stability with floor 0, rest stability
-    with the transport peak, performance with the stability peak. A
-    frequency is polished only where it could raise the peak, so the
-    margins are those of polishing every frequency.
+    Only the peaks set the margins, so each SSV call gets a floor, a
+    proven lower bound on the peak it feeds, in this order: transport
+    stability with the largest spectral radius of G11 near its peak, rest
+    stability with the transport peak, performance with the larger of the
+    stability peak and the largest sigma_max of the performance block
+    (see _peak_floors). A call bounds only the frequencies whose Frobenius
+    norm reaches its floor and polishes only where the peak could rise;
+    every other frequency keeps its Frobenius norm, below the floor. The
+    margins and peak frequencies are those of bounding and polishing
+    every frequency, bit for bit.
     """
     if freqs is None:
         freqs = default_frequency_grid()
@@ -404,20 +448,21 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
 
     N_rest, structure = assemble_n_delta(rest_d, blocks, perf_weight)
     N_tr, _ = assemble_n_delta(tr_d, blocks, perf_weight)
-    G_rest = N_rest.freq_response(freqs)
+    # only the rest point's Delta channels are read
+    G11_rest = N_rest.subsystem(
+        out_names=[f"y_{b.name}" for b in blocks],
+        in_names=[f"u_{b.name}" for b in blocks]).freq_response(freqs)
     G_tr = N_tr.freq_response(freqs)
+    G11_tr, rs_struct = rs_partition(G_tr, structure)
 
-    G11_rest, rs_struct = rs_partition(G_rest, structure)
-    G11_tr, _ = rs_partition(G_tr, structure)
-    mu_tr = ssv_upper_bound(G11_tr, rs_struct, polish=polish, floor=0.0)
-    mu_rest = ssv_upper_bound(G11_rest, rs_struct, polish=polish,
-                              floor=mu_tr.max())
+    floor_tr, floor_rp = _peak_floors(G_tr, structure)
+    mu_tr = _peak_bound(G11_tr, rs_struct, floor_tr, polish)
+    mu_rest = _peak_bound(G11_rest, rs_struct, mu_tr.max(), polish)
     mu_rs = np.maximum(mu_rest, mu_tr)
     k_rs = int(np.argmax(mu_rs))
     rs = 1.0 / mu_rs[k_rs] if mu_rs[k_rs] > 0 else np.inf
 
-    mu_rp = ssv_upper_bound(G_tr, structure, polish=polish,
-                            floor=mu_rs.max())
+    mu_rp = _peak_bound(G_tr, structure, max(mu_rs.max(), floor_rp), polish)
     mu_rp = np.maximum(mu_rp, mu_rs)
     k_rp = int(np.argmax(mu_rp))
     rp = 1.0 / mu_rp[k_rp] if mu_rp[k_rp] > 0 else np.inf

@@ -349,11 +349,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                     hold[0, :2] = master_p[:2]
                     disengage_slaves()
 
-        # the coupled accelerations
         Fw_now = thrust_world()
-        vdot_now, wdot_now = payload_accel(com, drag_F, drag_M, R_pl, v_pl,
-                                           w_pl, Fw_now, Fw_now @ R_pl)
-        a_i = attachment_accel(com, R_pl, w_pl, w_x_r, vdot_now, wdot_now)
         omega_i = body_rate_from_euler_rate(eta, eta_dot)
 
         # estimators (slaves) at their own rate
@@ -380,6 +376,12 @@ def run_scenario(sc: Scenario) -> RunLog:
                                              q_m, meas[:, 3], ukf_R)
                 F_hat[1:] = ukf_est.F_ext
             elif sc.estimator == "nominal":
+                # the coupled accelerations, which only this model reads
+                vdot_now, wdot_now = payload_accel(
+                    com, drag_F, drag_M, R_pl, v_pl, w_pl, Fw_now,
+                    Fw_now @ R_pl)
+                a_i = attachment_accel(com, R_pl, w_pl, w_x_r, vdot_now,
+                                       wdot_now)
                 F_int = joint_interaction_force(a_i[1:], Fw_now[1:], sc.mav.m)
                 alpha = 1.0 - np.exp(-dt_est / sc.mav.tau_est)
                 F_hat[1:] = F_hat[1:] + alpha * (F_int - F_hat[1:])

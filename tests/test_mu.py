@@ -462,3 +462,82 @@ def test_dense_band_keeps_margin():
     freqs, _ = _peak_band()
     r = margin_point(3, 4.0, 12.0, freqs=freqs)
     assert 0.995 * 1.0290650760129212 <= r.rs_margin <= 1.0290650760129212
+
+
+@pytest.fixture(scope="module")
+def linearize_once():
+    """linearize, run once per team size, tuning and operating point."""
+    plants = {}
+
+    def once(cfg, op="rest"):
+        key = (cfg.n_agents, cfg.tuning_M, cfg.tuning_C, op)
+        if key not in plants:
+            plants[key] = linearize(cfg, op)
+        return plants[key]
+
+    return once
+
+
+def _margins_bounding_every_frequency(linearize_once, n, M, C, freqs,
+                                      polish):
+    """rs, rp and their peak frequencies from three SSV calls over every
+    frequency of the whole N-Delta responses, with floors 0, the transport
+    peak and the stability peak."""
+    cfg = AnalysisConfig(n_agents=n, tuning_M=M, tuning_C=C)
+    blocks, weight = default_blocks(n), performance_weight()
+    N_rest, struct = assemble_n_delta(
+        margin_plant(linearize_once(cfg, "rest"))[0], blocks, weight)
+    N_tr, _ = assemble_n_delta(
+        margin_plant(linearize_once(cfg, "transport"))[0], blocks, weight)
+    G11_rest, rs_struct = rs_partition(N_rest.freq_response(freqs), struct)
+    G_tr = N_tr.freq_response(freqs)
+    G11_tr, _ = rs_partition(G_tr, struct)
+    mu_tr = ssv_upper_bound(G11_tr, rs_struct, polish=polish, floor=0.0)
+    mu_rs = np.maximum(ssv_upper_bound(G11_rest, rs_struct, polish=polish,
+                                       floor=mu_tr.max()), mu_tr)
+    mu_rp = np.maximum(ssv_upper_bound(G_tr, struct, polish=polish,
+                                       floor=mu_rs.max()), mu_rs)
+    k_rs, k_rp = int(np.argmax(mu_rs)), int(np.argmax(mu_rp))
+    return 1.0 / mu_rs[k_rs], 1.0 / mu_rp[k_rp], freqs[k_rs], freqs[k_rp]
+
+
+@pytest.mark.parametrize("polish", [True, False])
+@pytest.mark.parametrize("n, M, C", [(2, 8.0, 6.0), (3, 4.0, 12.0),
+                                     (4, 8.0, 6.0), (5, 8.0, 6.0)])
+def test_margin_point_equals_bounding_every_frequency(
+        monkeypatch, linearize_once, n, M, C, polish):
+    # the floors and the frequencies they drop leave every bit of the
+    # margins and peak frequencies; the plants are shared, not re-made
+    monkeypatch.setattr(mu_mod, "build_closed_loop", linearize_once)
+    monkeypatch.setattr(mu_mod, "linearize", linearize_once)
+    freqs = default_frequency_grid(40)
+    r = margin_point(n, M, C, freqs=freqs, polish=polish)
+    assert ((r.rs_margin, r.rp_margin, r.peak_freq_rs, r.peak_freq_rp)
+            == _margins_bounding_every_frequency(linearize_once, n, M, C,
+                                                 freqs, polish))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_floors_are_lower_bounds_on_the_peak(seed):
+    # random responses with the default structures, their Frobenius norms
+    # spread over two decades so that the floors drop some frequencies
+    _, struct = _assembled(2 + seed % 2)
+    ny, nu = sum(b.dim_y for b in struct), sum(b.dim_u for b in struct)
+    rng = np.random.default_rng(seed)
+    F = 4
+    G = ((rng.normal(size=(F, ny, nu)) + 1j * rng.normal(size=(F, ny, nu)))
+         * rng.permutation(np.logspace(-2.0, 0.0, F))[:, None, None])
+    G11, rs_struct = rs_partition(G, struct)
+    floor_rs, floor_rp = mu_mod._peak_floors(G, struct)
+    rho = np.max(np.abs(np.linalg.eigvals(G11)), axis=1)
+    sigma22 = np.linalg.svd(G[:, G11.shape[1]:, G11.shape[2]:],
+                            compute_uv=False)[:, 0]
+    for X, s, floor, lower in ((G11, rs_struct, floor_rs, rho),
+                               (G, struct, floor_rp, np.maximum(rho, sigma22))):
+        # polish every frequency: a single one is always polished
+        everything = max(ssv_upper_bound(X[k], s)[0] for k in range(F))
+        assert floor <= everything
+        bound = mu_mod._peak_bound(X, s, floor, polish=True)
+        assert np.any(np.linalg.norm(X, axis=(1, 2)) < floor)
+        assert np.all(bound >= lower * (1.0 - 1e-9))
+        assert bound.max() == everything
