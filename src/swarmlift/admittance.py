@@ -13,7 +13,7 @@ offset calibration by time-averaging the estimate while hovering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +33,7 @@ class AdmittanceMode(enum.Enum):
     GENERATING = "generating"  # at least one axis follows the force
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmittanceParams:
     M: np.ndarray = field(default_factory=lambda: np.array([8.0, 8.0, 8.0]))
     C: np.ndarray = field(default_factory=lambda: np.array([6.0, 6.0, 120.0]))
@@ -46,7 +46,8 @@ class AdmittanceParams:
 
     def __post_init__(self):
         for name in ("M", "C", "K"):
-            setattr(self, name, real_array(name, getattr(self, name), (3,)))
+            object.__setattr__(self, name,
+                               real_array(name, getattr(self, name), (3,)))
         for name in ("F_hi", "F_lo", "T_hi", "T_lo", "T_avg"):
             real_array(name, getattr(self, name), ())
         if np.any(self.M <= 0) or np.any(self.C <= 0) or np.any(self.K < 0):
@@ -58,10 +59,8 @@ class AdmittanceParams:
 
     def lateral(self, M: float, C: float) -> "AdmittanceParams":
         """Copy with the horizontal-plane virtual mass/damping replaced."""
-        return AdmittanceParams(
-            M=np.array([M, M, self.M[2]]), C=np.array([C, C, self.C[2]]),
-            K=self.K.copy(), F_hi=self.F_hi, F_lo=self.F_lo,
-            T_hi=self.T_hi, T_lo=self.T_lo, T_avg=self.T_avg)
+        return replace(self, M=np.array([M, M, self.M[2]]),
+                       C=np.array([C, C, self.C[2]]))
 
 
 @dataclass

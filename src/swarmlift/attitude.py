@@ -269,6 +269,12 @@ def quat_integrate(q, omega, Ts: float):
     return quat_normalize(out)
 
 
+_DIAG4 = np.arange(4)
+# the entries of psi_x, psi_y, psi_z, psi_x, psi_y, psi_z in the propagator
+_PSI_ROWS = np.array([1, 2, 0, 0, 1, 2])
+_PSI_COLS = np.array([2, 0, 1, 3, 3, 3])
+
+
 def integration_matrix(omega, Ts: float):
     """Orthogonal 4x4 propagator of the constant-rate quaternion kinematics."""
     omega = np.asarray(omega, dtype=float)
@@ -281,24 +287,12 @@ def integration_matrix(omega, Ts: float):
     sinc = np.where(small, 0.5 * Ts * (1.0 - half * half / 6.0), np.sin(half) / wsafe)
     psi = sinc[..., None] * omega
     Om = np.zeros(omega.shape[:-1] + (4, 4))
-    px, py, pz = psi[..., 0], psi[..., 1], psi[..., 2]
-    Om[..., 0, 0] = ups
-    Om[..., 1, 1] = ups
-    Om[..., 2, 2] = ups
-    Om[..., 3, 3] = ups
-    # upsilon I3 - skew(psi) block plus psi column / -psi^T row
-    Om[..., 0, 1] = pz
-    Om[..., 0, 2] = -py
-    Om[..., 1, 0] = -pz
-    Om[..., 1, 2] = px
-    Om[..., 2, 0] = py
-    Om[..., 2, 1] = -px
-    Om[..., 0, 3] = px
-    Om[..., 1, 3] = py
-    Om[..., 2, 3] = pz
-    Om[..., 3, 0] = -px
-    Om[..., 3, 1] = -py
-    Om[..., 3, 2] = -pz
+    Om[..., _DIAG4, _DIAG4] = ups[..., None]
+    # upsilon I3 - skew(psi) block plus psi column / -psi^T row: each psi_k
+    # sits at two entries, and -psi_k at their mirror images
+    psi2 = np.concatenate([psi, psi], axis=-1)
+    Om[..., _PSI_ROWS, _PSI_COLS] = psi2
+    Om[..., _PSI_COLS, _PSI_ROWS] = -psi2
     return Om
 
 

@@ -87,8 +87,7 @@ def _cmd_replay(args) -> int:
               f"{log.meta.get('config_hash', 'unknown')})", file=sys.stderr)
         n_agents = sum(1 for c in log.columns if c.endswith("_fsm"))
         sc = scenario_from_dict({"n_agents": n_agents,
-                                 "duration": float(log.t[-1] or 1.0),
-                                 "estimator": args.estimator})
+                                 "duration": float(log.t[-1] or 1.0)})
     # replace() runs the estimator override through the load-time checks
     sc = dataclasses.replace(sc, estimator=args.estimator)
     out = replay_log(log, sc, agent=args.agent)

@@ -95,7 +95,7 @@ class Allocation:
         return self.matrix.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MavParams:
     """Physical and control parameters of one agent.
 
@@ -124,7 +124,8 @@ class MavParams:
 
     def __post_init__(self):
         for name in ("J", "K_drag", "K_P", "K_D"):
-            setattr(self, name, real_array(name, getattr(self, name), (3,)))
+            object.__setattr__(self, name,
+                               real_array(name, getattr(self, name), (3,)))
         for name in ("m", "k_drag", "F_prop_max", "phi_cmd_max",
                      "theta_cmd_max", "tau_att", "tau_est", "tau_motor",
                      "m_bar"):
@@ -141,18 +142,20 @@ class MavParams:
             raise ValueError("F_prop_max must be positive")
         if not self.m_bar > 0:
             raise ValueError("m_bar must be positive")
-        # Derived once, as plain attributes (not fields, so config hashes
-        # do not see them): the per-axis time constants of the world
-        # thrust-vector lag, whose lateral components re-orient with the
-        # attitude loop and whose magnitude follows the motors, the weight
-        # m g e_z and the box of reachable world thrust commands.
-        self.weight = self.m * GRAVITY * EZ
-        self.tau_thrust = np.array([self.tau_att, self.tau_att,
-                                    self.tau_motor])
+        # Derived by each construction and replace(), as plain attributes
+        # (not fields, which config hashes see): the per-axis time constants
+        # of the world thrust-vector lag, whose lateral components re-orient
+        # with the attitude loop and whose magnitude follows the motors, the
+        # weight m g e_z and the box of reachable world thrust commands.
         lat_x = np.sin(self.phi_cmd_max) * self.F_prop_max
         lat_y = np.sin(self.theta_cmd_max) * self.F_prop_max
-        self.thrust_lo = np.array([-lat_x, -lat_y, 0.0])
-        self.thrust_hi = np.array([lat_x, lat_y, self.F_prop_max])
+        for name, value in (
+                ("weight", self.m * GRAVITY * EZ),
+                ("tau_thrust", np.array([self.tau_att, self.tau_att,
+                                         self.tau_motor])),
+                ("thrust_lo", np.array([-lat_x, -lat_y, 0.0])),
+                ("thrust_hi", np.array([lat_x, lat_y, self.F_prop_max]))):
+            object.__setattr__(self, name, value)
 
     @property
     def rotor_count(self) -> int:

@@ -23,7 +23,7 @@ from .errors import DimensionMismatch
 from .mav import G_EZ, real_array
 
 
-@dataclass
+@dataclass(frozen=True)
 class PayloadParams:
     m_p: float
     J_p: np.ndarray
@@ -34,9 +34,10 @@ class PayloadParams:
     def __post_init__(self):
         real_array("m_p", self.m_p, ())
         for name in ("J_p", "drag_F", "drag_M"):
-            setattr(self, name, real_array(name, getattr(self, name), (3,)))
-        self.attachments = real_array(
-            "attachments", np.atleast_2d(self.attachments), (None, 3))
+            object.__setattr__(self, name,
+                               real_array(name, getattr(self, name), (3,)))
+        object.__setattr__(self, "attachments", real_array(
+            "attachments", np.atleast_2d(self.attachments), (None, 3)))
         if self.m_p <= 0 or np.any(self.J_p <= 0):
             raise ValueError("payload mass and inertia must be positive")
         if len(self.attachments) < 1:

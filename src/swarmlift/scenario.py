@@ -57,10 +57,12 @@ when the scenario is loaded, and so does a value that fails its check:
     - the payload, mav and admittance values that their parameter objects
       reject (a non-finite or non-numeric value, a vector not of length 3,
       a non-positive mass), and attachments whose count is not n_agents;
+    - admittance.M or admittance.C whose lateral (x, y) entries differ from
+      tuning.M or tuning.C (given or default), which set them;
     - rates whose controller rate does not divide 1/Ts_dyn, or whose
       estimator rate does not divide the controller rate.
-The Scenario fields are checked again when a copy is made with
-dataclasses.replace, as the CLI does for its overrides.
+A Scenario is frozen: a field changes only through dataclasses.replace,
+which checks the fields again, as the CLI does for its overrides.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def _document_keys() -> dict:
 DOCUMENT_KEYS = _document_keys()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     n_agents: int
     duration: float
@@ -263,9 +265,11 @@ class Scenario:
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.n_agents = integer("n_agents", self.n_agents, 1)
+        object.__setattr__(self, "n_agents",
+                           integer("n_agents", self.n_agents, 1))
         for name, (path, check, *args) in SCHEMA.items():
-            setattr(self, name, check(path, getattr(self, name), *args))
+            object.__setattr__(self, name,
+                               check(path, getattr(self, name), *args))
         steps = 1.0 / (self.ctrl_rate * self.Ts_dyn)
         if abs(steps - round(steps)) > 1e-9 or steps < 1 - 1e-9:
             raise ScenarioError("controller rate must divide the dynamics rate")
@@ -273,16 +277,14 @@ class Scenario:
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
             raise ScenarioError("estimator rate must divide the controller rate")
         if self.payload is None:
-            self.payload = checked_call("payload", default_payload,
-                                        self.n_agents, self.mav.m_bar)
+            object.__setattr__(self, "payload", checked_call(
+                "payload", default_payload, self.n_agents, self.mav.m_bar))
         if self.payload.n_agents != self.n_agents:
             raise ScenarioError(
                 f"payload.attachments: {self.payload.n_agents} rows for "
                 f"{self.n_agents} agents")
-        if self.adm is None:
-            self.adm = AdmittanceParams()
-        self.adm = checked_call("admittance", self.adm.lateral,
-                                self.tuning_M, self.tuning_C)
+        object.__setattr__(self, "adm", (self.adm or AdmittanceParams())
+                           .lateral(self.tuning_M, self.tuning_C))
 
     @property
     def steps_per_ctrl(self) -> int:
@@ -331,12 +333,18 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             for key, value in doc[section].items()} | cfg
     n_agents = integer("n_agents", cfg["n_agents"], 1)
     mav = checked_call("mav", MavParams, **doc["mav"])
-    return Scenario(
+    adm = checked_call("admittance", AdmittanceParams, **doc["admittance"])
+    sc = Scenario(
         n_agents=n_agents, mav=mav,
-        payload=_payload_from_dict(n_agents, mav, doc["payload"]),
-        adm=checked_call("admittance", AdmittanceParams, **doc["admittance"]),
+        payload=_payload_from_dict(n_agents, mav, doc["payload"]), adm=adm,
         **{name: flat[path] for name, (path, *_) in SCHEMA.items()
            if path in flat})
+    for key in ("M", "C"):
+        given, tuned = getattr(adm, key)[:2], getattr(sc, f"tuning_{key}")
+        if key in doc["admittance"] and any(given != tuned):
+            raise ScenarioError(f"admittance.{key} has lateral entries "
+                                f"{given.tolist()}, tuning.{key} {tuned}")
+    return sc
 
 
 def read_document(path: str):

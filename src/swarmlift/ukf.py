@@ -16,7 +16,7 @@ Every filter function takes an optional leading slave axis: ``xi (S, 16)``,
 ``P (S, 16, 16)``, ``q (S, 4)``, rotor speeds ``(S, rotor_count)`` and
 measurements ``(S, 3)`` / ``(S, 4)`` run S independent filters in one call,
 with the same bits as S calls on the unstacked arrays. The process and
-measurement noise diagonals are shared by all slaves.
+measurement noise covariances are shared by all slaves.
 """
 
 from __future__ import annotations
@@ -45,24 +45,24 @@ WEIGHTS[0] = LAM / (NXI + LAM)
 
 
 def default_ukf_Q(rate_hz: float = 100.0) -> np.ndarray:
-    """Per-step process noise diag, force random walk tuned for a ~0.2 s
-    closed-loop estimate lag (velocity is directly measured here, so the
-    intensity differs from the reduced-model filter)."""
+    """Per-step process noise covariance, diagonal, force random walk tuned
+    for a ~0.2 s closed-loop estimate lag (velocity is directly measured
+    here, so the intensity differs from the reduced-model filter)."""
     Ts = 1.0 / rate_hz
-    return np.concatenate([
+    return np.diag(np.concatenate([
         np.full(3, 1e-10),
         np.full(3, 1e-8),
         np.full(3, 1e-10),
         np.full(3, 1e-8),
         np.full(3, 7.0e-4 * Ts),
         [1.0e-4 * Ts],
-    ])
+    ]))
 
 
 def default_ukf_R() -> np.ndarray:
-    """(p, v, eps, omega) measurement noise diag."""
-    return np.concatenate([
-        np.full(3, 1e-6), np.full(3, 4e-6), np.full(3, 1e-6), np.full(3, 4e-6)])
+    """(p, v, eps, omega) measurement noise covariance (diagonal)."""
+    return np.diag(np.concatenate([np.full(3, 1e-6), np.full(3, 4e-6),
+                                   np.full(3, 1e-6), np.full(3, 4e-6)]))
 
 
 @dataclass
@@ -157,12 +157,10 @@ def propagate_full(p, v, q, omega, F_ext, M_z, n_rotors, params: MavParams,
             omega + Ts * w_dot, F_ext, M_z)
 
 
-def _reset_matrix(eps):
+def _reset_matrix(eps, dq):
     """Covariance correction for folding the attitude-error mean into the
     reference quaternion: diag(I6, R(half rotation of eps), I7), one per
-    row of eps (..., 3)."""
-    eps = np.asarray(eps, dtype=float)
-    dq = att.mrp_to_quat(eps)
+    row of eps (..., 3) and of its quaternion dq = mrp_to_quat(eps)."""
     angle = att.quat_rotation_angle(dq)
     vn = att.row_norms(dq[..., :3])[..., None]
     axis = np.where(vn > 0.0, dq[..., :3] / np.where(vn > 0.0, vn, 1.0),
@@ -180,10 +178,22 @@ def _mT(A):
     return A.swapaxes(-1, -2)
 
 
+def _fold(xi, P, q) -> UkfState:
+    """Fold the attitude-error mean of xi, zeroed in place, into the
+    reference quaternion q, and reset the covariance P to match."""
+    eps = xi[..., E_SL].copy()
+    dq = att.mrp_to_quat(eps)
+    T = _reset_matrix(eps, dq)
+    P = T @ P @ _mT(T)
+    xi[..., E_SL] = 0.0
+    return UkfState(xi=xi, P=0.5 * (P + _mT(P)), q=att.quat_multiply(dq, q))
+
+
 def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams,
                 Ts: float) -> UkfState:
     """Sigma-point prediction with quaternion inflation/deflation via MRPs
-    and the attitude-reset covariance correction.
+    and the attitude-reset covariance correction. Q is the (16, 16) process
+    noise covariance of :func:`default_ukf_Q`.
 
     A stacked state (leading slave axis S) takes rotor speeds
     (S, rotor_count) and predicts every slave's filter in one call."""
@@ -200,15 +210,7 @@ def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams,
     Xp = np.concatenate([p2, v2, eps2, w2, F2, M2[..., None]], axis=-1)
     xi_mean = WEIGHTS @ Xp
     dev = Xp - xi_mean[..., None, :]
-    P_pre = _mT(dev) @ (WEIGHTS[:, None] * dev) \
-        + np.diag(np.asarray(Q, dtype=float))
-    eps_mean = xi_mean[..., E_SL].copy()
-    T = _reset_matrix(eps_mean)
-    P = T @ P_pre @ _mT(T)
-    # fold the mean error into the reference attitude
-    q_pred = att.quat_multiply(att.mrp_to_quat(eps_mean), q_pred)
-    xi_mean[..., E_SL] = 0.0
-    return UkfState(xi=xi_mean, P=0.5 * (P + _mT(P)), q=q_pred)
+    return _fold(xi_mean, _mT(dev) @ (WEIGHTS[:, None] * dev) + Q, q_pred)
 
 
 _H = np.hstack([np.eye(NZ), np.zeros((NZ, NXI - NZ))])
@@ -223,25 +225,19 @@ def measurement_error_vector(q_meas, q_ref):
 def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas,
                R) -> UkfState:
     """Linear Kalman update on (p, v, eps, omega) followed by the attitude
-    commit and its covariance reset.
+    commit and its covariance reset. R is the (12, 12) measurement noise
+    covariance of :func:`default_ukf_R`.
 
     A stacked state (leading slave axis S) takes measurements (S, 3) and
     quaternions (S, 4) and updates every slave's filter in one call."""
     eps_m = measurement_error_vector(np.asarray(q_meas, dtype=float), s.q)
     z = np.concatenate([p_meas, v_meas, eps_m, omega_meas], axis=-1)
-    Rm = np.diag(np.asarray(R, dtype=float))
     # matrix-vector products on a trailing unit axis: one gemv per slave,
     # as for an unstacked vector
     innov = z - (_H @ s.xi[..., None])[..., 0]
-    S = _H @ s.P @ _H.T + Rm
+    S = _H @ s.P @ _H.T + R
     K = _mT(np.linalg.solve(_mT(S), _H @ _mT(s.P)))
     xi = s.xi + (K @ innov[..., None])[..., 0]
     IKH = np.eye(NXI) - K @ _H
-    P = IKH @ s.P @ _mT(IKH) + K @ Rm @ _mT(K)
-    eps_hat = xi[..., E_SL].copy()
-    T = _reset_matrix(eps_hat)
-    P = T @ P @ _mT(T)
-    q_new = att.quat_multiply(att.mrp_to_quat(eps_hat), s.q)
-    xi[..., E_SL] = 0.0
-    return UkfState(xi=xi, P=0.5 * (P + _mT(P)), q=q_new)
+    return _fold(xi, IKH @ s.P @ _mT(IKH) + K @ R @ _mT(K), s.q)
 

@@ -8,7 +8,10 @@ listed with the reason it stays a parameter. Scipy is imported at module
 level only where an allowlist says why, and a fresh interpreter that
 imports the package loads none of the heavy scipy subpackages. The
 scenario schema covers every Scenario field that a document sets, and the
-scenario docstring names each of its key paths and parameter sections."""
+scenario docstring names each of its key paths and parameter sections.
+Every parameter dataclass (a name ending in Params, and Scenario) is
+frozen, so a field changes only through dataclasses.replace, which runs
+its checks and derives its constants again."""
 
 import ast
 import os
@@ -433,3 +436,49 @@ def test_scenario_schema_covers_every_field_and_is_documented():
             and f.name not in ("n_agents", "payload", "mav", "adm")]
     assert schema_gaps(scenario.SCHEMA, init, scenario.PARAM_SECTIONS,
                        scenario.__doc__) == []
+
+
+def parameter_dataclasses(sources: dict) -> dict:
+    """``module:Class`` of every dataclass named ``*Params`` or
+    ``Scenario``, and whether its decorator passes ``frozen=True``."""
+    found = {}
+    for module, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if not (isinstance(node, ast.ClassDef) and (
+                    node.name.endswith("Params") or node.name == "Scenario")):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if _call_name(call.func if call else dec) == "dataclass":
+                    found[f"{module}:{node.name}"] = any(
+                        k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                        and k.value.value is True
+                        for k in (call.keywords if call else []))
+    return found
+
+
+def test_guard_flags_an_unfrozen_parameter_class():
+    sources = {"a.py": ("from dataclasses import dataclass\n"
+                        "@dataclass\nclass MavParams:\n    m: float\n"
+                        "@dataclass(frozen=True)\nclass GoodParams:\n"
+                        "    m: float\n"
+                        "@dataclass(eq=False)\nclass Scenario:\n"
+                        "    n: int\n"
+                        "@dataclass\nclass RunState:\n    t: float\n"
+                        "class PlainParams:\n    pass\n"),
+               "b.py": ("import dataclasses\n"
+                        "@dataclasses.dataclass(frozen=False)\n"
+                        "class LooseParams:\n    m: float\n")}
+    assert parameter_dataclasses(sources) == {
+        "a.py:MavParams": False, "a.py:GoodParams": True,
+        "a.py:Scenario": False, "b.py:LooseParams": False}
+
+
+def test_parameter_dataclasses_are_frozen():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = parameter_dataclasses(sources)
+    assert sorted(name for name, frozen in found.items() if not frozen) == []
+    assert {"mav.py:MavParams", "payload.py:PayloadParams",
+            "admittance.py:AdmittanceParams",
+            "scenario.py:Scenario"} <= set(found)

@@ -6,7 +6,7 @@ kernels must match it byte for byte (``tobytes()``, so signed zeros and
 imaginary parts count) on real inputs and on complex-step inputs, where
 every state argument is complex as ``analysis.complex_step_jacobian``
 passes them; for one agent and several; and for single and stacked
-quaternions and rotation matrices. ``cross3`` is checked against its
+quaternions, rotation matrices and rates. ``cross3`` is checked against its
 component formula and ``np.cross``. The analysis model's right-hand sides
 are checked against a frozen copy of their earlier ``_core``, built on
 these oracles.
@@ -28,6 +28,7 @@ from swarmlift.analysis import (
 from swarmlift.attitude import (
     cross3,
     euler_body_z,
+    integration_matrix,
     quat_normalize,
     quat_rate,
     quat_to_rotmat,
@@ -242,6 +243,37 @@ def old_rk4_step(rhs, t, x, h):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
+def old_integration_matrix(omega, Ts):
+    omega = np.asarray(omega, dtype=float)
+    w = np.sqrt((omega * omega).sum(axis=-1))
+    half = 0.5 * w * Ts
+    ups = np.cos(half)
+    small = w * Ts < 1e-8
+    wsafe = np.where(small, 1.0, w)
+    sinc = np.where(small, 0.5 * Ts * (1.0 - half * half / 6.0),
+                    np.sin(half) / wsafe)
+    psi = sinc[..., None] * omega
+    Om = np.zeros(omega.shape[:-1] + (4, 4))
+    px, py, pz = psi[..., 0], psi[..., 1], psi[..., 2]
+    Om[..., 0, 0] = ups
+    Om[..., 1, 1] = ups
+    Om[..., 2, 2] = ups
+    Om[..., 3, 3] = ups
+    Om[..., 0, 1] = pz
+    Om[..., 0, 2] = -py
+    Om[..., 1, 0] = -pz
+    Om[..., 1, 2] = px
+    Om[..., 2, 0] = py
+    Om[..., 2, 1] = -px
+    Om[..., 0, 3] = px
+    Om[..., 1, 3] = py
+    Om[..., 2, 3] = pz
+    Om[..., 3, 0] = -px
+    Om[..., 3, 1] = -py
+    Om[..., 3, 2] = -pz
+    return Om
+
+
 # ---------------------------------------------------------------- strategies
 
 # both signed zeros, subnormals and magnitudes up to 1e3
@@ -420,6 +452,16 @@ def test_translational_dynamics_bits(n, cs, data):
 def test_euler_body_z_bits(shape, data):
     eta = data.draw(reals(shape, st.floats(-4.0, 4.0)))
     same_bits(euler_body_z(eta), old_euler_body_z(eta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3,), (1, 3), (4, 3), (2, 33, 3)]),
+       st.sampled_from([1e-3, 1e-2, 0.05]), st.data())
+def test_integration_matrix_bits(shape, Ts, data):
+    # rates from zero and the series branch below |omega| Ts < 1e-8 up
+    omega = data.draw(reals(shape, st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-9, -3e-7]), st.floats(-50.0, 50.0))))
+    same_bits(integration_matrix(omega, Ts), old_integration_matrix(omega, Ts))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,18 @@ def test_allocation_sum_identity(params):
     kf = params.allocation.k_f
     assert_allclose(np.sum(base**2), F / kf, rtol=1e-12)
     assert_allclose(np.sum(twisted**2), F / kf, rtol=1e-12)
+
+
+def test_replace_derives_the_constants_again(params):
+    with pytest.raises(FrozenInstanceError):
+        params.m = 5.0
+    assert_allclose(replace(params, m=5.0).weight, [0.0, 0.0, 49.05])
+    slow = replace(params, tau_att=0.5, F_prop_max=100.0)
+    assert slow.tau_thrust.tolist() == [0.5, 0.5, params.tau_motor]
+    assert slow.thrust_hi[2] == 100.0
+    assert slow.thrust_lo[0] == -np.sin(params.phi_cmd_max) * 100.0
+    with pytest.raises(ValueError, match="mass"):
+        replace(params, m=-1.0)
 
 
 # ------------------------------------------------------------------ dynamics

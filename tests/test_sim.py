@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,40 @@ def test_bad_parameter_object_value_fails_at_load(case):
         beam(**over)
 
 
+# admittance.M and .C whose lateral entries contradict the tuning that sets
+# them, given or default (8, 6); INTEGER_DOCUMENT gives agreeing ones
+CONTRADICTORY_ADMITTANCE = {
+    "M against the default": {"admittance": {"M": [4.0, 4.0, 8.0]}},
+    "C against a given tuning": {"tuning": {"C": 12.0},
+                                 "admittance": {"C": [6.0, 6.0, 120.0]}},
+    "one lateral entry": {"tuning": {"M": 4.0},
+                          "admittance": {"M": [4.0, 8.0, 8.0]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTORY_ADMITTANCE))
+def test_contradictory_admittance_fails_at_load(case):
+    over = CONTRADICTORY_ADMITTANCE[case]
+    key = "M" if "M" in over["admittance"] else "C"
+    with pytest.raises(ScenarioError, match=rf"admittance\.{key} .* tuning"):
+        beam(**over)
+
+
+def test_parameter_objects_change_only_through_replace():
+    sc = beam()
+    for obj, name in ((sc, "seed"), (sc.mav, "m"), (sc.payload, "m_p"),
+                      (sc.adm, "F_hi"), (sc.mav, "weight")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(ScenarioError, match="estimator rate"):
+        replace(sc, est_rate=33.0)
+    # the copy runs __post_init__: the tuning sets the lateral admittance
+    retuned = replace(sc, tuning_M=4.0, tuning_C=12.0)
+    assert retuned.adm.M.tolist() == [4.0, 4.0, sc.adm.M[2]]
+    assert retuned.adm.C.tolist() == [12.0, 12.0, sc.adm.C[2]]
+    assert replace(sc).config_hash() == sc.config_hash()
+
+
 def assert_cli_error(capsys, argv, match):
     """main(argv) rejects its input: exit status 4, and the last stderr
     line, the only error line, is `swarmlift: error: <message>` with the
@@ -348,7 +383,6 @@ def test_divergence_flagged_not_raised():
     sc = beam(duration=20.0, tuning={"M": 0.05, "C": 0.01},
               divergence_bound=5.0,
               events=[{"t": 1.0, "action": "master_step", "dp": [1.0, 0, 0]}])
-    sc.tuning_M, sc.tuning_C = 0.05, 0.01
     log = run_scenario(sc)
     assert log.diverged
     assert log.diverged_step is not None
@@ -399,9 +433,6 @@ def test_replay_reestimates_force():
 def test_mission_auto_full_profile():
     sc = beam(duration=60.0, start_engaged=False,
               mission={"auto": True, "dh": 0.25, "tol": 0.05, "land_at": 30.0})
-    sc.mission_auto = True
-    sc.mission_land_at = 30.0
-    sc.start_engaged = False
     log = run_scenario(sc)
     phases = log.col("mission_phase")
     # grounded(0) -> ascending(1) -> transporting(2) -> descending(3) -> landed(4)
@@ -461,7 +492,6 @@ def test_mission_descent_keeps_transported_position():
                        "land_at": 8.0},
               events=[{"t": 5.0, "action": "master_step",
                        "dp": [0.5, 0.0, 0.0]}])
-    sc.mission_auto, sc.mission_land_at = True, 8.0
     log = run_scenario(sc)
     phases = log.col("mission_phase")
     assert phases[-1] == 4.0 and not log.diverged
@@ -589,7 +619,7 @@ INTEGER_DOCUMENT = {
     "payload": {"mass": 2, "side": 1, "height": 0, "inertia": [1, 1, 2],
                 "drag_F": [0, 0, 1], "drag_M": [0, 1, 0]},
     "tuning": {"M": 4, "C": 12},
-    "admittance": {"M": [8, 8, 8], "C": [6, 6, 120], "K": [0, 0, 400],
+    "admittance": {"M": [4, 4, 8], "C": [12, 12, 120], "K": [0, 0, 400],
                    "F_hi": 2, "F_lo": 1, "T_hi": 1, "T_lo": 1, "T_avg": 2},
     "mav": {"m": 4, "J": [1, 1, 1], "k_drag": 0, "K_drag": [0, 0, 0],
             "F_prop_max": 90, "phi_cmd_max": 1, "theta_cmd_max": 1,
@@ -660,8 +690,8 @@ def test_one_stacked_ukf_call_per_estimator_tick(monkeypatch):
                         counting("predict", ukf_mod.ukf_predict))
     monkeypatch.setattr(ukf_mod, "ukf_update",
                         counting("update", ukf_mod.ukf_update))
-    sc = golden_scenario("lag", "ukf", 5)
-    sc.duration, sc.est_rate = 0.1, 50.0  # 10 controller ticks, 5 estimator
+    # 10 controller ticks, 5 estimator
+    sc = replace(golden_scenario("lag", "ukf", 5), duration=0.1, est_rate=50.0)
     run_scenario(sc)
     assert calls["predict"] == calls["update"] == [(4, ukf_mod.NXI)] * 5
 
@@ -679,8 +709,9 @@ def test_one_stacked_ekf_call_per_estimator_tick(monkeypatch):
                         counting("predict", ekf_mod.ekf_predict))
     monkeypatch.setattr(ekf_mod, "ekf_update",
                         counting("update", ekf_mod.ekf_update))
-    sc = golden_scenario("attitude", "ekf", 5)
-    sc.duration, sc.est_rate = 0.1, 50.0  # 10 controller ticks, 5 estimator
+    # 10 controller ticks, 5 estimator
+    sc = replace(golden_scenario("attitude", "ekf", 5), duration=0.1,
+                 est_rate=50.0)
     run_scenario(sc)
     assert calls["predict"] == calls["update"] == [(4, ekf_mod.NX)] * 5
 
@@ -699,8 +730,8 @@ def test_one_team_control_call_per_tick(monkeypatch):
 
     for name in shapes:
         monkeypatch.setattr(simulate, name, counting(name))
-    sc = golden_scenario("attitude", "ekf", 5)
-    sc.duration = 0.1  # 10 controller ticks
+    # 10 controller ticks
+    sc = replace(golden_scenario("attitude", "ekf", 5), duration=0.1)
     run_scenario(sc)
     assert shapes["pd_position_control"] == [(5, 3)] * 10
     assert shapes["thrust_to_attitude"] == [(5, 3)] * 10

@@ -85,19 +85,22 @@ def test_unscented_transform_affine_exactness():
 
 def test_predict_hover_fixed_point():
     s = hover_filter(P0=np.zeros(ukf.NXI))
-    s2 = ukf.ukf_predict(s, hover_rotors(), np.zeros(ukf.NXI), PARAMS, TS)
+    s2 = ukf.ukf_predict(s, hover_rotors(), np.zeros((ukf.NXI, ukf.NXI)),
+                         PARAMS, TS)
     assert np.max(np.abs(s2.xi - s.xi)) < 1e-6
     assert_allclose(s2.q, s.q, atol=1e-7)
 
 
 def test_reset_matrix_identity_at_zero():
-    assert_allclose(ukf._reset_matrix(np.zeros(3)), np.eye(ukf.NXI))
+    eps = np.zeros(3)
+    assert_allclose(ukf._reset_matrix(eps, att.mrp_to_quat(eps)),
+                    np.eye(ukf.NXI))
 
 
 def test_reset_matrix_half_rotation():
     eps = np.array([0.2, -0.1, 0.05])
-    T = ukf._reset_matrix(eps)
     dq = att.mrp_to_quat(eps)
+    T = ukf._reset_matrix(eps, dq)
     angle = att.quat_rotation_angle(dq)
     axis = dq[:3] / np.linalg.norm(dq[:3])
     assert_allclose(T[6:9, 6:9], att.rotvec_to_rotmat(axis * angle / 2),
@@ -113,7 +116,7 @@ def test_predict_covariance_matches_linearization():
     P0 = scale * np.ones(ukf.NXI)
     s = hover_filter(P0=P0)
     n_rot = hover_rotors()
-    Q = np.zeros(ukf.NXI)
+    Q = np.zeros((ukf.NXI, ukf.NXI))
     s2 = ukf.ukf_predict(s, n_rot, Q, PARAMS, TS)
 
     q_ref = s.q
@@ -348,7 +351,7 @@ def test_stacked_reset_matrix_matches_reference_bit_for_bit():
     rng = np.random.default_rng(24)
     eps = rng.normal(size=(200, 3)) * np.logspace(-6, 0.5, 200)[:, None]
     eps[7] = 0.0
-    T = ukf._reset_matrix(eps)
+    T = ukf._reset_matrix(eps, att.mrp_to_quat(eps))
     for k in range(len(eps)):
         assert T[k].tobytes() == reset_matrix_reference(eps[k]).tobytes(), k
     assert T[7].tobytes() == np.eye(ukf.NXI).tobytes()
