@@ -122,9 +122,9 @@ def quat_to_rotmat(q):
 
 def _shepperd(branch, r, t):
     """(x, y, z, w) of one branch of Shepperd's method on the entries
-    r = (R00, R01, ..., R22) and the trace t, as floats or as arrays of
-    rows: branch 3 for a positive trace, else the index of the largest
-    diagonal entry."""
+    r = (R00, R01, ..., R22) and the trace t, as arrays over the rows:
+    branch 3 for a positive trace, else the index of the largest diagonal
+    entry."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
     if branch == 3:
         s = np.sqrt(t + 1.0) * 2.0
@@ -143,19 +143,9 @@ def rotmat_to_quat(R):
     """Inverse of :func:`quat_to_rotmat`, scalar part kept non-negative.
 
     A stack (..., 3, 3) gives a stack (..., 4). Each branch runs only on
-    its own rows, so every row has the bits of its own call. A single
-    matrix runs the same IEEE operations on Python floats, as in
-    :func:`quat_to_rotmat`.
+    its own rows, so every row has the bits of its own call.
     """
     R = np.asarray(R, dtype=float)
-    if R.ndim == 2:
-        r = R.ravel().tolist()
-        t = r[0] + r[4] + r[8]
-        branch = 3 if t > 0.0 else int(np.argmax(r[0::4]))
-        q = np.array(_shepperd(branch, r, t))
-        if q[3] < 0.0:
-            q = -q
-        return quat_normalize(q)
     rows = R.reshape(-1, 9)
     t = rows[:, 0] + rows[:, 4] + rows[:, 8]
     branch = np.where(t > 0.0, 3, np.argmax(rows[:, 0::4], axis=1))

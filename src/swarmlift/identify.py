@@ -1,10 +1,13 @@
-"""Single-agent closed-loop experiments.
+"""Single-agent experiments.
 
-One hovering agent under its PD position loop, with an injectable external
-force and an optional wrench estimator running in the loop. Used for
-estimator convergence checks and for identifying the frequency responses
-that feed the multiplicative-uncertainty weights (multisine experiments
-correlated at the excitation harmonics).
+One agent under its PD position loop or an open-loop thrust command, with
+an injectable external force and an optional wrench estimator in the loop,
+simulated by ``simulate_single_mav`` on the team simulator's kernels. Used
+for estimator convergence checks and for identifying the frequency
+responses that feed the multiplicative-uncertainty weights (multisine
+experiments correlated at the excitation harmonics). The UKF's rotor
+speeds come from the realized thrust here, from the commanded thrust in
+``simulate.run_scenario``.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ import numpy as np
 
 from . import ekf as ekf_mod
 from . import ukf as ukf_mod
-from .attitude import (body_rate_from_euler_rate, cross3, euler_to_quat,
+from .attitude import (body_rate_from_euler_rate, euler_to_quat,
                        euler_to_rotmat)
 from .mav import (
     GRAVITY,
     MavParams,
     attitude_accel,
+    attitude_command,
     pd_position_control,
     rk4_step,
     rotor_speeds_from_wrench,
-    thrust_to_attitude,
     translational_dynamics,
 )
 from .uncertainty import FrequencyResponse
@@ -43,14 +46,17 @@ class SingleMavTrace:
     F_ext: np.ndarray
     F_hat: np.ndarray  # zeros without an estimator
     F_prop_w: np.ndarray
+    F_cmd_w: np.ndarray  # the world thrust command
 
 
 def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
-                        estimator: str | None) -> SingleMavTrace:
-    """Fixed-step RK4 simulation of one agent holding the origin while an
-    external world-frame force acts on it. The thrust magnitude lags its
-    command with the motor time constant; the thrust direction follows the
-    attitude inner loop."""
+                        estimator: str | None,
+                        F_cmd_fn=None) -> SingleMavTrace:
+    """Fixed-step RK4 simulation of one agent while an external world-frame
+    force acts on it. The agent holds the origin with its PD position loop,
+    or, given F_cmd_fn(t), flies that world thrust command open loop. The
+    thrust magnitude lags its command with the motor time constant; the
+    thrust direction follows the attitude inner loop."""
     # the RK4 state: p, v, eta, eta_dot and the motor-lagged collective
     # thrust F_mag
     x = np.zeros(13)
@@ -71,24 +77,23 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
     n_ctrl = int(round(duration * CTRL_RATE))
     rec_t = np.empty(n_ctrl)
     rec = {k: np.empty((n_ctrl, 3)) for k in
-           ("p", "v", "eta", "F_ext", "F_hat", "F_prop")}
+           ("p", "v", "eta", "F_ext", "F_hat", "F_prop", "F_cmd")}
 
     t = 0.0
     for k in range(n_ctrl):
         p, v, eta, eta_dot, F_mag = x[0:3], x[3:6], x[6:9], x[9:12], x[12]
-        F_cmd_w = pd_position_control(p, v, hold, hold, params)
-        phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[2], params)
-        u_ctrl = (phi_c, theta_c, 0.0, F_cmd_mag)
+        F_cmd_w = (pd_position_control(p, v, hold, hold, params)
+                   if F_cmd_fn is None else F_cmd_fn(t))
+        omega = body_rate_from_euler_rate(eta, eta_dot)
+        eta_cmd, F_cmd_mag, M_cmd = attitude_command(F_cmd_w, eta, eta_dot,
+                                                     omega, params)
 
         if estimator == "ekf":
-            est = ekf_mod.ekf_predict(est, u_ctrl, Q, 1.0 / CTRL_RATE, params)
+            est = ekf_mod.ekf_predict(est, np.append(eta_cmd, F_cmd_mag), Q,
+                                      1.0 / CTRL_RATE, params)
             est = ekf_mod.ekf_update(est, np.concatenate([p, eta]), R)
         elif estimator == "ukf":
-            omega = body_rate_from_euler_rate(eta, eta_dot)
-            acc_att = attitude_accel(eta, eta_dot,
-                                     np.array([phi_c, theta_c, 0.0]),
-                                     params.omega_n_att)
-            M_cmd = params.J * acc_att + cross3(omega, params.J * omega)
+            # the UKF's rotor input: allocated from the realized thrust
             n_rot = rotor_speeds_from_wrench(M_cmd, F_mag, params)
             est = ukf_mod.ukf_predict(est, n_rot, Q, params, 1.0 / CTRL_RATE)
             est = ukf_mod.ukf_update(est, p, v, euler_to_quat(eta), omega, R)
@@ -98,8 +103,8 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
         rec["F_ext"][k] = F_ext_fn(t)
         rec["F_hat"][k] = est.F_ext if est is not None else np.zeros(3)
         rec["F_prop"][k] = euler_to_rotmat(eta) @ np.array([0.0, 0.0, F_mag])
+        rec["F_cmd"][k] = F_cmd_w
 
-        eta_cmd = np.array([u_ctrl[0], u_ctrl[1], u_ctrl[2]])
         # rotor drag acts on the lateral body velocity only
         drag = (params.k_drag * F_cmd_mag / params.allocation.k_f
                 * np.array([1.0, 1.0, 0.0]))
@@ -119,7 +124,7 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
 
     return SingleMavTrace(t=rec_t, p=rec["p"], v=rec["v"], eta=rec["eta"],
                           F_ext=rec["F_ext"], F_hat=rec["F_hat"],
-                          F_prop_w=rec["F_prop"])
+                          F_prop_w=rec["F_prop"], F_cmd_w=rec["F_cmd"])
 
 
 def run_force_step(params: MavParams, estimator: str, magnitude: float = 1.0,
@@ -220,38 +225,19 @@ def identify_thrust_response(params: MavParams, axis: int = 0,
     one world axis."""
     f, _, w = multisine(harmonics, base_period, 0.25)
     hover = params.m * GRAVITY
-    # the RK4 state: eta, eta_dot and the motor-lagged thrust F_mag
-    x = np.zeros(7)
-    x[6] = hover
-    n_ctrl = int(round((settle + base_period) * CTRL_RATE))
-    t_rec = np.empty(n_ctrl)
-    cmd_rec = np.empty(n_ctrl)
-    out_rec = np.empty(n_ctrl)
-    t = 0.0
-    for k in range(n_ctrl):
+
+    def F_cmd_fn(t):
         F_cmd_w = np.array([0.0, 0.0, hover])
         F_cmd_w[axis] += f(t)
-        phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, 0.0, params)
-        eta_cmd = np.array([phi_c, theta_c, 0.0])
-        t_rec[k] = t
-        cmd_rec[k] = F_cmd_w[axis]
-        out_rec[k] = (euler_to_rotmat(x[0:3])
-                      @ np.array([0, 0, x[6]]))[axis]
+        return F_cmd_w
 
-        def rhs(t_, x_):
-            eta_, etad_ = x_[0:3], x_[3:6]
-            return np.concatenate((
-                etad_,
-                attitude_accel(eta_, etad_, eta_cmd, params.omega_n_att),
-                [(F_cmd_mag - x_[6]) / params.tau_motor]))
-
-        for _ in range(STEPS_PER_CTRL):
-            x = rk4_step(rhs, t, x, TS_DYN)
-            t += TS_DYN
-    sel = t_rec >= settle
+    tr = simulate_single_mav(params, settle + base_period,
+                             F_ext_fn=lambda t: np.zeros(3), estimator=None,
+                             F_cmd_fn=F_cmd_fn)
+    sel = tr.t >= settle
     # subtract the hover operating point before correlating
-    out = out_rec[sel] - (0.0 if axis != 2 else hover)
-    cmd = cmd_rec[sel] - (0.0 if axis != 2 else hover)
-    H = np.array([correlate_tone(t_rec[sel], out, wk)
-                  / correlate_tone(t_rec[sel], cmd, wk) for wk in w])
+    out = tr.F_prop_w[sel, axis] - (0.0 if axis != 2 else hover)
+    cmd = tr.F_cmd_w[sel, axis] - (0.0 if axis != 2 else hover)
+    H = np.array([correlate_tone(tr.t[sel], out, wk)
+                  / correlate_tone(tr.t[sel], cmd, wk) for wk in w])
     return FrequencyResponse(freqs=w, H=H)

@@ -84,12 +84,6 @@ class LinearSystem:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    def input_slice(self, name: str) -> slice:
-        return _channel_slice(self.inputs, name, "input")
-
-    def output_slice(self, name: str) -> slice:
-        return _channel_slice(self.outputs, name, "output")
-
     def freq_response(self, w) -> np.ndarray:
         """G(jw) = C (jwI - A)^-1 B + D, shape (len(w), p, m).
 

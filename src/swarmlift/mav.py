@@ -1,5 +1,5 @@
 """Single-MAV model: the agent kernels, rotor allocation, low-level control,
-and the RK4 step of the simulator, the identification experiments and the
+and the RK4 step of the simulator, the single-agent experiments and the
 analysis pre-roll. Each of those integrates one flat state array; its
 right-hand side reads views of that array and returns one derivative array.
 
@@ -7,14 +7,14 @@ The low-level controller is the cascade used by every agent: a PD position
 loop with gravity feed-forward, thrust-vector-to-attitude command allocation
 and a critically damped second-order attitude closed loop. Each kernel is
 the one copy of its block, and the controller kernels take a leading agent
-axis. The coupled simulator runs the cascade (``pd_position_control``,
-``thrust_to_attitude``, ``attitude_accel``, ``rotor_speeds_from_wrench``
-and, in its lag model, ``saturate_thrust_command``) once per tick on the
-whole team; the single-agent loop and the identification runs call it on
-one agent, and ``analysis._core`` runs the PD law and the clamp on all
-agents at once. ``attitude_accel`` also runs in the EKF process model;
-``translational_dynamics`` in the single-agent loop and the EKF;
-``rotational_dynamics`` in the UKF.
+axis. A controller tick runs ``pd_position_control`` (or takes a given
+thrust command), ``attitude_command`` and ``rotor_speeds_from_wrench``: the
+coupled simulator once per tick on the whole team, with
+``saturate_thrust_command`` in its lag model, and ``identify``'s one
+single-agent loop on one agent. ``analysis._core`` runs the PD law and the
+clamp on all agents at once. ``attitude_accel`` also runs in the RK4
+right-hand sides and the EKF process model; ``translational_dynamics`` in
+the single-agent loop and the EKF; ``rotational_dynamics`` in the UKF.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ def _hexa_geometry():
 
 
 def real_array(name: str, value, shape: tuple) -> np.ndarray:
-    """value as a float array of the given shape (None: any length), or
-    ValueError unless it holds finite real numbers; bool and str are not
-    numbers. The parameter objects check their fields with it."""
+    """value as a read-only float copy of the given shape (None: any
+    length), or ValueError unless it holds finite real numbers; bool and
+    str are not numbers. The parameter objects check and store their arrays
+    with it, so an array changes only through replace(), which checks it
+    again, and the caller's array stays writable."""
     a = np.asarray(value)
     if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
             or any(s not in (None, n) for n, s in zip(a.shape, shape))
@@ -57,7 +59,9 @@ def real_array(name: str, value, shape: tuple) -> np.ndarray:
         what = (f"finite numbers of shape {shape}" if shape
                 else "a finite number")
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    return np.asarray(a, dtype=float)
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,9 @@ class Allocation:
             [1.0 / (3 * kf * kf * L * L), 1.0 / (3 * kf * kf * L * L),
              1.0 / (6 * km * km), 1.0 / (6 * kf * kf)]
         )
-        object.__setattr__(self, "matrix", A)
-        object.__setattr__(self, "pinv", A.T * scale[None, :])
+        object.__setattr__(self, "matrix", real_array("matrix", A, (4, 6)))
+        object.__setattr__(self, "pinv",
+                           real_array("pinv", A.T * scale[None, :], (6, 4)))
 
     @property
     def rotor_count(self) -> int:
@@ -155,7 +160,7 @@ class MavParams:
                                          self.tau_motor])),
                 ("thrust_lo", np.array([-lat_x, -lat_y, 0.0])),
                 ("thrust_hi", np.array([lat_x, lat_y, self.F_prop_max]))):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, real_array(name, value, (3,)))
 
     @property
     def rotor_count(self) -> int:
@@ -276,6 +281,21 @@ def thrust_to_attitude(F_cmd, psi, params: MavParams):
     # [()] turns the outputs of a single command into scalars
     return (phi_cmd[()], theta_cmd[()],
             np.minimum(norm, params.F_prop_max)[()])
+
+
+def attitude_command(F_cmd, eta, eta_dot, omega, params: MavParams):
+    """Attitude-command half of a controller tick: the (roll, pitch, zero
+    yaw) command and thrust magnitude of thrust_to_attitude for the world
+    thrust F_cmd, and the loop torque J acc + omega x J omega that makes the
+    attitude loop at (eta, eta_dot), body rate omega, follow it.
+
+    Stacked agents (..., 3) give stacked outputs, each row with the bits of
+    its own call; a single agent gives a scalar thrust.
+    """
+    phi_c, theta_c, F_mag = thrust_to_attitude(F_cmd, eta[..., 2], params)
+    eta_cmd = np.stack([phi_c, theta_c, np.zeros_like(phi_c)], axis=-1)
+    acc = attitude_accel(eta, eta_dot, eta_cmd, params.omega_n_att)
+    return eta_cmd, F_mag, params.J * acc + cross3(omega, params.J * omega)
 
 
 def saturate_thrust_command(F_cmd_W, params: MavParams):

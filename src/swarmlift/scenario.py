@@ -166,7 +166,7 @@ def _noise(path: str, noise) -> dict:
             for key, value in noise.items()}
 
 
-def _events(path: str, events) -> list:
+def _events(path: str, events) -> tuple:
     if not isinstance(events, (list, tuple)):
         raise ScenarioError(f"{path} must be a list, got {events!r}")
     for ev in events:
@@ -186,7 +186,7 @@ def _events(path: str, events) -> list:
             except ValueError:
                 raise ScenarioError(f"event {action} needs {arg!r} of length "
                                     f"3 with finite entries: {ev}") from None
-    return list(events)
+    return tuple(events)
 
 
 # Scenario field -> (its key path in the document, the check that returns
@@ -262,7 +262,7 @@ class Scenario:
     mission_dh: float = 0.25
     mission_tol: float = 0.05
     mission_land_at: float | None = None
-    events: list = field(default_factory=list)
+    events: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "n_agents",

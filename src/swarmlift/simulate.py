@@ -24,7 +24,6 @@ from . import ukf as ukf_mod
 from .admittance import AdmittanceMode, AdmittanceState, admittance_step, fsm_step
 from .attitude import (
     body_rate_from_euler_rate,
-    cross3,
     euler_body_z,
     euler_to_quat,
     quat_normalize,
@@ -36,11 +35,11 @@ from .errors import ScenarioError
 from .mav import (
     GRAVITY,
     attitude_accel,
+    attitude_command,
     pd_position_control,
     rk4_step,
     rotor_speeds_from_wrench,
     saturate_thrust_command,
-    thrust_to_attitude,
 )
 from .mission import MissionPhase, MissionState, mission_step
 from .payload import (
@@ -253,7 +252,6 @@ def run_scenario(sc: Scenario) -> RunLog:
     tau_thrust = sc.mav.tau_thrust
     tau_motor = sc.mav.tau_motor
     wn = sc.mav.omega_n_att
-    J = sc.mav.J
 
     def thrust_world():
         if sc.thrust_model == "attitude":
@@ -406,11 +404,9 @@ def run_scenario(sc: Scenario) -> RunLog:
         # the team's low-level cascade: PD, thrust allocation, attitude loop
         # and rotors
         F_cmd_w = pd_position_control(p_i, v_i, ref_p, ref_v, sc.mav)
-        phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[:, 2],
-                                                       sc.mav)
-        eta_cmd = np.stack([phi_c, theta_c, np.zeros(N)], axis=1)
-        acc_att = attitude_accel(eta, eta_dot, eta_cmd, wn)
-        M_cmd = J * acc_att + cross3(omega_i, J * omega_i)
+        eta_cmd, F_cmd_mag, M_cmd = attitude_command(F_cmd_w, eta, eta_dot,
+                                                     omega_i, sc.mav)
+        # the UKF's rotor input: allocated from the commanded thrust
         rotor = rotor_speeds_from_wrench(M_cmd, F_cmd_mag, sc.mav)
 
         # log the tick

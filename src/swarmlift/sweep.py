@@ -39,6 +39,7 @@ def grid_sweep(n_agents: int, grid: TuningGrid, out_dir: str,
     Bad counts or polish raise ScenarioError before anything is written."""
     n_agents = integer("n_agents", n_agents, 2)
     n_freqs = integer("n_freqs", n_freqs, 1)
+    n_jobs = integer("n_jobs", n_jobs, 1)
     boolean("polish", polish)
     os.makedirs(out_dir, exist_ok=True)
     freqs = default_frequency_grid(n_freqs)

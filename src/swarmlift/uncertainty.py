@@ -177,8 +177,12 @@ def performance_weight() -> LinearSystem:
 #    lateral and vertical axes),
 #  * est: EKF and UKF closed-loop force response vs the tau_est lag
 #    (elementwise max of both).
-# Regenerate with identify_pd_response / identify_thrust_response /
-# identify_estimator_response (see tests/test_uncertainty.py).
+# Regenerate with identify_pd_response, identify_thrust_response (axes 0 and
+# 2) and identify_estimator_response ("ekf" and "ukf") and a fit of each
+# relative error. tests/test_uncertainty.py regenerates none of them: it
+# checks that the mpc and lateral att weights still cover a fresh
+# identification on four harmonics. Nothing runs the estimator experiment,
+# so no test checks the est weight against it.
 # ---------------------------------------------------------------------------
 
 def default_weight_mpc() -> LinearSystem:

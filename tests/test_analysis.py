@@ -62,8 +62,8 @@ def test_rest_jacobian_closed_form_entries():
         close(A[zd:zd + 3, e:e + 3], np.diag(1.0 / adm.M))
     # tilting the structure tilts the total trim thrust with it
     close(A[V, TH], -skew(cfg.F_trim.sum(axis=0)) / cfg.com.m_sys)
-    close(B[V, sys.input_slice("u_mass")], -cfg.w_mass * np.eye(3))
-    close(B[OM, sys.input_slice("u_inertia")], -cfg.G_inertia)
+    close(sys.subsystem(in_names=["u_mass"]).B[V], -cfg.w_mass * np.eye(3))
+    close(sys.subsystem(in_names=["u_inertia"]).B[OM], -cfg.G_inertia)
 
 
 def test_stable_tuning_is_hurwitz():
@@ -180,12 +180,10 @@ def test_mass_channel_lft_first_order():
                          u0=zero_input(cfg_p))
 
     def lft_closed(delta):
-        isl = nom.input_slice("u_mass")
-        osl = nom.output_slice("y_mass")
-        F = np.zeros((nom.n_inputs, nom.n_outputs))
-        F[isl, osl] = delta * np.eye(3)
-        G = np.linalg.inv(np.eye(nom.n_outputs) - nom.D @ F)
-        return nom.A + nom.B @ F @ G @ nom.C
+        # u_mass = delta y_mass
+        m = nom.subsystem(out_names=["y_mass"], in_names=["u_mass"])
+        K = delta * np.linalg.inv(np.eye(3) - delta * m.D)
+        return m.A + m.B @ K @ m.C
 
     for delta in (0.05, -0.05):
         A_lft = lft_closed(delta)

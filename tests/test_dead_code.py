@@ -1,7 +1,8 @@
 """Static guards: every module-level import in the package and the tests
 is used, every module-level private function and class is referenced,
-every public module-level function is referenced by the package or the
-benchmark, or is listed as public API, every module-level constant is
+every public module-level function, and every public method and property
+of a module-level class, is referenced by the package or the benchmark, or
+is listed as public API, every module-level constant is
 read by the package, the benchmark or the tests, and every parameter with
 a default is passed by some call in the package or the benchmark, or is
 listed with the reason it stays a parameter. Scipy is imported at module
@@ -123,16 +124,29 @@ PUBLIC_API = {
 }
 
 
+def _functions(tree):
+    """(qualified name, node) of every module-level function, and of every
+    method and property of a module-level class as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
 def unreferenced_publics(package: dict, others: dict) -> list:
-    """Public module-level functions of the package modules that no module
-    of either set references outside their own body."""
+    """Public module-level functions, and public methods and properties of
+    module-level classes, of the package modules that no module of either
+    set references outside their own body. Members match references by
+    name, as functions do."""
     trees = {name: ast.parse(src) for name, src in package.items()}
     used = sum((_referenced_names(ast.parse(src)) for src in others.values()),
                sum((_referenced_names(t) for t in trees.values()), Counter()))
     return sorted(
-        f"{module}:{node.name}" for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        f"{module}:{qualified}" for module, tree in trees.items()
+        for qualified, node in _functions(tree)
+        if not node.name.startswith("_")
         and used[node.name] == _referenced_names(node)[node.name])
 
 
@@ -144,6 +158,23 @@ def test_guard_flags_an_unreferenced_public_function():
                "b.py": "from .a import used\nx = used()\n"}
     others = {"run.py": "from swarmlift import a\na.called_by_bench()\n"}
     assert unreferenced_publics(package, others) == ["a.py:gone"]
+
+
+def test_guard_flags_an_unreferenced_public_member():
+    package = {"a.py": ("class K:\n"
+                        "    def __init__(self):\n        self.x = 1\n"
+                        "    def used(self):\n        return self.x\n"
+                        "    @property\n    def read(self):\n"
+                        "        return 2\n"
+                        "    @property\n    def unread(self):\n"
+                        "        return 3\n"
+                        "    def gone(self, n):\n"
+                        "        return self.gone(n - 1)\n"
+                        "    def _private(self):\n        pass\n"),
+               "b.py": "from .a import K\nk = K()\nk.used()\n"}
+    others = {"run.py": "from swarmlift.a import K\nprint(K().read)\n"}
+    assert unreferenced_publics(package, others) == ["a.py:K.gone",
+                                                     "a.py:K.unread"]
 
 
 def test_no_unreferenced_public_functions():

@@ -2,7 +2,8 @@
 the margin pipeline.
 
 The transport pre-roll, the single-agent closed loop and the thrust
-identification experiment all step their dynamics with RK4. The rest and
+identification experiment on each axis all step their dynamics with RK4.
+The rest and
 transport linearizations, the weighted N-Delta interconnection, the
 balanced SSV bound and the margins of two tuning points are pinned as
 well. These digests pin their outputs bit for
@@ -72,6 +73,20 @@ def test_thrust_response_digest():
     fr = identify_thrust_response(MavParams(), axis=0, harmonics=(1, 2, 5),
                                   base_period=1.0, settle=0.5)
     assert _digest(fr.freqs, fr.H) == THRUST_RESPONSE_DIGEST
+
+
+# the other lateral axis, and the vertical one around the hover thrust
+THRUST_RESPONSE_AXIS_DIGESTS = {
+    1: "2d487eedbbf3696471118ae114e4fe017e454a4c78ad3f2e62f8c2b20a54562d",
+    2: "bfdb75f40fe924aa35157b875212bb6ad1252c99ca1c66c746447a21e1bac59b",
+}
+
+
+@pytest.mark.parametrize("axis", sorted(THRUST_RESPONSE_AXIS_DIGESTS))
+def test_thrust_response_digest_on_axes_1_and_2(axis):
+    fr = identify_thrust_response(MavParams(), axis=axis, harmonics=(1, 2, 5),
+                                  base_period=1.0, settle=0.5)
+    assert _digest(fr.freqs, fr.H) == THRUST_RESPONSE_AXIS_DIGESTS[axis]
 
 
 # the complex-step Jacobian of chart_rhs_out at the pre-rolled state

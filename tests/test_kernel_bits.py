@@ -6,7 +6,9 @@ kernels must match it byte for byte (``tobytes()``, so signed zeros and
 imaginary parts count) on real inputs and on complex-step inputs, where
 every state argument is complex as ``analysis.complex_step_jacobian``
 passes them; for one agent and several; and for single and stacked
-quaternions, rotation matrices and rates. ``cross3`` is checked against its
+quaternions, rotation matrices and rates. The attitude-command kernel is
+checked against the inline formulas of the team tick and of the
+single-agent tick that it replaced. ``cross3`` is checked against its
 component formula and ``np.cross``. The analysis model's right-hand sides
 are checked against a frozen copy of their earlier ``_core``, built on
 these oracles.
@@ -39,8 +41,11 @@ from swarmlift.mav import (
     EZ,
     GRAVITY,
     MavParams,
+    attitude_accel,
+    attitude_command,
     rk4_step,
     saturate_thrust_command,
+    thrust_to_attitude,
     translational_dynamics,
 )
 from swarmlift.payload import (
@@ -274,6 +279,25 @@ def old_integration_matrix(omega, Ts):
     return Om
 
 
+def old_team_attitude_command(F_cmd_w, eta, eta_dot, omega_i, params):
+    # the team simulator's tick, inline
+    N, J, wn = len(F_cmd_w), params.J, params.omega_n_att
+    phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[:, 2], params)
+    eta_cmd = np.stack([phi_c, theta_c, np.zeros(N)], axis=1)
+    acc_att = attitude_accel(eta, eta_dot, eta_cmd, wn)
+    M_cmd = J * acc_att + cross3(omega_i, J * omega_i)
+    return eta_cmd, F_cmd_mag, M_cmd
+
+
+def old_single_attitude_command(F_cmd_w, eta, eta_dot, omega, params):
+    # the single-agent loop's tick, inline
+    phi_c, theta_c, F_cmd_mag = thrust_to_attitude(F_cmd_w, eta[2], params)
+    acc_att = attitude_accel(eta, eta_dot, np.array([phi_c, theta_c, 0.0]),
+                             params.omega_n_att)
+    M_cmd = params.J * acc_att + cross3(omega, params.J * omega)
+    return np.array([phi_c, theta_c, 0.0]), F_cmd_mag, M_cmd
+
+
 # ---------------------------------------------------------------- strategies
 
 # both signed zeros, subnormals and magnitudes up to 1e3
@@ -445,6 +469,32 @@ def test_translational_dynamics_bits(n, cs, data):
         same_bits(got[k], ref)
         same_bits(translational_dynamics(R[k], v[k], F_prop[k], drag,
                                          F_ext[k], params), ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.floats(0.05, 1.5), st.floats(0.05, 1.5),
+       st.floats(1.0, 200.0), st.data())
+def test_attitude_command_bits(n, phi_max, theta_max, F_max, data):
+    params = MavParams(phi_cmd_max=phi_max, theta_cmd_max=theta_max,
+                       F_prop_max=F_max)
+    F = data.draw(reals((n, 3)))
+    # thrust_to_attitude rejects a command of no length
+    F[np.sqrt((F * F).sum(axis=1)) < 1e-6] = (0.0, 0.0, 34.335)
+    eta = data.draw(reals((n, 3), st.floats(-4.0, 4.0)))
+    eta_dot, omega = (data.draw(reals((n, 3), st.floats(-50.0, 50.0)))
+                      for _ in range(2))
+    got = attitude_command(F, eta, eta_dot, omega, params)
+    for g, r in zip(got, old_team_attitude_command(F, eta, eta_dot, omega,
+                                                   params)):
+        same_bits(g, r)
+    # each row has the bits of its own call and of the single-agent formula
+    for k in range(n):
+        one = attitude_command(F[k], eta[k], eta_dot[k], omega[k], params)
+        assert np.ndim(one[1]) == 0
+        for g, r, o in zip(got, one, old_single_attitude_command(
+                F[k], eta[k], eta_dot[k], omega[k], params)):
+            same_bits(r, g[k])
+            same_bits(r, o)
 
 
 @settings(max_examples=150, deadline=None)

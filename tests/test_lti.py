@@ -97,9 +97,11 @@ def test_channel_slices():
     sys = LinearSystem(-np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)),
                        inputs=[("u1", 1), ("u2", 2)], outputs=[("y", 3)])
     assert sys.n_inputs == 3 and sys.n_outputs == 3
-    assert sys.input_slice("u2") == slice(1, 3)
+    sub = sys.subsystem(out_names=["y"], in_names=["u2"])
+    assert sub.inputs == [("u2", 2)] and sub.outputs == [("y", 3)]
+    assert np.array_equal(sub.B, np.eye(3)[:, 1:3])
     with pytest.raises(ChannelMismatch):
-        sys.output_slice("nope")
+        sys.subsystem(out_names=["nope"])
 
 
 def test_integrator_block():

@@ -324,12 +324,10 @@ def test_single_mass_perturbation_first_order():
     nom = linearize(cfg, "rest")
     x0 = rest_state(cfg)
     for delta in (0.04, -0.04):
-        isl = nom.input_slice("u_mass")
-        osl = nom.output_slice("y_mass")
-        F = np.zeros((nom.n_inputs, nom.n_outputs))
-        F[isl, osl] = delta * np.eye(3)
-        G = np.linalg.inv(np.eye(nom.n_outputs) - nom.D @ F)
-        A_lft = nom.A + nom.B @ F @ G @ nom.C
+        # u_mass = delta y_mass
+        m = nom.subsystem(out_names=["y_mass"], in_names=["u_mass"])
+        K = delta * np.linalg.inv(np.eye(3) - delta * m.D)
+        A_lft = m.A + m.B @ K @ m.C
         cfg_p = AnalysisConfig(n_agents=2)
         m_new = cfg.com.m_sys + delta * MASS_UNCERTAINTY * cfg.payload.m_p
         cfg_p.com = dataclasses.replace(cfg_p.com, m_sys=m_new)

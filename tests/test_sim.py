@@ -251,6 +251,28 @@ def test_parameter_objects_change_only_through_replace():
     assert replace(sc).config_hash() == sc.config_hash()
 
 
+def test_parameter_objects_cannot_change_in_place():
+    # both writes once went through silently, skipping the checks
+    sc = beam(events=[{"t": 0.5, "action": "master_step",
+                       "dp": [0.1, 0.0, 0.0]}])
+    with pytest.raises(ValueError, match="read-only"):
+        sc.mav.J[:] = -1.0
+    with pytest.raises(AttributeError):
+        sc.events.append({"t": -5, "action": "bogus"})
+    arrays = [sc.mav.J, sc.mav.K_drag, sc.mav.K_P, sc.mav.K_D, sc.mav.weight,
+              sc.mav.tau_thrust, sc.mav.thrust_lo, sc.mav.thrust_hi,
+              sc.mav.allocation.matrix, sc.mav.allocation.pinv,
+              sc.payload.J_p, sc.payload.attachments, sc.payload.drag_F,
+              sc.payload.drag_M, sc.adm.M, sc.adm.C, sc.adm.K]
+    assert not any(a.flags.writeable for a in arrays)
+    assert sc.mav.J.tolist() == [0.08, 0.08, 0.14]
+    assert len(sc.events) == 1
+    # the object holds a copy: the caller's array stays writable
+    J = np.array([0.1, 0.1, 0.2])
+    assert replace(sc.mav, J=J).J is not J
+    J[:] = 1.0
+
+
 def assert_cli_error(capsys, argv, match):
     """main(argv) rejects its input: exit status 4, and the last stderr
     line, the only error line, is `swarmlift: error: <message>` with the
@@ -717,7 +739,7 @@ def test_one_stacked_ekf_call_per_estimator_tick(monkeypatch):
 
 
 def test_one_team_control_call_per_tick(monkeypatch):
-    shapes = {"pd_position_control": [], "thrust_to_attitude": [],
+    shapes = {"pd_position_control": [], "attitude_command": [],
               "rotor_speeds_from_wrench": []}
 
     def counting(name):
@@ -734,7 +756,7 @@ def test_one_team_control_call_per_tick(monkeypatch):
     sc = replace(golden_scenario("attitude", "ekf", 5), duration=0.1)
     run_scenario(sc)
     assert shapes["pd_position_control"] == [(5, 3)] * 10
-    assert shapes["thrust_to_attitude"] == [(5, 3)] * 10
+    assert shapes["attitude_command"] == [(5, 3)] * 10
     # the team's hover speeds before the first tick, then one call per tick
     assert shapes["rotor_speeds_from_wrench"] == [(5, 3)] * 11
 

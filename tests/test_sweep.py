@@ -72,6 +72,26 @@ def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, capsys, cfg,
     assert not (tmp_path / "out").exists()
 
 
+# a worker count below one once created the output directory and then
+# failed with a ValueError traceback from ProcessPoolExecutor
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_sweep_rejects_a_worker_count_below_one(tmp_path, monkeypatch,
+                                                    capsys, jobs):
+    import swarmlift.sweep
+
+    def no_margins(*args, **kw):
+        raise AssertionError("margins computed for a bad worker count")
+
+    monkeypatch.setattr(swarmlift.sweep, "margins", no_margins)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"n_agents": 2, "n_freqs": 5,
+                                "grid_M": [8.0], "grid_C": [6.0]}))
+    assert_cli_error(capsys, ["sweep", str(path), "--out-dir",
+                              str(tmp_path / "out"), "--jobs", jobs],
+                     "n_jobs")
+    assert not (tmp_path / "out").exists()
+
+
 # a grid that is a number or holds a NaN, and a file that is not JSON:
 # each once failed with AxisError, LinAlgError in margin_point or
 # JSONDecodeError
@@ -101,8 +121,10 @@ def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, capsys,
     ({"n_agents": 1}, "n_agents"),
     ({"n_agents": True}, "n_agents"),
     ({"polish": "false"}, "polish"),
+    ({"n_jobs": 0}, "n_jobs"),
+    ({"n_jobs": 1.5}, "n_jobs"),
 ], ids=["zero-freqs", "fractional-freqs", "one-agent", "boolean-agents",
-        "polish-string"])
+        "polish-string", "zero-jobs", "fractional-jobs"])
 def test_grid_sweep_rejects_bad_arguments(tmp_path, monkeypatch, kw, match):
     import swarmlift.sweep
     from swarmlift.mu import TuningGrid
