@@ -62,7 +62,9 @@ when the scenario is loaded, and so does a value that fails its check:
     - rates whose controller rate does not divide 1/Ts_dyn, or whose
       estimator rate does not divide the controller rate.
 A Scenario is frozen: a field changes only through dataclasses.replace,
-which checks the fields again, as the CLI does for its overrides.
+which checks the fields again, as the CLI does for its overrides. Its noise
+is a read-only mapping and its events a tuple of read-only mappings whose
+vectors are tuples, so no write skips the checks.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import MappingProxyType
 
 from .admittance import AdmittanceParams
 from .errors import ScenarioError
@@ -93,7 +97,7 @@ EVENT_ARGS = {"master_step": "dp", "master_velocity": "v",
 
 
 def check_keys(name: str, d, allowed) -> None:
-    if not isinstance(d, dict):
+    if not isinstance(d, Mapping):
         raise ScenarioError(f"{name} must be an object")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
@@ -160,17 +164,19 @@ def _one_of(path: str, value, options: tuple):
     return value
 
 
-def _noise(path: str, noise) -> dict:
+def _noise(path: str, noise) -> Mapping:
     check_keys(path, noise, NOISE_KEYS)
-    return {key: _nonnegative(f"{path}.{key}", value)
-            for key, value in noise.items()}
+    return MappingProxyType({key: _nonnegative(f"{path}.{key}", value)
+                             for key, value in noise.items()})
 
 
 def _events(path: str, events) -> tuple:
+    """The events as a tuple of read-only mappings, each vector a tuple."""
     if not isinstance(events, (list, tuple)):
         raise ScenarioError(f"{path} must be a list, got {events!r}")
+    frozen = []
     for ev in events:
-        if not isinstance(ev, dict) or "t" not in ev or "action" not in ev:
+        if not isinstance(ev, Mapping) or "t" not in ev or "action" not in ev:
             raise ScenarioError(f"event needs 't' and 'action': {ev}")
         action = ev["action"]
         if not isinstance(action, str) or action not in EVENT_ARGS:
@@ -186,7 +192,10 @@ def _events(path: str, events) -> tuple:
             except ValueError:
                 raise ScenarioError(f"event {action} needs {arg!r} of length "
                                     f"3 with finite entries: {ev}") from None
-    return tuple(events)
+        frozen.append(MappingProxyType(
+            {key: tuple(value) if key == arg else value
+             for key, value in ev.items()}))
+    return tuple(frozen)
 
 
 # Scenario field -> (its key path in the document, the check that returns
@@ -254,7 +263,7 @@ class Scenario:
     ctrl_rate: float = 100.0
     est_rate: float = 100.0
     seed: int = 0
-    noise: dict = field(default_factory=dict)
+    noise: Mapping = field(default_factory=dict)
     divergence_bound: float = 100.0
     start_engaged: bool = True
     transport_altitude: float = 1.2
@@ -297,10 +306,21 @@ class Scenario:
     def config_hash(self) -> str:
         """Digest of every resolved field, so overrides written after
         loading (a CLI --seed) and scenarios built in code are told apart;
-        arrays enter as lists of floats, which json writes as exact reprs."""
-        blob = json.dumps(asdict(self), sort_keys=True,
-                          default=lambda a: a.tolist()).encode()
+        arrays enter as lists of floats, which json writes as exact reprs,
+        and parameter objects and read-only mappings as dicts."""
+        blob = json.dumps({f.name: getattr(self, f.name)
+                           for f in fields(self)}, sort_keys=True,
+                          default=_plain).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _plain(value):
+    """The JSON form of a field value that json cannot write itself."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value.tolist()
 
 
 def _payload_from_dict(n_agents: int, mav: MavParams, d: dict) -> PayloadParams:

@@ -2,10 +2,14 @@
 
 Classical RK4 integrates the continuous states (payload rigid body about
 the composite CoM, per-agent attitude inner loops and motor lag, or the
-per-agent thrust-vector lag in the reduced thrust model), packed in one
-state array, while controller and estimator outputs are zero-order-held
-between their ticks. Slaves run estimator + admittance + PD; the master
-tracks the scripted reference.
+per-agent thrust-vector lag in the reduced thrust model), while controller
+and estimator outputs are zero-order-held between their ticks. Slaves run
+estimator + admittance + PD; the master tracks the scripted reference.
+
+The lag model packs the payload and the thrust-vector lags in one state
+array. The attitude model's agents never read the payload, so each tick
+integrates them first, in their own array, and the payload after them
+(attitude_tick).
 
 The team's controller state is a set of (N, ...) arrays, row 0 the master.
 Each controller tick runs the low-level cascade once on the whole team;
@@ -43,6 +47,7 @@ from .mav import (
 )
 from .mission import MissionPhase, MissionState, mission_step
 from .payload import (
+    PayloadParams,
     attachment_accel,
     attachment_kinematics,
     com_system,
@@ -147,6 +152,60 @@ class RunLog:
                    meta=meta)
 
 
+def payload_rhs(com, payload: PayloadParams, x, Fw, *tail):
+    """Derivative of the payload's (p, v, q, w), the first 13 entries of x,
+    under the agents' world thrusts Fw (N, 3), with the arrays of tail
+    appended."""
+    v, q, w = x[3:6], x[6:10], x[10:13]
+    R = quat_to_rotmat(q)
+    vdot, wdot = payload_accel(com, payload.drag_F, payload.drag_M, R, v, w,
+                               Fw, Fw @ R)
+    return np.concatenate((v, vdot, quat_rate(q, w), wdot) + tail)
+
+
+def payload_steps(rhs, x, t: float, h: float, steps: int):
+    """steps RK4 steps of a state array x that starts with the payload's
+    13 states, renormalizing its quaternion after every step."""
+    for j in range(steps):
+        x = rk4_step(rhs, t + j * h, x, h)
+        x[6:10] = quat_normalize(x[6:10])
+    return x
+
+
+def attitude_tick(sc: Scenario, com, x, xa, eta_cmd, F_cmd_mag, t: float):
+    """Integrate one controller tick of the attitude thrust model: the
+    payload state x (13) and the agents' xa = (eta, eta_dot, each N x 3
+    row by row, then F_mag), under the held commands.
+
+    The agents' block never reads the payload, so RK4 runs it over the
+    whole tick first and records the state of each of its 4 * steps stages
+    (rk4_step calls rhs four times per step, in stage order). One
+    euler_body_z call gives every stage's world thrust, and the payload's
+    RK4 reads row k at its k-th stage. RK4 and the kernels are elementwise,
+    so this has the bits of one RK4 on the joint state. Returns the new
+    (x, xa).
+    """
+    N, h, steps = sc.n_agents, sc.Ts_dyn, sc.steps_per_ctrl
+    e, f = 3 * N, 6 * N
+    stages = []
+
+    def agent_rhs(t, xa):
+        stages.append(xa)
+        etdd = attitude_accel(xa[:e], xa[e:f], eta_cmd.reshape(-1),
+                              sc.mav.omega_n_att)
+        return np.concatenate((xa[e:f], etdd,
+                               (F_cmd_mag - xa[f:]) / sc.mav.tau_motor))
+
+    def stage_rhs(t, x):
+        return payload_rhs(com, sc.payload, x, next(Fw))
+
+    for j in range(steps):
+        xa = rk4_step(agent_rhs, t + j * h, xa, h)
+    xs = np.array(stages)
+    Fw = iter(euler_body_z(xs[:, :e].reshape(-1, N, 3)) * xs[:, f:, None])
+    return payload_steps(stage_rhs, x, t, h, steps), xa
+
+
 def run_scenario(sc: Scenario) -> RunLog:
     """Deterministic fixed-step simulation of a scenario; divergence is
     reported in the log rather than raised."""
@@ -175,15 +234,14 @@ def run_scenario(sc: Scenario) -> RunLog:
     F_lag = np.zeros((N, 3))  # thrust-vector states for the lag model
     F_lag[:, 2] = F_mag
 
-    # RK4 integrates one state array x: the payload's p, v, q, w, then the
-    # attitude model's eta, eta_dot (each N x 3, row by row) and F_mag, or
-    # the lag model's F_lag. Each tick reads these names as views of x.
-    e, f = 13 + 3 * N, 13 + 6 * N
+    # The state array x holds the payload's p, v, q, w, then the lag
+    # model's F_lag; the attitude model's eta, eta_dot (each N x 3, row by
+    # row) and F_mag are the array xa. Each tick reads these names as views.
+    x = np.concatenate([p_pl, v_pl, q_pl, w_pl])
     if sc.thrust_model == "attitude":
-        x = np.concatenate([p_pl, v_pl, q_pl, w_pl, eta.ravel(),
-                            eta_dot.ravel(), F_mag])
+        xa = np.concatenate([eta.ravel(), eta_dot.ravel(), F_mag])
     else:
-        x = np.concatenate([p_pl, v_pl, q_pl, w_pl, F_lag.ravel()])
+        x = np.concatenate([x, F_lag.ravel()])
 
     p_agents0 = p_pl[None, :] + com.attachments
     hover_ref = p_agents0 + np.array([0.0, 0.0, sag])[None, :]
@@ -250,33 +308,18 @@ def run_scenario(sc: Scenario) -> RunLog:
     drag_F = sc.payload.drag_F
     drag_M = sc.payload.drag_M
     tau_thrust = sc.mav.tau_thrust
-    tau_motor = sc.mav.tau_motor
-    wn = sc.mav.omega_n_att
 
     def thrust_world():
         if sc.thrust_model == "attitude":
             return euler_body_z(eta) * F_mag[:, None]
         return F_lag
 
-    # Right-hand sides of the coupled model on the state array x; they read
-    # the commands held over the current controller tick.
-    def attitude_rhs(t, x):
-        v, q, w, et, etd, fm = (x[3:6], x[6:10], x[10:13], x[13:e], x[e:f],
-                                x[f:])
-        R = quat_to_rotmat(q)
-        Fw = euler_body_z(et.reshape(N, 3)) * fm[:, None]
-        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
-        etdd = attitude_accel(et, etd, eta_cmd.reshape(-1), wn)
-        dfm = (F_cmd_mag - fm) / tau_motor
-        return np.concatenate((v, vdot, quat_rate(q, w), wdot, etd, etdd,
-                               dfm))
-
+    # the lag model's joint right-hand side; it reads the command held over
+    # the current controller tick
     def lag_rhs(t, x):
-        v, q, w, Fl = x[3:6], x[6:10], x[10:13], x[13:].reshape(N, 3)
-        R = quat_to_rotmat(q)
-        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fl, Fl @ R)
-        dF = (sat_cmd - Fl) / tau_thrust
-        return np.concatenate((v, vdot, quat_rate(q, w), wdot, dF.ravel()))
+        Fl = x[13:].reshape(N, 3)
+        return payload_rhs(com, sc.payload, x, Fl,
+                           ((sat_cmd - Fl) / tau_thrust).ravel())
 
     def fsm_command(command):
         for j, st in enumerate(adm):
@@ -304,8 +347,8 @@ def run_scenario(sc: Scenario) -> RunLog:
     for k in range(n_ctrl):
         p_pl, v_pl, q_pl, w_pl = x[0:3], x[3:6], x[6:10], x[10:13]
         if sc.thrust_model == "attitude":
-            eta, eta_dot = x[13:e].reshape(N, 3), x[e:f].reshape(N, 3)
-            F_mag = x[f:]
+            eta, eta_dot = xa[:6 * N].reshape(2, N, 3)
+            F_mag = xa[6 * N:]
         else:
             F_lag = x[13:].reshape(N, 3)
 
@@ -422,13 +465,10 @@ def run_scenario(sc: Scenario) -> RunLog:
         # integrate the coupled dynamics over one controller period,
         # renormalizing the payload quaternion after every step
         if sc.thrust_model == "attitude":
-            rhs = attitude_rhs
+            x, xa = attitude_tick(sc, com, x, xa, eta_cmd, F_cmd_mag, t)
         else:
-            rhs = lag_rhs
             sat_cmd = saturate_thrust_command(F_cmd_w, sc.mav)
-        for k_dyn in range(sc.steps_per_ctrl):
-            x = rk4_step(rhs, t + k_dyn * h, x, h)
-            x[6:10] = quat_normalize(x[6:10])
+            x = payload_steps(lag_rhs, x, t, h, sc.steps_per_ctrl)
 
         t += dt_ctrl
         # the payload's p, v and w, in one np.max so that a NaN anywhere

@@ -11,10 +11,15 @@ checked against the inline formulas of the team tick and of the
 single-agent tick that it replaced. ``cross3`` is checked against its
 component formula and ``np.cross``. The analysis model's right-hand sides
 are checked against a frozen copy of their earlier ``_core``, built on
-these oracles.
+these oracles. The simulator's attitude-model tick, agents first and then
+the payload, is checked against its earlier joint RK4 on one state array,
+and stacked ``euler_body_z`` rows against single calls.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -55,6 +60,8 @@ from swarmlift.payload import (
     com_system,
     payload_accel,
 )
+from swarmlift.scenario import Scenario
+from swarmlift.simulate import attitude_tick
 
 # ------------------------------------------------------ the earlier formulas
 
@@ -246,6 +253,31 @@ def old_rk4_step(rhs, t, x, h):
     k4 = rhs(t + h, *[xi + h * ki for xi, ki in zip(x, k3)])
     return [xi + h / 6 * (a + 2 * b + 2 * c + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def old_attitude_tick(sc, com, x, eta_cmd, F_cmd_mag, t):
+    # run_scenario's attitude-model tick as one RK4 on the joint state: the
+    # payload's 13 states, then eta, eta_dot (each N x 3) and F_mag
+    N, h = sc.n_agents, sc.Ts_dyn
+    e, f = 13 + 3 * N, 13 + 6 * N
+    drag_F, drag_M = sc.payload.drag_F, sc.payload.drag_M
+    tau_motor, wn = sc.mav.tau_motor, sc.mav.omega_n_att
+
+    def attitude_rhs(t, x):
+        v, q, w, et, etd, fm = (x[3:6], x[6:10], x[10:13], x[13:e], x[e:f],
+                                x[f:])
+        R = quat_to_rotmat(q)
+        Fw = euler_body_z(et.reshape(N, 3)) * fm[:, None]
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
+        etdd = attitude_accel(et, etd, eta_cmd.reshape(-1), wn)
+        dfm = (F_cmd_mag - fm) / tau_motor
+        return np.concatenate((v, vdot, quat_rate(q, w), wdot, etd, etdd,
+                               dfm))
+
+    for k_dyn in range(sc.steps_per_ctrl):
+        x = rk4_step(attitude_rhs, t + k_dyn * h, x, h)
+        x[6:10] = quat_normalize(x[6:10])
+    return x
 
 
 def old_integration_matrix(omega, Ts):
@@ -502,6 +534,44 @@ def test_attitude_command_bits(n, phi_max, theta_max, F_max, data):
 def test_euler_body_z_bits(shape, data):
     eta = data.draw(reals(shape, st.floats(-4.0, 4.0)))
     same_bits(euler_body_z(eta), old_euler_body_z(eta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(1, 1), (40, 2), (7, 8), (3, 4)]), st.data())
+def test_stacked_euler_body_z_rows_are_single_calls(shape, data):
+    eta = data.draw(reals(shape + (3,), st.floats(-4.0, 4.0)))
+    z = euler_body_z(eta)
+    for k in range(shape[0]):
+        same_bits(z[k], euler_body_z(eta[k]))
+        for i in range(shape[1]):
+            same_bits(z[k, i], euler_body_z(eta[k, i]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_split_attitude_tick_bits(n, seed):
+    # one tick of the agents-then-payload passes against the joint RK4
+    rng = np.random.default_rng(seed)
+    sc = Scenario(n_agents=n, duration=1.0)
+    sc = replace(sc, payload=replace(sc.payload,
+                                     drag_F=rng.uniform(0.1, 1.0, 3),
+                                     drag_M=rng.uniform(0.1, 1.0, 3)))
+    com = com_system(sc.payload, np.full(n, sc.mav.m))
+    q = rng.standard_normal(4)
+    x = np.concatenate([rng.uniform(-2.0, 2.0, 6), q / np.linalg.norm(q),
+                        rng.uniform(-1.0, 1.0, 3)])
+    xa = np.concatenate([rng.uniform(-0.5, 0.5, 3 * n),
+                         rng.uniform(-2.0, 2.0, 3 * n),
+                         rng.uniform(5.0, 30.0, n)])
+    eta_cmd = rng.uniform(-0.5, 0.5, (n, 3))
+    F_cmd_mag = rng.uniform(5.0, 30.0, n)
+    t = float(rng.uniform(0.0, 10.0))
+    got_x, got_xa = attitude_tick(sc, com, x.copy(), xa.copy(), eta_cmd,
+                                  F_cmd_mag, t)
+    ref = old_attitude_tick(sc, com, np.concatenate([x, xa]), eta_cmd,
+                            F_cmd_mag, t)
+    same_bits(np.concatenate([got_x, got_xa]), ref)
+    assert not np.array_equal(ref[:13], x)
 
 
 @settings(max_examples=150, deadline=None)

@@ -273,6 +273,25 @@ def test_parameter_objects_cannot_change_in_place():
     J[:] = 1.0
 
 
+def test_noise_and_events_cannot_change_in_place():
+    # each write once went through silently: the hash moved and the run
+    # diverged at tick 0 on a document that passed every load-time check
+    sc = scenario_from_dict({
+        "n_agents": 2, "duration": 0.1, "noise": {"p": 0.01},
+        "events": [{"t": 0.05, "action": "master_step",
+                    "dp": [0.1, 0, 0]}]})
+    with pytest.raises(TypeError):
+        sc.noise["p"] = -1.0
+    with pytest.raises(TypeError):
+        sc.events[0]["t"] = -5.0
+    with pytest.raises(TypeError):
+        sc.events[0]["dp"][0] = float("nan")
+    assert sc.noise == {"p": 0.01} and sc.events[0]["dp"] == (0.1, 0, 0)
+    assert sc.config_hash() == "7861163d63ec840a"
+    assert replace(sc).config_hash() == sc.config_hash()
+    assert not run_scenario(sc).diverged
+
+
 def assert_cli_error(capsys, argv, match):
     """main(argv) rejects its input: exit status 4, and the last stderr
     line, the only error line, is `swarmlift: error: <message>` with the
@@ -411,12 +430,15 @@ def test_divergence_flagged_not_raised():
     assert log.data.shape[0] == log.diverged_step + 1
 
 
-def test_nan_velocity_is_flagged_at_its_own_tick(monkeypatch):
-    sc = beam(duration=0.1)
+@pytest.mark.parametrize("thrust_model", ["attitude", "lag"])
+def test_nan_velocity_is_flagged_at_its_own_tick(monkeypatch, thrust_model):
+    sc = beam(duration=0.1, thrust_model=thrust_model)
     rk4_step, steps = simulate.rk4_step, []
 
     def nan_after_tick_4(rhs, t, x, h):
         x = rk4_step(rhs, t, x, h)
+        if len(x) == 7 * sc.n_agents:  # an attitude-model agent step
+            return x
         steps.append(t)
         if len(steps) == 5 * sc.steps_per_ctrl:  # the last step of tick 4
             x[3] = np.nan  # the payload's vx
@@ -426,6 +448,23 @@ def test_nan_velocity_is_flagged_at_its_own_tick(monkeypatch):
     log = run_scenario(sc)
     assert log.diverged and log.diverged_step == 4
     assert log.data.shape[0] == 5 and np.all(np.isfinite(log.data))
+
+
+def test_attitude_thrust_is_one_batched_call_per_tick(monkeypatch):
+    # the tick's own thrust and one call for all 4 x steps_per_ctrl RK4
+    # stages, not one call per stage
+    sc = beam(duration=0.2, rates={"Ts_dyn": 1e-3})
+    euler_body_z, rows = simulate.euler_body_z, []
+
+    def counted(eta):
+        rows.append(np.shape(eta)[:-2])
+        return euler_body_z(eta)
+
+    monkeypatch.setattr(simulate, "euler_body_z", counted)
+    log = run_scenario(sc)
+    assert not log.diverged and len(log.t) == 20
+    assert len(rows) <= 2 * len(log.t)
+    assert rows.count((4 * sc.steps_per_ctrl,)) == len(log.t)
 
 
 def test_csv_round_trip():
