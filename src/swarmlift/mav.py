@@ -214,7 +214,7 @@ def rk4_step(rhs, t: float, x, h: float):
     """One classical RK4 step of the state array x over [t, t + h];
     rhs(t, x) returns the derivative of x as one array of its shape. rhs
     is called exactly four times per step, in stage order, which
-    simulate.attitude_tick relies on to hand each payload stage its row."""
+    simulate.integrate_tick relies on to hand each payload stage its row."""
     k1 = rhs(t, x)
     k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)

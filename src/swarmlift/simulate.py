@@ -6,10 +6,9 @@ per-agent thrust-vector lag in the reduced thrust model), while controller
 and estimator outputs are zero-order-held between their ticks. Slaves run
 estimator + admittance + PD; the master tracks the scripted reference.
 
-The lag model packs the payload and the thrust-vector lags in one state
-array. The attitude model's agents never read the payload, so each tick
-integrates them first, in their own array, and the payload after them
-(attitude_tick).
+The payload's states and the agents' states are two arrays. The agents
+never read the payload, so each tick integrates them first and the
+payload after them (integrate_tick).
 
 The team's controller state is a set of (N, ...) arrays, row 0 the master.
 Each controller tick runs the low-level cascade once on the whole team;
@@ -152,58 +151,70 @@ class RunLog:
                    meta=meta)
 
 
-def payload_rhs(com, payload: PayloadParams, x, Fw, *tail):
-    """Derivative of the payload's (p, v, q, w), the first 13 entries of x,
-    under the agents' world thrusts Fw (N, 3), with the arrays of tail
-    appended."""
+def payload_rhs(com, payload: PayloadParams, x, Fw):
+    """Derivative of the payload's state x = (p, v, q, w) under the agents'
+    world thrusts Fw (N, 3)."""
     v, q, w = x[3:6], x[6:10], x[10:13]
     R = quat_to_rotmat(q)
     vdot, wdot = payload_accel(com, payload.drag_F, payload.drag_M, R, v, w,
                                Fw, Fw @ R)
-    return np.concatenate((v, vdot, quat_rate(q, w), wdot) + tail)
+    return np.concatenate((v, vdot, quat_rate(q, w), wdot))
 
 
-def payload_steps(rhs, x, t: float, h: float, steps: int):
-    """steps RK4 steps of a state array x that starts with the payload's
-    13 states, renormalizing its quaternion after every step."""
-    for j in range(steps):
-        x = rk4_step(rhs, t + j * h, x, h)
-        x[6:10] = quat_normalize(x[6:10])
-    return x
+def agent_thrust(sc: Scenario, xa):
+    """World thrusts (..., N, 3) of stacked agent state arrays xa (..., n):
+    the attitude model's (eta, eta_dot, each N x 3 row by row, then F_mag)
+    or the lag model's thrust vectors F_lag (N x 3, row by row)."""
+    N = sc.n_agents
+    shape = xa.shape[:-1] + (N, 3)
+    if sc.thrust_model == "attitude":
+        return (euler_body_z(xa[..., :3 * N].reshape(shape))
+                * xa[..., 6 * N:, None])
+    return xa.reshape(shape)
 
 
-def attitude_tick(sc: Scenario, com, x, xa, eta_cmd, F_cmd_mag, t: float):
-    """Integrate one controller tick of the attitude thrust model: the
-    payload state x (13) and the agents' xa = (eta, eta_dot, each N x 3
-    row by row, then F_mag), under the held commands.
+def integrate_tick(sc: Scenario, com, x, xa, held, t: float):
+    """Integrate one controller tick: the payload state x (p, v, q, w) and
+    the agents' state array xa (see agent_thrust) under the held commands,
+    (eta_cmd, F_cmd_mag) in the attitude model and the saturated thrust
+    command in the lag model. Returns the new (x, xa).
 
-    The agents' block never reads the payload, so RK4 runs it over the
-    whole tick first and records the state of each of its 4 * steps stages
-    (rk4_step calls rhs four times per step, in stage order). One
-    euler_body_z call gives every stage's world thrust, and the payload's
-    RK4 reads row k at its k-th stage. RK4 and the kernels are elementwise,
-    so this has the bits of one RK4 on the joint state. Returns the new
-    (x, xa).
+    The agents never read the payload, so RK4 runs xa over the whole tick
+    first and records the state of each of its 4 * steps stages (rk4_step
+    calls rhs four times per step, in stage order). One agent_thrust call
+    gives every stage's world thrust, and the payload's RK4 reads row k at
+    its k-th stage, renormalizing the quaternion after every step. RK4 and
+    the kernels are elementwise, so this has the bits of one RK4 on the
+    joint state.
     """
     N, h, steps = sc.n_agents, sc.Ts_dyn, sc.steps_per_ctrl
     e, f = 3 * N, 6 * N
     stages = []
+    if sc.thrust_model == "attitude":
+        eta_cmd, F_cmd_mag = held
+        eta_cmd = eta_cmd.reshape(-1)
 
-    def agent_rhs(t, xa):
-        stages.append(xa)
-        etdd = attitude_accel(xa[:e], xa[e:f], eta_cmd.reshape(-1),
-                              sc.mav.omega_n_att)
-        return np.concatenate((xa[e:f], etdd,
-                               (F_cmd_mag - xa[f:]) / sc.mav.tau_motor))
+        def agent_rhs(t, xa):
+            stages.append(xa)
+            etdd = attitude_accel(xa[:e], xa[e:f], eta_cmd,
+                                  sc.mav.omega_n_att)
+            return np.concatenate((xa[e:f], etdd,
+                                   (F_cmd_mag - xa[f:]) / sc.mav.tau_motor))
+    else:
+        def agent_rhs(t, xa):
+            stages.append(xa)
+            return ((held - xa.reshape(N, 3)) / sc.mav.tau_thrust).ravel()
 
-    def stage_rhs(t, x):
+    def payload_stage_rhs(t, x):
         return payload_rhs(com, sc.payload, x, next(Fw))
 
     for j in range(steps):
         xa = rk4_step(agent_rhs, t + j * h, xa, h)
-    xs = np.array(stages)
-    Fw = iter(euler_body_z(xs[:, :e].reshape(-1, N, 3)) * xs[:, f:, None])
-    return payload_steps(stage_rhs, x, t, h, steps), xa
+    Fw = iter(agent_thrust(sc, np.array(stages)))
+    for j in range(steps):
+        x = rk4_step(payload_stage_rhs, t + j * h, x, h)
+        x[6:10] = quat_normalize(x[6:10])
+    return x, xa
 
 
 def run_scenario(sc: Scenario) -> RunLog:
@@ -234,14 +245,15 @@ def run_scenario(sc: Scenario) -> RunLog:
     F_lag = np.zeros((N, 3))  # thrust-vector states for the lag model
     F_lag[:, 2] = F_mag
 
-    # The state array x holds the payload's p, v, q, w, then the lag
-    # model's F_lag; the attitude model's eta, eta_dot (each N x 3, row by
-    # row) and F_mag are the array xa. Each tick reads these names as views.
+    # RK4 integrates the payload's p, v, q, w in the array x and the agents'
+    # states in the array xa: the attitude model's eta, eta_dot (each N x 3,
+    # row by row) and F_mag, or the lag model's F_lag. Each tick reads the
+    # payload's names, and the attitude model's eta and eta_dot, as views.
     x = np.concatenate([p_pl, v_pl, q_pl, w_pl])
     if sc.thrust_model == "attitude":
         xa = np.concatenate([eta.ravel(), eta_dot.ravel(), F_mag])
     else:
-        x = np.concatenate([x, F_lag.ravel()])
+        xa = F_lag.ravel()
 
     p_agents0 = p_pl[None, :] + com.attachments
     hover_ref = p_agents0 + np.array([0.0, 0.0, sag])[None, :]
@@ -302,25 +314,10 @@ def run_scenario(sc: Scenario) -> RunLog:
     ev_idx = 0
     dt_ctrl = 1.0 / sc.ctrl_rate
     dt_est = 1.0 / sc.est_rate
-    h = sc.Ts_dyn
     t = 0.0
 
     drag_F = sc.payload.drag_F
     drag_M = sc.payload.drag_M
-    tau_thrust = sc.mav.tau_thrust
-
-    def thrust_world():
-        if sc.thrust_model == "attitude":
-            return euler_body_z(eta) * F_mag[:, None]
-        return F_lag
-
-    # the lag model's joint right-hand side; it reads the command held over
-    # the current controller tick
-    def lag_rhs(t, x):
-        Fl = x[13:].reshape(N, 3)
-        return payload_rhs(com, sc.payload, x, Fl,
-                           ((sat_cmd - Fl) / tau_thrust).ravel())
-
     def fsm_command(command):
         for j, st in enumerate(adm):
             adm[j] = fsm_step(st, np.zeros(3), dt_ctrl, command=command)
@@ -348,9 +345,6 @@ def run_scenario(sc: Scenario) -> RunLog:
         p_pl, v_pl, q_pl, w_pl = x[0:3], x[3:6], x[6:10], x[10:13]
         if sc.thrust_model == "attitude":
             eta, eta_dot = xa[:6 * N].reshape(2, N, 3)
-            F_mag = xa[6 * N:]
-        else:
-            F_lag = x[13:].reshape(N, 3)
 
         # scheduled events
         while ev_idx < len(events) and events[ev_idx]["t"] <= t + 1e-12:
@@ -390,7 +384,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                     hold[0, :2] = master_p[:2]
                     disengage_slaves()
 
-        Fw_now = thrust_world()
+        Fw_now = agent_thrust(sc, xa)
         omega_i = body_rate_from_euler_rate(eta, eta_dot)
 
         # estimators (slaves) at their own rate
@@ -462,13 +456,12 @@ def run_scenario(sc: Scenario) -> RunLog:
             [[t], agent_rows.ravel(), p_pl, q_pl, v_pl, w_pl,
              [PHASE_CODE[mission.phase] if mission else -1]])
 
-        # integrate the coupled dynamics over one controller period,
-        # renormalizing the payload quaternion after every step
+        # integrate the coupled dynamics over one controller period
         if sc.thrust_model == "attitude":
-            x, xa = attitude_tick(sc, com, x, xa, eta_cmd, F_cmd_mag, t)
+            held = eta_cmd, F_cmd_mag
         else:
-            sat_cmd = saturate_thrust_command(F_cmd_w, sc.mav)
-            x = payload_steps(lag_rhs, x, t, h, sc.steps_per_ctrl)
+            held = saturate_thrust_command(F_cmd_w, sc.mav)
+        x, xa = integrate_tick(sc, com, x, xa, held, t)
 
         t += dt_ctrl
         # the payload's p, v and w, in one np.max so that a NaN anywhere

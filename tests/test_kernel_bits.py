@@ -11,9 +11,9 @@ checked against the inline formulas of the team tick and of the
 single-agent tick that it replaced. ``cross3`` is checked against its
 component formula and ``np.cross``. The analysis model's right-hand sides
 are checked against a frozen copy of their earlier ``_core``, built on
-these oracles. The simulator's attitude-model tick, agents first and then
-the payload, is checked against its earlier joint RK4 on one state array,
-and stacked ``euler_body_z`` rows against single calls.
+these oracles. The simulator's tick, agents first and then the payload,
+is checked in both thrust models against its earlier joint RK4 on one
+state array, and stacked ``euler_body_z`` rows against single calls.
 """
 
 from dataclasses import replace
@@ -61,7 +61,7 @@ from swarmlift.payload import (
     payload_accel,
 )
 from swarmlift.scenario import Scenario
-from swarmlift.simulate import attitude_tick
+from swarmlift.simulate import integrate_tick
 
 # ------------------------------------------------------ the earlier formulas
 
@@ -255,15 +255,18 @@ def old_rk4_step(rhs, t, x, h):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def old_attitude_tick(sc, com, x, eta_cmd, F_cmd_mag, t):
-    # run_scenario's attitude-model tick as one RK4 on the joint state: the
-    # payload's 13 states, then eta, eta_dot (each N x 3) and F_mag
+def old_joint_tick(sc, com, x, held, t):
+    # run_scenario's earlier tick as one RK4 on the joint state: the
+    # payload's 13 states, then the attitude model's eta, eta_dot (each
+    # N x 3) and F_mag, or the lag model's F_lag (N x 3)
     N, h = sc.n_agents, sc.Ts_dyn
     e, f = 13 + 3 * N, 13 + 6 * N
     drag_F, drag_M = sc.payload.drag_F, sc.payload.drag_M
     tau_motor, wn = sc.mav.tau_motor, sc.mav.omega_n_att
+    tau_thrust = sc.mav.tau_thrust
 
     def attitude_rhs(t, x):
+        eta_cmd, F_cmd_mag = held
         v, q, w, et, etd, fm = (x[3:6], x[6:10], x[10:13], x[13:e], x[e:f],
                                 x[f:])
         R = quat_to_rotmat(q)
@@ -274,8 +277,16 @@ def old_attitude_tick(sc, com, x, eta_cmd, F_cmd_mag, t):
         return np.concatenate((v, vdot, quat_rate(q, w), wdot, etd, etdd,
                                dfm))
 
+    def lag_rhs(t, x):
+        v, q, w, Fl = x[3:6], x[6:10], x[10:13], x[13:].reshape(N, 3)
+        R = quat_to_rotmat(q)
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fl, Fl @ R)
+        dF = (held - Fl) / tau_thrust
+        return np.concatenate((v, vdot, quat_rate(q, w), wdot, dF.ravel()))
+
+    rhs = attitude_rhs if sc.thrust_model == "attitude" else lag_rhs
     for k_dyn in range(sc.steps_per_ctrl):
-        x = rk4_step(attitude_rhs, t + k_dyn * h, x, h)
+        x = rk4_step(rhs, t + k_dyn * h, x, h)
         x[6:10] = quat_normalize(x[6:10])
     return x
 
@@ -549,10 +560,11 @@ def test_stacked_euler_body_z_rows_are_single_calls(shape, data):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", [1, 2, 8])
-def test_split_attitude_tick_bits(n, seed):
+@pytest.mark.parametrize("thrust_model", ["attitude", "lag"])
+def test_split_tick_bits(thrust_model, n, seed):
     # one tick of the agents-then-payload passes against the joint RK4
     rng = np.random.default_rng(seed)
-    sc = Scenario(n_agents=n, duration=1.0)
+    sc = Scenario(n_agents=n, duration=1.0, thrust_model=thrust_model)
     sc = replace(sc, payload=replace(sc.payload,
                                      drag_F=rng.uniform(0.1, 1.0, 3),
                                      drag_M=rng.uniform(0.1, 1.0, 3)))
@@ -560,18 +572,20 @@ def test_split_attitude_tick_bits(n, seed):
     q = rng.standard_normal(4)
     x = np.concatenate([rng.uniform(-2.0, 2.0, 6), q / np.linalg.norm(q),
                         rng.uniform(-1.0, 1.0, 3)])
-    xa = np.concatenate([rng.uniform(-0.5, 0.5, 3 * n),
-                         rng.uniform(-2.0, 2.0, 3 * n),
-                         rng.uniform(5.0, 30.0, n)])
-    eta_cmd = rng.uniform(-0.5, 0.5, (n, 3))
-    F_cmd_mag = rng.uniform(5.0, 30.0, n)
+    if thrust_model == "attitude":
+        xa = np.concatenate([rng.uniform(-0.5, 0.5, 3 * n),
+                             rng.uniform(-2.0, 2.0, 3 * n),
+                             rng.uniform(5.0, 30.0, n)])
+        held = rng.uniform(-0.5, 0.5, (n, 3)), rng.uniform(5.0, 30.0, n)
+    else:
+        xa = rng.uniform(-10.0, 30.0, 3 * n)
+        held = rng.uniform(-10.0, 30.0, (n, 3))
     t = float(rng.uniform(0.0, 10.0))
-    got_x, got_xa = attitude_tick(sc, com, x.copy(), xa.copy(), eta_cmd,
-                                  F_cmd_mag, t)
-    ref = old_attitude_tick(sc, com, np.concatenate([x, xa]), eta_cmd,
-                            F_cmd_mag, t)
+    got_x, got_xa = integrate_tick(sc, com, x.copy(), xa.copy(), held, t)
+    ref = old_joint_tick(sc, com, np.concatenate([x, xa]), held, t)
     same_bits(np.concatenate([got_x, got_xa]), ref)
     assert not np.array_equal(ref[:13], x)
+    assert not np.array_equal(ref[13:], xa)
 
 
 @settings(max_examples=150, deadline=None)

@@ -433,18 +433,16 @@ def test_divergence_flagged_not_raised():
 @pytest.mark.parametrize("thrust_model", ["attitude", "lag"])
 def test_nan_velocity_is_flagged_at_its_own_tick(monkeypatch, thrust_model):
     sc = beam(duration=0.1, thrust_model=thrust_model)
-    rk4_step, steps = simulate.rk4_step, []
+    integrate_tick, ticks = simulate.integrate_tick, []
 
-    def nan_after_tick_4(rhs, t, x, h):
-        x = rk4_step(rhs, t, x, h)
-        if len(x) == 7 * sc.n_agents:  # an attitude-model agent step
-            return x
-        steps.append(t)
-        if len(steps) == 5 * sc.steps_per_ctrl:  # the last step of tick 4
+    def nan_after_tick_4(*args):
+        x, xa = integrate_tick(*args)
+        ticks.append(args[-1])
+        if len(ticks) == 5:  # the end of tick 4
             x[3] = np.nan  # the payload's vx
-        return x
+        return x, xa
 
-    monkeypatch.setattr(simulate, "rk4_step", nan_after_tick_4)
+    monkeypatch.setattr(simulate, "integrate_tick", nan_after_tick_4)
     log = run_scenario(sc)
     assert log.diverged and log.diverged_step == 4
     assert log.data.shape[0] == 5 and np.all(np.isfinite(log.data))
