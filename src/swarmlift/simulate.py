@@ -46,7 +46,6 @@ from .mav import (
 )
 from .mission import MissionPhase, MissionState, mission_step
 from .payload import (
-    PayloadParams,
     attachment_accel,
     attachment_kinematics,
     com_system,
@@ -151,16 +150,6 @@ class RunLog:
                    meta=meta)
 
 
-def payload_rhs(com, payload: PayloadParams, x, Fw):
-    """Derivative of the payload's state x = (p, v, q, w) under the agents'
-    world thrusts Fw (N, 3)."""
-    v, q, w = x[3:6], x[6:10], x[10:13]
-    R = quat_to_rotmat(q)
-    vdot, wdot = payload_accel(com, payload.drag_F, payload.drag_M, R, v, w,
-                               Fw, Fw @ R)
-    return np.concatenate((v, vdot, quat_rate(q, w), wdot))
-
-
 def agent_thrust(sc: Scenario, xa):
     """World thrusts (..., N, 3) of stacked agent state arrays xa (..., n):
     the attitude model's (eta, eta_dot, each N x 3 row by row, then F_mag)
@@ -189,6 +178,7 @@ def integrate_tick(sc: Scenario, com, x, xa, held, t: float):
     """
     N, h, steps = sc.n_agents, sc.Ts_dyn, sc.steps_per_ctrl
     e, f = 3 * N, 6 * N
+    mav, drag_F, drag_M = sc.mav, sc.payload.drag_F, sc.payload.drag_M
     stages = []
     if sc.thrust_model == "attitude":
         eta_cmd, F_cmd_mag = held
@@ -196,23 +186,26 @@ def integrate_tick(sc: Scenario, com, x, xa, held, t: float):
 
         def agent_rhs(t, xa):
             stages.append(xa)
-            etdd = attitude_accel(xa[:e], xa[e:f], eta_cmd,
-                                  sc.mav.omega_n_att)
+            etdd = attitude_accel(xa[:e], xa[e:f], eta_cmd, mav.omega_n_att)
             return np.concatenate((xa[e:f], etdd,
-                                   (F_cmd_mag - xa[f:]) / sc.mav.tau_motor))
+                                   (F_cmd_mag - xa[f:]) / mav.tau_motor))
     else:
         def agent_rhs(t, xa):
             stages.append(xa)
-            return ((held - xa.reshape(N, 3)) / sc.mav.tau_thrust).ravel()
+            return ((held - xa.reshape(N, 3)) / mav.tau_thrust).ravel()
 
-    def payload_stage_rhs(t, x):
-        return payload_rhs(com, sc.payload, x, next(Fw))
+    def payload_rhs(t, x):
+        Fw = next(stage_thrust)
+        v, q, w = x[3:6], x[6:10], x[10:13]
+        R = quat_to_rotmat(q)
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
+        return np.concatenate((v, vdot, quat_rate(q, w), wdot))
 
     for j in range(steps):
         xa = rk4_step(agent_rhs, t + j * h, xa, h)
-    Fw = iter(agent_thrust(sc, np.array(stages)))
+    stage_thrust = iter(agent_thrust(sc, np.array(stages)))
     for j in range(steps):
-        x = rk4_step(payload_stage_rhs, t + j * h, x, h)
+        x = rk4_step(payload_rhs, t + j * h, x, h)
         x[6:10] = quat_normalize(x[6:10])
     return x, xa
 
