@@ -24,7 +24,9 @@ admittance law. Every linear plant is its complex-step Jacobian, exact to
 machine precision, at the engaged-hover equilibrium for the rest plant
 (:func:`build_closed_loop`) and at the pre-rolled state for the transport
 plant; so the margins are computed on the Jacobian of the physics that the
-simulator integrates.
+simulator integrates. The model and its kernels take a leading batch axis,
+so a plant's Jacobian is one :func:`chart_rhs_out` call on the stack of
+its perturbed points, each row with the bits of its own call.
 
 The transport pre-roll (4,000 :func:`full_rhs` calls) is most of a margin
 point, so what a configuration fixes is built once (``AnalysisConfig``,
@@ -43,8 +45,8 @@ except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import c_einsum
 
 from .admittance import AdmittanceParams
-from .attitude import (cross3, quat_normalize, quat_rate, quat_to_rotmat,
-                       rotvec_to_rotmat)
+from .attitude import (cross3, matvec, quat_normalize, quat_rate,
+                       quat_to_rotmat, rotvec_to_rotmat)
 from .errors import UnstableOperatingPoint
 from .lti import LinearSystem
 from .mav import (G_EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
@@ -130,30 +132,28 @@ def pack_state(p, v, q, omega, p_ref, F_prop, F_hat, z, zdot):
     """Payload (p, v, attitude, omega), master reference integrator, thrust
     lags per agent, then per slave the contiguous estimator and admittance
     block. A chart state passes theta in place of q."""
-    return np.concatenate((p, v, q, omega, p_ref, F_prop.ravel(),
-                           np.concatenate((F_hat, z, zdot), axis=1).ravel()))
+    flat = p.shape[:-1] + (-1,)
+    return np.concatenate((p, v, q, omega, p_ref, F_prop.reshape(flat),
+                           np.concatenate((F_hat, z, zdot), axis=-1)
+                           .reshape(flat)), axis=-1)
 
 
 def unpack_state(cfg: AnalysisConfig, x, n_att: int = 4):
     """Views into a full state (n_att = 4, quaternion q) or a chart state
     (n_att = 3, theta)."""
     a, N = 6 + n_att, cfg.n_agents
-    f = a + 6 + 3 * N  # first slave block
-    slaves = x[f:].reshape(cfg.n_slaves, 9)
-    return (x[0:3], x[3:6], x[6:a], x[a:a + 3], x[a + 3:a + 6],
-            x[a + 6:f].reshape(N, 3), slaves[:, 0:3], slaves[:, 3:6],
-            slaves[:, 6:9])
+    # the thrust lags, then (F_hat, z, zdot) per slave: rows of 3
+    rows = x[..., a + 6:].reshape(x.shape[:-1] + (-1, 3))
+    return (x[..., 0:3], x[..., 3:6], x[..., 6:a], x[..., a:a + 3],
+            x[..., a + 3:a + 6], rows[..., :N, :], rows[..., N::3, :],
+            rows[..., N + 1::3, :], rows[..., N + 2::3, :])
 
 
 def split_inputs(cfg: AnalysisConfig, u):
-    N, S = cfg.n_agents, cfg.n_slaves
-    u_mass = u[0:3]
-    u_J = u[3:6]
-    u_mpc = u[6:6 + 3 * N].reshape(N, 3)
-    u_att = u[6 + 3 * N:6 + 6 * N].reshape(N, 3)
-    u_est = u[6 + 6 * N:6 + 6 * N + 3 * S].reshape(S, 3)
-    w = u[6 + 6 * N + 3 * S:]
-    return u_mass, u_J, u_mpc, u_att, u_est, w
+    N = cfg.n_agents
+    U = u.reshape(u.shape[:-1] + (-1, 3))  # every channel is a 3-vector
+    return (U[..., 0, :], U[..., 1, :], U[..., 2:2 + N, :],
+            U[..., 2 + N:2 + 2 * N, :], U[..., 2 + 2 * N:-1, :], U[..., -1, :])
 
 
 # ------------------------------------------------------- nonlinear dynamics
@@ -162,7 +162,8 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
           u):
     """Shared nonlinear dynamics; complex-step safe. Returns state
     derivatives (except attitude kinematics) and the channel outputs, in
-    output order and not yet flattened."""
+    output order and not yet flattened. R, the states and u may carry the
+    same leading batch axes; each row then has the bits of its own call."""
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
     u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
 
@@ -170,8 +171,8 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
 
     # references: master integrates the velocity command, slaves follow the
     # engaged admittance law
-    ref_p = np.concatenate((p_ref[None], cfg.slave_points + z))
-    ref_v = np.concatenate((w[None], zdot))
+    ref_p = np.concatenate((p_ref[..., None, :], cfg.slave_points + z), -2)
+    ref_v = np.concatenate((w[..., None, :], zdot), -2)
 
     F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
     y_mpc = F_cmd
@@ -180,11 +181,11 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     # fixed to the payload: once settled it tilts with the structure); lateral
     # components re-orient with the attitude time constant, the collective
     # magnitude with the (much faster) motor lag
-    F_lag_in_P = c_einsum("ji,nj->ni", R, F_lag_in_w)
+    F_lag_in_P = c_einsum("...ji,...nj->...ni", R, F_lag_in_w)
     dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust
     y_att = F_prop
     F_cons_P = F_prop + u_att
-    F_cons_w = c_einsum("ij,nj->ni", R, F_cons_P)
+    F_cons_w = c_einsum("...ij,...nj->...ni", R, F_cons_P)
 
     # payload rigid body about the composite CoM, with the mass and inertia
     # uncertainty injected into its accelerations
@@ -192,7 +193,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
                                      cfg.payload.drag_M, R, v, omega,
                                      F_cons_w, F_cons_P)
     v_dot = v_dot - cfg.w_mass * u_mass
-    omega_dot = omega_dot - cfg.G_inertia @ u_J
+    omega_dot = omega_dot - matvec(cfg.G_inertia, u_J)
     y_mass = v_dot + G_EZ
     y_J = omega_dot
 
@@ -200,12 +201,13 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
 
     # slave joint force, estimator lag, admittance
     a_i = attachment_accel(com, R, omega, w_x_r, v_dot, omega_dot)
-    F_int = joint_interaction_force(a_i[1:], F_cons_w[1:], mav.m)
+    F_int = joint_interaction_force(a_i[..., 1:, :], F_cons_w[..., 1:, :],
+                                    mav.m)
     dF_hat = (F_int - F_hat) / mav.tau_est
     F_used = F_hat + u_est - cfg.F_int_trim
     dzdot = (F_used - adm.C * zdot - adm.K * z) / adm.M
 
-    outputs = (y_mass, y_J, y_mpc, y_att, F_hat, F_cons_P[:, :2], v, p)
+    outputs = (y_mass, y_J, y_mpc, y_att, F_hat, F_cons_P[..., :2], v, p)
     return (v_dot, omega_dot, dp_ref, dF_prop, dF_hat, zdot, dzdot), outputs
 
 
@@ -221,7 +223,8 @@ def full_rhs(cfg: AnalysisConfig, x, u):
 
 def chart_rhs_out(cfg: AnalysisConfig, xc, u, q_ref):
     """Dynamics and outputs in the 3-component attitude chart centered on
-    q_ref: R = R(q_ref) expm(skew(theta)). Complex-step safe."""
+    q_ref: R = R(q_ref) expm(skew(theta)). Complex-step safe; xc and u may
+    carry the same leading batch axes."""
     p, v, theta, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(
         cfg, xc, n_att=3)
     R = quat_to_rotmat(q_ref) @ rotvec_to_rotmat(theta)
@@ -230,7 +233,8 @@ def chart_rhs_out(cfg: AnalysisConfig, xc, u, q_ref):
     dtheta = omega + 0.5 * cross3(theta, omega)
     return (pack_state(v, v_dot, dtheta, omega_dot, dp_ref, dF_prop, dF_hat,
                        dz, dzdot),
-            np.concatenate([np.reshape(y, -1) for y in outputs]))
+            np.concatenate([y.reshape(xc.shape[:-1] + (-1,))
+                            for y in outputs], axis=-1))
 
 
 # ------------------------------------------------------------- rest / trims
@@ -269,7 +273,8 @@ def preroll_transport(cfg: AnalysisConfig,
     for k in range(n):
         x = rk4_step(rhs, k * dt, x, dt)
         x[qsl] = quat_normalize(x[qsl])
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > divergence_bound:
+        # a NaN or an infinity fails the test too
+        if not np.max(np.abs(x)) <= divergence_bound:
             raise UnstableOperatingPoint(
                 "transport pre-roll diverged for this tuning")
     return x
@@ -283,17 +288,15 @@ def to_chart(cfg: AnalysisConfig, x):
 
 
 def complex_step_jacobian(f, x):
-    """Machine-precision Jacobian via the complex-step derivative."""
+    """Machine-precision Jacobian via the complex-step derivative. f maps a
+    stack of points (k, n) to their values (k, m), each row with the bits of
+    its own call, so the n perturbed points go through one call."""
     h = 1e-100
     x = np.asarray(x, dtype=float)
     n = x.size
-    f0 = f(x)
-    J = np.empty((np.size(f0), n))
-    for k in range(n):
-        xe = x.astype(complex)
-        xe[k] += 1j * h
-        J[:, k] = np.imag(f(xe)) / h
-    return J
+    xe = np.tile(x.astype(complex), (n, 1))
+    xe[np.arange(n), np.arange(n)] += 1j * h
+    return np.imag(f(xe)).T.copy() / h  # C order, as the column loop's
 
 
 def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
@@ -321,8 +324,8 @@ def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
     nx, nu = xc0.size, cfg.n_inputs
 
     def stacked(xu):
-        dx, y = chart_rhs_out(cfg, xu[:nx], xu[nx:], q_ref)
-        return np.concatenate([dx, y])
+        dx, y = chart_rhs_out(cfg, xu[..., :nx], xu[..., nx:], q_ref)
+        return np.concatenate([dx, y], axis=-1)
 
     J = complex_step_jacobian(stacked, np.concatenate([xc0, u0]))
     A, B = J[:nx, :nx], J[:nx, nx:]

@@ -66,6 +66,15 @@ def cross3(a, b):
             - a.take(_PREV, -1) * b.take(_NEXT, -1))
 
 
+try:  # numpy >= 2.2: the gufunc, one BLAS gemv per matrix of a stack
+    from numpy import matvec
+except ImportError:
+    def matvec(A, x):
+        """A x for each matrix and vector of a stack: the same gemv as
+        ``A @ x`` on one vector, with a trailing unit axis."""
+        return (A @ x[..., None])[..., 0]
+
+
 def quat_multiply(q1, q2):
     """Hamilton product q1 (x) q2, renormalized.
 

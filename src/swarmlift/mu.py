@@ -18,7 +18,8 @@ it further. Polish runs in decreasing balanced order and stops once the
 next balanced value cannot raise the maximum: with no floor after at
 least the eight largest (every frequency keeps a tight bound near the
 peak), with a floor as soon as the next balanced value is at or below the
-floor or the running maximum (only the peak is tight). A margin needs
+floor or the running maximum, and each descent stops once it falls below
+that maximum (only the peak is tight). A margin needs
 only the peak, and rho(G) <= mu(G) <= sigma_max(D G D^-1) <= |D G D^-1|_F
 for every admissible D (Packard & Doyle, Automatica 1993), so
 margin_point gives each call a proven lower bound on its peak as floor
@@ -161,12 +162,13 @@ def scaled_sv_gradient(M, logd, row_group, col_group):
                          - np.bincount(col_group, np.abs(Vh[0]) ** 2, ng))
 
 
-def _descend(M, logd, row_group, col_group, tol):
+def _descend(M, logd, row_group, col_group, tol, stop):
     """Least bound met by BFGS on the log-scales from logd, the last one
     pinned. sigma has kinks where its top singular value is repeated, often
     at the minimum, so the line search bisects to the weak Wolfe conditions
     (Lewis & Overton, Math. Program. 2013). Stops when every derivative is
-    below tol * sigma, the line search fails, or after 200 steps."""
+    below tol * sigma, the line search fails, or after 200 steps, and
+    returns as soon as the least bound met is below stop."""
     def f(x):
         s, g = scaled_sv_gradient(M, np.append(x, logd[-1]), row_group,
                                   col_group)
@@ -179,12 +181,14 @@ def _descend(M, logd, row_group, col_group, tol):
     for it in range(200):
         p = -H @ g
         gp = g @ p
-        if not gp < 0.0 or np.max(np.abs(g)) <= tol * fx:
+        if best < stop or not gp < 0.0 or np.max(np.abs(g)) <= tol * fx:
             break
         lo, hi, t = 0.0, np.inf, 1.0
         for _ in range(40):
             fn, gn = f(x + t * p)
             best = min(best, fn)
+            if best < stop:
+                return best
             if not fn <= fx + 1e-4 * t * gp:
                 hi = t
             elif gn @ p < 0.9 * gp:
@@ -294,12 +298,17 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     * floor None: the eight largest, then on while the next balanced value
       exceeds the largest polished one;
     * floor given: until the next balanced value is at or below the floor
-      or the largest polished one. Only the maximum over frequency (with
-      the floor) is then tight; use it when only the peak matters.
+      or the running maximum, and each descent stops as soon as it falls
+      below that maximum. Only the maximum over frequency (with the floor)
+      is then tight, at the frequencies that set it; every other value lies
+      between its polished and its balanced value. Use it when only the
+      peak matters.
 
     Any scaling gives a valid upper bound, so a polished frequency keeps
     the lesser of its two values, an unpolished one its balanced value, and
-    an early stop stays conservative.
+    an early stop stays conservative. A stopped descent ends below the
+    running maximum, where the full descent would end too, so the maximum
+    and its frequency are those of descending to the end.
     """
     G = np.asarray(G)
     if G.ndim == 2:
@@ -322,8 +331,11 @@ def ssv_upper_bound(G, structure, polish: bool = True,
         for i, k in enumerate(np.argsort(mu)[::-1]):
             if mu[k] <= top and (floor is not None or i >= 8):
                 break  # no frequency left can raise the maximum
-            mu[k] = min(mu[k], _descend(G[k], logd[k], row_group, col_group,
-                                        polish_tol))
+            # with a floor, a frequency that falls below top cannot set the
+            # maximum: its descent stops there
+            mu[k] = min(mu[k], _descend(
+                G[k], logd[k], row_group, col_group, polish_tol,
+                -np.inf if floor is None else top))
             top = max(top, mu[k])
     return mu
 

@@ -177,7 +177,9 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
         from .analysis import complex_step_jacobian
 
         J_cs = complex_step_jacobian(
-            lambda z: chart_rhs_out(cfg, z, u.astype(z.dtype), q_ref)[0], xc)
+            lambda z: chart_rhs_out(cfg, z, np.tile(u.astype(z.dtype),
+                                                    (len(z), 1)), q_ref)[0],
+            xc)
         eps = 1e-6
         cols = rng.choice(xc.size, size=6, replace=False)
         for j in cols:

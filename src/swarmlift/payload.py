@@ -9,6 +9,8 @@ the payload, are complex-step safe, and are the one copy of their block:
 ``attachment_kinematics``, ``attachment_accel``, ``payload_accel`` and
 ``joint_interaction_force`` run in the coupled simulator and in the
 analysis model ``analysis._core``, whose Jacobian is every linear plant.
+The payload state (R, p, v, w, accelerations and forces) may carry leading
+batch axes; each row then has the bits of its own unbatched call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
-from .attitude import cross3
+from .attitude import cross3, matvec
 from .errors import DimensionMismatch
 from .mav import G_EZ, real_array
 
@@ -127,9 +129,9 @@ def attachment_kinematics(com: ComSystem, p, v, R, w):
     for the payload pose (p, R) and twist (v, w about the CoM, w payload
     frame), and the payload-frame w x r (N, 3) that
     :func:`attachment_accel` takes. Complex-step safe."""
-    att, RT = com.attachments, R.T
-    w_x_r = cross3(w, att)
-    return p + att @ RT, v + w_x_r @ RT, w_x_r
+    att, RT = com.attachments, R.swapaxes(-1, -2)
+    w_x_r = cross3(w[..., None, :], att)
+    return p[..., None, :] + att @ RT, v[..., None, :] + w_x_r @ RT, w_x_r
 
 
 def attachment_accel(com: ComSystem, R, w, w_x_r, vdot, wdot):
@@ -137,10 +139,13 @@ def attachment_accel(com: ComSystem, R, w, w_x_r, vdot, wdot):
     accelerations (vdot, wdot about the CoM, wdot payload frame), given the
     payload-frame w x r of :func:`attachment_kinematics` at the same
     (R, w). Complex-step safe."""
-    # one cross3 gives wdot x r and w x (w x r) for every attachment r
-    wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[:, None],
-                                 np.array((com.attachments, w_x_r)))
-    return vdot + (wdot_x_r + w_x_w_x_r) @ R.T
+    # one cross3 gives wdot x r and w x (w x r) for every attachment r; the
+    # attachments are copied into every batch row
+    r = np.empty((2,) + w_x_r.shape, w_x_r.dtype)
+    r[0], r[1] = com.attachments, w_x_r
+    wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[..., None, :], r)
+    RT = R.swapaxes(-1, -2)
+    return vdot[..., None, :] + (wdot_x_r + w_x_w_x_r) @ RT
 
 
 def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
@@ -148,12 +153,10 @@ def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
     forces applied at the attachments, given in both frames: Fw = R FP
     (world) and FP (payload), each (N, 3). Drag is linear in the
     payload-frame velocity and rate. Complex-step safe."""
-    drag_w = R @ (drag_F * (R.T @ v))
-    vdot = (np.add.reduce(Fw) - drag_w) / com.m_sys - G_EZ
-    # one cross3 gives r_i x FP_i for every attachment and w x J w last
-    c = cross3(np.concatenate((com.attachments, w[None])),
-               np.concatenate((FP, (com.J_sys @ w)[None])))
+    drag_w = matvec(R, drag_F * matvec(R.swapaxes(-1, -2), v))
+    vdot = (np.add.reduce(Fw, -2) - drag_w) / com.m_sys - G_EZ
     # np.linalg.solve's gufunc for a 1-D right-hand side: the same gesv,
     # without the wrapper's checks (J_sys >= diag(J_p) > 0 is never singular)
-    wdot = solve1(com.J_sys, np.add.reduce(c[:-1]) - c[-1] - drag_M * w)
+    wdot = solve1(com.J_sys, np.add.reduce(cross3(com.attachments, FP), -2)
+                  - cross3(w, matvec(com.J_sys, w)) - drag_M * w)
     return vdot, wdot

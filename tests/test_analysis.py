@@ -165,6 +165,19 @@ def test_unstable_tuning_preroll_flagged():
         preroll_transport(cfg, divergence_bound=5.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_preroll_flags_a_non_finite_state(monkeypatch, bad):
+    # the one max |x| test catches NaN and infinity too
+    def blown(cfg, x, u):
+        dx = np.zeros_like(x)
+        dx[0] = bad
+        return dx
+
+    monkeypatch.setattr(analysis, "full_rhs", blown)
+    with pytest.raises(UnstableOperatingPoint):
+        preroll_transport(cfg2())
+
+
 def test_mass_channel_lft_first_order():
     # closing the mass channel with a small real perturbation reproduces the
     # plant rebuilt with the perturbed system mass, to first order

@@ -5,7 +5,8 @@ The transport pre-roll, the single-agent closed loop and the thrust
 identification experiment on each axis all step their dynamics with RK4.
 The rest and
 transport linearizations, the weighted N-Delta interconnection, the
-balanced SSV bound and the margins of two tuning points are pinned as
+balanced and polished SSV bounds and the margins of two tuning points are
+pinned as
 well. These digests pin their outputs bit for
 bit, so a refactor of the integrator, the physics kernels or the SSV bound
 cannot change a number unnoticed.
@@ -171,6 +172,15 @@ BALANCED_DIGESTS = {
         "2133a1294e7bd9ab146747171f47592f44a0c0b9804026cbac333f72e517008d",
 }
 
+# the polished bound with no floor, where each of the six frequencies
+# descends to the end
+POLISHED_DIGESTS = {
+    "repeated":
+        "64a2266b4e75bfb4352447b51430cffadaab4c44b5f7fbc25b11b18251e6d031",
+    "mixed":
+        "00de2d0731e23d9a9750d161698734fb98861e4c93e85114c587c25a98a2bc0f",
+}
+
 
 def test_balanced_bound_digest():
     rng = np.random.default_rng(11)
@@ -183,3 +193,5 @@ def test_balanced_bound_digest():
         G = rng.normal(size=(6, ny, nu)) + 1j * rng.normal(size=(6, ny, nu))
         mu = ssv_upper_bound(G, structure, polish=False)
         assert _digest(mu) == BALANCED_DIGESTS[name], name
+        assert (_digest(ssv_upper_bound(G, structure))
+                == POLISHED_DIGESTS[name]), name

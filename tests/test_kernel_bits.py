@@ -14,6 +14,11 @@ are checked against a frozen copy of their earlier ``_core``, built on
 these oracles. The simulator's tick, agents first and then the payload,
 is checked in both thrust models against its earlier joint RK4 on one
 state array, and stacked ``euler_body_z`` rows against single calls.
+
+The analysis model and the kernels it runs take a leading batch axis, so
+that ``complex_step_jacobian`` evaluates every column in one call: each
+stacked row must have the bits of its own unbatched call, and the batched
+Jacobian the bits of the earlier loop of one call per column.
 """
 
 from dataclasses import replace
@@ -26,15 +31,23 @@ from hypothesis.extra import numpy as hnp
 from numpy.linalg._umath_linalg import solve1
 
 from swarmlift.analysis import (
+    TRANSPORT_VELOCITY,
     AnalysisConfig,
     chart_rhs_out,
+    complex_step_jacobian,
     full_rhs,
+    linearize,
+    preroll_transport,
+    rest_state,
     split_inputs,
+    to_chart,
     unpack_state,
+    zero_input,
 )
 from swarmlift.attitude import (
     cross3,
     euler_body_z,
+    matvec,
     integration_matrix,
     quat_normalize,
     quat_rate,
@@ -48,6 +61,7 @@ from swarmlift.mav import (
     MavParams,
     attitude_accel,
     attitude_command,
+    pd_position_control,
     rk4_step,
     saturate_thrust_command,
     thrust_to_attitude,
@@ -190,6 +204,21 @@ def old_chart_rhs_out(cfg, xc, u, q_ref):
     return (old_pack_state(v, v_dot, dtheta, omega_dot, dp_ref, dF_prop,
                            dF_hat, dz, dzdot),
             np.concatenate([np.reshape(y, -1) for y in outputs]))
+
+
+def old_complex_step_jacobian(f, x):
+    """``analysis.complex_step_jacobian`` before the batch axis: one call of
+    f per column."""
+    h = 1e-100
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    f0 = f(x)
+    J = np.empty((np.size(f0), n))
+    for k in range(n):
+        xe = x.astype(complex)
+        xe[k] += 1j * h
+        J[:, k] = np.imag(f(xe)) / h
+    return J
 
 
 def old_saturate_thrust_command(F_cmd_W, params):
@@ -365,10 +394,10 @@ def states(draw, shape, complex_step):
 
 
 @st.composite
-def rigid_bodies(draw):
-    """A composite body of 1-6 agents with nonzero payload drag, and a
-    flag: complex-step inputs or real ones."""
-    n = draw(st.integers(1, 6))
+def rigid_bodies(draw, max_agents=6):
+    """A composite body of 1 to max_agents agents with nonzero payload
+    drag, and a flag: complex-step inputs or real ones."""
+    n = draw(st.integers(1, max_agents))
     payload = PayloadParams(
         m_p=draw(st.floats(0.1, 5.0)),
         J_p=draw(reals(3, st.floats(0.01, 1.0))),
@@ -447,17 +476,14 @@ def test_cross3_bits(shapes, cs_a, cs_b, data):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.booleans(), st.data())
 def test_stacked_cross3_rows_are_single_calls(n, cs, data):
-    # the two stackings the payload kernels use
+    # the stacking attachment_accel uses
     att = data.draw(reals((n, 3)))
-    w, wdot, Jw = (data.draw(states(3, cs)) for _ in range(3))
-    w_x_r, FP = (data.draw(states((n, 3), cs)) for _ in range(2))
+    w, wdot = (data.draw(states(3, cs)) for _ in range(2))
+    w_x_r = data.draw(states((n, 3), cs))
     wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[:, None],
                                  np.array((att, w_x_r)))
     same_bits(wdot_x_r, cross3(wdot, att))
     same_bits(w_x_w_x_r, cross3(w, w_x_r))
-    c = cross3(np.concatenate((att, w[None])), np.concatenate((FP, Jw[None])))
-    same_bits(c[:-1], cross3(att, FP))
-    same_bits(c[-1], cross3(w, Jw))
 
 
 @settings(max_examples=150, deadline=None)
@@ -654,3 +680,112 @@ def test_analysis_rhs_bits(n, M, C, cs, data):
     for g, r in zip(chart_rhs_out(cfg, xc, uc, q_ref),
                     old_chart_rhs_out(cfg, xc, uc, q_ref)):
         same_bits(g, r)
+
+
+# ------------------------------------------------------------ the batch axis
+
+def rows_are_single_calls(fn, batched, *args):
+    """fn on args whose flagged entries carry a leading batch axis equals,
+    row by row, fn on that row's arguments, bit for bit."""
+    got = fn(*args)
+    for b in range(len(next(a for a, f in zip(args, batched) if f))):
+        ref = fn(*(a[b] if f else a for a, f in zip(args, batched)))
+        if isinstance(ref, tuple):
+            for g, r in zip(got, ref):
+                same_bits(g[b], r)
+        else:
+            same_bits(got[b], ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rigid_bodies(max_agents=8), st.integers(1, 6), st.data())
+def test_batched_payload_kernels_rows_are_single_calls(body, k, data):
+    payload, com, cs = body
+    n = com.attachments.shape[0]
+    R, p, v, w, vdot, wdot, Fw, FP = (
+        data.draw(states((k,) + s, cs))
+        for s in ((3, 3), (3,), (3,), (3,), (3,), (3,), (n, 3), (n, 3)))
+    rows_are_single_calls(
+        lambda *a: attachment_kinematics(com, *a), (True,) * 4, p, v, R, w)
+    w_x_r = attachment_kinematics(com, p, v, R, w)[2]
+    rows_are_single_calls(
+        lambda *a: attachment_accel(com, *a), (True,) * 5,
+        R, w, w_x_r, vdot, wdot)
+    rows_are_single_calls(
+        lambda *a: payload_accel(com, payload.drag_F, payload.drag_M, *a),
+        (True,) * 5, R, v, w, Fw, FP)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.booleans(), st.data())
+def test_batched_agent_kernels_rows_are_single_calls(n, k, cs, data):
+    params = MavParams()
+    p, v, ref_p, ref_v = (data.draw(states((k, n, 3), cs)) for _ in range(4))
+    rows_are_single_calls(lambda *a: pd_position_control(*a, params),
+                          (True, True, True, False), p, v, ref_p, ref_v[0])
+    rows_are_single_calls(lambda F: saturate_thrust_command(F, params),
+                          (True,), p)
+    theta = data.draw(states((k, 3), cs)) / 1e3  # finite sines and coshes
+    theta[0] *= 1e-9  # the series branch near zero
+    rows_are_single_calls(rotvec_to_rotmat, (True,), theta)
+    rows_are_single_calls(cross3, (True, True), theta, v[:, 0])
+    rows_are_single_calls(cross3, (True, False), theta[:, None], p[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.booleans(), st.data())
+def test_batched_chart_rhs_rows_are_single_calls(n, k, cs, data):
+    cfg = AnalysisConfig(n_agents=n, tuning_M=4.0, tuning_C=12.0)
+    nx = 15 + 3 * n + 9 * (n - 1)
+    small = st.floats(-10.0, 10.0, allow_nan=False)
+    xc = data.draw(reals((k, nx), small))
+    u = data.draw(reals((k, cfg.n_inputs), small))
+    if cs:
+        step = st.one_of(st.sampled_from([0.0, -0.0, 1e-100, -1e-100]),
+                         st.floats(-1.0, 1.0))
+        xc = xc + 1j * data.draw(reals((k, nx), step))
+        u = u + 1j * data.draw(reals((k, cfg.n_inputs), step))
+    q_ref = quat_normalize(data.draw(reals(4, st.floats(0.1, 1.0))))
+    rows_are_single_calls(lambda x_, u_: chart_rhs_out(cfg, x_, u_, q_ref),
+                          (True, True), xc, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(), (1,), (5,), (2, 3)]), st.booleans(), st.data())
+def test_matvec_is_the_matmul_of_one_vector(lead, cs, data):
+    # attitude.matvec, and its fallback for numpy < 2.2, give each matrix
+    # and vector of a stack the bits of A @ x on that one vector
+    A = data.draw(states(lead + (3, 3), cs))
+    x = data.draw(states(lead + (3,), cs))
+    got = matvec(A, x)
+    same_bits((A @ x[..., None])[..., 0], got)
+    for k in np.ndindex(lead):
+        same_bits(got[k], A[k] @ x[k])
+
+
+@pytest.mark.parametrize("n, M, C", [(2, 8.0, 6.0), (3, 4.0, 12.0),
+                                     (5, 8.0, 6.0)])
+@pytest.mark.parametrize("op", ["rest", "transport"])
+def test_batched_jacobian_is_the_column_loop(op, n, M, C):
+    # the plants of margin_point: one chart_rhs_out call for every column
+    # against one call per column
+    cfg = AnalysisConfig(n_agents=n, tuning_M=M, tuning_C=C)
+    u0 = zero_input(cfg)
+    if op == "rest":
+        x_full = rest_state(cfg)
+    else:
+        x_full = preroll_transport(cfg)
+        u0[-3:] = TRANSPORT_VELOCITY
+    xc, q_ref = to_chart(cfg, x_full)
+    nx = xc.size
+
+    def stacked(xu):
+        dx, y = chart_rhs_out(cfg, xu[..., :nx], xu[..., nx:], q_ref)
+        return np.concatenate([dx, y], axis=-1)
+
+    xu = np.concatenate([xc, u0])
+    J = complex_step_jacobian(stacked, xu)
+    same_bits(J, old_complex_step_jacobian(stacked, xu))
+    assert J.flags.c_contiguous
+    plant = linearize(cfg, x_full=x_full, u0=u0)
+    same_bits(np.block([[plant.A, plant.B], [plant.C, plant.D]]), J)

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -416,7 +417,11 @@ def test_floor_polishes_only_what_can_raise_the_peak():
     balanced = ssv_upper_bound(G11, rs_struct, polish=False)
     peak = ssv_upper_bound(G11, rs_struct, floor=0.0)
     assert peak.max() == full.max()
-    assert np.all((peak == balanced) | (peak == full))
+    # a descent stopped once below the running maximum lies between its
+    # polished and balanced values, below the peak it cannot set
+    assert np.all((full <= peak) & (peak <= balanced))
+    between = (peak != balanced) & (peak != full)
+    assert np.all(peak[between] < peak.max())
     assert np.sum(peak < balanced) < np.sum(full < balanced)
     # a floor above every balanced value leaves nothing to polish
     above = ssv_upper_bound(G11, rs_struct, floor=balanced.max())
@@ -515,16 +520,24 @@ def test_margin_point_equals_bounding_every_frequency(
                                                  freqs, polish))
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_floors_are_lower_bounds_on_the_peak(seed):
-    # random responses with the default structures, their Frobenius norms
-    # spread over two decades so that the floors drop some frequencies
+def _random_response(seed, F, decades):
+    """A seeded random response of F frequencies with the default
+    structure of 2 or 3 agents, its Frobenius norms spread over the given
+    decades."""
     _, struct = _assembled(2 + seed % 2)
     ny, nu = sum(b.dim_y for b in struct), sum(b.dim_u for b in struct)
     rng = np.random.default_rng(seed)
-    F = 4
     G = ((rng.normal(size=(F, ny, nu)) + 1j * rng.normal(size=(F, ny, nu)))
-         * rng.permutation(np.logspace(-2.0, 0.0, F))[:, None, None])
+         * rng.permutation(np.logspace(-decades, 0.0, F))[:, None, None])
+    return G, struct
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_floors_are_lower_bounds_on_the_peak(seed):
+    # Frobenius norms spread over two decades, so that the floors drop
+    # some frequencies
+    F = 4
+    G, struct = _random_response(seed, F, 2.0)
     G11, rs_struct = rs_partition(G, struct)
     floor_rs, floor_rp = mu_mod._peak_floors(G, struct)
     rho = np.max(np.abs(np.linalg.eigvals(G11)), axis=1)
@@ -539,3 +552,65 @@ def test_floors_are_lower_bounds_on_the_peak(seed):
         assert np.any(np.linalg.norm(X, axis=(1, 2)) < floor)
         assert np.all(bound >= lower * (1.0 - 1e-9))
         assert bound.max() == everything
+
+
+def _no_polish_exit(monkeypatch):
+    """Run every descent to its end, whatever its stop threshold."""
+    descend = mu_mod._descend
+    monkeypatch.setattr(mu_mod, "_descend",
+                        lambda *args: descend(*args[:-1], -np.inf))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polish_exit_keeps_the_peak_and_its_frequency(monkeypatch, seed):
+    # Frobenius norms within 12% of each other, so that several balanced
+    # values exceed the running maximum and some descents stop early
+    G, struct = _random_response(seed, 8, 0.05)
+    G11, rs_struct = rs_partition(G, struct)
+    floors = mu_mod._peak_floors(G, struct)
+    calls = ((G11, rs_struct, floors[0]), (G, struct, floors[1]))
+    stopped = [mu_mod._peak_bound(X, s, floor, True) for X, s, floor in calls]
+    _no_polish_exit(monkeypatch)
+    full = [mu_mod._peak_bound(X, s, floor, True) for X, s, floor in calls]
+    for a, b in zip(stopped, full):
+        assert a.max() == b.max() and np.argmax(a) == np.argmax(b)
+        assert np.all(b <= a)
+        assert np.all(a[a != b] < a.max())
+    assert any(np.any(a != b) for a, b in zip(stopped, full))
+
+
+def test_margin_point_work_counts(monkeypatch):
+    # counts, not timings: one chart_rhs_out call per linearized plant, and
+    # fewer SVDs inside ssv_upper_bound than with the polish exit disabled
+    from swarmlift import analysis
+
+    counts = Counter()
+    chart, svd, ssv = (analysis.chart_rhs_out, np.linalg.svd,
+                       mu_mod.ssv_upper_bound)
+
+    def counted_chart(*args):
+        counts["chart_rhs_out"] += 1
+        return chart(*args)
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_ssv(*args, **kwargs):
+        before = counts["svd"]
+        out = ssv(*args, **kwargs)
+        counts["svd in ssv"] += counts["svd"] - before
+        return out
+
+    monkeypatch.setattr(analysis, "chart_rhs_out", counted_chart)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(mu_mod, "ssv_upper_bound", counted_ssv)
+    freqs = default_frequency_grid(80)
+    stopped = margin_point(3, 4.0, 12.0, freqs=freqs)
+    n_stopped = counts.copy()
+    counts.clear()
+    _no_polish_exit(monkeypatch)
+    full = margin_point(3, 4.0, 12.0, freqs=freqs)
+    assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 2
+    assert n_stopped["svd in ssv"] < counts["svd in ssv"]
+    assert stopped == full
