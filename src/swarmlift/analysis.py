@@ -296,7 +296,8 @@ def complex_step_jacobian(f, x):
     n = x.size
     xe = np.tile(x.astype(complex), (n, 1))
     xe[np.arange(n), np.arange(n)] += 1j * h
-    return np.imag(f(xe)).T.copy() / h  # C order, as the column loop's
+    # C order, the layout the plants downstream were pinned with
+    return np.imag(f(xe)).T.copy() / h
 
 
 def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
