@@ -45,6 +45,7 @@ from swarmlift.analysis import (
     zero_input,
 )
 from swarmlift.attitude import (
+    _matmul_matvec,
     cross3,
     euler_body_z,
     matvec,
@@ -751,16 +752,20 @@ def test_batched_chart_rhs_rows_are_single_calls(n, k, cs, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([(), (1,), (5,), (2, 3)]), st.booleans(), st.data())
-def test_matvec_is_the_matmul_of_one_vector(lead, cs, data):
-    # attitude.matvec, and its fallback for numpy < 2.2, give each matrix
-    # and vector of a stack the bits of A @ x on that one vector
-    A = data.draw(states(lead + (3, 3), cs))
-    x = data.draw(states(lead + (3,), cs))
-    got = matvec(A, x)
-    same_bits((A @ x[..., None])[..., 0], got)
-    for k in np.ndindex(lead):
-        same_bits(got[k], A[k] @ x[k])
+@given(st.sampled_from([(), (1,), (5,), (2, 3)]), st.booleans(), st.booleans(),
+       st.data())
+def test_matvec_is_the_matmul_of_one_vector(lead, cs_A, cs_x, data):
+    # attitude.matvec, and its matmul form for numpy < 2.2, give each matrix
+    # and vector of a stack the bits of A @ x on that one vector; also for
+    # a transposed (strided) stack, as payload_accel passes R^T, and for a
+    # real matrix times a complex-step vector
+    A = data.draw(states(lead + (3, 3), cs_A))
+    x = data.draw(states(lead + (3,), cs_x))
+    for M in (A, A.swapaxes(-1, -2)):
+        for f in (matvec, _matmul_matvec):
+            got = f(M, x)
+            for k in np.ndindex(lead):
+                same_bits(got[k], M[k] @ x[k])
 
 
 @pytest.mark.parametrize("n, M, C", [(2, 8.0, 6.0), (3, 4.0, 12.0),
