@@ -8,6 +8,11 @@ so the reference trajectory accelerates with the estimated external force.
 The controller is wrapped in the engagement FSM that debounces noisy force
 estimates against the engagement/disengagement thresholds and supports
 offset calibration by time-averaging the estimate while hovering.
+
+An AdmittanceState holds one slave, or a team along the leading axes of
+its Lambda_d (..., 3); each row has the bits of its own unstacked state. A
+command acts on every row, so the team engages, calibrates and disengages
+as one, and its rows differ only in TRACKING against GENERATING.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from .mav import real_array
 SNAP_EPS = 1e-6  # rest threshold for freezing an inactive axis exactly
 
 
-class AdmittanceMode(enum.Enum):
-    DISENGAGED = "disengaged"
-    IDLE = "idle"
-    CALIBRATING = "calibrating"
-    TRACKING = "tracking"  # engaged, every axis below threshold
-    GENERATING = "generating"  # at least one axis follows the force
+class AdmittanceMode(enum.IntEnum):
+    """The FSM's modes, valued as the codes the simulation log writes."""
+    DISENGAGED = 0
+    IDLE = 1
+    CALIBRATING = 2
+    TRACKING = 3  # engaged, every axis below threshold
+    GENERATING = 4  # at least one axis follows the force
 
 
 @dataclass(frozen=True)
@@ -65,22 +71,27 @@ class AdmittanceParams:
 
 @dataclass
 class AdmittanceState:
+    """A disengaged state shaped like Lambda_d. The modes are (...) arrays
+    of AdmittanceMode codes; calib_time is the team's."""
     params: AdmittanceParams
     Lambda_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    dLambda_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    z: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    zdot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    mode: AdmittanceMode = AdmittanceMode.DISENGAGED
-    axis_generating: np.ndarray = field(
-        default_factory=lambda: np.zeros(3, dtype=bool))
-    timer_above: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    timer_below: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    calib_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    calib_time: float = 0.0
-    t: float = 0.0
-    transitions: list = field(default_factory=list)
-    mode_after_calib: AdmittanceMode = AdmittanceMode.IDLE
+    dLambda_d: np.ndarray = field(init=False)
+    z: np.ndarray = field(init=False)
+    zdot: np.ndarray = field(init=False)
+    mode: np.ndarray = field(init=False)
+    axis_generating: np.ndarray = field(init=False)
+    timer_above: np.ndarray = field(init=False)
+    timer_below: np.ndarray = field(init=False)
+    offset: np.ndarray = field(init=False)
+    calib_sum: np.ndarray = field(init=False)
+    calib_time: float = field(init=False, default=0.0)
+    mode_after_calib: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.offset = np.zeros(np.shape(self.Lambda_d))
+        self.calib_sum = np.zeros_like(self.offset)
+        _latch(self, self.Lambda_d, AdmittanceMode.DISENGAGED)
+        self.mode_after_calib = self.mode
 
     @property
     def Lambda_r(self) -> np.ndarray:
@@ -91,142 +102,131 @@ class AdmittanceState:
         return self.dLambda_d + self.zdot
 
     @property
-    def engaged(self) -> bool:
-        return self.mode is not AdmittanceMode.DISENGAGED
+    def engaged(self) -> np.ndarray:
+        return self.mode != AdmittanceMode.DISENGAGED.value
 
     def corrected(self, F_raw) -> np.ndarray:
         return np.asarray(F_raw, dtype=float) - self.offset
 
 
+def _latch(st: AdmittanceState, pose, mode: AdmittanceMode) -> None:
+    """Desired trajectory at pose, every row at rest in mode."""
+    st.Lambda_d = np.array(pose, dtype=float)
+    st.dLambda_d, st.z, st.zdot, st.timer_above, st.timer_below = np.zeros(
+        (5,) + st.Lambda_d.shape)
+    st.axis_generating = np.zeros(st.Lambda_d.shape, dtype=bool)
+    st.mode = np.full(st.Lambda_d.shape[:-1], mode)
+
+
+def _team_mode(st: AdmittanceState) -> int:
+    """The largest row mode, as the rows differ only in TRACKING against
+    GENERATING; DISENGAGED for a team of no rows."""
+    return int(np.asarray(st.mode).max(
+        initial=AdmittanceMode.DISENGAGED.value))
+
+
 @lru_cache(maxsize=128)
-def _zoh_axis(M: float, C: float, K: float, Ts: float):
-    """Exact ZOH discretization of one admittance axis (z, zdot) <- force."""
-    blk = np.array([[0.0, 1.0, 0.0],
-                    [-K / M, -C / M, 1.0 / M],
-                    [0.0, 0.0, 0.0]])
-    E = expm(blk * Ts)
-    return E[:2, :2].copy(), E[:2, 2].copy()
-
-
-def engage(st: AdmittanceState, current_pose) -> AdmittanceState:
-    """Latch the desired trajectory to the current position and hold."""
-    st.Lambda_d = np.array(current_pose, dtype=float)
-    st.dLambda_d = np.zeros(3)
-    st.z = np.zeros(3)
-    st.zdot = np.zeros(3)
-    st.axis_generating[:] = False
-    st.timer_above[:] = 0.0
-    st.timer_below[:] = 0.0
-    st.mode = AdmittanceMode.IDLE
-    st.transitions.append((st.t, "x", None))
-    return st
+def _zoh(M: bytes, C: bytes, K: bytes, Ts: float):
+    """Exact ZOH discretization of the three admittance axes, (z, zdot) <-
+    force, as one stack: Ad (3, 2, 2) and Bd (3, 2). M, C and K are the
+    parameter arrays' bytes, which lru_cache can hash."""
+    E = np.array([expm(np.array([[0.0, 1.0, 0.0],
+                                 [-k / m, -c / m, 1.0 / m],
+                                 [0.0, 0.0, 0.0]]) * Ts)
+                  for m, c, k in zip(*map(np.frombuffer, (M, C, K)))])
+    return E[:, :2, :2].copy(), E[:, :2, 2].copy()
 
 
 def fsm_step(st: AdmittanceState, F_raw, dt: float, command: str = "none",
              current_pose=None) -> AdmittanceState:
-    """Advance the engagement FSM by one tick.
+    """Advance the engagement FSM by one tick, in place.
 
     Commands: engage (needs current_pose), disengage, compute_offset,
-    remove_offset, none. Per-axis |F_j| must exceed the upper threshold for
-    T_hi before that axis starts generating, and stay under the lower
-    threshold for T_lo before it freezes again.
+    remove_offset, none. A command acts on every row: engage needs no row
+    engaged, disengage and remove_offset every row engaged, compute_offset
+    every row engaged and none calibrating. Per-axis |F_j| must exceed the
+    upper threshold for T_hi before that axis starts generating, and stay
+    under the lower threshold for T_lo before it freezes again.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     p = st.params
-    st.t += dt
-
     if command == "engage":
-        if st.engaged:
+        if st.engaged.any():
             raise InvalidCommand("already engaged")
         if current_pose is None:
             raise InvalidCommand("engage requires the current pose")
-        return engage(st, current_pose)
-    if command == "disengage":
-        if not st.engaged:
-            raise InvalidCommand("not engaged")
-        # hand the reference back continuously: desired <- current reference
-        st.Lambda_d = st.Lambda_r.copy()
-        st.dLambda_d = st.dLambda_r.copy()
-        st.z = np.zeros(3)
-        st.zdot = np.zeros(3)
-        st.mode = AdmittanceMode.DISENGAGED
-        st.axis_generating[:] = False
-        st.transitions.append((st.t, "y", None))
-        return st
-    if command == "compute_offset":
-        if st.mode in (AdmittanceMode.DISENGAGED, AdmittanceMode.CALIBRATING):
-            raise InvalidCommand(f"cannot calibrate in {st.mode.value}")
-        st.mode_after_calib = st.mode
-        st.mode = AdmittanceMode.CALIBRATING
-        st.calib_sum = np.zeros(3)
-        st.calib_time = 0.0
-        st.transitions.append((st.t, "b", None))
-        return st
-    if command == "remove_offset":
-        if not st.engaged:
-            raise InvalidCommand("not engaged")
-        st.offset = np.zeros(3)
-        st.transitions.append((st.t, "d", None))
+        # latch the desired trajectory to the current position and hold
+        _latch(st, current_pose, AdmittanceMode.IDLE)
         return st
     if command != "none":
-        raise InvalidCommand(f"unknown command {command!r}")
-
-    if st.mode is AdmittanceMode.DISENGAGED:
+        if command not in ("disengage", "compute_offset", "remove_offset"):
+            raise InvalidCommand(f"unknown command {command!r}")
+        if not st.engaged.all():
+            raise InvalidCommand("not engaged")
+        if command == "disengage":
+            # hand the reference back continuously: desired <- reference
+            st.Lambda_d, st.dLambda_d = st.Lambda_r, st.dLambda_r
+            st.z, st.zdot = np.zeros_like(st.z), np.zeros_like(st.zdot)
+            st.axis_generating = np.zeros_like(st.axis_generating)
+            st.mode = np.full_like(st.mode, AdmittanceMode.DISENGAGED)
+        elif command == "compute_offset":
+            if (st.mode == AdmittanceMode.CALIBRATING).any():
+                raise InvalidCommand("already calibrating")
+            st.mode_after_calib = st.mode
+            st.mode = np.full_like(st.mode, AdmittanceMode.CALIBRATING)
+            st.calib_sum = np.zeros_like(st.calib_sum)
+            st.calib_time = 0.0
+        else:
+            st.offset = np.zeros_like(st.offset)
         return st
 
-    F_raw = np.asarray(F_raw, dtype=float)
-
-    if st.mode is AdmittanceMode.CALIBRATING:
-        st.calib_sum = st.calib_sum + F_raw * dt
+    team = _team_mode(st)
+    if team == AdmittanceMode.DISENGAGED:
+        return st
+    if team == AdmittanceMode.CALIBRATING:
+        st.calib_sum = st.calib_sum + np.asarray(F_raw, dtype=float) * dt
         st.calib_time += dt
         if st.calib_time >= p.T_avg - 1e-12:
             st.offset = st.calib_sum / st.calib_time
             st.mode = st.mode_after_calib
-            st.transitions.append((st.t, "c", None))
         return st
 
-    if st.mode is AdmittanceMode.IDLE:
-        st.mode = AdmittanceMode.TRACKING
-        st.transitions.append((st.t, "A", None))
-
+    # engaged: an idle team starts tracking
     F = np.abs(st.corrected(F_raw))
-    for j in range(3):
-        st.timer_above[j] = st.timer_above[j] + dt if F[j] > p.F_hi else 0.0
-        st.timer_below[j] = st.timer_below[j] + dt if F[j] < p.F_lo else 0.0
-        if not st.axis_generating[j] and st.timer_above[j] >= p.T_hi - 1e-12:
-            st.axis_generating[j] = True
-            st.transitions.append((st.t, "w", j))
-        elif st.axis_generating[j] and st.timer_below[j] >= p.T_lo - 1e-12:
-            st.axis_generating[j] = False
-            st.transitions.append((st.t, "v", j))
-    st.mode = (AdmittanceMode.GENERATING if st.axis_generating.any()
-               else AdmittanceMode.TRACKING)
+    st.timer_above = np.where(F > p.F_hi, st.timer_above + dt, 0.0)
+    st.timer_below = np.where(F < p.F_lo, st.timer_below + dt, 0.0)
+    st.axis_generating = np.where(st.axis_generating,
+                                  st.timer_below < p.T_lo - 1e-12,
+                                  st.timer_above >= p.T_hi - 1e-12)
+    # the codes as plain ints: numpy converts an enum member slowly
+    st.mode = np.where(st.axis_generating.any(axis=-1),
+                       AdmittanceMode.GENERATING.value,
+                       AdmittanceMode.TRACKING.value)
     return st
 
 
 def admittance_step(st: AdmittanceState, F_hat, Ts: float) -> AdmittanceState:
-    """Integrate the translational admittance law by one controller tick.
+    """Integrate the translational admittance law by one controller tick, in
+    place.
 
     Axes above threshold integrate the offset-corrected force; axes below
     threshold integrate zero force (noise rejected) and freeze exactly once
     at rest, keeping the reference C1-continuous across FSM transitions.
     """
-    if st.mode not in (AdmittanceMode.TRACKING, AdmittanceMode.GENERATING):
+    if _team_mode(st) < AdmittanceMode.TRACKING:
         return st
-    p = st.params
-    F = st.corrected(F_hat)
-    for j in range(3):
-        u = F[j] if st.axis_generating[j] else 0.0
-        if not st.axis_generating[j]:
-            at_rest = abs(st.zdot[j]) < SNAP_EPS and (
-                p.K[j] == 0.0 or abs(st.z[j]) < SNAP_EPS)
-            if at_rest:
-                st.zdot[j] = 0.0
-                if p.K[j] > 0.0:
-                    st.z[j] = 0.0
-                continue
-        Ad, Bd = _zoh_axis(p.M[j], p.C[j], p.K[j], Ts)
-        zj = Ad @ np.array([st.z[j], st.zdot[j]]) + Bd * u
-        st.z[j], st.zdot[j] = zj
+    p, gen = st.params, st.axis_generating
+    Ad, Bd = _zoh(p.M.tobytes(), p.C.tobytes(), p.K.tobytes(), Ts)
+    # each axis's 2 x 2 block times its (z, zdot) column, as one matmul
+    zz = np.concatenate((st.z[..., None, None], st.zdot[..., None, None]),
+                        axis=-2)
+    zz = (Ad @ zz)[..., 0] + Bd * np.where(gen, st.corrected(F_hat),
+                                           0.0)[..., None]
+    # an idle axis at rest stops: zdot, and z on a spring axis, snap to 0
+    spring = p.K > 0.0
+    rest = (~gen & (np.abs(st.zdot) < SNAP_EPS)
+            & (~spring | (np.abs(st.z) < SNAP_EPS)))
+    st.z = np.where(rest, np.where(spring, 0.0, st.z), zz[..., 0])
+    st.zdot = np.where(rest, 0.0, zz[..., 1])
     return st

@@ -160,10 +160,11 @@ def split_inputs(cfg: AnalysisConfig, u):
 
 def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
           u):
-    """Shared nonlinear dynamics; complex-step safe. Returns state
-    derivatives (except attitude kinematics) and the channel outputs, in
-    output order and not yet flattened. R, the states and u may carry the
-    same leading batch axes; each row then has the bits of its own call."""
+    """Shared nonlinear dynamics; complex-step safe. Returns the state
+    derivatives (except attitude kinematics), the PD force command and the
+    payload-frame thrust, from which chart_rhs_out builds the channel
+    outputs. R, the states and u may carry the same leading batch axes;
+    each row then has the bits of its own call."""
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
     u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
 
@@ -175,7 +176,6 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     ref_v = np.concatenate((w[..., None, :], zdot), -2)
 
     F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
-    y_mpc = F_cmd
     F_lag_in_w = saturate_thrust_command(F_cmd + u_mpc, mav)
     # the realized thrust is carried in the payload frame (the joints are
     # fixed to the payload: once settled it tilts with the structure); lateral
@@ -183,7 +183,6 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     # magnitude with the (much faster) motor lag
     F_lag_in_P = c_einsum("...ji,...nj->...ni", R, F_lag_in_w)
     dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust
-    y_att = F_prop
     F_cons_P = F_prop + u_att
     F_cons_w = c_einsum("...ij,...nj->...ni", R, F_cons_P)
 
@@ -194,8 +193,6 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
                                      F_cons_w, F_cons_P)
     v_dot = v_dot - cfg.w_mass * u_mass
     omega_dot = omega_dot - matvec(cfg.G_inertia, u_J)
-    y_mass = v_dot + G_EZ
-    y_J = omega_dot
 
     dp_ref = w
 
@@ -207,15 +204,15 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     F_used = F_hat + u_est - cfg.F_int_trim
     dzdot = (F_used - adm.C * zdot - adm.K * z) / adm.M
 
-    outputs = (y_mass, y_J, y_mpc, y_att, F_hat, F_cons_P[..., :2], v, p)
-    return (v_dot, omega_dot, dp_ref, dF_prop, dF_hat, zdot, dzdot), outputs
+    return ((v_dot, omega_dot, dp_ref, dF_prop, dF_hat, zdot, dzdot), F_cmd,
+            F_cons_P)
 
 
 def full_rhs(cfg: AnalysisConfig, x, u):
     """State derivative with quaternion payload attitude (real arithmetic)."""
     p, v, q, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(cfg, x)
-    der, _ = _core(cfg, quat_to_rotmat(q), p, v, omega, p_ref, F_prop, F_hat,
-                   z, zdot, u)
+    der, _, _ = _core(cfg, quat_to_rotmat(q), p, v, omega, p_ref, F_prop,
+                      F_hat, z, zdot, u)
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
     return pack_state(v, v_dot, quat_rate(q, omega), omega_dot, dp_ref,
                       dF_prop, dF_hat, dz, dzdot)
@@ -228,9 +225,14 @@ def chart_rhs_out(cfg: AnalysisConfig, xc, u, q_ref):
     p, v, theta, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(
         cfg, xc, n_att=3)
     R = quat_to_rotmat(q_ref) @ rotvec_to_rotmat(theta)
-    der, outputs = _core(cfg, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot, u)
+    der, F_cmd, F_cons_P = _core(cfg, R, p, v, omega, p_ref, F_prop, F_hat,
+                                 z, zdot, u)
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
     dtheta = omega + 0.5 * cross3(theta, omega)
+    # the outputs in output_channels order: y_mass, y_J, y_mpc, y_att,
+    # y_est, z_lat, v_WP and p_WP
+    outputs = (v_dot + G_EZ, omega_dot, F_cmd, F_prop, F_hat,
+               F_cons_P[..., :2], v, p)
     return (pack_state(v, v_dot, dtheta, omega_dot, dp_ref, dF_prop, dF_hat,
                        dz, dzdot),
             np.concatenate([y.reshape(xc.shape[:-1] + (-1,))

@@ -3,7 +3,8 @@
 A single FSM commands the same altitude increment to every agent, waits for
 all of them to acknowledge (reach the target within tolerance), engages the
 slaves' admittance controllers once the transport altitude is reached, and
-mirrors the procedure for landing.
+mirrors the procedure for landing. Each phase passes once, so the slaves
+are engaged once; the phases are valued as the codes the log writes.
 
 An agent that carries part of the payload hovers below its commanded
 altitude: its position loop feeds forward only its own weight, so it settles
@@ -15,17 +16,17 @@ commanded target itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-class MissionPhase(enum.Enum):
-    GROUNDED = "grounded"
-    ASCENDING = "ascending"
-    TRANSPORTING = "transporting"
-    DESCENDING = "descending"
-    LANDED = "landed"
+class MissionPhase(enum.IntEnum):
+    GROUNDED = 0
+    ASCENDING = 1
+    TRANSPORTING = 2
+    DESCENDING = 3
+    LANDED = 4
 
 
 @dataclass
@@ -39,8 +40,6 @@ class MissionState:
     phase: MissionPhase = MissionPhase.GROUNDED
     target: float = 0.0
     increments_issued: int = 0
-    slaves_engaged: bool = False
-    phase_log: list = field(default_factory=list)
 
 
 def _all_acked(ms: MissionState, altitudes) -> bool:
@@ -64,7 +63,6 @@ def mission_step(ms: MissionState, agent_altitudes, begin_descent: bool = False)
         ms.target = min(ms.ground_altitude + ms.dh, ms.transport_altitude)
         ms.increments_issued += 1
         ms.phase = MissionPhase.ASCENDING
-        ms.phase_log.append(ms.phase)
         commands.append(("set_altitude", ms.target))
         return ms, commands
 
@@ -72,10 +70,7 @@ def mission_step(ms: MissionState, agent_altitudes, begin_descent: bool = False)
         if _all_acked(ms, agent_altitudes):
             if ms.target >= ms.transport_altitude - 1e-12:
                 ms.phase = MissionPhase.TRANSPORTING
-                ms.phase_log.append(ms.phase)
-                if not ms.slaves_engaged:
-                    ms.slaves_engaged = True
-                    commands.append(("engage_slaves",))
+                commands.append(("engage_slaves",))
                 commands.append(("release_master",))
             else:
                 ms.target = min(ms.target + ms.dh, ms.transport_altitude)
@@ -86,11 +81,9 @@ def mission_step(ms: MissionState, agent_altitudes, begin_descent: bool = False)
     if ms.phase is MissionPhase.TRANSPORTING:
         if begin_descent:
             commands.append(("disengage_slaves",))
-            ms.slaves_engaged = False
             ms.target = max(ms.target - ms.dh, ms.ground_altitude)
             ms.increments_issued += 1
             ms.phase = MissionPhase.DESCENDING
-            ms.phase_log.append(ms.phase)
             commands.append(("set_altitude", ms.target))
         return ms, commands
 
@@ -98,7 +91,6 @@ def mission_step(ms: MissionState, agent_altitudes, begin_descent: bool = False)
         if _all_acked(ms, agent_altitudes):
             if ms.target <= ms.ground_altitude + 1e-12:
                 ms.phase = MissionPhase.LANDED
-                ms.phase_log.append(ms.phase)
                 commands.append(("landed",))
             else:
                 ms.target = max(ms.target - ms.dh, ms.ground_altitude)

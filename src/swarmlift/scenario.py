@@ -64,7 +64,10 @@ when the scenario is loaded, and so does a value that fails its check:
 A Scenario is frozen: a field changes only through dataclasses.replace,
 which checks the fields again, as the CLI does for its overrides. Its noise
 is a read-only mapping and its events a tuple of read-only mappings whose
-vectors are tuples, so no write skips the checks.
+vectors are tuples, so no write skips the checks. A document with no payload
+section leaves the payload to the Scenario, which derives it from n_agents
+and mav.m_bar, and derives it again on every replace; a given payload is
+kept.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ import hashlib
 import json
 import math
 import numbers
+import weakref
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import MappingProxyType
@@ -246,6 +250,10 @@ def _document_keys() -> dict:
 
 
 DOCUMENT_KEYS = _document_keys()
+# the payloads that Scenario derived itself, by id, so that replace derives
+# them again from the new n_agents and mav.m_bar; it marks immutable objects
+# and keeps none alive
+_DERIVED_PAYLOADS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -285,9 +293,12 @@ class Scenario:
         ratio = self.ctrl_rate / self.est_rate
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
             raise ScenarioError("estimator rate must divide the controller rate")
-        if self.payload is None:
-            object.__setattr__(self, "payload", checked_call(
-                "payload", default_payload, self.n_agents, self.mav.m_bar))
+        if (self.payload is None
+                or _DERIVED_PAYLOADS.get(id(self.payload)) is self.payload):
+            payload = checked_call("payload", default_payload, self.n_agents,
+                                   self.mav.m_bar)
+            _DERIVED_PAYLOADS[id(payload)] = payload
+            object.__setattr__(self, "payload", payload)
         if self.payload.n_agents != self.n_agents:
             raise ScenarioError(
                 f"payload.attachments: {self.payload.n_agents} rows for "
@@ -355,8 +366,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     mav = checked_call("mav", MavParams, **doc["mav"])
     adm = checked_call("admittance", AdmittanceParams, **doc["admittance"])
     sc = Scenario(
-        n_agents=n_agents, mav=mav,
-        payload=_payload_from_dict(n_agents, mav, doc["payload"]), adm=adm,
+        n_agents=n_agents, mav=mav, adm=adm,
+        payload=(_payload_from_dict(n_agents, mav, doc["payload"])
+                 if doc["payload"] else None),
         **{name: flat[path] for name, (path, *_) in SCHEMA.items()
            if path in flat})
     for key in ("M", "C"):

@@ -11,9 +11,9 @@ never read the payload, so each tick integrates them first and the
 payload after them (integrate_tick).
 
 The team's controller state is a set of (N, ...) arrays, row 0 the master.
-Each controller tick runs the low-level cascade once on the whole team;
-only the slaves' admittance FSMs step one slave at a time, and their EKFs or
-UKFs run as one stacked filter.
+Each controller tick runs the low-level cascade once on the whole team, the
+slaves' admittance FSMs as one stacked state (one fsm_step and one
+admittance_step call) and their EKFs or UKFs as one stacked filter.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ekf as ekf_mod
 from . import ukf as ukf_mod
-from .admittance import AdmittanceMode, AdmittanceState, admittance_step, fsm_step
+from .admittance import AdmittanceState, admittance_step, fsm_step
 from .attitude import (
     body_rate_from_euler_rate,
     euler_body_z,
@@ -34,7 +34,7 @@ from .attitude import (
     quat_to_rotmat,
     rotmat_to_euler,
 )
-from .errors import ScenarioError
+from .errors import InvalidCommand, ScenarioError
 from .mav import (
     GRAVITY,
     attitude_accel,
@@ -77,14 +77,6 @@ def log_columns(n_agents: int, rotor_count: int) -> list[str]:
     cols += [f"pl_w{ax}" for ax in "xyz"]
     cols += ["mission_phase"]
     return cols
-
-
-FSM_CODE = {AdmittanceMode.DISENGAGED: 0, AdmittanceMode.IDLE: 1,
-            AdmittanceMode.CALIBRATING: 2, AdmittanceMode.TRACKING: 3,
-            AdmittanceMode.GENERATING: 4}
-PHASE_CODE = {MissionPhase.GROUNDED: 0, MissionPhase.ASCENDING: 1,
-              MissionPhase.TRANSPORTING: 2, MissionPhase.DESCENDING: 3,
-              MissionPhase.LANDED: 4}
 
 
 @dataclass
@@ -212,7 +204,7 @@ def integrate_tick(sc: Scenario, com, x, xa, held, t: float):
 
 def run_scenario(sc: Scenario) -> RunLog:
     """Deterministic fixed-step simulation of a scenario; divergence is
-    reported in the log rather than raised."""
+    reported in the log, and an event the FSM refuses as ScenarioError."""
     N = sc.n_agents
     com = com_system(sc.payload, np.full(N, sc.mav.m))
     rng = np.random.default_rng(sc.seed)
@@ -270,15 +262,13 @@ def run_scenario(sc: Scenario) -> RunLog:
     rotor = rotor_speeds_from_wrench(np.zeros((N, 3)), F_mag, sc.mav)
     F_hat = np.zeros((N, 3))
     F_hat[1:] = F_int_trim
-    # the slaves' admittance FSMs, item i - 1 for agent i
-    adm = []
-    for i in range(1, N):
-        st = AdmittanceState(params=sc.adm)
-        if sc.start_engaged:
-            st = fsm_step(st, np.zeros(3), 1.0 / sc.ctrl_rate,
-                          command="engage", current_pose=hover_ref[i])
-            st.offset = F_int_trim.copy()
-        adm.append(st)
+    # the slaves' admittance FSMs as one state, row i - 1 for agent i;
+    # fsm_step and admittance_step update it in place
+    adm = AdmittanceState(sc.adm, np.zeros((N - 1, 3)))
+    if sc.start_engaged:
+        fsm_step(adm, None, 1.0 / sc.ctrl_rate, command="engage",
+                 current_pose=hover_ref[1:])
+        adm.offset[:] = F_int_trim
     # the slaves' EKFs or UKFs run as one stacked filter, row i - 1 for
     # agent i
     ekf_est = None
@@ -311,28 +301,19 @@ def run_scenario(sc: Scenario) -> RunLog:
 
     drag_F = sc.payload.drag_F
     drag_M = sc.payload.drag_M
-    def fsm_command(command):
-        for j, st in enumerate(adm):
-            adm[j] = fsm_step(st, np.zeros(3), dt_ctrl, command=command)
-
     def engage_slaves(calibrate=False):
         # latch at the held reference, not the sagged pose
-        for j, st in enumerate(adm):
-            if not st.engaged:
-                st = fsm_step(st, np.zeros(3), dt_ctrl, command="engage",
-                              current_pose=ref_p[j + 1])
-                if calibrate:
-                    st = fsm_step(st, np.zeros(3), dt_ctrl,
-                                  command="compute_offset")
-                adm[j] = st
+        if not adm.engaged.any():
+            fsm_step(adm, None, dt_ctrl, command="engage",
+                     current_pose=ref_p[1:])
+            if calibrate:
+                fsm_step(adm, None, dt_ctrl, command="compute_offset")
 
     def disengage_slaves():
         # hold the reference the FSM hands back, not the takeoff position
-        for j, st in enumerate(adm):
-            if st.engaged:
-                adm[j] = fsm_step(st, np.zeros(3), dt_ctrl,
-                                  command="disengage")
-                hold[j + 1] = adm[j].Lambda_d
+        if adm.engaged.any():
+            fsm_step(adm, None, dt_ctrl, command="disengage")
+            hold[1:] = adm.Lambda_d
 
     for k in range(n_ctrl):
         p_pl, v_pl, q_pl, w_pl = x[0:3], x[3:6], x[6:10], x[10:13]
@@ -353,7 +334,11 @@ def run_scenario(sc: Scenario) -> RunLog:
             elif act == "disengage_slaves":
                 disengage_slaves()
             elif act in ("compute_offset", "remove_offset"):
-                fsm_command(act)
+                try:
+                    fsm_step(adm, None, dt_ctrl, command=act)
+                except InvalidCommand as exc:
+                    raise ScenarioError(
+                        f"event {act} at t={ev['t']}: {exc}") from None
             else:
                 raise ScenarioError(f"unknown event action {act!r}")
 
@@ -422,14 +407,12 @@ def run_scenario(sc: Scenario) -> RunLog:
             ref_p[0], ref_v[0] = hold[0], 0.0
         else:
             ref_p[0], ref_v[0] = master_p, master_v
-        for j, st in enumerate(adm):
-            if st.engaged:
-                st = fsm_step(st, F_hat[j + 1], dt_ctrl)
-                st = admittance_step(st, F_hat[j + 1], dt_ctrl)
-                adm[j] = st
-                ref_p[j + 1], ref_v[j + 1] = st.Lambda_r, st.dLambda_r
-            else:
-                ref_p[j + 1], ref_v[j + 1] = hold[j + 1], 0.0
+        if adm.engaged.any():
+            fsm_step(adm, F_hat[1:], dt_ctrl)
+            admittance_step(adm, F_hat[1:], dt_ctrl)
+            ref_p[1:], ref_v[1:] = adm.Lambda_r, adm.dLambda_r
+        else:
+            ref_p[1:], ref_v[1:] = hold[1:], 0.0
 
         # the team's low-level cascade: PD, thrust allocation, attitude loop
         # and rotors
@@ -441,13 +424,13 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         # log the tick
         q_i = euler_to_quat(eta)
-        fsm = [-1] + [FSM_CODE[st.mode] for st in adm]
         agent_rows = np.concatenate(
             [p_i, v_i, q_i, omega_i, Fw_now, F_hat, ref_p, eta_cmd,
-             F_cmd_mag[:, None], rotor, np.array(fsm)[:, None]], axis=1)
+             F_cmd_mag[:, None], rotor,
+             np.concatenate(([-1], adm.mode))[:, None]], axis=1)
         data[k, :] = np.concatenate(
             [[t], agent_rows.ravel(), p_pl, q_pl, v_pl, w_pl,
-             [PHASE_CODE[mission.phase] if mission else -1]])
+             [mission.phase if mission else -1]])
 
         # integrate the coupled dynamics over one controller period
         if sc.thrust_model == "attitude":

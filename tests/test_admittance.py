@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ def test_engage_initializes_reference():
     st = AdmittanceState(params=p)
     st = fsm_step(st, np.zeros(3), TS, command="engage",
                   current_pose=[1.0, 2.0, 3.0])
-    assert st.mode is AdmittanceMode.IDLE
+    assert st.mode == AdmittanceMode.IDLE
     assert_allclose(st.Lambda_d, [1, 2, 3])
     assert_allclose(st.dLambda_d, np.zeros(3))
     assert_allclose(st.Lambda_r, [1, 2, 3])
@@ -103,7 +105,7 @@ def test_fsm_engagement_debounce():
     for k in range(11):
         st = fsm_step(st, [1.0, 0, 0], TS)
     assert st.axis_generating[0]
-    assert st.mode is AdmittanceMode.GENERATING
+    assert st.mode == AdmittanceMode.GENERATING
 
 
 def test_fsm_sinusoid_schedule():
@@ -115,10 +117,14 @@ def test_fsm_sinusoid_schedule():
     A, f = 1.0, 0.25
     T_end = 4.0
     n = int(round(T_end / TS))
+    ev = []  # (time, "w" when axis 0 starts generating, "v" when it stops)
     for k in range(n):
-        t = (k + 1) * TS  # fsm_step advances time before sampling
+        t = (k + 1) * TS  # the tick's sample time
         F = np.array([A * np.sin(2 * np.pi * f * t), 0.0, 0.0])
+        was = st.axis_generating[0]
         st = fsm_step(st, F, TS)
+        if st.axis_generating[0] != was:
+            ev.append((t, "v" if was else "w"))
     # hand schedule: |F| > 0.6 from t1 = asin(0.6)/w; engaged at t1 + 0.1
     w = 2 * np.pi * f
     t1 = np.arcsin(0.6 / A) / w
@@ -128,7 +134,6 @@ def test_fsm_sinusoid_schedule():
     t_disengage = t2 + p.T_lo
     # second period, same crossings shifted by pi/w (|sin| has period pi)
     t_engage2 = t1 + np.pi / w + p.T_hi
-    ev = [(t, lab) for (t, lab, ax) in st.transitions if lab in ("w", "v") and ax == 0]
     expected = [(t_engage, "w"), (t_disengage, "v"), (t_engage2, "w")]
     assert len(ev) >= 3
     for (t_got, lab_got), (t_exp, lab_exp) in zip(ev, expected):
@@ -189,12 +194,12 @@ def test_reference_is_c1_across_transitions():
 def test_calibration_averages_bias():
     st = engaged_state()
     st = fsm_step(st, np.zeros(3), TS, command="compute_offset")
-    assert st.mode is AdmittanceMode.CALIBRATING
+    assert st.mode == AdmittanceMode.CALIBRATING
     bias = np.array([0.4, -0.2, 0.1])
     n = int(round(st.params.T_avg / TS))
     for _ in range(n):
         st = fsm_step(st, bias, TS)
-    assert st.mode is not AdmittanceMode.CALIBRATING
+    assert st.mode != AdmittanceMode.CALIBRATING
     assert_allclose(st.offset, bias, atol=1e-12)
     assert_allclose(st.corrected(bias), np.zeros(3), atol=1e-12)
     st = fsm_step(st, bias, TS, command="remove_offset")
@@ -258,7 +263,7 @@ def test_fsm_generating_mode_iff_an_axis_generates(runs, offset):
     for F in ticks(runs):
         st = fsm_step(st, F, TS)
         assert st.mode in (AdmittanceMode.TRACKING, AdmittanceMode.GENERATING)
-        assert ((st.mode is AdmittanceMode.GENERATING)
+        assert ((st.mode == AdmittanceMode.GENERATING)
                 == bool(st.axis_generating.any()))
 
 
@@ -296,3 +301,66 @@ def test_admittance_keeps_a_resting_idle_axis_frozen(runs, offset, start):
         st = admittance_step(st, F, TS)
         assert np.all(st.zdot[rest] == 0.0)
         assert np.all(st.z[rest] == np.where(K > 0.0, 0.0, z)[rest])
+
+
+# ------------------------------------------- a stacked team (property)
+
+# a team's schedule: steps of a command ("none" for no command) and then a
+# force run, a seeded (S, 3) force in [-2, 2] N held for a number of ticks,
+# so that axes cross both thresholds
+TEAM_SCHEDULE = hst.lists(
+    hst.tuples(hst.sampled_from(["none", "engage", "disengage",
+                                 "compute_offset", "remove_offset"]),
+               hst.integers(0, 2**32 - 1), hst.integers(1, 25)),
+    min_size=1, max_size=12)
+
+
+def assert_rows_are_states(team, rows):
+    """Every array of the stacked team, byte for byte, is the stack of the
+    unstacked states' arrays."""
+    for f in fields(AdmittanceState):
+        if f.name == "params":
+            continue
+        got = np.asarray(getattr(team, f.name))
+        want = np.stack([np.asarray(getattr(st, f.name)) for st in rows])
+        if f.name == "calib_time":  # the team's, and each row's
+            want = np.unique(want)
+        assert got.dtype == want.dtype, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(1, 5), TEAM_SCHEDULE)
+def test_stacked_rows_equal_unstacked_states(S, schedule):
+    p = AdmittanceParams(T_avg=0.1)  # calibration ends within a force run
+    team = AdmittanceState(p, np.zeros((S, 3)))
+    rows = [AdmittanceState(p) for _ in range(S)]
+    # engaged first, so that most commands are accepted
+    for command, seed, n in [("engage", 0, 1)] + schedule:
+        rng = np.random.default_rng(seed)
+        pose = rng.uniform(-1.0, 1.0, (S, 3))
+        if command != "none":
+            refused = set()
+            for st, pose_i in zip(rows, pose):
+                try:
+                    fsm_step(st, None, TS, command=command,
+                             current_pose=pose_i)
+                    refused.add(False)
+                except InvalidCommand:
+                    refused.add(True)
+            assert len(refused) == 1  # every row was in the same mode
+            if refused.pop():
+                with pytest.raises(InvalidCommand):
+                    fsm_step(team, None, TS, command=command,
+                             current_pose=pose)
+            else:
+                fsm_step(team, None, TS, command=command, current_pose=pose)
+            assert_rows_are_states(team, rows)
+        F = rng.uniform(-2.0, 2.0, (S, 3))
+        for _ in range(n):
+            fsm_step(team, F, TS)
+            admittance_step(team, F, TS)
+            for st, F_i in zip(rows, F):
+                fsm_step(st, F_i, TS)
+                admittance_step(st, F_i, TS)
+            assert_rows_are_states(team, rows)

@@ -251,6 +251,33 @@ def test_parameter_objects_change_only_through_replace():
     assert replace(sc).config_hash() == sc.config_hash()
 
 
+@pytest.mark.parametrize("change", ["m_bar", "n_agents"])
+def test_derived_payload_follows_replace(change):
+    # a payload that no document gave is derived again, as loading the
+    # changed document derives it; a derived payload once stayed 1.5 kg
+    doc = {"n_agents": 3, "duration": 1.0}
+    sc = scenario_from_dict(doc)
+    if change == "m_bar":
+        changed = replace(sc, mav=replace(sc.mav, m_bar=2.0))
+        doc["mav"] = {"m_bar": 2.0}
+    else:
+        changed = replace(sc, n_agents=4)
+        doc["n_agents"] = 4
+    loaded = scenario_from_dict(doc)
+    assert changed.payload.m_p == loaded.payload.m_p
+    assert changed.config_hash() == loaded.config_hash()
+    assert replace(changed).config_hash() == loaded.config_hash()
+
+
+def test_given_payload_is_kept_under_replace():
+    sc = scenario_from_dict({"n_agents": 3, "duration": 1.0,
+                             "payload": {"mass": 2.0}})
+    changed = replace(sc, mav=replace(sc.mav, m_bar=2.0))
+    assert changed.payload is sc.payload
+    with pytest.raises(ScenarioError, match="3 rows for 4 agents"):
+        replace(sc, n_agents=4)
+
+
 def test_parameter_objects_cannot_change_in_place():
     # both writes once went through silently, skipping the checks
     sc = beam(events=[{"t": 0.5, "action": "master_step",
@@ -545,6 +572,29 @@ def test_engage_event_latches_held_reference():
     assert abs(log.col("a1_pz")[-1] - log.col("a0_pz")[-1]) < 0.01
 
 
+# events the FSM refuses: an offset for disengaged slaves, and an offset
+# removed after the slaves disengaged
+REFUSED_EVENTS = {
+    "compute_offset": (False, [{"t": 0.1, "action": "compute_offset"}]),
+    "remove_offset": (True, [{"t": 0.1, "action": "disengage_slaves"},
+                             {"t": 0.2, "action": "remove_offset"}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_EVENTS))
+def test_refused_event_fails_the_scenario(case, tmp_path, capsys):
+    start_engaged, events = REFUSED_EVENTS[case]
+    doc = {"n_agents": 2, "duration": 0.3, "start_engaged": start_engaged,
+           "events": events}
+    message = f"{case} at t={events[-1]['t']}: not engaged"
+    with pytest.raises(ScenarioError, match=message):
+        run_scenario(scenario_from_dict(doc))
+    cfg = tmp_path / "refused.json"
+    cfg.write_text(json.dumps(doc))
+    assert_cli_error(capsys, ["simulate", str(cfg), "--out-dir",
+                              str(tmp_path)], message)
+
+
 def test_mission_descent_keeps_transported_position():
     sc = beam(duration=16.0, start_engaged=False, transport_altitude=0.5,
               mission={"auto": True, "dh": 0.25, "tol": 0.05,
@@ -650,6 +700,23 @@ def mission_scenario():
     })
 
 
+def one_agent_scenario():
+    # a team of no slaves: the slave events and the coordinator's engage
+    # and disengage commands reach zero FSM rows
+    return scenario_from_dict({
+        "n_agents": 1, "duration": 3.0, "seed": 11, "start_engaged": False,
+        "transport_altitude": 0.3,
+        "noise": {"p": 0.01, "v": 0.02, "att": 0.005, "rate": 0.01},
+        "mission": {"auto": True, "dh": 0.3, "tol": 0.1, "land_at": 2.0},
+        "events": [
+            {"t": 0.1, "action": "engage_slaves"},
+            {"t": 0.15, "action": "compute_offset"},
+            {"t": 0.4, "action": "master_velocity", "v": [0.4, -0.3, 0.1]},
+            {"t": 0.7, "action": "remove_offset"},
+            {"t": 0.8, "action": "disengage_slaves"}],
+    })
+
+
 # scenario, the column whose codes the run must log, the codes, the sha256
 # of the whole log
 PATH_CASES = {
@@ -659,6 +726,9 @@ PATH_CASES = {
     "mission": (
         mission_scenario, "mission_phase", [1.0, 2.0, 3.0, 4.0],
         "d78d7156d4329002465ead27035db7c73380b634a48b55bb9027edfd76cf423b"),
+    "one_agent": (
+        one_agent_scenario, "mission_phase", [1.0, 2.0, 3.0, 4.0],
+        "1e256a8d796c85e49544f65027af48399915c8215d38b4c118b1083ac8dba194"),
 }
 
 
@@ -773,6 +843,29 @@ def test_one_stacked_ekf_call_per_estimator_tick(monkeypatch):
                  est_rate=50.0)
     run_scenario(sc)
     assert calls["predict"] == calls["update"] == [(4, ekf_mod.NX)] * 5
+
+
+@pytest.mark.parametrize("n_agents", [2, 4, 8])
+def test_one_stacked_admittance_call_per_tick(monkeypatch, n_agents):
+    calls = {"fsm_step": [], "admittance_step": []}
+
+    def counting(name):
+        fn = getattr(simulate, name)
+
+        def wrapped(st, *args, **kw):
+            calls[name].append((kw.get("command", "none"), st.Lambda_d.shape))
+            return fn(st, *args, **kw)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counting(name))
+    # 10 controller ticks of engaged slaves
+    sc = replace(golden_scenario("attitude", "ekf", n_agents), duration=0.1)
+    run_scenario(sc)
+    rows = (n_agents - 1, 3)
+    # the engage before the first tick, then one call per tick
+    assert calls["fsm_step"] == [("engage", rows)] + [("none", rows)] * 10
+    assert calls["admittance_step"] == [("none", rows)] * 10
 
 
 def test_one_team_control_call_per_tick(monkeypatch):
