@@ -88,8 +88,7 @@ class AdmittanceState:
     mode_after_calib: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.offset = np.zeros(np.shape(self.Lambda_d))
-        self.calib_sum = np.zeros_like(self.offset)
+        self.offset, self.calib_sum = np.zeros((2,) + np.shape(self.Lambda_d))
         _latch(self, self.Lambda_d, AdmittanceMode.DISENGAGED)
         self.mode_after_calib = self.mode
 
@@ -130,10 +129,11 @@ def _zoh(M: bytes, C: bytes, K: bytes, Ts: float):
     """Exact ZOH discretization of the three admittance axes, (z, zdot) <-
     force, as one stack: Ad (3, 2, 2) and Bd (3, 2). M, C and K are the
     parameter arrays' bytes, which lru_cache can hash."""
-    E = np.array([expm(np.array([[0.0, 1.0, 0.0],
-                                 [-k / m, -c / m, 1.0 / m],
-                                 [0.0, 0.0, 0.0]]) * Ts)
-                  for m, c, k in zip(*map(np.frombuffer, (M, C, K)))])
+    M, C, K = map(np.frombuffer, (M, C, K))
+    blocks = np.zeros((3, 3, 3))  # one 3 x 3 block per axis
+    blocks[:, 0, 1] = 1.0
+    blocks[:, 1] = np.stack((-K / M, -C / M, 1.0 / M), axis=-1)
+    E = expm(blocks * Ts)
     return E[:, :2, :2].copy(), E[:, :2, 2].copy()
 
 

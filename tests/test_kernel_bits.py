@@ -13,7 +13,9 @@ component formula and ``np.cross``. The analysis model's right-hand sides
 are checked against a frozen copy of their earlier ``_core``, built on
 these oracles. The simulator's tick, agents first and then the payload,
 is checked in both thrust models against its earlier joint RK4 on one
-state array, and stacked ``euler_body_z`` rows against single calls.
+state array, and stacked ``euler_body_z`` rows against single calls. The
+stacked admittance step of a team of slaves is checked against its earlier
+loop over one slave's axes, one expm and one 2 x 2 product per axis.
 
 The analysis model and the kernels it runs take a leading batch axis, so
 that ``complex_step_jacobian`` evaluates every column in one call: each
@@ -29,7 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.linalg._umath_linalg import solve1
+from scipy.linalg import expm
 
+from swarmlift.admittance import (
+    SNAP_EPS,
+    AdmittanceMode,
+    AdmittanceParams,
+    AdmittanceState,
+    admittance_step,
+)
 from swarmlift.analysis import (
     TRANSPORT_VELOCITY,
     AnalysisConfig,
@@ -350,6 +360,30 @@ def old_integration_matrix(omega, Ts):
     Om[..., 3, 1] = -py
     Om[..., 3, 2] = -pz
     return Om
+
+
+def old_admittance_step(p, z, zdot, generating, F, Ts):
+    """One slave's (z, zdot) after the earlier per-axis admittance step, on
+    its offset-corrected force F."""
+    z, zdot = z.copy(), zdot.copy()
+    for j in range(3):
+        u = F[j] if generating[j] else 0.0
+        if not generating[j]:
+            at_rest = abs(zdot[j]) < SNAP_EPS and (
+                p.K[j] == 0.0 or abs(z[j]) < SNAP_EPS)
+            if at_rest:
+                zdot[j] = 0.0
+                if p.K[j] > 0.0:
+                    z[j] = 0.0
+                continue
+        blk = np.array([[0.0, 1.0, 0.0],
+                        [-p.K[j] / p.M[j], -p.C[j] / p.M[j], 1.0 / p.M[j]],
+                        [0.0, 0.0, 0.0]])
+        E = expm(blk * Ts)
+        Ad, Bd = E[:2, :2].copy(), E[:2, 2].copy()
+        zj = Ad @ np.array([z[j], zdot[j]]) + Bd * u
+        z[j], zdot[j] = zj
+    return z, zdot
 
 
 def old_team_attitude_command(F_cmd_w, eta, eta_dot, omega_i, params):
@@ -794,3 +828,33 @@ def test_batched_jacobian_is_the_column_loop(op, n, M, C):
     assert J.flags.c_contiguous
     plant = linearize(cfg, x_full=x_full, u0=u0)
     same_bits(np.block([[plant.A, plant.B], [plant.C, plant.D]]), J)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_stacked_admittance_step_is_the_per_axis_loop(S, data):
+    # a team of S slaves, each axis at rest, at or near the rest threshold
+    # or moving, with or without a spring, generating or not
+    K = data.draw(reals(3, st.one_of(st.just(0.0), st.floats(1.0, 1e3))))
+    p = AdmittanceParams(M=data.draw(reals(3, st.floats(0.5, 50.0))),
+                         C=data.draw(reals(3, st.floats(0.5, 200.0))), K=K)
+    Ts = data.draw(st.sampled_from([1e-3, 5e-3, 1e-2]))
+    scale = st.sampled_from([0.0, 0.5 * SNAP_EPS, SNAP_EPS, 2.0 * SNAP_EPS,
+                             1.0])
+    team = AdmittanceState(p, np.zeros((S, 3)))
+    unit = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    team.z, team.zdot = (data.draw(reals((S, 3), unit))
+                         * data.draw(reals((S, 3), scale)) for _ in range(2))
+    team.offset = data.draw(reals((S, 3), st.floats(-1.0, 1.0)))
+    team.axis_generating = data.draw(hnp.arrays(bool, (S, 3)))
+    team.mode = np.where(team.axis_generating.any(axis=-1),
+                         AdmittanceMode.GENERATING.value,
+                         AdmittanceMode.TRACKING.value)
+    F_hat = data.draw(reals((S, 3), st.floats(-5.0, 5.0)))
+    rows = [old_admittance_step(p, team.z[i], team.zdot[i],
+                                team.axis_generating[i],
+                                F_hat[i] - team.offset[i], Ts)
+            for i in range(S)]
+    admittance_step(team, F_hat, Ts)
+    same_bits(team.z, np.array([z for z, _ in rows]))
+    same_bits(team.zdot, np.array([zdot for _, zdot in rows]))
