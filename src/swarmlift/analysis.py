@@ -51,7 +51,7 @@ from .errors import UnstableOperatingPoint
 from .lti import LinearSystem
 from .mav import (G_EZ, GRAVITY, MavParams, pd_position_control, rk4_step,
                   saturate_thrust_command)
-from .payload import (ComSystem, attachment_accel, attachment_kinematics,
+from .payload import (attachment_accel, attachment_kinematics,
                       com_system, default_payload, joint_interaction_force,
                       payload_accel)
 
@@ -62,7 +62,7 @@ MASS_UNCERTAINTY = 0.5  # fraction of nominal payload mass
 INERTIA_UNCERTAINTY = 0.1  # fraction of payload inertia diagonal
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
     n_agents: int
     tuning_M: float = 8.0
@@ -72,29 +72,37 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.n_agents < 2:
             raise ValueError("need a master and at least one slave")
-        self.payload = default_payload(self.n_agents, self.mav.m_bar)
-        self.adm = AdmittanceParams().lateral(self.tuning_M, self.tuning_C)
-        self.com: ComSystem = com_system(
-            self.payload, np.full(self.n_agents, self.mav.m))
+        payload = default_payload(self.n_agents, self.mav.m_bar)
+        com = com_system(payload, np.full(self.n_agents, self.mav.m))
         # equal static share of the payload weight per agent
-        self.share = self.payload.m_p * GRAVITY / self.n_agents
-        self.F_trim = np.tile(
-            np.array([0.0, 0.0, self.mav.m * GRAVITY + self.share]),
-            (self.n_agents, 1))
-        # the sensed joint force at rest, removed by offset calibration
-        self.F_int_trim = np.array([0.0, 0.0, -self.share])
+        share = payload.m_p * GRAVITY / self.n_agents
         # slave desired positions / master reference at the attachment layout
-        self.engage_points = self.com.attachments.copy()
-        self.slave_points = self.engage_points[1:]
-        # mass channel gain: half-width of the payload mass interval over the
-        # nominal system mass
-        self.w_mass = MASS_UNCERTAINTY * self.payload.m_p / self.com.m_sys
-        # inertia channel gain: relative uncertainty on the diagonal of the
-        # total system inertia (agents enter as point masses, so this also
-        # covers the attachment-geometry modeling error)
-        self.G_inertia = np.linalg.solve(
-            self.com.J_sys,
-            INERTIA_UNCERTAINTY * np.diag(np.diag(self.com.J_sys)))
+        engage_points = com.attachments.copy()
+        # Derived by each construction and replace(), as plain attributes
+        for name, value in (
+                ("payload", payload),
+                ("adm", AdmittanceParams().lateral(self.tuning_M,
+                                                   self.tuning_C)),
+                ("com", com),
+                ("share", share),
+                ("F_trim", np.tile(
+                    np.array([0.0, 0.0, self.mav.m * GRAVITY + share]),
+                    (self.n_agents, 1))),
+                # the sensed joint force at rest, removed by offset
+                # calibration
+                ("F_int_trim", np.array([0.0, 0.0, -share])),
+                ("engage_points", engage_points),
+                ("slave_points", engage_points[1:]),
+                # mass channel gain: half-width of the payload mass interval
+                # over the nominal system mass
+                ("w_mass", MASS_UNCERTAINTY * payload.m_p / com.m_sys),
+                # inertia channel gain: relative uncertainty on the diagonal
+                # of the total system inertia (agents enter as point masses,
+                # so this also covers the attachment-geometry modeling error)
+                ("G_inertia", np.linalg.solve(
+                    com.J_sys,
+                    INERTIA_UNCERTAINTY * np.diag(np.diag(com.J_sys))))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_slaves(self) -> int:

@@ -1,16 +1,19 @@
 """Centralized takeoff/landing coordinator.
 
-A single FSM commands the same altitude increment to every agent, waits for
-all of them to acknowledge (reach the target within tolerance), engages the
-slaves' admittance controllers once the transport altitude is reached, and
-mirrors the procedure for landing. Each phase passes once, so the slaves
-are engaged once; the phases are valued as the codes the log writes.
+A single FSM broadcasts the same altitude increment to every agent,
+("set_altitude", h), and waits for all of them to acknowledge it (reach the
+target within tolerance). Once the transport altitude is acknowledged it
+engages the slaves' admittance controllers, ("engage_slaves",). Landing
+mirrors the ascent: ("disengage_slaves",), then steps down to the ground at
+altitude 0. Each phase passes once, so the slaves are engaged once; the
+phases are valued as the codes the log writes. The transport altitude, step
+and tolerance are the scenario's `transport_altitude`, `mission.dh` and
+`mission.tol`.
 
 An agent that carries part of the payload hovers below its commanded
 altitude: its position loop feeds forward only its own weight, so it settles
 `sag = share / K_P[2]` lower. Tolerance is therefore measured from the
-loaded-hover altitude `target - sag`; with the default `sag = 0` that is the
-commanded target itself.
+loaded-hover altitude `target - sag`.
 """
 
 from __future__ import annotations
@@ -31,15 +34,12 @@ class MissionPhase(enum.IntEnum):
 
 @dataclass
 class MissionState:
-    n_agents: int
-    transport_altitude: float = 1.2
-    dh: float = 0.25
-    tol: float = 0.05
-    ground_altitude: float = 0.0
-    sag: float = 0.0
+    transport_altitude: float
+    dh: float
+    tol: float
+    sag: float
     phase: MissionPhase = MissionPhase.GROUNDED
     target: float = 0.0
-    increments_issued: int = 0
 
 
 def _all_acked(ms: MissionState, altitudes) -> bool:
@@ -47,55 +47,28 @@ def _all_acked(ms: MissionState, altitudes) -> bool:
     return bool(np.all(np.abs(err) <= ms.tol))
 
 
-def mission_step(ms: MissionState, agent_altitudes, begin_descent: bool = False):
-    """Advance the coordinator; returns (state, commands).
-
-    Commands are tuples: ("set_altitude", h) broadcast to all agents,
-    ("engage_slaves",), ("release_master",), ("disengage_slaves",),
-    ("landed",). A new increment is issued only when every agent is within
-    tolerance of its loaded-hover altitude, the current target minus `sag`.
-    """
-    if ms.n_agents < 1 or len(agent_altitudes) != ms.n_agents:
-        raise ValueError("altitude list must cover every agent")
-    commands = []
-
-    if ms.phase is MissionPhase.GROUNDED:
-        ms.target = min(ms.ground_altitude + ms.dh, ms.transport_altitude)
-        ms.increments_issued += 1
+def mission_step(ms: MissionState, agent_altitudes, begin_descent: bool):
+    """Advance the coordinator in place; returns its commands, the tuples
+    above. Only an acknowledged step moves the target on."""
+    phase, commands = ms.phase, []
+    # an acknowledged step of the ascent or of the descent
+    up = phase is MissionPhase.ASCENDING and _all_acked(ms, agent_altitudes)
+    down = phase is MissionPhase.DESCENDING and _all_acked(ms, agent_altitudes)
+    if phase is MissionPhase.GROUNDED or (
+            up and ms.target < ms.transport_altitude - 1e-12):
         ms.phase = MissionPhase.ASCENDING
+        ms.target = min(ms.target + ms.dh, ms.transport_altitude)
         commands.append(("set_altitude", ms.target))
-        return ms, commands
-
-    if ms.phase is MissionPhase.ASCENDING:
-        if _all_acked(ms, agent_altitudes):
-            if ms.target >= ms.transport_altitude - 1e-12:
-                ms.phase = MissionPhase.TRANSPORTING
-                commands.append(("engage_slaves",))
-                commands.append(("release_master",))
-            else:
-                ms.target = min(ms.target + ms.dh, ms.transport_altitude)
-                ms.increments_issued += 1
-                commands.append(("set_altitude", ms.target))
-        return ms, commands
-
-    if ms.phase is MissionPhase.TRANSPORTING:
-        if begin_descent:
+    elif up:
+        ms.phase = MissionPhase.TRANSPORTING
+        commands.append(("engage_slaves",))
+    elif (phase is MissionPhase.TRANSPORTING and begin_descent) or (
+            down and ms.target > 1e-12):
+        if phase is MissionPhase.TRANSPORTING:
             commands.append(("disengage_slaves",))
-            ms.target = max(ms.target - ms.dh, ms.ground_altitude)
-            ms.increments_issued += 1
-            ms.phase = MissionPhase.DESCENDING
-            commands.append(("set_altitude", ms.target))
-        return ms, commands
-
-    if ms.phase is MissionPhase.DESCENDING:
-        if _all_acked(ms, agent_altitudes):
-            if ms.target <= ms.ground_altitude + 1e-12:
-                ms.phase = MissionPhase.LANDED
-                commands.append(("landed",))
-            else:
-                ms.target = max(ms.target - ms.dh, ms.ground_altitude)
-                ms.increments_issued += 1
-                commands.append(("set_altitude", ms.target))
-        return ms, commands
-
-    return ms, commands
+        ms.phase = MissionPhase.DESCENDING
+        ms.target = max(ms.target - ms.dh, 0.0)
+        commands.append(("set_altitude", ms.target))
+    elif down:
+        ms.phase = MissionPhase.LANDED
+    return commands

@@ -104,7 +104,6 @@ class ComSystem:
     J_sys: np.ndarray  # (3, 3) about the composite CoM
     attachments: np.ndarray  # (N, 3) agent offsets from the CoM
     r_payload_cog: np.ndarray  # payload CoG offset from the CoM
-    agent_masses: np.ndarray
 
 
 def com_system(params: PayloadParams, agent_masses) -> ComSystem:
@@ -121,7 +120,7 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
     for m_i, r in zip(agent_masses, att):
         J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
     return ComSystem(m_sys=m_sys, J_sys=J, attachments=att,
-                     r_payload_cog=r_pc, agent_masses=agent_masses)
+                     r_payload_cog=r_pc)
 
 
 def attachment_kinematics(com: ComSystem, p, v, R, w):

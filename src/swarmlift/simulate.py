@@ -245,8 +245,8 @@ def run_scenario(sc: Scenario) -> RunLog:
 
     mission = None
     if sc.mission_auto:
-        mission = MissionState(n_agents=N, transport_altitude=sc.transport_altitude,
-                               dh=sc.mission_dh, tol=sc.mission_tol, sag=sag)
+        mission = MissionState(sc.transport_altitude, sc.mission_dh,
+                               sc.mission_tol, sag)
 
     # The controllers' discrete state and zero-order-held outputs, one row
     # per agent, row 0 the master. hold is the position an agent holds
@@ -345,13 +345,11 @@ def run_scenario(sc: Scenario) -> RunLog:
         # current constrained kinematics
         R_pl = quat_to_rotmat(q_pl)
         p_i, v_i, w_x_r = attachment_kinematics(com, p_pl, v_pl, R_pl, w_pl)
-        # mission coordinator at the controller rate
+        # the mission coordinator at the controller rate (it reads the
+        # landing time only while transporting) and its three commands
         if mission is not None:
-            begin = (sc.mission_land_at is not None
-                     and t >= sc.mission_land_at
-                     and mission.phase is MissionPhase.TRANSPORTING)
-            mission, cmds = mission_step(mission, p_i[:, 2], begin_descent=begin)
-            for cmd in cmds:
+            begin = sc.mission_land_at is not None and t >= sc.mission_land_at
+            for cmd in mission_step(mission, p_i[:, 2], begin):
                 if cmd[0] == "set_altitude":
                     hold[:, 2] = cmd[1]
                 elif cmd[0] == "engage_slaves":
@@ -466,6 +464,10 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
     if t.size < 2:  # the step is read off the first two rows
         raise ScenarioError(
             f"replay needs a log of at least two rows, got {t.size}")
+    dt = float(t[1] - t[0])
+    if not 0.0 < dt < np.inf:
+        raise ScenarioError(
+            f"replay needs a positive finite time step, got {dt}")
     a = f"a{agent}_"
     p = log.cols([a + "px", a + "py", a + "pz"])
     v = log.cols([a + "vx", a + "vy", a + "vz"])
@@ -473,7 +475,6 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
     w = log.cols([a + "wx", a + "wy", a + "wz"])
     cmd = log.cols([a + "cmd_phi", a + "cmd_theta", a + "cmd_psi", a + "cmd_F"])
     rotors = log.cols([a + f"n{k}" for k in range(sc.mav.rotor_count)])
-    dt = float(t[1] - t[0])
     out = np.zeros((t.size, 4))
     out[:, 0] = t
     if sc.estimator == "ekf":

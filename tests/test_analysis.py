@@ -188,7 +188,9 @@ def test_mass_channel_lft_first_order():
     def rebuilt(delta):
         cfg_p = cfg2()
         m_new = cfg.com.m_sys + delta * MASS_UNCERTAINTY * cfg.payload.m_p
-        cfg_p.com = dataclasses.replace(cfg_p.com, m_sys=m_new)
+        # the frozen config's composite body, with only the mass perturbed
+        object.__setattr__(cfg_p, "com",
+                           dataclasses.replace(cfg_p.com, m_sys=m_new))
         return linearize(cfg_p, op="custom", x_full=x0,
                          u0=zero_input(cfg_p))
 

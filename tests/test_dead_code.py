@@ -10,9 +10,11 @@ level only where an allowlist says why, and a fresh interpreter that
 imports the package loads none of the heavy scipy subpackages. The
 scenario schema covers every Scenario field that a document sets, and the
 scenario docstring names each of its key paths and parameter sections.
-Every parameter dataclass (a name ending in Params, and Scenario) is
-frozen, so a field changes only through dataclasses.replace, which runs
-its checks and derives its constants again."""
+Every parameter dataclass (a name ending in Params, Scenario and
+AnalysisConfig) is frozen, so a field changes only through
+dataclasses.replace, which runs its checks and derives its constants
+again. Every field of a package dataclass is read by the package or the
+benchmark, or is listed with the reason it stays."""
 
 import ast
 import os
@@ -470,13 +472,15 @@ def test_scenario_schema_covers_every_field_and_is_documented():
 
 
 def parameter_dataclasses(sources: dict) -> dict:
-    """``module:Class`` of every dataclass named ``*Params`` or
-    ``Scenario``, and whether its decorator passes ``frozen=True``."""
+    """``module:Class`` of every dataclass named ``*Params``, ``Scenario``
+    or ``AnalysisConfig``, and whether its decorator passes
+    ``frozen=True``."""
     found = {}
     for module, src in sources.items():
         for node in ast.walk(ast.parse(src)):
             if not (isinstance(node, ast.ClassDef) and (
-                    node.name.endswith("Params") or node.name == "Scenario")):
+                    node.name.endswith("Params")
+                    or node.name in ("Scenario", "AnalysisConfig"))):
                 continue
             for dec in node.decorator_list:
                 call = dec if isinstance(dec, ast.Call) else None
@@ -496,13 +500,16 @@ def test_guard_flags_an_unfrozen_parameter_class():
                         "@dataclass(eq=False)\nclass Scenario:\n"
                         "    n: int\n"
                         "@dataclass\nclass RunState:\n    t: float\n"
+                        "@dataclass\nclass AnalysisConfig:\n"
+                        "    n: int\n"
                         "class PlainParams:\n    pass\n"),
                "b.py": ("import dataclasses\n"
                         "@dataclasses.dataclass(frozen=False)\n"
                         "class LooseParams:\n    m: float\n")}
     assert parameter_dataclasses(sources) == {
         "a.py:MavParams": False, "a.py:GoodParams": True,
-        "a.py:Scenario": False, "b.py:LooseParams": False}
+        "a.py:Scenario": False, "a.py:AnalysisConfig": False,
+        "b.py:LooseParams": False}
 
 
 def test_parameter_dataclasses_are_frozen():
@@ -511,5 +518,69 @@ def test_parameter_dataclasses_are_frozen():
     found = parameter_dataclasses(sources)
     assert sorted(name for name, frozen in found.items() if not frozen) == []
     assert {"mav.py:MavParams", "payload.py:PayloadParams",
-            "admittance.py:AdmittanceParams",
-            "scenario.py:Scenario"} <= set(found)
+            "admittance.py:AdmittanceParams", "scenario.py:Scenario",
+            "analysis.py:AnalysisConfig"} <= set(found)
+
+
+# dataclass fields that nothing in the package or the benchmark reads, and
+# why each stays a field
+UNREAD_FIELDS = {
+    "identify.py:SingleMavTrace.p": "trace output; the golden digests pin it",
+    "identify.py:SingleMavTrace.v": "trace output; the golden digests pin it",
+    "identify.py:SingleMavTrace.eta":
+        "trace output; the golden digests pin it",
+    "payload.py:ComSystem.r_payload_cog":
+        "tests check the shift of the composite CoM with it",
+}
+
+
+def _is_dataclass(node) -> bool:
+    return any(_call_name(dec.func if isinstance(dec, ast.Call) else dec)
+               == "dataclass" for dec in node.decorator_list)
+
+
+def unread_fields(package: dict, others: dict) -> list:
+    """``module:Class.field`` of every field of the package's dataclasses
+    whose name no module of either set reads as an attribute. Writes
+    (``obj.field = ...``, ``obj.field += ...``) and keywords do not count;
+    reads match fields by name, as calls match functions."""
+    read = Counter()
+    for src in [*package.values(), *others.values()]:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read[n.attr] += 1
+    return sorted(
+        f"{module}:{cls.name}.{node.target.id}"
+        for module, src in package.items()
+        for cls in ast.walk(ast.parse(src))
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name) and not read[node.target.id])
+
+
+def test_guard_flags_an_unread_field():
+    package = {"a.py": ("import dataclasses\n"
+                        "from dataclasses import dataclass\n"
+                        "@dataclass\nclass State:\n"
+                        "    used: int\n    by_bench: int = 0\n"
+                        "    counted: int = 0\n    gone: float = 1.0\n"
+                        "@dataclasses.dataclass(frozen=True)\n"
+                        "class Params:\n    set_only: float\n"
+                        "class Plain:\n    ignored: int\n"),
+               "b.py": ("from .a import State\n"
+                        "s = State(used=1, gone=2.0)\n"
+                        "s.counted += 1\nprint(s.used)\n")}
+    others = {"run.py": "from swarmlift.a import State\nState(1).by_bench\n"}
+    assert unread_fields(package, others) == [
+        "a.py:Params.set_only", "a.py:State.counted", "a.py:State.gone"]
+
+
+def test_no_unread_dataclass_fields():
+    package = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    bench = {path.name: path.read_text() for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    found = unread_fields(package, bench)
+    assert sorted(set(found) - set(UNREAD_FIELDS)) == []
+    assert sorted(set(UNREAD_FIELDS) - set(found)) == []  # stale entries

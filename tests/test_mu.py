@@ -331,7 +331,9 @@ def test_single_mass_perturbation_first_order():
         A_lft = m.A + m.B @ K @ m.C
         cfg_p = AnalysisConfig(n_agents=2)
         m_new = cfg.com.m_sys + delta * MASS_UNCERTAINTY * cfg.payload.m_p
-        cfg_p.com = dataclasses.replace(cfg_p.com, m_sys=m_new)
+        # the frozen config's composite body, with only the mass perturbed
+        object.__setattr__(cfg_p, "com",
+                           dataclasses.replace(cfg_p.com, m_sys=m_new))
         A_reb = linearize(cfg_p, x_full=x0, u0=zero_input(cfg_p)).A
         assert np.abs(A_lft - A_reb).max() < 20.0 * delta**2
 

@@ -913,6 +913,28 @@ def test_cli_replay_of_a_one_row_log_exits_4(tmp_path, capsys):
     assert not (tmp_path / "replay").exists()
 
 
+@pytest.mark.parametrize("t1", [0.0, -0.01, float("nan")],
+                         ids=["repeated", "backwards", "nan"])
+def test_cli_replay_of_a_log_without_a_positive_step_exits_4(
+        tmp_path, capsys, t1):
+    # the second row's time, after a first row at t = 0, sets the step
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.05}))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    log = RunLog.from_csv(tmp_path / "short_run.csv")
+    assert log.t[0] == 0.0
+    log.data[1, 0] = t1
+    log.to_csv(tmp_path / "edited.csv")
+    for estimator in ("ekf", "ukf"):
+        capsys.readouterr()
+        assert_cli_error(capsys, ["replay", str(tmp_path / "edited.csv"),
+                                  "--estimator", estimator, "--config",
+                                  str(cfg), "--out-dir",
+                                  str(tmp_path / "replay")],
+                         "positive finite time step")
+    assert not (tmp_path / "replay").exists()
+
+
 def test_log_header_carries_the_config_hash():
     sc = beam(duration=0.05)
     log = run_scenario(sc)
