@@ -198,7 +198,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     # uncertainty injected into its accelerations
     v_dot, omega_dot = payload_accel(com, cfg.payload.drag_F,
                                      cfg.payload.drag_M, R, v, omega,
-                                     F_cons_w, F_cons_P)
+                                     np.add.reduce(F_cons_w, -2), F_cons_P)
     v_dot = v_dot - cfg.w_mass * u_mass
     omega_dot = omega_dot - matvec(cfg.G_inertia, u_J)
 

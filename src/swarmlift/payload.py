@@ -24,6 +24,9 @@ from .attitude import cross3, matvec
 from .errors import DimensionMismatch
 from .mav import G_EZ, real_array
 
+# FP's cyclic shifts that pair with ComSystem.attachment_shifts in r x FP
+_FP_SHIFTS = np.array([2, 0, 1, 1, 2, 0])
+
 
 @dataclass(frozen=True)
 class PayloadParams:
@@ -104,6 +107,7 @@ class ComSystem:
     J_sys: np.ndarray  # (3, 3) about the composite CoM
     attachments: np.ndarray  # (N, 3) agent offsets from the CoM
     r_payload_cog: np.ndarray  # payload CoG offset from the CoM
+    attachment_shifts: np.ndarray  # (N, 6): shifts r[k+1], then r[k+2]
 
 
 def com_system(params: PayloadParams, agent_masses) -> ComSystem:
@@ -120,7 +124,8 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
     for m_i, r in zip(agent_masses, att):
         J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
     return ComSystem(m_sys=m_sys, J_sys=J, attachments=att,
-                     r_payload_cog=r_pc)
+                     r_payload_cog=r_pc,
+                     attachment_shifts=att.take([1, 2, 0, 2, 0, 1], -1))
 
 
 def attachment_kinematics(com: ComSystem, p, v, R, w):
@@ -147,15 +152,17 @@ def attachment_accel(com: ComSystem, R, w, w_x_r, vdot, wdot):
     return vdot[..., None, :] + (wdot_x_r + w_x_w_x_r) @ RT
 
 
-def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, Fw, FP):
+def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, F_sum, FP):
     """Linear and angular acceleration of the composite body under the agent
-    forces applied at the attachments, given in both frames: Fw = R FP
-    (world) and FP (payload), each (N, 3). Drag is linear in the
+    forces FP (N, 3) applied at the attachments in the payload frame, whose
+    world-frame copies R FP sum to F_sum (3,): np.add.reduce(R FP, -2), which
+    a caller may take for several calls in one. Drag is linear in the
     payload-frame velocity and rate. Complex-step safe."""
     drag_w = matvec(R, drag_F * matvec(R.swapaxes(-1, -2), v))
-    vdot = (np.add.reduce(Fw, -2) - drag_w) / com.m_sys - G_EZ
+    vdot = (F_sum - drag_w) / com.m_sys - G_EZ
+    r_x_FP = com.attachment_shifts * FP.take(_FP_SHIFTS, -1)
+    M = np.add.reduce(r_x_FP[..., :3] - r_x_FP[..., 3:], -2)
     # np.linalg.solve's gufunc for a 1-D right-hand side: the same gesv,
     # without the wrapper's checks (J_sys >= diag(J_p) > 0 is never singular)
-    wdot = solve1(com.J_sys, np.add.reduce(cross3(com.attachments, FP), -2)
-                  - cross3(w, matvec(com.J_sys, w)) - drag_M * w)
+    wdot = solve1(com.J_sys, M - cross3(w, matvec(com.J_sys, w)) - drag_M * w)
     return vdot, wdot

@@ -163,10 +163,11 @@ def integrate_tick(sc: Scenario, com, x, xa, held, t: float):
     The agents never read the payload, so RK4 runs xa over the whole tick
     first and records the state of each of its 4 * steps stages (rk4_step
     calls rhs four times per step, in stage order). One agent_thrust call
-    gives every stage's world thrust, and the payload's RK4 reads row k at
-    its k-th stage, renormalizing the quaternion after every step. RK4 and
-    the kernels are elementwise, so this has the bits of one RK4 on the
-    joint state.
+    gives every stage's world thrust (4 * steps, N, 3), one np.add.reduce
+    call their F_sum, and the payload's RK4 reads row k of both at its k-th
+    stage, renormalizing the quaternion after every step. RK4 and the
+    kernels are elementwise, so this has the bits of one RK4 on the joint
+    state.
     """
     N, h, steps = sc.n_agents, sc.Ts_dyn, sc.steps_per_ctrl
     e, f = 3 * N, 6 * N
@@ -187,15 +188,17 @@ def integrate_tick(sc: Scenario, com, x, xa, held, t: float):
             return ((held - xa.reshape(N, 3)) / mav.tau_thrust).ravel()
 
     def payload_rhs(t, x):
-        Fw = next(stage_thrust)
+        Fw, F_sum = next(stage_thrust)
         v, q, w = x[3:6], x[6:10], x[10:13]
         R = quat_to_rotmat(q)
-        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, F_sum,
+                                   Fw @ R)
         return np.concatenate((v, vdot, quat_rate(q, w), wdot))
 
     for j in range(steps):
         xa = rk4_step(agent_rhs, t + j * h, xa, h)
-    stage_thrust = iter(agent_thrust(sc, np.array(stages)))
+    Fw = agent_thrust(sc, np.array(stages))
+    stage_thrust = zip(Fw, np.add.reduce(Fw, -2))
     for j in range(steps):
         x = rk4_step(payload_rhs, t + j * h, x, h)
         x[6:10] = quat_normalize(x[6:10])
@@ -389,8 +392,8 @@ def run_scenario(sc: Scenario) -> RunLog:
             elif sc.estimator == "nominal":
                 # the coupled accelerations, which only this model reads
                 vdot_now, wdot_now = payload_accel(
-                    com, drag_F, drag_M, R_pl, v_pl, w_pl, Fw_now,
-                    Fw_now @ R_pl)
+                    com, drag_F, drag_M, R_pl, v_pl, w_pl,
+                    np.add.reduce(Fw_now, -2), Fw_now @ R_pl)
                 a_i = attachment_accel(com, R_pl, w_pl, w_x_r, vdot_now,
                                        wdot_now)
                 F_int = joint_interaction_force(a_i[1:], Fw_now[1:], sc.mav.m)
@@ -464,10 +467,16 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
     if t.size < 2:  # the step is read off the first two rows
         raise ScenarioError(
             f"replay needs a log of at least two rows, got {t.size}")
-    dt = float(t[1] - t[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+        dt = float(t[1] - t[0])
+        off = ~(np.abs(np.diff(t) - dt) <= 1e-6 * dt)  # or a NaN time
     if not 0.0 < dt < np.inf:
         raise ScenarioError(
             f"replay needs a positive finite time step, got {dt}")
+    if off.any():
+        k = int(np.argmax(off)) + 1
+        raise ScenarioError(f"replay needs evenly stepped times: row {k} "
+                            f"has t={t[k]} after t={t[k - 1]}")
     a = f"a{agent}_"
     p = log.cols([a + "px", a + "py", a + "pz"])
     v = log.cols([a + "vx", a + "vy", a + "vz"])

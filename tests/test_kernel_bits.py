@@ -311,7 +311,8 @@ def old_joint_tick(sc, com, x, held, t):
                                 x[f:])
         R = quat_to_rotmat(q)
         Fw = euler_body_z(et.reshape(N, 3)) * fm[:, None]
-        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fw, Fw @ R)
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w,
+                                   np.add.reduce(Fw, -2), Fw @ R)
         etdd = attitude_accel(et, etd, eta_cmd.reshape(-1), wn)
         dfm = (F_cmd_mag - fm) / tau_motor
         return np.concatenate((v, vdot, quat_rate(q, w), wdot, etd, etdd,
@@ -320,7 +321,8 @@ def old_joint_tick(sc, com, x, held, t):
     def lag_rhs(t, x):
         v, q, w, Fl = x[3:6], x[6:10], x[10:13], x[13:].reshape(N, 3)
         R = quat_to_rotmat(q)
-        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w, Fl, Fl @ R)
+        vdot, wdot = payload_accel(com, drag_F, drag_M, R, v, w,
+                                   np.add.reduce(Fl, -2), Fl @ R)
         dF = (held - Fl) / tau_thrust
         return np.concatenate((v, vdot, quat_rate(q, w), wdot, dF.ravel()))
 
@@ -458,7 +460,8 @@ def test_payload_accel_bits(body, data):
     n = com.attachments.shape[0]
     R, v, w, Fw, FP = (data.draw(states(s, cs))
                        for s in ((3, 3), 3, 3, (n, 3), (n, 3)))
-    got = payload_accel(com, payload.drag_F, payload.drag_M, R, v, w, Fw, FP)
+    got = payload_accel(com, payload.drag_F, payload.drag_M, R, v, w,
+                        np.add.reduce(Fw, -2), FP)
     ref = old_payload_accel(com, payload.drag_F, payload.drag_M, R, v, w,
                             Fw, FP)
     for g, r in zip(got, ref):
@@ -495,17 +498,30 @@ CROSS_SHAPES = [((3,), (4, 3)), ((5, 3), (5, 3)), ((2, 1, 3), (2, 3, 3)),
                 ((3,), (3,)), ((6, 3), (3,)), ((2, 5, 3), (2, 5, 3))]
 
 
+# entries of the two single vectors, which cross3 multiplies as Python
+# floats: finite ones, signed zeros, subnormals, infinities and numpy's NaN.
+# (Where two NaNs of different payloads meet in one product, CPython keeps
+# the second operand's payload and numpy's loop the first one's; no kernel
+# input carries such a pair.)
+SPECIAL = st.one_of(FINITE, st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, np.inf, -np.inf,
+     np.nan]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(CROSS_SHAPES), st.booleans(), st.booleans(),
        st.data())
 def test_cross3_bits(shapes, cs_a, cs_b, data):
     # the cyclic-shift cross3 against the component formula and np.cross,
     # on real, complex-step and mixed operands
-    a = data.draw(states(shapes[0], cs_a))
-    b = data.draw(states(shapes[1], cs_b))
-    got = cross3(a, b)
-    same_bits(got, old_cross3(a, b))
-    same_bits(got, np.cross(a, b))
+    single = shapes == ((3,), (3,))
+    a, b = (data.draw(states(s, cs)) for s, cs in zip(shapes, (cs_a, cs_b)))
+    if single:
+        a.real, b.real = (data.draw(reals(3, SPECIAL)) for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, old, ref = cross3(a, b), old_cross3(a, b), np.cross(a, b)
+    same_bits(got, old)
+    same_bits(got, ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -530,6 +546,47 @@ def test_quat_to_rotmat_bits(shape, data):
     # the single-quaternion form gives each row of the stacked one
     for idx in np.ndindex(shape[:-1]):
         same_bits(quat_to_rotmat(q[idx]), R[idx])
+
+
+# row scales: unit-size quaternions, norms whose squares overflow or come
+# near it, and norms whose squares are subnormal or underflow to zero
+QUAT_SCALES = [1.0, 1e-3, 1e3, 1e153, 1e154, 2e154, 1e-155, 1e-160, 1e-170]
+
+
+def test_single_quat_normalize_is_the_stacked_row():
+    # the Python-float path of one quaternion against the stacked array
+    # path, on seeded non-unit norms (a quarter of them needs the squares
+    # summed in numpy's order) and on signed zeros, whose signs both keep
+    rng = np.random.default_rng(0)
+    q = (rng.normal(size=(len(QUAT_SCALES), 400, 4))
+         * np.array(QUAT_SCALES)[:, None, None])
+    q[rng.random(q.shape) < 0.2] = 0.0
+    q[rng.random(q.shape) < 0.5] *= -1.0
+    with np.errstate(all="ignore"):
+        stacked = quat_normalize(q)
+        for idx in np.ndindex(q.shape[:-1]):
+            same_bits(quat_normalize(q[idx]), stacked[idx])
+
+
+@pytest.mark.parametrize("q", [[0.0] * 4, [-0.0, 0.0, -0.0, 0.0]])
+def test_zero_quat_normalize_is_nan_with_a_warning(q):
+    # the float path leaves a zero norm to numpy: 0 / 0, not an exception
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        got = quat_normalize(q)
+    assert np.isnan(got).all()
+    with pytest.warns(RuntimeWarning):
+        same_bits(got, quat_normalize(np.array([q]))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 12), st.booleans(), st.data())
+def test_stacked_force_sums_are_single_stage_sums(k, n, cs, data):
+    # integrate_tick sums every stage's thrust (k, N, 3) in one call and
+    # hands stage j row j as payload_accel's F_sum
+    F = data.draw(states((k, n, 3), cs))
+    sums = np.add.reduce(F, -2)
+    for row, ref in zip(F, sums):
+        same_bits(np.add.reduce(row, -2), ref)
 
 
 # half turns about each axis: trace -1, one diagonal entry +1 (the three
@@ -748,7 +805,7 @@ def test_batched_payload_kernels_rows_are_single_calls(body, k, data):
         R, w, w_x_r, vdot, wdot)
     rows_are_single_calls(
         lambda *a: payload_accel(com, payload.drag_F, payload.drag_M, *a),
-        (True,) * 5, R, v, w, Fw, FP)
+        (True,) * 5, R, v, w, np.add.reduce(Fw, -2), FP)
 
 
 @settings(max_examples=100, deadline=None)

@@ -36,7 +36,8 @@ def beam_accel(Fw, v=Z3, q=IDENTITY_QUAT, w=Z3):
     cs = com_system(beam_params(), [3.5, 3.5])
     R = quat_to_rotmat(q)
     Fw = np.asarray(Fw, dtype=float)
-    return cs, payload_accel(cs, Z3, Z3, R, v, w, Fw, Fw @ R)
+    return cs, payload_accel(cs, Z3, Z3, R, v, w, np.add.reduce(Fw, -2),
+                             Fw @ R)
 
 
 def point_inertia(J_p, masses, att):
@@ -225,8 +226,8 @@ def test_joint_force_newton_closure():
     v_WP = rng.normal(size=3) * 0.2
     omega = rng.normal(size=3) * 0.3
     forces_w = rng.normal(size=(2, 3)) * 2.0 + np.array([0, 0, cs.m_sys * GRAVITY / 2])
-    v_dot, w_dot = payload_accel(cs, Z3, Z3, R, v_WP, omega, forces_w,
-                                 forces_w @ R)
+    v_dot, w_dot = payload_accel(cs, Z3, Z3, R, v_WP, omega,
+                                 np.add.reduce(forces_w, -2), forces_w @ R)
     _, _, w_x_r = attachment_kinematics(cs, Z3, v_WP, R, omega)
     a = attachment_accel(cs, R, omega, w_x_r, v_dot, w_dot)
     F_int = np.array([

@@ -935,6 +935,36 @@ def test_cli_replay_of_a_log_without_a_positive_step_exits_4(
     assert not (tmp_path / "replay").exists()
 
 
+@pytest.mark.parametrize("row, tk", [(3, -7.0), (4, float("nan")),
+                                     (2, float("inf")), (5, 0.0501)],
+                         ids=["backwards", "nan", "inf", "uneven"])
+def test_cli_replay_of_a_log_with_a_bad_later_time_exits_4(
+        tmp_path, capsys, row, tk):
+    # the first two rows set a good step; a later row's time breaks it
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.1}))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    log = RunLog.from_csv(tmp_path / "short_run.csv")
+    log.data[row, 0] = tk
+    log.to_csv(tmp_path / "edited.csv")
+    for estimator in ("ekf", "ukf"):
+        capsys.readouterr()
+        assert_cli_error(capsys, ["replay", str(tmp_path / "edited.csv"),
+                                  "--estimator", estimator, "--config",
+                                  str(cfg), "--out-dir",
+                                  str(tmp_path / "replay")],
+                         f"evenly stepped times: row {row} ")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_replay_accepts_the_simulators_rounded_times():
+    # t += dt_ctrl drifts from k * dt_ctrl by rounding only
+    sc = beam(duration=1.0, estimator="ekf")
+    log = run_scenario(sc)
+    assert np.any(np.diff(log.t) != log.t[1] - log.t[0])
+    assert replay_log(log, sc).shape == (log.t.size, 4)
+
+
 def test_log_header_carries_the_config_hash():
     sc = beam(duration=0.05)
     log = run_scenario(sc)
