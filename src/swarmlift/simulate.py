@@ -469,7 +469,7 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
             f"replay needs a log of at least two rows, got {t.size}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
         dt = float(t[1] - t[0])
-        off = ~(np.abs(np.diff(t) - dt) <= 1e-6 * dt)  # or a NaN time
+        off = ~(np.abs(np.diff(t) - dt) <= 1e-6 * dt)  # NaN counts as off
     if not 0.0 < dt < np.inf:
         raise ScenarioError(
             f"replay needs a positive finite time step, got {dt}")

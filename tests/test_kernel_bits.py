@@ -514,9 +514,8 @@ SPECIAL = st.one_of(FINITE, st.sampled_from(
 def test_cross3_bits(shapes, cs_a, cs_b, data):
     # the cyclic-shift cross3 against the component formula and np.cross,
     # on real, complex-step and mixed operands
-    single = shapes == ((3,), (3,))
     a, b = (data.draw(states(s, cs)) for s, cs in zip(shapes, (cs_a, cs_b)))
-    if single:
+    if shapes == ((3,), (3,)):
         a.real, b.real = (data.draw(reals(3, SPECIAL)) for _ in range(2))
     with np.errstate(over="ignore", invalid="ignore"):
         got, old, ref = cross3(a, b), old_cross3(a, b), np.cross(a, b)
