@@ -62,8 +62,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracles(args) -> int:
-    from .oracles import oracle_suite
+    from .oracles import MUTATIONS, oracle_suite
 
+    if args.mutate not in (None, *MUTATIONS):
+        print(f"swarmlift: error: --mutate {args.mutate!r} is not one of "
+              f"{', '.join(MUTATIONS)}", file=sys.stderr)
+        return 4
     report = oracle_suite(mutate=args.mutate)
     print(report.summary())
     return 0 if report.all_passed else 3

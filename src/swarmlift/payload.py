@@ -11,6 +11,12 @@ the payload, are complex-step safe, and are the one copy of their block:
 analysis model ``analysis._core``, whose Jacobian is every linear plant.
 The payload state (R, p, v, w, accelerations and forces) may carry leading
 batch axes; each row then has the bits of its own unbatched call.
+
+One real row (float64 R (3, 3), 1-D vectors and (N, 3) rows) runs the
+elementwise arithmetic on Python floats in numpy's order, and every matrix
+product and the solve as the array path's numpy call: the same bits, NaN
+signs and payloads aside (as in ``cross3``). Stacked and complex-step
+operands run the array path.
 """
 
 from __future__ import annotations
@@ -128,13 +134,27 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
                      attachment_shifts=att.take([1, 2, 0, 2, 0, 1], -1))
 
 
+def _real_row(R, rows, a, b, c):
+    """Whether R (3, 3), rows (N, 3) and the vectors a, b, c are one real,
+    unstacked row, all float64, which takes the float path."""
+    return (R.ndim == rows.ndim == 2 and a.ndim == b.ndim == c.ndim == 1
+            and R.dtype == rows.dtype == a.dtype == b.dtype == c.dtype
+            == np.float64)
+
+
 def attachment_kinematics(com: ComSystem, p, v, R, w):
     """World-frame position and velocity of every attachment, each (N, 3),
     for the payload pose (p, R) and twist (v, w about the CoM, w payload
     frame), and the payload-frame w x r (N, 3) that
-    :func:`attachment_accel` takes. Complex-step safe."""
+    :func:`attachment_accel` takes. Complex-step safe. One real row takes
+    the cross products on Python floats."""
     att, RT = com.attachments, R.swapaxes(-1, -2)
-    w_x_r = cross3(w[..., None, :], att)
+    if _real_row(R, att, p, v, w):
+        w0, w1, w2 = w.tolist()
+        w_x_r = np.array([[w1 * r2 - w2 * r1, w2 * r0 - w0 * r2,
+                           w0 * r1 - w1 * r0] for r0, r1, r2 in att.tolist()])
+    else:
+        w_x_r = cross3(w[..., None, :], att)
     return p[..., None, :] + att @ RT, v[..., None, :] + w_x_r @ RT, w_x_r
 
 
@@ -142,14 +162,24 @@ def attachment_accel(com: ComSystem, R, w, w_x_r, vdot, wdot):
     """World-frame acceleration (N, 3) of every attachment under the payload
     accelerations (vdot, wdot about the CoM, wdot payload frame), given the
     payload-frame w x r of :func:`attachment_kinematics` at the same
-    (R, w). Complex-step safe."""
-    # one cross3 gives wdot x r and w x (w x r) for every attachment r; the
-    # attachments are copied into every batch row
-    r = np.empty((2,) + w_x_r.shape, w_x_r.dtype)
-    r[0], r[1] = com.attachments, w_x_r
-    wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[..., None, :], r)
-    RT = R.swapaxes(-1, -2)
-    return vdot[..., None, :] + (wdot_x_r + w_x_w_x_r) @ RT
+    (R, w). Complex-step safe. One real row takes wdot x r + w x (w x r)
+    on Python floats."""
+    if _real_row(R, w_x_r, w, vdot, wdot):
+        w0, w1, w2 = w.tolist()
+        d0, d1, d2 = wdot.tolist()
+        rel = np.array([[(d1 * r2 - d2 * r1) + (w1 * u2 - w2 * u1),
+                         (d2 * r0 - d0 * r2) + (w2 * u0 - w0 * u2),
+                         (d0 * r1 - d1 * r0) + (w0 * u1 - w1 * u0)]
+                        for (r0, r1, r2), (u0, u1, u2)
+                        in zip(com.attachments.tolist(), w_x_r.tolist())])
+    else:
+        # one cross3 gives wdot x r and w x (w x r) for every attachment r;
+        # the attachments are copied into every batch row
+        r = np.empty((2,) + w_x_r.shape, w_x_r.dtype)
+        r[0], r[1] = com.attachments, w_x_r
+        wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[..., None, :], r)
+        rel = wdot_x_r + w_x_w_x_r
+    return vdot[..., None, :] + rel @ R.swapaxes(-1, -2)
 
 
 def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, F_sum, FP):
@@ -157,12 +187,31 @@ def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, F_sum, FP):
     forces FP (N, 3) applied at the attachments in the payload frame, whose
     world-frame copies R FP sum to F_sum (3,): np.add.reduce(R FP, -2), which
     a caller may take for several calls in one. Drag is linear in the
-    payload-frame velocity and rate. Complex-step safe."""
+    payload-frame velocity and rate. Complex-step safe. One real row takes
+    the mass, gravity and rate-drag terms, the cross products and the
+    moment sum on Python floats."""
     drag_w = matvec(R, drag_F * matvec(R.swapaxes(-1, -2), v))
-    vdot = (F_sum - drag_w) / com.m_sys - G_EZ
-    r_x_FP = com.attachment_shifts * FP.take(_FP_SHIFTS, -1)
-    M = np.add.reduce(r_x_FP[..., :3] - r_x_FP[..., 3:], -2)
+    J_w = matvec(com.J_sys, w)
     # np.linalg.solve's gufunc for a 1-D right-hand side: the same gesv,
     # without the wrapper's checks (J_sys >= diag(J_p) > 0 is never singular)
-    wdot = solve1(com.J_sys, M - cross3(w, matvec(com.J_sys, w)) - drag_M * w)
-    return vdot, wdot
+    if not _real_row(R, FP, v, w, F_sum):
+        vdot = (F_sum - drag_w) / com.m_sys - G_EZ
+        r_x_FP = com.attachment_shifts * FP.take(_FP_SHIFTS, -1)
+        M = np.add.reduce(r_x_FP[..., :3] - r_x_FP[..., 3:], -2)
+        return vdot, solve1(com.J_sys, M - cross3(w, J_w) - drag_M * w)
+    m, (g0, g1, g2) = com.m_sys, G_EZ.tolist()
+    (f0, f1, f2), (d0, d1, d2) = F_sum.tolist(), drag_w.tolist()
+    vdot = np.array([(f0 - d0) / m - g0, (f1 - d1) / m - g1,
+                     (f2 - d2) / m - g2])
+    M0 = M1 = M2 = 0.0  # as np.add.reduce: from +0.0, the rows in order
+    for (r0, r1, r2), (p0, p1, p2) in zip(com.attachments.tolist(),
+                                          FP.tolist()):
+        M0 += r1 * p2 - r2 * p1
+        M1 += r2 * p0 - r0 * p2
+        M2 += r0 * p1 - r1 * p0
+    (w0, w1, w2), (j0, j1, j2) = w.tolist(), J_w.tolist()
+    c0, c1, c2 = drag_M.tolist()
+    return vdot, solve1(com.J_sys, np.array([
+        M0 - (w1 * j2 - w2 * j1) - c0 * w0,
+        M1 - (w2 * j0 - w0 * j2) - c1 * w1,
+        M2 - (w0 * j1 - w1 * j0) - c2 * w2]))

@@ -20,14 +20,17 @@ loop over one slave's axes, one expm and one 2 x 2 product per axis.
 The analysis model and the kernels it runs take a leading batch axis, so
 that ``complex_step_jacobian`` evaluates every column in one call: each
 stacked row must have the bits of its own unbatched call, and the batched
-Jacobian the bits of the earlier loop of one call per column.
+Jacobian the bits of the earlier loop of one call per column. A single
+real call of a payload kernel runs its Python-float path, so a stack of one
+real row checks that path against the array path; explicit examples pin
+one agent and signed zeros.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.linalg._umath_linalg import solve1
@@ -83,6 +86,7 @@ from swarmlift.payload import (
     attachment_accel,
     attachment_kinematics,
     com_system,
+    default_payload,
     payload_accel,
 )
 from swarmlift.scenario import Scenario
@@ -445,6 +449,37 @@ def rigid_bodies(draw, max_agents=6):
     return payload, com, draw(st.booleans())
 
 
+class Draws:
+    """Stands for st.data() in an explicit @example: each draw returns the
+    next of the given values, in the order the test draws them."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+def one_agent_body(att, drag=0.0):
+    """A real one-agent rigid body with the attachment att, as
+    rigid_bodies() gives it."""
+    payload = PayloadParams(m_p=1.0, J_p=np.ones(3), attachments=[att],
+                            drag_F=np.full(3, drag), drag_M=np.full(3, drag))
+    return payload, com_system(payload, [1.0]), False
+
+
+def three_agent_body():
+    """The real default body of three agents, with payload drag."""
+    payload = replace(default_payload(3, 1.0),
+                      drag_F=np.array([0.1, 0.2, 0.3]),
+                      drag_M=np.array([0.05, 0.05, 0.1]))
+    return payload, com_system(payload, np.full(3, 2.5)), False
+
+
+Z3 = np.zeros(3)
+NZ3 = np.array([-0.0, 0.0, -0.0])  # both signed zeros
+
+
 def same_bits(got, ref):
     got, ref = np.asarray(got), np.asarray(ref)
     assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -455,6 +490,11 @@ def same_bits(got, ref):
 
 @settings(max_examples=150, deadline=None)
 @given(rigid_bodies(), st.data())
+# found by Hypothesis: np.add.reduce starts the moment sum from +0.0, which
+# drops the -0.0 of a sum that starts from the first row
+@example(one_agent_body(Z3),
+         Draws(np.zeros((3, 3)), Z3, Z3, np.zeros((1, 3)),
+               np.array([[-0.0, 0.0, 0.0]])))
 def test_payload_accel_bits(body, data):
     payload, com, cs = body
     n = com.attachments.shape[0]
@@ -480,6 +520,12 @@ def test_solve1_is_np_linalg_solve(body, data):
 
 @settings(max_examples=150, deadline=None)
 @given(rigid_bodies(), st.data())
+# one agent, and signed zeros in every operand that the float path reads
+@example(one_agent_body(NZ3), Draws(np.eye(3) * -0.0, NZ3, NZ3, NZ3, NZ3,
+                                    -NZ3))
+@example(one_agent_body([0.5, -0.0, 0.25], 0.1),
+         Draws(np.diag([1.0, -1.0, -1.0]), NZ3, -NZ3,
+               np.array([-0.0, 2.0, 0.0]), NZ3, np.array([0.0, -0.0, 3.0])))
 def test_attachment_kernels_bits(body, data):
     _, com, cs = body
     R, p, v, w, vdot, wdot = (data.draw(states(s, cs))
@@ -790,6 +836,16 @@ def rows_are_single_calls(fn, batched, *args):
 
 @settings(max_examples=100, deadline=None)
 @given(rigid_bodies(max_agents=8), st.integers(1, 6), st.data())
+# a stack of one real row against the single call, which runs the kernels'
+# Python-float path: one agent with signed zeros, and three agents
+@example(one_agent_body(NZ3), 1, Draws(
+    np.eye(3)[None] * -1.0, *(NZ3[None] * s for s in (1, -1, 1, -1, 1)),
+    np.array([[[-0.0, 0.0, 0.0]]]), np.array([[[-0.0, 0.0, -0.0]]])))
+@example(three_agent_body(), 1, Draws(
+    quat_to_rotmat(quat_normalize([0.1, -0.2, 0.3, 0.9]))[None],
+    *(np.array([[0.5 * s, -1.0, 2.0 * s]]) for s in range(5)),
+    np.array([[[0.0, 0.0, 9.0], [1.0, -0.0, 8.0], [-1.0, 0.5, 10.0]]]),
+    np.array([[[0.1, 0.2, 9.0], [-0.0, 1.0, 8.0], [0.3, -0.5, 10.0]]])))
 def test_batched_payload_kernels_rows_are_single_calls(body, k, data):
     payload, com, cs = body
     n = com.attachments.shape[0]

@@ -38,3 +38,10 @@ def test_cli_oracles_exit_codes(capsys):
         out = capsys.readouterr().out
         assert f"[FAIL] {MUTATION_CHECK[mutation]}:" in out
         assert out.rstrip().endswith("FAILURES PRESENT")
+    # an unknown mutation is a rejected input: one error line, exit 4
+    assert main(["oracles", "--mutate", "mass_sign"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "swarmlift: error: --mutate 'mass_sign' is not one of "
+        + ", ".join(MUTATIONS)]

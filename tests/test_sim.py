@@ -358,6 +358,26 @@ def test_cli_simulate_rejects_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "typo_run.csv").exists()
 
 
+def test_duration_of_no_controller_tick_is_rejected(tmp_path, capsys):
+    # it once loaded and wrote a header-only log, which replay then failed
+    for doc in ({"n_agents": 2, "duration": 0.004},
+                {"n_agents": 2, "duration": 0.04, "rates": {
+                    "Ts_dyn": 0.01, "controller": 10.0, "estimator": 10.0}}):
+        with pytest.raises(ScenarioError, match="duration"):
+            scenario_from_dict(doc)
+    # 0.005 s is half a tick, which rounds to none, as run_scenario counts
+    with pytest.raises(ScenarioError, match="duration"):
+        scenario_from_dict({"n_agents": 2, "duration": 0.005})
+    log = run_scenario(scenario_from_dict({"n_agents": 2, "duration": 0.006}))
+    assert log.data.shape[0] == 1
+    cfg = tmp_path / "beam.json"
+    cfg.write_text(json.dumps(BEAM))
+    assert_cli_error(capsys, ["simulate", str(cfg), "--out-dir",
+                              str(tmp_path), "--duration", "0.004"],
+                     "duration")
+    assert not (tmp_path / "beam_run.csv").exists()
+
+
 def test_config_hash_identifies_resolved_scenario():
     base = Scenario(n_agents=2, duration=1.0)
     assert base.config_hash() == Scenario(n_agents=2, duration=1.0).config_hash()
