@@ -90,8 +90,9 @@ def _cmd_replay(args) -> int:
               "scenario that wrote it (config_hash "
               f"{log.meta.get('config_hash', 'unknown')})", file=sys.stderr)
         n_agents = sum(1 for c in log.columns if c.endswith("_fsm"))
-        sc = scenario_from_dict({"n_agents": n_agents,
-                                 "duration": float(log.t[-1] or 1.0)})
+        # replay_log reads no duration or rate off the scenario, and a log's
+        # last time need not be a whole number of ticks at the default rate
+        sc = scenario_from_dict({"n_agents": n_agents, "duration": 1.0})
     # replace() runs the estimator override through the load-time checks
     sc = dataclasses.replace(sc, estimator=args.estimator)
     out = replay_log(log, sc, agent=args.agent)

@@ -3,12 +3,14 @@
 Carrier for the linear plants of the robust-tuning analysis: the
 linearized interconnection arrives whole from the nonlinear model, its
 named channels select the uncertainty and performance signals
-(:meth:`LinearSystem.subsystem`), ``mu.assemble_n_delta`` puts the SISO
-weights built here in series with them, and the result is evaluated on
-frequency grids. Kept deliberately small: only what the margin
-computation and the weight identification need. The SISO realization is
-the package's own numpy code; it performs the operations of
-``scipy.signal.tf2ss`` and gives its matrices bit for bit, without
+(:meth:`LinearSystem.subsystem`), and ``mu.assemble_n_delta`` gives each
+selected output row a SISO weight built here. That weighted plant,
+:class:`WeightedPlant`, is evaluated on frequency grids as
+diag(W_r(jw)) P(jw), on the plant's own states: the weights scale the
+rows of P's response and add no state. Kept deliberately small: only what
+the margin computation and the weight identification need. The SISO
+realization is the package's own numpy code; it performs the operations
+of ``scipy.signal.tf2ss`` and gives its matrices bit for bit, without
 importing the signal package.
 """
 
@@ -96,21 +98,7 @@ class LinearSystem:
         gesv per frequency, alone or stacked, and the products and sums
         are per frequency too.
         """
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        if self.n_states == 0:
-            return np.broadcast_to(self.D.astype(complex),
-                                   (w.size, *self.D.shape)).copy()
-        n = self.n_states
-        G = np.empty((w.size, self.n_outputs, self.n_inputs), dtype=complex)
-        k = max(1, CHUNK_ENTRIES // (n * n))
-        for s in range(0, w.size, k):
-            wk = w[s:s + k]
-            M = (1j * wk)[:, None, None] * np.eye(n)[None, :, :] \
-                - self.A[None, :, :]
-            X = np.linalg.solve(
-                M, np.broadcast_to(self.B, (wk.size, n, self.n_inputs)))
-            G[s:s + k] = self.C[None, :, :] @ X + self.D[None, :, :]
-        return G
+        return _response(self, w)
 
     def subsystem(self, out_names=None, in_names=None) -> "LinearSystem":
         """Restrict to the named channels (states retained)."""
@@ -119,6 +107,63 @@ class LinearSystem:
         return LinearSystem(self.A, self.B[:, i_idx], self.C[o_idx, :],
                             self.D[np.ix_(o_idx, i_idx)],
                             inputs=i_ch, outputs=o_ch)
+
+
+def _response(sys: LinearSystem, w) -> np.ndarray:
+    """The solve behind :meth:`LinearSystem.freq_response`."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    if sys.n_states == 0:
+        return np.broadcast_to(sys.D.astype(complex),
+                               (w.size, *sys.D.shape)).copy()
+    n = sys.n_states
+    G = np.empty((w.size, sys.n_outputs, sys.n_inputs), dtype=complex)
+    k = max(1, CHUNK_ENTRIES // (n * n))
+    for s in range(0, w.size, k):
+        wk = w[s:s + k]
+        M = (1j * wk)[:, None, None] * np.eye(n)[None, :, :] \
+            - sys.A[None, :, :]
+        X = np.linalg.solve(
+            M, np.broadcast_to(sys.B, (wk.size, n, sys.n_inputs)))
+        G[s:s + k] = sys.C[None, :, :] @ X + sys.D[None, :, :]
+    return G
+
+
+@dataclass
+class WeightedPlant:
+    """diag(W_r(s)) P(s): the plant P with one SISO weight W_r, or None
+    (unweighted), on each output row r."""
+
+    plant: LinearSystem
+    weights: list
+
+    def __post_init__(self):
+        self.weights = list(self.weights)
+        if len(self.weights) != self.plant.n_outputs:
+            raise ChannelMismatch(f"{self.plant.n_outputs} output rows, got "
+                                  f"{len(self.weights)} weights")
+        if any(w is not None and w.D.shape != (1, 1) for w in self.weights):
+            raise ChannelMismatch("weights must be SISO")
+
+    def freq_response(self, w) -> np.ndarray:
+        """diag(W_r(jw)) P(jw), shape (len(w), p, m): P(jw) from one
+        :meth:`LinearSystem.freq_response` call on the plant's own states,
+        each weighted row scaled by its weight's response. A weight that
+        serves several rows is evaluated once per call, through the same
+        solve, and an unweighted row keeps P's bits."""
+        G = self.plant.freq_response(w)
+        responses = {}
+        for r, weight in enumerate(self.weights):
+            if weight is not None:
+                if id(weight) not in responses:
+                    responses[id(weight)] = _response(weight, w)[:, 0]
+                G[:, r] *= responses[id(weight)]
+        return G
+
+    def subsystem(self, out_names=None, in_names=None) -> "WeightedPlant":
+        """Restrict to the named channels, each kept row with its weight."""
+        rows, _ = _gather(self.plant.outputs, out_names, "output")
+        return WeightedPlant(self.plant.subsystem(out_names, in_names),
+                             [self.weights[r] for r in rows])
 
 
 def _channel_slice(channels, name, kind):

@@ -5,18 +5,20 @@ the stability margin uses the perturbation channels alone, the performance
 margin augments them with a full fictitious block closing the weighted
 disturbance-to-performance path. All blocks are treated as complex, which
 upper-bounds the mixed real/complex value (conservative direction: the
-reported safe region can only shrink).
+reported safe region can only shrink). The N-Delta interconnection is
+evaluated as N(jw) = diag(W(jw)) P(jw) on the plant's own states: the SISO
+weights scale the rows of P's response and add no state.
 
 The SSV upper bound is the largest singular value of D G D^-1 over
 block-commuting diagonal scalings D. Balancing gives D at every frequency:
 Osborne's fixed point, where each scaling group's row energy equals its
 column energy, minimises the Frobenius norm of D G D^-1, a convex problem
-in log D that a damped Newton method solves for all frequencies at once
-(Cohen, Madry, Tsipras & Vladu, FOCS 2017). Near the peak a BFGS descent
-on log D, with the gradient read off the top singular vectors, tightens
-it further. Polish runs in decreasing balanced order and stops once the
-next balanced value cannot raise the maximum: with no floor after at
-least the eight largest (every frequency keeps a tight bound near the
+in log D that a damped Newton method solves for a chunk of frequencies at
+once (Cohen, Madry, Tsipras & Vladu, FOCS 2017). Near the peak a BFGS
+descent on log D, with the gradient read off the top singular vectors,
+tightens it further. Polish runs in decreasing balanced order and stops
+once the next balanced value cannot raise the maximum: with no floor after
+at least the eight largest (every frequency keeps a tight bound near the
 peak), with a floor as soon as the next balanced value is at or below the
 floor or the running maximum, and each descent stops once it falls below
 that maximum (only the peak is tight). A margin needs
@@ -44,7 +46,7 @@ from .analysis import (
     margin_plant,
 )
 from .errors import ChannelMismatch, NonFiniteResponse, UnstableOperatingPoint
-from .lti import LinearSystem
+from .lti import CHUNK_ENTRIES, LinearSystem, WeightedPlant
 from .uncertainty import (
     UncertaintyBlock,
     default_weight_att,
@@ -74,12 +76,13 @@ def assemble_n_delta(plant: LinearSystem, blocks, perf_weight=None):
     """N = W P in the canonical upper-LFT arrangement.
 
     Selects the plant's inputs [u_blocks..., w] and outputs
-    [y_blocks..., z_lat...] once, then puts each output entry's SISO
-    weight in series with it in one pass: a block's weight (copied per
-    entry, or a list of one per entry) on its y channel, perf_weight on
-    every z_lat entry. The weight states follow the plant's, in output
-    order. Returns (N, structure); the structure appends the full
-    performance block mapping the weighted outputs back to the disturbance.
+    [y_blocks..., z_lat...] once, and gives each output entry its SISO
+    weight: a block's weight (copied per entry, or a list of one per entry)
+    on its y channel, perf_weight on every z_lat entry. N is the weighted
+    plant :class:`lti.WeightedPlant`, evaluated as diag(W(jw)) P(jw) on the
+    plant's own states. Returns (N, structure); the structure appends the
+    full performance block mapping the weighted outputs back to the
+    disturbance.
     """
     z_names = [name for name, _ in plant.outputs if name.startswith("z_lat")]
     if not z_names:
@@ -95,31 +98,10 @@ def assemble_n_delta(plant: LinearSystem, blocks, perf_weight=None):
             raise ChannelMismatch(
                 f"channel {name!r} has {k} entries, got {len(entry)} weights")
         weights += entry
-    if any(w is not None and w.D.shape != (1, 1) for w in weights):
-        raise ChannelMismatch("weights must be SISO")
-    n = P.n_states
-    m = sum(w.n_states for w in weights if w is not None)
-    A = np.pad(P.A, (0, m))
-    B = np.pad(P.B, ((0, m), (0, 0)))
-    C = np.pad(P.C, ((0, 0), (0, m)))
-    D = P.D.copy()
-    off = n
-    for r, w in enumerate(weights):
-        if w is None:
-            continue
-        ws = slice(off, off + w.n_states)
-        off = ws.stop
-        A[ws, ws] = w.A
-        A[ws, :n] = w.B @ P.C[r:r + 1]
-        B[ws] = w.B @ P.D[r:r + 1]
-        C[r, :n] *= w.D[0, 0]
-        C[r, ws] = w.C[0]
-        D[r] *= w.D[0, 0]
-    N = LinearSystem(A, B, C, D, inputs=P.inputs, outputs=P.outputs)
     structure = list(blocks) + [UncertaintyBlock(
         "perf", "full", dim_y=sum(k for _, k in P.outputs[len(blocks):]),
         dim_u=P.inputs[-1][1], weight=None)]
-    return N, structure
+    return WeightedPlant(P, weights), structure
 
 
 def _scaling_groups(structure):
@@ -287,12 +269,13 @@ def ssv_upper_bound(G, structure, polish: bool = True,
 
     G has shape (F, ny, nu) and must be finite; the structure lists the
     blocks in channel order. One positive scaling per scaling group, the
-    last pinned to 1. All frequencies are balanced at once by damped Newton
-    steps on the Frobenius energy: a frequency stops once a step lowers its
-    energy by less than balance_tol, relative, and after max_balance steps.
-    No frequency starts from another's result, so each balanced value does
-    not depend on the rest of the grid. With polish, frequencies then
-    descend by BFGS on the log-scales (analytic gradient) until every
+    last pinned to 1. The frequencies are balanced in stacked chunks, each
+    (k, ny, nu) temporary within lti.CHUNK_ENTRIES entries, by damped
+    Newton steps on the Frobenius energy: a frequency stops once a step
+    lowers its energy by less than balance_tol, relative, and after
+    max_balance steps. No frequency starts from another's result, so each
+    balanced value depends neither on the rest of the grid nor on the
+    chunks. With polish, frequencies then descend by BFGS on the log-scales (analytic gradient) until every
     relative derivative is below polish_tol, in decreasing balanced order:
 
     * floor None: the eight largest, then on while the next balanced value
@@ -320,12 +303,17 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     if G.shape[1] != ny or G.shape[2] != nu:
         raise ChannelMismatch(
             f"matrix {G.shape[1:]} does not match structure ({ny}, {nu})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logd = _balance(G, row_group, col_group, ng, balance_tol,
-                        max_balance)
-    # the ratio d_r / d_c at once: d_r alone may overflow where it is not
-    scale = np.exp(logd[:, row_group, None] - logd[:, None, col_group])
-    mu = np.linalg.svd(G * scale, compute_uv=False)[:, 0]
+    # every step is per frequency, so the chunks move no bit
+    step = max(1, CHUNK_ENTRIES // (ny * nu))
+    logd, mu = np.empty((G.shape[0], ng)), np.empty(G.shape[0])
+    for s in range(0, G.shape[0], step):
+        c = slice(s, s + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logd[c] = _balance(G[c], row_group, col_group, ng, balance_tol,
+                               max_balance)
+        # the ratio d_r / d_c at once: d_r alone may overflow where it is not
+        scale = np.exp(logd[c, row_group, None] - logd[c, None, col_group])
+        mu[c] = np.linalg.svd(G[c] * scale, compute_uv=False)[:, 0]
     if polish and ng > 1:
         top = -np.inf if floor is None else floor
         for i, k in enumerate(np.argsort(mu)[::-1]):

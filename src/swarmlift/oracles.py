@@ -27,6 +27,7 @@ from .attitude import (
     quat_to_rotmat,
     random_quat,
 )
+from .lti import LinearSystem
 from .mav import (
     EZ,
     GRAVITY,
@@ -247,6 +248,34 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     return OracleReport(results=results)
 
 
+def series_realization(N) -> LinearSystem:
+    """A state-space realization of the weighted plant N = diag(W_r) P
+    (:class:`lti.WeightedPlant`): each weighted row's SISO weight in series
+    after the plant's row, its states after the plant's, in row order. A
+    check of N's frequency response in its own arithmetic, and the states
+    that random_delta_hurwitz_check closes Delta around."""
+    P, weights = N.plant, N.weights
+    n = P.n_states
+    m = sum(w.n_states for w in weights if w is not None)
+    A = np.pad(P.A, (0, m))
+    B = np.pad(P.B, ((0, m), (0, 0)))
+    C = np.pad(P.C, ((0, 0), (0, m)))
+    D = P.D.copy()
+    off = n
+    for r, w in enumerate(weights):
+        if w is None:
+            continue
+        ws = slice(off, off + w.n_states)
+        off = ws.stop
+        A[ws, ws] = w.A
+        A[ws, :n] = w.B @ P.C[r:r + 1]
+        B[ws] = w.B @ P.D[r:r + 1]
+        C[r, :n] *= w.D[0, 0]
+        C[r, ws] = w.C[0]
+        D[r] *= w.D[0, 0]
+    return LinearSystem(A, B, C, D, inputs=P.inputs, outputs=P.outputs)
+
+
 def random_delta_hurwitz_check(n_agents: int, M: float, C: float,
                                n_samples: int = 50, freqs=None):
     """Monte-Carlo necessary condition: at a tuning point with rs > 1, every
@@ -254,8 +283,9 @@ def random_delta_hurwitz_check(n_agents: int, M: float, C: float,
     included) leaves the closed loop without growing modes.
 
     Returns (rs_margin, worst real part over sampled perturbed loops).
-    Perturbations close the Delta channels of the deflated interconnection;
-    growth is measured on the perturbed state matrix.
+    Perturbations close the Delta channels of the series realization of
+    the deflated rest interconnection; growth is measured on the perturbed
+    state matrix.
     """
     from .analysis import build_closed_loop, margin_plant
     from .mu import assemble_n_delta, default_blocks, margin_point, rs_partition
@@ -265,8 +295,9 @@ def random_delta_hurwitz_check(n_agents: int, M: float, C: float,
     res = margin_point(n_agents, M, C, freqs=freqs)
     cfg = AnalysisConfig(n_agents=n_agents, tuning_M=M, tuning_C=C)
     plant, ok = margin_plant(build_closed_loop(cfg))
-    N_sys, structure = assemble_n_delta(plant, default_blocks(n_agents),
-                                        performance_weight())
+    N, structure = assemble_n_delta(plant, default_blocks(n_agents),
+                                    performance_weight())
+    N_sys = series_realization(N)
     rs_blocks = [b for b in structure if b.name != "perf"]
     n_y = sum(b.dim_y for b in rs_blocks)
     n_u = sum(b.dim_u for b in rs_blocks)

@@ -61,8 +61,9 @@ when the scenario is loaded, and so does a value that fails its check:
       tuning.M or tuning.C (given or default), which set them;
     - rates whose controller rate does not divide 1/Ts_dyn, or whose
       estimator rate does not divide the controller rate;
-    - a duration that rounds to no controller tick, whose log would hold
-      no row.
+    - a duration that is not a whole number of controller ticks (within
+      1e-9 of a tick, as the rate checks), so that no tick count is
+      rounded; a log holds one row per tick, at least one.
 A Scenario is frozen: a field changes only through dataclasses.replace,
 which checks the fields again, as the CLI does for its overrides. Its noise
 is a read-only mapping and its events a tuple of read-only mappings whose
@@ -295,9 +296,11 @@ class Scenario:
         ratio = self.ctrl_rate / self.est_rate
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
             raise ScenarioError("estimator rate must divide the controller rate")
-        if round(self.duration * self.ctrl_rate) == 0:
-            raise ScenarioError(f"duration: {self.duration} s rounds to no "
-                                f"tick at {self.ctrl_rate} Hz")
+        ticks = self.duration * self.ctrl_rate
+        if (not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-9
+                or ticks < 1 - 1e-9):
+            raise ScenarioError(f"duration: {self.duration} s is not a whole "
+                                f"number of ticks at {self.ctrl_rate} Hz")
         if (self.payload is None
                 or _DERIVED_PAYLOADS.get(id(self.payload)) is self.payload):
             payload = checked_call("payload", default_payload, self.n_agents,

@@ -4,7 +4,7 @@ the margin pipeline.
 The transport pre-roll, the single-agent closed loop and the thrust
 identification experiment on each axis all step their dynamics with RK4.
 The rest and
-transport linearizations, the weighted N-Delta interconnection, the
+transport linearizations, the weighted N-Delta response, the
 balanced and polished SSV bounds and the margins of two tuning points are
 pinned as
 well. These digests pin their outputs bit for
@@ -125,13 +125,14 @@ def test_rest_linearization_digest(n_agents, M, C):
         == REST_DIGESTS[(n_agents, M, C)]
 
 
-# N of the default blocks and performance weight, on the deflated rest and
-# transport plants that margin_point closes through Delta
+# N(jw) of the default blocks and performance weight on a fixed 40-point
+# grid, on the deflated rest and transport plants that margin_point closes
+# through Delta
 N_DELTA_DIGESTS = {
     (2, 8.0, 6.0, "rest"):
-        "8e56c74bb958f17967b949e94a10909155b20d9cf70a5abe717c9e815f539c9c",
+        "18addef5d17921fc791256d47160b0d63c825f4c37037654f2abbbc050d0859d",
     (3, 4.0, 12.0, "transport"):
-        "41311ff50ba550dd3f71b3593c1112e1eb8584218d8aeca588686301239c4815",
+        "03068337452f4463f0a28ae50636b0e7d9fdaef26f286a3007e32637234e0348",
 }
 
 
@@ -143,12 +144,22 @@ def test_n_delta_digest(n_agents, M, C, point):
     assert ok
     N, _ = assemble_n_delta(plant, default_blocks(n_agents),
                             performance_weight())
-    assert _digest(N.A, N.B, N.C, N.D) \
+    assert _digest(N.freq_response(default_frequency_grid(40))) \
         == N_DELTA_DIGESTS[(n_agents, M, C, point)]
 
 
 # (rs, rp, peak_freq_rs, peak_freq_rp), compared with ==
 MARGINS = {
+    (3, 4.0, 12.0, 80): (1.0291870974387152, 0.2523270309287751,
+                         3.501900461431713, 3.501900461431713),
+    (2, 8.0, 6.0, 60): (1.5224835795413485, 0.3192861291313446,
+                        3.6251170499885315, 2.982471286216888),
+}
+
+# MARGINS as the weights' states in series with the plant gave them; N(jw)
+# as diag(W(jw)) P(jw) moves them by rounding, and rs at (3, 4, 12, 80)
+# by where the BFGS polish stops
+MARGINS_OF_THE_SERIES_N = {
     (3, 4.0, 12.0, 80): (1.0291870745808271, 0.2523270309287733,
                          3.501900461431713, 3.501900461431713),
     (2, 8.0, 6.0, 60): (1.5224835795413467, 0.31928612913134197,
@@ -161,6 +172,14 @@ def test_margin_point_fields(n_agents, M, C, n_freqs):
     r = margin_point(n_agents, M, C, freqs=default_frequency_grid(n_freqs))
     assert (r.rs_margin, r.rp_margin, r.peak_freq_rs, r.peak_freq_rp) \
         == MARGINS[(n_agents, M, C, n_freqs)]
+
+
+def test_margins_moved_from_the_series_n_by_rounding_only():
+    assert MARGINS.keys() == MARGINS_OF_THE_SERIES_N.keys()
+    for key, new in MARGINS.items():
+        old = MARGINS_OF_THE_SERIES_N[key]
+        assert new[2:] == old[2:], key  # the peak frequencies
+        assert np.allclose(new[:2], old[:2], rtol=1e-7, atol=0.0), key
 
 
 # repeated scalars only, and with a full block, whose groups span several

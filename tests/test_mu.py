@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,7 +18,7 @@ from swarmlift.analysis import (
 from swarmlift import mu as mu_mod
 from swarmlift.errors import (ChannelMismatch, NonFiniteResponse,
                               UnstableOperatingPoint)
-from swarmlift.lti import LinearSystem
+from swarmlift.lti import LinearSystem, siso_tf
 from swarmlift.mu import (
     TuningGrid,
     assemble_n_delta,
@@ -32,6 +33,7 @@ from swarmlift.mu import (
     scaled_sv_gradient,
     ssv_upper_bound,
 )
+from swarmlift.oracles import series_realization
 from swarmlift.uncertainty import UncertaintyBlock, performance_weight
 
 FREQS = default_frequency_grid(60)
@@ -51,35 +53,68 @@ def test_block_count_enumeration():
 
 
 def test_lft_closure_identity():
-    # N(jw) = diag(W_k(jw)) P(jw) on the selected channels: each output
-    # entry is the plant's row times its own weight's response (1 where
-    # unweighted), computed here in the frequency domain
+    # N(jw) = diag(W_k(jw)) P(jw) on the selected channels against the
+    # response of N's state-space realization, with every weight in series
     rng = np.random.default_rng(3)
     w_test = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 20))
-    pw = performance_weight()
     for n, M, C, point in [(2, 8.0, 6.0, "rest"), (3, 4.0, 12.0, "transport")]:
         cfg = AnalysisConfig(n_agents=n, tuning_M=M, tuning_C=C)
         sys = (build_closed_loop(cfg) if point == "rest"
                else linearize(cfg, point))
         plant, ok = margin_plant(sys)
         assert ok
-        blocks = default_blocks(n)
-        N, _ = assemble_n_delta(plant, blocks, pw)
-        P = plant.subsystem(
-            out_names=[f"y_{b.name}" for b in blocks]
-            + [f"z_lat_{i}" for i in range(n)],
-            in_names=[f"u_{b.name}" for b in blocks] + ["w"])
-        entries = []
-        for b in blocks:
-            entries += (b.weight if isinstance(b.weight, list)
-                        else [b.weight] * b.dim_y)
-        entries += [pw] * (2 * n)  # two lateral entries per z_lat_i
-        W = np.stack([np.ones(w_test.size) if wk is None
-                      else wk.freq_response(w_test)[:, 0, 0]
-                      for wk in entries], axis=1)
-        ref = W[:, :, None] * P.freq_response(w_test)
+        N, _ = assemble_n_delta(plant, default_blocks(n), performance_weight())
+        ref = series_realization(N).freq_response(w_test)
         G = N.freq_response(w_test)
         assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref)), point
+
+
+def _stable(rng, n):
+    A = rng.normal(size=(n, n))
+    return A - (np.linalg.eigvals(A).real.max() + rng.uniform(0.1, 2.0)) \
+        * np.eye(n)
+
+
+def _random_weight(rng):
+    k = int(rng.integers(1, 4))
+    return LinearSystem(_stable(rng, k), rng.normal(size=(k, 1)),
+                        rng.normal(size=(1, k)), rng.normal(size=(1, 1)))
+
+
+@seed(7)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3),
+                          st.sampled_from(["none", "shared", "list",
+                                           "static"])),
+                min_size=1, max_size=4),
+       st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_n_delta_response_equals_its_series_realization(channels, n, n_w,
+                                                        rng_seed):
+    # random stable plants; unweighted rows, one weight shared by several
+    # rows, a list of one weight per entry and a static gain, which is
+    # realized with one all-zero state
+    rng = np.random.default_rng(rng_seed)
+    shared = _random_weight(rng)
+    static = siso_tf([rng.uniform(0.1, 2.0)], [1.0])
+    assert static.n_states == 1 and not static.A.any()
+    blocks = [UncertaintyBlock(f"b{i}", "repeated", k, k, {
+        "none": None, "shared": shared, "static": static,
+        "list": [_random_weight(rng) for _ in range(k)]}[kind])
+        for i, (k, kind) in enumerate(channels)]
+    ny = sum(k for k, _ in channels)
+    plant = LinearSystem(
+        _stable(rng, n), rng.normal(size=(n, ny + n_w)),
+        rng.normal(size=(ny + 2, n)), rng.normal(size=(ny + 2, ny + n_w)),
+        inputs=[(f"u_b{i}", k) for i, (k, _) in enumerate(channels)]
+        + [("w", n_w)],
+        outputs=[(f"y_b{i}", k) for i, (k, _) in enumerate(channels)]
+        + [("z_lat_0", 2)])
+    N, _ = assemble_n_delta(plant, blocks, shared)
+    w = np.logspace(-2.0, 2.0, 15)
+    ref = series_realization(N).freq_response(w)
+    G = N.freq_response(w)
+    assert G.shape == ref.shape == (w.size, ny + 2, ny + n_w)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_assemble_rejects_mismatched_weights():
@@ -233,6 +268,38 @@ def test_balance_does_not_depend_on_frequency_order():
         mu = ssv_upper_bound(G_k, s, polish=False)
         np.testing.assert_array_equal(
             ssv_upper_bound(G_k[perm], s, polish=False), mu[perm])
+
+
+def test_chunked_bound_equals_one_chunk_bit_for_bit(monkeypatch):
+    # each frequency's balance, scaling and SVD are its own, so a small
+    # element budget that cuts the grid into chunks moves no bit
+    N, struct = _assembled(3, 4.0, 12.0)
+    G = N.freq_response(FREQS)
+    calls = [(X, s, polish) for X, s in (rs_partition(G, struct), (G, struct))
+             for polish in (False, True)]
+    whole = [ssv_upper_bound(X, s, polish=polish) for X, s, polish in calls]
+    for per_chunk in (7, 1):  # 60 = 8 * 7 + 4 frequencies, and one each
+        for (X, s, polish), want in zip(calls, whole):
+            monkeypatch.setattr(mu_mod, "CHUNK_ENTRIES",
+                                per_chunk * X.shape[1] * X.shape[2])
+            got = ssv_upper_bound(X, s, polish=polish)
+            assert got.tobytes() == want.tobytes(), (per_chunk, polish)
+
+
+def test_balanced_bound_peak_memory_stays_within_chunks():
+    # the stability channels of N = 5 at 200 frequencies: G is 7.4 MB;
+    # balancing all of them in one stack peaks at 41 MB
+    structure = default_blocks(5)
+    ny = sum(b.dim_y for b in structure)
+    rng = np.random.default_rng(0)
+    G = rng.normal(size=(200, ny, ny)) + 1j * rng.normal(size=(200, ny, ny))
+    tracemalloc.start()
+    try:
+        ssv_upper_bound(G, structure, polish=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_balance_equalises_row_and_column_energy():

@@ -330,6 +330,29 @@ def assert_cli_error(capsys, argv, match):
     assert re.search(match, errors[0]), errors[0]
 
 
+def test_duration_of_a_part_tick_is_rejected(tmp_path, capsys):
+    # round() would run 2, 2 and 4 ticks, halves rounding to even; 1e307 s
+    # is 1e309 ticks, which overflows to inf
+    cfg = tmp_path / "beam.json"
+    cfg.write_text(json.dumps(BEAM))
+    for duration in (0.015, 0.025, 0.035, 0.006, 1.0 + 1e-6, 1e307):
+        with pytest.raises(ScenarioError, match="whole number of ticks"):
+            scenario_from_dict({"n_agents": 2, "duration": duration})
+        assert_cli_error(capsys, ["simulate", str(cfg), "--out-dir",
+                                  str(tmp_path), "--duration", str(duration)],
+                         "duration.*whole number of ticks")
+    assert not (tmp_path / "beam_run.csv").exists()
+    # a whole count loads within the rate checks' 1e-9 of a tick
+    for duration, ticks in ((0.3, 30), (0.07, 7), (1.0 + 1e-12, 100)):
+        sc = scenario_from_dict({"n_agents": 2, "duration": duration})
+        assert round(sc.duration * sc.ctrl_rate) == ticks
+    assert scenario_from_dict({"n_agents": 2, "duration": 0.1, "rates": {
+        "controller": 50.0, "estimator": 50.0}}).ctrl_rate == 50.0
+    with pytest.raises(ScenarioError, match="whole number of ticks"):
+        scenario_from_dict({"n_agents": 2, "duration": 0.01, "rates": {
+            "controller": 50.0, "estimator": 50.0}})
+
+
 def test_overridden_field_is_checked_like_load(tmp_path, capsys):
     import dataclasses
 
@@ -368,7 +391,7 @@ def test_duration_of_no_controller_tick_is_rejected(tmp_path, capsys):
     # 0.005 s is half a tick, which rounds to none, as run_scenario counts
     with pytest.raises(ScenarioError, match="duration"):
         scenario_from_dict({"n_agents": 2, "duration": 0.005})
-    log = run_scenario(scenario_from_dict({"n_agents": 2, "duration": 0.006}))
+    log = run_scenario(scenario_from_dict({"n_agents": 2, "duration": 0.01}))
     assert log.data.shape[0] == 1
     cfg = tmp_path / "beam.json"
     cfg.write_text(json.dumps(BEAM))
@@ -931,6 +954,18 @@ def test_cli_replay_of_a_one_row_log_exits_4(tmp_path, capsys):
                               "--out-dir", str(tmp_path / "replay")],
                      "at least two rows")
     assert not (tmp_path / "replay").exists()
+
+
+def test_cli_replay_without_config_of_a_log_at_another_rate(tmp_path,
+                                                             capsys):
+    # the log ends at 0.475 s, 47.5 ticks of the default 100 Hz
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.5, "rates": {
+        "controller": 40.0, "estimator": 40.0}}))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert main(["replay", str(tmp_path / "slow_run.csv"), "--out-dir",
+                 str(tmp_path / "replay")]) == 0
+    assert (tmp_path / "replay" / "replay_estimates.csv").exists()
 
 
 @pytest.mark.parametrize("t1", [0.0, -0.01, float("nan")],
