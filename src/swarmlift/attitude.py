@@ -63,18 +63,13 @@ _PREV = np.array([2, 0, 1])
 def cross3(a, b):
     """Cross product of 3-vectors along the last axis, with broadcasting.
 
-    Same component arithmetic as ``np.cross`` (so the same bits): all three
-    components are one product of cyclic shifts of a and b minus another,
-    without ``np.cross``'s axis shuffling, which dominates the cost on
-    small inputs; two single float vectors run it on Python floats.
+    Same component arithmetic as ``np.cross`` in numpy's own loops, so the
+    same bits, NaNs included: all three components are one product of cyclic
+    shifts of a and b minus another, without ``np.cross``'s axis shuffling,
+    which dominates the cost on small inputs.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim == b.ndim == 1 and a.dtype == b.dtype == np.float64:
-        a0, a1, a2 = a.tolist()
-        b0, b1, b2 = b.tolist()
-        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                         a0 * b1 - a1 * b0])
     return (a.take(_NEXT, -1) * b.take(_PREV, -1)
             - a.take(_PREV, -1) * b.take(_NEXT, -1))
 

@@ -1,11 +1,11 @@
-"""Built-in independent oracles backing the test suite.
+"""Built-in independent oracles, run by ``swarmlift oracles``.
 
 Each check recomputes a quantity through a route independent of the
 implementation it validates: finite differences against analytic Jacobians,
-brute-force sums against closed forms, analytic ODE solutions against
-discretizations, random admissible perturbations against margin claims.
-The mutation hook deliberately injects a sign error so the suite can prove
-the oracles detect broken dynamics.
+brute-force sums against closed forms, the package's RK4 step against a
+closed-form propagator, random admissible perturbations against margin
+claims. The mutation hook deliberately injects a sign error so the suite
+can prove the oracles detect broken dynamics.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from . import ekf as ekf_mod
 from . import ukf as ukf_mod
 from .admittance import AdmittanceParams, AdmittanceState, admittance_step, fsm_step
 from .admittance import AdmittanceMode
-from .analysis import AnalysisConfig, chart_rhs_out, rest_state, to_chart, zero_input
+from .analysis import (AnalysisConfig, chart_rhs_out, complex_step_jacobian,
+                       rest_state, to_chart, zero_input)
 from .attitude import (
     mrp_to_quat,
     quat_integrate,
     quat_multiply,
+    quat_rate,
     quat_to_mrp,
     quat_to_rotmat,
     random_quat,
@@ -32,6 +34,7 @@ from .mav import (
     EZ,
     GRAVITY,
     MavParams,
+    rk4_step,
     rotational_dynamics,
     translational_dynamics,
 )
@@ -67,6 +70,17 @@ class OracleReport:
         lines = [r.line() for r in self.results]
         verdict = "ALL PASS" if self.all_passed else "FAILURES PRESENT"
         return "\n".join(lines + [verdict])
+
+
+def _fd_column_error(f, x, J, j):
+    """Error of column j of the Jacobian J of f at x against a central
+    difference of step 1e-6, relative to the difference (at least 1)."""
+    eps = 1e-6
+    dx = np.zeros(x.size)
+    dx[j] = eps
+    col = (f(x + dx) - f(x - dx)) / (2 * eps)
+    return float(np.max(np.abs(J[:, j] - col))
+                 / max(1.0, np.max(np.abs(col))))
 
 
 def oracle_suite(mutate: str | None = None) -> OracleReport:
@@ -123,18 +137,9 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
         q = random_quat(rng)
         om = rng.normal(scale=0.5, size=3)
         q1 = quat_integrate(q, om, 0.05)
-        qq = q.copy()
-        h = 0.05 / 200
-        for _ in range(200):
-            def f(qv):
-                v, s = qv[:3], qv[3]
-                return np.concatenate([0.5 * (s * om + np.cross(v, om)),
-                                       [-0.5 * np.dot(v, om)]])
-            k1 = f(qq)
-            k2 = f(qq + 0.5 * h * k1)
-            k3 = f(qq + 0.5 * h * k2)
-            k4 = f(qq + h * k3)
-            qq = qq + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        qq, h = q, 0.05 / 200
+        for k in range(200):
+            qq = rk4_step(lambda t, x: quat_rate(x, om), k * h, qq, h)
         qq /= np.linalg.norm(qq)
         worst = max(worst, float(np.max(np.abs(q1 - qq))))
     results.append(OracleResult("quat integration vs ODE", worst, 1e-8))
@@ -155,14 +160,9 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
         u = (rng.normal(scale=0.1), rng.normal(scale=0.1), 0.0,
              params.m * GRAVITY + rng.normal(scale=3.0))
         A = ekf_mod.process_jacobian(x, u, params)
-        eps = 1e-6
         for j in range(ekf_mod.NX):
-            dx = np.zeros(ekf_mod.NX)
-            dx[j] = eps
-            col = (ekf_mod.process_rhs(x + dx, u, params)
-                   - ekf_mod.process_rhs(x - dx, u, params)) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(A[:, j] - col))
-                                     / max(1.0, np.max(np.abs(col)))))
+            worst = max(worst, _fd_column_error(
+                lambda z: ekf_mod.process_rhs(z, u, params), x, A, j))
     results.append(OracleResult("EKF Jacobian vs finite differences", worst,
                                 1e-4))
 
@@ -175,21 +175,13 @@ def oracle_suite(mutate: str | None = None) -> OracleReport:
     for _ in range(20):
         xc = xc0 + rng.normal(scale=0.02, size=xc0.size)
         u = u0 + rng.normal(scale=0.02, size=u0.size)
-        from .analysis import complex_step_jacobian
-
         J_cs = complex_step_jacobian(
             lambda z: chart_rhs_out(cfg, z, np.tile(u.astype(z.dtype),
                                                     (len(z), 1)), q_ref)[0],
             xc)
-        eps = 1e-6
-        cols = rng.choice(xc.size, size=6, replace=False)
-        for j in cols:
-            dx = np.zeros(xc.size)
-            dx[j] = eps
-            col = (chart_rhs_out(cfg, xc + dx, u, q_ref)[0]
-                   - chart_rhs_out(cfg, xc - dx, u, q_ref)[0]) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(J_cs[:, j] - col))
-                                     / max(1.0, np.max(np.abs(col)))))
+        for j in rng.choice(xc.size, size=6, replace=False):
+            worst = max(worst, _fd_column_error(
+                lambda z: chart_rhs_out(cfg, z, u, q_ref)[0], xc, J_cs, j))
     results.append(OracleResult(
         "coupled-model linearization vs finite differences", worst, 1e-4))
 
@@ -285,10 +277,10 @@ def random_delta_hurwitz_check(n_agents: int, M: float, C: float,
     Returns (rs_margin, worst real part over sampled perturbed loops).
     Perturbations close the Delta channels of the series realization of
     the deflated rest interconnection; growth is measured on the perturbed
-    state matrix.
+    state matrix, complex as Delta is.
     """
     from .analysis import build_closed_loop, margin_plant
-    from .mu import assemble_n_delta, default_blocks, margin_point, rs_partition
+    from .mu import assemble_n_delta, default_blocks, margin_point
     from .mu import sample_admissible_perturbation
     from .uncertainty import performance_weight
 
@@ -298,36 +290,21 @@ def random_delta_hurwitz_check(n_agents: int, M: float, C: float,
     N, structure = assemble_n_delta(plant, default_blocks(n_agents),
                                     performance_weight())
     N_sys = series_realization(N)
-    rs_blocks = [b for b in structure if b.name != "perf"]
-    n_y = sum(b.dim_y for b in rs_blocks)
-    n_u = sum(b.dim_u for b in rs_blocks)
     rng = np.random.default_rng(0)
     worst = -np.inf
     for k in range(n_samples):
-        endpoint = None
-        if k == 0:
-            endpoint = 1.0
-        elif k == 1:
-            endpoint = -1.0
-        D = sample_admissible_perturbation(rng, structure,
-                                           mass_endpoint=endpoint)
-        # close u_Delta = D_real y_Delta on the state-space (complex Delta
-        # handled by doubling: [[Re, -Im], [Im, Re]] acting on a realified
-        # system is equivalent for stability of the complex LFT)
-        A = N_sys.A
-        Bd = N_sys.B[:, :n_u]
-        Cd = N_sys.C[:n_y, :]
-        Dd = N_sys.D[:n_y, :n_u]
-        nst = A.shape[0]
-        Ar = np.block([[A, np.zeros_like(A)], [np.zeros_like(A), A]])
-        Br = np.block([[Bd, np.zeros_like(Bd)], [np.zeros_like(Bd), Bd]])
-        Cr = np.block([[Cd, np.zeros_like(Cd)], [np.zeros_like(Cd), Cd]])
-        Dr = np.block([[Dd, np.zeros_like(Dd)], [np.zeros_like(Dd), Dd]])
-        DR = np.block([[D.real, -D.imag], [D.imag, D.real]])
-        closure = np.linalg.solve(np.eye(2 * n_y) - Dr @ DR, Cr)
-        A_cl = Ar + Br @ DR @ closure
-        ev = np.linalg.eigvals(A_cl)
+        D = sample_admissible_perturbation(rng, structure, mass_endpoint={
+            0: 1.0, 1: -1.0}.get(k))
+        ev = np.linalg.eigvals(_close_delta(N_sys, D))
         ev = ev[np.abs(ev) > 1e-9]  # structural zeros persist by symmetry
         if ev.size:
             worst = max(worst, float(ev.real.max()))
     return res.rs_margin, worst
+
+
+def _close_delta(N_sys: LinearSystem, Delta):
+    """State matrix of N_sys with u = Delta y closed around its leading
+    channels: the complex LFT A + B_u Delta (I - D_yu Delta)^-1 C_y."""
+    n_u, n_y = Delta.shape
+    B, C, D = N_sys.B[:, :n_u], N_sys.C[:n_y], N_sys.D[:n_y, :n_u]
+    return N_sys.A + B @ Delta @ np.linalg.solve(np.eye(n_y) - D @ Delta, C)

@@ -15,8 +15,9 @@ batch axes; each row then has the bits of its own unbatched call.
 One real row (float64 R (3, 3), 1-D vectors and (N, 3) rows) runs the
 elementwise arithmetic on Python floats in numpy's order, and every matrix
 product and the solve as the array path's numpy call: the same bits, NaN
-signs and payloads aside (as in ``cross3``). Stacked and complex-step
-operands run the array path.
+signs and payloads aside. The simulator's payload stages and the pre-roll
+take it. Stacked and complex-step operands, as in the batched Jacobians,
+run the array path, whose products are ``cross3``'s.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from numpy.linalg._umath_linalg import solve1
 from .attitude import cross3, matvec
 from .errors import DimensionMismatch
 from .mav import G_EZ, real_array
-
-# FP's cyclic shifts that pair with ComSystem.attachment_shifts in r x FP
-_FP_SHIFTS = np.array([2, 0, 1, 1, 2, 0])
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,6 @@ class ComSystem:
     J_sys: np.ndarray  # (3, 3) about the composite CoM
     attachments: np.ndarray  # (N, 3) agent offsets from the CoM
     r_payload_cog: np.ndarray  # payload CoG offset from the CoM
-    attachment_shifts: np.ndarray  # (N, 6): shifts r[k+1], then r[k+2]
 
 
 def com_system(params: PayloadParams, agent_masses) -> ComSystem:
@@ -130,8 +127,7 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
     for m_i, r in zip(agent_masses, att):
         J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
     return ComSystem(m_sys=m_sys, J_sys=J, attachments=att,
-                     r_payload_cog=r_pc,
-                     attachment_shifts=att.take([1, 2, 0, 2, 0, 1], -1))
+                     r_payload_cog=r_pc)
 
 
 def _real_row(R, rows, a, b, c):
@@ -173,12 +169,8 @@ def attachment_accel(com: ComSystem, R, w, w_x_r, vdot, wdot):
                         for (r0, r1, r2), (u0, u1, u2)
                         in zip(com.attachments.tolist(), w_x_r.tolist())])
     else:
-        # one cross3 gives wdot x r and w x (w x r) for every attachment r;
-        # the attachments are copied into every batch row
-        r = np.empty((2,) + w_x_r.shape, w_x_r.dtype)
-        r[0], r[1] = com.attachments, w_x_r
-        wdot_x_r, w_x_w_x_r = cross3(np.array((wdot, w))[..., None, :], r)
-        rel = wdot_x_r + w_x_w_x_r
+        rel = (cross3(wdot[..., None, :], com.attachments)
+               + cross3(w[..., None, :], w_x_r))
     return vdot[..., None, :] + rel @ R.swapaxes(-1, -2)
 
 
@@ -196,8 +188,7 @@ def payload_accel(com: ComSystem, drag_F, drag_M, R, v, w, F_sum, FP):
     # without the wrapper's checks (J_sys >= diag(J_p) > 0 is never singular)
     if not _real_row(R, FP, v, w, F_sum):
         vdot = (F_sum - drag_w) / com.m_sys - G_EZ
-        r_x_FP = com.attachment_shifts * FP.take(_FP_SHIFTS, -1)
-        M = np.add.reduce(r_x_FP[..., :3] - r_x_FP[..., 3:], -2)
+        M = np.add.reduce(cross3(com.attachments, FP), -2)
         return vdot, solve1(com.J_sys, M - cross3(w, J_w) - drag_M * w)
     m, (g0, g1, g2) = com.m_sys, G_EZ.tolist()
     (f0, f1, f2), (d0, d1, d2) = F_sum.tolist(), drag_w.tolist()

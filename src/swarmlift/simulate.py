@@ -122,24 +122,38 @@ class RunLog:
 
     @classmethod
     def from_csv(cls, path_or_buf) -> "RunLog":
+        """Load a log that to_csv wrote. Raises ScenarioError on any other
+        file: a header token that is not key=value, a flag or cell that is
+        not a number, or a row not as wide as the column names."""
         buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
         try:
             header = buf.readline().strip()
             if not header.startswith(f"# {LOG_VERSION}"):
                 raise ScenarioError(f"not a {LOG_VERSION} file: {header!r}")
-            fields = dict(kv.split("=") for kv in header.split()[2:])
+            fields = {}
+            for kv in header.split()[2:]:
+                key, eq, value = kv.partition("=")
+                if not eq:
+                    raise ScenarioError(f"log header token {kv!r} is not "
+                                        "key=value")
+                fields[key] = value
             columns = buf.readline().strip().split(",")
             data = np.loadtxt(buf, delimiter=",", ndmin=2)
+            diverged = bool(int(fields.get("diverged", "0")))
+            step = fields.get("diverged_step", "None")
+            step = None if step == "None" else int(step)
+        except ValueError as exc:  # int() or loadtxt on a malformed entry
+            raise ScenarioError(f"malformed log: {exc}") from None
         finally:
             if not hasattr(path_or_buf, "read"):
                 buf.close()
-        step = fields.get("diverged_step", "None")
+        if data.size and data.shape[1] != len(columns):
+            raise ScenarioError(f"malformed log: its rows have {data.shape[1]}"
+                                f" values, its header {len(columns)} names")
         meta = ({"config_hash": fields["config_hash"]}
                 if "config_hash" in fields else {})
-        return cls(columns=columns, data=data,
-                   diverged=bool(int(fields.get("diverged", "0"))),
-                   diverged_step=None if step == "None" else int(step),
-                   meta=meta)
+        return cls(columns=columns, data=data, diverged=diverged,
+                   diverged_step=step, meta=meta)
 
 
 def agent_thrust(sc: Scenario, xa):
@@ -463,6 +477,14 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
     """
     if agent < 1 or agent >= sc.n_agents:
         raise ScenarioError("replay runs on a slave agent index")
+    groups = [[f"a{agent}_{name}" for name in group] for group in (
+        ("px", "py", "pz"), ("vx", "vy", "vz"), ("qx", "qy", "qz", "qw"),
+        ("wx", "wy", "wz"), ("cmd_phi", "cmd_theta", "cmd_psi", "cmd_F"),
+        [f"n{k}" for k in range(sc.mav.rotor_count)])]
+    for name in ["t"] + [name for group in groups for name in group]:
+        if name not in log.columns:
+            raise ScenarioError(f"replay needs the log column {name!r}, "
+                                "which the log lacks")
     t = log.t
     if t.size < 2:  # the step is read off the first two rows
         raise ScenarioError(
@@ -477,13 +499,7 @@ def replay_log(log: RunLog, sc: Scenario, agent: int = 1) -> np.ndarray:
         k = int(np.argmax(off)) + 1
         raise ScenarioError(f"replay needs evenly stepped times: row {k} "
                             f"has t={t[k]} after t={t[k - 1]}")
-    a = f"a{agent}_"
-    p = log.cols([a + "px", a + "py", a + "pz"])
-    v = log.cols([a + "vx", a + "vy", a + "vz"])
-    q = log.cols([a + "qx", a + "qy", a + "qz", a + "qw"])
-    w = log.cols([a + "wx", a + "wy", a + "wz"])
-    cmd = log.cols([a + "cmd_phi", a + "cmd_theta", a + "cmd_psi", a + "cmd_F"])
-    rotors = log.cols([a + f"n{k}" for k in range(sc.mav.rotor_count)])
+    p, v, q, w, cmd, rotors = (log.cols(group) for group in groups)
     out = np.zeros((t.size, 4))
     out[:, 0] = t
     if sc.estimator == "ekf":

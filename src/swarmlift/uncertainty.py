@@ -181,8 +181,8 @@ def performance_weight() -> LinearSystem:
 # 2) and identify_estimator_response ("ekf" and "ukf") and a fit of each
 # relative error. tests/test_uncertainty.py regenerates none of them: it
 # checks that the mpc and lateral att weights still cover a fresh
-# identification on four harmonics. Nothing runs the estimator experiment,
-# so no test checks the est weight against it.
+# identification on four harmonics, and the est weight a fresh EKF
+# identification on every harmonic. No test runs the UKF experiment.
 # ---------------------------------------------------------------------------
 
 def default_weight_mpc() -> LinearSystem:

@@ -544,11 +544,9 @@ CROSS_SHAPES = [((3,), (4, 3)), ((5, 3), (5, 3)), ((2, 1, 3), (2, 3, 3)),
                 ((3,), (3,)), ((6, 3), (3,)), ((2, 5, 3), (2, 5, 3))]
 
 
-# entries of the two single vectors, which cross3 multiplies as Python
-# floats: finite ones, signed zeros, subnormals, infinities and numpy's NaN.
-# (Where two NaNs of different payloads meet in one product, CPython keeps
-# the second operand's payload and numpy's loop the first one's; no kernel
-# input carries such a pair.)
+# entries of the two single vectors, which cross3 multiplies in numpy's
+# loops as np.cross does: finite ones, signed zeros, subnormals, infinities
+# and numpy's NaN
 SPECIAL = st.one_of(FINITE, st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, np.inf, -np.inf,
      np.nan]))
@@ -572,7 +570,8 @@ def test_cross3_bits(shapes, cs_a, cs_b, data):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.booleans(), st.data())
 def test_stacked_cross3_rows_are_single_calls(n, cs, data):
-    # the stacking attachment_accel uses
+    # two products stacked on a leading axis, one vector against rows each,
+    # give the bits of each product alone
     att = data.draw(reals((n, 3)))
     w, wdot = (data.draw(states(3, cs)) for _ in range(2))
     w_x_r = data.draw(states((n, 3), cs))

@@ -33,7 +33,7 @@ from swarmlift.mu import (
     scaled_sv_gradient,
     ssv_upper_bound,
 )
-from swarmlift.oracles import series_realization
+from swarmlift.oracles import _close_delta, series_realization
 from swarmlift.uncertainty import UncertaintyBlock, performance_weight
 
 FREQS = default_frequency_grid(60)
@@ -468,6 +468,54 @@ def test_random_delta_hurwitz_at_robust_point():
                                            freqs=FREQS)
     assert rs > 1.0
     assert worst < 0.0
+
+
+def realified_delta_closure(N_sys, D, n_y, n_u):
+    """The state matrix random_delta_hurwitz_check closed Delta on before it
+    took the complex LFT, kept as the reference: the system doubled to its
+    real and imaginary parts, with D acting as [[Re, -Im], [Im, Re]]."""
+    A = N_sys.A
+    Bd = N_sys.B[:, :n_u]
+    Cd = N_sys.C[:n_y, :]
+    Dd = N_sys.D[:n_y, :n_u]
+    Ar = np.block([[A, np.zeros_like(A)], [np.zeros_like(A), A]])
+    Br = np.block([[Bd, np.zeros_like(Bd)], [np.zeros_like(Bd), Bd]])
+    Cr = np.block([[Cd, np.zeros_like(Cd)], [np.zeros_like(Cd), Cd]])
+    Dr = np.block([[Dd, np.zeros_like(Dd)], [np.zeros_like(Dd), Dd]])
+    DR = np.block([[D.real, -D.imag], [D.imag, D.real]])
+    closure = np.linalg.solve(np.eye(2 * n_y) - Dr @ DR, Cr)
+    return Ar + Br @ DR @ closure
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_complex_delta_closure_has_the_realified_spectrum(seed):
+    # a stable plant with a mass-like repeated block, a full block and an
+    # unclosed performance channel after them
+    rng = np.random.default_rng(seed)
+    structure = [UncertaintyBlock("mass", "repeated", 2, 2),
+                 UncertaintyBlock("est", "full", 3, 2),
+                 UncertaintyBlock("perf", "full", 1, 1)]
+    n = 7
+    A = rng.normal(size=(n, n))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+    N_sys = LinearSystem(A, rng.normal(size=(n, 5)), rng.normal(size=(6, n)),
+                         0.3 * rng.normal(size=(6, 5)))
+    endpoint = (None, 1.0, -1.0)[seed % 3]
+    D = sample_admissible_perturbation(rng, structure, mass_endpoint=endpoint)
+    ev = np.linalg.eigvals(_close_delta(N_sys, D))
+    ref = np.linalg.eigvals(realified_delta_closure(N_sys, D, 5, 4))
+    assert_allclose(np.sort(np.concatenate([ev, ev.conj()])), np.sort(ref),
+                    rtol=1e-9)
+
+
+def test_random_delta_hurwitz_worst_real_part():
+    # the complex closure keeps the realified one's worst real part: the
+    # performance weight's pole at -0.01, which no Delta moves
+    from swarmlift.oracles import random_delta_hurwitz_check
+
+    _, worst = random_delta_hurwitz_check(2, 8.0, 6.0, n_samples=25,
+                                          freqs=FREQS)
+    assert abs(worst - -0.01) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

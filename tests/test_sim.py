@@ -1012,6 +1012,57 @@ def test_cli_replay_of_a_log_with_a_bad_later_time_exits_4(
     assert not (tmp_path / "replay").exists()
 
 
+def _edit(rows, fn):
+    # fn on the log's text lines in the slice rows: line 0 is the header,
+    # line 1 the column names, then one line per row
+    def apply(lines):
+        lines[rows] = [fn(line) for line in lines[rows]]
+    return apply
+
+
+def _drop_column(name):
+    def apply(lines):
+        k = lines[1].split(",").index(name)
+        _edit(slice(1, None), lambda line: ",".join(
+            cell for i, cell in enumerate(line.split(",")) if i != k))(lines)
+    return apply
+
+
+MALFORMED_LOGS = {
+    "token": (_edit(slice(1), lambda h: h.replace("diverged=0", "diverged")),
+              "log header token 'diverged' is not key=value"),
+    "flag": (_edit(slice(1), lambda h: h.replace("diverged=0", "diverged=x")),
+             "malformed log: invalid literal for int"),
+    "cell": (_edit(slice(3, 4), lambda row: re.sub(",[^,]*", ",abc", row, 1)),
+             "malformed log: could not convert string 'abc'"),
+    "ragged": (_edit(slice(4, 5), lambda line: line.rsplit(",", 1)[0]),
+               "malformed log: the number of columns changed"),
+    "wider": (_edit(slice(1, 2), lambda line: line.rsplit(",", 1)[0]),
+              "malformed log: its rows have 81 values, its header 80 names"),
+    "column": (_drop_column("a1_px"), "replay needs the log column 'a1_px'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LOGS)
+def test_cli_replay_of_a_malformed_log_exits_4(tmp_path, capsys, case):
+    # one error line, no traceback, whether from_csv or replay_log refuses
+    edit, match = MALFORMED_LOGS[case]
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"n_agents": 2, "duration": 0.05}))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "short_run.csv").read_text().splitlines()
+    edit(lines)
+    log = tmp_path / "edited.csv"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(log), "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "replay")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("swarmlift: error: ")
+    assert match in lines[0], lines[0]
+    assert not (tmp_path / "replay").exists()
+
+
 def test_replay_accepts_the_simulators_rounded_times():
     # t += dt_ctrl drifts from k * dt_ctrl by rounding only
     sc = beam(duration=1.0, estimator="ekf")

