@@ -39,13 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # einsum's C core, without the Python wrapper and its dispatch
-    from numpy._core._multiarray_umath import c_einsum
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import c_einsum
+# einsum's C core, without the Python wrapper and its dispatch
+from numpy._core._multiarray_umath import c_einsum
 
 from .admittance import AdmittanceParams
-from .attitude import (cross3, matvec, quat_normalize, quat_rate,
+from .attitude import (cross3, quat_normalize, quat_rate,
                        quat_to_rotmat, rotvec_to_rotmat)
 from .errors import UnstableOperatingPoint
 from .lti import LinearSystem
@@ -200,7 +198,7 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
                                      cfg.payload.drag_M, R, v, omega,
                                      np.add.reduce(F_cons_w, -2), F_cons_P)
     v_dot = v_dot - cfg.w_mass * u_mass
-    omega_dot = omega_dot - matvec(cfg.G_inertia, u_J)
+    omega_dot = omega_dot - np.matvec(cfg.G_inertia, u_J)
 
     dp_ref = w
 

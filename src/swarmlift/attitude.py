@@ -16,8 +16,6 @@ All functions accept batched inputs: a quaternion argument of shape
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SingularMrp
@@ -26,14 +24,9 @@ IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def quat_normalize(q):
-    """Rescale to unit norm (no sign convention applied); one quaternion of
-    nonzero norm runs numpy's IEEE operations, in order, on Python floats."""
+    """Rescale to unit norm along the last axis (no sign convention
+    applied); a zero quaternion gives NaNs."""
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        x, y, z, w = q.tolist()
-        n = math.sqrt(x * x + y * y + z * z + w * w)
-        if n != 0.0:
-            return np.array([x / n, y / n, z / n, w / n])
     n = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     return q / n
 
@@ -72,18 +65,6 @@ def cross3(a, b):
     b = np.asarray(b)
     return (a.take(_NEXT, -1) * b.take(_PREV, -1)
             - a.take(_PREV, -1) * b.take(_NEXT, -1))
-
-
-def _matmul_matvec(A, x):
-    """A x for each matrix and vector of a stack: the same gemv as ``A @ x``
-    on one vector, with a trailing unit axis."""
-    return (A @ x[..., None])[..., 0]
-
-
-# numpy >= 2.2 has it as a gufunc with the same bits, which makes an
-# unbatched payload_accel about 10% cheaper than the matmul form (np.vecmat
-# conjugates its vector, so it cannot stand for a transposed matvec)
-matvec = getattr(np, "matvec", _matmul_matvec)
 
 
 def quat_multiply(q1, q2):

@@ -62,13 +62,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracles(args) -> int:
-    from .oracles import MUTATIONS, oracle_suite
+    from .oracles import oracle_suite
 
-    if args.mutate not in (None, *MUTATIONS):
-        print(f"swarmlift: error: --mutate {args.mutate!r} is not one of "
-              f"{', '.join(MUTATIONS)}", file=sys.stderr)
-        return 4
-    report = oracle_suite(mutate=args.mutate)
+    report = oracle_suite()
     print(report.summary())
     return 0 if report.all_passed else 3
 
@@ -127,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(fn=_cmd_sweep)
 
     orc = sub.add_parser("oracles", help="run the independent oracle suite")
-    orc.add_argument("--mutate", default=None,
-                     help="deliberately inject a dynamics defect "
-                          "(gravity_sign | coriolis_sign | drag_sign)")
     orc.set_defaults(fn=_cmd_oracles)
 
     rp = sub.add_parser("replay", help="re-run an estimator over a log")

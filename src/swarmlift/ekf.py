@@ -207,6 +207,19 @@ _H[0:3, P_SL] = np.eye(3)
 _H[3:6, ETA_SL] = np.eye(3)
 
 
+def kalman_update(x, P, H, innov, R):
+    """Linear Kalman update of x (..., n) and P (..., n, n) by the
+    innovation innov of the measurement matrix H with noise covariance R:
+    the updated state and the Joseph-form covariance, not symmetrized.
+    Matrix-vector products run on a trailing unit axis, one gemv per row
+    of a stack, as for an unstacked vector."""
+    S = H @ P @ H.T + R
+    K = np.linalg.solve(S.mT, H @ P.mT).mT
+    IKH = np.eye(x.shape[-1]) - K @ H
+    return (x + (K @ innov[..., None])[..., 0],
+            IKH @ P @ IKH.mT + K @ R @ K.mT)
+
+
 def ekf_update(s: EkfState, z, R) -> EkfState:
     """Linear measurement update on (p, eta); Joseph-form covariance. R is
     the (6, 6) measurement noise covariance of :func:`default_ekf_R`.
@@ -214,15 +227,8 @@ def ekf_update(s: EkfState, z, R) -> EkfState:
     A stacked state (leading slave axis S) takes measurements z (S, 6) and
     updates every slave's filter in one call."""
     z = np.asarray(z, dtype=float)
-    # matrix-vector products on a trailing unit axis, as in process_jacobian
     innov = z - (_H @ s.x[..., None])[..., 0]
     # wrap angle innovations into (-pi, pi]
     innov[..., 3:6] = np.mod(innov[..., 3:6] + np.pi, 2 * np.pi) - np.pi
-    S = _H @ s.P @ _H.T + R
-    K = np.linalg.solve(S.swapaxes(-1, -2),
-                        _H @ s.P.swapaxes(-1, -2)).swapaxes(-1, -2)
-    x = s.x + (K @ innov[..., None])[..., 0]
-    IKH = _I - K @ _H
-    P = (IKH @ s.P @ IKH.swapaxes(-1, -2)
-         + K @ R @ K.swapaxes(-1, -2))
-    return EkfState(x=x, P=0.5 * (P + P.swapaxes(-1, -2)))
+    x, P = kalman_update(s.x, s.P, _H, innov, R)
+    return EkfState(x=x, P=0.5 * (P + P.mT))

@@ -124,7 +124,8 @@ class RunLog:
     def from_csv(cls, path_or_buf) -> "RunLog":
         """Load a log that to_csv wrote. Raises ScenarioError on any other
         file: a header token that is not key=value, a flag or cell that is
-        not a number, or a row not as wide as the column names."""
+        not a number, no data row, or a row not as wide as the column
+        names."""
         buf = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
         try:
             header = buf.readline().strip()
@@ -138,16 +139,21 @@ class RunLog:
                                         "key=value")
                 fields[key] = value
             columns = buf.readline().strip().split(",")
-            data = np.loadtxt(buf, delimiter=",", ndmin=2)
+            rows = buf.readlines()
+            if not any(map(str.strip, rows)):  # loadtxt would only warn
+                raise ScenarioError("malformed log: no data rows")
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
             diverged = bool(int(fields.get("diverged", "0")))
             step = fields.get("diverged_step", "None")
             step = None if step == "None" else int(step)
         except ValueError as exc:  # int() or loadtxt on a malformed entry
-            raise ScenarioError(f"malformed log: {exc}") from None
+            # loadtxt's advice on a ragged row ("; use `usecols`") is dropped
+            msg = str(exc).split(";")[0]
+            raise ScenarioError(f"malformed log: {msg}") from None
         finally:
             if not hasattr(path_or_buf, "read"):
                 buf.close()
-        if data.size and data.shape[1] != len(columns):
+        if data.shape[1] != len(columns):
             raise ScenarioError(f"malformed log: its rows have {data.shape[1]}"
                                 f" values, its header {len(columns)} names")
         meta = ({"config_hash": fields["config_hash"]}

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attitude as att
+from .ekf import kalman_update
 from .errors import CholeskyFailure
 from .mav import G_EZ, MavParams, allocate_wrench, rotational_dynamics
 
@@ -173,20 +174,15 @@ def _reset_matrix(eps, dq):
     return T
 
 
-def _mT(A):
-    """Transpose of each matrix of a stack (numpy >= 2 spells it A.mT)."""
-    return A.swapaxes(-1, -2)
-
-
 def _fold(xi, P, q) -> UkfState:
     """Fold the attitude-error mean of xi, zeroed in place, into the
     reference quaternion q, and reset the covariance P to match."""
     eps = xi[..., E_SL].copy()
     dq = att.mrp_to_quat(eps)
     T = _reset_matrix(eps, dq)
-    P = T @ P @ _mT(T)
+    P = T @ P @ T.mT
     xi[..., E_SL] = 0.0
-    return UkfState(xi=xi, P=0.5 * (P + _mT(P)), q=att.quat_multiply(dq, q))
+    return UkfState(xi=xi, P=0.5 * (P + P.mT), q=att.quat_multiply(dq, q))
 
 
 def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams,
@@ -210,7 +206,7 @@ def ukf_predict(s: UkfState, n_rotors, Q, params: MavParams,
     Xp = np.concatenate([p2, v2, eps2, w2, F2, M2[..., None]], axis=-1)
     xi_mean = WEIGHTS @ Xp
     dev = Xp - xi_mean[..., None, :]
-    return _fold(xi_mean, _mT(dev) @ (WEIGHTS[:, None] * dev) + Q, q_pred)
+    return _fold(xi_mean, dev.mT @ (WEIGHTS[:, None] * dev) + Q, q_pred)
 
 
 _H = np.hstack([np.eye(NZ), np.zeros((NZ, NXI - NZ))])
@@ -232,12 +228,6 @@ def ukf_update(s: UkfState, p_meas, v_meas, q_meas, omega_meas,
     quaternions (S, 4) and updates every slave's filter in one call."""
     eps_m = measurement_error_vector(np.asarray(q_meas, dtype=float), s.q)
     z = np.concatenate([p_meas, v_meas, eps_m, omega_meas], axis=-1)
-    # matrix-vector products on a trailing unit axis: one gemv per slave,
-    # as for an unstacked vector
     innov = z - (_H @ s.xi[..., None])[..., 0]
-    S = _H @ s.P @ _H.T + R
-    K = _mT(np.linalg.solve(_mT(S), _H @ _mT(s.P)))
-    xi = s.xi + (K @ innov[..., None])[..., 0]
-    IKH = np.eye(NXI) - K @ _H
-    return _fold(xi, IKH @ s.P @ _mT(IKH) + K @ R @ _mT(K), s.q)
+    return _fold(*kalman_update(s.xi, s.P, _H, innov, R), s.q)
 

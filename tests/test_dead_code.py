@@ -7,7 +7,9 @@ read by the package, the benchmark or the tests, and every parameter with
 a default is passed by some call in the package or the benchmark, or is
 listed with the reason it stays a parameter. Scipy is imported at module
 level only where an allowlist says why, and a fresh interpreter that
-imports the package loads none of the heavy scipy subpackages. The
+imports the package loads none of the heavy scipy subpackages, and no
+module keeps a fallback for another toolchain (an ``except ImportError``
+or a ``getattr``/``hasattr`` probe of numpy). The
 scenario schema covers every Scenario field that a document sets, and the
 scenario docstring names each of its key paths and parameter sections.
 Every parameter dataclass (a name ending in Params, Scenario and
@@ -406,6 +408,48 @@ def test_scipy_is_imported_at_module_level_only_where_listed():
     found = set(module_level_scipy_imports(sources))
     assert sorted(found - set(SCIPY_AT_IMPORT)) == []
     assert sorted(set(SCIPY_AT_IMPORT) - found) == []  # stale entries
+
+
+def toolchain_fallbacks(sources: dict) -> list:
+    """``module:line`` of every second path for another toolchain: an
+    except clause that catches ImportError or ModuleNotFoundError, and a
+    getattr or hasattr call on ``np`` or ``numpy``."""
+    found = []
+    for module, src in sources.items():
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.ExceptHandler) and n.type is not None:
+                types = (n.type.elts if isinstance(n.type, ast.Tuple)
+                         else [n.type])
+                if {_call_name(t) for t in types} & {"ImportError",
+                                                     "ModuleNotFoundError"}:
+                    found.append((module, n.lineno))
+            elif (isinstance(n, ast.Call)
+                  and _call_name(n.func) in ("getattr", "hasattr")
+                  and n.args and isinstance(n.args[0], ast.Name)
+                  and n.args[0].id in ("np", "numpy")):
+                found.append((module, n.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_guard_flags_a_toolchain_fallback():
+    sources = {"a.py": ("try:\n    import tomllib\nexcept ImportError:\n"
+                        "    tomllib = None\n"
+                        "try:\n    import yaml\n"
+                        "except (OSError, ModuleNotFoundError):\n    pass\n"
+                        "try:\n    x = 1\nexcept ValueError:\n    pass\n"),
+               "b.py": ("import numpy as np\nimport numpy\n"
+                        "f = getattr(np, 'matvec', None)\n"
+                        "ok = hasattr(numpy, 'matvec')\n"
+                        "g = getattr(buf, 'read', None)\n")}
+    assert toolchain_fallbacks(sources) == ["a.py:3", "a.py:7", "b.py:3",
+                                            "b.py:4"]
+
+
+def test_no_toolchain_fallbacks():
+    # pyproject.toml declares the numpy that every path needs
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert toolchain_fallbacks(sources) == []
 
 
 IMPORT_PROBE = """

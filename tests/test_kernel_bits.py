@@ -58,10 +58,8 @@ from swarmlift.analysis import (
     zero_input,
 )
 from swarmlift.attitude import (
-    _matmul_matvec,
     cross3,
     euler_body_z,
-    matvec,
     integration_matrix,
     quat_normalize,
     quat_rate,
@@ -598,9 +596,9 @@ QUAT_SCALES = [1.0, 1e-3, 1e3, 1e153, 1e154, 2e154, 1e-155, 1e-160, 1e-170]
 
 
 def test_single_quat_normalize_is_the_stacked_row():
-    # the Python-float path of one quaternion against the stacked array
-    # path, on seeded non-unit norms (a quarter of them needs the squares
-    # summed in numpy's order) and on signed zeros, whose signs both keep
+    # one quaternion against its row of a stack, on seeded non-unit norms
+    # (a quarter of them needs the squares summed in numpy's order) and on
+    # signed zeros, whose signs both keep
     rng = np.random.default_rng(0)
     q = (rng.normal(size=(len(QUAT_SCALES), 400, 4))
          * np.array(QUAT_SCALES)[:, None, None])
@@ -614,7 +612,7 @@ def test_single_quat_normalize_is_the_stacked_row():
 
 @pytest.mark.parametrize("q", [[0.0] * 4, [-0.0, 0.0, -0.0, 0.0]])
 def test_zero_quat_normalize_is_nan_with_a_warning(q):
-    # the float path leaves a zero norm to numpy: 0 / 0, not an exception
+    # a zero norm is numpy's 0 / 0, not an exception
     with pytest.warns(RuntimeWarning, match="invalid value"):
         got = quat_normalize(q)
     assert np.isnan(got).all()
@@ -900,17 +898,16 @@ def test_batched_chart_rhs_rows_are_single_calls(n, k, cs, data):
 @given(st.sampled_from([(), (1,), (5,), (2, 3)]), st.booleans(), st.booleans(),
        st.data())
 def test_matvec_is_the_matmul_of_one_vector(lead, cs_A, cs_x, data):
-    # attitude.matvec, and its matmul form for numpy < 2.2, give each matrix
-    # and vector of a stack the bits of A @ x on that one vector; also for
-    # a transposed (strided) stack, as payload_accel passes R^T, and for a
-    # real matrix times a complex-step vector
+    # np.matvec gives each matrix and vector of a stack the bits of A @ x on
+    # that one vector; also for a transposed (strided) stack, as
+    # payload_accel passes R^T, and for a real matrix times a complex-step
+    # vector
     A = data.draw(states(lead + (3, 3), cs_A))
     x = data.draw(states(lead + (3,), cs_x))
     for M in (A, A.swapaxes(-1, -2)):
-        for f in (matvec, _matmul_matvec):
-            got = f(M, x)
-            for k in np.ndindex(lead):
-                same_bits(got[k], M[k] @ x[k])
+        got = np.matvec(M, x)
+        for k in np.ndindex(lead):
+            same_bits(got[k], M[k] @ x[k])
 
 
 @pytest.mark.parametrize("n, M, C", [(2, 8.0, 6.0), (3, 4.0, 12.0),

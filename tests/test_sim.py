@@ -1028,6 +1028,10 @@ def _drop_column(name):
     return apply
 
 
+def _drop_rows(lines):
+    del lines[2:]  # the header and the column names only
+
+
 MALFORMED_LOGS = {
     "token": (_edit(slice(1), lambda h: h.replace("diverged=0", "diverged")),
               "log header token 'diverged' is not key=value"),
@@ -1040,6 +1044,7 @@ MALFORMED_LOGS = {
     "wider": (_edit(slice(1, 2), lambda line: line.rsplit(",", 1)[0]),
               "malformed log: its rows have 81 values, its header 80 names"),
     "column": (_drop_column("a1_px"), "replay needs the log column 'a1_px'"),
+    "empty": (_drop_rows, "malformed log: no data rows"),
 }
 
 
@@ -1060,6 +1065,7 @@ def test_cli_replay_of_a_malformed_log_exits_4(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("swarmlift: error: ")
     assert match in lines[0], lines[0]
+    assert "usecols" not in lines[0]  # numpy's advice, not the log's fault
     assert not (tmp_path / "replay").exists()
 
 
