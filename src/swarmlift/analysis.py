@@ -28,9 +28,10 @@ simulator integrates. The model and its kernels take a leading batch axis,
 so a plant's Jacobian is one :func:`chart_rhs_out` call on the stack of
 its perturbed points, each row with the bits of its own call.
 
-The transport pre-roll (4,000 :func:`full_rhs` calls) is most of a margin
-point, so what a configuration fixes is built once (``AnalysisConfig``,
-``MavParams``) and a call runs only its blocks' arithmetic, in pinned order.
+The transport pre-roll (924 :func:`full_rhs` calls at N = 3, (4, 12)) is a
+large share of a margin point at small N, so what a configuration fixes is
+built once (``AnalysisConfig``, ``MavParams``) and a call runs only its
+blocks' arithmetic, in pinned order.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .payload import (attachment_accel, attachment_kinematics,
                       payload_accel)
 
 TRANSPORT_PREROLL_T = 5.0
-TRANSPORT_PREROLL_DT = 0.005  # RK4 step of the pre-roll
+PREROLL_STEP_RHO = 0.25  # h rho of the pre-roll's RK4 (stable to 2.785)
+PREROLL_MAX_STEPS = 20_000  # a stiffer rest plant is refused unintegrated
 TRANSPORT_VELOCITY = np.array([0.5, 0.5, 0.0])
 MASS_UNCERTAINTY = 0.5  # fraction of nominal payload mass
 INERTIA_UNCERTAINTY = 0.1  # fraction of payload inertia diagonal
@@ -267,12 +269,20 @@ def zero_input(cfg: AnalysisConfig) -> np.ndarray:
 def preroll_transport(cfg: AnalysisConfig,
                       divergence_bound: float = 1e3) -> np.ndarray:
     """Integrate the nominal model from rest under TRANSPORT_VELOCITY;
-    returns the state after TRANSPORT_PREROLL_T seconds."""
+    returns the state after TRANSPORT_PREROLL_T seconds. The RK4 step h
+    keeps h rho <= PREROLL_STEP_RHO for the rest plant's spectral radius
+    rho: inside RK4's stability region for a stiff tuning, and no more
+    steps than a soft one's accuracy needs. Past PREROLL_MAX_STEPS steps
+    it raises UnstableOperatingPoint unintegrated, as a divergence does."""
+    rho = np.max(np.abs(np.linalg.eigvals(linearize(cfg, "rest").A)))
+    n = int(np.ceil(TRANSPORT_PREROLL_T * rho / PREROLL_STEP_RHO))
+    if n > PREROLL_MAX_STEPS:
+        raise UnstableOperatingPoint(f"transport pre-roll needs {n} RK4 "
+                                     f"steps at spectral radius {rho:.4g} 1/s")
     x = rest_state(cfg)
     u = zero_input(cfg)
     u[-3:] = TRANSPORT_VELOCITY
-    dt = TRANSPORT_PREROLL_DT
-    n = int(round(TRANSPORT_PREROLL_T / dt))
+    dt = TRANSPORT_PREROLL_T / n
     qsl = slice(6, 10)
 
     def rhs(t, x_):
@@ -313,7 +323,8 @@ def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
     """Jacobian linearization of the nonlinear model at an operating point.
 
     op = "rest" uses the exact engaged-hover equilibrium; op = "transport"
-    pre-rolls the nonlinear model (:func:`preroll_transport`) and takes the
+    pre-rolls the nonlinear model (:func:`preroll_transport`, whose RK4
+    step is set by the rest linearization's spectral radius) and takes the
     Jacobian under the same velocity command. A custom (x_full, u0)
     overrides both.
     """

@@ -142,7 +142,8 @@ class RunLog:
             rows = buf.readlines()
             if not any(map(str.strip, rows)):  # loadtxt would only warn
                 raise ScenarioError("malformed log: no data rows")
-            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+            # to_csv writes no comment line, so a '#' is a bad cell
+            data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
             diverged = bool(int(fields.get("diverged", "0")))
             step = fields.get("diverged_step", "None")
             step = None if step == "None" else int(step)

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from swarmlift import analysis
 from swarmlift.analysis import (
     MASS_UNCERTAINTY,
+    PREROLL_STEP_RHO,
+    TRANSPORT_PREROLL_T,
     AnalysisConfig,
     build_closed_loop,
     chart_rhs_out,
@@ -20,6 +22,7 @@ from swarmlift.analysis import (
 )
 from swarmlift.attitude import skew
 from swarmlift.errors import UnstableOperatingPoint
+from swarmlift.mu import default_frequency_grid, margin_point
 
 
 def cfg2(M=8.0, C=6.0):
@@ -128,9 +131,7 @@ def test_transport_preroll_trim_tilt():
         assert np.linalg.norm(lat) > 0.5
 
 
-def test_preroll_calls_full_rhs_through_the_module_global(monkeypatch):
-    # a wrapper on analysis.full_rhs sees every right-hand side of the
-    # pre-roll: 5 s of RK4 at 5 ms, four stages a step
+def _count_full_rhs(monkeypatch):
     calls = []
     real = analysis.full_rhs
 
@@ -139,11 +140,57 @@ def test_preroll_calls_full_rhs_through_the_module_global(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(analysis, "full_rhs", counting)
+    return calls
+
+
+def test_preroll_calls_full_rhs_through_the_module_global(monkeypatch):
+    # a wrapper on analysis.full_rhs sees every right-hand side of the
+    # pre-roll: 5 s of RK4 in n steps, h rho <= PREROLL_STEP_RHO for the
+    # rest plant's spectral radius rho, four stages a step
+    calls = _count_full_rhs(monkeypatch)
     cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
     x = preroll_transport(cfg)
-    assert len(calls) == 4000
+    rho = np.max(np.abs(np.linalg.eigvals(build_closed_loop(cfg).A)))
+    n = int(np.ceil(TRANSPORT_PREROLL_T * rho / PREROLL_STEP_RHO))
+    assert len(calls) == 4 * n == 924
     monkeypatch.undo()
     assert x.tobytes() == preroll_transport(cfg).tobytes()
+
+
+@pytest.mark.parametrize("n_agents,M,C", [(2, 8.0, 6.0), (3, 4.0, 12.0),
+                                          (5, 8.0, 6.0)])
+def test_preroll_agrees_with_twice_the_steps(monkeypatch, n_agents, M, C):
+    # the step rule leaves the pre-roll accurate far below what the margins
+    # resolve; a model change that makes it stiffer or rougher fails here
+    cfg = AnalysisConfig(n_agents=n_agents, tuning_M=M, tuning_C=C)
+    x = preroll_transport(cfg)
+    monkeypatch.setattr(analysis, "PREROLL_STEP_RHO",
+                        analysis.PREROLL_STEP_RHO / 2)
+    ref = preroll_transport(cfg)
+    assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_stiff_tuning_preroll_stays_stable():
+    # rho = 600 1/s: a fixed 5-ms step (h rho = 3) lies past RK4's
+    # real-axis stability limit of 2.785, and the pre-roll blew up
+    cfg = cfg2(0.05, 30.0)
+    assert margin_plant(build_closed_loop(cfg))[1]
+    r = margin_point(2, 0.05, 30.0, freqs=default_frequency_grid(40))
+    assert r.nominal_stable and r.rs_margin > 0.0 and r.rp_margin > 0.0
+
+
+def test_preroll_past_the_step_cap_is_refused_unintegrated(monkeypatch):
+    # rho = 3e5 1/s would need 6e6 steps; the rest plant itself is stable
+    cfg = cfg2(1e-4, 30.0)
+    assert margin_plant(build_closed_loop(cfg))[1]
+    calls = _count_full_rhs(monkeypatch)
+    with pytest.raises(UnstableOperatingPoint,
+                       match=r"needs \d{7} RK4 steps at spectral radius 3e"):
+        preroll_transport(cfg)
+    assert calls == []
+    r = margin_point(2, 1e-4, 30.0, freqs=default_frequency_grid(40))
+    assert calls == []
+    assert (r.rs_margin, r.rp_margin, r.nominal_stable) == (0.0, 0.0, False)
 
 
 def test_transport_linearization_differs_from_rest():

@@ -728,6 +728,8 @@ def test_margin_point_work_counts(monkeypatch):
     counts.clear()
     _no_polish_exit(monkeypatch)
     full = margin_point(3, 4.0, 12.0, freqs=freqs)
-    assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 2
+    # the rest plant, and the transport plant whose pre-roll linearizes
+    # the rest plant again for its step
+    assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 3
     assert n_stopped["svd in ssv"] < counts["svd in ssv"]
     assert stopped == full

@@ -1045,6 +1045,9 @@ MALFORMED_LOGS = {
               "malformed log: its rows have 81 values, its header 80 names"),
     "column": (_drop_column("a1_px"), "replay needs the log column 'a1_px'"),
     "empty": (_drop_rows, "malformed log: no data rows"),
+    # to_csv writes no comment line, so '#' is a bad cell, not a comment
+    "comment": (_edit(slice(2, None), lambda row: "# note"),
+                "malformed log: could not convert string '# note'"),
 }
 
 
