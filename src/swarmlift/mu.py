@@ -21,14 +21,14 @@ once the next balanced value cannot raise the maximum: with no floor after
 at least the eight largest (every frequency keeps a tight bound near the
 peak), with a floor as soon as the next balanced value is at or below the
 floor or the running maximum, and each descent stops once it falls below
-that maximum (only the peak is tight). A margin needs
-only the peak, and rho(G) <= mu(G) <= sigma_max(D G D^-1) <= |D G D^-1|_F
-for every admissible D (Packard & Doyle, Automatica 1993), so
-margin_point gives each call a proven lower bound on its peak as floor
-and passes it only the frequencies whose Frobenius norm reaches it:
-transport first, above the largest spectral radius near its peak; then
-rest, above the transport peak; then performance, above the stability
-peak and the largest singular value of the performance block.
+that maximum (only the peak is tight). A margin needs only the peak,
+and rho(G) <= mu(G) <= sigma_max(D G D^-1) <= |D G D^-1|_F for every
+admissible D (Packard & Doyle, Automatica 1993), so margin_point gives
+each call a proven lower bound on its peak as floor, and a call drops a
+frequency once its Frobenius norm, at D = I or at a balancing step, is
+below it: transport first, above the largest spectral radius near its
+peak; then rest, above the transport peak; then performance, above the
+stability peak and the largest singular value of the performance block.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ def _descend(M, logd, row_group, col_group, tol, stop):
     return best
 
 
-def _balance(G, row_group, col_group, ng, tol, max_steps):
-    """Log-scales (F, ng) at Osborne's fixed point, every frequency at once.
+def _balance(G, row_group, col_group, ng, tol, max_steps, floor):
+    """Log-scales (F, ng) at Osborne's fixed point, every frequency at once,
+    and the Frobenius norm of D G D^-1 at them.
 
     With u = 2 log d and E_ab the energy of G in the rows of group a and
     the columns of group b, the energy of D G D^-1 is the convex function
@@ -204,9 +205,10 @@ def _balance(G, row_group, col_group, ng, tol, max_steps):
     energy. The last group is pinned, and so is a group with no
     off-diagonal row or column energy, whose scaling would run off to
     infinity. A frequency drops out once a step lowers its energy by less
-    than tol, relative, or when no step length lowers it; max_steps caps
-    the steps. An accepted energy is finite, so every ratio d_a / d_b that
-    meets a nonzero entry of G is finite too.
+    than tol, relative, when no step length lowers it, or before a step
+    once its Frobenius norm, the square root of its energy, is below the
+    floor; max_steps caps the steps. An accepted energy is finite, so every
+    ratio d_a / d_b that meets a nonzero entry of G is finite too.
     """
     F = G.shape[0]
     cell = ((np.arange(F)[:, None, None] * ng + row_group[:, None]) * ng
@@ -224,6 +226,7 @@ def _balance(G, row_group, col_group, ng, tol, max_steps):
     active = ~pinned.all(axis=1)
     m = diag[:-1]  # the unknowns: every group but the last
     for _ in range(max_steps):
+        active &= np.sqrt(energy) >= floor  # the energy only falls
         k = np.flatnonzero(active)
         if k.size == 0:
             break
@@ -258,7 +261,7 @@ def _balance(G, row_group, col_group, ng, tol, max_steps):
             if todo.size == 0:
                 break
         active[k[todo]] = False  # no step length lowers the energy
-    return 0.5 * u
+    return 0.5 * u, np.sqrt(energy)
 
 
 def ssv_upper_bound(G, structure, polish: bool = True,
@@ -275,8 +278,9 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     lowers its energy by less than balance_tol, relative, and after
     max_balance steps. No frequency starts from another's result, so each
     balanced value depends neither on the rest of the grid nor on the
-    chunks. With polish, frequencies then descend by BFGS on the log-scales (analytic gradient) until every
-    relative derivative is below polish_tol, in decreasing balanced order:
+    chunks. With polish, frequencies then descend by BFGS on the
+    log-scales (analytic gradient) until every relative derivative is
+    below polish_tol, in decreasing balanced order:
 
     * floor None: the eight largest, then on while the next balanced value
       exceeds the largest polished one;
@@ -284,8 +288,14 @@ def ssv_upper_bound(G, structure, polish: bool = True,
       or the running maximum, and each descent stops as soon as it falls
       below that maximum. Only the maximum over frequency (with the floor)
       is then tight, at the frequencies that set it; every other value lies
-      between its polished and its balanced value. Use it when only the
-      peak matters.
+      between its polished and its balanced value, or is a Frobenius norm
+      below the floor. Use it when only the peak matters.
+
+    A floor also prunes, with or without polish: a frequency whose
+    |D G D^-1|_F is below it, at D = I or before a balancing step, stops
+    there and keeps that norm, with no sigma_max SVD. The energy only falls
+    while balancing, so its balanced value would lie below the floor too.
+    A floor of None or 0 prunes nothing.
 
     Any scaling gives a valid upper bound, so a polished frequency keeps
     the lesser of its two values, an unpolished one its balanced value, and
@@ -305,14 +315,20 @@ def ssv_upper_bound(G, structure, polish: bool = True,
             f"matrix {G.shape[1:]} does not match structure ({ny}, {nu})")
     # every step is per frequency, so the chunks move no bit
     step = max(1, CHUNK_ENTRIES // (ny * nu))
-    logd, mu = np.empty((G.shape[0], ng)), np.empty(G.shape[0])
-    for s in range(0, G.shape[0], step):
-        c = slice(s, s + step)
+    # a frequency whose |D G D^-1|_F is below the floor, at D = I or at a
+    # balancing step, keeps that bound: it cannot set the peak
+    low = 0.0 if floor is None else floor
+    logd, mu = np.empty((G.shape[0], ng)), np.linalg.norm(G, axis=(1, 2))
+    live = np.flatnonzero(mu >= low)
+    for s in range(0, live.size, step):
+        c = live[s:s + step]
         with np.errstate(over="ignore", invalid="ignore"):
-            logd[c] = _balance(G[c], row_group, col_group, ng, balance_tol,
-                               max_balance)
+            logd[c], mu[c] = _balance(G[c], row_group, col_group, ng,
+                                      balance_tol, max_balance, low)
+        c = c[mu[c] >= low]
         # the ratio d_r / d_c at once: d_r alone may overflow where it is not
-        scale = np.exp(logd[c, row_group, None] - logd[c, None, col_group])
+        L = logd[c]
+        scale = np.exp(L[:, row_group, None] - L[:, None, col_group])
         mu[c] = np.linalg.svd(G[c] * scale, compute_uv=False)[:, 0]
     if polish and ng > 1:
         top = -np.inf if floor is None else floor
@@ -350,6 +366,8 @@ class TuningGrid:
                 raise ValueError(f"{name} must be a nonempty 1-D list")
             if not np.all((values >= 0) & (values <= 30)):  # NaN fails too
                 raise ValueError("tuning sets live in [0, 30]")
+            if np.unique(values).size != values.size:
+                raise ValueError(f"{name} repeats a value")
             object.__setattr__(self, name, np.sort(values))
 
     def points(self):
@@ -389,19 +407,6 @@ def _peak_floors(G, structure):
     return (1.0 - FLOOR_SLACK) * rho, (1.0 - FLOOR_SLACK) * sigma
 
 
-def _peak_bound(G, structure, floor, polish):
-    """Per-frequency mu upper bound with the peak of ssv_upper_bound(G,
-    structure, polish=polish, floor=0) when floor lies below that peak.
-    Only the frequencies whose Frobenius norm reaches the floor are
-    bounded, with the floor; every other keeps its Frobenius norm, the
-    bound of D = I, which lies below the floor and so cannot set the
-    peak."""
-    mu = np.linalg.norm(G, axis=(1, 2))
-    keep = mu >= floor
-    mu[keep] = ssv_upper_bound(G[keep], structure, polish=polish, floor=floor)
-    return mu
-
-
 def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
                  perf_weight=None, polish: bool = True) -> MarginResult:
     """Robust stability and performance margins of one tuning point.
@@ -418,14 +423,20 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     stability with the largest spectral radius of G11 near its peak, rest
     stability with the transport peak, performance with the larger of the
     stability peak and the largest sigma_max of the performance block
-    (see _peak_floors). A call bounds only the frequencies whose Frobenius
-    norm reaches its floor and polishes only where the peak could rise;
-    every other frequency keeps its Frobenius norm, below the floor. The
+    (see _peak_floors). A call balances a frequency only while its
+    Frobenius norm |D G D^-1|_F reaches the floor, takes sigma_max only
+    where it still does and polishes only where the peak could rise; every
+    other frequency keeps its last Frobenius norm, below the floor. The
     margins and peak frequencies are those of bounding and polishing
-    every frequency, bit for bit.
+    every frequency, bit for bit. The frequency grid freqs must be
+    nonempty, finite and nonnegative.
     """
-    if freqs is None:
-        freqs = default_frequency_grid()
+    freqs = np.asarray(default_frequency_grid() if freqs is None else freqs,
+                       dtype=float)
+    if not (freqs.ndim == 1 and freqs.size and np.isfinite(freqs).all()
+            and (freqs >= 0.0).all()):
+        raise ValueError("the frequency grid freqs must be a nonempty 1-D "
+                         "list of finite frequencies >= 0")
     zero = MarginResult(M, C, 0.0, 0.0, np.nan, np.nan, False)
     if M <= 0.0 or C <= 0.0:
         return zero
@@ -456,13 +467,15 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     G11_tr, rs_struct = rs_partition(G_tr, structure)
 
     floor_tr, floor_rp = _peak_floors(G_tr, structure)
-    mu_tr = _peak_bound(G11_tr, rs_struct, floor_tr, polish)
-    mu_rest = _peak_bound(G11_rest, rs_struct, mu_tr.max(), polish)
+    mu_tr = ssv_upper_bound(G11_tr, rs_struct, polish, floor=floor_tr)
+    mu_rest = ssv_upper_bound(G11_rest, rs_struct, polish,
+                              floor=mu_tr.max())
     mu_rs = np.maximum(mu_rest, mu_tr)
     k_rs = int(np.argmax(mu_rs))
     rs = 1.0 / mu_rs[k_rs] if mu_rs[k_rs] > 0 else np.inf
 
-    mu_rp = _peak_bound(G_tr, structure, max(mu_rs.max(), floor_rp), polish)
+    mu_rp = ssv_upper_bound(G_tr, structure, polish,
+                            floor=max(mu_rs.max(), floor_rp))
     mu_rp = np.maximum(mu_rp, mu_rs)
     k_rp = int(np.argmax(mu_rp))
     rp = 1.0 / mu_rp[k_rp] if mu_rp[k_rp] > 0 else np.inf

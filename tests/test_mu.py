@@ -310,11 +310,13 @@ def test_balance_equalises_row_and_column_energy():
     rng = np.random.default_rng(4)
     # no zero entry, so every group reaches every other: irreducible
     G = rng.normal(size=(5, 8, 7)) + 1j * rng.normal(size=(5, 8, 7))
-    logd = _balance(G, row_group, col_group, ng, 1e-9, 200)
+    logd, fro = _balance(G, row_group, col_group, ng, 1e-9, 200, 0.0)
     for k in range(len(G)):
         E = np.abs(_scaled(G[k], logd[k], row_group, col_group)) ** 2
         assert_allclose(np.bincount(row_group, E.sum(axis=1), ng),
                         np.bincount(col_group, E.sum(axis=0), ng), rtol=1e-8)
+        # the norm returned with the scales is that of the scaled matrix
+        assert_allclose(fro[k], np.sqrt(E.sum()), rtol=1e-12)
 
 
 def test_balance_of_decoupled_parts_matches_each_part():
@@ -445,6 +447,9 @@ def test_tuning_grid_validation():
         TuningGrid(M_values=[-1.0], C_values=[6.0])
     with pytest.raises(ValueError):
         TuningGrid(M_values=[2.0], C_values=[40.0])
+    # a repeated value would bound the same point twice
+    with pytest.raises(ValueError, match="C_values repeats"):
+        TuningGrid(M_values=[2.0], C_values=[6.0, 8.0, 6.0])
 
 
 def test_sampled_perturbations_respect_structure():
@@ -540,9 +545,15 @@ def test_floor_polishes_only_what_can_raise_the_peak():
     between = (peak != balanced) & (peak != full)
     assert np.all(peak[between] < peak.max())
     assert np.sum(peak < balanced) < np.sum(full < balanced)
-    # a floor above every balanced value leaves nothing to polish
+    # a floor above every balanced value leaves nothing to polish; a
+    # frequency whose Frobenius norm drops below the floor while it is
+    # balanced keeps that norm, which is at least its balanced value
     above = ssv_upper_bound(G11, rs_struct, floor=balanced.max())
-    np.testing.assert_array_equal(above, balanced)
+    assert np.all(above >= balanced * (1.0 - 1e-12))
+    assert above.max() == balanced.max()
+    assert np.argmax(above) == np.argmax(balanced)
+    assert np.all(above[above != balanced] < balanced.max())
+    assert np.any(above != balanced)
 
 
 def _peak_band(n_points=21):
@@ -665,10 +676,40 @@ def test_floors_are_lower_bounds_on_the_peak(seed):
         # polish every frequency: a single one is always polished
         everything = max(ssv_upper_bound(X[k], s)[0] for k in range(F))
         assert floor <= everything
-        bound = mu_mod._peak_bound(X, s, floor, polish=True)
+        bound = ssv_upper_bound(X, s, floor=floor)
         assert np.any(np.linalg.norm(X, axis=(1, 2)) < floor)
         assert np.all(bound >= lower * (1.0 - 1e-9))
         assert bound.max() == everything
+
+
+@seed(11)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["repeated", "full"]),
+                          st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.integers(2, 12), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+       st.floats(0.5, 1.0), st.integers(0, 2**32 - 1))
+def test_floored_bound_keeps_the_peak_and_its_frequency(
+        blocks, F, decades, noise, fraction, rng_seed):
+    # a floor up to the peak, within FLOOR_SLACK, drops frequencies at D = I
+    # and while balancing; the peak and its frequency stay those of
+    # bounding every frequency. Near rank one, with little noise, the
+    # Frobenius norm nears sigma_max, so a floor near the peak is tight.
+    structure = [UncertaintyBlock(f"b{i}", kind, ny,
+                                  ny if kind == "repeated" else nu)
+                 for i, (kind, ny, nu) in enumerate(blocks)]
+    ny, nu = (sum(b.dim_y for b in structure),
+              sum(b.dim_u for b in structure))
+    rng = np.random.default_rng(rng_seed)
+    x, y, Z = (rng.normal(size=(F, n)) + 1j * rng.normal(size=(F, n))
+               for n in (ny, nu, ny * nu))
+    G = ((x[:, :, None] * y[:, None, :] + noise * Z.reshape(F, ny, nu))
+         * np.logspace(-decades, 0.0, F)[rng.permutation(F), None, None])
+    every = ssv_upper_bound(G, structure, floor=0.0)
+    floor = fraction * (1.0 - mu_mod.FLOOR_SLACK) * every.max()
+    floored = ssv_upper_bound(G, structure, floor=floor)
+    assert floored.max() == every.max()
+    assert np.argmax(floored) == np.argmax(every)
 
 
 def _no_polish_exit(monkeypatch):
@@ -686,9 +727,9 @@ def test_polish_exit_keeps_the_peak_and_its_frequency(monkeypatch, seed):
     G11, rs_struct = rs_partition(G, struct)
     floors = mu_mod._peak_floors(G, struct)
     calls = ((G11, rs_struct, floors[0]), (G, struct, floors[1]))
-    stopped = [mu_mod._peak_bound(X, s, floor, True) for X, s, floor in calls]
+    stopped = [ssv_upper_bound(X, s, floor=floor) for X, s, floor in calls]
     _no_polish_exit(monkeypatch)
-    full = [mu_mod._peak_bound(X, s, floor, True) for X, s, floor in calls]
+    full = [ssv_upper_bound(X, s, floor=floor) for X, s, floor in calls]
     for a, b in zip(stopped, full):
         assert a.max() == b.max() and np.argmax(a) == np.argmax(b)
         assert np.all(b <= a)
@@ -733,3 +774,47 @@ def test_margin_point_work_counts(monkeypatch):
     assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 3
     assert n_stopped["svd in ssv"] < counts["svd in ssv"]
     assert stopped == full
+
+
+def test_floor_leaves_the_sigma_svd_to_the_frobenius_survivors(monkeypatch):
+    # N = 2, (8, 6), 200 frequencies: of the frequencies whose Frobenius
+    # norm reaches the floor at D = I, only those still above it at every
+    # balancing step take the next Newton step, and only those left above
+    # it get the stacked sigma_max SVD
+    calls = []  # balanced, Newton-step and sigma_max SVD rows per SSV call
+    solve, svd, ssv = (np.linalg.solve, np.linalg.svd,
+                       mu_mod.ssv_upper_bound)
+
+    def counted(fn, i):
+        def call(a, *args, **kwargs):
+            if np.ndim(a) == 3 and calls and calls[-1][3]:  # stacked, in ssv
+                calls[-1][i] += a.shape[0]
+            return fn(a, *args, **kwargs)
+        return call
+
+    def counted_ssv(G, *args, **kwargs):
+        calls.append([0, 0, 0, True])
+        out = ssv(G, *args, **kwargs)
+        calls[-1][3] = False
+        return out
+
+    monkeypatch.setattr(mu_mod, "_balance", counted(mu_mod._balance, 0))
+    monkeypatch.setattr(np.linalg, "solve", counted(solve, 1))
+    monkeypatch.setattr(np.linalg, "svd", counted(svd, 2))
+    monkeypatch.setattr(mu_mod, "ssv_upper_bound", counted_ssv)
+    margin_point(2, 8.0, 6.0, freqs=default_frequency_grid(200))
+    # transport stability, rest stability, transport performance; balanced
+    # to convergence, they took 1309, 1154 and 742 Newton-step rows and 74,
+    # 61 and 81 SVD rows
+    assert [c[:3] for c in calls] == [[74, 703, 30], [61, 561, 23],
+                                      [81, 266, 13]]
+
+
+@pytest.mark.parametrize("freqs", [[], [np.nan, 1.0], [1.0, np.inf],
+                                   [-1.0, 1.0], [[1.0, 2.0]]],
+                         ids=["empty", "nan", "inf", "negative", "2-D"])
+def test_margin_point_rejects_a_bad_frequency_grid(freqs):
+    # an empty grid once failed in a zero-size reduction, and a negative
+    # frequency was reported as the peak frequency
+    with pytest.raises(ValueError, match="frequency grid"):
+        margin_point(2, 8.0, 6.0, freqs=freqs)

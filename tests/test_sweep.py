@@ -94,12 +94,13 @@ def test_cli_sweep_rejects_a_worker_count_below_one(tmp_path, monkeypatch,
 
 # a grid that is a number or holds a NaN, and a file that is not JSON:
 # each once failed with AxisError, LinAlgError in margin_point or
-# JSONDecodeError
+# JSONDecodeError; a repeated value once wrote the same row twice
 @pytest.mark.parametrize("text,match", [
     ('{"n_agents": 2, "grid_M": 8.0, "grid_C": [6.0]}', "M_values"),
     ('{"n_agents": 2, "grid_M": [NaN], "grid_C": [6.0]}', "tuning sets"),
     ('{"n_agents": 2, "grid_M": [8.0], "grid_C": [6.0', "invalid JSON"),
-], ids=["scalar-grid", "nan-grid", "malformed-json"])
+    ('{"n_agents": 2, "grid_M": [8.0, 8], "grid_C": [6.0]}', "repeats"),
+], ids=["scalar-grid", "nan-grid", "malformed-json", "repeated-grid"])
 def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, capsys,
                                             text, match):
     import swarmlift.sweep
