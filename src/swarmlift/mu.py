@@ -10,31 +10,26 @@ evaluated as N(jw) = diag(W(jw)) P(jw) on the plant's own states: the SISO
 weights scale the rows of P's response and add no state.
 
 The SSV upper bound is the largest singular value of D G D^-1 over
-block-commuting diagonal scalings D. Balancing gives D at every frequency:
-Osborne's fixed point, where each scaling group's row energy equals its
-column energy, minimises the Frobenius norm of D G D^-1, a convex problem
-in log D that a damped Newton method solves for a chunk of frequencies at
-once (Cohen, Madry, Tsipras & Vladu, FOCS 2017). Near the peak a BFGS
-descent on log D, with the gradient read off the top singular vectors,
-tightens it further. Polish runs in decreasing balanced order and stops
-once the next balanced value cannot raise the maximum: with no floor after
-at least the eight largest (every frequency keeps a tight bound near the
-peak), with a floor as soon as the next balanced value is at or below the
-floor or the running maximum, and each descent stops once it falls below
-that maximum (only the peak is tight). A margin needs only the peak,
-and rho(G) <= mu(G) <= sigma_max(D G D^-1) <= |D G D^-1|_F for every
-admissible D (Packard & Doyle, Automatica 1993), so margin_point gives
-each call a proven lower bound on its peak as floor, and a call drops a
-frequency once its Frobenius norm, at D = I or at a balancing step, is
-below it: transport first, above the largest spectral radius near its
-peak; then rest, above the transport peak; then performance, above the
-stability peak and the largest singular value of the performance block.
+block-commuting diagonal scalings D, and rho(G) <= mu(G) <=
+sigma_max(D G D^-1) <= |D G D^-1|_F for every admissible D (Packard &
+Doyle, Automatica 1993). Balancing gives D at every frequency: Osborne's
+fixed point, where each scaling group's row energy equals its column
+energy, minimises the Frobenius norm, a convex problem in log D that a
+damped Newton method solves for a chunk of frequencies at once (Cohen,
+Madry, Tsipras & Vladu, FOCS 2017). Near the peak a second-order descent
+polishes it: sigma_max(D G D^-1) is convex in log D (Sezginer & Overton,
+IEEE TAC 1990), with kinks where it is repeated, so each step solves the
+model of Overton & Womersley (Math. Program. 1995) for the singular values
+near the top, and the descent ends on a stationarity certificate. A margin
+needs only the peak, so margin_point gives each SSV call a proven lower
+bound on it as a floor, below which a frequency is neither balanced,
+bounded by sigma_max nor polished.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -130,65 +125,167 @@ def _scaled(M, logd, row_group, col_group):
         return (d[row_group][:, None] * M) / d[col_group][None, :]
 
 
-def scaled_sv_gradient(M, logd, row_group, col_group):
-    """Largest singular value sigma of D M D^-1 and its gradient in the
-    log-scales, from the top singular vectors u, v of one SVD:
-    d sigma / d log d_g = sigma (sum_{r in g} |u_r|^2 - sum_{c in g} |v_c|^2)
-    (Packard & Doyle 1993). Exact where sigma is simple. A scaling that
-    overflows gives (inf, 0)."""
-    Ms, ng = _scaled(M, logd, row_group, col_group), len(logd)
-    if not np.isfinite(Ms).all():  # LAPACK may not return on inf entries
-        return np.inf, np.zeros(ng)
-    U, s, Vh = np.linalg.svd(Ms, full_matrices=False)
-    return s[0], s[0] * (np.bincount(row_group, np.abs(U[:, 0]) ** 2, ng)
-                         - np.bincount(col_group, np.abs(Vh[0]) ** 2, ng))
+@cache
+def _hermitian_basis(r):
+    """Rows: an orthonormal basis of the Hermitian r x r matrices in the
+    trace inner product, flattened: e_i e_i^T, (E_ij + E_ji) / sqrt 2 and
+    i (E_ij - E_ji) / sqrt 2 for i < j."""
+    i, j = np.triu_indices(r, 1)
+    k, m, h = np.arange(r), r + np.arange(i.size), 2 ** -0.5
+    E = np.zeros((r * r, r, r), complex)
+    E[k, k, k], E[m, i, j], E[m, j, i] = 1.0, h, h
+    E[m + i.size, i, j], E[m + i.size, j, i] = 1j * h, -1j * h
+    E.setflags(write=False)  # every caller shares it
+    return E.reshape(r * r, r * r)
+
+
+def _hvec(X):
+    """Coordinates of Hermitian matrices (..., r, r) in that basis."""
+    r = X.shape[-1]
+    return (X.reshape(X.shape[:-2] + (r * r,))
+            @ _hermitian_basis(r).conj().T).real
+
+
+def _hmat(z, r):
+    """The Hermitian r x r matrices with coordinates z (..., r^2)."""
+    return (z @ _hermitian_basis(r)).reshape(z.shape[:-1] + (r, r))
+
+
+def _sv_model(U, s, V, Pr, Pc, r, Z):
+    """The r largest singular values of A = U diag(s) V^H (full SVD) move
+    as the eigenvalues of diag(s_r) + sum_g d_g F_g, to first order in the
+    free log-scales d (Pr, Pc: the groups' row and column indicators). W
+    is the Hessian of tr(Z S), S the second-order term: A's own second
+    derivative and the coupling to each other pair s_j and -s_j, a null
+    vector of a rectangular A counting as s_j = 0."""
+    n, ny, nu = Pr.shape[0], U.shape[0], V.shape[0]
+    sv = np.zeros(max(ny, nu))
+    sv[:s.size] = s
+    sa = sv[:r, None]
+    Pu = np.zeros((n, r, sv.size), complex)  # U_r^H P_g U, padded
+    Qv = np.zeros((n, r, sv.size), complex)  # V_r^H Q_g V, padded
+    Pu[..., :ny] = (Pr @ (U[:, :r, None].conj() * U[:, None]).reshape(ny, -1)
+                    ).reshape(n, r, ny)
+    Qv[..., :nu] = (Pc @ (V[:, :r, None].conj() * V[:, None]).reshape(nu, -1)
+                    ).reshape(n, r, nu)
+    R, C = Pu * sv - sa * Qv, Pu * sa - sv * Qv
+    with np.errstate(divide="ignore"):
+        wp = np.where((np.arange(sv.size) >= r) & (sa > sv), 1 / (sa - sv), 0)
+    W = -((Pu * sv).reshape(n, -1) @ (Z @ Qv).reshape(n, -1).conj().T).real
+    for c, w in ((C + R, wp), (C - R, 1.0 / (sa + sv))):
+        W += 0.25 * ((w * c).reshape(n, -1)
+                     @ (Z @ c).reshape(n, -1).conj().T).real
+    W += W.T
+    W[np.diag_indices(n)] += np.einsum(
+        "ba,gab->g", Z, Pu[..., :r] * sa.T + sa * Qv[..., :r]).real
+    return 0.5 * (sa + sa.T) * (Pu[..., :r] - Qv[..., :r]), W
+
+
+def _spectraplex_qp(Q, s, r):
+    """Coordinates z of the Z >= 0 with tr Z = 1 maximising s.z - z.Q.z / 2:
+    the KKT solution on the face of all Z if it is optimal; else a log-det
+    barrier path to a duality gap of 1e-13 of the largest |s|, finished on
+    the face it ends near."""
+    def face(P):  # the KKT solution on the face P Y P^H, and if optimal
+        k = P.shape[1]
+        B = _hvec(P @ _hermitian_basis(k).reshape(-1, k, k) @ P.conj().T).T
+        e = _hvec(np.eye(k))[:, None]
+        K = np.block([[B.T @ Q @ B, e], [e.T, np.zeros((1, 1))]])
+        rhs = np.append(B.T @ s, 1.0)
+        x = np.linalg.lstsq(K, rhs)[0]
+        z, tol = B @ x[:-1], 1e-10 * np.abs(rhs).max()
+        return z, (np.abs(K @ x - rhs).max() <= tol  # else unbounded
+                   and np.linalg.eigvalsh(_hmat(x[:-1], k))[0] >= 0.0
+                   and np.linalg.eigvalsh(_hmat(s - Q @ z, r))[-1]
+                   <= x[-1] + tol)  # no ascent off the face
+
+    # with tr Z = 1 a shift of s along I moves no maximiser: the
+    # tolerances then scale with the spread of s, not its level
+    scale, s = np.abs(s).max(), s - s[:r].max() * _hvec(np.eye(r))
+    z, ok = face(np.eye(r))
+    if ok:
+        return z
+    q, E = r * r, _hermitian_basis(r).reshape(-1, r, r)
+    K = np.zeros((q + 1, q + 1))
+    K[:q, q] = K[q, :q] = _hvec(np.eye(r))
+    z, mu = K[:q, q] / r, np.abs(Q).max() + 1e-300
+    while mu > 1e-13 * scale / r:
+        Zi = np.linalg.inv(_hmat(z, r))
+        K[:q, :q] = Q + mu * _hvec(Zi @ E @ Zi).T
+        if not np.isfinite(K).all():  # LAPACK may not return on them
+            break
+        dz = np.linalg.solve(K, np.append(s - Q @ z + mu * _hvec(Zi), 0))[:q]
+        if not np.isfinite(dz).all():
+            break
+        lam = np.linalg.eigvals(Zi @ _hmat(dz, r)).real.min()
+        z = z + min(1.0, 0.9 / max(-lam, 1e-300)) * dz  # keeps Z > 0
+        mu *= 0.1 if lam > -0.9 else 0.5
+    lam, V = np.linalg.eigh(_hmat(z, r))
+    zf, ok = face(V[:, lam > 1e-6 * lam[-1]])
+    return zf if ok else z
 
 
 def _descend(M, logd, row_group, col_group, tol, stop):
-    """Least bound met by BFGS on the log-scales from logd, the last one
-    pinned. sigma has kinks where its top singular value is repeated, often
-    at the minimum, so the line search bisects to the weak Wolfe conditions
-    (Lewis & Overton, Math. Program. 2013). Stops when every derivative is
-    below tol * sigma, the line search fails, or after 200 steps, and
-    returns as soon as the least bound met is below stop."""
-    def f(x):
-        s, g = scaled_sv_gradient(M, np.append(x, logd[-1]), row_group,
-                                  col_group)
-        return s, g[:-1]
-
-    x = logd[:-1]
-    fx, g = f(x)
-    best = fx
-    H = np.eye(x.size)
-    for it in range(200):
-        p = -H @ g
-        gp = g @ p
-        if best < stop or not gp < 0.0 or np.max(np.abs(g)) <= tol * fx:
+    """Least bound met by a second-order descent on the log-scales from
+    logd, the last one pinned. Each step takes the r <= 8 singular values
+    within 1% of sigma and the d of min w + d.W.d / 2 subject to
+    diag(s_r) + sum_g d_g F_g <= w I (_sv_model), through its dual Z
+    (_spectraplex_qp): d = -W^-1 (tr Z F_g)_g, W the Hessian at the last
+    step's Z, made positive definite; Newton's step for r = 1. A step moves
+    a log-scale by at most 1, and is halved until sigma falls. If ten
+    halvings fail, W = sigma I gives the least-norm subgradient instead,
+    and if that fails too the descent stops. It stops on a certificate,
+    every |tr(Z F_g)| <= tol * sigma and a model fall below 1e-5 tol of
+    sigma (the gradient is small all the way to an optimum at infinite
+    scalings), or after 100 steps. Every trial counts, an overflowing one
+    as an infinite bound, and it returns once below stop."""
+    n = logd.size - 1
+    Pr, Pc = ((g == np.arange(n)[:, None]) * 1.0
+              for g in (row_group, col_group))
+    best, Z = np.inf, np.zeros((1, 1))  # no last step yet
+    Ur, Vr = np.zeros((M.shape[0], 1)), np.zeros((M.shape[1], 1))
+    for _ in range(100):
+        U, s, Vh = np.linalg.svd(_scaled(M, logd, row_group, col_group))
+        V = Vh.conj().T
+        best = min(best, s[0])
+        if best < stop or s[0] == 0.0:
             break
-        lo, hi, t = 0.0, np.inf, 1.0
-        for _ in range(40):
-            fn, gn = f(x + t * p)
-            best = min(best, fn)
-            if best < stop:
-                return best
-            if not fn <= fx + 1e-4 * t * gp:
-                hi = t
-            elif gn @ p < 0.9 * gp:
-                lo = t
+        r = min(int(np.sum(s >= 0.99 * s[0])), 8)
+        # the last step's Z in these singular vectors, if they hold half
+        T = U[:, :r].conj().T @ Ur + V[:, :r].conj().T @ Vr
+        Zr = T @ Z @ T.conj().T
+        Zr = Zr if np.trace(Zr).real > 2.0 else np.diag(np.arange(r) == 0) + 0j
+        F, W = _sv_model(U, s, V, Pr, Pc, r, Zr / np.trace(Zr).real)
+        if not np.isfinite(W).all():  # LAPACK may not return on them
+            break
+        Fm = _hvec(F)
+        W += max(1e-12 * s[0] - np.linalg.eigvalsh(W)[0], 0.0) * np.eye(n)
+        for W in (W, s[0] * np.eye(n)):  # else the least-norm subgradient
+            WF = np.linalg.solve(W, Fm)
+            z = _spectraplex_qp(Fm.T @ WF, _hvec(np.diag(s[:r] + 0j)), r)
+            d = -WF @ z
+            w = np.linalg.eigvalsh(np.diag(s[:r]) + np.tensordot(d, F, 1))[-1]
+            if (np.abs(Fm @ z).max() <= tol * s[0]
+                    and s[0] - w <= 1e-5 * tol * s[0]):
+                return best  # certified
+            t = min(1.0, 1.0 / np.abs(d).max())
+            for _ in range(10 if w < s[0] else 0):
+                trial = logd + np.append(t * d, 0.0)
+                A = _scaled(M, trial, row_group, col_group)
+                st = (np.linalg.svd(A, compute_uv=False)[0]
+                      if np.isfinite(A).all() else np.inf)
+                best = min(best, st)
+                if best < stop:
+                    return best
+                if st <= s[0] + 1e-4 * t * (w - s[0]):
+                    break
+                t *= 0.5
             else:
-                break
-            t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
-        else:
+                continue  # no fall: the next W
             break
-        s, y = t * p, gn - g
-        x, fx, g = x + s, fn, gn
-        sy = s @ y
-        if sy > 0.0:
-            if it == 0:
-                H *= sy / (y @ y)
-            Hy = H @ y
-            H += ((1.0 + (y @ Hy) / sy) * np.outer(s, s)
-                  - np.outer(s, Hy) - np.outer(Hy, s)) / sy
+        else:
+            break  # neither step falls
+        logd, Z, Ur, Vr = trial, _hmat(z, r), U[:, :r], V[:, :r]
     return best
 
 
@@ -278,9 +375,9 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     lowers its energy by less than balance_tol, relative, and after
     max_balance steps. No frequency starts from another's result, so each
     balanced value depends neither on the rest of the grid nor on the
-    chunks. With polish, frequencies then descend by BFGS on the
-    log-scales (analytic gradient) until every relative derivative is
-    below polish_tol, in decreasing balanced order:
+    chunks. With polish, frequencies then descend from there (_descend)
+    until the subgradient that certifies the optimal scaling is below
+    polish_tol, relative, in decreasing balanced order:
 
     * floor None: the eight largest, then on while the next balanced value
       exceeds the largest polished one;

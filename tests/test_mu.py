@@ -30,7 +30,6 @@ from swarmlift.mu import (
     _scaling_groups,
     rs_partition,
     sample_admissible_perturbation,
-    scaled_sv_gradient,
     ssv_upper_bound,
 )
 from swarmlift.oracles import _close_delta, series_realization
@@ -176,44 +175,167 @@ def test_ssv_dominates_spectral_radius():
     assert np.all(mu >= rho - 1e-9)
 
 
+def _model_at(M, logd, row_group, col_group, r, Z):
+    """Singular values and the cluster model of D M D^-1 at logd."""
+    n = logd.size - 1
+    U, s, Vh = np.linalg.svd(_scaled(M, logd, row_group, col_group))
+    Pr = (row_group == np.arange(n)[:, None]).astype(float)
+    Pc = (col_group == np.arange(n)[:, None]).astype(float)
+    return (s,) + mu_mod._sv_model(U, s, Vh.conj().T, Pr, Pc, r, Z)
+
+
 def test_log_scale_gradient_matches_central_differences():
+    # at a simple top singular value the cluster model is sigma's gradient
+    # (F_g) and Hessian (W) in the free log-scales, the null vectors of a
+    # rectangular D M D^-1 included, tall and wide
+    for ny, nu in ((8, 7), (7, 8)):
+        structure = [UncertaintyBlock("r2", "repeated", 2, 2),
+                     UncertaintyBlock("f", "full", ny - 5, nu - 5),
+                     UncertaintyBlock("r3", "repeated", 3, 3)]
+        row_group, col_group, ng = _scaling_groups(structure)
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(ny, nu)) + 1j * rng.normal(size=(ny, nu))
+        logd = np.append(rng.uniform(-0.5, 0.5, ng - 1), 0.0)
+        s, F, W = _model_at(M, logd, row_group, col_group, 1, np.ones((1, 1)))
+        assert s[1] < 0.9 * s[0]  # simple top singular value
+        h, n = 1e-5, ng - 1
+        fd_grad, fd_hess = np.empty(n), np.empty((n, n))
+        for g in range(n):
+            e = np.zeros(ng)
+            e[g] = h
+            plus, minus = (_model_at(M, logd + sign * e, row_group, col_group,
+                                     1, np.ones((1, 1))) for sign in (1, -1))
+            fd_grad[g] = (plus[0][0] - minus[0][0]) / (2.0 * h)
+            fd_hess[g] = (plus[1][:, 0, 0] - minus[1][:, 0, 0]).real / (2 * h)
+        assert_allclose(F[:, 0, 0].real, fd_grad, rtol=1e-6, atol=1e-9)
+        assert_allclose(W, fd_hess, rtol=1e-5, atol=1e-8)
+
+
+def test_cluster_matrices_move_a_repeated_top_singular_value():
+    # M = U diag(3, 3, 1, ...) V^H with a repeated top singular value: the
+    # two top singular values at logd + h e_g are the eigenvalues of
+    # 3 I + h F_g, to second order in h
     structure = [UncertaintyBlock("r2", "repeated", 2, 2),
                  UncertaintyBlock("f", "full", 3, 2),
                  UncertaintyBlock("r3", "repeated", 3, 3)]
     row_group, col_group, ng = _scaling_groups(structure)
-    rng = np.random.default_rng(5)
-    M = rng.normal(size=(8, 7)) + 1j * rng.normal(size=(8, 7))
-    logd = rng.uniform(-0.5, 0.5, ng)
-    sv = np.linalg.svd((np.exp(logd)[row_group][:, None] * M)
-                       / np.exp(logd)[col_group][None, :], compute_uv=False)
-    assert sv[1] < 0.9 * sv[0]  # simple top singular value
-    sigma, grad = scaled_sv_gradient(M, logd, row_group, col_group)
-    assert_allclose(sigma, sv[0], rtol=1e-12)
-    h = 1e-5
-    fd = np.empty(ng)
-    for g in range(ng):
-        e = np.zeros(ng)
-        e[g] = h
-        fd[g] = (scaled_sv_gradient(M, logd + e, row_group, col_group)[0]
-                 - scaled_sv_gradient(M, logd - e, row_group, col_group)[0]) \
-            / (2.0 * h)
-    assert_allclose(grad, fd, rtol=1e-6)
+    rng = np.random.default_rng(8)
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(k, k))
+                           + 1j * rng.normal(size=(k, k)))[0] for k in (8, 7))
+    M = Q1[:, :7] @ np.diag([3.0, 3.0, 1.0, 0.8, 0.5, 0.3, 0.1]) @ Q2.conj().T
+    logd = np.zeros(ng)
+    s, F, _ = _model_at(M, logd, row_group, col_group, 2, np.eye(2) / 2)
+    assert_allclose(s[:2], 3.0, rtol=1e-13)
+    for h in (1e-4, -1e-4):
+        for g in range(ng - 1):
+            e = np.zeros(ng)
+            e[g] = h
+            moved = np.linalg.svd(_scaled(M, logd + e, row_group, col_group),
+                                  compute_uv=False)[:2]
+            model = np.linalg.eigvalsh(np.diag(s[:2]) + h * F[g])[::-1]
+            assert np.max(np.abs(moved - model)) < 1e-6, g
+
+
+def _known_optimum(seed, sizes, full, top):
+    """G = D0^-1 H D0 with H normal, its eigenvalues of modulus below 1
+    but for those in top, and D0 a random block-commuting scaling; with
+    full = (rows, cols), a full block whose last rows - cols rows of H are
+    zero. rho(H) = sigma_max(H) bounds mu(G) below and the diagonal-D bound
+    at D0 above, so it is the optimal diagonal-D bound."""
+    structure = [UncertaintyBlock(f"r{i}", "repeated", k, k)
+                 for i, k in enumerate(sizes)]
+    if full:
+        structure.append(UncertaintyBlock("f", "full", *full))
+    row_group, col_group, ng = _scaling_groups(structure)
+    rng = np.random.default_rng(seed)
+    n = col_group.size
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    lam = 0.9 * rng.uniform(0.1, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+    lam[:len(top)] = top
+    H = np.zeros((row_group.size, n), complex)
+    H[:n] = (Q * lam) @ Q.conj().T
+    d0 = np.exp(rng.uniform(-1.5, 1.5, ng))
+    return d0[col_group][None, :] * H / d0[row_group][:, None], structure
+
+
+@pytest.mark.parametrize("seed,sizes,full,top", [
+    (0, (1, 3, 2, 2), None, (2.0, 2.0j)),
+    (1, (2, 2, 1), (3, 3), (1.5,)),
+    (2, (1,) + (3,) * 9 + (2,), (6, 3), (1.2, -1.2)),
+], ids=["kink", "full-block", "rectangular"])
+def test_polish_meets_a_known_optimum(seed, sizes, full, top):
+    # at a repeated top singular value (two eigenvalues of equal top
+    # modulus), with a full block's one scaling, and on 36 x 33 channels
+    # like the performance call's. A normal H is balanced, so the balanced
+    # start is D0 already; the descent from D = I has the way to go.
+    G, structure = _known_optimum(seed, sizes, full, top)
+    row_group, col_group, ng = _scaling_groups(structure)
+    rho = np.abs(top).max()
+    start = np.linalg.svd(G, compute_uv=False)[0]
+    assert start > 1.5 * rho
+    for bound in (ssv_upper_bound(G[None], structure)[0],
+                  mu_mod._descend(G, np.zeros(ng), row_group, col_group,
+                                  1e-8, -np.inf)):
+        assert rho * (1.0 - 1e-12) <= bound <= rho * (1.0 + 1e-9)
+
+
+def _transport_peak():
+    """G11 of N = 3, (4, 12) at its transport peak frequency (80-point
+    grid), its scaling groups, and its balanced log-scales."""
+    cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
+    plant, ok = margin_plant(linearize(cfg, "transport"))
+    assert ok
+    N, structure = assemble_n_delta(plant, default_blocks(3),
+                                    performance_weight())
+    G11, rs_struct = rs_partition(N.freq_response([3.501900461431713]),
+                                  structure)
+    row_group, col_group, ng = _scaling_groups(rs_struct)
+    logd, _ = _balance(G11, row_group, col_group, ng, 1e-9, 200, 0.0)
+    return G11[0], row_group, col_group, logd[0]
+
+
+def test_polish_does_not_depend_on_its_start():
+    # the certified descent ends at the same bound from the balanced start,
+    # from D = I and from a random scaling, where the BFGS polish stopped
+    # up to 1.4e-8 apart
+    M, row_group, col_group, balanced = _transport_peak()
+    rng = np.random.default_rng(4)
+    starts = [balanced, np.zeros_like(balanced),
+              np.append(rng.normal(size=balanced.size - 1), 0.0)]
+    bounds = [mu_mod._descend(M, logd, row_group, col_group, 1e-8, -np.inf)
+              for logd in starts]
+    assert max(bounds) <= min(bounds) * (1.0 + 1e-10)
+
+
+def test_margin_does_not_move_with_a_preroll_step(monkeypatch):
+    # a 5-s pre-roll in 1,001 RK4 steps instead of 1,000 moves the state by
+    # 3e-14, relative; the BFGS polish moved rs by 1.4e-8 with it
+    from swarmlift import analysis
+
+    cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
+    rho = np.max(np.abs(np.linalg.eigvals(linearize(cfg, "rest").A)))
+    rs = []
+    for steps in (1000, 1001):
+        monkeypatch.setattr(analysis, "PREROLL_STEP_RHO",
+                            analysis.TRANSPORT_PREROLL_T * rho / (steps - 0.5))
+        rs.append(margin_point(3, 4.0, 12.0,
+                               freqs=default_frequency_grid(80)).rs_margin)
+    assert abs(rs[1] - rs[0]) <= 1e-10 * rs[0]
 
 
 def test_descent_survives_scalings_that_overflow():
-    # on a reducible pattern BFGS drives log-scales toward infinity; the
-    # trial points that overflow must count as an infinite bound, because
-    # LAPACK's SVD may not return on non-finite entries
+    # on a reducible pattern the descent drives log-scales toward infinity;
+    # a scaling that overflows leaves non-finite entries, which must count
+    # as an infinite bound, because LAPACK's SVD may not return on them
     pattern = np.array([[1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1],
                         [0, 0, 1, 0]])
     rng = np.random.default_rng(1)
     M = pattern * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     struct = [UncertaintyBlock(f"b{i}", "repeated", 1, 1) for i in range(4)]
     row_group, col_group, _ = _scaling_groups(struct)
-    sigma, grad = scaled_sv_gradient(M, np.array([800.0, 0.0, 0.0, 0.0]),
-                                     row_group, col_group)
+    assert not np.isfinite(_scaled(M, np.array([800.0, 0.0, 0.0, 0.0]),
+                                   row_group, col_group)).all()
     mu = ssv_upper_bound(M[None], struct, polish_tol=1e-12)[0]
-    assert sigma == np.inf and not grad.any()
     balanced = ssv_upper_bound(M[None], struct, polish=False)[0]
     rho = np.max(np.abs(np.linalg.eigvals(M)))
     assert rho * (1.0 - 1e-9) <= mu <= balanced
@@ -774,6 +896,44 @@ def test_margin_point_work_counts(monkeypatch):
     assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 3
     assert n_stopped["svd in ssv"] < counts["svd in ssv"]
     assert stopped == full
+
+
+# (n_agents, M, C, frequencies): the most SVDs inside ssv_upper_bound per
+# margin point (the BFGS polish took 432, 166, 416 and 505), and, at the
+# large teams, the BFGS polish's (rs, rp), which may only grow
+SVD_COUNTS = {(3, 4.0, 12.0, 80): 150, (2, 8.0, 6.0, 200): 166,
+              (5, 8.0, 6.0, 80): 416, (8, 8.0, 6.0, 80): 505}
+BFGS_MARGINS = {(5, 8.0, 6.0, 80): (0.9940435379407044, 0.4225467070385284),
+                (8, 8.0, 6.0, 80): (0.9931529561007224, 0.7010234145557355)}
+
+
+@pytest.mark.parametrize("point", sorted(SVD_COUNTS),
+                         ids=lambda p: "N{}-M{:g}-C{:g}-f{}".format(*p))
+def test_margin_point_svd_counts(monkeypatch, point):
+    # counts, not timings: SVDs inside ssv_upper_bound, the stacked
+    # sigma_max ones and every descent's full and trial ones
+    counts = Counter()
+    svd, ssv = np.linalg.svd, mu_mod.ssv_upper_bound
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += counts["in ssv"]
+        return svd(*args, **kwargs)
+
+    def counted_ssv(*args, **kwargs):
+        counts["in ssv"] = 1
+        try:
+            return ssv(*args, **kwargs)
+        finally:
+            counts["in ssv"] = 0
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(mu_mod, "ssv_upper_bound", counted_ssv)
+    n_agents, M, C, n_freqs = point
+    r = margin_point(n_agents, M, C, freqs=default_frequency_grid(n_freqs))
+    assert counts["svd"] <= SVD_COUNTS[point]
+    if point in BFGS_MARGINS:
+        rs, rp = BFGS_MARGINS[point]
+        assert r.rs_margin >= rs and r.rp_margin >= rp
 
 
 def test_floor_leaves_the_sigma_svd_to_the_frobenius_survivors(monkeypatch):
