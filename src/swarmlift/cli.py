@@ -38,7 +38,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-SWEEP_KEYS = ("n_agents", "grid_M", "grid_C", "n_freqs", "polish")
+SWEEP_KEYS = ("n_agents", "grid_M", "grid_C", "n_freqs")
 
 
 def _cmd_sweep(args) -> int:
@@ -56,7 +56,7 @@ def _cmd_sweep(args) -> int:
         if key in cfg})
     path = grid_sweep(cfg.get("n_agents", 2), grid, args.out_dir,
                       n_jobs=args.jobs, **{key: cfg[key] for key in (
-                          "n_freqs", "polish") if key in cfg})
+                          "n_freqs",) if key in cfg})
     print(f"wrote {path}")
     return 0
 

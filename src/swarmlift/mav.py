@@ -46,14 +46,21 @@ def _hexa_geometry():
     return sin_b, cos_b, spin
 
 
+def real_entries(value) -> bool:
+    """Whether value holds only real numbers. bool and str are none, and
+    numpy casts a bool among numbers to 1.0 or 0.0, so each entry is read."""
+    return np.asarray(value).dtype.kind in "iuf" and not any(isinstance(
+        x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat)
+
+
 def real_array(name: str, value, shape: tuple) -> np.ndarray:
     """value as a read-only float copy of the given shape (None: any
-    length), or ValueError unless it holds finite real numbers; bool and
-    str are not numbers. The parameter objects check and store their arrays
+    length), or ValueError unless it holds finite real numbers
+    (real_entries). The parameter objects check and store their arrays
     with it, so an array changes only through replace(), which checks it
     again, and the caller's array stays writable."""
     a = np.asarray(value)
-    if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
+    if (not real_entries(value) or a.ndim != len(shape)
             or any(s not in (None, n) for n, s in zip(a.shape, shape))
             or not np.isfinite(a).all()):
         what = (f"finite numbers of shape {shape}" if shape

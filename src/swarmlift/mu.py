@@ -42,6 +42,7 @@ from .analysis import (
 )
 from .errors import ChannelMismatch, NonFiniteResponse, UnstableOperatingPoint
 from .lti import CHUNK_ENTRIES, LinearSystem, WeightedPlant
+from .mav import real_entries
 from .uncertainty import (
     UncertaintyBlock,
     default_weight_att,
@@ -53,6 +54,9 @@ from .uncertainty import (
 # Relative slack of margin_point's lower bounds on a peak, for the rounding
 # of the spectral radius and singular value that give them.
 FLOOR_SLACK = 1e-9
+BALANCE_TOL = 1e-9
+MAX_BALANCE = 200
+POLISH_TOL = 1e-8
 
 
 def default_blocks(n_agents: int) -> list[UncertaintyBlock]:
@@ -225,7 +229,7 @@ def _spectraplex_qp(Q, s, r):
     return zf if ok else z
 
 
-def _descend(M, logd, row_group, col_group, tol, stop):
+def _descend(M, logd, row_group, col_group, stop):
     """Least bound met by a second-order descent on the log-scales from
     logd, the last one pinned. Each step takes the r <= 8 singular values
     within 1% of sigma and the d of min w + d.W.d / 2 subject to
@@ -235,10 +239,10 @@ def _descend(M, logd, row_group, col_group, tol, stop):
     a log-scale by at most 1, and is halved until sigma falls. If ten
     halvings fail, W = sigma I gives the least-norm subgradient instead,
     and if that fails too the descent stops. It stops on a certificate,
-    every |tr(Z F_g)| <= tol * sigma and a model fall below 1e-5 tol of
-    sigma (the gradient is small all the way to an optimum at infinite
-    scalings), or after 100 steps. Every trial counts, an overflowing one
-    as an infinite bound, and it returns once below stop."""
+    every |tr(Z F_g)| <= POLISH_TOL * sigma and a model fall below 1e-5
+    POLISH_TOL of sigma (the gradient is small all the way to an optimum
+    at infinite scalings), or after 100 steps. Every trial counts, an
+    overflowing one as an infinite bound, and it returns once below stop."""
     n = logd.size - 1
     Pr, Pc = ((g == np.arange(n)[:, None]) * 1.0
               for g in (row_group, col_group))
@@ -265,8 +269,8 @@ def _descend(M, logd, row_group, col_group, tol, stop):
             z = _spectraplex_qp(Fm.T @ WF, _hvec(np.diag(s[:r] + 0j)), r)
             d = -WF @ z
             w = np.linalg.eigvalsh(np.diag(s[:r]) + np.tensordot(d, F, 1))[-1]
-            if (np.abs(Fm @ z).max() <= tol * s[0]
-                    and s[0] - w <= 1e-5 * tol * s[0]):
+            if (np.abs(Fm @ z).max() <= POLISH_TOL * s[0]
+                    and s[0] - w <= 1e-5 * POLISH_TOL * s[0]):
                 return best  # certified
             t = min(1.0, 1.0 / np.abs(d).max())
             for _ in range(10 if w < s[0] else 0):
@@ -289,7 +293,7 @@ def _descend(M, logd, row_group, col_group, tol, stop):
     return best
 
 
-def _balance(G, row_group, col_group, ng, tol, max_steps, floor):
+def _balance(G, row_group, col_group, ng, floor):
     """Log-scales (F, ng) at Osborne's fixed point, every frequency at once,
     and the Frobenius norm of D G D^-1 at them.
 
@@ -302,10 +306,10 @@ def _balance(G, row_group, col_group, ng, tol, max_steps, floor):
     energy. The last group is pinned, and so is a group with no
     off-diagonal row or column energy, whose scaling would run off to
     infinity. A frequency drops out once a step lowers its energy by less
-    than tol, relative, when no step length lowers it, or before a step
-    once its Frobenius norm, the square root of its energy, is below the
-    floor; max_steps caps the steps. An accepted energy is finite, so every
-    ratio d_a / d_b that meets a nonzero entry of G is finite too.
+    than BALANCE_TOL, relative, when no step length lowers it, or before a
+    step once its Frobenius norm, the square root of its energy, is below
+    the floor; MAX_BALANCE caps the steps. An accepted energy is finite,
+    so every ratio d_a / d_b that meets a nonzero entry of G is finite too.
     """
     F = G.shape[0]
     cell = ((np.arange(F)[:, None, None] * ng + row_group[:, None]) * ng
@@ -322,7 +326,7 @@ def _balance(G, row_group, col_group, ng, tol, max_steps, floor):
     energy = S.sum(axis=(1, 2))
     active = ~pinned.all(axis=1)
     m = diag[:-1]  # the unknowns: every group but the last
-    for _ in range(max_steps):
+    for _ in range(MAX_BALANCE):
         active &= np.sqrt(energy) >= floor  # the energy only falls
         k = np.flatnonzero(active)
         if k.size == 0:
@@ -351,7 +355,7 @@ def _balance(G, row_group, col_group, ng, tol, max_steps, floor):
             ok = (et <= energy[kt] * (1.0 + 1e-15)
                   + 1e-4 * t[todo] * slope[todo])
             acc = kt[ok]
-            active[acc] = energy[acc] - et[ok] >= tol * energy[acc]
+            active[acc] = energy[acc] - et[ok] >= BALANCE_TOL * energy[acc]
             u[acc], S[acc], energy[acc] = ut[ok], St[ok], et[ok]
             t[todo[~ok]] *= 0.5
             todo = todo[~ok]
@@ -362,25 +366,21 @@ def _balance(G, row_group, col_group, ng, tol, max_steps, floor):
 
 
 def ssv_upper_bound(G, structure, polish: bool = True,
-                    balance_tol: float = 1e-9, max_balance: int = 200,
-                    polish_tol: float = 1e-8,
                     floor: float | None = None) -> np.ndarray:
     """D-scaled upper bound of the structured singular value per frequency.
 
     G has shape (F, ny, nu) and must be finite; the structure lists the
     blocks in channel order. One positive scaling per scaling group, the
-    last pinned to 1. The frequencies are balanced in stacked chunks, each
-    (k, ny, nu) temporary within lti.CHUNK_ENTRIES entries, by damped
-    Newton steps on the Frobenius energy: a frequency stops once a step
-    lowers its energy by less than balance_tol, relative, and after
-    max_balance steps. No frequency starts from another's result, so each
-    balanced value depends neither on the rest of the grid nor on the
-    chunks. With polish, frequencies then descend from there (_descend)
-    until the subgradient that certifies the optimal scaling is below
-    polish_tol, relative, in decreasing balanced order:
+    last pinned to 1. The frequencies are balanced (_balance) in stacked
+    chunks, each (k, ny, nu) temporary within lti.CHUNK_ENTRIES entries;
+    none starts from another's result, so each balanced value depends
+    neither on the rest of the grid nor on the chunks. With polish, they
+    then descend (_descend) in decreasing balanced order:
 
     * floor None: the eight largest, then on while the next balanced value
-      exceeds the largest polished one;
+      exceeds the largest polished one. The tests' every-frequency
+      references and POLISHED_DIGESTS use this rule: polishing every
+      frequency doubles their time, polishing the peak alone moves them;
     * floor given: until the next balanced value is at or below the floor
       or the running maximum, and each descent stops as soon as it falls
       below that maximum. Only the maximum over frequency (with the floor)
@@ -392,13 +392,13 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     |D G D^-1|_F is below it, at D = I or before a balancing step, stops
     there and keeps that norm, with no sigma_max SVD. The energy only falls
     while balancing, so its balanced value would lie below the floor too.
-    A floor of None or 0 prunes nothing.
 
     Any scaling gives a valid upper bound, so a polished frequency keeps
     the lesser of its two values, an unpolished one its balanced value, and
     an early stop stays conservative. A stopped descent ends below the
     running maximum, where the full descent would end too, so the maximum
-    and its frequency are those of descending to the end.
+    and its frequency are those of descending to the end. polish=False
+    stays only for the benchmark's tracer, which times the balance with it.
     """
     G = np.asarray(G)
     if G.ndim == 2:
@@ -420,8 +420,7 @@ def ssv_upper_bound(G, structure, polish: bool = True,
     for s in range(0, live.size, step):
         c = live[s:s + step]
         with np.errstate(over="ignore", invalid="ignore"):
-            logd[c], mu[c] = _balance(G[c], row_group, col_group, ng,
-                                      balance_tol, max_balance, low)
+            logd[c], mu[c] = _balance(G[c], row_group, col_group, ng, low)
         c = c[mu[c] >= low]
         # the ratio d_r / d_c at once: d_r alone may overflow where it is not
         L = logd[c]
@@ -434,9 +433,8 @@ def ssv_upper_bound(G, structure, polish: bool = True,
                 break  # no frequency left can raise the maximum
             # with a floor, a frequency that falls below top cannot set the
             # maximum: its descent stops there
-            mu[k] = min(mu[k], _descend(
-                G[k], logd[k], row_group, col_group, polish_tol,
-                -np.inf if floor is None else top))
+            mu[k] = min(mu[k], _descend(G[k], logd[k], row_group, col_group,
+                                        -np.inf if floor is None else top))
             top = max(top, mu[k])
     return mu
 
@@ -458,6 +456,8 @@ class TuningGrid:
 
     def __post_init__(self):
         for name in ("M_values", "C_values"):
+            if not real_entries(getattr(self, name)):
+                raise ValueError(f"{name} must hold numbers")
             values = np.asarray(getattr(self, name), dtype=float)
             if values.ndim != 1 or values.size == 0:
                 raise ValueError(f"{name} must be a nonempty 1-D list")
@@ -526,7 +526,8 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     other frequency keeps its last Frobenius norm, below the floor. The
     margins and peak frequencies are those of bounding and polishing
     every frequency, bit for bit. The frequency grid freqs must be
-    nonempty, finite and nonnegative.
+    nonempty, finite and nonnegative. polish stays only because the
+    benchmark passes it; margins and grid_sweep always polish.
     """
     freqs = np.asarray(default_frequency_grid() if freqs is None else freqs,
                        dtype=float)
@@ -581,12 +582,12 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
                         float(freqs[k_rp]), True)
 
 
-def margins(grid: TuningGrid, n_agents: int, freqs=None, polish: bool = True,
+def margins(grid: TuningGrid, n_agents: int, freqs=None,
             n_jobs: int = 1) -> list[MarginResult]:
     """Margin map over the tuning grid with the default blocks and
     performance weight; points are independent work items."""
     pts = grid.points()
-    fn = partial(margin_point, n_agents, freqs=freqs, polish=polish)
+    fn = partial(margin_point, n_agents, freqs=freqs)
     if n_jobs == 1:
         return [fn(M, C) for (M, C) in pts]
     from concurrent.futures import ProcessPoolExecutor

@@ -46,7 +46,7 @@ class PayloadParams:
             object.__setattr__(self, name,
                                real_array(name, getattr(self, name), (3,)))
         object.__setattr__(self, "attachments", real_array(
-            "attachments", np.atleast_2d(self.attachments), (None, 3)))
+            "attachments", self.attachments, (None, 3)))
         if self.m_p <= 0 or np.any(self.J_p <= 0):
             raise ValueError("payload mass and inertia must be positive")
         if len(self.attachments) < 1:

@@ -253,12 +253,6 @@ KEPT_DEFAULTS = {
         "tests keep the experiment short",
     "identify.py:identify_thrust_response(settle)":
         "tests keep the experiment short",
-    "mu.py:ssv_upper_bound(balance_tol)":
-        "tests compute reference bounds with other tolerances",
-    "mu.py:ssv_upper_bound(max_balance)":
-        "tests compute reference bounds with other tolerances",
-    "mu.py:ssv_upper_bound(polish_tol)":
-        "tests compute reference bounds with other tolerances",
     "oracles.py:random_delta_hurwitz_check(n_samples)":
         "Monte Carlo size; tests keep it short",
     "oracles.py:random_delta_hurwitz_check(freqs)":

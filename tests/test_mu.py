@@ -142,7 +142,7 @@ def test_ssv_single_full_block_is_sigma_max():
     assert_allclose(mu[0], np.linalg.svd(M, compute_uv=False)[0], rtol=1e-9)
 
 
-def test_ssv_scaling_invariance():
+def test_ssv_scaling_invariance(monkeypatch):
     G11, struct = rs_partition(*(lambda nd: (nd[0].freq_response([0.5, 3.0]),
                                              nd[1]))(_assembled()))
     # apply a block-commuting diagonal similarity
@@ -159,9 +159,11 @@ def test_ssv_scaling_invariance():
         r += b.dim_y
         c += b.dim_u
     G_scaled = row[None, :, None] * G11 / col[None, None, :]
-    tight = dict(balance_tol=1e-15, max_balance=100, polish_tol=1e-12)
-    mu0 = ssv_upper_bound(G11, struct, **tight)
-    mu1 = ssv_upper_bound(G_scaled, struct, **tight)
+    for name, tight in (("BALANCE_TOL", 1e-15), ("MAX_BALANCE", 100),
+                        ("POLISH_TOL", 1e-12)):
+        monkeypatch.setattr(mu_mod, name, tight)
+    mu0 = ssv_upper_bound(G11, struct)
+    mu1 = ssv_upper_bound(G_scaled, struct)
     assert np.max(np.abs(mu1 - mu0) / mu0) < 1e-6
 
 
@@ -275,7 +277,7 @@ def test_polish_meets_a_known_optimum(seed, sizes, full, top):
     assert start > 1.5 * rho
     for bound in (ssv_upper_bound(G[None], structure)[0],
                   mu_mod._descend(G, np.zeros(ng), row_group, col_group,
-                                  1e-8, -np.inf)):
+                                  -np.inf)):
         assert rho * (1.0 - 1e-12) <= bound <= rho * (1.0 + 1e-9)
 
 
@@ -290,7 +292,7 @@ def _transport_peak():
     G11, rs_struct = rs_partition(N.freq_response([3.501900461431713]),
                                   structure)
     row_group, col_group, ng = _scaling_groups(rs_struct)
-    logd, _ = _balance(G11, row_group, col_group, ng, 1e-9, 200, 0.0)
+    logd, _ = _balance(G11, row_group, col_group, ng, 0.0)
     return G11[0], row_group, col_group, logd[0]
 
 
@@ -302,7 +304,7 @@ def test_polish_does_not_depend_on_its_start():
     rng = np.random.default_rng(4)
     starts = [balanced, np.zeros_like(balanced),
               np.append(rng.normal(size=balanced.size - 1), 0.0)]
-    bounds = [mu_mod._descend(M, logd, row_group, col_group, 1e-8, -np.inf)
+    bounds = [mu_mod._descend(M, logd, row_group, col_group, -np.inf)
               for logd in starts]
     assert max(bounds) <= min(bounds) * (1.0 + 1e-10)
 
@@ -323,7 +325,7 @@ def test_margin_does_not_move_with_a_preroll_step(monkeypatch):
     assert abs(rs[1] - rs[0]) <= 1e-10 * rs[0]
 
 
-def test_descent_survives_scalings_that_overflow():
+def test_descent_survives_scalings_that_overflow(monkeypatch):
     # on a reducible pattern the descent drives log-scales toward infinity;
     # a scaling that overflows leaves non-finite entries, which must count
     # as an infinite bound, because LAPACK's SVD may not return on them
@@ -335,7 +337,8 @@ def test_descent_survives_scalings_that_overflow():
     row_group, col_group, _ = _scaling_groups(struct)
     assert not np.isfinite(_scaled(M, np.array([800.0, 0.0, 0.0, 0.0]),
                                    row_group, col_group)).all()
-    mu = ssv_upper_bound(M[None], struct, polish_tol=1e-12)[0]
+    monkeypatch.setattr(mu_mod, "POLISH_TOL", 1e-12)
+    mu = ssv_upper_bound(M[None], struct)[0]
     balanced = ssv_upper_bound(M[None], struct, polish=False)[0]
     rho = np.max(np.abs(np.linalg.eigvals(M)))
     assert rho * (1.0 - 1e-9) <= mu <= balanced
@@ -432,7 +435,7 @@ def test_balance_equalises_row_and_column_energy():
     rng = np.random.default_rng(4)
     # no zero entry, so every group reaches every other: irreducible
     G = rng.normal(size=(5, 8, 7)) + 1j * rng.normal(size=(5, 8, 7))
-    logd, fro = _balance(G, row_group, col_group, ng, 1e-9, 200, 0.0)
+    logd, fro = _balance(G, row_group, col_group, ng, 0.0)
     for k in range(len(G)):
         E = np.abs(_scaled(G[k], logd[k], row_group, col_group)) ** 2
         assert_allclose(np.bincount(row_group, E.sum(axis=1), ng),

@@ -170,6 +170,13 @@ REJECTED_AT_LOAD = {
     "attachments short": ({"n_agents": 3, "payload": {
         "attachments": [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]}},
         "payload.attachments"),
+    # numpy casts a bool listed among numbers to 1.0 or 0.0
+    "attachments with a bool": ({"payload": {
+        "attachments": [[0.5, 0.0, 0.0], [-0.5, 0.0, True]]}},
+        "payload: attachments"),
+    "event vector with a bool": ({"events": [
+        {"t": 0.1, "action": "master_step", "dp": [True, 0.0, 0.0]}]},
+        "length 3"),
 }
 
 
@@ -207,6 +214,14 @@ BAD_PARAMS = {
                              "payload: drag_F"),
     "payload drag_M long": ({"payload": {"drag_M": [0.0, 0.0, 0.0, 0.0]}},
                             "payload: drag_M"),
+    # a bool among numbers, which numpy casts to 1.0 or 0.0
+    "mav J with a bool": ({"mav": {"J": [True, 0.08, 0.14]}}, "mav: J "),
+    "admittance K with a bool": ({"admittance": {"K": [True, 0.0, 400.0]}},
+                                 "admittance: K "),
+    "payload inertia with a bool": (
+        {"payload": {"inertia": [0.01, True, 0.3375]}}, "payload: J_p"),
+    "payload drag_F with a bool": ({"payload": {"drag_F": [0.2, False, 0.3]}},
+                                   "payload: drag_F"),
 }
 
 

@@ -54,9 +54,11 @@ def test_cli_sweep_serial_equals_parallel(tmp_path):
     ({"n_agents": 2, "n_freqs": 2.5}, "n_freqs"),
     ({"n_agents": 2.5, "n_freqs": 5}, "n_agents"),
     ({"n_agents": 2, "n_freqs": True}, "n_freqs"),
+    # every margin is polished, so the key that once switched it is unknown
+    ({"n_agents": 2, "n_freqs": 5, "polish": True}, "unknown key"),
 ], ids=["misspelled-key", "one-agent", "polish-string", "polish-number",
         "zero-freqs", "fractional-freqs", "fractional-agents",
-        "boolean-freqs"])
+        "boolean-freqs", "polish-true"])
 def test_cli_sweep_rejects_bad_config(tmp_path, monkeypatch, capsys, cfg,
                                       match):
     import swarmlift.sweep
@@ -94,13 +96,19 @@ def test_cli_sweep_rejects_a_worker_count_below_one(tmp_path, monkeypatch,
 
 # a grid that is a number or holds a NaN, and a file that is not JSON:
 # each once failed with AxisError, LinAlgError in margin_point or
-# JSONDecodeError; a repeated value once wrote the same row twice
+# JSONDecodeError; a repeated value once wrote the same row twice; a bool
+# or a string in a grid was once swept as the number it casts to
 @pytest.mark.parametrize("text,match", [
     ('{"n_agents": 2, "grid_M": 8.0, "grid_C": [6.0]}', "M_values"),
     ('{"n_agents": 2, "grid_M": [NaN], "grid_C": [6.0]}', "tuning sets"),
     ('{"n_agents": 2, "grid_M": [8.0], "grid_C": [6.0', "invalid JSON"),
     ('{"n_agents": 2, "grid_M": [8.0, 8], "grid_C": [6.0]}', "repeats"),
-], ids=["scalar-grid", "nan-grid", "malformed-json", "repeated-grid"])
+    ('{"n_agents": 2, "grid_M": [true, 8], "grid_C": [0], "n_freqs": 3}',
+     "M_values must hold numbers"),
+    ('{"n_agents": 2, "grid_M": ["0", "8"], "grid_C": [0], "n_freqs": 3}',
+     "M_values must hold numbers"),
+], ids=["scalar-grid", "nan-grid", "malformed-json", "repeated-grid",
+        "bool-grid", "string-grid"])
 def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, capsys,
                                             text, match):
     import swarmlift.sweep
@@ -121,11 +129,10 @@ def test_cli_sweep_rejects_bad_grid_or_json(tmp_path, monkeypatch, capsys,
     ({"n_freqs": 2.5}, "n_freqs"),
     ({"n_agents": 1}, "n_agents"),
     ({"n_agents": True}, "n_agents"),
-    ({"polish": "false"}, "polish"),
     ({"n_jobs": 0}, "n_jobs"),
     ({"n_jobs": 1.5}, "n_jobs"),
 ], ids=["zero-freqs", "fractional-freqs", "one-agent", "boolean-agents",
-        "polish-string", "zero-jobs", "fractional-jobs"])
+        "zero-jobs", "fractional-jobs"])
 def test_grid_sweep_rejects_bad_arguments(tmp_path, monkeypatch, kw, match):
     import swarmlift.sweep
     from swarmlift.mu import TuningGrid
@@ -142,19 +149,27 @@ def test_grid_sweep_rejects_bad_arguments(tmp_path, monkeypatch, kw, match):
     assert not (tmp_path / "out").exists()
 
 
-def _manifest(out_dir, **kw):
+def _manifest(out_dir, n_agents=2, M=(0.0,), C=(0.0,), n_freqs=20,
+              n_jobs=1):
     from swarmlift.mu import TuningGrid
     from swarmlift.sweep import grid_sweep
 
-    # M = 0 is the degenerate edge: each point returns at once
-    grid = TuningGrid(M_values=np.array([0.0]), C_values=np.array([6.0]))
-    csv = grid_sweep(2, grid, str(out_dir), n_freqs=20, **kw)
+    # M = 0 or C = 0 is the degenerate edge: each point returns at once
+    csv = grid_sweep(n_agents, TuningGrid(M_values=M, C_values=C),
+                     str(out_dir), n_freqs=n_freqs, n_jobs=n_jobs)
     return Path(csv[:-len(".csv")] + "_manifest.json").read_bytes()
 
 
-def test_config_hash_covers_polish(tmp_path):
+def test_config_hash_covers_every_csv_argument(tmp_path):
     default = _manifest(tmp_path / "a")
     assert _manifest(tmp_path / "b") == default
-    hashes = {json.loads(m)["config_hash"] for m in (
-        default, _manifest(tmp_path / "c", polish=False))}
-    assert len(hashes) == 2
+    assert "polish" not in json.loads(default)
+
+    def config_hash(name, **kw):
+        return json.loads(_manifest(tmp_path / name, **kw))["config_hash"]
+
+    base = json.loads(default)["config_hash"]
+    moved = [config_hash("agents", n_agents=3), config_hash("M", M=(1.0,)),
+             config_hash("C", C=(1.0,)), config_hash("freqs", n_freqs=21)]
+    assert len({base, *moved}) == 5
+    assert config_hash("jobs", n_jobs=2) == base
