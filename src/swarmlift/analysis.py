@@ -36,6 +36,7 @@ blocks' arithmetic, in pinned order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ from .payload import (attachment_accel, attachment_kinematics,
 TRANSPORT_PREROLL_T = 5.0
 PREROLL_STEP_RHO = 0.25  # h rho of the pre-roll's RK4 (stable to 2.785)
 PREROLL_MAX_STEPS = 20_000  # a stiffer rest plant is refused unintegrated
+PREROLL_DIVERGENCE_BOUND = 1e3  # a state entry past it fails the pre-roll
 TRANSPORT_VELOCITY = np.array([0.5, 0.5, 0.0])
 MASS_UNCERTAINTY = 0.5  # fraction of nominal payload mass
 INERTIA_UNCERTAINTY = 0.1  # fraction of payload inertia diagonal
@@ -67,11 +69,15 @@ class AnalysisConfig:
     n_agents: int
     tuning_M: float = 8.0
     tuning_C: float = 6.0
-    mav: MavParams = field(default_factory=MavParams)
+    # the agent that uncertainty's default weights were identified on
+    mav: MavParams = field(init=False, default_factory=MavParams)
 
     def __post_init__(self):
-        if self.n_agents < 2:
-            raise ValueError("need a master and at least one slave")
+        # bool is an int subclass, but true is no count
+        if (isinstance(self.n_agents, bool) or not isinstance(
+                self.n_agents, numbers.Integral) or self.n_agents < 2):
+            raise ValueError("n_agents must be an integer of at least 2, a "
+                             f"master and a slave; got {self.n_agents!r}")
         payload = default_payload(self.n_agents, self.mav.m_bar)
         com = com_system(payload, np.full(self.n_agents, self.mav.m))
         # equal static share of the payload weight per agent
@@ -266,14 +272,14 @@ def zero_input(cfg: AnalysisConfig) -> np.ndarray:
     return np.zeros(cfg.n_inputs)
 
 
-def preroll_transport(cfg: AnalysisConfig,
-                      divergence_bound: float = 1e3) -> np.ndarray:
+def preroll_transport(cfg: AnalysisConfig) -> np.ndarray:
     """Integrate the nominal model from rest under TRANSPORT_VELOCITY;
     returns the state after TRANSPORT_PREROLL_T seconds. The RK4 step h
     keeps h rho <= PREROLL_STEP_RHO for the rest plant's spectral radius
     rho: inside RK4's stability region for a stiff tuning, and no more
     steps than a soft one's accuracy needs. Past PREROLL_MAX_STEPS steps
-    it raises UnstableOperatingPoint unintegrated, as a divergence does."""
+    it raises UnstableOperatingPoint unintegrated, as a divergence past
+    PREROLL_DIVERGENCE_BOUND does."""
     rho = np.max(np.abs(np.linalg.eigvals(linearize(cfg, "rest").A)))
     n = int(np.ceil(TRANSPORT_PREROLL_T * rho / PREROLL_STEP_RHO))
     if n > PREROLL_MAX_STEPS:
@@ -292,7 +298,7 @@ def preroll_transport(cfg: AnalysisConfig,
         x = rk4_step(rhs, k * dt, x, dt)
         x[qsl] = quat_normalize(x[qsl])
         # a NaN or an infinity fails the test too
-        if not np.max(np.abs(x)) <= divergence_bound:
+        if not np.max(np.abs(x)) <= PREROLL_DIVERGENCE_BOUND:
             raise UnstableOperatingPoint(
                 "transport pre-roll diverged for this tuning")
     return x

@@ -127,9 +127,8 @@ def simulate_single_mav(params: MavParams, duration: float, F_ext_fn,
                           F_prop_w=rec["F_prop"], F_cmd_w=rec["F_cmd"])
 
 
-def run_force_step(params: MavParams, estimator: str, magnitude: float = 1.0,
-                   t_step: float = 1.0,
-                   duration: float = 6.0) -> SingleMavTrace:
+def run_force_step(params: MavParams, estimator: str, magnitude: float,
+                   t_step: float, duration: float) -> SingleMavTrace:
     """Hover then apply a constant world-frame force step along x."""
     step = np.array([magnitude, 0.0, 0.0])
 
@@ -145,6 +144,7 @@ def run_force_step(params: MavParams, estimator: str, magnitude: float = 1.0,
 DEFAULT_HARMONICS = (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128,
                      181, 256, 362, 512)
 BASE_PERIOD = 40.0  # multisine period, s
+THRUST_SETTLE = 4.0  # the thrust response's settling before it correlates, s
 
 
 def multisine(harmonics, base_period: float, amplitude):
@@ -192,8 +192,7 @@ def identify_estimator_response(params: MavParams,
     return FrequencyResponse(freqs=w, H=H)
 
 
-def identify_pd_response(params: MavParams,
-                         harmonics=DEFAULT_HARMONICS) -> FrequencyResponse:
+def identify_pd_response(params: MavParams) -> FrequencyResponse:
     """Response of the implemented (sampled, zero-order-held) PD law to a
     continuous 0.01 m position-error multisine, per lateral axis.
 
@@ -201,7 +200,7 @@ def identify_pd_response(params: MavParams,
     rate and the dynamics sees the held command, which is exactly the
     implementation effect the uncertainty weight has to cover.
     """
-    f, df, w = multisine(harmonics, BASE_PERIOD, 0.01)
+    f, df, w = multisine(DEFAULT_HARMONICS, BASE_PERIOD, 0.01)
     sim_rate = 1.0 / TS_DYN
     t = np.arange(int(round(BASE_PERIOD * sim_rate))) / sim_rate
     hold = int(round(sim_rate / CTRL_RATE))
@@ -216,14 +215,12 @@ def identify_pd_response(params: MavParams,
     return FrequencyResponse(freqs=w, H=H)
 
 
-def identify_thrust_response(params: MavParams, axis: int = 0,
-                             harmonics=DEFAULT_HARMONICS,
-                             base_period: float = BASE_PERIOD,
-                             settle: float = 4.0) -> FrequencyResponse:
+def identify_thrust_response(params: MavParams,
+                             axis: int = 0) -> FrequencyResponse:
     """Thrust-command-to-realized-thrust response of the attitude inner loop
     plus motor lag, driven open loop by a 0.25 N multisine around hover on
-    one world axis."""
-    f, _, w = multisine(harmonics, base_period, 0.25)
+    one world axis, after THRUST_SETTLE seconds of settling."""
+    f, _, w = multisine(DEFAULT_HARMONICS, BASE_PERIOD, 0.25)
     hover = params.m * GRAVITY
 
     def F_cmd_fn(t):
@@ -231,10 +228,10 @@ def identify_thrust_response(params: MavParams, axis: int = 0,
         F_cmd_w[axis] += f(t)
         return F_cmd_w
 
-    tr = simulate_single_mav(params, settle + base_period,
+    tr = simulate_single_mav(params, THRUST_SETTLE + BASE_PERIOD,
                              F_ext_fn=lambda t: np.zeros(3), estimator=None,
                              F_cmd_fn=F_cmd_fn)
-    sel = tr.t >= settle
+    sel = tr.t >= THRUST_SETTLE
     # subtract the hover operating point before correlating
     out = tr.F_prop_w[sel, axis] - (0.0 if axis != 2 else hover)
     cmd = tr.F_cmd_w[sel, axis] - (0.0 if axis != 2 else hover)

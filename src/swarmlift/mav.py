@@ -78,12 +78,13 @@ class Allocation:
     U1..U3 are body torques about x, y, z; U4 is collective thrust. The
     matrix and its pseudo-inverse are built analytically from the regular
     6-arm geometry, so the torque rows are exactly orthogonal to the thrust
-    row and sum(n_i^2) == U4 / k_f holds for any allocated command.
+    row and sum(n_i^2) == U4 / k_f holds for any allocated command. The
+    geometry and rotor constants are the platform's, not arguments.
     """
 
-    arm_length: float = 0.3
-    k_f: float = 2.8e-5
-    k_m: float = 2.8e-5 * 0.016
+    arm_length: float = field(init=False, default=0.3)
+    k_f: float = field(init=False, default=2.8e-5)
+    k_m: float = field(init=False, default=2.8e-5 * 0.016)
     matrix: np.ndarray = field(init=False, repr=False)
     pinv: np.ndarray = field(init=False, repr=False)
 
@@ -132,7 +133,7 @@ class MavParams:
     m_bar: float = 1.0
     K_P: np.ndarray = field(default_factory=lambda: np.array([17.0, 17.0, 30.0]))
     K_D: np.ndarray = field(default_factory=lambda: np.array([15.0, 15.0, 10.0]))
-    allocation: Allocation = field(default_factory=Allocation)
+    allocation: Allocation = field(init=False, default_factory=Allocation)
 
     def __post_init__(self):
         for name in ("J", "K_drag", "K_P", "K_D"):

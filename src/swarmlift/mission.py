@@ -19,7 +19,7 @@ loaded-hover altitude `target - sag`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,9 @@ class MissionState:
     dh: float
     tol: float
     sag: float
-    phase: MissionPhase = MissionPhase.GROUNDED
-    target: float = 0.0
+    # the coordinator's state, which every mission starts from
+    phase: MissionPhase = field(init=False, default=MissionPhase.GROUNDED)
+    target: float = field(init=False, default=0.0)
 
 
 def _all_acked(ms: MissionState, altitudes) -> bool:

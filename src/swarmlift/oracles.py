@@ -257,7 +257,7 @@ def series_realization(N) -> LinearSystem:
 
 
 def random_delta_hurwitz_check(n_agents: int, M: float, C: float,
-                               n_samples: int = 50, freqs=None):
+                               n_samples: int, freqs):
     """Monte-Carlo necessary condition: at a tuning point with rs > 1, every
     sampled admissible perturbation (mass pinned at both interval endpoints
     included) leaves the closed loop without growing modes.

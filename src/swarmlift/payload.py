@@ -110,7 +110,6 @@ class ComSystem:
     m_sys: float
     J_sys: np.ndarray  # (3, 3) about the composite CoM
     attachments: np.ndarray  # (N, 3) agent offsets from the CoM
-    r_payload_cog: np.ndarray  # payload CoG offset from the CoM
 
 
 def com_system(params: PayloadParams, agent_masses) -> ComSystem:
@@ -121,13 +120,12 @@ def com_system(params: PayloadParams, agent_masses) -> ComSystem:
     m_sys = params.m_p + float(np.sum(agent_masses))
     com = (agent_masses[:, None] * params.attachments).sum(axis=0) / m_sys
     att = params.attachments - com[None, :]
-    r_pc = -com
+    r_pc = -com  # the payload CoG's offset from the CoM
     J = np.diag(params.J_p) + params.m_p * (
         np.dot(r_pc, r_pc) * np.eye(3) - np.outer(r_pc, r_pc))
     for m_i, r in zip(agent_masses, att):
         J += m_i * (np.dot(r, r) * np.eye(3) - np.outer(r, r))
-    return ComSystem(m_sys=m_sys, J_sys=J, attachments=att,
-                     r_payload_cog=r_pc)
+    return ComSystem(m_sys=m_sys, J_sys=J, attachments=att)
 
 
 def _real_row(R, rows, a, b, c):

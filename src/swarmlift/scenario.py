@@ -227,14 +227,11 @@ SCHEMA = {
     "mission_land_at": ("mission.land_at", _time),
     "events": ("events", _events),
 }
-# the sections that build a parameter object, with their keys; the rotor
-# allocation is an object built from its geometry, which a document cannot
-# give
+# the sections that build a parameter object, with their keys
 PARAM_SECTIONS = {
     "payload": ("mass", "inertia", "side", "height", "attachments",
                 "drag_F", "drag_M"),
-    "mav": tuple(f.name for f in fields(MavParams)
-                 if f.init and f.name != "allocation"),
+    "mav": tuple(f.name for f in fields(MavParams) if f.init),
     "admittance": tuple(f.name for f in fields(AdmittanceParams) if f.init),
 }
 

@@ -77,18 +77,19 @@ class UkfState:
         return self.xi[..., F_SL]
 
 
-def ukf_init(p0, v0, q0, omega0, P0_diag=None) -> UkfState:
+P0_DIAG = np.concatenate([
+    np.full(3, 1e-4), np.full(3, 1e-3), np.full(3, 1e-4),
+    np.full(3, 1e-3), np.full(3, 1.0), [1e-1]])
+
+
+def ukf_init(p0, v0, q0, omega0) -> UkfState:
     """Filter state at (p0, v0, q0, omega0); leading axes of the arguments
     give a stack of filters with the same initial covariance."""
     p0 = np.asarray(p0, dtype=float)
     xi = np.zeros(p0.shape[:-1] + (NXI,))
     xi[..., P_SL], xi[..., V_SL], xi[..., W_SL] = p0, v0, omega0
-    if P0_diag is None:
-        P0_diag = np.concatenate([
-            np.full(3, 1e-4), np.full(3, 1e-3), np.full(3, 1e-4),
-            np.full(3, 1e-3), np.full(3, 1.0), [1e-1]])
-    P = np.diag(np.asarray(P0_diag, dtype=float))
-    return UkfState(xi=xi, P=np.broadcast_to(P, xi.shape + (NXI,)).copy(),
+    return UkfState(xi=xi, P=np.broadcast_to(np.diag(P0_DIAG),
+                                             xi.shape + (NXI,)).copy(),
                     q=np.broadcast_to(np.asarray(q0, dtype=float),
                                       xi.shape[:-1] + (4,)).copy())
 

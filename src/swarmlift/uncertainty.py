@@ -17,6 +17,8 @@ from .errors import FitInfeasible
 from .lti import LinearSystem, siso_tf
 
 REL_ERR_FLOOR = 1e-4  # relative errors below it are fitted as this floor
+MAX_ORDER = 3  # the highest shelf-cascade order fit_bounding_weight tries
+EXCESS_CAP_DB = 10.0  # the worst over-bound a fitted weight may keep
 
 
 @dataclass
@@ -92,16 +94,15 @@ def fit_uncertainty_weight(G_nom: LinearSystem,
     return fit_bounding_weight(actual.freqs, relative_error(G_nom, actual))
 
 
-def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
-                        excess_cap_db: float = 10.0) -> LinearSystem:
+def fit_bounding_weight(freqs, rel_err) -> LinearSystem:
     """Fit a weight magnitude upper bound to relative-error samples.
 
     Tries shelf cascades of increasing order, least-squares in log magnitude,
     then scales the gain up so the bound holds at every sample (margin >= 0
     dB, hard). Above the sampled band the last measured error is treated as
     persistent, so the weight cannot roll off where no data says it may. The
-    lowest order whose worst over-bound stays within excess_cap_db wins;
-    FitInfeasible if none does.
+    lowest order up to MAX_ORDER whose worst over-bound stays within
+    EXCESS_CAP_DB wins; FitInfeasible if none does.
     """
     # scipy.optimize is imported here: nothing else in the package needs it
     from scipy.optimize import least_squares
@@ -115,7 +116,7 @@ def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
     r_chk = np.concatenate([r_eff, np.full(3, r_eff[-1])])
     log_r = np.log(r_eff)
     best = None
-    for order in range(1, max_order + 1):
+    for order in range(1, MAX_ORDER + 1):
         x0 = np.empty(1 + 2 * order)
         x0[0] = log_r.mean()
         geo = np.exp(np.linspace(np.log(w[0]), np.log(w[-1]), order + 2))[1:-1]
@@ -140,14 +141,14 @@ def fit_bounding_weight(freqs, rel_err, max_order: int = 3,
         if np.any(mag < r_chk - 1e-12):
             continue
         excess_db = 20.0 * np.log10(np.max(mag[:w.size] / r_eff))
-        if excess_db <= excess_cap_db and (best is None or excess_db < best[0]):
+        if excess_db <= EXCESS_CAP_DB and (best is None or excess_db < best[0]):
             best = (excess_db, weight)
             if excess_db <= 1.0:  # tight enough, prefer the lower order
                 break
     if best is None:
         raise FitInfeasible(
-            f"no weight up to order {max_order} bounds the samples within "
-            f"{excess_cap_db} dB")
+            f"no weight up to order {MAX_ORDER} bounds the samples within "
+            f"{EXCESS_CAP_DB} dB")
     return best[1]
 
 
@@ -178,10 +179,12 @@ def performance_weight() -> LinearSystem:
 #  * est: EKF and UKF closed-loop force response vs the tau_est lag
 #    (elementwise max of both).
 # Regenerate with identify_pd_response, identify_thrust_response (axes 0 and
-# 2) and identify_estimator_response ("ekf" and "ukf") and a fit of each
-# relative error. tests/test_uncertainty.py regenerates none of them: it
-# checks that the mpc and lateral att weights still cover a fresh
-# identification on four harmonics, and the est weight a fresh EKF
+# 2) and identify_estimator_response ("ekf" and "ukf"), whose multisines
+# share identify.DEFAULT_HARMONICS and BASE_PERIOD (the thrust response
+# settles THRUST_SETTLE first), and a fit_bounding_weight of each relative
+# error (MAX_ORDER, EXCESS_CAP_DB). tests/test_uncertainty.py regenerates
+# none of them: it checks that the mpc and lateral att weights still cover
+# a fresh identification on four harmonics, and the est weight a fresh EKF
 # identification on every harmonic. No test runs the UKF experiment.
 # ---------------------------------------------------------------------------
 
@@ -209,9 +212,10 @@ def default_weight_att() -> list[LinearSystem]:
     """Per-axis thrust-chain weights sharing one repeated scalar: the
     vertical mismatch (fast motor magnitude vs tau_att lag) exceeds the
     lateral one, so tying a single weight to the worst axis would load the
-    lateral channels far beyond what was identified."""
-    return [default_weight_att_lateral(), default_weight_att_lateral(),
-            default_weight_att_vertical()]
+    lateral channels far beyond what was identified. The two lateral axes
+    share one weight object, so an N-Delta response evaluates it once."""
+    lateral = default_weight_att_lateral()
+    return [lateral, lateral, default_weight_att_vertical()]
 
 
 def default_weight_est() -> LinearSystem:

@@ -29,6 +29,22 @@ def cfg2(M=8.0, C=6.0):
     return AnalysisConfig(n_agents=2, tuning_M=M, tuning_C=C)
 
 
+# a bool, a fraction, a float or a string count, and a team without a slave
+@pytest.mark.parametrize("n_agents", [2.0, 2.5, np.float64(3.0), "3", True,
+                                      False, 1, np.int64(1)],
+                         ids=["2.0", "2.5", "float64-3", "str-3", "True",
+                              "False", "1", "int64-1"])
+def test_analysis_config_refuses_a_count_that_is_no_team(n_agents):
+    with pytest.raises(ValueError, match="n_agents must be an integer of "
+                                         "at least 2"):
+        AnalysisConfig(n_agents=n_agents)
+
+
+def test_margin_point_refuses_a_fractional_count():
+    with pytest.raises(ValueError, match="n_agents"):
+        margin_point(2.5, 8.0, 6.0)
+
+
 def test_rest_state_is_equilibrium():
     cfg = cfg2()
     x = rest_state(cfg)
@@ -201,15 +217,16 @@ def test_transport_linearization_differs_from_rest():
     assert np.abs(at_rest.A - at_transport.A).max() > 1e-6
 
 
-def test_unstable_tuning_preroll_flagged():
+def test_unstable_tuning_preroll_flagged(monkeypatch):
     # near-zero damping and tiny virtual mass destabilize the loop; thrust
     # saturation caps the blowup at a large limit cycle, so the operating
     # envelope bound flags it
     cfg = AnalysisConfig(n_agents=2, tuning_M=0.05, tuning_C=0.01)
     sys = build_closed_loop(cfg)
     assert not margin_plant(sys)[1]
+    monkeypatch.setattr(analysis, "PREROLL_DIVERGENCE_BOUND", 5.0)
     with pytest.raises(UnstableOperatingPoint):
-        preroll_transport(cfg, divergence_bound=5.0)
+        preroll_transport(cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -16,7 +16,12 @@ Every parameter dataclass (a name ending in Params, Scenario and
 AnalysisConfig) is frozen, so a field changes only through
 dataclasses.replace, which runs its checks and derives its constants
 again. Every field of a package dataclass is read by the package or the
-benchmark, or is listed with the reason it stays."""
+benchmark, or is listed with the reason it stays, and every constructor
+argument with a default is passed by some call in the package or the
+benchmark (to the class, through functools.partial, checked_call,
+dataclasses.replace or a ** forward), or is listed with the reason it stays
+an argument; a setting that no call passes is a constant, or a field with
+init=False."""
 
 import ast
 import os
@@ -233,35 +238,13 @@ def test_no_unreferenced_module_constants():
 # parameters with a default that no call in the package or the benchmark
 # passes, and why each stays a parameter instead of becoming a constant
 KEPT_DEFAULTS = {
-    "analysis.py:preroll_transport(divergence_bound)":
-        "safety bound; a test drives the divergence path",
     "analysis.py:linearize(x_full)":
         "tests linearize at their own operating points",
     "analysis.py:linearize(u0)":
         "tests linearize at their own operating points",
     "cli.py:main(argv)": "None reads the command line; tests pass argv",
-    "identify.py:run_force_step(magnitude)": "force-step experiment size",
-    "identify.py:run_force_step(t_step)": "tests keep the experiment short",
-    "identify.py:run_force_step(duration)": "tests keep the experiment short",
-    "identify.py:identify_pd_response(harmonics)":
-        "tests identify on fewer harmonics to stay short",
     "identify.py:identify_thrust_response(axis)":
         "axis 2 identifies the vertical thrust weight",
-    "identify.py:identify_thrust_response(harmonics)":
-        "tests identify on fewer harmonics to stay short",
-    "identify.py:identify_thrust_response(base_period)":
-        "tests keep the experiment short",
-    "identify.py:identify_thrust_response(settle)":
-        "tests keep the experiment short",
-    "oracles.py:random_delta_hurwitz_check(n_samples)":
-        "Monte Carlo size; tests keep it short",
-    "oracles.py:random_delta_hurwitz_check(freqs)":
-        "tests use a coarse frequency grid to stay short",
-    "ukf.py:ukf_init(P0_diag)": "tests drive the jitter retry with it",
-    "uncertainty.py:fit_bounding_weight(max_order)":
-        "tests drive FitInfeasible with it",
-    "uncertainty.py:fit_bounding_weight(excess_cap_db)":
-        "tests drive FitInfeasible with it",
 }
 
 
@@ -271,44 +254,83 @@ def _call_name(node):
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def _forwarded_keys(value):
+def _bound_once(tree) -> dict:
+    """The value of each name that the source binds once, by a plain
+    ``name = value``, so that a ``**name`` forward reads as that value."""
+    stores = Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store))
+    return {n.targets[0].id: n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and len(n.targets) == 1
+            and isinstance(n.targets[0], ast.Name)
+            and stores[n.targets[0].id] == 1}
+
+
+def _forwarded_keys(value, bound: dict):
     """The keywords that ``**value`` passes: the keys of a dict display, or
-    of a comprehension whose key is its loop name over a literal tuple.
-    None (every keyword) for any other expression."""
+    of a comprehension over a literal tuple whose key is its loop name, or
+    one name of its loop tuple; a name bound once reads as its value (see
+    _bound_once). None (every keyword) for any other expression."""
+    if isinstance(value, ast.Name):
+        value = bound.get(value.id, value)
     if isinstance(value, ast.Dict):
         # a None key is a nested ** and leaves the keys unknown
         if all(isinstance(k, ast.Constant) for k in value.keys):
             return {k.value for k in value.keys}
-    elif isinstance(value, ast.DictComp) and len(value.generators) == 1:
-        gen, key = value.generators[0], value.key
-        if (isinstance(gen.target, ast.Name) and isinstance(key, ast.Name)
-                and gen.target.id == key.id
-                and isinstance(gen.iter, ast.Tuple)
-                and all(isinstance(e, ast.Constant) for e in gen.iter.elts)):
-            return {e.value for e in gen.iter.elts}
+    elif (isinstance(value, ast.DictComp) and len(value.generators) == 1
+          and isinstance(value.key, ast.Name)
+          and isinstance(value.generators[0].iter, ast.Tuple)):
+        gen = value.generators[0]
+        target, elts = gen.target, gen.iter.elts
+        if isinstance(target, ast.Name) and target.id == value.key.id:
+            keys = elts
+        elif isinstance(target, ast.Tuple):
+            names = [getattr(t, "id", None) for t in target.elts]
+            if names.count(value.key.id) != 1:
+                return None
+            i = names.index(value.key.id)
+            keys = [e.elts[i] if isinstance(e, ast.Tuple)
+                    and len(e.elts) == len(names) else None for e in elts]
+        else:
+            return None
+        if all(isinstance(k, ast.Constant) for k in keys):
+            return {k.value for k in keys}
     return None
 
 
-def unpassed_defaults(package: dict, others: dict) -> list:
-    """Parameters with a default, of the package's functions and methods,
-    that no call in either set passes: by keyword, by position, through
-    functools.partial or through a ** forward. A ** of a dict display or
-    of a comprehension over literal keys passes those keys; any other **
-    passes every keyword. Calls match functions by name."""
-    passed = defaultdict(set)  # keywords and positions passed, per name
-    for src in [*package.values(), *others.values()]:
-        for n in ast.walk(ast.parse(src)):
+def passed_arguments(sources) -> defaultdict:
+    """The keywords and positions that the calls in the sources pass, per
+    called name: directly, through functools.partial or through
+    checked_call(section, fn, ...). dataclasses.replace passes its keywords
+    under "replace". A ** of keys that _forwarded_keys reads passes those
+    keys, any other ** None (every keyword); a * passes "*" (every
+    position)."""
+    passed = defaultdict(set)
+    for src in sources:
+        tree = ast.parse(src)
+        bound = _bound_once(tree)
+        for n in ast.walk(tree):
             if not isinstance(n, ast.Call):
                 continue
             name, args = _call_name(n.func), n.args
             if name == "partial" and args:
                 name, args = _call_name(args[0]), args[1:]
+            elif name == "checked_call" and len(args) > 1:
+                name, args = _call_name(args[1]), args[2:]
             passed[name].update(range(len(args)))
             for k in n.keywords:
-                keys = {k.arg} if k.arg else _forwarded_keys(k.value)
+                keys = {k.arg} if k.arg else _forwarded_keys(k.value, bound)
                 passed[name].update({None} if keys is None else keys)
             if any(isinstance(a, ast.Starred) for a in args):
                 passed[name].add("*")
+    return passed
+
+
+def unpassed_defaults(package: dict, others: dict) -> list:
+    """Parameters with a default, of the package's functions and methods,
+    that no call in either set passes (passed_arguments): by keyword, by
+    position, through functools.partial or checked_call, or through a **
+    forward. Calls match functions by name."""
+    passed = passed_arguments([*package.values(), *others.values()])
     found = []
     for module, src in package.items():
         tree = ast.parse(src)
@@ -567,8 +589,6 @@ UNREAD_FIELDS = {
     "identify.py:SingleMavTrace.v": "trace output; the golden digests pin it",
     "identify.py:SingleMavTrace.eta":
         "trace output; the golden digests pin it",
-    "payload.py:ComSystem.r_payload_cog":
-        "tests check the shift of the composite CoM with it",
 }
 
 
@@ -622,3 +642,83 @@ def test_no_unread_dataclass_fields():
     found = unread_fields(package, bench)
     assert sorted(set(found) - set(UNREAD_FIELDS)) == []
     assert sorted(set(UNREAD_FIELDS) - set(found)) == []  # stale entries
+
+
+# constructor arguments with a default that no call in the package or the
+# benchmark passes, and why each stays an argument instead of a constant
+KEPT_FIELDS = {}
+
+
+def _init_fields(cls):
+    """(name, whether it has a default) of each __init__ field of a
+    dataclass, in order; a field(init=False) is none."""
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            continue
+        spec = ({k.arg: k.value for k in node.value.keywords}
+                if isinstance(node.value, ast.Call)
+                and _call_name(node.value.func) == "field" else None)
+        if spec is None:
+            yield node.target.id, node.value is not None
+        elif not (isinstance(spec.get("init"), ast.Constant)
+                  and spec["init"].value is False):
+            yield node.target.id, bool({"default", "default_factory"}
+                                       & set(spec))
+
+
+def unpassed_fields(package: dict, others: dict) -> list:
+    """``module:Class.field`` of every __init__ field with a default, of
+    the package's dataclasses, that no call in either set passes
+    (passed_arguments): by keyword or position to the class, through
+    functools.partial or checked_call, or through a ** forward; or by
+    keyword to dataclasses.replace, whose keywords match fields by name, as
+    calls match classes."""
+    passed = passed_arguments([*package.values(), *others.values()])
+    return sorted(
+        f"{module}:{cls.name}.{name}" for module, src in package.items()
+        for cls in ast.walk(ast.parse(src))
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for i, (name, default) in enumerate(_init_fields(cls))
+        if default and not ({name, i, "*", None} & passed[cls.name]
+                            or {name, None} & passed["replace"]))
+
+
+def test_guard_flags_an_unpassed_field():
+    package = {"a.py": ("from dataclasses import dataclass, field\n"
+                        "@dataclass\nclass K:\n"
+                        "    x: int\n    required: int = field(repr=False)\n"
+                        "    by_pos: int = 0\n"
+                        "    by_kw: int = 0\n    gone: int = 0\n"
+                        "    derived: int = field(init=False, default=0)\n"
+                        "    listed: list = field(default_factory=list)\n"
+                        "    in_comp: int = 0\n    in_name: int = 0\n"
+                        "    by_replace: int = 0\n"
+                        "    gone_too: float = field(default=1.0)\n"
+                        "@dataclass(frozen=True)\nclass P:\n"
+                        "    via_partial: int = 0\n    via_check: int = 0\n"
+                        "    unused: int = 0\n"
+                        "@dataclass\nclass Q:\n    anything: int = 0\n"
+                        "class Plain:\n    ignored: int = 0\n"),
+               "b.py": ("import dataclasses\nfrom functools import partial\n"
+                        "from .a import K, P, Q\n"
+                        "k = K(0, 1, 2, by_kw=3, listed=[],\n"
+                        "      **{f: 1 for f in ('in_comp',)})\n"
+                        "extra = {f: v for v, f in ((1, 'in_name'),) if v}\n"
+                        "K(0, 1, **extra)\n"
+                        "dataclasses.replace(k, by_replace=3)\n"
+                        "partial(P, via_partial=1)()\n"
+                        "checked_call('p', P, via_check=1)\n")}
+    others = {"run.py": "from swarmlift.a import Q\nQ(**options)\n"}
+    assert unpassed_fields(package, others) == [
+        "a.py:K.gone", "a.py:K.gone_too", "a.py:P.unused"]
+
+
+def test_no_unpassed_fields():
+    package = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    bench = {path.name: path.read_text() for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    found = unpassed_fields(package, bench)
+    assert sorted(set(found) - set(KEPT_FIELDS)) == []
+    assert sorted(set(KEPT_FIELDS) - set(found)) == []  # stale entries

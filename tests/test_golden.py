@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from swarmlift import identify
 from swarmlift.analysis import (AnalysisConfig, build_closed_loop, linearize,
                                margin_plant, preroll_transport)
 from swarmlift.identify import identify_thrust_response, run_force_step
@@ -70,9 +71,16 @@ THRUST_RESPONSE_DIGEST = \
     "db8938da6cc2dda4024b89b330739686b387e74d3ba75432f72a702763e1aa71"
 
 
-def test_thrust_response_digest():
-    fr = identify_thrust_response(MavParams(), axis=0, harmonics=(1, 2, 5),
-                                  base_period=1.0, settle=0.5)
+@pytest.fixture
+def short_multisine(monkeypatch):
+    # three harmonics of a 1-s period after 0.5 s of settling
+    monkeypatch.setattr(identify, "DEFAULT_HARMONICS", (1, 2, 5))
+    monkeypatch.setattr(identify, "BASE_PERIOD", 1.0)
+    monkeypatch.setattr(identify, "THRUST_SETTLE", 0.5)
+
+
+def test_thrust_response_digest(short_multisine):
+    fr = identify_thrust_response(MavParams(), axis=0)
     assert _digest(fr.freqs, fr.H) == THRUST_RESPONSE_DIGEST
 
 
@@ -84,9 +92,8 @@ THRUST_RESPONSE_AXIS_DIGESTS = {
 
 
 @pytest.mark.parametrize("axis", sorted(THRUST_RESPONSE_AXIS_DIGESTS))
-def test_thrust_response_digest_on_axes_1_and_2(axis):
-    fr = identify_thrust_response(MavParams(), axis=axis, harmonics=(1, 2, 5),
-                                  base_period=1.0, settle=0.5)
+def test_thrust_response_digest_on_axes_1_and_2(short_multisine, axis):
+    fr = identify_thrust_response(MavParams(), axis=axis)
     assert _digest(fr.freqs, fr.H) == THRUST_RESPONSE_AXIS_DIGESTS[axis]
 
 
@@ -194,6 +201,12 @@ def test_margin_point_fields(n_agents, M, C, n_freqs):
     r = margin_point(n_agents, M, C, freqs=default_frequency_grid(n_freqs))
     assert (r.rs_margin, r.rp_margin, r.peak_freq_rs, r.peak_freq_rp) \
         == MARGINS[(n_agents, M, C, n_freqs)]
+
+
+def test_margin_point_takes_a_numpy_integer_count():
+    r = margin_point(np.int64(2), 8.0, 6.0, freqs=default_frequency_grid(60))
+    assert (r.rs_margin, r.rp_margin, r.peak_freq_rs, r.peak_freq_rp) \
+        == MARGINS[(2, 8.0, 6.0, 60)]
 
 
 def test_margins_moved_from_the_bfgs_polish_by_tightening_only():

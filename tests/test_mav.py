@@ -306,7 +306,7 @@ def test_attitude_loop_damping_scaling(params):
 def test_thrust_lag_properties(params):
     # lateral thrust lags with the attitude time constant, the collective
     # with the motor time constant, in the model the analysis integrates
-    cfg = AnalysisConfig(n_agents=2, mav=params)
+    cfg = AnalysisConfig(n_agents=2)
     for agent in (0, 1):
         for axis, tau in ((0, params.tau_att), (2, params.tau_motor)):
             x = rest_state(cfg)

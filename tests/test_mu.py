@@ -15,6 +15,7 @@ from swarmlift.analysis import (
     linearize,
     margin_plant,
 )
+from swarmlift import lti
 from swarmlift import mu as mu_mod
 from swarmlift.errors import (ChannelMismatch, NonFiniteResponse,
                               UnstableOperatingPoint)
@@ -114,6 +115,23 @@ def test_n_delta_response_equals_its_series_realization(channels, n, n_w,
     G = N.freq_response(w)
     assert G.shape == ref.shape == (w.size, ny + 2, ny + n_w)
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_n_delta_response_evaluates_each_weight_once(monkeypatch):
+    # one response for the plant and one per distinct weight: mpc, the
+    # lateral thrust weight (both lateral axes), the vertical one, est and
+    # the performance weight
+    N, _ = _assembled(3, 4.0, 12.0)
+    solved = []
+
+    def counted(sys, w):
+        solved.append(sys)
+        return response(sys, w)
+
+    response = lti._response
+    monkeypatch.setattr(lti, "_response", counted)
+    N.freq_response(FREQS)
+    assert len(solved) == 6
 
 
 def test_assemble_rejects_mismatched_weights():

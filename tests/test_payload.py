@@ -232,9 +232,11 @@ def test_joint_force_newton_closure():
     a = attachment_accel(cs, R, omega, w_x_r, v_dot, w_dot)
     F_int = np.array([
         joint_interaction_force(a[i], forces_w[i], 3.5) for i in range(2)])
-    # payload CoG acceleration from the rigid kinematics about the CoM
-    a_pc = v_dot + R @ (np.cross(w_dot, cs.r_payload_cog)
-                        + np.cross(omega, np.cross(omega, cs.r_payload_cog)))
+    # payload CoG acceleration from the rigid kinematics about the CoM; the
+    # CoG sits at -CoM, the shift that every attachment took
+    r_pc = (cs.attachments - p.attachments)[0]
+    a_pc = v_dot + R @ (np.cross(w_dot, r_pc)
+                        + np.cross(omega, np.cross(omega, r_pc)))
     residual = F_int.sum(axis=0) + p.m_p * (a_pc + GRAVITY * np.array([0, 0, 1]))
     assert np.max(np.abs(residual)) < 1e-9
 
@@ -245,4 +247,4 @@ def test_com_system_balanced_case_matches_spec_formula():
     assert_allclose(cs.J_sys, point_inertia(p.J_p, [3.5, 3.5], p.attachments),
                     rtol=1e-12)
     assert_allclose(cs.attachments, p.attachments)
-    assert_allclose(cs.r_payload_cog, np.zeros(3))
+    assert_allclose((cs.attachments - p.attachments)[0], np.zeros(3))

@@ -25,8 +25,11 @@ def hover_rotors():
 
 
 def hover_filter(P0=None):
-    return ukf.ukf_init(np.zeros(3), np.zeros(3), att.IDENTITY_QUAT.copy(),
-                        np.zeros(3), P0_diag=P0)
+    s = ukf.ukf_init(np.zeros(3), np.zeros(3), att.IDENTITY_QUAT.copy(),
+                     np.zeros(3))
+    if P0 is not None:  # the initial covariance diag(P0)
+        s.P = np.diag(P0)
+    return s
 
 
 # ------------------------------------------------------------- sigma points
@@ -224,7 +227,7 @@ def test_closed_loop_force_step_convergence():
 def test_nominal_estimator_model():
     # the first-order unit-gain estimator lag the margins integrate: a
     # slave's F_hat error decays at 1 / tau_est and leaves the others alone
-    cfg = AnalysisConfig(n_agents=3, mav=PARAMS)
+    cfg = AnalysisConfig(n_agents=3)
     x0 = rest_state(cfg)
     dF_hat0 = unpack_state(cfg, full_rhs(cfg, x0, zero_input(cfg)))[6]
     delta = np.array([0.5, -0.3, 0.2])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from swarmlift import identify, uncertainty
 from swarmlift.errors import FitInfeasible
 from swarmlift.identify import (
     correlate_tone,
@@ -71,11 +72,13 @@ def test_fit_bound_is_hard():
         assert np.all(mag >= r - 1e-12), seed
 
 
-def test_fit_infeasible_for_wild_samples():
+def test_fit_infeasible_for_wild_samples(monkeypatch):
     rng = np.random.default_rng(1)
     r = np.exp(rng.uniform(-4, 4, FREQS.size))  # 8 decades of scatter
+    monkeypatch.setattr(uncertainty, "MAX_ORDER", 1)
+    monkeypatch.setattr(uncertainty, "EXCESS_CAP_DB", 1.0)
     with pytest.raises(FitInfeasible):
-        fit_bounding_weight(FREQS, r, max_order=1, excess_cap_db=1.0)
+        fit_bounding_weight(FREQS, r)
 
 
 def test_performance_weight_band_shape():
@@ -88,19 +91,18 @@ def test_performance_weight_band_shape():
     assert np.isfinite(hi)  # proper
 
 
-def test_default_weights_cover_fresh_identification():
+def test_default_weights_cover_fresh_identification(monkeypatch):
     # the frozen weights must upper-bound a freshly identified response on
     # a small harmonic set (regression against drift in the plant model)
     params = MavParams()
-    harmonics = (2, 8, 32, 128)
-    fr = identify_pd_response(params, harmonics=harmonics)
+    monkeypatch.setattr(identify, "DEFAULT_HARMONICS", (2, 8, 32, 128))
+    fr = identify_pd_response(params)
     Gn = params.K_P[0] + 1j * fr.freqs * params.K_D[0]
     r_pd = np.abs((fr.H - Gn) / Gn)
     mag = np.abs(default_weight_mpc().freq_response(fr.freqs)[:, 0, 0])
     assert np.all(mag >= r_pd * 0.98)
 
-    fr = identify_thrust_response(params, axis=0, harmonics=harmonics,
-                                  base_period=40.0, settle=4.0)
+    fr = identify_thrust_response(params, axis=0)
     r_att = relative_error(first_order_lag(params.tau_att), fr)
     mag = np.abs(default_weight_att_lateral().freq_response(fr.freqs)[:, 0, 0])
     assert np.all(mag >= r_att * 0.98)
