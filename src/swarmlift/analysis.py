@@ -28,10 +28,13 @@ simulator integrates. The model and its kernels take a leading batch axis,
 so a plant's Jacobian is one :func:`chart_rhs_out` call on the stack of
 its perturbed points, each row with the bits of its own call.
 
-The transport pre-roll (924 :func:`full_rhs` calls at N = 3, (4, 12)) is a
-large share of a margin point at small N, so what a configuration fixes is
-built once (``AnalysisConfig``, ``MavParams``) and a call runs only its
-blocks' arithmetic, in pinned order.
+Only the Jacobians read the Delta channels. The transport pre-roll
+integrates the nominal model (the uncertainty LFT closed with Delta = 0),
+:func:`full_rhs` under the velocity command alone, which splits no input
+vector and runs no injection. Its 924 calls at N = 3, (4, 12) are a large
+share of a margin point at small N, so what a configuration fixes is built
+once (``AnalysisConfig``, ``MavParams``) and a call runs only its blocks'
+arithmetic, in pinned order.
 """
 
 from __future__ import annotations
@@ -73,11 +76,7 @@ class AnalysisConfig:
     mav: MavParams = field(init=False, default_factory=MavParams)
 
     def __post_init__(self):
-        # bool is an int subclass, but true is no count
-        if (isinstance(self.n_agents, bool) or not isinstance(
-                self.n_agents, numbers.Integral) or self.n_agents < 2):
-            raise ValueError("n_agents must be an integer of at least 2, a "
-                             f"master and a slave; got {self.n_agents!r}")
+        check_n_agents(self.n_agents)
         payload = default_payload(self.n_agents, self.mav.m_bar)
         com = com_system(payload, np.full(self.n_agents, self.mav.m))
         # equal static share of the payload weight per agent
@@ -129,6 +128,16 @@ class AnalysisConfig:
         return sum(s for _, s in self.input_channels())
 
 
+def check_n_agents(n_agents) -> None:
+    """ValueError unless n_agents counts a team: an integer of at least 2,
+    a master and a slave."""
+    # bool is an int subclass, but true is no count
+    if (isinstance(n_agents, bool) or not isinstance(
+            n_agents, numbers.Integral) or n_agents < 2):
+        raise ValueError("n_agents must be an integer of at least 2, a "
+                         f"master and a slave; got {n_agents!r}")
+
+
 def delta_channels(n_agents: int) -> list:
     """The Delta channels (name, size), in the order of the plant's
     u/y channels and of the analysis blocks: payload mass and inertia, one
@@ -173,14 +182,16 @@ def split_inputs(cfg: AnalysisConfig, u):
 # ------------------------------------------------------- nonlinear dynamics
 
 def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
-          u):
+          w, delta=None):
     """Shared nonlinear dynamics; complex-step safe. Returns the state
     derivatives (except attitude kinematics), the PD force command and the
     payload-frame thrust, from which chart_rhs_out builds the channel
-    outputs. R, the states and u may carry the same leading batch axes;
-    each row then has the bits of its own call."""
+    outputs. w is the master's velocity command and delta the Delta-channel
+    inputs (u_mass, u_J, u_mpc, u_att, u_est) of split_inputs; without
+    them it is the nominal model (Delta = 0), which runs no injection. R,
+    the states and the inputs may carry the same leading batch axes; each
+    row then has the bits of its own call."""
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
-    u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
 
     p_i, v_i, w_x_r = attachment_kinematics(com, p, v, R, omega)
 
@@ -190,14 +201,19 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     ref_v = np.concatenate((w[..., None, :], zdot), -2)
 
     F_cmd = pd_position_control(p_i, v_i, ref_p, ref_v, mav)
-    F_lag_in_w = saturate_thrust_command(F_cmd + u_mpc, mav)
+    # the commanded and the realized thrust and the force estimate, with
+    # their uncertainty injected
+    F_in, F_cons_P, F_est = F_cmd, F_prop, F_hat
+    if delta is not None:
+        u_mass, u_J, u_mpc, u_att, u_est = delta
+        F_in, F_cons_P, F_est = F_cmd + u_mpc, F_prop + u_att, F_hat + u_est
+    F_lag_in_w = saturate_thrust_command(F_in, mav)
     # the realized thrust is carried in the payload frame (the joints are
     # fixed to the payload: once settled it tilts with the structure); lateral
     # components re-orient with the attitude time constant, the collective
     # magnitude with the (much faster) motor lag
     F_lag_in_P = c_einsum("...ji,...nj->...ni", R, F_lag_in_w)
     dF_prop = (F_lag_in_P - F_prop) / mav.tau_thrust
-    F_cons_P = F_prop + u_att
     F_cons_w = c_einsum("...ij,...nj->...ni", R, F_cons_P)
 
     # payload rigid body about the composite CoM, with the mass and inertia
@@ -205,8 +221,9 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     v_dot, omega_dot = payload_accel(com, cfg.payload.drag_F,
                                      cfg.payload.drag_M, R, v, omega,
                                      np.add.reduce(F_cons_w, -2), F_cons_P)
-    v_dot = v_dot - cfg.w_mass * u_mass
-    omega_dot = omega_dot - np.matvec(cfg.G_inertia, u_J)
+    if delta is not None:
+        v_dot = v_dot - cfg.w_mass * u_mass
+        omega_dot = omega_dot - np.matvec(cfg.G_inertia, u_J)
 
     dp_ref = w
 
@@ -215,18 +232,19 @@ def _core(cfg: AnalysisConfig, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot,
     F_int = joint_interaction_force(a_i[..., 1:, :], F_cons_w[..., 1:, :],
                                     mav.m)
     dF_hat = (F_int - F_hat) / mav.tau_est
-    F_used = F_hat + u_est - cfg.F_int_trim
+    F_used = F_est - cfg.F_int_trim
     dzdot = (F_used - adm.C * zdot - adm.K * z) / adm.M
 
     return ((v_dot, omega_dot, dp_ref, dF_prop, dF_hat, zdot, dzdot), F_cmd,
             F_cons_P)
 
 
-def full_rhs(cfg: AnalysisConfig, x, u):
-    """State derivative with quaternion payload attitude (real arithmetic)."""
+def full_rhs(cfg: AnalysisConfig, x, w):
+    """State derivative of the nominal model (Delta = 0) under the velocity
+    command w, with quaternion payload attitude (real arithmetic)."""
     p, v, q, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(cfg, x)
     der, _, _ = _core(cfg, quat_to_rotmat(q), p, v, omega, p_ref, F_prop,
-                      F_hat, z, zdot, u)
+                      F_hat, z, zdot, w)
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
     return pack_state(v, v_dot, quat_rate(q, omega), omega_dot, dp_ref,
                       dF_prop, dF_hat, dz, dzdot)
@@ -239,8 +257,9 @@ def chart_rhs_out(cfg: AnalysisConfig, xc, u, q_ref):
     p, v, theta, omega, p_ref, F_prop, F_hat, z, zdot = unpack_state(
         cfg, xc, n_att=3)
     R = quat_to_rotmat(q_ref) @ rotvec_to_rotmat(theta)
+    *delta, w = split_inputs(cfg, u)
     der, F_cmd, F_cons_P = _core(cfg, R, p, v, omega, p_ref, F_prop, F_hat,
-                                 z, zdot, u)
+                                 z, zdot, w, delta)
     v_dot, omega_dot, dp_ref, dF_prop, dF_hat, dz, dzdot = der
     dtheta = omega + 0.5 * cross3(theta, omega)
     # the outputs in output_channels order: y_mass, y_J, y_mpc, y_att,
@@ -272,27 +291,29 @@ def zero_input(cfg: AnalysisConfig) -> np.ndarray:
     return np.zeros(cfg.n_inputs)
 
 
-def preroll_transport(cfg: AnalysisConfig) -> np.ndarray:
+def preroll_transport(cfg: AnalysisConfig,
+                      rest: LinearSystem | None = None) -> np.ndarray:
     """Integrate the nominal model from rest under TRANSPORT_VELOCITY;
     returns the state after TRANSPORT_PREROLL_T seconds. The RK4 step h
-    keeps h rho <= PREROLL_STEP_RHO for the rest plant's spectral radius
-    rho: inside RK4's stability region for a stiff tuning, and no more
-    steps than a soft one's accuracy needs. Past PREROLL_MAX_STEPS steps
-    it raises UnstableOperatingPoint unintegrated, as a divergence past
+    keeps h rho <= PREROLL_STEP_RHO for the spectral radius rho of the
+    rest plant (linearize(cfg, "rest") unless given): inside RK4's
+    stability region for a stiff tuning, and no more steps than a soft
+    one's accuracy needs. Past PREROLL_MAX_STEPS steps it raises
+    UnstableOperatingPoint unintegrated, as a divergence past
     PREROLL_DIVERGENCE_BOUND does."""
-    rho = np.max(np.abs(np.linalg.eigvals(linearize(cfg, "rest").A)))
+    if rest is None:
+        rest = linearize(cfg, "rest")
+    rho = np.max(np.abs(np.linalg.eigvals(rest.A)))
     n = int(np.ceil(TRANSPORT_PREROLL_T * rho / PREROLL_STEP_RHO))
     if n > PREROLL_MAX_STEPS:
         raise UnstableOperatingPoint(f"transport pre-roll needs {n} RK4 "
                                      f"steps at spectral radius {rho:.4g} 1/s")
     x = rest_state(cfg)
-    u = zero_input(cfg)
-    u[-3:] = TRANSPORT_VELOCITY
     dt = TRANSPORT_PREROLL_T / n
     qsl = slice(6, 10)
 
     def rhs(t, x_):
-        return full_rhs(cfg, x_, u)
+        return full_rhs(cfg, x_, TRANSPORT_VELOCITY)
 
     for k in range(n):
         x = rk4_step(rhs, k * dt, x, dt)
@@ -325,21 +346,21 @@ def complex_step_jacobian(f, x):
 
 
 def linearize(cfg: AnalysisConfig, op: str = "rest", x_full=None,
-              u0=None) -> LinearSystem:
+              u0=None, rest: LinearSystem | None = None) -> LinearSystem:
     """Jacobian linearization of the nonlinear model at an operating point.
 
     op = "rest" uses the exact engaged-hover equilibrium; op = "transport"
-    pre-rolls the nonlinear model (:func:`preroll_transport`, whose RK4
-    step is set by the rest linearization's spectral radius) and takes the
-    Jacobian under the same velocity command. A custom (x_full, u0)
-    overrides both.
+    pre-rolls the nominal model (:func:`preroll_transport`, whose RK4 step
+    is set by the spectral radius of the rest plant: rest, or else its own
+    rest linearization) and takes the Jacobian under the same velocity
+    command. A custom (x_full, u0) overrides both.
     """
     if x_full is None:
         if op == "rest":
             x_full = rest_state(cfg)
             u0 = zero_input(cfg)
         elif op == "transport":
-            x_full = preroll_transport(cfg)
+            x_full = preroll_transport(cfg, rest)
             u0 = zero_input(cfg)
             u0[-3:] = TRANSPORT_VELOCITY
         else:

@@ -36,13 +36,14 @@ import numpy as np
 from .analysis import (
     AnalysisConfig,
     build_closed_loop,
+    check_n_agents,
     delta_channels,
     linearize,
     margin_plant,
 )
 from .errors import ChannelMismatch, NonFiniteResponse, UnstableOperatingPoint
 from .lti import CHUNK_ENTRIES, LinearSystem, WeightedPlant
-from .mav import real_entries
+from .mav import real_array, real_entries
 from .uncertainty import (
     UncertaintyBlock,
     default_weight_att,
@@ -525,10 +526,17 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     where it still does and polishes only where the peak could rise; every
     other frequency keeps its last Frobenius norm, below the floor. The
     margins and peak frequencies are those of bounding and polishing
-    every frequency, bit for bit. The frequency grid freqs must be
-    nonempty, finite and nonnegative. polish stays only because the
-    benchmark passes it; margins and grid_sweep always polish.
+    every frequency, bit for bit. The rest plant is linearized once: the
+    transport pre-roll takes its RK4 step from it. n_agents must count a
+    team (check_n_agents), M and C must be finite numbers, and the
+    frequency grid freqs must be nonempty, finite and nonnegative, at every
+    tuning. polish stays only because the benchmark passes it; margins and
+    grid_sweep always polish.
     """
+    # a degenerate tuning returns early, so the arguments are checked first
+    check_n_agents(n_agents)
+    for name, value in (("M", M), ("C", C)):
+        real_array(name, value, ())
     freqs = np.asarray(default_frequency_grid() if freqs is None else freqs,
                        dtype=float)
     if not (freqs.ndim == 1 and freqs.size and np.isfinite(freqs).all()
@@ -544,11 +552,12 @@ def margin_point(n_agents: int, M: float, C: float, freqs=None, blocks=None,
     if perf_weight is None:
         perf_weight = performance_weight()
 
-    rest_d, ok = margin_plant(build_closed_loop(cfg))
+    rest = build_closed_loop(cfg)
+    rest_d, ok = margin_plant(rest)
     if not ok:
         return zero
     try:
-        transport = linearize(cfg, "transport")
+        transport = linearize(cfg, "transport", rest=rest)
     except UnstableOperatingPoint:
         return zero
     tr_d, ok = margin_plant(transport)

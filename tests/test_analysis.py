@@ -22,7 +22,8 @@ from swarmlift.analysis import (
 )
 from swarmlift.attitude import skew
 from swarmlift.errors import UnstableOperatingPoint
-from swarmlift.mu import default_frequency_grid, margin_point
+from swarmlift.mu import (TuningGrid, default_frequency_grid, margin_point,
+                          margins)
 
 
 def cfg2(M=8.0, C=6.0):
@@ -45,16 +46,34 @@ def test_margin_point_refuses_a_fractional_count():
         margin_point(2.5, 8.0, 6.0)
 
 
+# a bad argument is refused at a degenerate tuning too, which returns the
+# zero margin before any plant is built
+@pytest.mark.parametrize("call, match", [
+    (lambda: margin_point(2.5, 0.0, 10.0), "n_agents must be an integer"),
+    (lambda: margin_point("3", 8.0, -1.0), "n_agents must be an integer"),
+    (lambda: margins(TuningGrid([0.0], [0.0, 10.0]), 2.5),
+     "n_agents must be an integer"),
+    (lambda: margin_point(3, True, 6.0), "M must be a finite number"),
+    (lambda: margin_point(3, 8.0, False), "C must be a finite number"),
+    (lambda: margin_point(3, "8", 6.0), "M must be a finite number"),
+    (lambda: margin_point(3, np.nan, -1.0), "M must be a finite number"),
+], ids=["fraction", "str", "margins", "bool-M", "bool-C", "str-M",
+        "nan-M"])
+def test_margin_point_checks_its_arguments_before_a_zero_margin(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_rest_state_is_equilibrium():
     cfg = cfg2()
     x = rest_state(cfg)
-    dx = full_rhs(cfg, x, zero_input(cfg))
+    dx = full_rhs(cfg, x, np.zeros(3))
     assert np.max(np.abs(dx)) < 1e-12
 
 
 def test_rest_state_is_equilibrium_5_agents():
     cfg = AnalysisConfig(n_agents=5)
-    dx = full_rhs(cfg, rest_state(cfg), zero_input(cfg))
+    dx = full_rhs(cfg, rest_state(cfg), np.zeros(3))
     assert np.max(np.abs(dx)) < 1e-12
 
 
@@ -171,6 +190,23 @@ def test_preroll_calls_full_rhs_through_the_module_global(monkeypatch):
     assert len(calls) == 4 * n == 924
     monkeypatch.undo()
     assert x.tobytes() == preroll_transport(cfg).tobytes()
+
+
+def test_preroll_evaluates_no_delta_channel(monkeypatch):
+    # given the rest plant, as margin_point passes it, the pre-roll
+    # integrates the nominal model alone: no input vector is split into
+    # its Delta channels, and no plant is linearized again
+    cfg = AnalysisConfig(n_agents=3, tuning_M=4.0, tuning_C=12.0)
+    rest = build_closed_loop(cfg)
+    ref = preroll_transport(cfg)
+
+    def refused(*args):
+        raise AssertionError("the pre-roll split a Delta input")
+
+    monkeypatch.setattr(analysis, "split_inputs", refused)
+    assert preroll_transport(cfg, rest).tobytes() == ref.tobytes()
+    with pytest.raises(AssertionError, match="split a Delta input"):
+        preroll_transport(cfg)
 
 
 @pytest.mark.parametrize("n_agents,M,C", [(2, 8.0, 6.0), (3, 4.0, 12.0),

@@ -52,7 +52,6 @@ from swarmlift.analysis import (
     linearize,
     preroll_transport,
     rest_state,
-    split_inputs,
     to_chart,
     unpack_state,
     zero_input,
@@ -165,7 +164,10 @@ def old_core(cfg, R, p, v, omega, p_ref, F_prop, F_hat, z, zdot, u):
     """``analysis._core`` before the lean right-hand side, on the oracles
     above: per-call constants, (1, 3) broadcasts and np.linalg.solve."""
     mav, adm, com = cfg.mav, cfg.adm, cfg.com
-    u_mass, u_J, u_mpc, u_att, u_est, w = split_inputs(cfg, u)
+    N = cfg.n_agents
+    U = u.reshape(-1, 3)
+    u_mass, u_J, u_mpc, u_att, u_est, w = (
+        U[0], U[1], U[2:2 + N], U[2 + N:2 + 2 * N], U[2 + 2 * N:-1], U[-1])
     p_i, v_i = old_attachment_kinematics(com, p, v, R, omega)
     ref_p = np.concatenate((p_ref[None], cfg.engage_points[1:] + z))
     ref_v = np.concatenate((w[None], zdot))
@@ -484,6 +486,11 @@ def same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
+def same_bits_but_zero_signs(got, ref):
+    # x + 0.0 turns -0.0 into +0.0 and keeps every other float's bits
+    same_bits(np.asarray(got) + 0.0, np.asarray(ref) + 0.0)
+
+
 # -------------------------------------------------------------------- tests
 
 @settings(max_examples=150, deadline=None)
@@ -794,14 +801,21 @@ def test_flat_rk4_step_bits(a, b, t, h):
 @given(st.integers(2, 5), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
        st.booleans(), st.data())
 def test_analysis_rhs_bits(n, M, C, cs, data):
-    # full_rhs (real: the pre-roll) and chart_rhs_out (real and complex
-    # step: the Jacobians) against the frozen earlier _core
+    # full_rhs (real: the pre-roll's nominal model) against the frozen
+    # earlier _core with every Delta input zero, and chart_rhs_out (real
+    # and complex step: the Jacobians) against it at every input. The
+    # earlier model added the zero inputs, which turns a -0.0 sum into
+    # +0.0 (see test_nominal_rhs_keeps_a_negative_zero); the nominal model
+    # keeps it, so there the sign of a zero may differ
     cfg = AnalysisConfig(n_agents=n, tuning_M=M, tuning_C=C)
     nx = 16 + 3 * n + 9 * (n - 1)
     small = st.floats(-10.0, 10.0, allow_nan=False)
     x = data.draw(reals(nx, small))
     u = data.draw(reals(cfg.n_inputs, small))
-    same_bits(full_rhs(cfg, x, u), old_full_rhs(cfg, x, u))
+    nominal = np.zeros(cfg.n_inputs)
+    nominal[-3:] = u[-3:]
+    same_bits_but_zero_signs(full_rhs(cfg, x, u[-3:]),
+                             old_full_rhs(cfg, x, nominal))
     q_ref = data.draw(reals(4, st.floats(-1.0, 1.0)))
     xc, uc = x[:-1], u
     if cs:
@@ -814,6 +828,21 @@ def test_analysis_rhs_bits(n, M, C, cs, data):
     for g, r in zip(chart_rhs_out(cfg, xc, uc, q_ref),
                     old_chart_rhs_out(cfg, xc, uc, q_ref)):
         same_bits(g, r)
+
+
+def test_nominal_rhs_keeps_a_negative_zero():
+    # found by Hypothesis: in an all-zero state, a slave's estimate of -0.0
+    # gives its admittance acceleration -0.0; the earlier model added
+    # u_est = +0.0 to the estimate, which made it +0.0. Every other bit is
+    # the same
+    cfg = AnalysisConfig(n_agents=2, tuning_M=1.0, tuning_C=1.0)
+    x = np.zeros(31)
+    x[22] = -0.0  # F_hat of the slave, x component
+    got, ref = full_rhs(cfg, x, np.zeros(3)), old_full_rhs(cfg, x,
+                                                           zero_input(cfg))
+    dzdot = 22 + 6  # its admittance acceleration, x component
+    assert np.signbit(got[dzdot]) and not np.signbit(ref[dzdot])
+    same_bits(np.delete(got, dzdot), np.delete(ref, dzdot))
 
 
 # ------------------------------------------------------------ the batch axis

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from swarmlift.analysis import AnalysisConfig, full_rhs, rest_state, zero_input
+from swarmlift.analysis import AnalysisConfig, full_rhs, rest_state
 from swarmlift.attitude import (
     euler_body_z,
     quat_from_axis_angle,
@@ -313,7 +313,7 @@ def test_thrust_lag_properties(params):
             i = 16 + 3 * agent + axis  # p, v, q, omega, p_ref, F_prop rows
             assert x[i] == cfg.F_trim[agent, axis]
             x[i] += 0.5
-            rate = full_rhs(cfg, x, zero_input(cfg))[i]
+            rate = full_rhs(cfg, x, np.zeros(3))[i]
             assert_allclose(rate, -0.5 / tau, rtol=1e-9)
 
 

@@ -567,7 +567,7 @@ def test_margin_zero_for_degenerate_and_unstable_tunings():
 
 
 def test_margin_zero_when_the_transport_point_fails(monkeypatch):
-    def diverging(cfg, op):
+    def diverging(cfg, op, rest=None):
         raise UnstableOperatingPoint("pre-roll left the bound")
 
     monkeypatch.setattr(mu_mod, "linearize", diverging)
@@ -576,7 +576,8 @@ def test_margin_zero_when_the_transport_point_fails(monkeypatch):
 
     # a transport plant that is not nominally stable, after a stable rest plant
     transport = object()
-    monkeypatch.setattr(mu_mod, "linearize", lambda cfg, op: transport)
+    monkeypatch.setattr(mu_mod, "linearize",
+                        lambda cfg, op, rest=None: transport)
     monkeypatch.setattr(mu_mod, "margin_plant", lambda plant: (
         (None, False) if plant is transport else margin_plant(plant)))
     r = margin_point(2, 8.0, 6.0, freqs=FREQS)
@@ -743,10 +744,10 @@ def linearize_once():
     """linearize, run once per team size, tuning and operating point."""
     plants = {}
 
-    def once(cfg, op="rest"):
+    def once(cfg, op="rest", rest=None):
         key = (cfg.n_agents, cfg.tuning_M, cfg.tuning_C, op)
         if key not in plants:
-            plants[key] = linearize(cfg, op)
+            plants[key] = linearize(cfg, op, rest=rest)
         return plants[key]
 
     return once
@@ -912,9 +913,9 @@ def test_margin_point_work_counts(monkeypatch):
     counts.clear()
     _no_polish_exit(monkeypatch)
     full = margin_point(3, 4.0, 12.0, freqs=freqs)
-    # the rest plant, and the transport plant whose pre-roll linearizes
-    # the rest plant again for its step
-    assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 3
+    # the rest plant, and the transport plant, whose pre-roll takes its
+    # step from that rest plant
+    assert n_stopped["chart_rhs_out"] == counts["chart_rhs_out"] == 2
     assert n_stopped["svd in ssv"] < counts["svd in ssv"]
     assert stopped == full
 

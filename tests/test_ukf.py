@@ -9,7 +9,6 @@ from swarmlift.analysis import (
     full_rhs,
     rest_state,
     unpack_state,
-    zero_input,
 )
 from swarmlift.errors import CholeskyFailure
 from swarmlift.identify import run_force_step
@@ -229,14 +228,14 @@ def test_nominal_estimator_model():
     # slave's F_hat error decays at 1 / tau_est and leaves the others alone
     cfg = AnalysisConfig(n_agents=3)
     x0 = rest_state(cfg)
-    dF_hat0 = unpack_state(cfg, full_rhs(cfg, x0, zero_input(cfg)))[6]
+    dF_hat0 = unpack_state(cfg, full_rhs(cfg, x0, np.zeros(3)))[6]
     delta = np.array([0.5, -0.3, 0.2])
     for slave in range(cfg.n_slaves):
         x = x0.copy()
         i = 16 + 3 * cfg.n_agents + 9 * slave  # F_hat rows of this slave
         assert_allclose(x[i:i + 3], cfg.F_int_trim)
         x[i:i + 3] += delta
-        dF_hat = unpack_state(cfg, full_rhs(cfg, x, zero_input(cfg)))[6]
+        dF_hat = unpack_state(cfg, full_rhs(cfg, x, np.zeros(3)))[6]
         assert_allclose(dF_hat[slave] - dF_hat0[slave],
                         -delta / PARAMS.tau_est, rtol=1e-9)
         others = [j for j in range(cfg.n_slaves) if j != slave]
